@@ -1,8 +1,8 @@
 """Objective impulse-response metrics.
 
 Schroeder backward integration, T30 from the ISO [-5, -35] dB span,
-normalized echo density, two-segment (dual-slope) decay fitting, spectral
-deviation, direct-to-reverberant ratio and the mean free path.
+normalized echo density, two-segment (dual-slope) decay fitting,
+direct-to-reverberant ratio and the mean free path.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDecayError, SceneValidationError
-from .filterbank import OCTAVE_CENTERS_8, bandpass
+from .filterbank import BandFilter, OCTAVE_CENTERS_8
 from .scene import RoomSpec, surface_area, volume
 
 EDC_FLOOR_DB = -120.0
@@ -86,10 +86,9 @@ def t30(edc: EdcCurve) -> float:
 
 def t30_bands(ir: np.ndarray, fs: float, centers=OCTAVE_CENTERS_8) -> np.ndarray:
     """Per-octave-band T30 of a single channel."""
-    return np.array([
-        t30(schroeder_edc(bandpass(ir, fs, b, centers), fs))
-        for b in range(len(centers))
-    ])
+    # one slice in, one row out per band: a single forward transform
+    bands = BandFilter(len(ir), fs, centers=centers).apply(np.asarray(ir)[None, None, :])
+    return np.array([t30(schroeder_edc(band, fs)) for band in bands])
 
 
 def ned(ir: np.ndarray, fs: float, window: float = 25e-3,
@@ -166,13 +165,6 @@ def single_slope_residual(edc: EdcCurve, span_db: float = 60.0) -> float:
     y = v[start:stop + 1]
     slope, intercept = _fit_line(t, y)
     return float(np.mean((slope * t + intercept - y) ** 2))
-
-
-def spectral_deviation(ir_a, ir_b, band_range=(100.0, 16000.0)) -> float:
-    """Mean |difference| of third-octave smoothed spectra in dB (see postproc)."""
-    from .postproc import spectral_deviation_db
-
-    return spectral_deviation_db(ir_a, ir_b, band_range)
 
 
 def mean_free_path(room: RoomSpec) -> float:

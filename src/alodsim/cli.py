@@ -199,16 +199,18 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_stimulus(args) -> int:
+    # without --duration each generator keeps its own default length
+    timing = {"fs": args.rate}
+    if args.duration is not None:
+        timing["duration"] = args.duration
     if args.kind == "pink-pulse":
         if args.band_offsets:
             offsets = tuple(float(v) for v in args.band_offsets.split(","))
-            stim = pink_pulse_variant(BandLevels(offsets_db=offsets),
-                                      fs=args.rate, duration=args.duration)
+            stim = pink_pulse_variant(BandLevels(offsets_db=offsets), **timing)
         else:
-            stim = pink_pulse(fs=args.rate, duration=args.duration)
+            stim = pink_pulse(**timing)
     elif args.kind == "sweep":
-        stim = ess_generate(f1=args.f1, f2=args.f2, duration=args.duration
-                            if args.duration != 0.5 else 3.2, fs=args.rate)
+        stim = ess_generate(f1=args.f1, f2=args.f2, **timing)
     else:
         raise SceneParseError(f"unknown stimulus kind {args.kind!r}")
     write_wav(args.out, stim.samples, stim.sample_rate)
@@ -300,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stim = sub.add_parser("stimulus", help="generate a test stimulus WAV")
     stim.add_argument("kind", choices=("pink-pulse", "sweep"))
-    stim.add_argument("--duration", type=float, default=0.5)
+    stim.add_argument("--duration", type=float,
+                      help="seconds (default 0.5 for pink-pulse, 3.2 for sweep)")
     stim.add_argument("--rate", type=float, default=44100.0)
     stim.add_argument("--band-offsets",
                       help="comma-separated octave offsets in dB (pink-pulse)")

@@ -19,7 +19,7 @@ with a broadband attenuation and a first-order lowpass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

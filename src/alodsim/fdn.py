@@ -4,7 +4,8 @@ Delay times are physically based: the room's edge lengths, face diagonals
 and space diagonal, converted to samples and nudged to pairwise coprime
 integers. Per-line per-band attenuation realizes the decay target; the
 feedback matrix is a seeded random orthogonal matrix, so the loop is
-energy-preserving before attenuation.
+energy-preserving before attenuation. The loop runs once per distinct set
+of band gains, so a broadband target costs one run and no band filtering.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from .errors import SceneValidationError
-from .filterbank import OCTAVE_CENTERS_8, band_masks
+from .filterbank import BandFilter, OCTAVE_CENTERS_8
 from .ism import SpatialIR, TailStream
 from .scene import DecayTarget, RoomSpec, volume
 
@@ -282,8 +283,8 @@ def _shape_decay(lines: np.ndarray, fs: float, t60: float) -> np.ndarray:
     return lines * gain[None, :]
 
 
-def _band_t60(config: FdnConfig, band: int) -> float:
-    g = float(config.line_gains[0, band])
+def _t60_of(config: FdnConfig, gains: np.ndarray) -> float:
+    g = float(gains[0])
     if g >= 1.0:
         return math.inf
     return -3.0 * float(config.delays[0]) / (config.sample_rate * math.log10(g))
@@ -294,10 +295,12 @@ def run_fdn(config: FdnConfig, duration: float,
             band_centers=OCTAVE_CENTERS_8) -> list:
     """Direction-labeled tail streams of the FDN response.
 
-    The loop runs once per octave band with that band's line gains; each
-    band's line outputs are then band-limited with the zero-phase filterbank
-    and summed per line. Default input is a unit impulse at t = 0, in which
-    case the band envelopes are regularized toward the target decay.
+    Bands whose line gains are exactly equal share one run of the loop. Each
+    distinct gain set runs once; its line outputs are band-limited with the
+    sum of its bands' zero-phase masks, and the groups are summed per line.
+    When every band has the same gains the masks sum to 1 and no filtering
+    is needed. Default input is a unit impulse at t = 0, in which case each
+    group's envelope is regularized toward its target decay.
     """
     fs = config.sample_rate
     n = int(round(duration * fs))
@@ -306,35 +309,21 @@ def run_fdn(config: FdnConfig, duration: float,
     impulse_driven = input_signal is None
     if input_signal is None:
         input_signal = np.array([1.0])
-    n_bands = config.line_gains.shape[1]
-    # zero-padded masking: the acausal half of each band kernel lands in the
-    # padding rather than wrapping to the end of the tail
-    masks = band_masks(2 * n, fs, band_centers)
-    spectra = None
-    for b in range(n_bands):
-        lines = _run_band(config, config.line_gains[:, b], n, input_signal)
+    groups, members = np.unique(config.line_gains.T, axis=0, return_inverse=True)
+    lines = None
+    for g, gains in enumerate(groups):
+        out = _run_band(config, gains, n, input_signal)
         if impulse_driven:
-            lines = _shape_decay(lines, fs, _band_t60(config, b))
-        contrib = np.fft.rfft(lines, n=2 * n, axis=1) * masks[b][None, :]
-        spectra = contrib if spectra is None else spectra + contrib
-    lines = np.fft.irfft(spectra, n=2 * n, axis=1)[:, :n]
+            out = _shape_decay(out, fs, _t60_of(config, gains))
+        if len(groups) > 1:
+            weights = (members.ravel() == g)[None, :]
+            out = BandFilter(n, fs, weights, band_centers).apply(out[None])
+        lines = out if lines is None else lines + out
     return [
         TailStream(samples=lines[i], onset=config.onset,
                    direction=config.output_directions[i])
         for i in range(config.n_lines)
     ]
-
-
-def run_fdn_lossless_check(config: FdnConfig, n_samples: int = 10_000) -> float:
-    """Energy drift of the unit-gain loop (orthogonality smoke check)."""
-    gains = np.ones(config.n_lines)
-    out = _run_band(config, gains, n_samples, np.array([1.0]))
-    # after the impulse has entered, loop energy is conserved; compare the
-    # output energy of two long windows
-    half = n_samples // 2
-    e1 = float(np.sum(out[:, :half] ** 2))
-    e2 = float(np.sum(out[:, half:] ** 2))
-    return abs(e2 - e1) / max(e1, 1e-30)
 
 
 def splice(early: SpatialIR, tail, *, onset: float, t60: float,

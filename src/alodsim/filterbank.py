@@ -3,12 +3,14 @@
 Bands are realized as raised-cosine magnitude masks on the rFFT grid with
 crossovers on a log-frequency axis. The masks of a bank sum to exactly 1 at
 every bin, so per-band buffers that carry identical gains recombine into the
-original broadband signal.
+original broadband signal. Every band-limiting step in the package goes
+through :class:`BandFilter`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 # Octave band centers used for room absorption / decay targets.
 OCTAVE_CENTERS_8 = (125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
@@ -51,29 +53,43 @@ def band_masks(n_fft: int, fs: float, centers=OCTAVE_CENTERS_8) -> np.ndarray:
     return masks
 
 
+def padded_len(n: int) -> int:
+    """FFT length for masking ``n`` samples: at least ``2 n``, so the acausal
+    half of each band kernel falls into the padding instead of wrapping to
+    the end of the buffer, and 2-3-5-smooth, so the FFT is fast."""
+    return next_fast_len(2 * n, real=True)
+
+
+class BandFilter:
+    """Zero-phase filter of length-``n`` signals by weighted band masks.
+
+    Mask ``j`` is ``weights[j] @ band_masks`` (band ``j`` without weights).
+    """
+
+    def __init__(self, n: int, fs: float, weights=None, centers=OCTAVE_CENTERS_8):
+        self.n = n
+        self.n_fft = padded_len(n)
+        mask = band_masks(self.n_fft, fs, centers)
+        self.mask = mask if weights is None else np.asarray(weights, dtype=float) @ mask
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Filter slice ``x[j]`` along axis 0 with mask ``j`` (shapes
+        broadcast), sum the slices and truncate to ``n`` samples."""
+        spec = np.fft.rfft(x, n=self.n_fft)
+        shape = np.broadcast_shapes(spec.shape, self.mask.shape)
+        spec, mask = np.broadcast_to(spec, shape), np.broadcast_to(self.mask, shape)
+        out = np.empty(shape[1:-1] + (self.n,))
+        # one output row at a time: complex temporaries stay one row long
+        for row in np.ndindex(shape[1:-1]):
+            at = (slice(None),) + row
+            out[row] = np.fft.irfft((spec[at] * mask[at]).sum(axis=0), n=self.n_fft)[:self.n]
+        return out
+
+
 def bandpass(x: np.ndarray, fs: float, band: int, centers=OCTAVE_CENTERS_8) -> np.ndarray:
-    """Zero-phase band-filtered copy of ``x`` for one octave band.
-
-    The signal is zero-padded to twice its length before masking so the
-    acausal half of the filter kernel falls into the padding instead of
-    wrapping around to the end of the buffer (the low bands are narrow and
-    their kernels ring for a long time).
-    """
-    n = len(x)
-    masks = band_masks(2 * n, fs, centers)
-    return np.fft.irfft(np.fft.rfft(x, n=2 * n) * masks[band], n=2 * n)[:n]
-
-
-def combine_bands(band_buffers: np.ndarray, fs: float, centers=OCTAVE_CENTERS_8) -> np.ndarray:
-    """Filter each band buffer with its mask and sum to a broadband signal.
-
-    ``band_buffers`` has shape (n_bands, n_samples). Zero-padded masking as
-    in :func:`bandpass`.
-    """
-    n = band_buffers.shape[1]
-    masks = band_masks(2 * n, fs, centers)
-    spec = np.einsum("bk,bk->k", masks, np.fft.rfft(band_buffers, n=2 * n, axis=1))
-    return np.fft.irfft(spec, n=2 * n)[:n]
+    """Zero-phase band-filtered copy of ``x`` for one octave band."""
+    weights = np.eye(len(centers))[band:band + 1]
+    return BandFilter(len(x), fs, weights, centers).apply(np.asarray(x)[None, :])
 
 
 def band_energies(x: np.ndarray, fs: float, centers=OCTAVE_CENTERS_8) -> np.ndarray:

@@ -11,6 +11,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -187,6 +188,12 @@ class LoudspeakerLayout:
     def n_speakers(self) -> int:
         return self.positions.shape[0]
 
+    @cached_property
+    def _triangulation(self) -> "_Triangulation":
+        # kept on the layout itself, so it is freed with it and can never be
+        # handed to another layout
+        return _Triangulation(self)
+
 
 _RING_LAYOUT = (
     # (elevation degrees, count)
@@ -228,24 +235,11 @@ class _Triangulation:
         return self.triangles[best], g[best], float(worst[best])
 
 
-_TRI_CACHE: dict = {}
-
-
-def _triangulation(layout: LoudspeakerLayout) -> _Triangulation:
-    key = id(layout)
-    tri = _TRI_CACHE.get(key)
-    if tri is None:
-        tri = _Triangulation(layout)
-        _TRI_CACHE[key] = tri
-    return tri
-
-
 def vbap_gains(direction: np.ndarray, layout: LoudspeakerLayout) -> np.ndarray:
     """Power-normalized VBAP gains; at most 3 nonzero, sum of squares = 1."""
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
-    tri = _triangulation(layout)
-    idx, g, worst = tri.gains(d)
+    idx, g, worst = layout._triangulation.gains(d)
     if worst < -1e-9:
         warnings.warn("direction outside triangulated coverage; "
                       "using nearest triangle", RuntimeWarning)

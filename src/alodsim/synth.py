@@ -1,8 +1,9 @@
 """Sample-domain synthesis of a SpatialIR.
 
 Taps are accumulated into per-band impulse buffers (one add per tap per
-band), the zero-phase octave filterbank is applied once per band, and the
-bands are summed. Cost is O(bands), not O(taps). Direction handling is
+band) over the early extent of the IR, one render unit at a time; the
+zero-phase octave filterbank is applied once per band, and the bands are
+summed. Cost is O(bands), not O(taps). Direction handling is
 delegated to a *spread function* mapping a DOA to weighted render units
 (an HRTF index, a loudspeaker channel, or a single mono unit), so the same
 accumulator serves the binaural, array and mono paths.
@@ -16,7 +17,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .filterbank import OCTAVE_CENTERS_8, band_masks
+from .filterbank import BandFilter, OCTAVE_CENTERS_8
 from .ism import SpatialIR, burst_samples
 
 SpreadFn = Callable[[np.ndarray], List[Tuple[int, float]]]
@@ -54,37 +55,36 @@ def render_units(spatial_ir: SpatialIR, spread: SpreadFn,
     n = max(n_samples, spatial_ir_length(spatial_ir))
     n_bands = len(centers)
 
-    band_bufs: Dict[int, np.ndarray] = {}
+    # first pass: group the taps by render unit, so that one band buffer is
+    # alive at a time, and find where the taps and their bursts end
+    unit_taps: Dict[int, list] = {}
     extent = 0
     for tap in spatial_ir.taps:
         idx = int(round(tap.delay * fs))
         if idx >= n:
             continue
-        extent = max(extent, idx + 1)
+        burst = tap.diffuse_burst
+        length = 1 if burst is None else max(int(round(burst.duration * fs)), 1)
+        extent = max(extent, min(idx + length, n))
         for unit, gain in spread(tap.doa):
-            buf = band_bufs.get(unit)
-            if buf is None:
-                buf = np.zeros((n_bands, n))
-                band_bufs[unit] = buf
+            unit_taps.setdefault(unit, []).append((tap, idx, gain))
+    # the band buffers and their transform span the taps plus a margin that
+    # holds the filter kernels' decay (the lowest band edge sets the time scale)
+    m = min(n, extent + max(int(0.15 * fs), 4096))
+
+    combine = BandFilter(m, fs, centers=centers)
+    units: Dict[int, np.ndarray] = {}
+    for unit, contributions in unit_taps.items():
+        buf = np.zeros((n_bands, m))
+        for tap, idx, gain in contributions:
             buf[:, idx] += gain * tap.amplitude
             if tap.diffuse_burst is not None:
                 for b in range(n_bands):
                     noise = burst_samples(tap.diffuse_burst, b, fs)
                     stop = min(idx + len(noise), n)
                     buf[b, idx:stop] += gain * noise[: stop - idx]
-                    extent = max(extent, stop)
-
-    # the taps occupy only the early part of the buffer, so the band-limiting
-    # transform only needs to span that region plus a margin that holds the
-    # filter kernels' decay (the lowest band edge sets the kernel time scale)
-    m = min(n, extent + max(int(0.15 * fs), 4096))
-    masks = band_masks(2 * m, fs, centers)
-    units: Dict[int, np.ndarray] = {}
-    for unit, buf in band_bufs.items():
-        spec = np.einsum("bk,bk->k", masks, np.fft.rfft(buf[:, :m], n=2 * m, axis=1))
-        wave = np.zeros(n)
-        wave[:m] = np.fft.irfft(spec, n=2 * m)[:m]
-        units[unit] = wave
+        units[unit] = np.zeros(n)
+        units[unit][:m] = combine.apply(buf)
 
     for stream in spatial_ir.tail:
         offset = int(round(stream.onset * fs))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alodsim import fdn
 from alodsim.analysis import dual_slope_fit, schroeder_edc, t30, t30_bands
 from alodsim.errors import SceneValidationError
 from alodsim.fdn import (
@@ -15,6 +16,8 @@ from alodsim.fdn import (
     splice,
 )
 from alodsim.scene import DecayTarget, RoomSpec, preset
+
+from oracles import per_band_run_fdn
 
 FS = 44100.0
 
@@ -214,6 +217,50 @@ def test_different_seed_changes_matrix_not_decay():
     assert not np.allclose(a.feedback_matrix, b.feedback_matrix)
     assert np.array_equal(a.delays, b.delays)
     assert np.array_equal(a.line_gains, b.line_gains)
+
+
+# ---------------------------------------------------------------------------
+# band grouping against the per-band oracle
+# ---------------------------------------------------------------------------
+
+def _count_band_runs(monkeypatch):
+    calls = []
+    original = fdn._run_band
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fdn, "_run_band", counted)
+    return calls
+
+
+def _lines(streams):
+    return np.stack([s.samples for s in streams])
+
+
+def test_broadband_target_runs_the_loop_once(monkeypatch):
+    room = _living_room()
+    cfg = design_fdn(room, room.decay, FS)
+    assert len(np.unique(cfg.line_gains.T, axis=0)) == 1
+    want = per_band_run_fdn(cfg, 0.5)
+    calls = _count_band_runs(monkeypatch)
+    got = _lines(run_fdn(cfg, 0.5))
+    assert len(calls) == 1
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_distinct_band_targets_match_per_band_oracle(monkeypatch, driven):
+    room = _living_room()
+    target = DecayTarget(t30_bands=np.array([0.8, 0.8, 0.7, 0.6, 0.6, 0.6, 0.45, 0.45]))
+    cfg = design_fdn(room, target, FS)
+    x = np.random.default_rng(4).standard_normal(300) if driven else None
+    want = per_band_run_fdn(cfg, 0.5, input_signal=x)
+    calls = _count_band_runs(monkeypatch)
+    got = _lines(run_fdn(cfg, 0.5, input_signal=x))
+    assert len(calls) == 4
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

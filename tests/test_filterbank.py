@@ -5,8 +5,9 @@ from alodsim.filterbank import (
     OCTAVE_CENTERS_8,
     band_energies,
     band_masks,
+    BandFilter,
     bandpass,
-    combine_bands,
+    padded_len,
 )
 
 FS = 44100.0
@@ -51,7 +52,7 @@ def test_band_energies_are_parseval_complete():
 def test_recombination_is_exact():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(4096)
-    rec = combine_bands(np.tile(x, (8, 1)), FS)
+    rec = BandFilter(x.size, FS).apply(np.tile(x, (8, 1)))
     assert np.max(np.abs(rec - x)) < 1e-12
 
 
@@ -69,3 +70,22 @@ def test_bandpass_is_zero_phase():
     y = bandpass(x, FS, 3)
     peak = int(np.argmax(np.abs(y)))
     assert peak == n // 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 4096, 34479, 175582])
+def test_padded_len_is_fast_and_holds_the_kernel(n):
+    size = padded_len(n)
+    assert size >= 2 * n
+    for p in (2, 3, 5):
+        while size % p == 0:
+            size //= p
+    assert size == 1, f"{padded_len(n)} has a prime factor above 5"
+
+
+def test_band_filter_gives_every_band_from_one_transform():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(3000)
+    bands = BandFilter(x.size, FS).apply(x[None, None, :])
+    assert bands.shape == (8, x.size)
+    for b in range(8):
+        assert np.max(np.abs(bands[b] - bandpass(x, FS, b))) < 1e-12

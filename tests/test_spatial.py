@@ -4,6 +4,8 @@ import pytest
 from alodsim.ism import ReflectionTap, SpatialIR, TailStream
 from alodsim.spatial import (
     ImpulseResponse,
+    LoudspeakerLayout,
+    _Triangulation,
     array_preset_86,
     az_el_to_vec,
     binauralize,
@@ -120,6 +122,29 @@ def test_vbap_midpoint_gets_equal_pair_gains():
     g = vbap_gains(mid, layout)
     assert g[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
     assert g[1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
+
+
+def test_vbap_triangulation_follows_each_new_layout():
+    # layouts are created and dropped one after another, so a new layout
+    # often reuses the memory (and id) of the one before it
+    rng = np.random.default_rng(7)
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    for trial in range(200):
+        extra = rng.standard_normal((int(rng.integers(0, 6)), 3))
+        dirs = np.vstack([axes + 0.2 * rng.standard_normal((6, 3)), extra])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        center = rng.uniform(-1.0, 1.0, 3)
+        layout = LoudspeakerLayout(positions=center + 2.0 * dirs, center=center)
+        d = rng.standard_normal(3)
+        d /= np.linalg.norm(d)
+        idx, g, _ = _Triangulation(layout).gains(d)
+        g = np.clip(g, 0.0, None)
+        want = np.zeros(layout.n_speakers)
+        want[idx] = g / np.linalg.norm(g)
+        got = vbap_gains(d, layout)
+        assert got.shape == want.shape, f"trial {trial}"
+        assert np.allclose(got, want, atol=1e-12), f"trial {trial}"
+        del layout
 
 
 def test_array_preset_86_layout():

@@ -95,6 +95,17 @@ def test_cli_stimulus_sweep(tmp_path):
     assert data.shape[0] == int(1.0 * rate)
 
 
+def test_cli_stimulus_sweep_duration_defaults_per_kind(tmp_path):
+    explicit = str(tmp_path / "short.wav")
+    assert main(["stimulus", "sweep", "--duration", "0.5", "--out", explicit]) == 0
+    data, _ = read_wav(explicit)
+    assert data.shape[0] == 22050
+    default = str(tmp_path / "default.wav")
+    assert main(["stimulus", "sweep", "--out", default]) == 0
+    data, rate = read_wav(default)
+    assert data.shape[0] == int(round(3.2 * rate))
+
+
 def test_cli_simulate_manifest_and_determinism(tmp_path):
     out_a = str(tmp_path / "a.wav")
     out_b = str(tmp_path / "b.wav")
