@@ -19,14 +19,13 @@ with a broadband attenuation and a first-order lowpass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import SceneValidationError
 from .fdn import design_fdn, run_fdn, splice
-from .ism import ReflectionTap, SpatialIR, early_spatial_ir
+from .ism import SpatialIR, Taps, early_spatial_ir
 from .scene import (
     ApertureSpec,
     BAND_CENTERS,
@@ -41,44 +40,26 @@ OCCLUSION_ATTEN_DB = 6.0  # broadband stand-in loss around the door frame
 OCCLUSION_CORNER_HZ = 2000.0  # first-order lowpass corner of the stand-in
 
 
-@dataclass(frozen=True)
-class CoupledPlan:
-    mode: str  # full | two_stage | off
-    aperture: Optional[ApertureSpec] = None
-    path_length_direct: Optional[float] = None
-    occlusion_atten_db: float = OCCLUSION_ATTEN_DB
-    occlusion_corner_hz: float = OCCLUSION_CORNER_HZ
-
-    def __post_init__(self):
-        if self.mode in ("full", "two_stage") and self.aperture is None:
-            raise SceneValidationError(f"coupled mode {self.mode!r} requires an aperture")
-
-
-def plan_for(scene: SceneSpec, profile: RenderingProfile) -> CoupledPlan:
-    aperture = scene.apertures[0] if scene.apertures else None
-    mode = profile.coupled_mode if aperture is not None else "off"
-    return CoupledPlan(mode=mode, aperture=aperture,
-                       path_length_direct=scene.occluded_path_m)
-
-
-def occluded_direct(plan: CoupledPlan, receiver_pos: np.ndarray,
-                    c: float, band_centers=BAND_CENTERS) -> ReflectionTap:
-    """Stand-in direct tap for a blocked line of sight.
+def occluded_direct(aperture: Optional[ApertureSpec], path_length: Optional[float],
+                    receiver_pos: np.ndarray, c: float,
+                    band_centers=BAND_CENTERS) -> Taps:
+    """Stand-in direct tap for a blocked line of sight, as a one-row block.
 
     Inverse-square amplitude over the stored path length, attenuated and
     lowpassed by the occlusion filter; DOA points toward the aperture.
     """
-    if plan.path_length_direct is None:
+    if path_length is None:
         raise SceneValidationError("no occluded path length available")
-    r = plan.path_length_direct
-    lowpass = 1.0 / np.sqrt(1.0 + (np.asarray(band_centers) / plan.occlusion_corner_hz) ** 2)
-    amp = (1.0 / r) * 10.0 ** (-plan.occlusion_atten_db / 20.0) * lowpass
-    if plan.aperture is not None:
-        d = plan.aperture.center - np.asarray(receiver_pos, dtype=float)
+    r = path_length
+    lowpass = 1.0 / np.sqrt(1.0 + (np.asarray(band_centers) / OCCLUSION_CORNER_HZ) ** 2)
+    amp = (1.0 / r) * 10.0 ** (-OCCLUSION_ATTEN_DB / 20.0) * lowpass
+    if aperture is not None:
+        d = aperture.center - np.asarray(receiver_pos, dtype=float)
         doa = d / np.linalg.norm(d)
     else:
         doa = np.array([1.0, 0.0, 0.0])
-    return ReflectionTap(delay=r / c, amplitude=amp, doa=doa, order=0)
+    return Taps(delay=np.array([r / c]), amplitude=amp[None, :], doa=doa[None, :],
+                order=np.zeros(1, dtype=np.int64))
 
 
 def _fdn_onset(room, profile: RenderingProfile, scene: SceneSpec,
@@ -146,23 +127,23 @@ def couple_two_stage(scene: SceneSpec, profile: RenderingProfile,
     (mono); stage 2 renders the receiver room from an omni source at the
     door center, and carries the stage-1 response as its signature.
     """
-    plan = plan_for(scene, profile)
-    if plan.aperture is None:
+    if not scene.apertures:
         raise SceneValidationError("two-stage coupling requires an aperture")
+    aperture = scene.apertures[0]
     src_room = scene.room_of(source.position)
     rec_room = scene.room_of(receiver_pos)
     if src_room is None or rec_room is None or src_room.id == rec_room.id:
         raise SceneValidationError("coupling requires source and receiver in different rooms")
-    if not set(plan.aperture.connects) == {src_room.id, rec_room.id}:
+    if not set(aperture.connects) == {src_room.id, rec_room.id}:
         raise SceneValidationError("rooms are not adjacent via the aperture")
 
     stage1_seed, stage2_seed = seed_seq.spawn(2)
     if door_signature is None:
-        stage1 = single_room_ir(scene, profile, source, plan.aperture.center,
+        stage1 = single_room_ir(scene, profile, source, aperture.center,
                                 src_room, duration, stage1_seed,
                                 include_panels=False)
         door_signature = synthesize_mono(stage1)
-    door = _door_source(plan.aperture, receiver_pos)
+    door = _door_source(aperture, receiver_pos)
     stage2 = single_room_ir(scene, profile, door, receiver_pos, rec_room,
                             duration, stage2_seed)
     return SpatialIR(taps=stage2.taps, sample_rate=stage2.sample_rate,
@@ -194,11 +175,10 @@ def couple_full(scene: SceneSpec, profile: RenderingProfile,
     scaled by the coupling gain k; with k = 0 the result is bit-identical to
     couple_two_stage.
     """
-    plan = plan_for(scene, profile)
     two_stage_seed, cross_seed = seed_seq.spawn(2)
     base = couple_two_stage(scene, profile, source, receiver_pos, duration,
                             two_stage_seed)
-    k = coupling_gain(scene, plan.aperture)
+    k = coupling_gain(scene, scene.apertures[0])
     if k == 0.0 or not profile.fdn_enabled:
         return base
     src_room = scene.room_of(source.position)

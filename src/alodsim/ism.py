@@ -1,15 +1,19 @@
-"""Shoebox image-source enumeration and the early-reflection transforms.
+"""Shoebox image sources and the early-reflection chain, carried as arrays.
 
 Images are indexed the Allen-Berkley way: for parity q in {0,1}^3 and
 integer lattice vector m, the image sits at (1 - 2q) * s + 2 m L (per axis,
 room-local coordinates). The image hits the lower wall |m - q| times and the
 upper wall |m| times along each axis.
+
+The chain enumerate -> jitter -> taps -> panels -> smear passes two blocks
+of rows: ``Images`` (one row per image source) and ``Taps`` (one row per
+reflection). Each step transforms a whole block with array operations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -17,7 +21,6 @@ import numpy as np
 from .errors import DegenerateGeometryError, SceneValidationError
 from .scene import (
     N_BANDS,
-    PanelSpec,
     RenderingProfile,
     RoomSpec,
     SceneSpec,
@@ -28,33 +31,65 @@ from .scene import (
 BURST_SECONDS_PER_ORDER = 2e-3
 # Burst envelope decays by 60 dB over its duration.
 BURST_DECAY_DB = 60.0
+# Burst seed of a tap that carries no diffuse burst.
+NO_BURST = -1
 
 
 @dataclass(frozen=True)
-class ImageSource:
-    position: np.ndarray
-    order: int
-    wall_hits: tuple  # (x0, x1, y0, y1, z0, z1) reflection counts
-    band_gain: np.ndarray
-    jittered: bool = False
+class Images:
+    """Image sources, one row each, ordered by order and then wall hits."""
+
+    position: np.ndarray  # (N, 3) world coordinates
+    order: np.ndarray  # (N,) total reflection order
+    wall_hits: np.ndarray  # (N, 6) reflection counts on x0, x1, y0, y1, z0, z1
+    band_gain: np.ndarray  # (N, n_bands) product of the wall amplitudes
+
+    def __len__(self) -> int:
+        return len(self.order)
 
 
 @dataclass(frozen=True)
-class DiffuseBurst:
-    """Energy carried by the diffuse part of a smeared reflection."""
+class Taps:
+    """Reflection taps, one row each.
 
-    duration: float
-    seed: int
-    band_energy: np.ndarray
+    A tap whose ``burst_seed`` is not NO_BURST also carries ``burst_energy``
+    per band as a noise burst of BURST_SECONDS_PER_ORDER * order seconds
+    (see ``burst_samples``). Left out, the burst fields mean no bursts.
+    """
+
+    delay: np.ndarray  # (N,) seconds
+    amplitude: np.ndarray  # (N, n_bands) linear gain
+    doa: np.ndarray  # (N, 3) unit vectors from the receiver toward the apparent source
+    order: np.ndarray  # (N,)
+    burst_energy: Optional[np.ndarray] = None  # (N, n_bands)
+    burst_seed: Optional[np.ndarray] = None  # (N,)
+
+    def __post_init__(self):
+        if self.burst_energy is None:
+            object.__setattr__(self, "burst_energy", np.zeros_like(self.amplitude))
+        if self.burst_seed is None:
+            object.__setattr__(self, "burst_seed",
+                               np.full(len(self.delay), NO_BURST, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.delay)
+
+    @property
+    def has_burst(self) -> np.ndarray:
+        return self.burst_seed != NO_BURST
+
+    @property
+    def burst_duration(self) -> np.ndarray:
+        """Burst length in seconds per tap; zero for taps without a burst."""
+        return np.where(self.has_burst, BURST_SECONDS_PER_ORDER * self.order, 0.0)
+
+    def _rows(self, index) -> "Taps":
+        return Taps(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
-@dataclass(frozen=True)
-class ReflectionTap:
-    delay: float
-    amplitude: np.ndarray  # per-band linear gain
-    doa: np.ndarray  # unit vector from receiver toward the apparent source
-    order: int = 0
-    diffuse_burst: Optional[DiffuseBurst] = None
+def _stack(*blocks: Taps) -> Taps:
+    return Taps(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+                   for f in fields(Taps)})
 
 
 @dataclass(frozen=True)
@@ -70,7 +105,7 @@ class TailStream:
 class SpatialIR:
     """Directional impulse response before spatialization."""
 
-    taps: tuple
+    taps: Taps  # sorted by delay on construction
     sample_rate: float
     tail: tuple = ()
     # Optional mono kernel convolved into every rendered channel (used by the
@@ -78,12 +113,12 @@ class SpatialIR:
     signature: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        taps = tuple(sorted(self.taps, key=lambda t: t.delay))
-        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "taps",
+                           self.taps._rows(np.argsort(self.taps.delay, kind="stable")))
         object.__setattr__(self, "tail", tuple(self.tail))
 
 
-def enumerate_images(room: RoomSpec, source_pos: np.ndarray, max_order: int):
+def enumerate_images(room: RoomSpec, source_pos: np.ndarray, max_order: int) -> Images:
     """All mirror images with total reflection order <= max_order.
 
     Ordering is deterministic: by order, then lexicographic wall_hits.
@@ -98,104 +133,73 @@ def enumerate_images(room: RoomSpec, source_pos: np.ndarray, max_order: int):
     local = source_pos - room.origin
     dims = room.dims
     # sqrt(1 - alpha) per wall: energy-consistent amplitude per bounce
-    wall_amp = np.sqrt(1.0 - room.absorption)  # (6, n_bands)
-    log_wall_amp = np.log(wall_amp)
+    log_wall_amp = np.log(np.sqrt(1.0 - room.absorption))  # (6, n_bands)
 
-    per_axis = []
+    # per axis: the (lower hits, upper hits) and the coordinate of each
+    # lattice entry that fits within max_order on its own
+    hits, coords = [], []
     for axis in range(3):
-        entries = []
-        for q in (0, 1):
-            for m in range(-max_order, max_order + 2):
-                lo = abs(m - q)
-                hi = abs(m)
-                if lo + hi > max_order:
-                    continue
-                coord = (1 - 2 * q) * local[axis] + 2 * m * dims[axis]
-                entries.append((lo + hi, lo, hi, coord))
-        per_axis.append(entries)
-
-    images = []
-    for ox, lox, hix, cx in per_axis[0]:
-        for oy, loy, hiy, cy in per_axis[1]:
-            if ox + oy > max_order:
-                continue
-            for oz, loz, hiz, cz in per_axis[2]:
-                order = ox + oy + oz
-                if order > max_order:
-                    continue
-                hits = (lox, hix, loy, hiy, loz, hiz)
-                log_gain = (
-                    lox * log_wall_amp[0] + hix * log_wall_amp[1]
-                    + loy * log_wall_amp[2] + hiy * log_wall_amp[3]
-                    + loz * log_wall_amp[4] + hiz * log_wall_amp[5]
-                )
-                images.append(ImageSource(
-                    position=np.array([cx, cy, cz]) + room.origin,
-                    order=order,
-                    wall_hits=hits,
-                    band_gain=np.exp(log_gain),
-                ))
-    images.sort(key=lambda im: (im.order, im.wall_hits))
-    return images
+        entries = [(abs(m - q), abs(m), (1 - 2 * q) * local[axis] + 2 * m * dims[axis])
+                   for q in (0, 1) for m in range(-max_order, max_order + 2)
+                   if abs(m - q) + abs(m) <= max_order]
+        hits.append(np.array([e[:2] for e in entries], dtype=np.int64))
+        coords.append(np.array([e[2] for e in entries]))
+    grid = [g.ravel() for g in np.meshgrid(*(np.arange(len(c)) for c in coords),
+                                           indexing="ij")]
+    wall_hits = np.concatenate([h[g] for h, g in zip(hits, grid)], axis=1)
+    order = wall_hits.sum(axis=1)
+    keep = np.flatnonzero(order <= max_order)
+    keep = keep[np.lexsort((*wall_hits[keep].T[::-1], order[keep]))]
+    wall_hits = wall_hits[keep]
+    log_gain = sum(wall_hits[:, [wall]] * log_wall_amp[wall] for wall in range(6))
+    position = np.stack([c[g[keep]] for c, g in zip(coords, grid)], axis=1)
+    return Images(position=position + room.origin, order=order[keep],
+                  wall_hits=wall_hits, band_gain=np.exp(log_gain))
 
 
-def apply_jitter(images, profile: RenderingProfile, rng: np.random.Generator):
+def apply_jitter(images: Images, profile: RenderingProfile,
+                 rng: np.random.Generator) -> Images:
     """Displace images of order >= 2 by Gaussian jitter.
 
     Standard deviation is sigma_per_order * order per axis; direct sound and
     first-order images keep their exact positions to preserve localization.
     """
     if not profile.jitter_enabled or profile.jitter_sigma_per_order == 0.0:
-        return list(images)
-    out = []
-    for im in images:
-        if im.order < 2:
-            out.append(im)
-            continue
-        sigma = profile.jitter_sigma_per_order * im.order
-        offset = rng.normal(0.0, sigma, size=3)
-        out.append(replace(im, position=im.position + offset, jittered=True))
-    return out
+        return images
+    moved = np.flatnonzero(images.order >= 2)
+    sigma = profile.jitter_sigma_per_order * images.order[moved]
+    position = images.position.copy()
+    position[moved] += rng.normal(0.0, sigma[:, None], size=(len(moved), 3))
+    return replace(images, position=position)
 
 
-def _emission_direction(image: ImageSource, receiver_pos: np.ndarray) -> np.ndarray:
-    """Direction the ray leaves the real source, found by unfolding mirrors."""
-    d = np.asarray(receiver_pos) - image.position
-    n = np.linalg.norm(d)
-    d = d / n
-    hits = image.wall_hits
-    for axis in range(3):
-        if (hits[2 * axis] + hits[2 * axis + 1]) % 2 == 1:
-            d[axis] = -d[axis]
-    return d
+def _emission_direction(images: Images, receiver_pos: np.ndarray) -> np.ndarray:
+    """(N, 3) directions the rays leave the real source, found by unfolding mirrors."""
+    d = np.asarray(receiver_pos, dtype=float) - images.position
+    d = d / np.linalg.norm(d, axis=1, keepdims=True)
+    odd = (images.wall_hits[:, 0::2] + images.wall_hits[:, 1::2]) % 2 == 1
+    return np.where(odd, -d, d)
 
 
-def taps_from_images(images, receiver_pos: np.ndarray, c: float,
-                     directivity=None, source_orientation=None):
-    """Reflection taps: delay r/c, amplitude band_gain / r, DOA toward image."""
+def taps_from_images(images: Images, receiver_pos: np.ndarray, c: float,
+                     directivity=None, source_orientation=None) -> Taps:
+    """Taps sorted by delay: delay r/c, amplitude band_gain / r, DOA toward image."""
     receiver_pos = np.asarray(receiver_pos, dtype=float)
-    taps = []
-    for im in images:
-        diff = im.position - receiver_pos
-        r = float(np.linalg.norm(diff))
-        if r < 1e-12:
-            raise DegenerateGeometryError("image source coincides with receiver")
-        amp = im.band_gain / r
-        if directivity is not None and source_orientation is not None:
-            emit = _emission_direction(im, receiver_pos)
-            amp = amp * directivity.gain(emit, source_orientation)
-        taps.append(ReflectionTap(
-            delay=r / c,
-            amplitude=amp,
-            doa=diff / r,
-            order=im.order,
-        ))
-    taps.sort(key=lambda t: t.delay)
-    return taps
+    diff = images.position - receiver_pos
+    r = np.linalg.norm(diff, axis=1)
+    if np.any(r < 1e-12):
+        raise DegenerateGeometryError("image source coincides with receiver")
+    amplitude = images.band_gain / r[:, None]
+    if directivity is not None and source_orientation is not None:
+        emit = _emission_direction(images, receiver_pos)
+        amplitude = amplitude * directivity.gain(emit, source_orientation)
+    taps = Taps(delay=r / c, amplitude=amplitude, doa=diff / r[:, None],
+                order=images.order)
+    return taps._rows(np.argsort(taps.delay, kind="stable"))
 
 
-def smear_taps(taps, profile: RenderingProfile, scattering: np.ndarray,
-               seed_seq: np.random.SeedSequence):
+def smear_taps(taps: Taps, profile: RenderingProfile, scattering: np.ndarray,
+               seed_seq: np.random.SeedSequence) -> Taps:
     """Split reflections of order >= 1 into specular + diffuse-burst parts.
 
     The specular part keeps sqrt(1 - s) of the amplitude; the diffuse burst
@@ -204,85 +208,77 @@ def smear_taps(taps, profile: RenderingProfile, scattering: np.ndarray,
     split conserves per-band energy exactly.
     """
     if not profile.smearing_enabled:
-        return list(taps)
+        return taps
     s = profile.specular_fraction if profile.specular_fraction is not None else scattering
     s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
-    seeds = seed_seq.generate_state(max(len(taps), 1))
-    out = []
-    for i, tap in enumerate(taps):
-        if tap.order < 1 or tap.diffuse_burst is not None:
-            out.append(tap)
-            continue
-        burst = DiffuseBurst(
-            duration=BURST_SECONDS_PER_ORDER * tap.order,
-            seed=int(seeds[i]),
-            band_energy=s * tap.amplitude**2,
-        )
-        out.append(replace(tap, amplitude=np.sqrt(1.0 - s) * tap.amplitude,
-                           diffuse_burst=burst))
-    return out
+    seeds = seed_seq.generate_state(max(len(taps), 1))[: len(taps)]
+    smeared = taps.order >= 1
+    split = smeared[:, None]
+    return replace(
+        taps,
+        amplitude=np.where(split, np.sqrt(1.0 - s) * taps.amplitude, taps.amplitude),
+        burst_energy=np.where(split, s * taps.amplitude**2, 0.0),
+        burst_seed=np.where(smeared, seeds.astype(np.int64), NO_BURST),
+    )
 
 
-def burst_samples(burst: DiffuseBurst, band: int, fs: float) -> np.ndarray:
-    """Deterministic noise burst for one band, normalized to its energy."""
-    n = max(int(round(burst.duration * fs)), 1)
-    rng = np.random.default_rng(np.random.SeedSequence([burst.seed, band]))
-    noise = rng.standard_normal(n)
+def burst_samples(taps: Taps, row: int, fs: float) -> np.ndarray:
+    """(n_bands, n) deterministic noise bursts of one tap, each normalized
+    to the tap's burst energy in its band."""
+    duration = BURST_SECONDS_PER_ORDER * taps.order[row]
+    n = max(int(round(duration * fs)), 1)
     t = np.arange(n) / fs
-    envelope = 10.0 ** (-BURST_DECAY_DB * t / (20.0 * burst.duration))
-    shaped = noise * envelope
-    energy = float(np.dot(shaped, shaped))
-    if energy == 0.0:
-        return shaped
-    return shaped * math.sqrt(burst.band_energy[band] / energy)
+    envelope = 10.0 ** (-BURST_DECAY_DB * t / (20.0 * duration))
+    seed = int(taps.burst_seed[row])
+    bands = []
+    for band, band_energy in enumerate(taps.burst_energy[row]):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, band]))
+        shaped = rng.standard_normal(n) * envelope
+        energy = float(np.dot(shaped, shaped))
+        bands.append(shaped if energy == 0.0 else shaped * math.sqrt(band_energy / energy))
+    return np.array(bands)
 
 
-def reflect_finite_panel(panel: PanelSpec, source_pos: np.ndarray,
-                         receiver_pos: np.ndarray,
-                         c: float = 343.0) -> Optional[ReflectionTap]:
-    """First-order specular reflection off a finite rectangle, if visible.
+def reflect_finite_panels(panels, source_pos: np.ndarray, receiver_pos: np.ndarray,
+                          c: float = 343.0) -> Taps:
+    """First-order specular reflections off finite rectangles, where visible.
 
-    The source is mirrored across the panel plane; a tap is produced iff the
-    segment mirror -> receiver crosses the rectangle interior.
+    The source is mirrored across each panel plane; a panel gives a tap iff
+    the segment mirror -> receiver crosses the rectangle interior.
     """
     source_pos = np.asarray(source_pos, dtype=float)
     receiver_pos = np.asarray(receiver_pos, dtype=float)
-    origin = panel.corners[0]
-    n = panel.normal
-    d_src = float(np.dot(source_pos - origin, n))
-    d_rec = float(np.dot(receiver_pos - origin, n))
-    if d_src * d_rec <= 0:
-        return None  # opposite sides (or on the plane): no specular path
-    mirror = source_pos - 2.0 * d_src * n
-    seg = receiver_pos - mirror
-    denom = float(np.dot(seg, n))
-    if abs(denom) < 1e-12:
-        return None
-    t = -float(np.dot(mirror - origin, n)) / denom
-    if not (0.0 < t < 1.0):
-        return None
-    hit = mirror + t * seg
-    e1 = panel.corners[1] - origin
-    e2 = panel.corners[3] - origin
-    u = float(np.dot(hit - origin, e1)) / float(np.dot(e1, e1))
-    v = float(np.dot(hit - origin, e2)) / float(np.dot(e2, e2))
-    if not (0.0 < u < 1.0 and 0.0 < v < 1.0):
-        return None
-    r = float(np.linalg.norm(seg))
-    if r < 1e-12:
-        raise DegenerateGeometryError("panel mirror coincides with receiver")
-    amp = np.sqrt(1.0 - panel.absorption) / r
-    return ReflectionTap(delay=r / c, amplitude=amp, doa=-seg / r, order=1)
-
-
-def panel_taps(panels, source_pos, receiver_pos, c: float):
-    """Taps for every visible panel reflection."""
-    taps = []
+    delay, amplitude, doa = [], [], []
     for panel in panels:
-        tap = reflect_finite_panel(panel, source_pos, receiver_pos, c)
-        if tap is not None:
-            taps.append(tap)
-    return taps
+        origin = panel.corners[0]
+        n = panel.normal
+        d_src = float(np.dot(source_pos - origin, n))
+        d_rec = float(np.dot(receiver_pos - origin, n))
+        if d_src * d_rec <= 0:
+            continue  # opposite sides (or on the plane): no specular path
+        mirror = source_pos - 2.0 * d_src * n
+        seg = receiver_pos - mirror
+        denom = float(np.dot(seg, n))
+        if abs(denom) < 1e-12:
+            continue
+        t = -float(np.dot(mirror - origin, n)) / denom
+        if not (0.0 < t < 1.0):
+            continue
+        hit = mirror + t * seg
+        e1 = panel.corners[1] - origin
+        e2 = panel.corners[3] - origin
+        u = float(np.dot(hit - origin, e1)) / float(np.dot(e1, e1))
+        v = float(np.dot(hit - origin, e2)) / float(np.dot(e2, e2))
+        if not (0.0 < u < 1.0 and 0.0 < v < 1.0):
+            continue
+        r = float(np.linalg.norm(seg))
+        if r < 1e-12:
+            raise DegenerateGeometryError("panel mirror coincides with receiver")
+        delay.append(r / c)
+        amplitude.append(np.sqrt(1.0 - panel.absorption) / r)
+        doa.append(-seg / r)
+    return Taps(delay=np.array(delay), amplitude=np.reshape(amplitude, (-1, N_BANDS)),
+                doa=np.reshape(doa, (-1, 3)), order=np.ones(len(delay), dtype=np.int64))
 
 
 def early_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
@@ -303,14 +299,11 @@ def early_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
     if include_panels and profile.panels_enabled:
         relevant = [p for p in scene.panels
                     if room.contains(p.corners.mean(axis=0))]
-        taps.extend(panel_taps(relevant, source.position, receiver_pos,
-                               scene.speed_of_sound))
+        taps = _stack(taps, reflect_finite_panels(relevant, source.position,
+                                                  receiver_pos, scene.speed_of_sound))
     taps = smear_taps(taps, profile, room.scattering, smear_seed)
     level = 10.0 ** (source.level_db / 20.0)
     if level != 1.0:
-        taps = [replace(t, amplitude=t.amplitude * level,
-                        diffuse_burst=None if t.diffuse_burst is None else replace(
-                            t.diffuse_burst,
-                            band_energy=t.diffuse_burst.band_energy * level**2))
-                for t in taps]
-    return SpatialIR(taps=tuple(taps), sample_rate=scene.sample_rate)
+        taps = replace(taps, amplitude=taps.amplitude * level,
+                       burst_energy=taps.burst_energy * level**2)
+    return SpatialIR(taps=taps, sample_rate=scene.sample_rate)

@@ -9,7 +9,7 @@ at the scene seed, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -18,12 +18,11 @@ from .coupled import (
     couple_full,
     couple_two_stage,
     occluded_direct,
-    plan_for,
     single_room_ir,
 )
 from .errors import SceneValidationError
 from .ism import SpatialIR
-from .scene import ReceiverSpec, RenderingProfile, SceneSpec, SourceSpec
+from .scene import ReceiverSpec, RenderingProfile, RoomSpec, SceneSpec, SourceSpec
 from .spatial import (
     HrtfSet,
     ImpulseResponse,
@@ -89,23 +88,45 @@ def default_duration(scene: SceneSpec, profile: RenderingProfile) -> float:
     return t + _DURATION_PADDING_S
 
 
-def _anechoic_ir(scene: SceneSpec, profile: RenderingProfile,
-                 source: SourceSpec, receiver: ReceiverSpec,
-                 seed_seq: np.random.SeedSequence) -> SpatialIR:
-    src_room = scene.room_of(source.position)
-    rec_room = scene.room_of(receiver.position)
-    if src_room.id == rec_room.id:
-        # direct sound only: an order-0 image-source render
-        return single_room_ir(scene, profile, source, receiver.position,
-                              src_room, 0.0, seed_seq, include_panels=False)
-    plan = plan_for(scene, profile)
-    tap = occluded_direct(plan, receiver.position, scene.speed_of_sound)
+def occluded_direct_ir(scene: SceneSpec, source: SourceSpec,
+                       receiver: ReceiverSpec) -> SpatialIR:
+    """The stand-in direct tap for a blocked line of sight, alone.
+
+    Kept out of the coupled SpatialIR because the direct sound must not pass
+    through the door signature; the pipeline renders it separately and mixes
+    the channels.
+    """
+    aperture = scene.apertures[0] if scene.apertures else None
+    taps = occluded_direct(aperture, scene.occluded_path_m, receiver.position,
+                           scene.speed_of_sound)
     level = 10.0 ** (source.level_db / 20.0)
     if level != 1.0:
-        from dataclasses import replace
+        taps = replace(taps, amplitude=taps.amplitude * level)
+    return SpatialIR(taps=taps, sample_rate=scene.sample_rate)
 
-        tap = replace(tap, amplitude=tap.amplitude * level)
-    return SpatialIR(taps=(tap,), sample_rate=scene.sample_rate)
+
+def _spatial_ir(scene: SceneSpec, profile: RenderingProfile,
+                source: SourceSpec, receiver: ReceiverSpec,
+                src_room: RoomSpec, rec_room: RoomSpec,
+                duration: float, seed: Optional[int]) -> SpatialIR:
+    root = np.random.SeedSequence(
+        [scene.rng_seed if seed is None else int(seed),
+         scene.sources.index(source), scene.receivers.index(receiver)]
+    )
+    if src_room.id == rec_room.id:
+        if profile.anechoic:
+            # direct sound only: an order-0 image-source render
+            return single_room_ir(scene, profile, source, receiver.position,
+                                  src_room, 0.0, root, include_panels=False)
+        return single_room_ir(scene, profile, source, receiver.position,
+                              src_room, duration, root)
+    if profile.anechoic:
+        return occluded_direct_ir(scene, source, receiver)
+    if profile.coupled_mode == "full":
+        return couple_full(scene, profile, source, receiver.position,
+                           duration, root)
+    return couple_two_stage(scene, profile, source, receiver.position,
+                            duration, root)
 
 
 def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
@@ -118,22 +139,9 @@ def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
     receiver = _pick_receiver(scene, receiver_id)
     if duration is None:
         duration = default_duration(scene, profile)
-    root = np.random.SeedSequence(
-        [scene.rng_seed if seed is None else int(seed),
-         scene.sources.index(source), scene.receivers.index(receiver)]
-    )
-    if profile.anechoic:
-        return _anechoic_ir(scene, profile, source, receiver, root)
-    src_room = scene.room_of(source.position)
-    rec_room = scene.room_of(receiver.position)
-    if src_room.id == rec_room.id:
-        return single_room_ir(scene, profile, source, receiver.position,
-                              src_room, duration, root)
-    if profile.coupled_mode == "full":
-        return couple_full(scene, profile, source, receiver.position,
-                           duration, root)
-    return couple_two_stage(scene, profile, source, receiver.position,
-                            duration, root)
+    return _spatial_ir(scene, profile, source, receiver,
+                       scene.room_of(source.position),
+                       scene.room_of(receiver.position), duration, seed)
 
 
 def render_output(spatial: SpatialIR, output_mode: str, receiver: ReceiverSpec,
@@ -152,24 +160,6 @@ def render_output(spatial: SpatialIR, output_mode: str, receiver: ReceiverSpec,
     if output_mode == "mono":
         return render_mono(spatial)
     raise SceneValidationError(f"unknown output mode {output_mode!r}")
-
-
-def occluded_direct_ir(scene: SceneSpec, profile: RenderingProfile,
-                       source: SourceSpec, receiver: ReceiverSpec) -> SpatialIR:
-    """The stand-in direct tap for a blocked line of sight, alone.
-
-    Kept out of the coupled SpatialIR because the direct sound must not pass
-    through the door signature; the pipeline renders it separately and mixes
-    the channels.
-    """
-    plan = plan_for(scene, profile)
-    tap = occluded_direct(plan, receiver.position, scene.speed_of_sound)
-    level = 10.0 ** (source.level_db / 20.0)
-    if level != 1.0:
-        from dataclasses import replace
-
-        tap = replace(tap, amplitude=tap.amplitude * level)
-    return SpatialIR(taps=(tap,), sample_rate=scene.sample_rate)
 
 
 def _mix(a: ImpulseResponse, b: ImpulseResponse) -> ImpulseResponse:
@@ -192,17 +182,16 @@ def simulate(scene: SceneSpec, profile: RenderingProfile,
     """Simulate one source/receiver pair and spatialize the result."""
     receiver = _pick_receiver(scene, receiver_id)
     source = _pick_source(scene, source_id)
+    src_room = scene.room_of(source.position)
+    rec_room = scene.room_of(receiver.position)
     if duration is None:
         duration = default_duration(scene, profile)
     mode = output_mode if output_mode is not None else profile.output_mode
-    spatial = build_spatial_ir(scene, profile, source_id=source.id,
-                               receiver_id=receiver.id, duration=duration,
-                               seed=seed)
+    spatial = _spatial_ir(scene, profile, source, receiver, src_room, rec_room,
+                          duration, seed)
     ir = render_output(spatial, mode, receiver, hrtf=hrtf, layout=layout)
-    src_room = scene.room_of(source.position)
-    rec_room = scene.room_of(receiver.position)
     if not profile.anechoic and src_room.id != rec_room.id:
-        direct = occluded_direct_ir(scene, profile, source, receiver)
+        direct = occluded_direct_ir(scene, source, receiver)
         ir = _mix(ir, render_output(direct, mode, receiver,
                                     hrtf=hrtf, layout=layout))
     return SimulationResult(ir=ir, spatial=spatial, source_id=source.id,

@@ -9,7 +9,6 @@ example).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -208,9 +207,10 @@ class DirectivityGrid:
         object.__setattr__(self, "gains", g)
 
     def gain(self, direction: np.ndarray, forward: np.ndarray) -> np.ndarray:
-        """Per-band gain for emission ``direction`` given the facing vector."""
+        """Per-band gains (..., n_bands) for emission directions (..., 3)
+        given the facing vector."""
         d = np.asarray(direction, dtype=float)
-        d = d / np.linalg.norm(d)
+        d = d / np.linalg.norm(d, axis=-1, keepdims=True)
         f = np.asarray(forward, dtype=float)
         f = f / np.linalg.norm(f)
         up = np.array([0.0, 0.0, 1.0])
@@ -219,12 +219,12 @@ class DirectivityGrid:
         left = np.cross(up, f)
         left /= np.linalg.norm(left)
         up2 = np.cross(f, left)
-        x, y, z = np.dot(d, f), np.dot(d, left), np.dot(d, up2)
-        az = math.degrees(math.atan2(y, x)) % 360.0
-        el = math.degrees(math.asin(np.clip(z, -1.0, 1.0)))
-        i = int(np.argmin(np.minimum(np.abs(self.azimuths_deg - az),
-                                     360.0 - np.abs(self.azimuths_deg - az))))
-        j = int(np.argmin(np.abs(self.elevations_deg - el)))
+        x, y, z = d @ f, d @ left, d @ up2
+        az = np.degrees(np.arctan2(y, x)) % 360.0
+        el = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
+        da = np.abs(self.azimuths_deg - az[..., None])
+        i = np.argmin(np.minimum(da, 360.0 - da), axis=-1)
+        j = np.argmin(np.abs(self.elevations_deg - el[..., None]), axis=-1)
         return self.gains[i, j]
 
 
@@ -682,6 +682,8 @@ def parse_scene(document: str) -> SceneSpec:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise SceneParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SceneParseError("scene document must be a JSON object")
 
     def require(obj, key, where):
         if key not in obj:
@@ -749,5 +751,5 @@ def parse_scene(document: str) -> SceneSpec:
             rng_seed=doc.get("seed", 0),
             occluded_path_m=doc.get("occluded_path_m"),
         )
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError, AttributeError) as exc:
         raise SceneParseError(f"malformed scene document: {exc}") from exc

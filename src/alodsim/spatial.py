@@ -67,10 +67,13 @@ class HrtfSet:
         object.__setattr__(self, "directions", d / norms)
         object.__setattr__(self, "filters", f)
 
-    def nearest(self, direction: np.ndarray) -> int:
-        """Angular nearest neighbor; ties break to the lowest index."""
-        dots = self.directions @ np.asarray(direction, dtype=float)
-        return int(np.argmax(dots))
+    def nearest(self, direction: np.ndarray) -> np.ndarray:
+        """Index of the angular nearest neighbor of each (..., 3) direction.
+
+        Ties break to the lowest index.
+        """
+        dots = np.asarray(direction, dtype=float) @ self.directions.T
+        return np.argmax(dots, axis=-1)
 
 
 def az_el_to_vec(az_deg: float, el_deg: float) -> np.ndarray:
@@ -227,29 +230,38 @@ class _Triangulation:
         mats = dirs[self.triangles]  # (T, 3, 3): rows are speaker directions
         self.inverses = np.linalg.inv(mats)
 
-    def gains(self, direction: np.ndarray):
-        # barycentric-style gains for all triangles at once
-        g = np.einsum("tij,i->tj", self.inverses, direction)
-        worst = g.min(axis=1)
-        best = int(np.argmax(worst))
-        return self.triangles[best], g[best], float(worst[best])
+    def gains(self, directions: np.ndarray):
+        """(speakers, gains, worst gain) of the best triangle per (k, 3) direction."""
+        # barycentric-style gains for every direction and triangle at once
+        g = directions @ self.inverses  # (T, k, 3)
+        worst = g.min(axis=2)
+        best = np.argmax(worst, axis=0)
+        rows = np.arange(len(directions))
+        return self.triangles[best], g[best, rows], worst[best, rows]
 
 
 def vbap_gains(direction: np.ndarray, layout: LoudspeakerLayout) -> np.ndarray:
-    """Power-normalized VBAP gains; at most 3 nonzero, sum of squares = 1."""
+    """Power-normalized VBAP gains of (..., 3) directions, as (..., n_speakers).
+
+    At most 3 gains per direction are nonzero and their squares sum to 1.
+    Directions outside the triangulated coverage use the nearest triangle;
+    one RuntimeWarning per call counts them.
+    """
     d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    idx, g, worst = layout._triangulation.gains(d)
-    if worst < -1e-9:
-        warnings.warn("direction outside triangulated coverage; "
-                      "using nearest triangle", RuntimeWarning)
+    flat = d.reshape(-1, 3)
+    flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
+    idx, g, worst = layout._triangulation.gains(flat)
+    outside = int(np.count_nonzero(worst < -1e-9))
+    if outside:
+        warnings.warn(f"{outside} of {len(flat)} directions outside triangulated "
+                      "coverage; using the nearest triangle", RuntimeWarning)
     g = np.clip(g, 0.0, None)
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
+    norm = np.linalg.norm(g, axis=1, keepdims=True)
+    if np.any(norm == 0.0):
         raise SceneValidationError("degenerate VBAP direction")
-    gains = np.zeros(layout.n_speakers)
-    gains[idx] = g / norm
-    return gains
+    gains = np.zeros((len(flat), layout.n_speakers))
+    np.put_along_axis(gains, idx, g / norm, axis=1)
+    return gains.reshape(d.shape[:-1] + (layout.n_speakers,))
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +293,8 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
     if hrtf.sample_rate != spatial_ir.sample_rate:
         raise RateMismatchError("HRTF and scene sample rates differ")
     frame = head_frame(orientation) if orientation is not None else np.eye(3)
-
-    def spread(doa):
-        return [(hrtf.nearest(frame @ doa), 1.0)]
-
-    units = render_units(spatial_ir, spread)
+    one_hot = np.eye(hrtf.directions.shape[0])
+    units = render_units(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
     n = spatial_ir_length(spatial_ir)
     taps = hrtf.filters.shape[2]
     out = np.zeros((2, n + taps - 1))
@@ -302,13 +311,7 @@ def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
                  orientation: Optional[np.ndarray] = None) -> ImpulseResponse:
     """N-channel render: VBAP of each tap/tail stream onto the layout."""
     frame = head_frame(orientation) if orientation is not None else np.eye(3)
-
-    def spread(doa):
-        gains = vbap_gains(frame @ doa, layout)
-        idx = np.nonzero(gains)[0]
-        return [(int(i), float(gains[i])) for i in idx]
-
-    units = render_units(spatial_ir, spread)
+    units = render_units(spatial_ir, lambda d: vbap_gains(d @ frame.T, layout))
     n = spatial_ir_length(spatial_ir)
     out = np.zeros((layout.n_speakers, n))
     for idx, wave in units.items():

@@ -31,6 +31,8 @@ def read_wav(path: str):
         size = struct.unpack_from("<I", data, pos + 4)[0]
         body = data[pos + 8: pos + 8 + size]
         if chunk_id == b"fmt ":
+            if len(body) < 16:
+                raise SceneParseError(f"{path}: fmt chunk too short ({len(body)} bytes)")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             payload = body
@@ -38,6 +40,8 @@ def read_wav(path: str):
     if fmt is None or payload is None:
         raise SceneParseError(f"{path}: missing fmt or data chunk")
     tag, channels, rate, _, block_align, bits = fmt
+    if channels == 0:
+        raise SceneParseError(f"{path}: fmt chunk declares 0 channels")
     if tag == _FMT_EXTENSIBLE:
         tag = _FMT_FLOAT if bits == 32 else _FMT_PCM
     if tag == _FMT_FLOAT and bits == 32:

@@ -2,16 +2,27 @@
 
 ``per_band_run_fdn`` runs the FDN loop once per octave band and filters
 every band at FFT length 2n; ``render_units_2m`` allocates full-length band
-buffers and filters them at FFT length 2m. Both are the straightforward
-forms of what ``alodsim.fdn.run_fdn`` and ``alodsim.synth.render_units``
-compute with band grouping, early-extent buffers and fast FFT lengths.
+buffers, spreads one tap or stream direction at a time and filters at FFT
+length 2m. Both are the straightforward forms of what
+``alodsim.fdn.run_fdn`` and ``alodsim.synth.render_units`` compute with
+band grouping, early-extent buffers, fast FFT lengths and one gain matrix.
+
+``directivity_gain``, ``emission_direction`` and ``early_taps_per_tap``
+handle one direction, image or tap at a time, as the early chain in
+``alodsim.ism`` did before it carried images and taps as arrays.
 """
+
+import math
 
 import numpy as np
 
 from alodsim.fdn import _run_band, _shape_decay, _t60_of
 from alodsim.filterbank import OCTAVE_CENTERS_8, band_masks
-from alodsim.ism import burst_samples
+from alodsim.ism import (
+    burst_samples,
+    enumerate_images,
+    reflect_finite_panels,
+)
 from alodsim.synth import spatial_ir_length
 
 
@@ -35,26 +46,29 @@ def per_band_run_fdn(config, duration, input_signal=None,
     return np.fft.irfft(spectra, n=2 * n, axis=1)[:, :n]
 
 
-def render_units_2m(spatial_ir, spread, n_samples=0, centers=OCTAVE_CENTERS_8):
+def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_8):
     """{unit: waveform} with (n_bands, n) buffers filtered at length 2m."""
     fs = spatial_ir.sample_rate
     n = max(n_samples, spatial_ir_length(spatial_ir))
     n_bands = len(centers)
+    taps = spatial_ir.taps
     band_bufs = {}
     extent = 0
-    for tap in spatial_ir.taps:
-        idx = int(round(tap.delay * fs))
+    for i in range(len(taps)):
+        idx = int(round(taps.delay[i] * fs))
         if idx >= n:
             continue
         extent = max(extent, idx + 1)
-        for unit, gain in spread(tap.doa):
-            buf = band_bufs.setdefault(unit, np.zeros((n_bands, n)))
-            buf[:, idx] += gain * tap.amplitude
-            if tap.diffuse_burst is not None:
+        gains = unit_gains(taps.doa[i][None, :])[0]
+        for unit in np.flatnonzero(gains):
+            gain = gains[unit]
+            buf = band_bufs.setdefault(int(unit), np.zeros((n_bands, n)))
+            buf[:, idx] += gain * taps.amplitude[i]
+            if taps.has_burst[i]:
+                noise = burst_samples(taps, i, fs)
                 for b in range(n_bands):
-                    noise = burst_samples(tap.diffuse_burst, b, fs)
-                    stop = min(idx + len(noise), n)
-                    buf[b, idx:stop] += gain * noise[: stop - idx]
+                    stop = min(idx + noise.shape[1], n)
+                    buf[b, idx:stop] += gain * noise[b, : stop - idx]
                     extent = max(extent, stop)
     m = min(n, extent + max(int(0.15 * fs), 4096))
     masks = band_masks(2 * m, fs, centers)
@@ -69,7 +83,82 @@ def render_units_2m(spatial_ir, spread, n_samples=0, centers=OCTAVE_CENTERS_8):
         stop = min(offset + len(stream.samples), n)
         if stop <= offset:
             continue
-        for unit, gain in spread(stream.direction):
-            wave = units.setdefault(unit, np.zeros(n))
-            wave[offset:stop] += gain * stream.samples[: stop - offset]
+        gains = unit_gains(stream.direction[None, :])[0]
+        for unit in np.flatnonzero(gains):
+            wave = units.setdefault(int(unit), np.zeros(n))
+            wave[offset:stop] += gains[unit] * stream.samples[: stop - offset]
     return units
+
+
+def directivity_gain(grid, direction, forward):
+    """Per-band gain of a DirectivityGrid for one emission direction."""
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    f = np.asarray(forward, dtype=float)
+    f = f / np.linalg.norm(f)
+    up = np.array([0.0, 0.0, 1.0])
+    if abs(np.dot(f, up)) > 0.999:
+        up = np.array([1.0, 0.0, 0.0])
+    left = np.cross(up, f)
+    left /= np.linalg.norm(left)
+    up2 = np.cross(f, left)
+    x, y, z = np.dot(d, f), np.dot(d, left), np.dot(d, up2)
+    az = math.degrees(math.atan2(y, x)) % 360.0
+    el = math.degrees(math.asin(np.clip(z, -1.0, 1.0)))
+    i = int(np.argmin(np.minimum(np.abs(grid.azimuths_deg - az),
+                                 360.0 - np.abs(grid.azimuths_deg - az))))
+    j = int(np.argmin(np.abs(grid.elevations_deg - el)))
+    return grid.gains[i, j]
+
+
+def emission_direction(position, wall_hits, receiver_pos):
+    """Direction one ray leaves the real source, found by unfolding mirrors."""
+    d = np.asarray(receiver_pos, dtype=float) - position
+    d = d / np.linalg.norm(d)
+    for axis in range(3):
+        if (wall_hits[2 * axis] + wall_hits[2 * axis + 1]) % 2 == 1:
+            d[axis] = -d[axis]
+    return d
+
+
+def early_taps_per_tap(scene, profile, source, receiver_pos, room, seed_seq):
+    """The early chain of ``alodsim.ism.early_spatial_ir``, one image and
+    one tap at a time: a list of dicts sorted by delay."""
+    jitter_seed, smear_seed = seed_seq.spawn(2)
+    images = enumerate_images(room, source.position, profile.ism_order)
+    rng = np.random.default_rng(jitter_seed)
+    c = scene.speed_of_sound
+    taps = []
+    for i in range(len(images)):
+        position = images.position[i]
+        order = int(images.order[i])
+        if profile.jitter_enabled and profile.jitter_sigma_per_order != 0.0 and order >= 2:
+            position = position + rng.normal(0.0, profile.jitter_sigma_per_order * order, size=3)
+        diff = position - receiver_pos
+        r = float(np.linalg.norm(diff))
+        amp = images.band_gain[i] / r
+        if source.directivity is not None:
+            emit = emission_direction(position, images.wall_hits[i], receiver_pos)
+            amp = amp * directivity_gain(source.directivity, emit, source.orientation)
+        taps.append(dict(delay=r / c, amplitude=amp, doa=diff / r, order=order))
+    taps.sort(key=lambda t: t["delay"])
+    if profile.panels_enabled:
+        relevant = [p for p in scene.panels if room.contains(p.corners.mean(axis=0))]
+        panels = reflect_finite_panels(relevant, source.position, receiver_pos, c)
+        taps += [dict(delay=panels.delay[k], amplitude=panels.amplitude[k],
+                      doa=panels.doa[k], order=1) for k in range(len(panels))]
+    seeds = smear_seed.generate_state(max(len(taps), 1))
+    s = np.clip(room.scattering if profile.specular_fraction is None
+                else profile.specular_fraction, 0.0, 1.0)
+    level = 10.0 ** (source.level_db / 20.0)
+    for i, tap in enumerate(taps):
+        tap["burst_energy"] = np.zeros_like(tap["amplitude"])
+        tap["burst_seed"] = -1
+        if profile.smearing_enabled and tap["order"] >= 1:
+            tap["burst_energy"] = s * tap["amplitude"] ** 2
+            tap["burst_seed"] = int(seeds[i])
+            tap["amplitude"] = np.sqrt(1.0 - s) * tap["amplitude"]
+        tap["amplitude"] = tap["amplitude"] * level
+        tap["burst_energy"] = tap["burst_energy"] * level**2
+    taps.sort(key=lambda t: t["delay"])
+    return taps

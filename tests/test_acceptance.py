@@ -12,7 +12,7 @@ import pytest
 
 from alodsim import preset, profile_preset, simulate
 from alodsim.analysis import dual_slope_fit, ned, schroeder_edc, t30
-from alodsim.coupled import _door_source, couple_two_stage, plan_for, single_room_ir
+from alodsim.coupled import _door_source, couple_two_stage, single_room_ir
 from alodsim.filterbank import OCTAVE_CENTERS_8, band_energies, band_masks
 from alodsim.ism import enumerate_images
 from alodsim.postproc import match_spectrum
@@ -70,8 +70,8 @@ def test_criterion_01_image_source_oracle(capsys):
         dims = rng.uniform(2.0, 10.0, 3)
         src = rng.uniform(0.1, 0.9, 3) * dims
         room = RoomSpec(id="r", dims=dims, absorption=0.3, scattering=0.1)
-        got = sorted(tuple(np.round(im.position, 9))
-                     for im in enumerate_images(room, src, 4))
+        got = sorted(tuple(np.round(p, 9))
+                     for p in enumerate_images(room, src, 4).position)
         want = sorted(_mirror_oracle(dims, src, 4))
         positions_ok = positions_ok and got == want
 
@@ -81,7 +81,7 @@ def test_criterion_01_image_source_oracle(capsys):
     counts_ok = totals == {1: 7, 3: 63, 15: 4991}
     by_order = enumerate_images(room, src, 4)
     per_order_ok = all(
-        sum(1 for im in by_order if im.order == n) == 4 * n * n + 2
+        sum(1 for order in by_order.order if order == n) == 4 * n * n + 2
         for n in range(1, 5)
     )
     elapsed = time.perf_counter() - t0
@@ -203,8 +203,7 @@ def test_criterion_06_two_stage_coupling(capsys, living_scene):
                             np.random.SeedSequence([42]),
                             door_signature=np.array([1.0]))
     stage2_seed = np.random.SeedSequence([42]).spawn(2)[1]
-    plan = plan_for(living_scene, profile)
-    door = _door_source(plan.aperture, receiver)
+    door = _door_source(living_scene.apertures[0], receiver)
     ref = single_room_ir(living_scene, profile, door, receiver,
                          living_scene.room_of(receiver), duration, stage2_seed)
     a = synthesize_mono(unit)

@@ -7,7 +7,6 @@ from alodsim.coupled import (
     couple_two_stage,
     coupling_gain,
     occluded_direct,
-    plan_for,
     single_room_ir,
 )
 from alodsim.errors import SceneValidationError
@@ -25,8 +24,7 @@ def _target(scene):
 
 
 def test_coupling_gain_is_area_ratio(living):
-    plan = plan_for(living, profile_preset("razr-full"))
-    k = coupling_gain(living, plan.aperture)
+    k = coupling_gain(living, living.apertures[0])
     # door 0.8 x 2.0 m in the 4.97 x 2.71 m shared wall
     expected = (0.8 * 2.0) / (4.97 * 2.71)
     assert k == pytest.approx(expected, rel=1e-12)
@@ -47,8 +45,7 @@ def test_unit_door_signature_reduces_to_receiver_room(living):
 
     root_b = np.random.SeedSequence([42])
     _, stage2_seed = root_b.spawn(2)
-    plan = plan_for(living, profile)
-    door = _door_source(plan.aperture, rec)
+    door = _door_source(living.apertures[0], rec)
     rec_room = living.room_of(rec)
     reference = single_room_ir(living, profile, door, rec, rec_room,
                                duration, stage2_seed)
@@ -72,9 +69,8 @@ def test_two_stage_signature_is_stage_one_response(living):
 
     root_b = np.random.SeedSequence([7])
     stage1_seed, _ = root_b.spawn(2)
-    plan = plan_for(living, profile)
     src_room = living.room_of(src.position)
-    stage1 = single_room_ir(living, profile, src, plan.aperture.center,
+    stage1 = single_room_ir(living, profile, src, living.apertures[0].center,
                             src_room, duration, stage1_seed,
                             include_panels=False)
     assert np.array_equal(coupled.signature, synthesize_mono(stage1))
@@ -117,19 +113,19 @@ def test_coupling_requires_different_rooms(living):
 
 
 def test_occluded_direct_tap(living):
-    profile = profile_preset("razr-full")
-    plan = plan_for(living, profile)
+    aperture = living.apertures[0]
     rec = living.receivers[0].position
-    tap = occluded_direct(plan, rec, 343.0)
-    assert tap.delay == pytest.approx(5.7 / 343.0, rel=1e-12)
+    taps = occluded_direct(aperture, living.occluded_path_m, rec, 343.0)
+    assert len(taps) == 1
+    assert taps.delay[0] == pytest.approx(5.7 / 343.0, rel=1e-12)
     # -6 dB broadband loss on top of 1/r spreading, then a first-order
     # lowpass at 2 kHz: the lowest band is close to the unfiltered level,
     # the highest bands clearly below it
     base = 10.0 ** (-6.0 / 20.0) / 5.7
-    assert tap.amplitude[0] == pytest.approx(base, rel=0.01)
-    assert tap.amplitude[-1] < 0.2 * tap.amplitude[0]
-    assert np.all(np.diff(tap.amplitude) <= 1e-15)
+    assert taps.amplitude[0][0] == pytest.approx(base, rel=0.01)
+    assert taps.amplitude[0][-1] < 0.2 * taps.amplitude[0][0]
+    assert np.all(np.diff(taps.amplitude[0]) <= 1e-15)
     # DOA points from the receiver toward the door (the apparent source)
-    door_dir = plan.aperture.center - rec
+    door_dir = aperture.center - rec
     door_dir = door_dir / np.linalg.norm(door_dir)
-    assert np.dot(tap.doa, door_dir) > 0.99
+    assert np.dot(taps.doa[0], door_dir) > 0.99

@@ -298,15 +298,15 @@ def test_dual_slope_requires_second_slope():
 # ---------------------------------------------------------------------------
 
 def test_splice_scales_tail_to_the_decay_curve():
-    from alodsim.ism import ReflectionTap, SpatialIR, TailStream
+    from alodsim.ism import SpatialIR, TailStream, Taps
 
     fs = FS
     direct_delay = 0.01
     onset = 0.04
     t60 = 0.5
-    tap = ReflectionTap(delay=direct_delay, amplitude=np.full(8, 0.5),
-                        doa=np.array([1.0, 0.0, 0.0]))
-    early = SpatialIR(taps=(tap,), sample_rate=fs)
+    tap = Taps(delay=np.array([direct_delay]), amplitude=np.full((1, 8), 0.5),
+               doa=np.array([[1.0, 0.0, 0.0]]), order=np.zeros(1, dtype=int))
+    early = SpatialIR(taps=tap, sample_rate=fs)
     rng = np.random.default_rng(0)
     stream = TailStream(samples=rng.standard_normal(4000) * 1e-3, onset=0.0,
                         direction=np.array([1.0, 0.0, 0.0]))

@@ -1,19 +1,25 @@
+import dataclasses
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from alodsim.ism import (
+    Images,
+    _emission_direction,
     apply_jitter,
     burst_samples,
     early_spatial_ir,
     enumerate_images,
-    reflect_finite_panel,
+    reflect_finite_panels,
     smear_taps,
     taps_from_images,
 )
-from alodsim.scene import PanelSpec, RoomSpec, preset, profile_preset
+from alodsim.scene import DirectivityGrid, PanelSpec, RoomSpec, preset, profile_preset
 from alodsim.errors import SceneValidationError
+
+from oracles import directivity_gain, early_taps_per_tap, emission_direction
 
 
 def _box(dims, absorption=0.3, origin=(0, 0, 0)):
@@ -59,12 +65,12 @@ def test_positions_match_brute_force_oracle():
         room = _box(dims)
         for order in (0, 1, 4):
             images = enumerate_images(room, source, order)
-            got = {tuple(np.round(im.position, 9)) for im in images}
+            got = {tuple(np.round(p, 9)) for p in images.position}
             oracle = set(brute_force_images(dims, source, order))
             assert got == oracle, f"dims={dims} order={order}"
             # per-image positions agree to 1e-9 with the oracle points
-            for im in images:
-                key = tuple(np.round(im.position, 9))
+            for p in images.position:
+                key = tuple(np.round(p, 9))
                 assert key in oracle
     assert time.time() - start < 1.0, "oracle comparison exceeded 1 s"
 
@@ -74,8 +80,8 @@ def test_image_counts_follow_4n2_plus_2():
     src = np.array([1.0, 1.0, 1.0])
     images = enumerate_images(room, src, 6)
     by_order = {}
-    for im in images:
-        by_order[im.order] = by_order.get(im.order, 0) + 1
+    for order in images.order:
+        by_order[order] = by_order.get(order, 0) + 1
     assert by_order[0] == 1
     for n in range(1, 7):
         assert by_order[n] == 4 * n * n + 2, f"order {n}"
@@ -95,11 +101,11 @@ def test_band_gain_is_product_of_wall_amplitudes():
     room = RoomSpec(id="r", dims=(4.0, 3.0, 2.5), absorption=alpha,
                     scattering=0.3)
     images = enumerate_images(room, np.array([1.0, 1.0, 1.0]), 2)
-    for im in images:
+    for wall_hits, band_gain in zip(images.wall_hits, images.band_gain):
         expected = np.ones(8)
-        for wall, hits in enumerate(im.wall_hits):
+        for wall, hits in enumerate(wall_hits):
             expected *= np.sqrt(1.0 - alpha[wall]) ** hits
-        assert np.allclose(im.band_gain, expected, atol=1e-12)
+        assert np.allclose(band_gain, expected, atol=1e-12)
 
 
 def test_source_outside_room_rejected():
@@ -117,13 +123,12 @@ def test_jitter_spares_direct_and_first_order():
     images = enumerate_images(room, np.array([1.5, 1.5, 1.5]), 3)
     jittered = apply_jitter(images, profile_preset("razr-full"),
                             np.random.default_rng(0))
-    for orig, jit in zip(images, jittered):
-        if orig.order < 2:
-            assert np.array_equal(orig.position, jit.position)
-            assert not jit.jittered
+    assert np.array_equal(jittered.order, images.order)
+    for order, orig, jit in zip(images.order, images.position, jittered.position):
+        if order < 2:
+            assert np.array_equal(orig, jit)
         else:
-            assert jit.jittered
-            assert not np.array_equal(orig.position, jit.position)
+            assert not np.array_equal(orig, jit)
 
 
 def test_jitter_disabled_is_identity():
@@ -131,7 +136,7 @@ def test_jitter_disabled_is_identity():
     images = enumerate_images(room, np.array([1.5, 1.5, 1.5]), 3)
     out = apply_jitter(images, profile_preset("ism-15"),
                        np.random.default_rng(0))
-    assert out == list(images)
+    assert out is images
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +149,15 @@ def test_smearing_conserves_per_band_energy():
     taps = taps_from_images(images, np.array([3.0, 2.0, 1.5]), 343.0)
     smeared = smear_taps(taps, profile_preset("razr-full"), room.scattering,
                          np.random.SeedSequence(7))
-    for orig, sm in zip(taps, smeared):
-        if orig.order < 1:
-            assert sm is orig
+    for i in range(len(taps)):
+        if taps.order[i] < 1:
+            assert np.array_equal(smeared.amplitude[i], taps.amplitude[i])
+            assert not smeared.has_burst[i]
             continue
-        specular = sm.amplitude**2
-        diffuse = sm.diffuse_burst.band_energy
-        assert np.allclose(specular + diffuse, orig.amplitude**2, rtol=1e-12)
+        assert smeared.has_burst[i]
+        specular = smeared.amplitude[i] ** 2
+        diffuse = smeared.burst_energy[i]
+        assert np.allclose(specular + diffuse, taps.amplitude[i] ** 2, rtol=1e-12)
 
 
 def test_smearing_disabled_is_identity():
@@ -159,7 +166,7 @@ def test_smearing_disabled_is_identity():
     taps = taps_from_images(images, np.array([3.0, 2.0, 1.5]), 343.0)
     out = smear_taps(taps, profile_preset("ism-15"), room.scattering,
                      np.random.SeedSequence(7))
-    assert out == list(taps)
+    assert out is taps
 
 
 def test_burst_samples_deterministic_and_energy_normalized():
@@ -168,14 +175,16 @@ def test_burst_samples_deterministic_and_energy_normalized():
     taps = taps_from_images(images, np.array([3.0, 2.0, 1.5]), 343.0)
     smeared = smear_taps(taps, profile_preset("razr-full"), room.scattering,
                          np.random.SeedSequence(7))
-    burst = next(t.diffuse_burst for t in smeared if t.diffuse_burst)
-    a = burst_samples(burst, 2, 44100.0)
-    b = burst_samples(burst, 2, 44100.0)
+    row = int(np.argmax(smeared.has_burst))
+    a = burst_samples(smeared, row, 44100.0)
+    b = burst_samples(smeared, row, 44100.0)
     assert np.array_equal(a, b)
-    assert float(np.dot(a, a)) == pytest.approx(burst.band_energy[2], rel=1e-9)
+    assert a.shape == (8, round(2e-3 * smeared.order[row] * 44100.0))
+    for band in range(8):
+        assert float(np.dot(a[band], a[band])) == pytest.approx(
+            smeared.burst_energy[row, band], rel=1e-9)
     # different bands draw different noise
-    c = burst_samples(burst, 3, 44100.0)
-    assert not np.array_equal(a, c)
+    assert not np.array_equal(a[2], a[3])
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +201,30 @@ def test_panel_reflection_matches_mirror_geometry():
     panel = _panel_z1()
     src = np.array([0.5, 1.0, 2.0])
     rec = np.array([1.5, 1.0, 2.0])
-    tap = reflect_finite_panel(panel, src, rec, c=343.0)
-    assert tap is not None
+    taps = reflect_finite_panels([panel], src, rec, c=343.0)
+    assert len(taps) == 1
+    assert taps.order[0] == 1 and not taps.has_burst[0]
     mirror = np.array([0.5, 1.0, 0.0])  # src reflected across z = 1
     r = np.linalg.norm(rec - mirror)
-    assert tap.delay == pytest.approx(r / 343.0, rel=1e-12)
-    assert np.allclose(np.abs(tap.amplitude), np.sqrt(1.0 - panel.absorption) / r)
+    assert taps.delay[0] == pytest.approx(r / 343.0, rel=1e-12)
+    assert np.allclose(np.abs(taps.amplitude[0]), np.sqrt(1.0 - panel.absorption) / r)
     # DOA points from receiver toward the mirror image
-    assert np.allclose(tap.doa, (mirror - rec) / r)
+    assert np.allclose(taps.doa[0], (mirror - rec) / r)
 
 
 def test_panel_reflection_requires_same_side():
     panel = _panel_z1()
-    assert reflect_finite_panel(panel, np.array([0.5, 1.0, 2.0]),
-                                np.array([1.5, 1.0, 0.5])) is None
+    taps = reflect_finite_panels([panel], np.array([0.5, 1.0, 2.0]),
+                                 np.array([1.5, 1.0, 0.5]))
+    assert len(taps) == 0
+    assert taps.amplitude.shape == (0, 8) and taps.doa.shape == (0, 3)
 
 
 def test_panel_reflection_requires_hit_inside_rectangle():
     panel = _panel_z1()
     # reflection point would land at x = 5, far outside the 2 x 2 panel
-    assert reflect_finite_panel(panel, np.array([4.0, 1.0, 2.0]),
-                                np.array([6.0, 1.0, 2.0])) is None
+    assert len(reflect_finite_panels([panel], np.array([4.0, 1.0, 2.0]),
+                                     np.array([6.0, 1.0, 2.0]))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +238,9 @@ def test_early_spatial_ir_taps_sorted_and_direct_delay():
     spatial = early_spatial_ir(scene, profile_preset("razr-full"), src,
                                rec.position, scene.rooms[0],
                                np.random.SeedSequence(0))
-    delays = [t.delay for t in spatial.taps]
-    assert delays == sorted(delays)
-    assert min(delays) == pytest.approx(0.97 / 343.0, rel=1e-9)
+    delays = spatial.taps.delay
+    assert np.all(np.diff(delays) >= 0.0)
+    assert delays.min() == pytest.approx(0.97 / 343.0, rel=1e-9)
 
 
 def test_early_spatial_ir_is_seed_deterministic():
@@ -240,6 +252,68 @@ def test_early_spatial_ir_is_seed_deterministic():
     b = early_spatial_ir(scene, profile_preset("razr-full"), src,
                          rec.position, scene.rooms[0], np.random.SeedSequence(3))
     assert len(a.taps) == len(b.taps)
-    for ta, tb in zip(a.taps, b.taps):
-        assert ta.delay == tb.delay
-        assert np.array_equal(ta.amplitude, tb.amplitude)
+    assert np.array_equal(a.taps.delay, b.taps.delay)
+    assert np.array_equal(a.taps.amplitude, b.taps.amplitude)
+
+
+# ---------------------------------------------------------------------------
+# source directivity
+# ---------------------------------------------------------------------------
+
+def _grid(seed=5):
+    rng = np.random.default_rng(seed)
+    azimuths = np.sort(rng.uniform(0.0, 360.0, 11))
+    elevations = np.concatenate([[-90.0], np.sort(rng.uniform(-80.0, 80.0, 5)), [90.0]])
+    return DirectivityGrid(azimuths_deg=azimuths, elevations_deg=elevations,
+                           gains=rng.uniform(0.1, 1.0, (11, 7, 8)))
+
+
+def test_directivity_gain_matches_the_per_direction_reference():
+    grid = _grid()
+    rng = np.random.default_rng(8)
+    dirs = rng.standard_normal((400, 3))
+    # the last facing vector is vertical, which swaps the reference "up"
+    for forward in (np.array([0.0, -1.0, 0.0]), rng.standard_normal(3),
+                    np.array([0.0, 0.0, 1.0])):
+        got = grid.gain(dirs, forward)
+        assert got.shape == (400, 8)
+        want = np.array([directivity_gain(grid, d, forward) for d in dirs])
+        assert np.array_equal(got, want)
+
+
+def test_emission_direction_matches_the_per_image_reference():
+    rng = np.random.default_rng(9)
+    # every parity pattern of the six wall-hit counts, plus even offsets
+    parities = np.array(list(itertools.product((0, 1), repeat=6)))
+    hits = parities + 2 * rng.integers(0, 3, parities.shape)
+    images = Images(position=rng.uniform(-20.0, 20.0, (len(hits), 3)),
+                    order=hits.sum(axis=1), wall_hits=hits,
+                    band_gain=np.ones((len(hits), 8)))
+    receiver = np.array([1.0, 2.0, 1.5])
+    got = _emission_direction(images, receiver)
+    for i in range(len(hits)):
+        want = emission_direction(images.position[i], hits[i], receiver)
+        assert np.allclose(got[i], want, rtol=0.0, atol=1e-15)
+
+
+def test_directional_source_taps_match_the_per_tap_chain():
+    scene = preset("pub")
+    source = dataclasses.replace(scene.sources[0], directivity=_grid(), level_db=-3.0)
+    receiver = scene.receivers[0].position
+    profile = profile_preset("razr-full")  # jitter, panels and smearing on
+    room = scene.rooms[0]
+    got = early_spatial_ir(scene, profile, source, receiver, room,
+                           np.random.SeedSequence(4)).taps
+    want = early_taps_per_tap(scene, profile, source, receiver, room,
+                              np.random.SeedSequence(4))
+    assert len(got) == len(want) == 65
+    for name in ("delay", "amplitude", "doa", "burst_energy"):
+        ref = np.array([t[name] for t in want])
+        err = np.max(np.abs(getattr(got, name) - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref)), name
+    assert np.array_equal(got.order, [t["order"] for t in want])
+    assert np.array_equal(got.burst_seed, [t["burst_seed"] for t in want])
+    # the grid does shape the taps
+    omni = early_spatial_ir(scene, profile, dataclasses.replace(source, directivity=None),
+                            receiver, room, np.random.SeedSequence(4)).taps
+    assert not np.allclose(omni.amplitude, got.amplitude, rtol=0.01)

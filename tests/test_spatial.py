@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alodsim.ism import ReflectionTap, SpatialIR, TailStream
+from alodsim.ism import SpatialIR, TailStream, Taps
 from alodsim.spatial import (
     ImpulseResponse,
     LoudspeakerLayout,
@@ -25,12 +25,12 @@ FS = 44100.0
 
 
 def _tap(doa, delay=0.01, amp=0.5):
-    return ReflectionTap(delay=delay, amplitude=np.full(8, amp),
-                         doa=np.asarray(doa, dtype=float))
+    return Taps(delay=np.array([delay]), amplitude=np.full((1, 8), amp),
+                doa=np.asarray(doa, dtype=float)[None, :], order=np.zeros(1, dtype=int))
 
 
 def _single_tap_ir(doa):
-    return SpatialIR(taps=(_tap(doa),), sample_rate=FS)
+    return SpatialIR(taps=_tap(doa), sample_rate=FS)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_vbap_triangulation_follows_each_new_layout():
         layout = LoudspeakerLayout(positions=center + 2.0 * dirs, center=center)
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
-        idx, g, _ = _Triangulation(layout).gains(d)
+        idx, g, _ = (a[0] for a in _Triangulation(layout).gains(d[None, :]))
         g = np.clip(g, 0.0, None)
         want = np.zeros(layout.n_speakers)
         want[idx] = g / np.linalg.norm(g)
@@ -145,6 +145,31 @@ def test_vbap_triangulation_follows_each_new_layout():
         assert got.shape == want.shape, f"trial {trial}"
         assert np.allclose(got, want, atol=1e-12), f"trial {trial}"
         del layout
+
+
+def test_vbap_gains_of_a_batch_equal_gains_one_direction_at_a_time():
+    layout = array_preset_86()
+    dirs = np.random.default_rng(3).standard_normal((2, 5, 3))
+    got = vbap_gains(dirs, layout)
+    assert got.shape == (2, 5, 86)
+    for i in range(2):
+        for j in range(5):
+            assert np.allclose(got[i, j], vbap_gains(dirs[i, j], layout), atol=1e-15)
+
+
+def test_vbap_counts_directions_outside_coverage_in_one_warning():
+    # upper hemisphere only: rings at 10 and 45 degrees plus the zenith
+    rings = ((10.0, 8), (45.0, 6), (90.0, 1))
+    dirs = [az_el_to_vec(360.0 * i / count, el) for el, count in rings for i in range(count)]
+    layout = LoudspeakerLayout(positions=2.0 * np.array(dirs), center=np.zeros(3))
+    rng = np.random.default_rng(5)
+    below = np.array([az_el_to_vec(az, el) for az, el in
+                      zip(rng.uniform(0.0, 360.0, 50), rng.uniform(-10.0, -1.0, 50))])
+    with pytest.warns(RuntimeWarning) as caught:
+        gains = vbap_gains(below, layout)
+    assert len(caught) == 1
+    assert "50 of 50 directions" in str(caught[0].message)
+    assert np.allclose(np.sum(gains**2, axis=1), 1.0)
 
 
 def test_array_preset_86_layout():
@@ -195,8 +220,8 @@ def test_render_mono_places_tap_at_delay():
 def test_signature_applies_to_rendered_channels():
     tap = _tap([1.0, 0.0, 0.0])
     sig = np.array([0.0, 2.0])  # one-sample shift, gain 2
-    plain = render_mono(SpatialIR(taps=(tap,), sample_rate=FS))
-    with_sig = render_mono(SpatialIR(taps=(tap,), sample_rate=FS,
+    plain = render_mono(SpatialIR(taps=tap, sample_rate=FS))
+    with_sig = render_mono(SpatialIR(taps=tap, sample_rate=FS,
                                      signature=sig))
     n = plain.n_samples
     assert np.allclose(with_sig.channels[0][1:n + 1], 2.0 * plain.channels[0],
@@ -206,7 +231,9 @@ def test_signature_applies_to_rendered_channels():
 def test_tail_streams_render_at_their_onset():
     stream = TailStream(samples=np.ones(100), onset=0.05,
                         direction=np.array([1.0, 0.0, 0.0]))
-    spatial = SpatialIR(taps=(), sample_rate=FS, tail=(stream,))
+    no_taps = Taps(delay=np.zeros(0), amplitude=np.zeros((0, 8)),
+                   doa=np.zeros((0, 3)), order=np.zeros(0, dtype=int))
+    spatial = SpatialIR(taps=no_taps, sample_rate=FS, tail=(stream,))
     ir = render_mono(spatial)
     start = int(round(0.05 * FS))
     assert np.all(ir.channels[0][:start] == 0.0)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 
-from alodsim.ism import DiffuseBurst, ReflectionTap, SpatialIR, TailStream
+from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps
 from alodsim.synth import render_units, spatial_ir_length
 
 from oracles import render_units_2m
@@ -10,36 +10,34 @@ from oracles import render_units_2m
 FS = 44100.0
 
 
-def _two_unit_spread(doa):
+def _two_unit_gains(doa):
     # left-leaning directions go to unit 0, the rest to unit 1, with a
     # little crosstalk so both units see every tap
-    return [(0, 0.8), (1, 0.2)] if doa[1] >= 0 else [(0, 0.3), (1, 0.9)]
+    return np.where((doa[:, 1] >= 0)[:, None], [0.8, 0.2], [0.3, 0.9])
 
 
 def _early_ir(tail_seconds: float) -> SpatialIR:
     rng = np.random.default_rng(11)
-    taps = []
-    for k in range(40):
-        doa = rng.standard_normal(3)
-        burst = None
-        if k % 4 == 0:
-            burst = DiffuseBurst(duration=0.004 + 0.001 * k, seed=k,
-                                 band_energy=rng.uniform(0.0, 1e-3, 8))
-        taps.append(ReflectionTap(delay=0.005 + 0.002 * k,
-                                  amplitude=rng.uniform(0.0, 0.5, 8),
-                                  doa=doa / np.linalg.norm(doa),
-                                  diffuse_burst=burst))
+    k = np.arange(40)
+    doa = rng.standard_normal((40, 3))
+    burst = k % 4 == 0
+    # every fourth tap carries a burst of 4 + k ms (order 2 + k / 2)
+    taps = Taps(delay=0.005 + 0.002 * k, amplitude=rng.uniform(0.0, 0.5, (40, 8)),
+                doa=doa / np.linalg.norm(doa, axis=1, keepdims=True),
+                order=2 + k // 2,
+                burst_energy=np.where(burst[:, None], rng.uniform(0.0, 1e-3, (40, 8)), 0.0),
+                burst_seed=np.where(burst, k, NO_BURST))
     tail = TailStream(samples=1e-3 * rng.standard_normal(int(tail_seconds * FS)),
                       onset=0.05, direction=np.array([0.0, -1.0, 0.0]))
-    return SpatialIR(taps=tuple(taps), sample_rate=FS, tail=(tail,))
+    return SpatialIR(taps=taps, sample_rate=FS, tail=(tail,))
 
 
 def test_render_units_match_the_2m_oracle():
     # the longer FFT changes how much of the low bands' kernel tails wraps
     # around; at lags near m those tails are ~1e-7 of the peak
     ir = _early_ir(0.5)
-    want = render_units_2m(ir, _two_unit_spread)
-    got = render_units(ir, _two_unit_spread)
+    want = render_units_2m(ir, _two_unit_gains)
+    got = render_units(ir, _two_unit_gains)
     assert sorted(got) == sorted(want)
     peak = max(np.max(np.abs(w)) for w in want.values())
     for unit, wave in got.items():
@@ -48,16 +46,17 @@ def test_render_units_match_the_2m_oracle():
 
 
 def test_band_buffers_span_the_early_extent_not_the_tail():
-    burst = DiffuseBurst(duration=0.02, seed=1, band_energy=np.full(8, 1e-4))
-    tap = ReflectionTap(delay=0.01, amplitude=np.full(8, 0.5),
-                        doa=np.array([1.0, 0.0, 0.0]), diffuse_burst=burst)
+    # an order-10 tap carries a 20 ms burst
+    tap = Taps(delay=np.array([0.01]), amplitude=np.full((1, 8), 0.5),
+               doa=np.array([[1.0, 0.0, 0.0]]), order=np.array([10]),
+               burst_energy=np.full((1, 8), 1e-4), burst_seed=np.array([1]))
     tail = TailStream(samples=np.full(int(10.0 * FS), 1e-4), onset=0.02,
                       direction=np.array([1.0, 0.0, 0.0]))
-    ir = SpatialIR(taps=(tap,), sample_rate=FS, tail=(tail,))
+    ir = SpatialIR(taps=tap, sample_rate=FS, tail=(tail,))
     n = spatial_ir_length(ir)
     tracemalloc.start()
     try:
-        render_units(ir, lambda doa: [(0, 1.0)])
+        render_units(ir, lambda doa: np.ones((len(doa), 1)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -2,13 +2,14 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from alodsim.cli import main
 from alodsim.errors import SceneParseError
-from alodsim.scene import parse_scene
+from alodsim.scene import parse_scene, preset, serialize_scene
 from alodsim.wavio import read_wav, write_wav
 
 FS = 44100.0
@@ -214,3 +215,71 @@ def test_cli_error_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# malformed input ends as an AlodsimError, which the CLI prints on one line
+# ---------------------------------------------------------------------------
+
+def _scene_with_absorption(value) -> str:
+    doc = json.loads(serialize_scene(preset("living-room")))
+    doc["rooms"][0]["absorption"] = value
+    return json.dumps(doc)
+
+
+def _wav_with_fmt(fmt_body: bytes) -> bytes:
+    chunks = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
+    chunks += b"data" + struct.pack("<I", 8) + bytes(8)
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+# each case: (file name, file contents, CLI arguments reading the file)
+_MALFORMED = {
+    "scene is a JSON array": (
+        "scene.json", b"[]", ["simulate", "--profile", "ism-15", "--scene"]),
+    "non-numeric absorption": (
+        "scene.json", _scene_with_absorption("abc").encode(),
+        ["simulate", "--profile", "ism-15", "--scene"]),
+    "WAV with 0 channels": (
+        "ir.wav", _wav_with_fmt(struct.pack("<HHIIHH", 1, 0, 44100, 0, 0, 16)),
+        ["analyze", "--metrics", "t30", "--ir"]),
+    "6-byte fmt chunk": (
+        "ir.wav", _wav_with_fmt(struct.pack("<HHH", 1, 1, 0)),
+        ["analyze", "--metrics", "t30", "--ir"]),
+}
+
+
+def test_parse_scene_rejects_a_json_array():
+    with pytest.raises(SceneParseError):
+        parse_scene("[]")
+
+
+def test_parse_scene_rejects_non_numeric_absorption():
+    with pytest.raises(SceneParseError):
+        parse_scene(_scene_with_absorption("abc"))
+
+
+def test_wav_rejects_zero_channels(tmp_path):
+    name, data, _ = _MALFORMED["WAV with 0 channels"]
+    (tmp_path / name).write_bytes(data)
+    with pytest.raises(SceneParseError):
+        read_wav(str(tmp_path / name))
+
+
+def test_wav_rejects_a_truncated_fmt_chunk(tmp_path):
+    name, data, _ = _MALFORMED["6-byte fmt chunk"]
+    (tmp_path / name).write_bytes(data)
+    with pytest.raises(SceneParseError):
+        read_wav(str(tmp_path / name))
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_cli_prints_one_error_line_for_malformed_input(tmp_path, capsys, case):
+    name, data, argv = _MALFORMED[case]
+    (tmp_path / name).write_bytes(data)
+    code = main(argv + [str(tmp_path / name), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
