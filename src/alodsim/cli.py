@@ -76,9 +76,16 @@ def _load_layout(spec: str) -> LoudspeakerLayout:
     if spec == "86-preset":
         return array_preset_86()
     with open(spec, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:  # JSONDecodeError is a ValueError
+            doc = json.load(fh)
+            positions = np.asarray(doc["positions"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            positions = None
+    if positions is None or positions.ndim != 2 or positions.shape[1:] != (3,):
+        raise SceneParseError(f"layout {spec!r}: expected a JSON object whose "
+                              "'positions' is a list of [x, y, z] rows")
     return LoudspeakerLayout(
-        positions=np.asarray(doc["positions"], dtype=float),
+        positions=positions,
         center=np.asarray(doc.get("center", (0.0, 0.0, 0.0)), dtype=float),
         calibration_gains=(np.asarray(doc["calibration_gains"], dtype=float)
                            if doc.get("calibration_gains") else None),

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from .errors import SceneValidationError
-from .filterbank import BandFilter, OCTAVE_CENTERS_8
+from .filterbank import BandFilter, OCTAVE_CENTERS_8, band_groups
 from .ism import SpatialIR, TailStream
 from .scene import DecayTarget, RoomSpec, volume
 
@@ -309,15 +309,14 @@ def run_fdn(config: FdnConfig, duration: float,
     impulse_driven = input_signal is None
     if input_signal is None:
         input_signal = np.array([1.0])
-    groups, members = np.unique(config.line_gains.T, axis=0, return_inverse=True)
+    groups, weights = band_groups(config.line_gains.T)
     lines = None
     for g, gains in enumerate(groups):
         out = _run_band(config, gains, n, input_signal)
         if impulse_driven:
             out = _shape_decay(out, fs, _t60_of(config, gains))
         if len(groups) > 1:
-            weights = (members.ravel() == g)[None, :]
-            out = BandFilter(n, fs, weights, band_centers).apply(out[None])
+            out = BandFilter(n, fs, weights[g:g + 1], band_centers).apply(out[None])
         lines = out if lines is None else lines + out
     return [
         TailStream(samples=lines[i], onset=config.onset,

@@ -60,6 +60,16 @@ def padded_len(n: int) -> int:
     return next_fast_len(2 * n, real=True)
 
 
+def band_groups(values: np.ndarray):
+    """Group bands whose rows of ``values`` (n_bands, k) are exactly equal:
+    the distinct rows, (G, k), and (G, n_bands) 0/1 ``BandFilter`` weights
+    that give each group the sum of its bands' masks."""
+    if np.all(values == values[:1]):  # the usual case, without np.unique's row sort
+        return values[:1], np.ones((1, len(values)))
+    groups, members = np.unique(values, axis=0, return_inverse=True)
+    return groups, (members.ravel() == np.arange(len(groups))[:, None]).astype(float)
+
+
 class BandFilter:
     """Zero-phase filter of length-``n`` signals by weighted band masks.
 

@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 from scipy.spatial import ConvexHull
 
@@ -225,10 +226,13 @@ class _Triangulation:
 
     def __init__(self, layout: LoudspeakerLayout):
         dirs = layout.directions
-        hull = ConvexHull(dirs)
-        self.triangles = hull.simplices
-        mats = dirs[self.triangles]  # (T, 3, 3): rows are speaker directions
-        self.inverses = np.linalg.inv(mats)
+        triangles = ConvexHull(dirs).simplices
+        mats = dirs[triangles]  # (T, 3, 3): rows are speaker directions
+        # a face through the listener (the open side of a hemispherical
+        # layout) has no inverse; directions there use the nearest triangle
+        keep = np.abs(np.linalg.det(mats)) > 1e-9
+        self.triangles = triangles[keep]
+        self.inverses = np.linalg.inv(mats[keep])
 
     def gains(self, directions: np.ndarray):
         """(speakers, gains, worst gain) of the best triangle per (k, 3) direction."""
@@ -295,13 +299,13 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
     frame = head_frame(orientation) if orientation is not None else np.eye(3)
     one_hot = np.eye(hrtf.directions.shape[0])
     units = render_units(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
-    n = spatial_ir_length(spatial_ir)
-    taps = hrtf.filters.shape[2]
-    out = np.zeros((2, n + taps - 1))
+    # one rfft per unit, summed into two ear spectra one unit at a time
+    size = spatial_ir_length(spatial_ir) + hrtf.filters.shape[2] - 1
+    n_fft = next_fast_len(size, real=True)
+    out = np.zeros((2, n_fft // 2 + 1), dtype=complex)
     for idx in sorted(units):
-        wave = units[idx]
-        out[0] += fftconvolve(wave, hrtf.filters[idx, 0])
-        out[1] += fftconvolve(wave, hrtf.filters[idx, 1])
+        out += np.fft.rfft(units[idx], n_fft) * np.fft.rfft(hrtf.filters[idx], n_fft)
+    out = np.fft.irfft(out, n_fft)[:, :size]  # rebinding frees the spectra
     out = _apply_signature(out, spatial_ir)
     return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate,
                            channel_semantics="binaural-LR")

@@ -1,23 +1,26 @@
 """Sample-domain synthesis of a SpatialIR.
 
-Taps are accumulated into per-band impulse buffers over the early extent of
-the IR, one render unit at a time; the zero-phase octave filterbank is
-applied once per band, and the bands are summed. Cost is O(bands), not
-O(taps). A render unit is an HRTF index, a loudspeaker channel or the
-single mono unit. Directions reach the units through one gain matrix: the
-caller's ``unit_gains`` maps (k, 3) directions to (k, n_units) gains, and
-the same accumulator serves the binaural, array and mono paths.
+Taps are accumulated over the early extent of the IR, one render unit at a
+time, with band work only where bands differ. Bands whose burst-free tap
+amplitudes are exactly equal form a group (``filterbank.band_groups``). A
+unit that no diffuse burst reaches filters one buffer per group, or none
+with one group, since the masks then sum to 1; a unit that a burst reaches
+filters one buffer per band. A render unit is an HRTF index, a loudspeaker
+channel or the single mono unit; directions reach the units through one
+gain matrix, ``unit_gains`` (k, 3) -> (k, n_units), shared by the binaural,
+array and mono paths.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable, Dict
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .filterbank import BandFilter, OCTAVE_CENTERS_8
+from .filterbank import BandFilter, OCTAVE_CENTERS_8, band_groups
 from .ism import SpatialIR, burst_samples
 
 
@@ -39,13 +42,13 @@ def render_units(spatial_ir: SpatialIR,
     """Broadband waveform per render unit.
 
     Returns {unit: samples} for every unit that a tap or tail stream reaches
-    with a nonzero gain; all waveforms share the same length. The optional
-    coupling signature is NOT applied here (it acts on the final channels;
-    convolution commutes with the per-unit linear processing).
+    with a nonzero gain; all waveforms share the same length, and band work
+    follows the group rule above. The optional coupling signature is NOT
+    applied here (it acts on the final channels; convolution commutes with
+    the per-unit linear processing).
     """
     fs = spatial_ir.sample_rate
     n = max(n_samples, spatial_ir_length(spatial_ir))
-    n_bands = len(centers)
 
     taps = spatial_ir.taps
     starts = np.rint(taps.delay * fs).astype(np.int64)
@@ -63,21 +66,33 @@ def render_units(spatial_ir: SpatialIR,
     extent = int(np.max(np.minimum(starts + lengths, n), initial=0))
     m = min(n, extent + max(int(0.15 * fs), 4096))
 
-    # one band buffer is alive at a time
-    combine = BandFilter(m, fs, centers=centers)
-    units: Dict[int, np.ndarray] = {}
+    # one buffer alive at a time; each burst drawn once, kept until its last unit
     bursts = taps.has_burst[rows]
+    _, weights = band_groups(taps.amplitude[rows[~bursts]].T)
+    lead = np.argmax(weights, axis=1)  # a burst-free tap's bands agree within a group
+    bank = cache(lambda bands: BandFilter(m, fs, None if bands else weights, centers))
+    reach = np.count_nonzero(tap_gains, axis=1)
+    noise: Dict[int, np.ndarray] = {}
+    units: Dict[int, np.ndarray] = {}
     for unit in np.flatnonzero(np.any(tap_gains != 0.0, axis=0)).tolist():
         hit = np.flatnonzero(tap_gains[:, unit])
-        buf = np.zeros((n_bands, m))
-        np.add.at(buf.T, starts[hit],
-                  tap_gains[hit, unit][:, None] * taps.amplitude[rows[hit]])
-        for k in hit[bursts[hit]]:
-            noise = burst_samples(taps, rows[k], fs)
-            stop = min(starts[k] + noise.shape[1], n)
-            buf[:, starts[k]:stop] += tap_gains[k, unit] * noise[:, : stop - starts[k]]
         units[unit] = np.zeros(n)
-        units[unit][:m] = combine.apply(buf)
+        per_band = bool(bursts[hit].any())
+        values = tap_gains[hit, unit][:, None] * taps.amplitude[rows[hit]]
+        if not per_band and len(lead) == 1:  # the masks sum to 1
+            np.add.at(units[unit], starts[hit], values[:, lead[0]])
+            continue
+        values = values if per_band else values[:, lead]
+        buf = np.zeros((values.shape[1], m))
+        np.add.at(buf.T, starts[hit], values)
+        for k in hit[bursts[hit]]:
+            if k not in noise:
+                noise[k] = burst_samples(taps, rows[k], fs)
+            reach[k] -= 1
+            burst = noise[k] if reach[k] else noise.pop(k)
+            stop = min(starts[k] + burst.shape[1], n)
+            buf[:, starts[k]:stop] += tap_gains[k, unit] * burst[:, : stop - starts[k]]
+        units[unit][:m] = bank(per_band).apply(buf)
 
     for stream, gain in zip(streams, stream_gains):
         offset = int(round(stream.onset * fs))

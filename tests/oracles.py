@@ -6,6 +6,8 @@ buffers, spreads one tap or stream direction at a time and filters at FFT
 length 2m. Both are the straightforward forms of what
 ``alodsim.fdn.run_fdn`` and ``alodsim.synth.render_units`` compute with
 band grouping, early-extent buffers, fast FFT lengths and one gain matrix.
+``binauralize_per_unit`` convolves each render unit with each ear's HRTF
+separately, where ``alodsim.spatial.binauralize`` sums unit spectra.
 
 ``directivity_gain``, ``emission_direction`` and ``early_taps_per_tap``
 handle one direction, image or tap at a time, as the early chain in
@@ -15,6 +17,7 @@ handle one direction, image or tap at a time, as the early chain in
 import math
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from alodsim.fdn import _run_band, _shape_decay, _t60_of
 from alodsim.filterbank import OCTAVE_CENTERS_8, band_masks
@@ -23,7 +26,8 @@ from alodsim.ism import (
     enumerate_images,
     reflect_finite_panels,
 )
-from alodsim.synth import spatial_ir_length
+from alodsim.spatial import ImpulseResponse, _apply_signature, head_frame
+from alodsim.synth import render_units, spatial_ir_length
 
 
 def per_band_run_fdn(config, duration, input_signal=None,
@@ -88,6 +92,21 @@ def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_
             wave = units.setdefault(int(unit), np.zeros(n))
             wave[offset:stop] += gains[unit] * stream.samples[: stop - offset]
     return units
+
+
+def binauralize_per_unit(spatial_ir, hrtf, orientation=None):
+    """Binaural render with one ``fftconvolve`` per render unit and ear."""
+    frame = head_frame(orientation) if orientation is not None else np.eye(3)
+    one_hot = np.eye(hrtf.directions.shape[0])
+    units = render_units(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
+    n = spatial_ir_length(spatial_ir)
+    out = np.zeros((2, n + hrtf.filters.shape[2] - 1))
+    for idx in sorted(units):
+        out[0] += fftconvolve(units[idx], hrtf.filters[idx, 0])
+        out[1] += fftconvolve(units[idx], hrtf.filters[idx, 1])
+    return ImpulseResponse(channels=_apply_signature(out, spatial_ir),
+                           sample_rate=spatial_ir.sample_rate,
+                           channel_semantics="binaural-LR")
 
 
 def directivity_gain(grid, direction, forward):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,11 @@ from alodsim.spatial import (
     synthetic_hrtf,
     vbap_gains,
 )
+from alodsim.pipeline import build_spatial_ir
+from alodsim.scene import preset, profile_preset
 from alodsim.wavio import write_wav
+
+from oracles import binauralize_per_unit
 
 FS = 44100.0
 
@@ -157,11 +163,16 @@ def test_vbap_gains_of_a_batch_equal_gains_one_direction_at_a_time():
             assert np.allclose(got[i, j], vbap_gains(dirs[i, j], layout), atol=1e-15)
 
 
+def _upper_hemisphere(lowest_ring_deg: float) -> LoudspeakerLayout:
+    """Rings of 8 at the given elevation and 6 at 45 degrees, plus the zenith."""
+    rings = ((lowest_ring_deg, 8), (45.0, 6), (90.0, 1))
+    dirs = [az_el_to_vec(360.0 * i / count, el) for el, count in rings for i in range(count)]
+    return LoudspeakerLayout(positions=2.0 * np.array(dirs), center=np.zeros(3))
+
+
 def test_vbap_counts_directions_outside_coverage_in_one_warning():
     # upper hemisphere only: rings at 10 and 45 degrees plus the zenith
-    rings = ((10.0, 8), (45.0, 6), (90.0, 1))
-    dirs = [az_el_to_vec(360.0 * i / count, el) for el, count in rings for i in range(count)]
-    layout = LoudspeakerLayout(positions=2.0 * np.array(dirs), center=np.zeros(3))
+    layout = _upper_hemisphere(10.0)
     rng = np.random.default_rng(5)
     below = np.array([az_el_to_vec(az, el) for az, el in
                       zip(rng.uniform(0.0, 360.0, 50), rng.uniform(-10.0, -1.0, 50))])
@@ -169,6 +180,24 @@ def test_vbap_counts_directions_outside_coverage_in_one_warning():
         gains = vbap_gains(below, layout)
     assert len(caught) == 1
     assert "50 of 50 directions" in str(caught[0].message)
+    assert np.allclose(np.sum(gains**2, axis=1), 1.0)
+
+
+def test_vbap_on_a_hemispherical_layout():
+    # a ring at ear level with nothing below: the hull's bottom face passes
+    # through the listener and has no inverse
+    layout = _upper_hemisphere(0.0)
+    rng = np.random.default_rng(8)
+    above = np.array([az_el_to_vec(az, el) for az, el in
+                      zip(rng.uniform(0.0, 360.0, 40), rng.uniform(0.0, 90.0, 40))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gains = vbap_gains(above, layout)
+    assert np.allclose(np.sum(gains**2, axis=1), 1.0)
+    assert np.all(np.count_nonzero(gains, axis=1) <= 3)
+    below = np.array([az_el_to_vec(30.0, -20.0), [0.0, 0.0, -1.0]])
+    with pytest.warns(RuntimeWarning, match="2 of 2 directions"):
+        gains = vbap_gains(below, layout)
     assert np.allclose(np.sum(gains**2, axis=1), 1.0)
 
 
@@ -226,6 +255,19 @@ def test_signature_applies_to_rendered_channels():
     n = plain.n_samples
     assert np.allclose(with_sig.channels[0][1:n + 1], 2.0 * plain.channels[0],
                        atol=1e-12)
+
+
+def test_binauralize_matches_per_unit_convolution():
+    # an FDN tail, a coupling signature and a turned head
+    ir = build_spatial_ir(preset("living-room"), profile_preset("razr-full"))
+    assert ir.tail and ir.signature is not None
+    hrtf = synthetic_hrtf()
+    orientation = np.array([0.3, -1.0, 0.2])
+    got = binauralize(ir, hrtf, orientation)
+    want = binauralize_per_unit(ir, hrtf, orientation)
+    assert got.channels.shape == want.channels.shape
+    peak = np.max(np.abs(want.channels))
+    assert np.max(np.abs(got.channels - want.channels)) <= 1e-12 * peak
 
 
 def test_tail_streams_render_at_their_onset():

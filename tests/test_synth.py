@@ -2,7 +2,11 @@ import tracemalloc
 
 import numpy as np
 
+from alodsim import preset, profile_preset, simulate, synth
+from alodsim.filterbank import BandFilter
 from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps
+from alodsim.pipeline import build_spatial_ir
+from alodsim.spatial import array_preset_86, render_array
 from alodsim.synth import render_units, spatial_ir_length
 
 from oracles import render_units_2m
@@ -62,3 +66,64 @@ def test_band_buffers_span_the_early_extent_not_the_tail():
         tracemalloc.stop()
     one_full_band_buffer = 8 * n * 8  # (8, n) float64
     assert peak < one_full_band_buffer, f"peak {peak} B for n = {n}"
+
+
+def _record_calls(monkeypatch, owner, name, note):
+    """Wrap ``owner.name`` so that each call appends ``note(*args)``."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(note(*args)) or real(*args))
+    return calls
+
+
+def test_each_burst_is_drawn_once_per_call(monkeypatch):
+    # every tap reaches both units; its burst is still drawn only once
+    calls = _record_calls(monkeypatch, synth, "burst_samples", lambda taps, row, fs: row)
+    ir = _early_ir(0.1)
+    render_units(ir, _two_unit_gains)
+    assert sorted(calls) == np.flatnonzero(ir.taps.has_burst).tolist()
+
+
+def test_burst_count_of_a_pub_array_render(monkeypatch):
+    scene, profile = preset("pub"), profile_preset("razr-full")
+    n_bursts = int(np.count_nonzero(build_spatial_ir(scene, profile).taps.has_burst))
+    calls = _record_calls(monkeypatch, synth, "burst_samples", lambda taps, row, fs: row)
+    simulate(scene, profile, output_mode="array")
+    # once for the splice's mono energy, once for the 86-channel render
+    assert n_bursts > 0 and len(calls) == 2 * n_bursts
+
+
+def test_two_band_groups_match_per_band_filtering(monkeypatch):
+    # burst-free taps whose bands 0-3 and 4-7 carry two different amplitudes
+    rng = np.random.default_rng(3)
+    low, high = rng.uniform(0.0, 0.5, (2, 30))
+    doa = rng.standard_normal((30, 3))
+    taps = Taps(delay=0.004 + 0.003 * np.arange(30),
+                amplitude=np.repeat(np.stack([low, high], axis=1), 4, axis=1),
+                doa=doa / np.linalg.norm(doa, axis=1, keepdims=True),
+                order=np.ones(30, dtype=int))
+    ir = SpatialIR(taps=taps, sample_rate=FS)
+    rows = _record_calls(monkeypatch, BandFilter, "apply", lambda self, x: x.shape[0])
+    got = render_units(ir, _two_unit_gains)
+    assert rows == [2, 2]  # one two-group buffer per unit
+    # every band its own group: one buffer row per band, same FFT length
+    monkeypatch.setattr(synth, "band_groups", lambda values: (values, np.eye(len(values))))
+    per_band = render_units(ir, _two_unit_gains)
+    want = render_units_2m(ir, _two_unit_gains)
+    assert sorted(got) == sorted(per_band) == sorted(want)
+    peak = max(np.max(np.abs(w)) for w in want.values())
+    for unit, wave in got.items():
+        assert wave.shape == want[unit].shape
+        assert np.max(np.abs(wave - per_band[unit])) <= 1e-12 * peak
+        # the oracle's FFT length 2m wraps the kernel tails differently;
+        # per-band filtering differs from it by ~1e-8 of the peak as well
+        assert np.max(np.abs(wave - want[unit])) <= 1e-7 * peak
+
+
+def test_ism_15_array_render_filters_no_bands(monkeypatch):
+    # flat absorption: every tap has equal bands, so the masks sum to 1
+    ir = build_spatial_ir(preset("living-room"), profile_preset("ism-15"))
+    applied = _record_calls(monkeypatch, BandFilter, "apply", lambda self, x: x.shape)
+    out = render_array(ir, array_preset_86())
+    assert len(ir.taps) > 4000 and np.any(out.channels)
+    assert applied == []

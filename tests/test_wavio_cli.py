@@ -233,6 +233,9 @@ def _wav_with_fmt(fmt_body: bytes) -> bytes:
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
 
 
+_ARRAY_RENDER = ["simulate", "--preset", "pub", "--profile", "anechoic",
+                 "--output-mode", "array", "--layout"]
+
 # each case: (file name, file contents, CLI arguments reading the file)
 _MALFORMED = {
     "scene is a JSON array": (
@@ -246,6 +249,10 @@ _MALFORMED = {
     "6-byte fmt chunk": (
         "ir.wav", _wav_with_fmt(struct.pack("<HHH", 1, 1, 0)),
         ["analyze", "--metrics", "t30", "--ir"]),
+    "layout without positions": (
+        "layout.json", b'{"center": [0, 0, 0]}', _ARRAY_RENDER),
+    "layout with non-numeric positions": (
+        "layout.json", b'{"positions": [[1, 0, 0], ["a", 1, 0], [0, 0, 1]]}', _ARRAY_RENDER),
 }
 
 
