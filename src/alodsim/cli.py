@@ -79,19 +79,21 @@ def _load_layout(spec: str) -> LoudspeakerLayout:
         try:  # JSONDecodeError is a ValueError
             doc = json.load(fh)
             positions = np.asarray(doc["positions"], dtype=float)
+            center = np.asarray(doc.get("center", (0.0, 0.0, 0.0)), dtype=float)
+            gains, delays = (np.asarray(doc[key], dtype=float) if doc.get(key) else None
+                             for key in ("calibration_gains", "calibration_delays"))
+            n = len(positions)
+            valid = (n >= 4 and positions.shape == (n, 3) and center.shape == (3,)
+                     and all(c is None or c.shape == (n,) for c in (gains, delays)))
         except (KeyError, TypeError, ValueError):
-            positions = None
-    if positions is None or positions.ndim != 2 or positions.shape[1:] != (3,):
+            valid = False
+    if not valid:
         raise SceneParseError(f"layout {spec!r}: expected a JSON object whose "
-                              "'positions' is a list of [x, y, z] rows")
-    return LoudspeakerLayout(
-        positions=positions,
-        center=np.asarray(doc.get("center", (0.0, 0.0, 0.0)), dtype=float),
-        calibration_gains=(np.asarray(doc["calibration_gains"], dtype=float)
-                           if doc.get("calibration_gains") else None),
-        calibration_delays=(np.asarray(doc["calibration_delays"], dtype=float)
-                            if doc.get("calibration_delays") else None),
-    )
+                              "'positions' lists at least 4 numeric [x, y, z] "
+                              "rows, with an optional numeric [x, y, z] 'center' "
+                              "and optional calibration lists of one number per row")
+    return LoudspeakerLayout(positions=positions, center=center,
+                             calibration_gains=gains, calibration_delays=delays)
 
 
 def _metric_summary(ir: ImpulseResponse) -> dict:

@@ -62,12 +62,12 @@ def padded_len(n: int) -> int:
 
 def band_groups(values: np.ndarray):
     """Group bands whose rows of ``values`` (n_bands, k) are exactly equal:
-    the distinct rows, (G, k), and (G, n_bands) 0/1 ``BandFilter`` weights
-    that give each group the sum of its bands' masks."""
-    if np.all(values == values[:1]):  # the usual case, without np.unique's row sort
-        return values[:1], np.ones((1, len(values)))
-    groups, members = np.unique(values, axis=0, return_inverse=True)
-    return groups, (members.ravel() == np.arange(len(groups))[:, None]).astype(float)
+    the distinct rows, (G, k), in the order of each group's lowest band, and
+    (G, n_bands) 0/1 ``BandFilter`` weights that give each group the sum of
+    its bands' masks."""
+    same = np.all(values[:, None] == values[None], axis=2)  # (n_bands, n_bands)
+    lowest = np.unique(np.argmax(same, axis=1))
+    return values[lowest], same[lowest].astype(float)
 
 
 class BandFilter:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import RateMismatchError, SceneValidationError
 from .ism import SpatialIR
@@ -180,8 +180,11 @@ class LoudspeakerLayout:
         p = np.asarray(self.positions, dtype=float)
         if len(np.unique(np.round(p, 9), axis=0)) != p.shape[0]:
             raise SceneValidationError("duplicate loudspeaker positions")
+        center = np.asarray(self.center, dtype=float)
+        if np.any(np.all(np.abs(p - center) < 1e-9, axis=1)):
+            raise SceneValidationError("loudspeaker at the listener position")
         object.__setattr__(self, "positions", p)
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        object.__setattr__(self, "center", center)
 
     @property
     def directions(self) -> np.ndarray:
@@ -226,7 +229,11 @@ class _Triangulation:
 
     def __init__(self, layout: LoudspeakerLayout):
         dirs = layout.directions
-        triangles = ConvexHull(dirs).simplices
+        try:
+            triangles = ConvexHull(dirs).simplices
+        except QhullError:  # fewer than 4 speakers, or all in one plane
+            raise SceneValidationError("loudspeaker directions do not span "
+                                       "a 3-D hull") from None
         mats = dirs[triangles]  # (T, 3, 3): rows are speaker directions
         # a face through the listener (the open side of a hemispherical
         # layout) has no inverse; directions there use the nearest triangle

@@ -1,14 +1,14 @@
 """Sample-domain synthesis of a SpatialIR.
 
 Taps are accumulated over the early extent of the IR, one render unit at a
-time, with band work only where bands differ. Bands whose burst-free tap
-amplitudes are exactly equal form a group (``filterbank.band_groups``). A
-unit that no diffuse burst reaches filters one buffer per group, or none
-with one group, since the masks then sum to 1; a unit that a burst reaches
-filters one buffer per band. A render unit is an HRTF index, a loudspeaker
-channel or the single mono unit; directions reach the units through one
-gain matrix, ``unit_gains`` (k, 3) -> (k, n_units), shared by the binaural,
-array and mono paths.
+time. When the burst-free taps carry equal amplitudes in every band (one
+group under ``filterbank.band_groups``), a unit that no diffuse burst
+reaches takes its impulses unfiltered, since the band masks sum to 1. Every
+other unit fills one buffer per band and filters it through the octave
+masks. A render unit is an HRTF index, a loudspeaker channel or the single
+mono unit; directions reach the units through one gain matrix,
+``unit_gains`` (k, 3) -> (k, n_units), shared by the binaural, array and
+mono paths.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ def render_units(spatial_ir: SpatialIR,
 
     Returns {unit: samples} for every unit that a tap or tail stream reaches
     with a nonzero gain; all waveforms share the same length, and band work
-    follows the group rule above. The optional coupling signature is NOT
-    applied here (it acts on the final channels; convolution commutes with
-    the per-unit linear processing).
+    follows the rule above. The optional coupling signature is NOT applied
+    here (it acts on the final channels; convolution commutes with the
+    per-unit linear processing).
     """
     fs = spatial_ir.sample_rate
     n = max(n_samples, spatial_ir_length(spatial_ir))
@@ -66,24 +66,22 @@ def render_units(spatial_ir: SpatialIR,
     extent = int(np.max(np.minimum(starts + lengths, n), initial=0))
     m = min(n, extent + max(int(0.15 * fs), 4096))
 
-    # one buffer alive at a time; each burst drawn once, kept until its last unit
+    # one band buffer alive at a time; each burst drawn once, kept until its
+    # last unit; with one band group the masks sum to 1 and filter nothing
     bursts = taps.has_burst[rows]
-    _, weights = band_groups(taps.amplitude[rows[~bursts]].T)
-    lead = np.argmax(weights, axis=1)  # a burst-free tap's bands agree within a group
-    bank = cache(lambda bands: BandFilter(m, fs, None if bands else weights, centers))
+    flat = len(band_groups(taps.amplitude[rows[~bursts]].T)[0]) == 1
+    combine = cache(lambda: BandFilter(m, fs, centers=centers))
     reach = np.count_nonzero(tap_gains, axis=1)
     noise: Dict[int, np.ndarray] = {}
     units: Dict[int, np.ndarray] = {}
     for unit in np.flatnonzero(np.any(tap_gains != 0.0, axis=0)).tolist():
         hit = np.flatnonzero(tap_gains[:, unit])
         units[unit] = np.zeros(n)
-        per_band = bool(bursts[hit].any())
         values = tap_gains[hit, unit][:, None] * taps.amplitude[rows[hit]]
-        if not per_band and len(lead) == 1:  # the masks sum to 1
-            np.add.at(units[unit], starts[hit], values[:, lead[0]])
+        if flat and not bursts[hit].any():
+            np.add.at(units[unit], starts[hit], values[:, 0])
             continue
-        values = values if per_band else values[:, lead]
-        buf = np.zeros((values.shape[1], m))
+        buf = np.zeros((len(centers), m))
         np.add.at(buf.T, starts[hit], values)
         for k in hit[bursts[hit]]:
             if k not in noise:
@@ -92,7 +90,7 @@ def render_units(spatial_ir: SpatialIR,
             burst = noise[k] if reach[k] else noise.pop(k)
             stop = min(starts[k] + burst.shape[1], n)
             buf[:, starts[k]:stop] += tap_gains[k, unit] * burst[:, : stop - starts[k]]
-        units[unit][:m] = bank(per_band).apply(buf)
+        units[unit][:m] = combine().apply(buf)
 
     for stream, gain in zip(streams, stream_gains):
         offset = int(round(stream.onset * fs))

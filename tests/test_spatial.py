@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from alodsim.errors import SceneValidationError
 from alodsim.ism import SpatialIR, TailStream, Taps
 from alodsim.spatial import (
     ImpulseResponse,
@@ -199,6 +200,14 @@ def test_vbap_on_a_hemispherical_layout():
     with pytest.warns(RuntimeWarning, match="2 of 2 directions"):
         gains = vbap_gains(below, layout)
     assert np.allclose(np.sum(gains**2, axis=1), 1.0)
+
+
+def test_vbap_rejects_a_layout_in_one_plane():
+    # a horizontal ring around the listener spans no 3-D hull
+    dirs = [az_el_to_vec(360.0 * i / 8, 0.0) for i in range(8)]
+    layout = LoudspeakerLayout(positions=2.0 * np.array(dirs), center=np.zeros(3))
+    with pytest.raises(SceneValidationError, match="3-D hull"):
+        vbap_gains(np.array([1.0, 0.0, 0.0]), layout)
 
 
 def test_array_preset_86_layout():

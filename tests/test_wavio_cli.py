@@ -233,6 +233,12 @@ def _wav_with_fmt(fmt_body: bytes) -> bytes:
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
 
 
+def _layout_json(**fields) -> bytes:
+    # five speakers around a listener at the origin, with fields replaced
+    doc = {"positions": [[2, 0, 0], [0, 2, 0], [-2, 0, 0], [0, -2, 0], [0, 0, 2]]}
+    return json.dumps({**doc, **fields}).encode()
+
+
 _ARRAY_RENDER = ["simulate", "--preset", "pub", "--profile", "anechoic",
                  "--output-mode", "array", "--layout"]
 
@@ -253,7 +259,26 @@ _MALFORMED = {
         "layout.json", b'{"center": [0, 0, 0]}', _ARRAY_RENDER),
     "layout with non-numeric positions": (
         "layout.json", b'{"positions": [[1, 0, 0], ["a", 1, 0], [0, 0, 1]]}', _ARRAY_RENDER),
+    "layout with non-numeric center": (
+        "layout.json", _layout_json(center=["a", 0, 0]), _ARRAY_RENDER),
+    "layout with non-numeric calibration gains": (
+        "layout.json", _layout_json(calibration_gains=["a", 1, 1, 1, 1]), _ARRAY_RENDER),
+    "layout with non-numeric calibration delays": (
+        "layout.json", _layout_json(calibration_delays=[0, 0, 0, 0, "a"]), _ARRAY_RENDER),
+    "layout with 3 positions": (
+        "layout.json", _layout_json(positions=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), _ARRAY_RENDER),
+    "layout with a speaker at the listener": (
+        "layout.json", _layout_json(center=[0, 0, 2]), _ARRAY_RENDER),
+    "layout with coplanar positions": (
+        "layout.json", _layout_json(positions=[[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]),
+        _ARRAY_RENDER),
 }
+
+
+def test_cli_renders_the_base_layout_of_the_malformed_cases(tmp_path):
+    (tmp_path / "layout.json").write_bytes(_layout_json())
+    code = main(_ARRAY_RENDER + [str(tmp_path / "layout.json"), "--out", str(tmp_path / "out")])
+    assert code == 0
 
 
 def test_parse_scene_rejects_a_json_array():
