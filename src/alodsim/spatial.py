@@ -322,9 +322,11 @@ def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
                  orientation: Optional[np.ndarray] = None) -> ImpulseResponse:
     """N-channel render: VBAP of each tap/tail stream onto the layout."""
     frame = head_frame(orientation) if orientation is not None else np.eye(3)
-    units = render_units(spatial_ir, lambda d: vbap_gains(d @ frame.T, layout))
     n = spatial_ir_length(spatial_ir)
+    # the output first, so the VBAP scratch and the units that follow it
+    # leave one free region behind when the render returns
     out = np.zeros((layout.n_speakers, n))
+    units = render_units(spatial_ir, lambda d: vbap_gains(d @ frame.T, layout))
     for idx, wave in units.items():
         out[idx] += wave
     if layout.calibration_gains is not None:

@@ -73,10 +73,12 @@ def render_units(spatial_ir: SpatialIR,
     combine = cache(lambda: BandFilter(m, fs, centers=centers))
     reach = np.count_nonzero(tap_gains, axis=1)
     noise: Dict[int, np.ndarray] = {}
-    units: Dict[int, np.ndarray] = {}
+    # every wave is a row of one block, so no short-lived array of the loop
+    # lands between two waves and splits the space they leave when freed
+    reached = np.flatnonzero(np.any(gains != 0.0, axis=0)).tolist()
+    units: Dict[int, np.ndarray] = dict(zip(reached, np.zeros((len(reached), n))))
     for unit in np.flatnonzero(np.any(tap_gains != 0.0, axis=0)).tolist():
         hit = np.flatnonzero(tap_gains[:, unit])
-        units[unit] = np.zeros(n)
         values = tap_gains[hit, unit][:, None] * taps.amplitude[rows[hit]]
         if flat and not bursts[hit].any():
             np.add.at(units[unit], starts[hit], values[:, 0])
@@ -96,8 +98,6 @@ def render_units(spatial_ir: SpatialIR,
         offset = int(round(stream.onset * fs))
         stop = min(offset + len(stream.samples), n)
         for unit in np.flatnonzero(gain).tolist():
-            if unit not in units:
-                units[unit] = np.zeros(n)
             units[unit][offset:stop] += gain[unit] * stream.samples[: stop - offset]
     return units
 
