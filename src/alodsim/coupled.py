@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SceneValidationError
-from .fdn import design_fdn, run_fdn, splice
-from .ism import SpatialIR, Taps, early_spatial_ir
+from .fdn import design_dual_slope, design_fdn, run_fdn, splice
+from .ism import SpatialIR, TailStream, Taps, early_spatial_ir
 from .scene import (
     ApertureSpec,
     BAND_CENTERS,
@@ -83,8 +83,6 @@ def _room_tail(scene: SceneSpec, profile: RenderingProfile, room,
     fs = scene.sample_rate
     seed = int(seed_seq.generate_state(1)[0] % (2**31))
     if profile.dual_slope_enabled and room.decay.second_slope is not None:
-        from .fdn import design_dual_slope
-
         dual = design_dual_slope(room, room.decay, fs, c=scene.speed_of_sound,
                                  seed=seed)
         streams = run_fdn(dual.primary, duration)
@@ -196,14 +194,12 @@ def couple_full(scene: SceneSpec, profile: RenderingProfile,
     if base.tail:
         onset = min(s.onset for s in base.tail)
         ref_energy = sum(float(np.dot(s.samples, s.samples)) for s in base.tail)
-        raw = sum(float(np.dot(s.samples[: len(s.samples)], s.samples)) for s in cross)
+        raw = sum(float(np.dot(s.samples, s.samples)) for s in cross)
         # keep cross-fed energy in proportion to the main tail
         scale = math.sqrt(ref_energy / raw) * k if raw > 0 else 0.0
     else:
         onset = 0.0
         scale = k
-    from .ism import TailStream
-
     cross = [TailStream(samples=s.samples * scale, onset=onset + s.onset,
                         direction=s.direction) for s in cross]
     return SpatialIR(taps=base.taps, sample_rate=base.sample_rate,

@@ -6,12 +6,17 @@ integers. Per-line per-band attenuation realizes the decay target; the
 feedback matrix is a seeded random orthogonal matrix, so the loop is
 energy-preserving before attenuation. The loop runs once per distinct set
 of band gains, so a broadband target costs one run and no band filtering.
+
+The recurrence keeps no delay-line buffers. It runs inside its (lines, n)
+output array: the input is written ahead to where it leaves each line, and
+each block of min(delay) samples, once final, writes its feed through the
+matrix ahead by each line's delay.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -21,6 +26,7 @@ from .errors import SceneValidationError
 from .filterbank import BandFilter, OCTAVE_CENTERS_8, band_groups
 from .ism import SpatialIR, TailStream
 from .scene import DecayTarget, RoomSpec, volume
+from .synth import synthesize_mono
 
 DEFAULT_N_LINES = 12
 
@@ -34,7 +40,8 @@ class FdnConfig:
     sample_rate: float
     onset: float = 0.0
     input_gain: float = 1.0
-    # Injection points per line, in samples ahead of the read head. Multiple
+    # Injection points per line: an input sample at t leaves the line at
+    # t + offset, or at t + delay for offset 0 (the line input). Multiple
     # offsets spread the input along each line the way a diffuse field fills
     # a room, so long lines radiate continuously instead of staying silent
     # for a full recirculation; the injected amplitudes are pre-attenuated by
@@ -55,17 +62,11 @@ class FdnConfig:
             if len(offsets) != delays.size:
                 raise SceneValidationError("input_offsets must match delays")
             offsets = tuple(tuple(int(o) for o in line) for line in offsets)
-            d_min = int(delays.min())
             for d, line in zip(delays, offsets):
                 if not line:
                     raise SceneValidationError("each line needs >= 1 input offset")
-                for o in line:
-                    if not 0 <= o < d:
-                        raise SceneValidationError("input offsets must lie in [0, delay)")
-                    if o != 0 and o < d_min:
-                        raise SceneValidationError(
-                            "nonzero input offsets must be >= min(delays)"
-                        )
+                if not all(0 <= o < d for o in line):
+                    raise SceneValidationError("input offsets must lie in [0, delay)")
         object.__setattr__(self, "input_offsets", offsets)
         m = np.asarray(self.feedback_matrix, dtype=float)
         if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > 1e-9:
@@ -154,9 +155,7 @@ def design_fdn(room: RoomSpec, target: DecayTarget, fs: float,
     t60 = np.asarray(target.t30_bands, dtype=float)
     line_gains = 10.0 ** (-3.0 * delays[:, None] / (fs * t60[None, :]))
     # injection points roughly every min-delay along each line, with a
-    # deterministic golden-ratio jitter so lines never fire in sync; nonzero
-    # offsets must stay >= min(delays) so block processing matches the
-    # per-sample recurrence bit-exactly
+    # deterministic golden-ratio jitter so lines never fire in sync
     d_min = int(delays.min())
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     offsets = []
@@ -187,67 +186,40 @@ def _run_band(config: FdnConfig, gains: np.ndarray, n: int,
               input_signal: np.ndarray) -> np.ndarray:
     """Run the recurrence for one band; returns (n_lines, n) line outputs.
 
-    Block processing: with block size B = min(delay), the next B outputs of
-    every line are already in its buffer, so each block is fully vectorized.
-    Results match the per-sample recurrence to rounding (the matrix products
-    are evaluated blockwise, which may round differently in the last ulp).
+    Write-ahead recurrence inside the output array: `out` starts as the
+    injected input, each sample u[t] landing at t + offset on its line (at
+    t + delay for offset 0, the line input). Then, block by block with block
+    size B = min(delay), the block's values are final; they are scaled by
+    the line gains in place and their feed m @ y is added d_i samples ahead
+    on line i, which is never inside the current block. Results match the
+    per-sample recurrence to rounding (the matrix products are evaluated
+    blockwise, which may round differently in the last ulp).
     """
     n_lines = config.n_lines
     delays = config.delays
-    # block equivalence needs every offset to be 0 or >= the block size,
-    # which FdnConfig enforces
     block = int(delays.min())
-    offsets = [np.asarray(line, dtype=int) for line in config.input_offsets]
+    m = config.feedback_matrix
     # equal amplitude per injection tap (the loop equilibrates toward equal
     # energy density per sample), decayed along the line and normalized so
     # the total injected energy matches the classic single-tap injection
+    offsets = [np.asarray(line, dtype=int) for line in config.input_offsets]
     weights = [gains[i] ** (offsets[i] / delays[i]) for i in range(n_lines)]
     total = sum(float(np.dot(w, w)) for w in weights)
     scale = config.input_gain * math.sqrt(n_lines / total) if total > 0 else 0.0
-    in_scale = [scale * w for w in weights]
-    buffers = [np.zeros(d) for d in delays]
-    heads = np.zeros(n_lines, dtype=int)
     out = np.zeros((n_lines, n))
-    m = config.feedback_matrix
-    pos = 0
-    while pos < n:
-        b = min(block, n - pos)
-        y = np.empty((n_lines, b))
-        for i in range(n_lines):
-            h, d = heads[i], delays[i]
-            if h + b <= d:
-                y[i] = buffers[i][h:h + b]
-            else:
-                k = d - h
-                y[i, :k] = buffers[i][h:]
-                y[i, k:] = buffers[i][: b - k]
+    for i, d in enumerate(delays):
+        for off, w in zip(offsets[i], weights[i]):
+            ahead = out[i, off or d:][: len(input_signal)]
+            ahead += (scale * w) * input_signal[: ahead.size]
+    for pos in range(0, n, block):
         # tap the output after the absorption gain, so even the very first
         # pass of a long line lands on the target decay curve
-        attenuated = gains[:, None] * y
-        out[:, pos:pos + b] = attenuated
-        x = m @ attenuated
-        chunk = input_signal[pos:pos + b] if pos < len(input_signal) else None
-        for i in range(n_lines):
-            h, d = heads[i], delays[i]
-            if h + b <= d:
-                buffers[i][h:h + b] = x[i]
-            else:
-                k = d - h
-                buffers[i][h:] = x[i, :k]
-                buffers[i][: b - k] = x[i, k:]
-            if chunk is not None:
-                lc = chunk.size
-                for off, amp in zip(offsets[i], in_scale[i]):
-                    vals = amp * chunk
-                    s = (h + off) % d
-                    if s + lc <= d:
-                        buffers[i][s:s + lc] += vals
-                    else:
-                        k = d - s
-                        buffers[i][s:] += vals[:k]
-                        buffers[i][: lc - k] += vals[k:]
-            heads[i] = (h + b) % d
-        pos += b
+        y = out[:, pos:pos + block]
+        y *= gains[:, None]
+        x = m @ y
+        for i, d in enumerate(delays):
+            ahead = out[i, pos + d:pos + d + block]
+            ahead += x[i, : ahead.size]
     return out
 
 
@@ -334,8 +306,6 @@ def splice(early: SpatialIR, tail, *, onset: float, t60: float,
     linear EDC level -60 (onset - t_direct) / T60 dB, the tail energy is set
     to rho / (1 - rho) times the early energy.
     """
-    from .synth import synthesize_mono  # local import to avoid a cycle
-
     tail = list(tail)
     if not tail:
         return early
@@ -381,15 +351,6 @@ def design_dual_slope(room: RoomSpec, target: DecayTarget, fs: float,
                            seed=seed + 1)
     rel_db = level * (1.0 - t1 / t2) + 10.0 * math.log10(t1 / t2)
     gain_ratio = 10.0 ** (rel_db / 20.0)
-    secondary = FdnConfig(
-        delays=secondary.delays,
-        feedback_matrix=secondary.feedback_matrix,
-        line_gains=secondary.line_gains,
-        output_directions=secondary.output_directions,
-        sample_rate=secondary.sample_rate,
-        onset=secondary.onset,
-        input_gain=primary.input_gain * gain_ratio,
-        input_offsets=secondary.input_offsets,
-    )
+    secondary = replace(secondary, input_gain=primary.input_gain * gain_ratio)
     return DualSlopeConfig(primary=primary, secondary=secondary,
                            onset_level_db=level)

@@ -163,12 +163,11 @@ def render_output(spatial: SpatialIR, output_mode: str, receiver: ReceiverSpec,
 
 
 def _mix(a: ImpulseResponse, b: ImpulseResponse) -> ImpulseResponse:
-    n = max(a.n_samples, b.n_samples)
-    out = np.zeros((a.n_channels, n))
-    out[:, : a.n_samples] += a.channels
-    out[:, : b.n_samples] += b.channels
-    return ImpulseResponse(channels=out, sample_rate=a.sample_rate,
-                           channel_semantics=a.channel_semantics)
+    """Sum of two fresh renders, added in place into the longer one."""
+    if b.n_samples > a.n_samples:
+        a, b = b, a
+    a.channels[:, : b.n_samples] += b.channels
+    return a
 
 
 def simulate(scene: SceneSpec, profile: RenderingProfile,

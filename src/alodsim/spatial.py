@@ -245,7 +245,10 @@ class _Triangulation:
         """(speakers, gains, worst gain) of the best triangle per (k, 3) direction."""
         # barycentric-style gains for every direction and triangle at once
         g = directions @ self.inverses  # (T, k, 3)
-        worst = g.min(axis=2)
+        # elementwise minima over the three columns: min(axis=2) over a
+        # length-3 axis is ~6x slower; out= keeps it to one (T, k) temporary
+        worst = np.minimum(g[..., 0], g[..., 1])
+        np.minimum(worst, g[..., 2], out=worst)
         best = np.argmax(worst, axis=0)
         rows = np.arange(len(directions))
         return self.triangles[best], g[best, rows], worst[best, rows]

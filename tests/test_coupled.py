@@ -10,7 +10,14 @@ from alodsim.coupled import (
     single_room_ir,
 )
 from alodsim.errors import SceneValidationError
+from alodsim.pipeline import (
+    build_spatial_ir,
+    occluded_direct_ir,
+    render_output,
+    simulate,
+)
 from alodsim.scene import preset, profile_preset
+from alodsim.spatial import array_preset_86
 from alodsim.synth import synthesize_mono
 
 
@@ -110,6 +117,26 @@ def test_coupling_requires_different_rooms(living):
     with pytest.raises(SceneValidationError):
         couple_two_stage(living, profile, masker, rec, 0.5,
                          np.random.SeedSequence([0]))
+
+
+def test_array_render_sums_coupled_part_and_occluded_direct(living):
+    # the pipeline renders the blocked direct sound apart from the coupled
+    # IR and mixes the channels; the mix must be the plain zero-padded sum
+    profile = profile_preset("razr-full")
+    layout = array_preset_86()
+    src, rec = _target(living), living.receivers[0]
+    result = simulate(living, profile, source_id=src.id, receiver_id=rec.id,
+                      output_mode="array", layout=layout)
+    parts = [
+        render_output(build_spatial_ir(living, profile, src.id, rec.id),
+                      "array", rec, layout=layout),
+        render_output(occluded_direct_ir(living, src, rec), "array", rec,
+                      layout=layout),
+    ]
+    want = np.zeros((layout.n_speakers, max(p.n_samples for p in parts)))
+    for part in parts:
+        want[:, : part.n_samples] += part.channels
+    assert np.array_equal(result.ir.channels, want)
 
 
 def test_occluded_direct_tap(living):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alodsim import fdn
 from alodsim.analysis import dual_slope_fit, schroeder_edc, t30, t30_bands
@@ -85,10 +86,13 @@ def test_matrix_must_be_orthogonal():
                   output_directions=cfg.output_directions, sample_rate=FS)
 
 
-def test_nonzero_offsets_must_clear_min_delay():
-    cfg = _small_config()
-    with pytest.raises(SceneValidationError):
-        _small_config(offsets=((0,), (0, 5), (0,), (0,)))  # 5 < min delay 13
+def test_offsets_below_delay_are_accepted_and_exact():
+    # an offset below the block size min(delays) = 13 is as exact as any other
+    short = _small_config(offsets=((0,), (0, 5), (0,), (0,)))
+    gains = short.line_gains[:, 0]
+    x = np.random.default_rng(3).standard_normal(30)
+    fast = _run_band(short, gains, 200, x)
+    assert np.max(np.abs(fast - naive_fdn(short, gains, 200, x))) < 1e-12
     with pytest.raises(SceneValidationError):
         _small_config(offsets=((0,), (0, 17), (0,), (0,)))  # 17 >= delay 17
     ok = _small_config(offsets=((0,), (0, 13), (0, 14), (0, 13)))
@@ -116,6 +120,39 @@ def test_block_recurrence_matches_oracle_with_input_offsets():
     x = np.random.default_rng(1).standard_normal(60)
     fast = _run_band(cfg, gains, 500, x)
     slow = naive_fdn(cfg, gains, 500, x)
+    assert np.max(np.abs(fast - slow)) < 1e-12
+
+
+@st.composite
+def _random_fdn_case(draw):
+    n_lines = draw(st.integers(3, 6))
+    delays = draw(st.lists(st.integers(5, 40), min_size=n_lines,
+                           max_size=n_lines, unique=True))
+    offsets = tuple(
+        tuple(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=4,
+                            unique=True)))
+        for d in delays
+    )
+    gains = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_lines,
+                                   max_size=n_lines)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, r = np.linalg.qr(rng.standard_normal((n_lines, n_lines)))
+    q = q * np.sign(np.diag(r))
+    cfg = FdnConfig(delays=np.array(delays), feedback_matrix=q,
+                    line_gains=gains[:, None],
+                    output_directions=np.tile([1.0, 0.0, 0.0], (n_lines, 1)),
+                    sample_rate=FS, input_gain=0.5, input_offsets=offsets)
+    n = draw(st.integers(1, 160))
+    x = rng.uniform(-1.0, 1.0, draw(st.integers(1, 200)))  # longer or shorter than n
+    return cfg, gains, n, x
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_random_fdn_case())
+def test_block_recurrence_matches_oracle_on_random_configs(case):
+    cfg, gains, n, x = case
+    fast = _run_band(cfg, gains, n, x)
+    slow = naive_fdn(cfg, gains, n, x)
     assert np.max(np.abs(fast - slow)) < 1e-12
 
 
