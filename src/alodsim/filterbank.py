@@ -4,7 +4,8 @@ Bands are realized as raised-cosine magnitude masks on the rFFT grid with
 crossovers on a log-frequency axis. The masks of a bank sum to exactly 1 at
 every bin, so per-band buffers that carry identical gains recombine into the
 original broadband signal. Every band-limiting step in the package goes
-through :class:`BandFilter`.
+through :class:`BandFilter`, and every linear convolution through
+:func:`fftconvolve`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,17 @@ def padded_len(n: int) -> int:
     half of each band kernel falls into the padding instead of wrapping to
     the end of the buffer, and 2-3-5-smooth, so the FFT is fast."""
     return next_fast_len(2 * n, real=True)
+
+
+def fftconvolve(a, b) -> np.ndarray:
+    """Full linear convolution of ``a`` and ``b`` along the last axis; the
+    other axes broadcast. One real FFT product at a 2-3-5-smooth length."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[-1] == 1 or b.shape[-1] == 1:
+        return a * b  # a one-sample factor only scales: exact, no FFT rounding
+    size = a.shape[-1] + b.shape[-1] - 1
+    n_fft = next_fast_len(size, real=True)
+    return np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft)[..., :size]
 
 
 def band_groups(values: np.ndarray):

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import MatchInfeasibleError, RateMismatchError
+from .filterbank import fftconvolve
 from .spatial import ImpulseResponse
 
 DEFAULT_RANGE_HZ = (100.0, 16000.0)
@@ -124,7 +124,7 @@ def match_spectrum(sim: ImpulseResponse, ref: ImpulseResponse,
 
     fir = minimum_phase_fir(correction, n_taps)
     corrected = ImpulseResponse(
-        channels=fftconvolve(sim.channels, fir[None, :], axes=1),
+        channels=fftconvolve(sim.channels, fir),
         sample_rate=sim.sample_rate,
         channel_semantics=sim.channel_semantics,
     )

@@ -16,10 +16,10 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.signal import fftconvolve
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import RateMismatchError, SceneValidationError
+from .filterbank import fftconvolve
 from .ism import SpatialIR
 from .synth import render_units, spatial_ir_length, synthesize_mono
 
@@ -297,8 +297,7 @@ def head_frame(orientation: np.ndarray) -> np.ndarray:
 def _apply_signature(channels: np.ndarray, spatial_ir: SpatialIR) -> np.ndarray:
     if spatial_ir.signature is None:
         return channels
-    sig = np.asarray(spatial_ir.signature, dtype=float)
-    return fftconvolve(channels, sig[None, :], axes=1)
+    return fftconvolve(channels, spatial_ir.signature)
 
 
 def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve, hilbert
 
 from .errors import RateMismatchError, SceneValidationError
-from .filterbank import OCTAVE_CENTERS_8, OCTAVE_CENTERS_10, band_energies
+from .filterbank import OCTAVE_CENTERS_8, OCTAVE_CENTERS_10, band_energies, fftconvolve
 from .postproc import minimum_phase_fir
 from .spatial import ImpulseResponse
 
@@ -66,10 +65,16 @@ def random_band_levels(rng: np.random.Generator) -> BandLevels:
 
 
 def _envelope_db(x: np.ndarray, fs: float, smooth_s: float = 1e-3) -> np.ndarray:
-    env = np.abs(hilbert(x))
-    n = max(int(round(smooth_s * fs)), 1)
-    kernel = np.ones(n) / n
-    env = np.sqrt(fftconvolve(env**2, kernel, mode="same"))
+    # magnitude of the analytic signal: the spectrum's positive frequencies
+    # doubled, its negative ones zeroed, DC and (for even n) Nyquist kept
+    n = x.size
+    spec = np.fft.fft(x)
+    spec[1:(n + 1) // 2] *= 2.0
+    spec[n // 2 + 1:] = 0.0
+    env = np.abs(np.fft.ifft(spec))
+    k = max(int(round(smooth_s * fs)), 1)
+    start = (k - 1) // 2  # the centered n samples of the moving average
+    env = np.sqrt(fftconvolve(env**2, np.ones(k) / k)[start:start + n])
     peak = np.max(env)
     return 20.0 * np.log10(np.maximum(env, 1e-12 * peak) / peak)
 
@@ -165,10 +170,11 @@ def pink_pulse_variant(levels: BandLevels, fs: float = 44100.0,
 
 
 def convolve(stimulus: Stimulus, ir: ImpulseResponse) -> np.ndarray:
-    """Per-channel linear convolution (FFT overlap-add); (n_ch, n) output."""
+    """Full linear convolution of each IR channel with the stimulus, by one
+    FFT product per channel; (n_ch, n_ir + n_stim - 1) output."""
     if stimulus.sample_rate != ir.sample_rate:
         raise RateMismatchError("stimulus and IR sample rates differ")
-    return fftconvolve(ir.channels, stimulus.samples[None, :], axes=1)
+    return fftconvolve(ir.channels, stimulus.samples)
 
 
 def ess_generate(f1: float = 100.0, f2: float = 22050.0, duration: float = 3.2,
@@ -207,6 +213,6 @@ def ess_deconvolve(recording: np.ndarray, sweep: Stimulus,
     """Recover an IR by convolving the recording with the inverse sweep."""
     rec = np.atleast_2d(np.asarray(recording, dtype=float))
     inv = ess_inverse(sweep, f1, f2)
-    out = fftconvolve(rec, inv[None, :], axes=1)
+    out = fftconvolve(rec, inv)
     return ImpulseResponse(channels=out, sample_rate=sweep.sample_rate,
                            channel_semantics="mono" if out.shape[0] == 1 else "array-indexed")

@@ -18,9 +18,8 @@ from functools import cache
 from typing import Callable, Dict
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .filterbank import BandFilter, OCTAVE_CENTERS_8, band_groups
+from .filterbank import BandFilter, OCTAVE_CENTERS_8, band_groups, fftconvolve
 from .ism import SpatialIR, burst_samples
 
 

@@ -42,24 +42,27 @@ def read_wav(path: str):
     tag, channels, rate, _, block_align, bits = fmt
     if channels == 0:
         raise SceneParseError(f"{path}: fmt chunk declares 0 channels")
+    if rate == 0:
+        raise SceneParseError(f"{path}: fmt chunk declares sample rate 0")
     if tag == _FMT_EXTENSIBLE:
         tag = _FMT_FLOAT if bits == 32 else _FMT_PCM
-    if tag == _FMT_FLOAT and bits == 32:
+    if (tag, bits) not in ((_FMT_FLOAT, 32), (_FMT_PCM, 16), (_FMT_PCM, 24)):
+        raise SceneParseError(f"{path}: unsupported WAV format (tag {tag}, {bits} bit)")
+    # a truncated data chunk ends in a partial frame: drop it
+    frame = channels * bits // 8
+    payload = payload[: len(payload) // frame * frame]
+    if tag == _FMT_FLOAT:
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    elif tag == _FMT_PCM and bits == 16:
+    elif bits == 16:
         samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    elif tag == _FMT_PCM and bits == 24:
-        raw = np.frombuffer(payload, dtype=np.uint8)
-        raw = raw[: (raw.size // 3) * 3].reshape(-1, 3)
+    else:
+        raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
         ints = (raw[:, 0].astype(np.int32)
                 | (raw[:, 1].astype(np.int32) << 8)
                 | (raw[:, 2].astype(np.int32) << 16))
         ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
         samples = ints.astype(np.float64) / float(1 << 23)
-    else:
-        raise SceneParseError(f"{path}: unsupported WAV format (tag {tag}, {bits} bit)")
-    n_frames = samples.size // channels
-    return samples[: n_frames * channels].reshape(n_frames, channels), float(rate)
+    return samples.reshape(-1, channels), float(rate)
 
 
 def write_wav(path: str, samples: np.ndarray, rate: float, fmt: str = "float32"):

@@ -9,6 +9,9 @@ band grouping, early-extent buffers, fast FFT lengths and one gain matrix.
 ``binauralize_per_unit`` convolves each render unit with each ear's HRTF
 separately, where ``alodsim.spatial.binauralize`` sums unit spectra.
 
+``envelope_db`` is ``alodsim.stimuli._envelope_db`` computed with
+``scipy.signal.hilbert`` and a "same"-mode ``fftconvolve``.
+
 ``directivity_gain``, ``emission_direction`` and ``early_taps_per_tap``
 handle one direction, image or tap at a time, as the early chain in
 ``alodsim.ism`` did before it carried images and taps as arrays.
@@ -17,7 +20,7 @@ handle one direction, image or tap at a time, as the early chain in
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, hilbert
 
 from alodsim.fdn import _run_band, _shape_decay, _t60_of
 from alodsim.filterbank import OCTAVE_CENTERS_8, band_masks
@@ -107,6 +110,15 @@ def binauralize_per_unit(spatial_ir, hrtf, orientation=None):
     return ImpulseResponse(channels=_apply_signature(out, spatial_ir),
                            sample_rate=spatial_ir.sample_rate,
                            channel_semantics="binaural-LR")
+
+
+def envelope_db(x, fs, smooth_s=1e-3):
+    """Smoothed Hilbert envelope of ``x`` in dB re its peak."""
+    env = np.abs(hilbert(x))
+    k = max(int(round(smooth_s * fs)), 1)
+    env = np.sqrt(fftconvolve(env**2, np.ones(k) / k, mode="same"))
+    peak = np.max(env)
+    return 20.0 * np.log10(np.maximum(env, 1e-12 * peak) / peak)
 
 
 def directivity_gain(grid, direction, forward):

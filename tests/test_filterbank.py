@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import example, given, settings, strategies as st
 
 from alodsim.filterbank import (
     OCTAVE_CENTERS_8,
@@ -7,6 +9,7 @@ from alodsim.filterbank import (
     band_masks,
     BandFilter,
     bandpass,
+    fftconvolve,
     padded_len,
 )
 
@@ -89,3 +92,27 @@ def test_band_filter_gives_every_band_from_one_transform():
     assert bands.shape == (8, x.size)
     for b in range(8):
         assert np.max(np.abs(bands[b] - bandpass(x, FS, b))) < 1e-12
+
+
+# shapes of (a, b) by case, for signal lengths n and k
+_CONV_SHAPES = {
+    "1-D": lambda n, k: ((n,), (k,)),
+    "(C, n) with (k,)": lambda n, k: ((3, n), (k,)),
+    "(C, n) with (1, k)": lambda n, k: ((2, n), (1, k)),
+}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_CONV_SHAPES)), st.integers(1, 600), st.integers(1, 600),
+       st.integers(0, 2**32 - 1))
+@example("(C, n) with (k,)", 600, 1, 0)
+@example("(C, n) with (1, k)", 1, 600, 0)
+def test_fftconvolve_matches_scipy(case, n, k, seed):
+    rng = np.random.default_rng(seed)
+    shape_a, shape_b = _CONV_SHAPES[case](n, k)
+    a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+    ref = scipy.signal.fftconvolve(a, b.reshape((1,) * (a.ndim - b.ndim) + b.shape), axes=-1)
+    got = fftconvolve(a, b)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+

@@ -13,7 +13,10 @@ from alodsim.stimuli import (
     pink_pulse,
     pink_pulse_variant,
     random_band_levels,
+    _envelope_db,
 )
+
+from oracles import envelope_db
 
 FS = 44100.0
 
@@ -42,6 +45,18 @@ def test_pink_pulse_envelope_reaches_floor_in_time():
     p = pink_pulse()
     env = _envelope_db(p.samples, FS)
     assert env[int(0.036 * FS)] <= -60.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 2000, 2001, 22050])
+def test_envelope_matches_the_hilbert_oracle(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * np.exp(-np.arange(n) / 300.0)
+    got, ref = _envelope_db(x, FS), envelope_db(x, FS)
+    above = ref > -100.0
+    # compared as power re peak: FFT rounding near 1e-16 of peak power is
+    # up to 1e-6 dB at -100 dB, whichever FFT computes it
+    diff = 10.0 ** (got[above] / 10.0) - 10.0 ** (ref[above] / 10.0)
+    assert np.max(np.abs(diff)) <= 1e-14
 
 
 def test_pink_pulse_is_deterministic():

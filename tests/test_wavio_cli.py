@@ -3,12 +3,16 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import alodsim
 from alodsim.cli import main
-from alodsim.errors import SceneParseError
+from alodsim.errors import AlodsimError, SceneParseError
 from alodsim.scene import parse_scene, preset, serialize_scene
 from alodsim.wavio import read_wav, write_wav
 
@@ -51,6 +55,83 @@ def test_wav_pcm24_round_trip(tmp_path):
     got, rate = read_wav(path)
     assert rate == 48000.0
     assert np.max(np.abs(got - x)) < 1.0 / (1 << 23)
+
+
+# largest read-back error of a sample in [-1, 1] per format: half a float32
+# ulp at 1; one PCM step, since +1 clips to the largest code
+_QUANTUM = {"float32": 2.0**-24, "pcm16": 2.0**-15, "pcm24": 2.0**-23}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_QUANTUM)), st.integers(1, 4), st.integers(0, 300),
+       st.integers(1, 192000), st.integers(0, 2**32 - 1))
+def test_wav_round_trip_within_quantization(tmp_path_factory, fmt, channels, frames,
+                                            rate, seed):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (frames, channels))
+    x[:1] = 1.0  # the clipped extreme
+    path = str(tmp_path_factory.mktemp("wav") / "x.wav")
+    write_wav(path, x, rate, fmt=fmt)
+    got, got_rate = read_wav(path)
+    assert got_rate == rate
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - x) <= _QUANTUM[fmt])
+
+
+def _riff(fmt_body: bytes, rest: bytes) -> bytes:
+    """A RIFF/WAVE file holding a fmt chunk followed by ``rest``."""
+    chunks = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body + rest
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def _fmt(tag, channels, rate, bits) -> bytes:
+    block_align = channels * bits // 8 & 0xFFFF
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * block_align & 0xFFFFFFFF,
+                       block_align, bits)
+
+
+def _read_or_reject(tmp_path_factory, data: bytes) -> None:
+    """read_wav either returns (frames, rate) or raises an AlodsimError."""
+    path = tmp_path_factory.mktemp("wav") / "x.wav"
+    path.write_bytes(data)
+    try:
+        samples, rate = read_wav(str(path))
+    except AlodsimError:
+        return
+    assert samples.ndim == 2 and samples.shape[1] >= 1
+    assert rate > 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, 16), (1, 24), (3, 32), (0xFFFE, 16), (0xFFFE, 32)]),
+       st.integers(1, 8), st.binary(max_size=400))
+def test_wav_random_bytes_after_a_valid_header(tmp_path_factory, fmt, channels, rest):
+    tag, bits = fmt
+    _read_or_reject(tmp_path_factory, _riff(_fmt(tag, channels, 44100, bits), rest))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from([1, 3, 0xFFFE]), st.integers(0, 0xFFFF)),
+       st.integers(0, 0xFFFF), st.one_of(st.just(0), st.integers(0, 2**32 - 1)),
+       st.one_of(st.sampled_from([16, 24, 32]), st.integers(0, 0xFFFF)),
+       st.integers(0, 64))
+def test_wav_random_header_fields(tmp_path_factory, tag, channels, rate, bits, size):
+    data = b"data" + struct.pack("<I", size) + bytes(range(size))
+    _read_or_reject(tmp_path_factory, _riff(_fmt(tag, channels, rate, bits), data))
+
+
+@pytest.mark.parametrize("fmt", ["float32", "pcm16", "pcm24"])
+def test_cli_reads_the_whole_frames_of_a_truncated_wav(tmp_path, fmt):
+    n = int(0.6 * FS)
+    rng = np.random.default_rng(4)
+    h = rng.standard_normal((n, 2)) * 10.0 ** (-3.0 * np.arange(n) / n)[:, None] * 0.5
+    path = tmp_path / "ir.wav"
+    write_wav(str(path), h, FS, fmt=fmt)
+    full, _ = read_wav(str(path))
+    path.write_bytes(path.read_bytes()[:-3])  # the data chunk still claims n frames
+    got, _ = read_wav(str(path))
+    assert np.array_equal(got, full[: n - 1])
+    out = str(tmp_path / "t30.csv")
+    assert main(["analyze", "--ir", str(path), "--metrics", "t30", "--out", out]) == 0
 
 
 def test_wav_rejects_garbage(tmp_path):
@@ -227,10 +308,8 @@ def _scene_with_absorption(value) -> str:
     return json.dumps(doc)
 
 
-def _wav_with_fmt(fmt_body: bytes) -> bytes:
-    chunks = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
-    chunks += b"data" + struct.pack("<I", 8) + bytes(8)
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+def _wav_with_fmt(fmt_body: bytes, data: bytes = bytes(8)) -> bytes:
+    return _riff(fmt_body, b"data" + struct.pack("<I", len(data)) + data)
 
 
 def _layout_json(**fields) -> bytes:
@@ -251,6 +330,10 @@ _MALFORMED = {
         ["simulate", "--profile", "ism-15", "--scene"]),
     "WAV with 0 channels": (
         "ir.wav", _wav_with_fmt(struct.pack("<HHIIHH", 1, 0, 44100, 0, 0, 16)),
+        ["analyze", "--metrics", "t30", "--ir"]),
+    "WAV with sample rate 0": (
+        "ir.wav", _wav_with_fmt(struct.pack("<HHIIHH", 3, 1, 0, 0, 4, 32),
+                                np.exp(-np.arange(4000) / 500.0).astype("<f4").tobytes()),
         ["analyze", "--metrics", "t30", "--ir"]),
     "6-byte fmt chunk": (
         "ir.wav", _wav_with_fmt(struct.pack("<HHH", 1, 1, 0)),
@@ -315,3 +398,16 @@ def test_cli_prints_one_error_line_for_malformed_input(tmp_path, capsys, case):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy_signal_or_stats():
+    # scipy.signal pulls in scipy.stats and ~300 other modules, about 0.75 s
+    # of every CLI run's start-up
+    probe = ("import sys, alodsim.cli; "
+             "print(' '.join(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(alodsim.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == []
