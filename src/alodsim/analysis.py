@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDecayError, SceneValidationError
-from .filterbank import BandFilter, OCTAVE_CENTERS_8
+from .filterbank import BandFilter
 from .scene import RoomSpec, surface_area, volume
 
 EDC_FLOOR_DB = -120.0
@@ -62,11 +62,6 @@ def schroeder_edc(ir: np.ndarray, fs: float) -> EdcCurve:
     return EdcCurve(values=values, sample_rate=fs)
 
 
-def _fit_line(t: np.ndarray, y: np.ndarray):
-    slope, intercept = np.polyfit(t, y, 1)
-    return float(slope), float(intercept)
-
-
 def t30(edc: EdcCurve) -> float:
     """T30 from a least-squares line over the [-5, -35] dB EDC span."""
     hi, lo = T30_FIT_SPAN_DB
@@ -78,16 +73,16 @@ def t30(edc: EdcCurve) -> float:
     if v[stop] > lo:
         raise InsufficientDecayError("EDC never reaches -35 dB")
     t = edc.times[start:stop + 1]
-    slope, _ = _fit_line(t, v[start:stop + 1])
+    slope = float(np.polyfit(t, v[start:stop + 1], 1)[0])
     if slope >= 0:
         raise InsufficientDecayError("EDC is not decaying over the fit span")
     return 60.0 / abs(slope)
 
 
-def t30_bands(ir: np.ndarray, fs: float, centers=OCTAVE_CENTERS_8) -> np.ndarray:
+def t30_bands(ir: np.ndarray, fs: float) -> np.ndarray:
     """Per-octave-band T30 of a single channel."""
     # one slice in, one row out per band: a single forward transform
-    bands = BandFilter(len(ir), fs, centers=centers).apply(np.asarray(ir)[None, None, :])
+    bands = BandFilter(len(ir), fs).apply(np.asarray(ir)[None, None, :])
     return np.array([t30(schroeder_edc(band, fs)) for band in bands])
 
 
@@ -153,18 +148,6 @@ def dual_slope_fit(edc: EdcCurve, span_db: float = 60.0) -> DualSlopeFit:
     knee_level = float(coef[0] + coef[1] * (tk - t[0]))
     return DualSlopeFit(slope1=slope1, slope2=slope2, knee_time=float(tk),
                         knee_level=min(knee_level, 0.0), residual=resid)
-
-
-def single_slope_residual(edc: EdcCurve, span_db: float = 60.0) -> float:
-    """Mean squared error of the best single line (dual-slope baseline)."""
-    v = edc.values
-    floor = max(-span_db, float(v.min()) + 5.0)
-    start = int(np.argmax(v <= -5.0))
-    stop = int(np.argmax(v <= floor))
-    t = edc.times[start:stop + 1]
-    y = v[start:stop + 1]
-    slope, intercept = _fit_line(t, y)
-    return float(np.mean((slope * t + intercept - y) ** 2))
 
 
 def mean_free_path(room: RoomSpec) -> float:

@@ -25,7 +25,12 @@ from .analysis import (
     schroeder_edc,
     t30,
 )
-from .errors import AlodsimError, InsufficientDecayError, SceneParseError
+from .errors import (
+    AlodsimError,
+    InsufficientDecayError,
+    SceneParseError,
+    SceneValidationError,
+)
 from .pipeline import simulate
 from .postproc import match_spectrum
 from .scene import (
@@ -84,14 +89,18 @@ def _load_layout(spec: str) -> LoudspeakerLayout:
                              for key in ("calibration_gains", "calibration_delays"))
             n = len(positions)
             valid = (n >= 4 and positions.shape == (n, 3) and center.shape == (3,)
-                     and all(c is None or c.shape == (n,) for c in (gains, delays)))
+                     and all(c is None or c.shape == (n,) for c in (gains, delays))
+                     # json reads NaN and Infinity
+                     and all(np.isfinite(a).all() for a in (positions, center, gains, delays)
+                             if a is not None))
         except (KeyError, TypeError, ValueError):
             valid = False
     if not valid:
         raise SceneParseError(f"layout {spec!r}: expected a JSON object whose "
-                              "'positions' lists at least 4 numeric [x, y, z] "
-                              "rows, with an optional numeric [x, y, z] 'center' "
-                              "and optional calibration lists of one number per row")
+                              "'positions' lists at least 4 finite [x, y, z] "
+                              "rows, with an optional finite [x, y, z] 'center' "
+                              "and optional calibration lists of one finite "
+                              "number per row (delays in seconds)")
     return LoudspeakerLayout(positions=positions, center=center,
                              calibration_gains=gains, calibration_delays=delays)
 
@@ -105,7 +114,7 @@ def _metric_summary(ir: ImpulseResponse) -> dict:
     }
     try:
         summary["t30_s"] = round(t30(schroeder_edc(mono, ir.sample_rate)), 4)
-    except InsufficientDecayError:
+    except (InsufficientDecayError, SceneValidationError):  # too short, or silent
         summary["t30_s"] = None
     return summary
 

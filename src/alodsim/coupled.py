@@ -41,8 +41,7 @@ OCCLUSION_CORNER_HZ = 2000.0  # first-order lowpass corner of the stand-in
 
 
 def occluded_direct(aperture: Optional[ApertureSpec], path_length: Optional[float],
-                    receiver_pos: np.ndarray, c: float,
-                    band_centers=BAND_CENTERS) -> Taps:
+                    receiver_pos: np.ndarray, c: float) -> Taps:
     """Stand-in direct tap for a blocked line of sight, as a one-row block.
 
     Inverse-square amplitude over the stored path length, attenuated and
@@ -51,7 +50,7 @@ def occluded_direct(aperture: Optional[ApertureSpec], path_length: Optional[floa
     if path_length is None:
         raise SceneValidationError("no occluded path length available")
     r = path_length
-    lowpass = 1.0 / np.sqrt(1.0 + (np.asarray(band_centers) / OCCLUSION_CORNER_HZ) ** 2)
+    lowpass = 1.0 / np.sqrt(1.0 + (BAND_CENTERS / OCCLUSION_CORNER_HZ) ** 2)
     amp = (1.0 / r) * 10.0 ** (-OCCLUSION_ATTEN_DB / 20.0) * lowpass
     if aperture is not None:
         d = aperture.center - np.asarray(receiver_pos, dtype=float)

@@ -23,12 +23,12 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from .errors import SceneValidationError
-from .filterbank import BandFilter, OCTAVE_CENTERS_8, band_groups
+from .filterbank import BandFilter, band_groups
 from .ism import SpatialIR, TailStream
 from .scene import DecayTarget, RoomSpec, volume
 from .synth import synthesize_mono
 
-DEFAULT_N_LINES = 12
+N_LINES = 12
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class FdnConfig:
     line_gains: np.ndarray  # (n_lines, n_bands)
     output_directions: np.ndarray  # (n_lines, 3) unit vectors
     sample_rate: float
-    onset: float = 0.0
     input_gain: float = 1.0
     # Injection points per line: an input sample at t leaves the line at
     # t + offset, or at t + delay for offset 0 (the line input). Multiple
@@ -86,11 +85,6 @@ class FdnConfig:
 class DualSlopeConfig:
     primary: FdnConfig
     secondary: FdnConfig
-    onset_level_db: float = -40.0
-
-    def __post_init__(self):
-        if self.onset_level_db >= -20.0:
-            raise SceneValidationError("dual-slope onset level must be below -20 dB")
 
 
 def _coprime_delays(raw: np.ndarray) -> np.ndarray:
@@ -133,8 +127,7 @@ def _random_orthogonal(n: int, seed) -> np.ndarray:
 
 
 def design_fdn(room: RoomSpec, target: DecayTarget, fs: float,
-               c: float = 343.0, n_lines: int = DEFAULT_N_LINES,
-               seed: int = 0, band_centers=OCTAVE_CENTERS_8) -> FdnConfig:
+               c: float = 343.0, seed: int = 0) -> FdnConfig:
     """FDN whose per-line band gains realize the room's decay target.
 
     g_i(f) = 10^(-3 d_i / (fs T60(f))), i.e. -60 dB per T60 of recirculation.
@@ -146,11 +139,11 @@ def design_fdn(room: RoomSpec, target: DecayTarget, fs: float,
     if room.volume_override is not None:
         paths = paths * (volume(room) / box_volume) ** (1.0 / 3.0)
     # cycle the 7 physical paths with a golden-ratio-ish stretch for extra lines
-    reps = int(math.ceil(n_lines / paths.size))
+    reps = int(math.ceil(N_LINES / paths.size))
     stretched = np.concatenate([paths * (1.0 + 0.31 * k) for k in range(reps)])
-    raw = np.sort(stretched)[:n_lines] * fs / c
+    raw = np.sort(stretched)[:N_LINES] * fs / c
     delays = _coprime_delays(raw)
-    if len(set(delays.tolist())) != n_lines:
+    if len(set(delays.tolist())) != N_LINES:
         raise SceneValidationError("room too small for distinct FDN delays")
     t60 = np.asarray(target.t30_bands, dtype=float)
     line_gains = 10.0 ** (-3.0 * delays[:, None] / (fs * t60[None, :]))
@@ -173,11 +166,11 @@ def design_fdn(room: RoomSpec, target: DecayTarget, fs: float,
     offsets = tuple(offsets)
     return FdnConfig(
         delays=delays,
-        feedback_matrix=_random_orthogonal(n_lines, seed),
+        feedback_matrix=_random_orthogonal(N_LINES, seed),
         line_gains=line_gains,
-        output_directions=_fibonacci_sphere(n_lines),
+        output_directions=_fibonacci_sphere(N_LINES),
         sample_rate=fs,
-        input_gain=1.0 / math.sqrt(n_lines),
+        input_gain=1.0 / math.sqrt(N_LINES),
         input_offsets=offsets,
     )
 
@@ -263,8 +256,7 @@ def _t60_of(config: FdnConfig, gains: np.ndarray) -> float:
 
 
 def run_fdn(config: FdnConfig, duration: float,
-            input_signal: Optional[np.ndarray] = None,
-            band_centers=OCTAVE_CENTERS_8) -> list:
+            input_signal: Optional[np.ndarray] = None) -> list:
     """Direction-labeled tail streams of the FDN response.
 
     Bands whose line gains are exactly equal share one run of the loop. Each
@@ -288,10 +280,10 @@ def run_fdn(config: FdnConfig, duration: float,
         if impulse_driven:
             out = _shape_decay(out, fs, _t60_of(config, gains))
         if len(groups) > 1:
-            out = BandFilter(n, fs, weights[g:g + 1], band_centers).apply(out[None])
+            out = BandFilter(n, fs, weights[g:g + 1]).apply(out[None])
         lines = out if lines is None else lines + out
     return [
-        TailStream(samples=lines[i], onset=config.onset,
+        TailStream(samples=lines[i], onset=0.0,
                    direction=config.output_directions[i])
         for i in range(config.n_lines)
     ]
@@ -327,8 +319,7 @@ def splice(early: SpatialIR, tail, *, onset: float, t60: float,
 
 
 def design_dual_slope(room: RoomSpec, target: DecayTarget, fs: float,
-                      c: float = 343.0, n_lines: int = DEFAULT_N_LINES,
-                      seed: int = 0) -> DualSlopeConfig:
+                      c: float = 343.0, seed: int = 0) -> DualSlopeConfig:
     """Primary + secondary FDN whose EDC asymptotes cross at the onset level.
 
     The secondary input gain follows from the two exponential decay rates:
@@ -345,12 +336,12 @@ def design_dual_slope(room: RoomSpec, target: DecayTarget, fs: float,
     if t2 < t1:
         raise SceneValidationError("secondary T60 must exceed the primary")
     level = target.second_slope.onset_level_db
-    primary = design_fdn(room, target, fs, c=c, n_lines=n_lines, seed=seed)
+    if level >= -20.0:
+        raise SceneValidationError("dual-slope onset level must be below -20 dB")
+    primary = design_fdn(room, target, fs, c=c, seed=seed)
     secondary_target = DecayTarget(t30_bands=np.full_like(target.t30_bands, t2))
-    secondary = design_fdn(room, secondary_target, fs, c=c, n_lines=n_lines,
-                           seed=seed + 1)
+    secondary = design_fdn(room, secondary_target, fs, c=c, seed=seed + 1)
     rel_db = level * (1.0 - t1 / t2) + 10.0 * math.log10(t1 / t2)
     gain_ratio = 10.0 ** (rel_db / 20.0)
     secondary = replace(secondary, input_gain=primary.input_gain * gain_ratio)
-    return DualSlopeConfig(primary=primary, secondary=secondary,
-                           onset_level_db=level)
+    return DualSlopeConfig(primary=primary, secondary=secondary)

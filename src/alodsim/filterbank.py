@@ -88,10 +88,10 @@ class BandFilter:
     Mask ``j`` is ``weights[j] @ band_masks`` (band ``j`` without weights).
     """
 
-    def __init__(self, n: int, fs: float, weights=None, centers=OCTAVE_CENTERS_8):
+    def __init__(self, n: int, fs: float, weights=None):
         self.n = n
         self.n_fft = padded_len(n)
-        mask = band_masks(self.n_fft, fs, centers)
+        mask = band_masks(self.n_fft, fs)
         self.mask = mask if weights is None else np.asarray(weights, dtype=float) @ mask
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -106,12 +106,6 @@ class BandFilter:
             at = (slice(None),) + row
             out[row] = np.fft.irfft((spec[at] * mask[at]).sum(axis=0), n=self.n_fft)[:self.n]
         return out
-
-
-def bandpass(x: np.ndarray, fs: float, band: int, centers=OCTAVE_CENTERS_8) -> np.ndarray:
-    """Zero-phase band-filtered copy of ``x`` for one octave band."""
-    weights = np.eye(len(centers))[band:band + 1]
-    return BandFilter(len(x), fs, weights, centers).apply(np.asarray(x)[None, :])
 
 
 def band_energies(x: np.ndarray, fs: float, centers=OCTAVE_CENTERS_8) -> np.ndarray:

@@ -33,6 +33,8 @@ BURST_SECONDS_PER_ORDER = 2e-3
 BURST_DECAY_DB = 60.0
 # Burst seed of a tap that carries no diffuse burst.
 NO_BURST = -1
+# Jitter standard deviation per reflection order, meters per axis.
+JITTER_SIGMA_PER_ORDER = 0.1
 
 
 @dataclass(frozen=True)
@@ -161,13 +163,14 @@ def apply_jitter(images: Images, profile: RenderingProfile,
                  rng: np.random.Generator) -> Images:
     """Displace images of order >= 2 by Gaussian jitter.
 
-    Standard deviation is sigma_per_order * order per axis; direct sound and
-    first-order images keep their exact positions to preserve localization.
+    Standard deviation is JITTER_SIGMA_PER_ORDER * order per axis; direct
+    sound and first-order images keep their exact positions to preserve
+    localization.
     """
-    if not profile.jitter_enabled or profile.jitter_sigma_per_order == 0.0:
+    if not profile.jitter_enabled:
         return images
     moved = np.flatnonzero(images.order >= 2)
-    sigma = profile.jitter_sigma_per_order * images.order[moved]
+    sigma = JITTER_SIGMA_PER_ORDER * images.order[moved]
     position = images.position.copy()
     position[moved] += rng.normal(0.0, sigma[:, None], size=(len(moved), 3))
     return replace(images, position=position)
@@ -202,15 +205,15 @@ def smear_taps(taps: Taps, profile: RenderingProfile, scattering: np.ndarray,
                seed_seq: np.random.SeedSequence) -> Taps:
     """Split reflections of order >= 1 into specular + diffuse-burst parts.
 
-    The specular part keeps sqrt(1 - s) of the amplitude; the diffuse burst
-    carries the remaining energy s * a^2 per band as an exponentially
-    decaying noise burst of duration BURST_SECONDS_PER_ORDER * order. The
-    split conserves per-band energy exactly.
+    With s the room's scattering, the specular part keeps sqrt(1 - s) of the
+    amplitude; the diffuse burst carries the remaining energy s * a^2 per
+    band as an exponentially decaying noise burst of duration
+    BURST_SECONDS_PER_ORDER * order. The split conserves per-band energy
+    exactly.
     """
     if not profile.smearing_enabled:
         return taps
-    s = profile.specular_fraction if profile.specular_fraction is not None else scattering
-    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    s = np.clip(np.asarray(scattering, dtype=float), 0.0, 1.0)
     seeds = seed_seq.generate_state(max(len(taps), 1))[: len(taps)]
     smeared = taps.order >= 1
     split = smeared[:, None]

@@ -114,13 +114,9 @@ def _spatial_ir(scene: SceneSpec, profile: RenderingProfile,
          scene.sources.index(source), scene.receivers.index(receiver)]
     )
     if src_room.id == rec_room.id:
-        if profile.anechoic:
-            # direct sound only: an order-0 image-source render
-            return single_room_ir(scene, profile, source, receiver.position,
-                                  src_room, 0.0, root, include_panels=False)
         return single_room_ir(scene, profile, source, receiver.position,
                               src_room, duration, root)
-    if profile.anechoic:
+    if profile.coupled_mode == "off":
         return occluded_direct_ir(scene, source, receiver)
     if profile.coupled_mode == "full":
         return couple_full(scene, profile, source, receiver.position,
@@ -189,7 +185,7 @@ def simulate(scene: SceneSpec, profile: RenderingProfile,
     spatial = _spatial_ir(scene, profile, source, receiver, src_room, rec_room,
                           duration, seed)
     ir = render_output(spatial, mode, receiver, hrtf=hrtf, layout=layout)
-    if not profile.anechoic and src_room.id != rec_room.id:
+    if src_room.id != rec_room.id and profile.coupled_mode != "off":
         direct = occluded_direct_ir(scene, source, receiver)
         ir = _mix(ir, render_output(direct, mode, receiver,
                                     hrtf=hrtf, layout=layout))

@@ -79,19 +79,25 @@ def _smooth_edge(freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(np.pi * w)
 
 
-def spectral_deviation_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse,
-                          band_range=DEFAULT_RANGE_HZ) -> float:
-    """Mean |difference| of third-octave smoothed magnitude spectra (dB)."""
-    if ir_a.sample_rate != ir_b.sample_rate:
-        raise RateMismatchError("sample rates differ")
+def _smoothed_difference_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse,
+                            band_range) -> np.ndarray:
+    """Third-octave smoothed level of ``ir_a`` minus that of ``ir_b`` (dB) at
+    the rFFT bins inside ``band_range``; both share ``ir_a``'s sample rate."""
     n_fft = 1 << max(ir_a.n_samples, ir_b.n_samples, 2).bit_length()
     freqs = np.fft.rfftfreq(n_fft, 1.0 / ir_a.sample_rate)
     sa = third_octave_smooth(_mean_magnitude(ir_a, n_fft), ir_a.sample_rate)
     sb = third_octave_smooth(_mean_magnitude(ir_b, n_fft), ir_b.sample_rate)
     sel = (freqs >= band_range[0]) & (freqs <= band_range[1])
     with np.errstate(divide="ignore"):
-        diff = 20.0 * np.log10(np.maximum(sa[sel], 1e-12) / np.maximum(sb[sel], 1e-12))
-    return float(np.mean(np.abs(diff)))
+        return 20.0 * np.log10(np.maximum(sa[sel], 1e-12) / np.maximum(sb[sel], 1e-12))
+
+
+def spectral_deviation_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse,
+                          band_range=DEFAULT_RANGE_HZ) -> float:
+    """Mean |difference| of third-octave smoothed magnitude spectra (dB)."""
+    if ir_a.sample_rate != ir_b.sample_rate:
+        raise RateMismatchError("sample rates differ")
+    return float(np.mean(np.abs(_smoothed_difference_db(ir_a, ir_b, band_range))))
 
 
 def match_spectrum(sim: ImpulseResponse, ref: ImpulseResponse,
@@ -130,13 +136,7 @@ def match_spectrum(sim: ImpulseResponse, ref: ImpulseResponse,
     )
 
     # post-hoc residual over the match range
-    n_res = 1 << max(corrected.n_samples, ref.n_samples, 2).bit_length()
-    res_freqs = np.fft.rfftfreq(n_res, 1.0 / sim.sample_rate)
-    sa = third_octave_smooth(_mean_magnitude(corrected, n_res), sim.sample_rate)
-    sb = third_octave_smooth(_mean_magnitude(ref, n_res), ref.sample_rate)
-    rsel = (res_freqs >= band_range[0]) & (res_freqs <= band_range[1])
-    with np.errstate(divide="ignore"):
-        diff = 20.0 * np.log10(np.maximum(sa[rsel], 1e-12) / np.maximum(sb[rsel], 1e-12))
+    diff = _smoothed_difference_db(corrected, ref, band_range)
     report = SpectralMatchReport(
         residual_mean_db=float(np.mean(np.abs(diff))),
         residual_max_db=float(np.max(np.abs(diff))),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -180,6 +180,18 @@ class PanelSpec:
         return n / np.linalg.norm(n)
 
 
+def head_frame(orientation: np.ndarray) -> np.ndarray:
+    """Rotation matrix whose rows map world vectors to (front, left, up)."""
+    f = np.asarray(orientation, dtype=float)
+    f = f / np.linalg.norm(f)
+    up = np.array([0.0, 0.0, 1.0])
+    if abs(float(np.dot(f, up))) > 0.999:
+        up = np.array([1.0, 0.0, 0.0])
+    left = np.cross(up, f)
+    left /= np.linalg.norm(left)
+    return np.stack([f, left, np.cross(f, left)])
+
+
 @dataclass(frozen=True)
 class DirectivityGrid:
     """Sampled source directivity: gains per (azimuth, elevation) per band.
@@ -211,15 +223,8 @@ class DirectivityGrid:
         given the facing vector."""
         d = np.asarray(direction, dtype=float)
         d = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        f = np.asarray(forward, dtype=float)
-        f = f / np.linalg.norm(f)
-        up = np.array([0.0, 0.0, 1.0])
-        if abs(np.dot(f, up)) > 0.999:
-            up = np.array([1.0, 0.0, 0.0])
-        left = np.cross(up, f)
-        left /= np.linalg.norm(left)
-        up2 = np.cross(f, left)
-        x, y, z = d @ f, d @ left, d @ up2
+        f, left, up = head_frame(forward)
+        x, y, z = d @ f, d @ left, d @ up
         az = np.degrees(np.arctan2(y, x)) % 360.0
         el = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
         da = np.abs(self.azimuths_deg - az[..., None])
@@ -312,14 +317,13 @@ class RenderingProfile:
     name: str
     ism_order: int = 3
     jitter_enabled: bool = True
-    jitter_sigma_per_order: float = 0.1  # meters of stddev per reflection order
     smearing_enabled: bool = True
-    specular_fraction: Optional[np.ndarray] = None  # None -> room scattering
     fdn_enabled: bool = True
-    coupled_mode: str = "full"  # full | two_stage | off
+    # full | two_stage | off; "off" renders a coupled scene as its occluded
+    # direct path alone
+    coupled_mode: str = "full"
     panels_enabled: bool = True
     dual_slope_enabled: bool = True
-    anechoic: bool = False
     output_mode: str = "binaural"  # binaural | array | diotic | mono
 
     def __post_init__(self):
@@ -329,12 +333,6 @@ class RenderingProfile:
             raise SceneValidationError(f"unknown coupled_mode {self.coupled_mode!r}")
         if self.output_mode not in ("binaural", "array", "diotic", "mono"):
             raise SceneValidationError(f"unknown output_mode {self.output_mode!r}")
-        if self.anechoic and (self.fdn_enabled or self.ism_order != 0):
-            raise SceneValidationError("anechoic profile requires fdn off and ism_order 0")
-        if self.specular_fraction is not None:
-            object.__setattr__(
-                self, "specular_fraction", _bands(self.specular_fraction, "specular_fraction")
-            )
 
 
 _PROFILE_PRESETS = {
@@ -357,7 +355,7 @@ _PROFILE_PRESETS = {
     # (6) direct sound only (inverse-square law + occlusion stand-in)
     "anechoic": dict(ism_order=0, jitter_enabled=False, smearing_enabled=False,
                      fdn_enabled=False, coupled_mode="off", panels_enabled=False,
-                     dual_slope_enabled=False, anechoic=True),
+                     dual_slope_enabled=False),
 }
 
 
@@ -406,25 +404,6 @@ def fit_absorption(room: RoomSpec, target: DecayTarget) -> np.ndarray:
     if np.any(alpha >= 1.0 - 1e-12):
         raise InfeasibleTargetError(
             f"room {room.id}: T30 target too short for geometry (alpha -> 1)"
-        )
-    return alpha
-
-
-def eyring_t60(room: RoomSpec, alpha: np.ndarray) -> np.ndarray:
-    """Eyring reverberation time for uniform per-band absorption."""
-    v = volume(room)
-    s = surface_area(room)
-    return 0.161 * v / (-s * np.log(1.0 - np.asarray(alpha, dtype=float)))
-
-
-def sabine_absorption(room: RoomSpec, target: DecayTarget) -> np.ndarray:
-    """Sabine-formula absorption, kept as a cross-check for the Eyring fit."""
-    v = volume(room)
-    s = surface_area(room)
-    alpha = 0.161 * v / (s * target.t30_bands)
-    if np.any(alpha >= 1.0):
-        raise InfeasibleTargetError(
-            f"room {room.id}: T30 target infeasible under Sabine"
         )
     return alpha
 

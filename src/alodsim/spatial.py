@@ -21,6 +21,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import RateMismatchError, SceneValidationError
 from .filterbank import fftconvolve
 from .ism import SpatialIR
+from .scene import head_frame
 from .synth import render_units, spatial_ir_length, synthesize_mono
 
 
@@ -282,18 +283,6 @@ def vbap_gains(direction: np.ndarray, layout: LoudspeakerLayout) -> np.ndarray:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def head_frame(orientation: np.ndarray) -> np.ndarray:
-    """Rotation matrix whose rows map world vectors to (front, left, up)."""
-    f = np.asarray(orientation, dtype=float)
-    f = f / np.linalg.norm(f)
-    up = np.array([0.0, 0.0, 1.0])
-    if abs(float(np.dot(f, up))) > 0.999:
-        up = np.array([1.0, 0.0, 0.0])
-    left = np.cross(up, f)
-    left /= np.linalg.norm(left)
-    return np.stack([f, left, np.cross(f, left)])
-
-
 def _apply_signature(channels: np.ndarray, spatial_ir: SpatialIR) -> np.ndarray:
     if spatial_ir.signature is None:
         return channels
@@ -336,9 +325,10 @@ def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
     if layout.calibration_delays is not None:
         shifted = np.zeros_like(out)
         for i, d in enumerate(np.asarray(layout.calibration_delays)):
-            k = int(round(d * spatial_ir.sample_rate))
+            # clamped to +/- n: a channel shifted past the whole IR is silent
+            k = min(max(int(round(d * spatial_ir.sample_rate)), -n), n)
             if k >= 0:
-                shifted[i, k:] = out[i, : out.shape[1] - k] if k else out[i]
+                shifted[i, k:] = out[i, : n - k]
             else:
                 shifted[i, :k] = out[i, -k:]
         out = shifted

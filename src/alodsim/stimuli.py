@@ -59,11 +59,6 @@ class BandLevels:
         object.__setattr__(self, "offsets_db", offsets)
 
 
-def random_band_levels(rng: np.random.Generator) -> BandLevels:
-    picks = rng.integers(0, len(ALLOWED_BAND_OFFSETS_DB), len(OCTAVE_CENTERS_10))
-    return BandLevels(offsets_db=tuple(ALLOWED_BAND_OFFSETS_DB[i] for i in picks))
-
-
 def _envelope_db(x: np.ndarray, fs: float, smooth_s: float = 1e-3) -> np.ndarray:
     # magnitude of the analytic signal: the spectrum's positive frequencies
     # doubled, its negative ones zeroed, DC and (for even n) Nyquist kept

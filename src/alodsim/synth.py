@@ -23,11 +23,11 @@ from .filterbank import BandFilter, OCTAVE_CENTERS_8, band_groups, fftconvolve
 from .ism import SpatialIR, burst_samples
 
 
-def spatial_ir_length(spatial_ir: SpatialIR, min_duration: float = 0.0) -> int:
+def spatial_ir_length(spatial_ir: SpatialIR) -> int:
     """Sample count needed to hold every tap, burst and tail stream."""
     fs = spatial_ir.sample_rate
     taps = spatial_ir.taps
-    t_end = np.max(taps.delay + taps.burst_duration, initial=min_duration)
+    t_end = np.max(taps.delay + taps.burst_duration, initial=0.0)
     n = int(math.ceil(t_end * fs)) + 1
     for stream in spatial_ir.tail:
         n = max(n, int(round(stream.onset * fs)) + len(stream.samples))
@@ -35,9 +35,7 @@ def spatial_ir_length(spatial_ir: SpatialIR, min_duration: float = 0.0) -> int:
 
 
 def render_units(spatial_ir: SpatialIR,
-                 unit_gains: Callable[[np.ndarray], np.ndarray],
-                 n_samples: int = 0,
-                 centers=OCTAVE_CENTERS_8) -> Dict[int, np.ndarray]:
+                 unit_gains: Callable[[np.ndarray], np.ndarray]) -> Dict[int, np.ndarray]:
     """Broadband waveform per render unit.
 
     Returns {unit: samples} for every unit that a tap or tail stream reaches
@@ -47,7 +45,7 @@ def render_units(spatial_ir: SpatialIR,
     per-unit linear processing).
     """
     fs = spatial_ir.sample_rate
-    n = max(n_samples, spatial_ir_length(spatial_ir))
+    n = spatial_ir_length(spatial_ir)
 
     taps = spatial_ir.taps
     starts = np.rint(taps.delay * fs).astype(np.int64)
@@ -69,7 +67,7 @@ def render_units(spatial_ir: SpatialIR,
     # last unit; with one band group the masks sum to 1 and filter nothing
     bursts = taps.has_burst[rows]
     flat = len(band_groups(taps.amplitude[rows[~bursts]].T)[0]) == 1
-    combine = cache(lambda: BandFilter(m, fs, centers=centers))
+    combine = cache(lambda: BandFilter(m, fs))
     reach = np.count_nonzero(tap_gains, axis=1)
     noise: Dict[int, np.ndarray] = {}
     # every wave is a row of one block, so no short-lived array of the loop
@@ -82,7 +80,7 @@ def render_units(spatial_ir: SpatialIR,
         if flat and not bursts[hit].any():
             np.add.at(units[unit], starts[hit], values[:, 0])
             continue
-        buf = np.zeros((len(centers), m))
+        buf = np.zeros((len(OCTAVE_CENTERS_8), m))
         np.add.at(buf.T, starts[hit], values)
         for k in hit[bursts[hit]]:
             if k not in noise:
@@ -101,12 +99,10 @@ def render_units(spatial_ir: SpatialIR,
     return units
 
 
-def synthesize_mono(spatial_ir: SpatialIR, n_samples: int = 0,
-                    centers=OCTAVE_CENTERS_8, apply_signature: bool = True) -> np.ndarray:
+def synthesize_mono(spatial_ir: SpatialIR, apply_signature: bool = True) -> np.ndarray:
     """Omnidirectional (direction-discarding) rendering of a SpatialIR."""
-    units = render_units(spatial_ir, lambda d: np.ones((len(d), 1)),
-                         n_samples, centers)
-    out = units.get(0, np.zeros(max(n_samples, 1)))
+    units = render_units(spatial_ir, lambda d: np.ones((len(d), 1)))
+    out = units.get(0, np.zeros(1))
     if apply_signature and spatial_ir.signature is not None:
         out = fftconvolve(out, spatial_ir.signature)
     return out

@@ -1,6 +1,7 @@
 """Minimal RIFF/WAVE reader and writer.
 
-Supports PCM 16/24-bit and IEEE float32, mono or multichannel. No
+Supports PCM 16/24-bit and IEEE float32, mono or multichannel, with the
+format tag in the fmt chunk or in a WAVE_FORMAT_EXTENSIBLE subformat. No
 resampling: callers must check the returned rate.
 """
 
@@ -33,19 +34,21 @@ def read_wav(path: str):
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise SceneParseError(f"{path}: fmt chunk too short ({len(body)} bytes)")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = body
         elif chunk_id == b"data":
             payload = body
         pos += 8 + size + (size & 1)
     if fmt is None or payload is None:
         raise SceneParseError(f"{path}: missing fmt or data chunk")
-    tag, channels, rate, _, block_align, bits = fmt
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if channels == 0:
         raise SceneParseError(f"{path}: fmt chunk declares 0 channels")
     if rate == 0:
         raise SceneParseError(f"{path}: fmt chunk declares sample rate 0")
-    if tag == _FMT_EXTENSIBLE:
-        tag = _FMT_FLOAT if bits == 32 else _FMT_PCM
+    if (tag == _FMT_EXTENSIBLE and len(fmt) >= 26
+            and struct.unpack_from("<H", fmt, 16)[0] >= 22):
+        # the subformat GUID (cbSize >= 22) starts with the real format tag
+        tag = struct.unpack_from("<H", fmt, 24)[0]
     if (tag, bits) not in ((_FMT_FLOAT, 32), (_FMT_PCM, 16), (_FMT_PCM, 24)):
         raise SceneParseError(f"{path}: unsupported WAV format (tag {tag}, {bits} bit)")
     # a truncated data chunk ends in a partial frame: drop it

@@ -25,6 +25,7 @@ from scipy.signal import fftconvolve, hilbert
 from alodsim.fdn import _run_band, _shape_decay, _t60_of
 from alodsim.filterbank import OCTAVE_CENTERS_8, band_masks
 from alodsim.ism import (
+    JITTER_SIGMA_PER_ORDER,
     burst_samples,
     enumerate_images,
     reflect_finite_panels,
@@ -163,8 +164,8 @@ def early_taps_per_tap(scene, profile, source, receiver_pos, room, seed_seq):
     for i in range(len(images)):
         position = images.position[i]
         order = int(images.order[i])
-        if profile.jitter_enabled and profile.jitter_sigma_per_order != 0.0 and order >= 2:
-            position = position + rng.normal(0.0, profile.jitter_sigma_per_order * order, size=3)
+        if profile.jitter_enabled and order >= 2:
+            position = position + rng.normal(0.0, JITTER_SIGMA_PER_ORDER * order, size=3)
         diff = position - receiver_pos
         r = float(np.linalg.norm(diff))
         amp = images.band_gain[i] / r
@@ -179,8 +180,7 @@ def early_taps_per_tap(scene, profile, source, receiver_pos, room, seed_seq):
         taps += [dict(delay=panels.delay[k], amplitude=panels.amplitude[k],
                       doa=panels.doa[k], order=1) for k in range(len(panels))]
     seeds = smear_seed.generate_state(max(len(taps), 1))
-    s = np.clip(room.scattering if profile.specular_fraction is None
-                else profile.specular_fraction, 0.0, 1.0)
+    s = np.clip(room.scattering, 0.0, 1.0)
     level = 10.0 ** (source.level_db / 20.0)
     for i, tap in enumerate(taps):
         tap["burst_energy"] = np.zeros_like(tap["amplitude"])

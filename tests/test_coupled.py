@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,24 @@ def test_array_render_sums_coupled_part_and_occluded_direct(living):
     for part in parts:
         want[:, : part.n_samples] += part.channels
     assert np.array_equal(result.ir.channels, want)
+
+
+@pytest.mark.parametrize("mode", ["mono", "binaural"])
+def test_coupled_mode_off_renders_the_occluded_direct_path_alone(living, mode):
+    # "off" drops the whole coupled part, so only the blocked direct sound is left
+    profile = replace(profile_preset("razr-full"), coupled_mode="off")
+    src, rec = _target(living), living.receivers[0]
+    result = simulate(living, profile, source_id=src.id, output_mode=mode)
+    want = render_output(occluded_direct_ir(living, src, rec), mode, rec)
+    assert np.array_equal(result.ir.channels, want.channels)
+
+
+def test_anechoic_same_room_render_is_the_direct_tap_alone():
+    # ISM order 0 with the FDN, panels and smearing off needs no special case
+    spatial = build_spatial_ir(preset("pub"), profile_preset("anechoic"))
+    assert len(spatial.taps) == 1 and spatial.taps.order[0] == 0
+    assert not spatial.tail and spatial.signature is None
+    assert not spatial.taps.has_burst.any()
 
 
 def test_occluded_direct_tap(living):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from alodsim import fdn
 from alodsim.analysis import dual_slope_fit, schroeder_edc, t30, t30_bands
 from alodsim.errors import SceneValidationError
 from alodsim.fdn import (
-    DEFAULT_N_LINES,
+    N_LINES,
     FdnConfig,
     _run_band,
     design_dual_slope,
@@ -16,7 +17,7 @@ from alodsim.fdn import (
     run_fdn,
     splice,
 )
-from alodsim.scene import DecayTarget, RoomSpec, preset
+from alodsim.scene import DecayTarget, RoomSpec, SecondSlope, preset
 
 from oracles import per_band_run_fdn
 
@@ -196,7 +197,7 @@ def test_design_delays_are_pairwise_coprime():
     room = _living_room()
     cfg = design_fdn(room, room.decay, FS)
     d = cfg.delays
-    assert d.size == DEFAULT_N_LINES
+    assert d.size == N_LINES
     for i in range(d.size):
         for j in range(i + 1, d.size):
             assert math.gcd(int(d[i]), int(d[j])) == 1
@@ -328,6 +329,15 @@ def test_dual_slope_requires_second_slope():
     room = _living_room()
     with pytest.raises(SceneValidationError):
         design_dual_slope(room, room.decay, FS)
+
+
+def test_dual_slope_onset_must_lie_below_minus_20_db():
+    # SecondSlope accepts any level below 0 dB; the FDN design needs a knee
+    # below -20 dB
+    room = preset("underground").room("underground")
+    decay = replace(room.decay, second_slope=SecondSlope(t30_2=3.2, onset_level_db=-10.0))
+    with pytest.raises(SceneValidationError):
+        design_dual_slope(room, decay, FS)
 
 
 # ---------------------------------------------------------------------------

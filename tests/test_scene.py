@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +13,17 @@ from alodsim.errors import (
 from alodsim.scene import (
     DecayTarget,
     ReceiverSpec,
+    RenderingProfile,
     RoomSpec,
     SceneSpec,
     SecondSlope,
     SourceSpec,
-    eyring_t60,
     fit_absorption,
     parse_scene,
     preset,
     preset_names,
     profile_names,
     profile_preset,
-    sabine_absorption,
     serialize_scene,
     surface_area,
     volume,
@@ -49,14 +50,15 @@ def test_volume_override_wins():
 
 
 # ---------------------------------------------------------------------------
-# absorption fitting (Eyring inverse, Sabine cross-check)
+# absorption fitting (Eyring inverse; Eyring and Sabine in closed form here)
 # ---------------------------------------------------------------------------
 
 def test_fit_absorption_inverts_eyring_exactly():
     room = _box((4.97, 3.78, 2.71))
     target = DecayTarget(t30_bands=np.linspace(0.4, 0.9, 8))
     alpha = fit_absorption(room, target)
-    t60 = eyring_t60(room, alpha)
+    # Eyring: T60 = 0.161 V / (-S ln(1 - alpha))
+    t60 = 0.161 * volume(room) / (-surface_area(room) * np.log(1.0 - alpha))
     assert np.max(np.abs(t60 - target.t30_bands)) < 1e-12
 
 
@@ -74,7 +76,8 @@ def test_sabine_bounds_eyring_from_above():
     room = _box((6.0, 5.0, 3.0))
     target = DecayTarget(t30_bands=np.full(8, 0.8))
     eyring = fit_absorption(room, target)
-    sabine = sabine_absorption(room, target)
+    # Sabine: alpha = 0.161 V / (S T60)
+    sabine = 0.161 * volume(room) / (surface_area(room) * target.t30_bands)
     # 1 - exp(-x) < x: Eyring needs less absorption for the same T60
     assert np.all(eyring < sabine)
     assert np.all(sabine - eyring < sabine * 0.5)
@@ -159,15 +162,18 @@ def test_profile_presets():
     assert not ism.jitter_enabled and not ism.smearing_enabled
     assert profile_preset("diotic").output_mode == "diotic"
     ane = profile_preset("anechoic")
-    assert ane.anechoic and ane.ism_order == 0 and not ane.fdn_enabled
+    assert ane.coupled_mode == "off" and ane.ism_order == 0 and not ane.fdn_enabled
+    assert not ane.panels_enabled
 
 
-def test_anechoic_profile_must_disable_everything():
-    from alodsim.scene import RenderingProfile
-    with pytest.raises(SceneValidationError):
-        RenderingProfile(name="bad", anechoic=True, fdn_enabled=True)
-    with pytest.raises(SceneValidationError):
-        RenderingProfile(name="bad", anechoic=True, fdn_enabled=False, ism_order=2)
+def test_every_profile_field_is_set_by_some_preset():
+    # a field that no preset moves off its default is an option without a caller
+    default = RenderingProfile(name="default")
+    presets = [profile_preset(name) for name in profile_names()]
+    for f in fields(RenderingProfile):
+        if f.name != "name":
+            assert any(getattr(p, f.name) != getattr(default, f.name)
+                       for p in presets), f.name
 
 
 def test_unknown_profile_raises():
@@ -247,6 +253,20 @@ def test_serialize_parse_round_trip(name):
         assert a.id == b.id and np.allclose(a.corners, b.corners)
     # a second round trip is byte-identical (canonical form)
     assert serialize_scene(back) == doc
+
+
+SCENES_DIR = Path(__file__).resolve().parent.parent / "scenes"
+
+
+def test_scene_files_are_the_presets():
+    assert sorted(p.stem for p in SCENES_DIR.glob("*.json")) == list(preset_names())
+
+
+@pytest.mark.parametrize("name", ["living-room", "pub", "underground"])
+def test_scene_file_is_the_serialized_preset(name):
+    # what `alodsim presets --write-scenes scenes` writes
+    text = (SCENES_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert text == serialize_scene(preset(name)) + "\n"
 
 
 def test_parse_rejects_garbage():

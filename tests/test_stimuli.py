@@ -12,7 +12,6 @@ from alodsim.stimuli import (
     ess_inverse,
     pink_pulse,
     pink_pulse_variant,
-    random_band_levels,
     _envelope_db,
 )
 
@@ -90,13 +89,6 @@ def test_band_levels_validation():
         BandLevels(offsets_db=(0.0,) * 9)  # wrong count
     with pytest.raises(SceneValidationError):
         BandLevels(offsets_db=(3.0,) + (0.0,) * 9)  # not in {+6, 0, -6}
-
-
-def test_random_band_levels_are_valid_and_seeded():
-    a = random_band_levels(np.random.default_rng(9))
-    b = random_band_levels(np.random.default_rng(9))
-    assert a.offsets_db == b.offsets_db
-    assert all(o in (6.0, 0.0, -6.0) for o in a.offsets_db)
 
 
 # ---------------------------------------------------------------------------

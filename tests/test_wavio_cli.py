@@ -89,6 +89,39 @@ def _fmt(tag, channels, rate, bits) -> bytes:
                        block_align, bits)
 
 
+# the subformat GUID of WAVE_FORMAT_EXTENSIBLE after its leading format tag
+_KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _extensible_fmt(subtype, channels, rate, bits) -> bytes:
+    """A WAVE_FORMAT_EXTENSIBLE fmt body (cbSize 22) of the given subformat tag."""
+    return (_fmt(0xFFFE, channels, rate, bits) + struct.pack("<HHI", 22, bits, 0)
+            + struct.pack("<H", subtype) + _KSDATAFORMAT_TAIL)
+
+
+_EXTENSIBLE_VALUES = np.array([0.5, -0.25, 0.125])
+
+
+def test_wav_rejects_extensible_int32_pcm(tmp_path):
+    # read as float32 words, these samples came back as 2.0, -3.7e19 and 2.5e-29
+    ints = (_EXTENSIBLE_VALUES * 2.0**31).astype("<i4").tobytes()
+    path = tmp_path / "int32.wav"
+    path.write_bytes(_riff(_extensible_fmt(1, 1, 44100, 32),
+                           b"data" + struct.pack("<I", len(ints)) + ints))
+    with pytest.raises(SceneParseError):
+        read_wav(str(path))
+
+
+def test_wav_reads_extensible_float32(tmp_path):
+    floats = _EXTENSIBLE_VALUES.astype("<f4").tobytes()
+    path = tmp_path / "float32.wav"
+    path.write_bytes(_riff(_extensible_fmt(3, 1, 44100, 32),
+                           b"data" + struct.pack("<I", len(floats)) + floats))
+    samples, rate = read_wav(str(path))
+    assert rate == 44100.0
+    assert np.array_equal(samples[:, 0], _EXTENSIBLE_VALUES)
+
+
 def _read_or_reject(tmp_path_factory, data: bytes) -> None:
     """read_wav either returns (frames, rate) or raises an AlodsimError."""
     path = tmp_path_factory.mktemp("wav") / "x.wav"
@@ -355,6 +388,17 @@ _MALFORMED = {
     "layout with coplanar positions": (
         "layout.json", _layout_json(positions=[[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]),
         _ARRAY_RENDER),
+    # json reads NaN and Infinity as floats
+    "layout with a NaN calibration delay": (
+        "layout.json", _layout_json(calibration_delays=[float("nan"), 0, 0, 0, 0]),
+        _ARRAY_RENDER),
+    "layout with an infinite calibration delay": (
+        "layout.json", _layout_json(calibration_delays=[float("inf"), 0, 0, 0, 0]),
+        _ARRAY_RENDER),
+    "layout with a NaN position": (
+        "layout.json", _layout_json(positions=[[float("nan"), 0, 0], [0, 2, 0], [-2, 0, 0],
+                                               [0, -2, 0], [0, 0, 2]]),
+        _ARRAY_RENDER),
 }
 
 
@@ -362,6 +406,24 @@ def test_cli_renders_the_base_layout_of_the_malformed_cases(tmp_path):
     (tmp_path / "layout.json").write_bytes(_layout_json())
     code = main(_ARRAY_RENDER + [str(tmp_path / "layout.json"), "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+def test_cli_silences_a_channel_delayed_past_the_whole_ir(tmp_path):
+    # 5 ms is 220 samples; the anechoic pub IR is 126 samples long, and its
+    # direct sound reaches the frontal speaker 0 alone
+    renders = []
+    for name, delays in (("plain", None), ("delayed", [5e-3, 0, 0, 0, 0])):
+        layout, out = tmp_path / f"{name}.json", tmp_path / f"{name}.wav"
+        layout.write_bytes(_layout_json(calibration_delays=delays))
+        assert main(_ARRAY_RENDER + [str(layout), "--out", str(out)]) == 0
+        renders.append(read_wav(str(out))[0])
+    plain, delayed = renders
+    assert plain.shape == delayed.shape == (126, 5)
+    assert plain[:, 0].any() and not delayed[:, 0].any()
+    assert np.array_equal(plain[:, 1:], delayed[:, 1:])
+    # the manifest reports no T30 for the silent IR instead of failing
+    manifest = json.loads((tmp_path / "delayed.wav.manifest.json").read_text())
+    assert manifest["metrics"]["peak"] == 0.0 and manifest["metrics"]["t30_s"] is None
 
 
 def test_parse_scene_rejects_a_json_array():
