@@ -89,10 +89,7 @@ def _load_layout(spec: str) -> LoudspeakerLayout:
                              for key in ("calibration_gains", "calibration_delays"))
             n = len(positions)
             valid = (n >= 4 and positions.shape == (n, 3) and center.shape == (3,)
-                     and all(c is None or c.shape == (n,) for c in (gains, delays))
-                     # json reads NaN and Infinity
-                     and all(np.isfinite(a).all() for a in (positions, center, gains, delays)
-                             if a is not None))
+                     and all(c is None or c.shape == (n,) for c in (gains, delays)))
         except (KeyError, TypeError, ValueError):
             valid = False
     if not valid:

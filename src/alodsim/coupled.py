@@ -7,9 +7,8 @@ Two modes:
   of an omnidirectional source at the door center in the receiver room.
 * ``full`` -- the same early path, plus the receiver room's FDN re-excited
   by the source room's diffuse tail with a coupling gain derived from the
-  aperture-to-wall area ratio. With k = 0 this reduces bit-exactly to
-  ``two_stage``. This cross-feed is an explicit approximation of true
-  coupled-FDN topologies.
+  aperture-to-wall area ratio. Profiles with room details use it. This
+  cross-feed is an explicit approximation of true coupled-FDN topologies.
 
 The occluded direct path (edge diffraction around the door frame) is
 replaced by a documented stand-in: a single tap at the known path length
@@ -81,7 +80,7 @@ def _room_tail(scene: SceneSpec, profile: RenderingProfile, room,
         return []
     fs = scene.sample_rate
     seed = int(seed_seq.generate_state(1)[0] % (2**31))
-    if profile.dual_slope_enabled and room.decay.second_slope is not None:
+    if profile.second_slope(room) is not None:
         dual = design_dual_slope(room, room.decay, fs, c=scene.speed_of_sound,
                                  seed=seed)
         streams = run_fdn(dual.primary, duration)
@@ -169,14 +168,14 @@ def couple_full(scene: SceneSpec, profile: RenderingProfile,
     """Two-stage early path plus cross-fed FDN energy (mixed decay).
 
     The receiver room's FDN is re-excited by the source room's diffuse tail
-    scaled by the coupling gain k; with k = 0 the result is bit-identical to
-    couple_two_stage.
+    scaled by the coupling gain k. Without a receiver-room tail (FDN off, or
+    no decay target in that room) the result is couple_two_stage's.
     """
     two_stage_seed, cross_seed = seed_seq.spawn(2)
     base = couple_two_stage(scene, profile, source, receiver_pos, duration,
                             two_stage_seed)
     k = coupling_gain(scene, scene.apertures[0])
-    if k == 0.0 or not profile.fdn_enabled:
+    if not base.tail:
         return base
     src_room = scene.room_of(source.position)
     rec_room = scene.room_of(receiver_pos)
@@ -190,15 +189,11 @@ def couple_full(scene: SceneSpec, profile: RenderingProfile,
     rec_config = design_fdn(rec_room, rec_room.decay, scene.sample_rate,
                             c=scene.speed_of_sound, seed=seed)
     cross = run_fdn(rec_config, duration, input_signal=k * drive)
-    if base.tail:
-        onset = min(s.onset for s in base.tail)
-        ref_energy = sum(float(np.dot(s.samples, s.samples)) for s in base.tail)
-        raw = sum(float(np.dot(s.samples, s.samples)) for s in cross)
-        # keep cross-fed energy in proportion to the main tail
-        scale = math.sqrt(ref_energy / raw) * k if raw > 0 else 0.0
-    else:
-        onset = 0.0
-        scale = k
+    onset = min(s.onset for s in base.tail)
+    ref_energy = sum(float(np.dot(s.samples, s.samples)) for s in base.tail)
+    raw = sum(float(np.dot(s.samples, s.samples)) for s in cross)
+    # keep cross-fed energy in proportion to the main tail
+    scale = math.sqrt(ref_energy / raw) * k if raw > 0 else 0.0
     cross = [TailStream(samples=s.samples * scale, onset=onset + s.onset,
                         direction=s.direction) for s in cross]
     return SpatialIR(taps=base.taps, sample_rate=base.sample_rate,

@@ -165,9 +165,9 @@ def apply_jitter(images: Images, profile: RenderingProfile,
 
     Standard deviation is JITTER_SIGMA_PER_ORDER * order per axis; direct
     sound and first-order images keep their exact positions to preserve
-    localization.
+    localization. Part of RAZR's diffuse model, so it follows the FDN switch.
     """
-    if not profile.jitter_enabled:
+    if not profile.fdn_enabled:
         return images
     moved = np.flatnonzero(images.order >= 2)
     sigma = JITTER_SIGMA_PER_ORDER * images.order[moved]
@@ -209,9 +209,9 @@ def smear_taps(taps: Taps, profile: RenderingProfile, scattering: np.ndarray,
     amplitude; the diffuse burst carries the remaining energy s * a^2 per
     band as an exponentially decaying noise burst of duration
     BURST_SECONDS_PER_ORDER * order. The split conserves per-band energy
-    exactly.
+    exactly. Part of RAZR's diffuse model, so it follows the FDN switch.
     """
-    if not profile.smearing_enabled:
+    if not profile.fdn_enabled:
         return taps
     s = np.clip(np.asarray(scattering, dtype=float), 0.0, 1.0)
     seeds = seed_seq.generate_state(max(len(taps), 1))[: len(taps)]
@@ -299,7 +299,7 @@ def early_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
     taps = taps_from_images(images, receiver_pos, scene.speed_of_sound,
                             directivity=source.directivity,
                             source_orientation=source.orientation)
-    if include_panels and profile.panels_enabled:
+    if include_panels and profile.room_details:
         relevant = [p for p in scene.panels
                     if room.contains(p.corners.mean(axis=0))]
         taps = _stack(taps, reflect_finite_panels(relevant, source.position,

@@ -1,8 +1,8 @@
 """End-to-end simulation: scene + rendering profile -> impulse response.
 
 ``simulate`` is the single entry point used by the CLI. It resolves the
-source/receiver rooms, picks the single-room or coupled-room path, applies
-the profile's feature switches and spatializes the result according to the
+source/receiver rooms, picks the single-room or coupled-room path at the
+profile's level of detail and spatializes the result according to the
 requested output mode. All randomness descends from one SeedSequence rooted
 at the scene seed, so repeated runs are bit-identical.
 """
@@ -79,8 +79,8 @@ def default_duration(scene: SceneSpec, profile: RenderingProfile) -> float:
         if room.decay is None:
             continue
         t1 = room.decay.broadband_t30
-        if profile.dual_slope_enabled and room.decay.second_slope is not None:
-            ss = room.decay.second_slope
+        ss = profile.second_slope(room)
+        if ss is not None:
             knee = -ss.onset_level_db / 60.0 * t1
             t = max(t, knee + 0.8 * ss.t30_2)
         else:
@@ -116,13 +116,10 @@ def _spatial_ir(scene: SceneSpec, profile: RenderingProfile,
     if src_room.id == rec_room.id:
         return single_room_ir(scene, profile, source, receiver.position,
                               src_room, duration, root)
-    if profile.coupled_mode == "off":
+    if profile.direct_only:
         return occluded_direct_ir(scene, source, receiver)
-    if profile.coupled_mode == "full":
-        return couple_full(scene, profile, source, receiver.position,
-                           duration, root)
-    return couple_two_stage(scene, profile, source, receiver.position,
-                            duration, root)
+    couple = couple_full if profile.room_details else couple_two_stage
+    return couple(scene, profile, source, receiver.position, duration, root)
 
 
 def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
@@ -185,7 +182,7 @@ def simulate(scene: SceneSpec, profile: RenderingProfile,
     spatial = _spatial_ir(scene, profile, source, receiver, src_room, rec_room,
                           duration, seed)
     ir = render_output(spatial, mode, receiver, hrtf=hrtf, layout=layout)
-    if src_room.id != rec_room.id and profile.coupled_mode != "off":
+    if src_room.id != rec_room.id and not profile.direct_only:
         direct = occluded_direct_ir(scene, source, receiver)
         ir = _mix(ir, render_output(direct, mode, receiver,
                                     hrtf=hrtf, layout=layout))

@@ -251,13 +251,10 @@ class ReceiverSpec:
     id: str
     position: np.ndarray
     orientation: np.ndarray
-    kind: str = "binaural"  # binaural | omni | array
 
     def __post_init__(self):
         object.__setattr__(self, "position", _vec(self.position))
         object.__setattr__(self, "orientation", _unit(self.orientation))
-        if self.kind not in ("binaural", "omni", "array"):
-            raise SceneValidationError(f"receiver {self.id}: unknown kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -312,63 +309,68 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class RenderingProfile:
-    """The switchboard of simulation features (the acoustic level of detail)."""
+    """One acoustic level of detail (ALOD), plus the presentation.
+
+    ``ism_order`` sets the number of image sources. ``fdn_enabled`` switches
+    RAZR's diffuse model as a whole: image jitter, temporal smearing of the
+    reflections and the FDN tail. ``room_details`` switches the details
+    specific to each scene: finite panels, the dual-slope decay and the FDN
+    cross-feed between coupled rooms.
+    """
 
     name: str
     ism_order: int = 3
-    jitter_enabled: bool = True
-    smearing_enabled: bool = True
     fdn_enabled: bool = True
-    # full | two_stage | off; "off" renders a coupled scene as its occluded
-    # direct path alone
-    coupled_mode: str = "full"
-    panels_enabled: bool = True
-    dual_slope_enabled: bool = True
+    room_details: bool = True
     output_mode: str = "binaural"  # binaural | array | diotic | mono
 
     def __post_init__(self):
         if self.ism_order < 0:
             raise SceneValidationError("ism_order must be >= 0")
-        if self.coupled_mode not in ("full", "two_stage", "off"):
-            raise SceneValidationError(f"unknown coupled_mode {self.coupled_mode!r}")
         if self.output_mode not in ("binaural", "array", "diotic", "mono"):
             raise SceneValidationError(f"unknown output_mode {self.output_mode!r}")
 
+    @property
+    def direct_only(self) -> bool:
+        """No reflection and no tail: only the direct sound is rendered.
+
+        A coupled scene then renders its occluded direct path alone, since
+        the chain through the door would relay nothing but the direct sound.
+        """
+        return self.ism_order == 0 and not self.fdn_enabled
+
+    def second_slope(self, room: RoomSpec) -> Optional[SecondSlope]:
+        """The room's secondary decay if this profile renders it, else None."""
+        if not self.room_details or room.decay is None:
+            return None
+        return room.decay.second_slope
+
 
 _PROFILE_PRESETS = {
-    # (1) all features: order-3 ISM, jitter, smearing, FDN, full coupling,
-    # panels, dual slope
+    # (1) all features: order-3 ISM, the diffuse model and the room details
     "razr-full": dict(ism_order=3),
     # (2) same feature set with first-order ISM
     "razr-1st": dict(ism_order=1),
-    # (3) per-scene feature removal: simplified (two-stage) coupling, no
-    # panels, no dual slope -- each change only has an effect in the scene
-    # that owns the feature
-    "razr-simple": dict(ism_order=3, coupled_mode="two_stage",
-                        panels_enabled=False, dual_slope_enabled=False),
-    # (4) plain 15th-order ISM: no jitter, smearing, FDN or panels
-    "ism-15": dict(ism_order=15, jitter_enabled=False, smearing_enabled=False,
-                   fdn_enabled=False, coupled_mode="two_stage",
-                   panels_enabled=False, dual_slope_enabled=False),
+    # (3) per-scene feature removal: two-stage coupling, no panels, no dual
+    # slope -- each change only has an effect in the scene that owns the
+    # feature
+    "razr-simple": dict(ism_order=3, room_details=False),
+    # (4) plain 15th-order ISM: no diffuse model and no room details
+    "ism-15": dict(ism_order=15, fdn_enabled=False, room_details=False),
     # (5) diotic presentation of the full rendering
     "diotic": dict(ism_order=3, output_mode="diotic"),
     # (6) direct sound only (inverse-square law + occlusion stand-in)
-    "anechoic": dict(ism_order=0, jitter_enabled=False, smearing_enabled=False,
-                     fdn_enabled=False, coupled_mode="off", panels_enabled=False,
-                     dual_slope_enabled=False),
+    "anechoic": dict(ism_order=0, fdn_enabled=False, room_details=False),
 }
 
 
-def profile_preset(name: str, output_mode: Optional[str] = None) -> RenderingProfile:
+def profile_preset(name: str) -> RenderingProfile:
     """One of the six named rendering conditions."""
     if name not in _PROFILE_PRESETS:
         raise SceneParseError(
             f"unknown profile {name!r}; known: {', '.join(sorted(_PROFILE_PRESETS))}"
         )
-    kwargs = dict(_PROFILE_PRESETS[name])
-    if output_mode is not None and "output_mode" not in kwargs:
-        kwargs["output_mode"] = output_mode
-    return RenderingProfile(name=name, **kwargs)
+    return RenderingProfile(name=name, **_PROFILE_PRESETS[name])
 
 
 def profile_names() -> tuple:
@@ -647,7 +649,6 @@ def serialize_scene(scene: SceneSpec) -> str:
                 "id": r.id,
                 "position": r.position.tolist(),
                 "orientation": r.orientation.tolist(),
-                "kind": r.kind,
             }
             for r in scene.receivers
         ],
@@ -714,7 +715,6 @@ def parse_scene(document: str) -> SceneSpec:
                 id=require(r, "id", "receiver"),
                 position=require(r, "position", "receiver"),
                 orientation=require(r, "orientation", "receiver"),
-                kind=r.get("kind", "binaural"),
             )
             for r in doc.get("receivers", [])
         )

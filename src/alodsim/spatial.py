@@ -179,9 +179,14 @@ class LoudspeakerLayout:
 
     def __post_init__(self):
         p = np.asarray(self.positions, dtype=float)
+        center = np.asarray(self.center, dtype=float)
+        calibration = (self.calibration_gains, self.calibration_delays)
+        if not all(np.isfinite(np.asarray(a, dtype=float)).all()
+                   for a in (p, center, *calibration) if a is not None):
+            raise SceneValidationError("loudspeaker positions, center and "
+                                       "calibration values must be finite")
         if len(np.unique(np.round(p, 9), axis=0)) != p.shape[0]:
             raise SceneValidationError("duplicate loudspeaker positions")
-        center = np.asarray(self.center, dtype=float)
         if np.any(np.all(np.abs(p - center) < 1e-9, axis=1)):
             raise SceneValidationError("loudspeaker at the listener position")
         object.__setattr__(self, "positions", p)

@@ -164,7 +164,7 @@ def early_taps_per_tap(scene, profile, source, receiver_pos, room, seed_seq):
     for i in range(len(images)):
         position = images.position[i]
         order = int(images.order[i])
-        if profile.jitter_enabled and order >= 2:
+        if profile.fdn_enabled and order >= 2:
             position = position + rng.normal(0.0, JITTER_SIGMA_PER_ORDER * order, size=3)
         diff = position - receiver_pos
         r = float(np.linalg.norm(diff))
@@ -174,7 +174,7 @@ def early_taps_per_tap(scene, profile, source, receiver_pos, room, seed_seq):
             amp = amp * directivity_gain(source.directivity, emit, source.orientation)
         taps.append(dict(delay=r / c, amplitude=amp, doa=diff / r, order=order))
     taps.sort(key=lambda t: t["delay"])
-    if profile.panels_enabled:
+    if profile.room_details:
         relevant = [p for p in scene.panels if room.contains(p.corners.mean(axis=0))]
         panels = reflect_finite_panels(relevant, source.position, receiver_pos, c)
         taps += [dict(delay=panels.delay[k], amplitude=panels.amplitude[k],
@@ -185,7 +185,7 @@ def early_taps_per_tap(scene, profile, source, receiver_pos, room, seed_seq):
     for i, tap in enumerate(taps):
         tap["burst_energy"] = np.zeros_like(tap["amplitude"])
         tap["burst_seed"] = -1
-        if profile.smearing_enabled and tap["order"] >= 1:
+        if profile.fdn_enabled and tap["order"] >= 1:
             tap["burst_energy"] = s * tap["amplitude"] ** 2
             tap["burst_seed"] = int(seeds[i])
             tap["amplitude"] = np.sqrt(1.0 - s) * tap["amplitude"]

@@ -86,10 +86,7 @@ def test_two_stage_signature_is_stage_one_response(living):
 
 
 def test_full_coupling_without_fdn_equals_two_stage(living):
-    from dataclasses import replace
-
-    profile = replace(profile_preset("razr-full"), fdn_enabled=False,
-                      dual_slope_enabled=False)
+    profile = replace(profile_preset("razr-full"), fdn_enabled=False)
     src = _target(living)
     rec = living.receivers[0].position
     a = couple_full(living, profile, src, rec, 0.5, np.random.SeedSequence([1]))
@@ -98,6 +95,25 @@ def test_full_coupling_without_fdn_equals_two_stage(living):
     two_stage_seed, _ = root.spawn(2)
     b = couple_two_stage(living, profile, src, rec, 0.5, two_stage_seed)
     assert np.array_equal(synthesize_mono(a), synthesize_mono(b))
+
+
+def test_full_coupling_without_a_receiver_room_decay_equals_two_stage(living):
+    # no receiver-room tail for the source room's tail to feed: the
+    # cross-feed is skipped instead of designing an FDN without a target
+    rooms = tuple(replace(r, decay=None) if r.id == "living-room" else r
+                  for r in living.rooms)
+    scene = replace(living, rooms=rooms)
+    profile = profile_preset("razr-full")
+    src = _target(scene)
+    rec = scene.receivers[0].position
+    a = couple_full(scene, profile, src, rec, 0.5, np.random.SeedSequence([1]))
+    two_stage_seed, _ = np.random.SeedSequence([1]).spawn(2)
+    b = couple_two_stage(scene, profile, src, rec, 0.5, two_stage_seed)
+    assert a.tail == () and b.tail == ()
+    assert np.array_equal(synthesize_mono(a), synthesize_mono(b))
+    assert np.array_equal(a.signature, b.signature)
+    result = simulate(scene, profile, source_id=src.id, output_mode="mono")
+    assert np.all(np.isfinite(result.ir.channels)) and result.ir.n_samples > 0
 
 
 def test_full_coupling_adds_cross_fed_tail(living):
@@ -142,12 +158,23 @@ def test_array_render_sums_coupled_part_and_occluded_direct(living):
 
 
 @pytest.mark.parametrize("mode", ["mono", "binaural"])
-def test_coupled_mode_off_renders_the_occluded_direct_path_alone(living, mode):
-    # "off" drops the whole coupled part, so only the blocked direct sound is left
-    profile = replace(profile_preset("razr-full"), coupled_mode="off")
+def test_direct_only_profile_renders_the_occluded_direct_path_alone(living, mode):
+    # no reflection and no tail: the chain through the door is dropped, so
+    # only the blocked direct sound is left
+    profile = profile_preset("anechoic")
     src, rec = _target(living), living.receivers[0]
     result = simulate(living, profile, source_id=src.id, output_mode=mode)
     want = render_output(occluded_direct_ir(living, src, rec), mode, rec)
+    assert np.array_equal(result.ir.channels, want.channels)
+
+
+def test_direct_only_with_room_details_renders_the_occluded_direct_path_alone(living):
+    # room details add nothing once there is no reflection and no tail
+    profile = replace(profile_preset("razr-full"), ism_order=0, fdn_enabled=False)
+    assert profile.room_details and profile.direct_only
+    src, rec = _target(living), living.receivers[0]
+    result = simulate(living, profile, source_id=src.id, output_mode="mono")
+    want = render_output(occluded_direct_ir(living, src, rec), "mono", rec)
     assert np.array_equal(result.ir.channels, want.channels)
 
 

@@ -300,7 +300,7 @@ def test_directional_source_taps_match_the_per_tap_chain():
     scene = preset("pub")
     source = dataclasses.replace(scene.sources[0], directivity=_grid(), level_db=-3.0)
     receiver = scene.receivers[0].position
-    profile = profile_preset("razr-full")  # jitter, panels and smearing on
+    profile = profile_preset("razr-full")  # diffuse model and panels on
     room = scene.rooms[0]
     got = early_spatial_ir(scene, profile, source, receiver, room,
                            np.random.SeedSequence(4)).taps

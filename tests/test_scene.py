@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -151,19 +152,19 @@ def test_profile_presets():
     assert names == ("anechoic", "diotic", "ism-15", "razr-1st",
                      "razr-full", "razr-simple")
     full = profile_preset("razr-full")
-    assert full.ism_order == 3 and full.fdn_enabled and full.dual_slope_enabled
+    assert full.ism_order == 3 and full.fdn_enabled and full.room_details
     first = profile_preset("razr-1st")
     assert first.ism_order == 1 and first.fdn_enabled
     simple = profile_preset("razr-simple")
-    assert simple.coupled_mode == "two_stage"
-    assert not simple.panels_enabled and not simple.dual_slope_enabled
+    assert simple.fdn_enabled and not simple.room_details
     ism = profile_preset("ism-15")
-    assert ism.ism_order == 15 and not ism.fdn_enabled
-    assert not ism.jitter_enabled and not ism.smearing_enabled
+    assert ism.ism_order == 15 and not ism.fdn_enabled and not ism.room_details
     assert profile_preset("diotic").output_mode == "diotic"
     ane = profile_preset("anechoic")
-    assert ane.coupled_mode == "off" and ane.ism_order == 0 and not ane.fdn_enabled
-    assert not ane.panels_enabled
+    assert ane.ism_order == 0 and not ane.fdn_enabled and not ane.room_details
+    assert ane.direct_only
+    assert not any(profile_preset(name).direct_only
+                   for name in profile_names() if name != "anechoic")
 
 
 def test_every_profile_field_is_set_by_some_preset():
@@ -267,6 +268,14 @@ def test_scene_file_is_the_serialized_preset(name):
     # what `alodsim presets --write-scenes scenes` writes
     text = (SCENES_DIR / f"{name}.json").read_text(encoding="utf-8")
     assert text == serialize_scene(preset(name)) + "\n"
+
+
+def test_parse_accepts_a_receiver_kind():
+    # scene files written while receivers carried an unread "kind" still load
+    doc = json.loads((SCENES_DIR / "living-room.json").read_text(encoding="utf-8"))
+    doc["receivers"][0]["kind"] = "binaural"
+    scene = parse_scene(json.dumps(doc, indent=2) + "\n")
+    assert serialize_scene(scene) == serialize_scene(preset("living-room"))
 
 
 def test_parse_rejects_garbage():

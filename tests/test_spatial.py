@@ -210,6 +210,19 @@ def test_vbap_rejects_a_layout_in_one_plane():
         vbap_gains(np.array([1.0, 0.0, 0.0]), layout)
 
 
+@pytest.mark.parametrize("field", ["positions", "center", "calibration_gains",
+                                   "calibration_delays"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_layout_rejects_non_finite_values(field, bad):
+    base = array_preset_86()
+    values = dict(positions=base.positions.copy(), center=base.center.copy(),
+                  calibration_gains=np.ones(base.n_speakers),
+                  calibration_delays=np.zeros(base.n_speakers))
+    values[field].flat[0] = bad
+    with pytest.raises(SceneValidationError, match="finite"):
+        LoudspeakerLayout(**values)
+
+
 def test_array_preset_86_layout():
     layout = array_preset_86()
     assert layout.n_speakers == 86
