@@ -132,7 +132,6 @@ def match_spectrum(sim: ImpulseResponse, ref: ImpulseResponse,
     corrected = ImpulseResponse(
         channels=fftconvolve(sim.channels, fir),
         sample_rate=sim.sample_rate,
-        channel_semantics=sim.channel_semantics,
     )
 
     # post-hoc residual over the match range

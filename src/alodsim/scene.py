@@ -9,8 +9,9 @@ example).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional
+import math
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -22,9 +23,27 @@ N_BANDS = len(OCTAVE_CENTERS_8)
 
 DEFAULT_SAMPLE_RATE = 44100.0
 DEFAULT_SPEED_OF_SOUND = 343.0
+DEFAULT_SCATTERING = 0.3  # broadband scattering used by all presets
 
 # Wall order used for per-surface absorption: (x=0, x=Lx, y=0, y=Ly, z=0, z=Lz)
 WALL_NAMES = ("x0", "x1", "y0", "y1", "z0", "z1")
+
+
+def _set(spec, **values) -> None:
+    """Store normalized field values on a frozen dataclass."""
+    for name, value in values.items():
+        object.__setattr__(spec, name, value)
+
+
+def _finite(value, what: str, positive: bool = False) -> None:
+    """Raise unless ``value`` is a finite real number (and > 0 if ``positive``)."""
+    try:
+        ok = math.isfinite(value) and (value > 0 or not positive)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        ok = False
+    if not ok:
+        raise SceneValidationError(
+            f"{what} must be a finite{' positive' if positive else ''} number, got {value!r}")
 
 
 def _vec(v) -> np.ndarray:
@@ -49,9 +68,9 @@ def _bands(value, name: str) -> np.ndarray:
     a = np.atleast_1d(np.asarray(value, dtype=float))
     if a.size == 1:
         a = np.full(N_BANDS, float(a[0]))
-    if a.size != N_BANDS:
+    if a.shape != (N_BANDS,):
         raise SceneValidationError(
-            f"{name}: expected scalar or {N_BANDS} band values, got {a.size}"
+            f"{name}: expected scalar or {N_BANDS} band values, got shape {a.shape}"
         )
     return a
 
@@ -64,8 +83,8 @@ class SecondSlope:
     onset_level_db: float = -40.0
 
     def __post_init__(self):
-        if self.t30_2 <= 0:
-            raise SceneValidationError("second-slope T30 must be positive")
+        _finite(self.t30_2, "second-slope T30", positive=True)
+        _finite(self.onset_level_db, "second-slope onset level")
         if self.onset_level_db >= 0:
             raise SceneValidationError("second-slope onset level must be below 0 dB")
 
@@ -78,30 +97,29 @@ class DecayTarget:
     second_slope: Optional[SecondSlope] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "t30_bands", _bands(self.t30_bands, "t30"))
-        if np.any(self.t30_bands <= 0):
-            raise SceneValidationError("T30 targets must be positive")
+        _set(self, t30_bands=_bands(self.t30_bands, "t30"))
+        if not np.all((self.t30_bands > 0) & np.isfinite(self.t30_bands)):
+            raise SceneValidationError("T30 targets must be finite and positive")
 
     @property
     def broadband_t30(self) -> float:
         return float(np.exp(np.mean(np.log(self.t30_bands))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RoomSpec:
     """Shoebox room spanning ``origin`` .. ``origin + dims`` in world space."""
 
     id: str
     dims: np.ndarray
+    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     absorption: np.ndarray  # (6 walls, n_bands)
-    scattering: np.ndarray  # (n_bands,)
+    scattering: np.ndarray = DEFAULT_SCATTERING  # (n_bands,)
     decay: Optional[DecayTarget] = None
     volume_override: Optional[float] = None
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _vec(self.dims))
-        object.__setattr__(self, "origin", _vec(self.origin))
+        _set(self, dims=_vec(self.dims), origin=_vec(self.origin))
         if np.any(self.dims <= 0):
             raise SceneValidationError(f"room {self.id}: dims must be positive")
         absorption = np.asarray(self.absorption, dtype=float)
@@ -111,15 +129,14 @@ class RoomSpec:
             raise SceneValidationError(
                 f"room {self.id}: absorption must be (6, {N_BANDS}), got {absorption.shape}"
             )
-        if np.any(absorption < 0) or np.any(absorption >= 1):
+        if not np.all((absorption >= 0) & (absorption < 1)):
             raise SceneValidationError(f"room {self.id}: absorption must be in [0, 1)")
-        object.__setattr__(self, "absorption", absorption)
         scattering = _bands(self.scattering, "scattering")
-        if np.any(scattering < 0) or np.any(scattering > 1):
+        if not np.all((scattering >= 0) & (scattering <= 1)):
             raise SceneValidationError(f"room {self.id}: scattering must be in [0, 1]")
-        object.__setattr__(self, "scattering", scattering)
-        if self.volume_override is not None and self.volume_override <= 0:
-            raise SceneValidationError(f"room {self.id}: volume_override must be > 0")
+        _set(self, absorption=absorption, scattering=scattering)
+        if self.volume_override is not None:
+            _finite(self.volume_override, f"room {self.id}: volume_override", positive=True)
 
     def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
         local = np.asarray(point) - self.origin
@@ -130,18 +147,17 @@ class RoomSpec:
 class ApertureSpec:
     """Rectangular opening in the shared wall of two rooms."""
 
-    connects: tuple  # (room_id, room_id)
+    connects: tuple[str, ...]  # (room_id, room_id)
     center: np.ndarray
     width: float
     height: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _vec(self.center))
-        object.__setattr__(self, "connects", tuple(self.connects))
+        _set(self, center=_vec(self.center), connects=tuple(self.connects))
         if len(self.connects) != 2:
             raise SceneValidationError("aperture must connect exactly two rooms")
-        if self.width <= 0 or self.height <= 0:
-            raise SceneValidationError("aperture width/height must be positive")
+        _finite(self.width, "aperture width", positive=True)
+        _finite(self.height, "aperture height", positive=True)
 
     @property
     def area(self) -> float:
@@ -158,10 +174,12 @@ class PanelSpec:
 
     def __post_init__(self):
         corners = np.asarray(self.corners, dtype=float)
-        if corners.shape != (4, 3):
-            raise SceneValidationError(f"panel {self.id}: corners must be (4, 3)")
-        object.__setattr__(self, "corners", corners)
-        object.__setattr__(self, "absorption", _bands(self.absorption, "panel absorption"))
+        if corners.shape != (4, 3) or not np.all(np.isfinite(corners)):
+            raise SceneValidationError(f"panel {self.id}: corners must be (4, 3) and finite")
+        absorption = _bands(self.absorption, "panel absorption")
+        if not np.all((absorption >= 0) & (absorption <= 1)):
+            raise SceneValidationError(f"panel {self.id}: absorption must be in [0, 1]")
+        _set(self, corners=corners, absorption=absorption)
         e1 = corners[1] - corners[0]
         e2 = corners[3] - corners[0]
         normal = np.cross(e1, e2)
@@ -212,11 +230,12 @@ class DirectivityGrid:
             raise SceneValidationError("directivity gains must be (n_az, n_el, n_bands)")
         if not np.all(np.isfinite(g)) or np.any(g < 0):
             raise SceneValidationError("directivity gains must be finite and >= 0")
+        if not (np.all(np.isfinite(az)) and np.all(np.abs(el) <= 90.0)):
+            raise SceneValidationError(
+                "directivity azimuths must be finite and elevations in [-90, 90]")
         if el.min() > -89.9 or el.max() < 89.9:
             raise SceneValidationError("directivity grid must cover the sphere in elevation")
-        object.__setattr__(self, "azimuths_deg", az)
-        object.__setattr__(self, "elevations_deg", el)
-        object.__setattr__(self, "gains", g)
+        _set(self, azimuths_deg=az, elevations_deg=el, gains=g)
 
     def gain(self, direction: np.ndarray, forward: np.ndarray) -> np.ndarray:
         """Per-band gains (..., n_bands) for emission directions (..., 3)
@@ -238,12 +257,12 @@ class SourceSpec:
     id: str
     position: np.ndarray
     orientation: np.ndarray
-    directivity: Optional[DirectivityGrid] = None
     level_db: float = 0.0
+    directivity: Optional[DirectivityGrid] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _vec(self.position))
-        object.__setattr__(self, "orientation", _unit(self.orientation))
+        _set(self, position=_vec(self.position), orientation=_unit(self.orientation))
+        _finite(self.level_db, f"source {self.id}: level_db")
 
 
 @dataclass(frozen=True)
@@ -253,31 +272,34 @@ class ReceiverSpec:
     orientation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _vec(self.position))
-        object.__setattr__(self, "orientation", _unit(self.orientation))
+        _set(self, position=_vec(self.position), orientation=_unit(self.orientation))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SceneSpec:
-    name: str
-    rooms: tuple
-    sources: tuple
-    receivers: tuple
-    apertures: tuple = ()
-    panels: tuple = ()
+    name: str = "scene"
     sample_rate: float = DEFAULT_SAMPLE_RATE
     speed_of_sound: float = DEFAULT_SPEED_OF_SOUND
     rng_seed: int = 0
     # Explicit occluded direct-path length (m) for source->receiver routes
     # without line of sight (stored rather than computed via diffraction).
     occluded_path_m: Optional[float] = None
+    rooms: tuple[RoomSpec, ...]
+    apertures: tuple[ApertureSpec, ...] = ()
+    panels: tuple[PanelSpec, ...] = ()
+    sources: tuple[SourceSpec, ...]
+    receivers: tuple[ReceiverSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rooms", tuple(self.rooms))
-        object.__setattr__(self, "sources", tuple(self.sources))
-        object.__setattr__(self, "receivers", tuple(self.receivers))
-        object.__setattr__(self, "apertures", tuple(self.apertures))
-        object.__setattr__(self, "panels", tuple(self.panels))
+        _set(self, rooms=tuple(self.rooms), apertures=tuple(self.apertures),
+             panels=tuple(self.panels), sources=tuple(self.sources),
+             receivers=tuple(self.receivers))
+        _finite(self.sample_rate, "sample_rate", positive=True)
+        _finite(self.speed_of_sound, "speed_of_sound", positive=True)
+        if self.rng_seed < 0:
+            raise SceneValidationError(f"seed must be >= 0, got {self.rng_seed!r}")
+        if self.occluded_path_m is not None:
+            _finite(self.occluded_path_m, "occluded_path_m", positive=True)
         if not self.rooms or not self.sources or not self.receivers:
             raise SceneValidationError("scene needs at least one room, source and receiver")
         ids = [r.id for r in self.rooms]
@@ -414,7 +436,6 @@ def fit_absorption(room: RoomSpec, target: DecayTarget) -> np.ndarray:
 # Presets
 # ---------------------------------------------------------------------------
 
-DEFAULT_SCATTERING = 0.3  # broadband scattering used by all presets
 LIVING_ROOM_DOOR = (0.8, 2.0)  # door width x height (m); not stated, documented
 OCCLUDED_PATH_LIVING_ROOM = 5.7  # m, through the door
 
@@ -422,8 +443,8 @@ OCCLUDED_PATH_LIVING_ROOM = 5.7  # m, through the door
 def _fitted_room(room_id, dims, t30, origin=(0, 0, 0), volume_override=None,
                  second_slope=None) -> RoomSpec:
     decay = DecayTarget(t30_bands=t30, second_slope=second_slope)
-    shell = RoomSpec(id=room_id, dims=dims, absorption=0.5, scattering=DEFAULT_SCATTERING,
-                     origin=origin, volume_override=volume_override)
+    shell = RoomSpec(id=room_id, dims=dims, absorption=0.5, origin=origin,
+                     volume_override=volume_override)
     alpha = fit_absorption(shell, decay)
     return replace(shell, absorption=np.tile(alpha, (6, 1)), decay=decay)
 
@@ -552,183 +573,80 @@ def preset_names() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization
+# JSON (de)serialization: one key per dataclass field, in field order
 # ---------------------------------------------------------------------------
 
-def _decay_to_json(d: Optional[DecayTarget]):
-    if d is None:
-        return None
-    out = {"t30_bands": d.t30_bands.tolist()}
-    if d.second_slope is not None:
-        out["second_slope"] = {
-            "t30_2": d.second_slope.t30_2,
-            "onset_level_db": d.second_slope.onset_level_db,
-        }
-    return out
+_JSON_KEYS = {"rng_seed": "seed"}  # the one field whose key differs from its name
+_IGNORED_KEYS = {ReceiverSpec: {"kind"}}  # read from older scene files, unused
+_SCALARS = {float: "a number", int: "an integer", str: "a string"}
 
 
-def _decay_from_json(obj) -> Optional[DecayTarget]:
-    if obj is None:
-        return None
-    second = None
-    if obj.get("second_slope") is not None:
-        ss = obj["second_slope"]
-        second = SecondSlope(t30_2=ss["t30_2"],
-                             onset_level_db=ss.get("onset_level_db", -40.0))
-    return DecayTarget(t30_bands=obj["t30_bands"], second_slope=second)
-
-
-def _directivity_to_json(d: Optional[DirectivityGrid]):
-    if d is None:
-        return None
-    return {
-        "azimuths_deg": d.azimuths_deg.tolist(),
-        "elevations_deg": d.elevations_deg.tolist(),
-        "gains": d.gains.tolist(),
-    }
-
-
-def _directivity_from_json(obj) -> Optional[DirectivityGrid]:
-    if obj is None:
-        return None
-    return DirectivityGrid(
-        azimuths_deg=obj["azimuths_deg"],
-        elevations_deg=obj["elevations_deg"],
-        gains=obj["gains"],
-    )
+def _to_json(value):
+    if is_dataclass(value):
+        return {_JSON_KEYS.get(f.name, f.name): _to_json(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 def serialize_scene(scene: SceneSpec) -> str:
-    doc = {
-        "name": scene.name,
-        "sample_rate": scene.sample_rate,
-        "speed_of_sound": scene.speed_of_sound,
-        "seed": scene.rng_seed,
-        "occluded_path_m": scene.occluded_path_m,
-        "rooms": [
-            {
-                "id": r.id,
-                "dims": r.dims.tolist(),
-                "origin": r.origin.tolist(),
-                "absorption": r.absorption.tolist(),
-                "scattering": r.scattering.tolist(),
-                "decay": _decay_to_json(r.decay),
-                "volume_override": r.volume_override,
-            }
-            for r in scene.rooms
-        ],
-        "apertures": [
-            {
-                "connects": list(a.connects),
-                "center": a.center.tolist(),
-                "width": a.width,
-                "height": a.height,
-            }
-            for a in scene.apertures
-        ],
-        "panels": [
-            {
-                "id": p.id,
-                "corners": p.corners.tolist(),
-                "absorption": p.absorption.tolist(),
-            }
-            for p in scene.panels
-        ],
-        "sources": [
-            {
-                "id": s.id,
-                "position": s.position.tolist(),
-                "orientation": s.orientation.tolist(),
-                "level_db": s.level_db,
-                "directivity": _directivity_to_json(s.directivity),
-            }
-            for s in scene.sources
-        ],
-        "receivers": [
-            {
-                "id": r.id,
-                "position": r.position.tolist(),
-                "orientation": r.orientation.tolist(),
-            }
-            for r in scene.receivers
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    """The scene as JSON text, one key per dataclass field in field order."""
+    return json.dumps(_to_json(scene), indent=2)
+
+
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
+def _from_json(tp, value, path: str):
+    """``value`` from a JSON document, checked against annotation ``tp``.
+
+    ``path`` names the value in errors, e.g. ``sources[0].level_db``. Beyond
+    the JSON kind of each value, the dataclasses validate what they are given.
+    """
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise SceneParseError(f"{path or 'scene'}: expected an object, got {value!r:.40}")
+        hints, prefix = get_type_hints(tp), f"{path}." if path else ""
+        known, kwargs = set(_IGNORED_KEYS.get(tp, ())), {}
+        for f in fields(tp):
+            key = _JSON_KEYS.get(f.name, f.name)
+            known.add(key)
+            if key in value:
+                kwargs[f.name] = _from_json(hints[f.name], value[key], prefix + key)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise SceneParseError(f"{prefix}{key}: missing required key")
+        for key in value:
+            if key not in known:
+                raise SceneParseError(f"{prefix}{key}: unknown key")
+        return tp(**kwargs)
+    if get_origin(tp) is Union:  # Optional[X]
+        return None if value is None else _from_json(get_args(tp)[0], value, path)
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise SceneParseError(f"{path}: expected a list, got {value!r:.40}")
+        return tuple(_from_json(get_args(tp)[0], v, f"{path}[{i}]")
+                     for i, v in enumerate(value))
+    if tp is np.ndarray:
+        try:
+            array = np.asarray(value)
+        except ValueError:  # ragged nesting
+            array = None
+        if array is None or array.dtype.kind not in "iuf" or _has_bool(value):
+            raise SceneParseError(f"{path}: expected a number or nested lists of numbers")
+        return array
+    if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp):
+        raise SceneParseError(f"{path}: expected {_SCALARS[tp]}, got {value!r:.40}")
+    return value
 
 
 def parse_scene(document: str) -> SceneSpec:
     """Parse and validate a UTF-8 JSON scene document."""
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise SceneParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SceneParseError("scene document must be a JSON object")
-
-    def require(obj, key, where):
-        if key not in obj:
-            raise SceneParseError(f"{where}: missing field {key!r}")
-        return obj[key]
-
-    try:
-        rooms = tuple(
-            RoomSpec(
-                id=require(r, "id", "room"),
-                dims=require(r, "dims", "room"),
-                origin=r.get("origin", (0.0, 0.0, 0.0)),
-                absorption=require(r, "absorption", f"room {r.get('id')}"),
-                scattering=r.get("scattering", DEFAULT_SCATTERING),
-                decay=_decay_from_json(r.get("decay")),
-                volume_override=r.get("volume_override"),
-            )
-            for r in doc.get("rooms", [])
-        )
-        apertures = tuple(
-            ApertureSpec(
-                connects=tuple(require(a, "connects", "aperture")),
-                center=require(a, "center", "aperture"),
-                width=require(a, "width", "aperture"),
-                height=require(a, "height", "aperture"),
-            )
-            for a in doc.get("apertures", [])
-        )
-        panels = tuple(
-            PanelSpec(
-                id=require(p, "id", "panel"),
-                corners=require(p, "corners", "panel"),
-                absorption=require(p, "absorption", f"panel {p.get('id')}"),
-            )
-            for p in doc.get("panels", [])
-        )
-        sources = tuple(
-            SourceSpec(
-                id=require(s, "id", "source"),
-                position=require(s, "position", "source"),
-                orientation=require(s, "orientation", "source"),
-                level_db=s.get("level_db", 0.0),
-                directivity=_directivity_from_json(s.get("directivity")),
-            )
-            for s in doc.get("sources", [])
-        )
-        receivers = tuple(
-            ReceiverSpec(
-                id=require(r, "id", "receiver"),
-                position=require(r, "position", "receiver"),
-                orientation=require(r, "orientation", "receiver"),
-            )
-            for r in doc.get("receivers", [])
-        )
-        return SceneSpec(
-            name=doc.get("name", "scene"),
-            rooms=rooms,
-            apertures=apertures,
-            panels=panels,
-            sources=sources,
-            receivers=receivers,
-            sample_rate=doc.get("sample_rate", DEFAULT_SAMPLE_RATE),
-            speed_of_sound=doc.get("speed_of_sound", DEFAULT_SPEED_OF_SOUND),
-            rng_seed=doc.get("seed", 0),
-            occluded_path_m=doc.get("occluded_path_m"),
-        )
-    except (TypeError, KeyError, ValueError, AttributeError) as exc:
-        raise SceneParseError(f"malformed scene document: {exc}") from exc
+    return _from_json(SceneSpec, doc, "")

@@ -29,7 +29,6 @@ from .synth import render_units, spatial_ir_length, synthesize_mono
 class ImpulseResponse:
     channels: np.ndarray  # (n_channels, n_samples)
     sample_rate: float
-    channel_semantics: str = "mono"  # binaural-LR | array-indexed | mono
 
     def __post_init__(self):
         ch = np.atleast_2d(np.asarray(self.channels, dtype=float))
@@ -310,8 +309,7 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
         out += np.fft.rfft(units[idx], n_fft) * np.fft.rfft(hrtf.filters[idx], n_fft)
     out = np.fft.irfft(out, n_fft)[:, :size]  # rebinding frees the spectra
     out = _apply_signature(out, spatial_ir)
-    return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate,
-                           channel_semantics="binaural-LR")
+    return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
 
 
 def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
@@ -338,22 +336,19 @@ def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
                 shifted[i, :k] = out[i, -k:]
         out = shifted
     out = _apply_signature(out, spatial_ir)
-    return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate,
-                           channel_semantics="array-indexed")
+    return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
 
 
 def render_mono(spatial_ir: SpatialIR) -> ImpulseResponse:
     return ImpulseResponse(channels=synthesize_mono(spatial_ir)[None, :],
-                           sample_rate=spatial_ir.sample_rate,
-                           channel_semantics="mono")
+                           sample_rate=spatial_ir.sample_rate)
 
 
 def diotic(ir: ImpulseResponse) -> ImpulseResponse:
     """Headphone diotic: the left channel presented to both ears."""
     left = ir.channels[0]
     return ImpulseResponse(channels=np.stack([left, left.copy()]),
-                           sample_rate=ir.sample_rate,
-                           channel_semantics="binaural-LR")
+                           sample_rate=ir.sample_rate)
 
 
 def frontal_speaker_index(layout: LoudspeakerLayout) -> int:
@@ -366,5 +361,4 @@ def diotic_array(ir: ImpulseResponse, layout: LoudspeakerLayout) -> ImpulseRespo
     """Loudspeaker diotic: the mono collapse routed to the frontal speaker."""
     out = np.zeros((layout.n_speakers, ir.n_samples))
     out[frontal_speaker_index(layout)] = ir.channels[0]
-    return ImpulseResponse(channels=out, sample_rate=ir.sample_rate,
-                           channel_semantics="array-indexed")
+    return ImpulseResponse(channels=out, sample_rate=ir.sample_rate)

@@ -209,5 +209,4 @@ def ess_deconvolve(recording: np.ndarray, sweep: Stimulus,
     rec = np.atleast_2d(np.asarray(recording, dtype=float))
     inv = ess_inverse(sweep, f1, f2)
     out = fftconvolve(rec, inv)
-    return ImpulseResponse(channels=out, sample_rate=sweep.sample_rate,
-                           channel_semantics="mono" if out.shape[0] == 1 else "array-indexed")
+    return ImpulseResponse(channels=out, sample_rate=sweep.sample_rate)

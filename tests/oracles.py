@@ -109,8 +109,7 @@ def binauralize_per_unit(spatial_ir, hrtf, orientation=None):
         out[0] += fftconvolve(units[idx], hrtf.filters[idx, 0])
         out[1] += fftconvolve(units[idx], hrtf.filters[idx, 1])
     return ImpulseResponse(channels=_apply_signature(out, spatial_ir),
-                           sample_rate=spatial_ir.sample_rate,
-                           channel_semantics="binaural-LR")
+                           sample_rate=spatial_ir.sample_rate)
 
 
 def envelope_db(x, fs, smooth_s=1e-3):

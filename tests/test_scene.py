@@ -1,18 +1,27 @@
+import copy
 import json
 import math
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from alodsim.errors import (
+    AlodsimError,
     InfeasibleTargetError,
     SceneParseError,
     SceneValidationError,
 )
 from alodsim.scene import (
+    DEFAULT_SAMPLE_RATE,
+    DEFAULT_SCATTERING,
+    ApertureSpec,
     DecayTarget,
+    DirectivityGrid,
+    PanelSpec,
     ReceiverSpec,
     RenderingProfile,
     RoomSpec,
@@ -218,6 +227,49 @@ def test_second_slope_validation():
         SecondSlope(t30_2=2.0, onset_level_db=5.0)
 
 
+# each builds a spec with one out-of-range value from a preset's parts
+_OUT_OF_RANGE = {
+    "sample_rate NaN": lambda s: replace(s, sample_rate=math.nan),
+    "sample_rate 0": lambda s: replace(s, sample_rate=0),
+    "speed_of_sound inf": lambda s: replace(s, speed_of_sound=math.inf),
+    "speed_of_sound beyond float range": lambda s: replace(s, speed_of_sound=10**400),
+    "occluded_path_m 0": lambda s: replace(s, occluded_path_m=0.0),
+    "seed -1": lambda s: replace(s, rng_seed=-1),
+    "level_db NaN": lambda s: replace(s.sources[0], level_db=math.nan),
+    "level_db a string": lambda s: replace(s.sources[0], level_db="loud"),
+    "volume_override NaN": lambda s: replace(s.rooms[0], volume_override=math.nan),
+    "absorption NaN": lambda s: replace(s.rooms[0], absorption=math.nan),
+    "scattering NaN": lambda s: replace(s.rooms[0], scattering=math.nan),
+    "t30 inf": lambda s: replace(s.rooms[0].decay, t30_bands=math.inf),
+    "t30 as one row of 8": lambda s: replace(s.rooms[0].decay, t30_bands=np.ones((1, 8))),
+    "second-slope T30 NaN": lambda s: SecondSlope(t30_2=math.nan),
+    "second-slope onset NaN": lambda s: SecondSlope(t30_2=2.0, onset_level_db=math.nan),
+    "panel corners NaN": lambda s: replace(s.panels[0], corners=np.full((4, 3), np.nan)),
+    "panel absorption 2": lambda s: replace(s.panels[0], absorption=2.0),
+    "aperture width NaN": lambda s: ApertureSpec(connects=("a", "b"), center=(0, 0, 0),
+                                                 width=math.nan, height=2.0),
+    "aperture height inf": lambda s: ApertureSpec(connects=("a", "b"), center=(0, 0, 0),
+                                                  width=1.0, height=math.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_out_of_range_values_rejected(case):
+    with pytest.raises(SceneValidationError):
+        _OUT_OF_RANGE[case](preset("pub"))
+
+
+def test_validation_accepts_numpy_scalars():
+    scene = preset("pub")
+    source = replace(scene.sources[0], level_db=np.float64(-3.0))
+    scene = replace(scene, sources=(source,) + scene.sources[1:],
+                    sample_rate=np.float32(48000.0), speed_of_sound=np.int64(340),
+                    rng_seed=np.int64(7), occluded_path_m=np.float64(2.0))
+    back = parse_scene(serialize_scene(scene))
+    assert back.sources[0].level_db == -3.0
+    assert (back.sample_rate, back.speed_of_sound, back.rng_seed) == (48000.0, 340, 7)
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 # ---------------------------------------------------------------------------
@@ -281,3 +333,188 @@ def test_parse_accepts_a_receiver_kind():
 def test_parse_rejects_garbage():
     with pytest.raises(SceneParseError):
         parse_scene("not json at all {")
+
+
+def _where(path) -> str:
+    """A document path as parse errors name it, e.g. ``sources[0].level_db``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _pub_doc_and_parent(path) -> tuple:
+    """The pub document and the object holding the last key of ``path``."""
+    doc = json.loads(serialize_scene(preset("pub")))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    return doc, node
+
+
+@pytest.mark.parametrize("path, value", [
+    (("sources", 0, "level_dB"), -20),
+    (("rooms", 0, "volume_overide"), 1),
+    (("rooms", 0, "decay", "second_slop"), None),
+    (("seeds",), 1),
+    (("sample_rate",), True),
+    (("seed",), 1.5),
+    (("receivers", 0, "id"), 7),
+    (("rooms", 0, "dims"), "big"),
+    (("rooms", 0, "dims"), [1, [2], 3]),
+    (("rooms", 0, "dims"), [True, 10.0, 2.0]),
+    (("panels",), {}),
+    (("rooms", 0, "decay"), []),
+    (("sources", 1, "level_db"), None),
+], ids=lambda v: _where(v) if isinstance(v, tuple) else repr(v))
+def test_parse_error_names_the_path(path, value):
+    doc, parent = _pub_doc_and_parent(path)
+    parent[path[-1]] = value
+    with pytest.raises(SceneParseError, match=re.escape(_where(path))):
+        parse_scene(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path", [("rooms",), ("rooms", 0, "dims"), ("sources", 1, "id"),
+                                  ("rooms", 0, "decay", "t30_bands")], ids=_where)
+def test_parse_names_a_missing_required_key(path):
+    doc, parent = _pub_doc_and_parent(path)
+    del parent[path[-1]]
+    with pytest.raises(SceneParseError, match=re.escape(f"{_where(path)}: missing")):
+        parse_scene(json.dumps(doc))
+
+
+def test_parse_takes_defaults_from_the_dataclasses():
+    at = {"position": [1, 1, 1], "orientation": [1, 0, 0]}
+    scene = parse_scene(json.dumps({
+        "rooms": [{"id": "r", "dims": [2, 2, 2], "absorption": 0.2}],
+        "sources": [{"id": "s", **at}],
+        "receivers": [{"id": "l", **at}],
+    }))
+    assert scene.name == "scene" and scene.sample_rate == DEFAULT_SAMPLE_RATE
+    assert scene.rng_seed == 0 and scene.occluded_path_m is None
+    assert scene.apertures == () and scene.panels == ()
+    room = scene.rooms[0]
+    assert np.all(room.scattering == DEFAULT_SCATTERING) and np.all(room.origin == 0)
+    assert room.decay is None and room.volume_override is None
+    assert scene.sources[0].level_db == 0.0 and scene.sources[0].directivity is None
+
+
+# ---------------------------------------------------------------------------
+# property tests: random valid scenes round-trip, random edits fail cleanly
+# ---------------------------------------------------------------------------
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _per_band(lo, hi):
+    return _floats(lo, hi) | st.lists(_floats(lo, hi), min_size=8, max_size=8)
+
+
+@st.composite
+def _unit_vectors(draw):
+    az, el = draw(_floats(-np.pi, np.pi)), draw(_floats(-1.5, 1.5))
+    return [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
+
+
+@st.composite
+def _rooms(draw, room_id, dims, origin):
+    decay = None
+    if draw(st.booleans()):
+        second = draw(st.none() | st.builds(SecondSlope, t30_2=_floats(0.5, 5.0),
+                                            onset_level_db=_floats(-60.0, -10.0)))
+        decay = DecayTarget(t30_bands=draw(_per_band(0.2, 3.0)), second_slope=second)
+    walls = st.lists(st.lists(_floats(0.0, 0.95), min_size=8, max_size=8),
+                     min_size=6, max_size=6)
+    return RoomSpec(id=room_id, dims=dims, origin=origin,
+                    absorption=draw(_per_band(0.0, 0.95) | walls),
+                    scattering=draw(_per_band(0.0, 1.0)), decay=decay,
+                    volume_override=draw(st.none() | _floats(1.0, 1e4)))
+
+
+@st.composite
+def _panels(draw, dims):
+    x, y = draw(_floats(0.0, dims[0] - 0.5)), draw(_floats(0.0, dims[1] - 0.5))
+    z = draw(_floats(0.0, dims[2]))
+    w, d = draw(_floats(0.1, 0.5)), draw(_floats(0.1, 0.5))
+    return PanelSpec(id=draw(st.text(max_size=6)),
+                     corners=[[x, y, z], [x + w, y, z], [x + w, y + d, z], [x, y + d, z]],
+                     absorption=draw(_per_band(0.0, 1.0)))
+
+
+@st.composite
+def _directivity(draw):
+    n_az, n_el = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return DirectivityGrid(azimuths_deg=np.arange(n_az) * 360.0 / n_az,
+                           elevations_deg=np.linspace(-90.0, 90.0, n_el),
+                           gains=rng.uniform(0.0, 2.0, (n_az, n_el, 8)))
+
+
+@st.composite
+def _valid_scenes(draw):
+    dims = [draw(_floats(1.0, 30.0)) for _ in range(3)]
+    rooms = [draw(_rooms("a", dims, [0.0, 0.0, 0.0]))]
+    apertures = []
+    if draw(st.booleans()):
+        rooms.append(draw(_rooms("b", dims, [dims[0], 0.0, 0.0])))
+        apertures.append(ApertureSpec(connects=("a", "b"),
+                                      center=[dims[0], dims[1] / 2, dims[2] / 2],
+                                      width=draw(_floats(0.1, 2.0)),
+                                      height=draw(_floats(0.1, 2.0))))
+
+    def inside():
+        return [draw(_floats(0.0, 1.0)) * d for d in dims]
+
+    sources = [SourceSpec(id=f"s{i}", position=inside(), orientation=draw(_unit_vectors()),
+                          level_db=draw(_floats(-60.0, 20.0)),
+                          directivity=draw(st.none() | _directivity()))
+               for i in range(draw(st.integers(1, 2)))]
+    return SceneSpec(
+        name=draw(st.text(max_size=8)), rooms=rooms, apertures=apertures,
+        panels=draw(st.lists(_panels(dims), max_size=2)), sources=sources,
+        receivers=[ReceiverSpec(id="l", position=inside(), orientation=draw(_unit_vectors()))],
+        sample_rate=draw(_floats(8000.0, 96000.0)), speed_of_sound=draw(_floats(300.0, 360.0)),
+        rng_seed=draw(st.integers(0, 2**64)), occluded_path_m=draw(st.none() | _floats(0.1, 50.0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_valid_scenes())
+def test_random_scenes_round_trip_through_json(scene):
+    text = serialize_scene(scene)
+    assert serialize_scene(parse_scene(text)) == text
+
+
+def _paths(node, path=()):
+    """Every key and index path in a JSON document, the root's () first."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+_PRESET_DOCS = {name: json.loads(serialize_scene(preset(name))) for name in preset_names()}
+_EDIT_SITES = [(name, path) for name, doc in _PRESET_DOCS.items() for path in _paths(doc)]
+_EDITS = ["delete", "add"] + [("set", v) for v in ("x", None, [], math.nan, True, False)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(_EDIT_SITES), st.sampled_from(_EDITS))
+def test_edited_preset_documents_parse_or_raise_an_alodsim_error(site, edit):
+    name, path = site
+    doc = copy.deepcopy(_PRESET_DOCS[name])
+    parent, node = None, doc
+    for key in path:
+        parent, node = node, node[key]
+    if edit == "delete":
+        assume(parent is not None)
+        del parent[path[-1]]
+    elif edit == "add":
+        assume(isinstance(node, dict))
+        node["unexpected"] = 1
+    elif parent is None:
+        doc = edit[1]
+    else:
+        parent[path[-1]] = edit[1]
+    try:
+        parse_scene(json.dumps(doc))
+    except AlodsimError:
+        pass

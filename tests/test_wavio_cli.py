@@ -341,6 +341,17 @@ def _scene_with_absorption(value) -> str:
     return json.dumps(doc)
 
 
+def _pub_scene_with(*path, value) -> bytes:
+    # scenes/pub.json with the value at path (keys and list indices) set
+    doc = json.loads(serialize_scene(preset("pub")))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return json.dumps(doc).encode()
+
+
 def _wav_with_fmt(fmt_body: bytes, data: bytes = bytes(8)) -> bytes:
     return _riff(fmt_body, b"data" + struct.pack("<I", len(data)) + data)
 
@@ -353,6 +364,8 @@ def _layout_json(**fields) -> bytes:
 
 _ARRAY_RENDER = ["simulate", "--preset", "pub", "--profile", "anechoic",
                  "--output-mode", "array", "--layout"]
+_SCENE_RENDER = ["simulate", "--profile", "razr-full", "--output-mode", "mono",
+                 "--duration", "0.3", "--scene"]
 
 # each case: (file name, file contents, CLI arguments reading the file)
 _MALFORMED = {
@@ -361,6 +374,25 @@ _MALFORMED = {
     "non-numeric absorption": (
         "scene.json", _scene_with_absorption("abc").encode(),
         ["simulate", "--profile", "ism-15", "--scene"]),
+    "scene with a string sample rate": (
+        "scene.json", _pub_scene_with("sample_rate", value="x"), _SCENE_RENDER),
+    "scene with speed of sound 0": (
+        "scene.json", _pub_scene_with("speed_of_sound", value=0), _SCENE_RENDER),
+    "scene with a string source level": (
+        "scene.json", _pub_scene_with("sources", 0, "level_db", value="loud"), _SCENE_RENDER),
+    "scene with sample rate 0, rendered anechoic": (
+        "scene.json", _pub_scene_with("sample_rate", value=0),
+        ["simulate", "--profile", "anechoic", "--output-mode", "mono", "--scene"]),
+    "scene with occluded path 0": (
+        "scene.json", _pub_scene_with("occluded_path_m", value=0), _SCENE_RENDER),
+    "scene with a negative seed": (
+        "scene.json", _pub_scene_with("seed", value=-1), _SCENE_RENDER),
+    "scene nested 100000 lists deep": (
+        "scene.json", b"[" * 100000 + b"]" * 100000, _SCENE_RENDER),
+    "scene with a misspelt source key": (
+        "scene.json", _pub_scene_with("sources", 0, "level_dB", value=-20), _SCENE_RENDER),
+    "scene with a misspelt room key": (
+        "scene.json", _pub_scene_with("rooms", 0, "volume_overide", value=1), _SCENE_RENDER),
     "WAV with 0 channels": (
         "ir.wav", _wav_with_fmt(struct.pack("<HHIIHH", 1, 0, 44100, 0, 0, 16)),
         ["analyze", "--metrics", "t30", "--ir"]),
