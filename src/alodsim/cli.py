@@ -34,6 +34,7 @@ from .errors import (
 from .pipeline import simulate
 from .postproc import match_spectrum
 from .scene import (
+    parse_document,
     parse_scene,
     preset,
     preset_names,
@@ -81,25 +82,7 @@ def _load_layout(spec: str) -> LoudspeakerLayout:
     if spec == "86-preset":
         return array_preset_86()
     with open(spec, "r", encoding="utf-8") as fh:
-        try:  # JSONDecodeError is a ValueError
-            doc = json.load(fh)
-            positions = np.asarray(doc["positions"], dtype=float)
-            center = np.asarray(doc.get("center", (0.0, 0.0, 0.0)), dtype=float)
-            gains, delays = (np.asarray(doc[key], dtype=float) if doc.get(key) else None
-                             for key in ("calibration_gains", "calibration_delays"))
-            n = len(positions)
-            valid = (n >= 4 and positions.shape == (n, 3) and center.shape == (3,)
-                     and all(c is None or c.shape == (n,) for c in (gains, delays)))
-        except (KeyError, TypeError, ValueError):
-            valid = False
-    if not valid:
-        raise SceneParseError(f"layout {spec!r}: expected a JSON object whose "
-                              "'positions' lists at least 4 finite [x, y, z] "
-                              "rows, with an optional finite [x, y, z] 'center' "
-                              "and optional calibration lists of one finite "
-                              "number per row (delays in seconds)")
-    return LoudspeakerLayout(positions=positions, center=center,
-                             calibration_gains=gains, calibration_delays=delays)
+        return parse_document(fh.read(), LoudspeakerLayout)
 
 
 def _metric_summary(ir: ImpulseResponse) -> dict:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 from .errors import SceneValidationError
 from .filterbank import BandFilter, band_groups
@@ -220,6 +219,26 @@ _SHAPE_CLAMP_DB = 12.0
 _SHAPE_WINDOW_S = 0.03
 
 
+def _moving_average(x: np.ndarray, win: int) -> np.ndarray:
+    """Mean of ``x`` over a centered window of ``win`` samples, zero outside.
+
+    A running sum, as ``scipy.ndimage.uniform_filter1d(x, win,
+    mode="constant")`` keeps it, with the same roundings: the first window
+    summed in order, then each step adds the entering sample minus the
+    leaving one, and each output is the sum divided by ``win``.
+    """
+    n, before = len(x), win // 2
+    pad = np.zeros(n + win - 1)
+    pad[before:before + n] = x
+    sums = np.empty_like(pad)
+    sums[:win] = pad[:win]
+    np.subtract(pad[win:], pad[:n - 1], out=sums[win:])
+    np.cumsum(sums, out=sums)  # in order, where np.sum adds pairwise
+    means = sums[win - 1:]
+    means /= win
+    return means
+
+
 def _shape_decay(lines: np.ndarray, fs: float, t60: float) -> np.ndarray:
     """Regularize the summed power envelope toward the target exponential.
 
@@ -236,10 +255,10 @@ def _shape_decay(lines: np.ndarray, fs: float, t60: float) -> np.ndarray:
     win = max(int(_SHAPE_WINDOW_S * fs), 1) | 1  # odd: keeps the mean centered
     # the running-sum filter can round to tiny negatives on signals spanning
     # many orders of magnitude, so clamp both envelopes at zero
-    actual = np.maximum(uniform_filter1d(power, win, mode="constant"), 0.0)
+    actual = np.maximum(_moving_average(power, win), 0.0)
     ideal = 10.0 ** (-6.0 * np.arange(n) / (fs * t60))
     ideal *= total / float(ideal.sum())
-    target = np.maximum(uniform_filter1d(ideal, win, mode="constant"), 0.0)
+    target = np.maximum(_moving_average(ideal, win), 0.0)
     clamp = 10.0 ** (_SHAPE_CLAMP_DB / 20.0)
     floor = float(actual.max()) * 1e-20
     gain = np.sqrt(target / np.maximum(actual, floor))

@@ -11,7 +11,6 @@ through :class:`BandFilter`, and every linear convolution through
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 # Octave band centers used for room absorption / decay targets.
 OCTAVE_CENTERS_8 = (125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
@@ -54,11 +53,30 @@ def band_masks(n_fft: int, fs: float, centers=OCTAVE_CENTERS_8) -> np.ndarray:
     return masks
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 2-3-5-smooth integer >= ``n``: an FFT length that
+    ``numpy.fft`` transforms fast (``n`` itself for ``n`` <= 6)."""
+    if n <= 6:
+        return n
+    best = 1 << (n - 1).bit_length()  # the smallest power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 = 3^i 5^j: its smallest power-of-two multiple >= n
+            fit = p35 << (-(-n // p35) - 1).bit_length()
+            if fit < best:
+                best = fit
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def padded_len(n: int) -> int:
     """FFT length for masking ``n`` samples: at least ``2 n``, so the acausal
     half of each band kernel falls into the padding instead of wrapping to
     the end of the buffer, and 2-3-5-smooth, so the FFT is fast."""
-    return next_fast_len(2 * n, real=True)
+    return next_fast_len(2 * n)
 
 
 def fftconvolve(a, b) -> np.ndarray:
@@ -68,7 +86,7 @@ def fftconvolve(a, b) -> np.ndarray:
     if a.shape[-1] == 1 or b.shape[-1] == 1:
         return a * b  # a one-sample factor only scales: exact, no FFT rounding
     size = a.shape[-1] + b.shape[-1] - 1
-    n_fft = next_fast_len(size, real=True)
+    n_fft = next_fast_len(size)
     return np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft)[..., :size]
 
 

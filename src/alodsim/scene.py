@@ -609,7 +609,8 @@ def _from_json(tp, value, path: str):
     """
     if is_dataclass(tp):
         if not isinstance(value, dict):
-            raise SceneParseError(f"{path or 'scene'}: expected an object, got {value!r:.40}")
+            raise SceneParseError(f"{path or 'document'}: expected an object, "
+                                  f"got {value!r:.40}")
         hints, prefix = get_type_hints(tp), f"{path}." if path else ""
         known, kwargs = set(_IGNORED_KEYS.get(tp, ())), {}
         for f in fields(tp):
@@ -643,10 +644,16 @@ def _from_json(tp, value, path: str):
     return value
 
 
-def parse_scene(document: str) -> SceneSpec:
-    """Parse and validate a UTF-8 JSON scene document."""
+def parse_document(document: str, spec_type):
+    """Parse a UTF-8 JSON document into the dataclass ``spec_type``: one key
+    per field, checked by :func:`_from_json`, then by the dataclass."""
     try:
         doc = json.loads(document)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise SceneParseError(f"invalid JSON: {exc}") from exc
-    return _from_json(SceneSpec, doc, "")
+    return _from_json(spec_type, doc, "")
+
+
+def parse_scene(document: str) -> SceneSpec:
+    """Parse and validate a UTF-8 JSON scene document."""
+    return parse_document(document, SceneSpec)

@@ -10,16 +10,13 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.spatial import ConvexHull, QhullError
 
-from .errors import RateMismatchError, SceneValidationError
-from .filterbank import fftconvolve
+from .errors import RateMismatchError, SceneParseError, SceneValidationError
+from .filterbank import fftconvolve, next_fast_len
 from .ism import SpatialIR
 from .scene import head_frame
 from .synth import render_units, spatial_ir_length, synthesize_mono
@@ -60,6 +57,8 @@ class HrtfSet:
         f = np.asarray(self.filters, dtype=float)
         if d.ndim != 2 or d.shape[1] != 3 or d.shape[0] < 4:
             raise SceneValidationError("HRTF set needs >= 4 directions")
+        if not (np.isfinite(d).all() and np.isfinite(f).all()):
+            raise SceneValidationError("HRTF directions and filters must be finite")
         if np.linalg.matrix_rank(d) < 3:
             raise SceneValidationError("HRTF directions must be non-coplanar")
         if f.shape[:2] != (d.shape[0], 2):
@@ -144,11 +143,19 @@ def load_hrtf_dir(path: str) -> HrtfSet:
         raise SceneValidationError(f"HRTF directory {path!r} lacks index.txt")
     dirs, filters, fs = [], [], None
     with open(index_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            az_s, el_s, name = line.split()
+            try:
+                az_s, el_s, name = line.split()
+                az, el = float(az_s), float(el_s)
+                if not math.isfinite(az + el):
+                    raise ValueError
+            except ValueError:  # too few or many fields, or not finite numbers
+                raise SceneParseError(f"{index_path}, line {number}: expected "
+                                      "'azimuth_deg elevation_deg filename' with "
+                                      f"finite angles, got {line!r:.60}") from None
             data, rate = read_wav(os.path.join(path, name))
             if data.ndim != 2 or data.shape[1] != 2:
                 raise SceneValidationError(f"HRTF file {name!r} is not stereo")
@@ -156,8 +163,10 @@ def load_hrtf_dir(path: str) -> HrtfSet:
                 fs = rate
             elif rate != fs:
                 raise RateMismatchError("HRTF files disagree on sample rate")
-            dirs.append(az_el_to_vec(float(az_s), float(el_s)))
+            dirs.append(az_el_to_vec(az, el))
             filters.append(data.T)
+    if not filters:
+        raise SceneParseError(f"{index_path} lists no HRTF files")
     lengths = {f.shape[1] for f in filters}
     if len(lengths) != 1:
         raise SceneValidationError("HRTF filter lengths differ")
@@ -171,17 +180,29 @@ def load_hrtf_dir(path: str) -> HrtfSet:
 
 @dataclass(frozen=True)
 class LoudspeakerLayout:
+    """Speaker positions around a listener, triangulated when built: the
+    directions must span a 3-D hull (at least 4, not all in one plane)."""
     positions: np.ndarray  # (n, 3) meters
-    center: np.ndarray  # listener position
-    calibration_gains: Optional[np.ndarray] = None
-    calibration_delays: Optional[np.ndarray] = None
+    center: np.ndarray = field(default_factory=lambda: np.zeros(3))  # listener
+    calibration_gains: Optional[np.ndarray] = None  # (n,) linear
+    calibration_delays: Optional[np.ndarray] = None  # (n,) seconds
 
     def __post_init__(self):
         p = np.asarray(self.positions, dtype=float)
         center = np.asarray(self.center, dtype=float)
+        if p.ndim != 2 or p.shape[1] != 3 or center.shape != (3,):
+            raise SceneValidationError("loudspeaker positions must be [x, y, z] "
+                                       "rows and the center one [x, y, z]")
+        for name in ("calibration_gains", "calibration_delays"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.asarray(value, dtype=float)
+                if value.shape != (len(p),):
+                    raise SceneValidationError(f"{name} must hold one number per "
+                                               f"loudspeaker ({len(p)})")
+                object.__setattr__(self, name, value)
         calibration = (self.calibration_gains, self.calibration_delays)
-        if not all(np.isfinite(np.asarray(a, dtype=float)).all()
-                   for a in (p, center, *calibration) if a is not None):
+        if not all(np.isfinite(a).all() for a in (p, center, *calibration) if a is not None):
             raise SceneValidationError("loudspeaker positions, center and "
                                        "calibration values must be finite")
         if len(np.unique(np.round(p, 9), axis=0)) != p.shape[0]:
@@ -190,6 +211,9 @@ class LoudspeakerLayout:
             raise SceneValidationError("loudspeaker at the listener position")
         object.__setattr__(self, "positions", p)
         object.__setattr__(self, "center", center)
+        # kept on the layout itself, so it is freed with it and can never be
+        # handed to another layout
+        object.__setattr__(self, "_triangulation", _Triangulation(self))
 
     @property
     def directions(self) -> np.ndarray:
@@ -199,12 +223,6 @@ class LoudspeakerLayout:
     @property
     def n_speakers(self) -> int:
         return self.positions.shape[0]
-
-    @cached_property
-    def _triangulation(self) -> "_Triangulation":
-        # kept on the layout itself, so it is freed with it and can never be
-        # handed to another layout
-        return _Triangulation(self)
 
 
 _RING_LAYOUT = (
@@ -233,12 +251,16 @@ class _Triangulation:
     """Convex-hull triangulation of the layout directions, with cached inverses."""
 
     def __init__(self, layout: LoudspeakerLayout):
+        # scipy.spatial takes ~0.5 s to import: only a layout pays for it
+        from scipy.spatial import ConvexHull, QhullError
+
         dirs = layout.directions
         try:
             triangles = ConvexHull(dirs).simplices
         except QhullError:  # fewer than 4 speakers, or all in one plane
-            raise SceneValidationError("loudspeaker directions do not span "
-                                       "a 3-D hull") from None
+            raise SceneValidationError("loudspeaker directions do not span a 3-D "
+                                       "hull: at least 4 are needed, not all in "
+                                       "one plane") from None
         mats = dirs[triangles]  # (T, 3, 3): rows are speaker directions
         # a face through the listener (the open side of a hemispherical
         # layout) has no inverse; directions there use the nearest triangle
@@ -303,7 +325,7 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
     units = render_units(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
     # one rfft per unit, summed into two ear spectra one unit at a time
     size = spatial_ir_length(spatial_ir) + hrtf.filters.shape[2] - 1
-    n_fft = next_fast_len(size, real=True)
+    n_fft = next_fast_len(size)
     out = np.zeros((2, n_fft // 2 + 1), dtype=complex)
     for idx in sorted(units):
         out += np.fft.rfft(units[idx], n_fft) * np.fft.rfft(hrtf.filters[idx], n_fft)
@@ -324,10 +346,10 @@ def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
     for idx, wave in units.items():
         out[idx] += wave
     if layout.calibration_gains is not None:
-        out *= np.asarray(layout.calibration_gains, dtype=float)[:, None]
+        out *= layout.calibration_gains[:, None]
     if layout.calibration_delays is not None:
         shifted = np.zeros_like(out)
-        for i, d in enumerate(np.asarray(layout.calibration_delays)):
+        for i, d in enumerate(layout.calibration_delays):
             # clamped to +/- n: a channel shifted past the whole IR is silent
             k = min(max(int(round(d * spatial_ir.sample_rate)), -n), n)
             if k >= 0:

@@ -157,6 +157,20 @@ def test_block_recurrence_matches_oracle_on_random_configs(case):
     assert np.max(np.abs(fast - slow)) < 1e-12
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(1, 3000), st.integers(1, 1500), st.floats(0.0, 12.0),
+       st.integers(0, 2**32 - 1))
+def test_moving_average_equals_uniform_filter1d(n, win, decades, seed):
+    # a decaying power envelope spanning up to 12 decades, as _shape_decay
+    # smooths; n < win and win = 1 included
+    from scipy.ndimage import uniform_filter1d
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) ** 2 * 10.0 ** (-decades * np.arange(n) / n)
+    assert np.array_equal(fdn._moving_average(x, win),
+                          uniform_filter1d(x, win, mode="constant"))
+
+
 def test_recurrence_prefix_is_run_length_invariant():
     # the same config must produce a bit-identical prefix regardless of the
     # requested duration (determinism contract)

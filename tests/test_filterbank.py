@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from alodsim.filterbank import (
     band_masks,
     BandFilter,
     fftconvolve,
+    next_fast_len,
     padded_len,
 )
 
@@ -120,3 +122,8 @@ def test_fftconvolve_matches_scipy(case, n, k, seed):
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+
+def test_next_fast_len_matches_scipy():
+    # every FFT length in the package comes from here
+    got = [next_fast_len(n) for n in range(300001)]
+    assert got == [scipy.fft.next_fast_len(n, real=True) for n in range(300001)]

@@ -6,6 +6,7 @@ import pytest
 from alodsim.errors import SceneValidationError
 from alodsim.ism import SpatialIR, TailStream, Taps
 from alodsim.spatial import (
+    HrtfSet,
     ImpulseResponse,
     LoudspeakerLayout,
     _Triangulation,
@@ -80,6 +81,15 @@ def test_orientation_rotates_the_scene():
     e_left = float(np.sum(ir.channels[0] ** 2))
     e_right = float(np.sum(ir.channels[1] ** 2))
     assert e_right > 1.5 * e_left
+
+
+@pytest.mark.parametrize("field", ["directions", "filters"])
+def test_hrtf_set_rejects_non_finite_values(field):
+    base = synthetic_hrtf(n_az=6, n_el=3, n_taps=32)
+    values = dict(directions=base.directions.copy(), filters=base.filters.copy())
+    values[field].flat[0] = np.nan
+    with pytest.raises(SceneValidationError, match="finite"):
+        HrtfSet(sample_rate=FS, **values)
 
 
 def test_load_hrtf_dir_round_trip(tmp_path):
@@ -205,9 +215,8 @@ def test_vbap_on_a_hemispherical_layout():
 def test_vbap_rejects_a_layout_in_one_plane():
     # a horizontal ring around the listener spans no 3-D hull
     dirs = [az_el_to_vec(360.0 * i / 8, 0.0) for i in range(8)]
-    layout = LoudspeakerLayout(positions=2.0 * np.array(dirs), center=np.zeros(3))
     with pytest.raises(SceneValidationError, match="3-D hull"):
-        vbap_gains(np.array([1.0, 0.0, 0.0]), layout)
+        LoudspeakerLayout(positions=2.0 * np.array(dirs), center=np.zeros(3))
 
 
 @pytest.mark.parametrize("field", ["positions", "center", "calibration_gains",

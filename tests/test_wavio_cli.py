@@ -427,11 +427,57 @@ _MALFORMED = {
     "layout with an infinite calibration delay": (
         "layout.json", _layout_json(calibration_delays=[float("inf"), 0, 0, 0, 0]),
         _ARRAY_RENDER),
+    "layout nested 100000 lists deep": (
+        "layout.json", b"[" * 100000 + b"]" * 100000, _ARRAY_RENDER),
+    "layout with a misspelt calibration key": (
+        "layout.json", _layout_json(calibration_gain=[0, 0, 0, 0, 0]), _ARRAY_RENDER),
+    "layout with an empty calibration list": (
+        "layout.json", _layout_json(calibration_gains=[]), _ARRAY_RENDER),
+    "layout with calibration gains 0": (
+        "layout.json", _layout_json(calibration_gains=0), _ARRAY_RENDER),
+    "layout with calibration delays as an object": (
+        "layout.json", _layout_json(calibration_delays={}), _ARRAY_RENDER),
     "layout with a NaN position": (
         "layout.json", _layout_json(positions=[[float("nan"), 0, 0], [0, 2, 0], [-2, 0, 0],
                                                [0, -2, 0], [0, 0, 2]]),
         _ARRAY_RENDER),
 }
+
+
+# each case: (the index.txt of an HRTF directory whose WAV files are valid,
+# what the error line names)
+_FIVE_ROWS = "".join(f"{az} {el} a.wav\n" for az, el in
+                     ((0, 0), (90, 0), (180, 0), (270, 0), (0, 90)))
+_MALFORMED_HRTF_INDEX = {
+    "row with two fields": ("0 0\n", "line 1"),
+    "row with four fields": ("# azimuth elevation file\n0 0 a.wav extra\n", "line 2"),
+    "non-numeric azimuth": ("left 0 a.wav\n", "line 1"),
+    "NaN azimuth among five valid rows": ("nan 0 a.wav\n" + _FIVE_ROWS, "line 1"),
+    "infinite elevation": (_FIVE_ROWS + "0 inf a.wav\n", "line 6"),
+    "only comments": ("# azimuth elevation file\n\n", "lists no HRTF files"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_HRTF_INDEX))
+def test_cli_prints_one_error_line_for_a_malformed_hrtf_index(tmp_path, capsys, case):
+    index, named = _MALFORMED_HRTF_INDEX[case]
+    write_wav(str(tmp_path / "a.wav"), np.eye(64, 2), FS)
+    (tmp_path / "index.txt").write_text(index)
+    code = main(["simulate", "--preset", "pub", "--profile", "anechoic",
+                 "--output-mode", "binaural", "--hrtf", str(tmp_path),
+                 "--out", str(tmp_path / "out.wav")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1
+
+
+def test_cli_renders_with_the_base_hrtf_directory_of_the_malformed_cases(tmp_path):
+    write_wav(str(tmp_path / "a.wav"), np.eye(64, 2), FS)
+    (tmp_path / "index.txt").write_text(_FIVE_ROWS)
+    assert main(["simulate", "--preset", "pub", "--profile", "anechoic",
+                 "--output-mode", "binaural", "--hrtf", str(tmp_path),
+                 "--out", str(tmp_path / "out.wav")]) == 0
 
 
 def test_cli_renders_the_base_layout_of_the_malformed_cases(tmp_path):
@@ -494,14 +540,31 @@ def test_cli_prints_one_error_line_for_malformed_input(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
-def test_cli_import_loads_no_scipy_signal_or_stats():
-    # scipy.signal pulls in scipy.stats and ~300 other modules, about 0.75 s
-    # of every CLI run's start-up
-    probe = ("import sys, alodsim.cli; "
-             "print(' '.join(m for m in sys.modules "
-             "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+def _scipy_modules_after(code: str, cwd) -> list:
+    """The scipy modules loaded in a fresh interpreter after running ``code``,
+    which may print lines of its own before the probe's last one."""
+    probe = (code + "; import sys; "
+             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(alodsim.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.split() == []
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_loads_no_scipy_signal_or_stats(tmp_path):
+    # no scipy module at all: scipy.fft, .ndimage and .spatial each cost
+    # about 0.5 s of every CLI run's start-up, as they share scipy._lib
+    assert _scipy_modules_after("import alodsim.cli", tmp_path) == []
+
+
+@pytest.mark.parametrize("mode", ["binaural", "array"])
+def test_cli_loads_scipy_only_to_build_a_loudspeaker_layout(tmp_path, mode):
+    argv = ["simulate", "--preset", "pub", "--profile", "anechoic",
+            "--output-mode", mode, "--out", "out.wav"]
+    loaded = _scipy_modules_after(f"from alodsim.cli import main; assert main({argv!r}) == 0",
+                                  tmp_path)
+    if mode == "array":  # the 86-speaker layout is triangulated with ConvexHull
+        assert "scipy.spatial" in loaded
+    else:
+        assert loaded == []
