@@ -20,6 +20,10 @@ EDC_FLOOR_DB = -120.0
 T30_FIT_SPAN_DB = (-5.0, -35.0)
 NED_GAUSSIAN_FRACTION = math.erfc(1.0 / math.sqrt(2.0))  # ~0.3173
 DRR_CLAMP_DB = 120.0
+NED_WINDOW_S = 25e-3
+NED_HOP = 64  # samples between window centers
+DUAL_SLOPE_SPAN_DB = 60.0  # fit down to this far below the peak
+DRR_DIRECT_WINDOW_S = 2.5e-3  # centered on the peak sample
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,8 @@ def t30(edc: EdcCurve) -> float:
     stop = int(np.argmax(v <= lo))
     if v[stop] > lo:
         raise InsufficientDecayError("EDC never reaches -35 dB")
+    if stop == start:  # a line through one sample has no defined slope
+        raise InsufficientDecayError("fewer than two EDC samples in the fit span")
     t = edc.times[start:stop + 1]
     slope = float(np.polyfit(t, v[start:stop + 1], 1)[0])
     if slope >= 0:
@@ -86,18 +92,17 @@ def t30_bands(ir: np.ndarray, fs: float) -> np.ndarray:
     return np.array([t30(schroeder_edc(band, fs)) for band in bands])
 
 
-def ned(ir: np.ndarray, fs: float, window: float = 25e-3,
-        hop: int = 64) -> NedProfile:
+def ned(ir: np.ndarray, fs: float) -> NedProfile:
     """Normalized echo density: fraction of |h| above the local std dev,
     divided by the Gaussian expectation erfc(1/sqrt(2)).
     """
     h = np.asarray(ir, dtype=float)
-    w = int(round(window * fs))
+    w = int(round(NED_WINDOW_S * fs))
     if w > h.size:
         raise SceneValidationError("window longer than impulse response")
     w += (w + 1) % 2  # odd length
     half = w // 2
-    centers = np.arange(half, h.size - half, hop)
+    centers = np.arange(half, h.size - half, NED_HOP)
     values = np.empty(centers.size)
     for i, c in enumerate(centers):
         frame = h[c - half: c + half + 1]
@@ -111,18 +116,18 @@ def ned(ir: np.ndarray, fs: float, window: float = 25e-3,
                       window=w / fs)
 
 
-def dual_slope_fit(edc: EdcCurve, span_db: float = 60.0) -> DualSlopeFit:
+def dual_slope_fit(edc: EdcCurve) -> DualSlopeFit:
     """Two-segment piecewise-linear least squares with a gridded knee.
 
     The knee is searched on a 0.5 dB level grid; the model is continuous at
     the knee (hinge basis). Fitting runs from the -5 dB point (skipping the
-    onset plateau, as in the T30 convention) down to ``span_db`` below the
-    peak (or 5 dB above the clamp floor).
+    onset plateau, as in the T30 convention) down to DUAL_SLOPE_SPAN_DB
+    below the peak (or 5 dB above the clamp floor).
     """
     v = edc.values
     if v.min() > -50.0:
         raise InsufficientDecayError("EDC must span at least 50 dB")
-    floor = max(-span_db, float(v.min()) + 5.0)
+    floor = max(-DUAL_SLOPE_SPAN_DB, float(v.min()) + 5.0)
     start = int(np.argmax(v <= -5.0))
     stop = int(np.argmax(v <= floor))
     t = edc.times[start:stop + 1]
@@ -155,7 +160,7 @@ def mean_free_path(room: RoomSpec) -> float:
     return 4.0 * volume(room) / surface_area(room)
 
 
-def drr(ir: np.ndarray, fs: float, direct_window: float = 2.5e-3) -> float:
+def drr(ir: np.ndarray, fs: float) -> float:
     """Direct-to-reverberant ratio, direct window centered on first arrival."""
     h = np.asarray(ir, dtype=float)
     energy = h**2
@@ -163,7 +168,7 @@ def drr(ir: np.ndarray, fs: float, direct_window: float = 2.5e-3) -> float:
     if total <= 0.0:
         raise SceneValidationError("all-zero impulse response")
     peak = int(np.argmax(np.abs(h)))
-    half = int(round(direct_window * fs / 2.0))
+    half = int(round(DRR_DIRECT_WINDOW_S * fs / 2.0))
     lo = max(peak - half, 0)
     hi = min(peak + half + 1, h.size)
     e_direct = float(energy[lo:hi].sum())

@@ -31,7 +31,6 @@ from .scene import (
     RenderingProfile,
     SceneSpec,
     SourceSpec,
-    surface_area,
 )
 from .synth import synthesize_mono
 
@@ -81,11 +80,9 @@ def _room_tail(scene: SceneSpec, profile: RenderingProfile, room,
     fs = scene.sample_rate
     seed = int(seed_seq.generate_state(1)[0] % (2**31))
     if profile.second_slope(room) is not None:
-        dual = design_dual_slope(room, room.decay, fs, c=scene.speed_of_sound,
-                                 seed=seed)
-        streams = run_fdn(dual.primary, duration)
-        streams += run_fdn(dual.secondary, duration)
-        return streams
+        primary, secondary = design_dual_slope(room, room.decay, fs,
+                                               c=scene.speed_of_sound, seed=seed)
+        return run_fdn(primary, duration) + run_fdn(secondary, duration)
     config = design_fdn(room, room.decay, fs, c=scene.speed_of_sound, seed=seed)
     return run_fdn(config, duration)
 

@@ -80,12 +80,6 @@ class FdnConfig:
         return self.delays.size
 
 
-@dataclass(frozen=True)
-class DualSlopeConfig:
-    primary: FdnConfig
-    secondary: FdnConfig
-
-
 def _coprime_delays(raw: np.ndarray) -> np.ndarray:
     """Round to integers, nudging upward until pairwise coprime and distinct."""
     chosen = []
@@ -315,22 +309,16 @@ def splice(early: SpatialIR, tail, *, onset: float, t60: float,
     The tail is scaled so that the combined Schroeder curve at the junction
     sits on the ideal decay anchored at the direct sound: with rho being the
     linear EDC level -60 (onset - t_direct) / T60 dB, the tail energy is set
-    to rho / (1 - rho) times the early energy.
+    to rho / (1 - rho) times the early energy. The early IR carries no
+    signature: a coupled path adds one only after the splice.
     """
-    tail = list(tail)
-    if not tail:
-        return early
-    if not early.taps:
-        onset = direct_delay
-        scale = 1.0
-    else:
-        mono = synthesize_mono(early, apply_signature=False)
-        e_early = float(np.dot(mono, mono))
-        level_db = -60.0 * max(onset - direct_delay, 0.0) / t60
-        rho = min(10.0 ** (level_db / 10.0), 1.0 - 1e-9)
-        e_tail_target = rho / (1.0 - rho) * e_early
-        e_tail_raw = sum(float(np.dot(s.samples, s.samples)) for s in tail)
-        scale = math.sqrt(e_tail_target / e_tail_raw) if e_tail_raw > 0 else 0.0
+    mono = synthesize_mono(early)
+    e_early = float(np.dot(mono, mono))
+    level_db = -60.0 * max(onset - direct_delay, 0.0) / t60
+    rho = min(10.0 ** (level_db / 10.0), 1.0 - 1e-9)
+    e_tail_target = rho / (1.0 - rho) * e_early
+    e_tail_raw = sum(float(np.dot(s.samples, s.samples)) for s in tail)
+    scale = math.sqrt(e_tail_target / e_tail_raw) if e_tail_raw > 0 else 0.0
     scaled = [TailStream(samples=s.samples * scale, onset=onset + s.onset,
                          direction=s.direction) for s in tail]
     return SpatialIR(taps=early.taps, sample_rate=early.sample_rate,
@@ -338,8 +326,8 @@ def splice(early: SpatialIR, tail, *, onset: float, t60: float,
 
 
 def design_dual_slope(room: RoomSpec, target: DecayTarget, fs: float,
-                      c: float = 343.0, seed: int = 0) -> DualSlopeConfig:
-    """Primary + secondary FDN whose EDC asymptotes cross at the onset level.
+                      c: float = 343.0, seed: int = 0) -> tuple:
+    """(primary, secondary) FDNs whose EDC asymptotes cross at the onset level.
 
     The secondary input gain follows from the two exponential decay rates:
     with EDC_i(t) = a_i^2 (T_i / k) 10^(-60 t / (10 T_i)), requiring the
@@ -363,4 +351,4 @@ def design_dual_slope(room: RoomSpec, target: DecayTarget, fs: float,
     rel_db = level * (1.0 - t1 / t2) + 10.0 * math.log10(t1 / t2)
     gain_ratio = 10.0 ** (rel_db / 20.0)
     secondary = replace(secondary, input_gain=primary.input_gain * gain_ratio)
-    return DualSlopeConfig(primary=primary, secondary=secondary)
+    return primary, secondary

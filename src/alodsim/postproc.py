@@ -79,68 +79,66 @@ def _smooth_edge(freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(np.pi * w)
 
 
-def _smoothed_difference_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse,
-                            band_range) -> np.ndarray:
+def _smoothed_difference_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse) -> np.ndarray:
     """Third-octave smoothed level of ``ir_a`` minus that of ``ir_b`` (dB) at
-    the rFFT bins inside ``band_range``; both share ``ir_a``'s sample rate."""
+    the rFFT bins inside DEFAULT_RANGE_HZ; both share ``ir_a``'s sample rate."""
     n_fft = 1 << max(ir_a.n_samples, ir_b.n_samples, 2).bit_length()
     freqs = np.fft.rfftfreq(n_fft, 1.0 / ir_a.sample_rate)
     sa = third_octave_smooth(_mean_magnitude(ir_a, n_fft), ir_a.sample_rate)
     sb = third_octave_smooth(_mean_magnitude(ir_b, n_fft), ir_b.sample_rate)
-    sel = (freqs >= band_range[0]) & (freqs <= band_range[1])
+    lo, hi = DEFAULT_RANGE_HZ
+    sel = (freqs >= lo) & (freqs <= hi)
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(np.maximum(sa[sel], 1e-12) / np.maximum(sb[sel], 1e-12))
 
 
-def spectral_deviation_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse,
-                          band_range=DEFAULT_RANGE_HZ) -> float:
+def spectral_deviation_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse) -> float:
     """Mean |difference| of third-octave smoothed magnitude spectra (dB)."""
     if ir_a.sample_rate != ir_b.sample_rate:
         raise RateMismatchError("sample rates differ")
-    return float(np.mean(np.abs(_smoothed_difference_db(ir_a, ir_b, band_range))))
+    return float(np.mean(np.abs(_smoothed_difference_db(ir_a, ir_b))))
 
 
-def match_spectrum(sim: ImpulseResponse, ref: ImpulseResponse,
-                   band_range=DEFAULT_RANGE_HZ,
-                   clamp_db: float = DEFAULT_CLAMP_DB,
-                   n_taps: int = DEFAULT_FIR_TAPS):
+def match_spectrum(sim: ImpulseResponse, ref: ImpulseResponse):
     """Correct ``sim`` toward the average spectrum of ``ref``.
 
     Returns (corrected IR, filter, SpectralMatchReport). The correction
-    magnitude is smoothed-ref / smoothed-sim, clamped to +/- clamp_db and
-    rolled off to unity outside ``band_range``.
+    magnitude is smoothed-ref / smoothed-sim, clamped to +/- DEFAULT_CLAMP_DB,
+    rolled off to unity outside DEFAULT_RANGE_HZ and cut to DEFAULT_FIR_TAPS
+    taps.
     """
     if sim.sample_rate != ref.sample_rate:
         raise RateMismatchError("sample rates differ")
-    n_fft = 1 << max(sim.n_samples, ref.n_samples, 4 * n_taps).bit_length()
+    lo, hi = DEFAULT_RANGE_HZ
+    n_fft = 1 << max(sim.n_samples, ref.n_samples, 4 * DEFAULT_FIR_TAPS).bit_length()
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sim.sample_rate)
 
     mag_sim = third_octave_smooth(_mean_magnitude(sim, n_fft), sim.sample_rate)
     mag_ref = third_octave_smooth(_mean_magnitude(ref, n_fft), ref.sample_rate)
-    sel = (freqs >= band_range[0]) & (freqs <= band_range[1])
+    sel = (freqs >= lo) & (freqs <= hi)
     if not np.any(mag_sim[sel] > 1e-9 * np.max(mag_sim)):
         raise MatchInfeasibleError("simulated IR spectrally empty in match range")
 
     raw = mag_ref / np.maximum(mag_sim, 1e-12 * np.max(mag_sim))
-    clamp = 10.0 ** (clamp_db / 20.0)
+    clamp = 10.0 ** (DEFAULT_CLAMP_DB / 20.0)
     clamped = bool(np.any((raw[sel] > clamp) | (raw[sel] < 1.0 / clamp)))
     correction = np.clip(raw, 1.0 / clamp, clamp)
-    weight = _smooth_edge(freqs, band_range[0], band_range[1])
+    weight = _smooth_edge(freqs, lo, hi)
     correction = correction**weight  # unity outside range, smooth rolloff
 
-    fir = minimum_phase_fir(correction, n_taps)
+    fir = minimum_phase_fir(correction, DEFAULT_FIR_TAPS)
     corrected = ImpulseResponse(
         channels=fftconvolve(sim.channels, fir),
         sample_rate=sim.sample_rate,
     )
 
     # post-hoc residual over the match range
-    diff = _smoothed_difference_db(corrected, ref, band_range)
+    diff = _smoothed_difference_db(corrected, ref)
     report = SpectralMatchReport(
         residual_mean_db=float(np.mean(np.abs(diff))),
         residual_max_db=float(np.max(np.abs(diff))),
         residual_rms_db=float(math.sqrt(np.mean(diff**2))),
-        band_range=tuple(band_range),
+        band_range=DEFAULT_RANGE_HZ,
         clamped=clamped,
         filter_taps=fir,
     )

@@ -24,6 +24,7 @@ N_BANDS = len(OCTAVE_CENTERS_8)
 DEFAULT_SAMPLE_RATE = 44100.0
 DEFAULT_SPEED_OF_SOUND = 343.0
 DEFAULT_SCATTERING = 0.3  # broadband scattering used by all presets
+CONTAINS_TOL_M = 1e-9  # a point this far outside a room's walls is still in it
 
 # Wall order used for per-surface absorption: (x=0, x=Lx, y=0, y=Ly, z=0, z=Lz)
 WALL_NAMES = ("x0", "x1", "y0", "y1", "z0", "z1")
@@ -138,9 +139,10 @@ class RoomSpec:
         if self.volume_override is not None:
             _finite(self.volume_override, f"room {self.id}: volume_override", positive=True)
 
-    def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, point: np.ndarray) -> bool:
         local = np.asarray(point) - self.origin
-        return bool(np.all(local >= -tol) and np.all(local <= self.dims + tol))
+        return bool(np.all(local >= -CONTAINS_TOL_M)
+                    and np.all(local <= self.dims + CONTAINS_TOL_M))
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,11 @@ def az_el_to_vec(az_deg: float, el_deg: float) -> np.ndarray:
     ])
 
 
+_HEAD_RADIUS_M = 0.0875
+
+
 def synthetic_hrtf(fs: float = 44100.0, n_az: int = 24, n_el: int = 7,
-                   n_taps: int = 64, head_radius: float = 0.0875) -> HrtfSet:
+                   n_taps: int = 64) -> HrtfSet:
     """Crude spherical-head HRTF stand-in (ITD + first-order shadowing).
 
     Not a measured set; used as the default when no HRTF directory is given
@@ -113,8 +116,8 @@ def synthetic_hrtf(fs: float = 44100.0, n_az: int = 24, n_el: int = 7,
             v = az_el_to_vec(az, el)
             # Woodworth-style ITD from the lateral angle
             sin_lat = float(v[1])  # +1 = fully left
-            itd = head_radius / c * (math.asin(np.clip(sin_lat, -1, 1))
-                                     + sin_lat)
+            itd = _HEAD_RADIUS_M / c * (math.asin(np.clip(sin_lat, -1, 1))
+                                        + sin_lat)
             base_delay = n_taps // 2
             dl = base_delay - itd * fs / 2.0
             dr = base_delay + itd * fs / 2.0
@@ -232,18 +235,23 @@ _RING_LAYOUT = (
 )
 
 
-def array_preset_86(radius: float = 2.4, height: float = 1.8) -> LoudspeakerLayout:
+_RING_RADIUS_M = 2.4
+_LISTENER_HEIGHT_M = 1.8
+
+
+def array_preset_86() -> LoudspeakerLayout:
     """The 86-speaker array: a 48-speaker main ring plus elevated rings.
 
     Rings of 12 at +/-30 deg and 6 at +/-60 deg elevation, single speakers
-    at the poles; azimuths uniformly spaced starting at 0 deg (front).
+    at the poles, all 2.4 m from a listener 1.8 m above the floor; azimuths
+    uniformly spaced starting at 0 deg (front).
     """
-    center = np.array([0.0, 0.0, height])
+    center = np.array([0.0, 0.0, _LISTENER_HEIGHT_M])
     positions = []
     for el, count in _RING_LAYOUT:
         for i in range(count):
             az = 360.0 * i / count
-            positions.append(center + radius * az_el_to_vec(az, el))
+            positions.append(center + _RING_RADIUS_M * az_el_to_vec(az, el))
     return LoudspeakerLayout(positions=np.array(positions), center=center)
 
 
@@ -263,7 +271,7 @@ class _Triangulation:
                                        "one plane") from None
         mats = dirs[triangles]  # (T, 3, 3): rows are speaker directions
         # a face through the listener (the open side of a hemispherical
-        # layout) has no inverse; directions there use the nearest triangle
+        # layout) has no inverse; directions there fall back in vbap_gains
         keep = np.abs(np.linalg.det(mats)) > 1e-9
         self.triangles = triangles[keep]
         self.inverses = np.linalg.inv(mats[keep])
@@ -285,8 +293,10 @@ def vbap_gains(direction: np.ndarray, layout: LoudspeakerLayout) -> np.ndarray:
     """Power-normalized VBAP gains of (..., 3) directions, as (..., n_speakers).
 
     At most 3 gains per direction are nonzero and their squares sum to 1.
-    Directions outside the triangulated coverage use the nearest triangle;
-    one RuntimeWarning per call counts them.
+    Directions outside the triangulated coverage use the nearest triangle,
+    or, where all three of its gains clip to 0 (below the open side of a
+    hemispherical layout), the nearest loudspeaker alone; one RuntimeWarning
+    per call counts them.
     """
     d = np.asarray(direction, dtype=float)
     flat = d.reshape(-1, 3)
@@ -295,11 +305,14 @@ def vbap_gains(direction: np.ndarray, layout: LoudspeakerLayout) -> np.ndarray:
     outside = int(np.count_nonzero(worst < -1e-9))
     if outside:
         warnings.warn(f"{outside} of {len(flat)} directions outside triangulated "
-                      "coverage; using the nearest triangle", RuntimeWarning)
+                      "coverage; using the nearest triangle or loudspeaker",
+                      RuntimeWarning)
     g = np.clip(g, 0.0, None)
     norm = np.linalg.norm(g, axis=1, keepdims=True)
-    if np.any(norm == 0.0):
-        raise SceneValidationError("degenerate VBAP direction")
+    lost = norm[:, 0] == 0.0
+    if np.any(lost):
+        idx[lost] = np.argmax(flat[lost] @ layout.directions.T, axis=1)[:, None]
+        g[lost] = norm[lost] = 1.0
     gains = np.zeros((len(flat), layout.n_speakers))
     np.put_along_axis(gains, idx, g / norm, axis=1)
     return gains.reshape(d.shape[:-1] + (layout.n_speakers,))
@@ -316,11 +329,12 @@ def _apply_signature(channels: np.ndarray, spatial_ir: SpatialIR) -> np.ndarray:
 
 
 def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
-                orientation: Optional[np.ndarray] = None) -> ImpulseResponse:
-    """Two-channel render: nearest-direction HRTF pair per tap/tail stream."""
+                orientation: np.ndarray) -> ImpulseResponse:
+    """Two-channel render: nearest-direction HRTF pair per tap/tail stream,
+    for a listener facing ``orientation``."""
     if hrtf.sample_rate != spatial_ir.sample_rate:
         raise RateMismatchError("HRTF and scene sample rates differ")
-    frame = head_frame(orientation) if orientation is not None else np.eye(3)
+    frame = head_frame(orientation)
     one_hot = np.eye(hrtf.directions.shape[0])
     units = render_units(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
     # one rfft per unit, summed into two ear spectra one unit at a time
@@ -335,9 +349,10 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
 
 
 def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
-                 orientation: Optional[np.ndarray] = None) -> ImpulseResponse:
-    """N-channel render: VBAP of each tap/tail stream onto the layout."""
-    frame = head_frame(orientation) if orientation is not None else np.eye(3)
+                 orientation: np.ndarray) -> ImpulseResponse:
+    """N-channel render: VBAP of each tap/tail stream onto the layout, for a
+    listener facing ``orientation``."""
+    frame = head_frame(orientation)
     n = spatial_ir_length(spatial_ir)
     # the output first, so the VBAP scratch and the units that follow it
     # leave one free region behind when the render returns

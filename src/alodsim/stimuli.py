@@ -24,6 +24,8 @@ PINK_LOW_EDGE_HZ = 50.0
 ENVELOPE_DEADLINE_S = 36e-3
 ENVELOPE_FLOOR_DB = -60.0
 ALLOWED_BAND_OFFSETS_DB = (6.0, 0.0, -6.0)
+ENVELOPE_SMOOTH_S = 1e-3  # moving-average length of the envelope power
+SWEEP_FADE_S = 5e-3  # raised-cosine fade at either end of a sweep
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class BandLevels:
         object.__setattr__(self, "offsets_db", offsets)
 
 
-def _envelope_db(x: np.ndarray, fs: float, smooth_s: float = 1e-3) -> np.ndarray:
+def _envelope_db(x: np.ndarray, fs: float) -> np.ndarray:
     # magnitude of the analytic signal: the spectrum's positive frequencies
     # doubled, its negative ones zeroed, DC and (for even n) Nyquist kept
     n = x.size
@@ -67,7 +69,7 @@ def _envelope_db(x: np.ndarray, fs: float, smooth_s: float = 1e-3) -> np.ndarray
     spec[1:(n + 1) // 2] *= 2.0
     spec[n // 2 + 1:] = 0.0
     env = np.abs(np.fft.ifft(spec))
-    k = max(int(round(smooth_s * fs)), 1)
+    k = max(int(round(ENVELOPE_SMOOTH_S * fs)), 1)
     start = (k - 1) // 2  # the centered n samples of the moving average
     env = np.sqrt(fftconvolve(env**2, np.ones(k) / k)[start:start + n])
     peak = np.max(env)
@@ -156,11 +158,6 @@ def pink_pulse(fs: float = 44100.0, duration: float = 0.5) -> Stimulus:
 def pink_pulse_variant(levels: BandLevels, fs: float = 44100.0,
                        duration: float = 0.5) -> Stimulus:
     """Pink pulse with per-octave-band level offsets applied pre-reconstruction."""
-    if all(o == 0.0 for o in levels.offsets_db):
-        base = pink_pulse(fs, duration)
-        return Stimulus(samples=base.samples, sample_rate=fs,
-                        kind="pink_pulse_variant",
-                        envelope_enforced=base.envelope_enforced)
     return _build_pulse(fs, duration, levels, "pink_pulse_variant")
 
 
@@ -173,7 +170,7 @@ def convolve(stimulus: Stimulus, ir: ImpulseResponse) -> np.ndarray:
 
 
 def ess_generate(f1: float = 100.0, f2: float = 22050.0, duration: float = 3.2,
-                 fs: float = 44100.0, fade: float = 5e-3) -> Stimulus:
+                 fs: float = 44100.0) -> Stimulus:
     """Exponential sine sweep (Farina), with short raised-cosine fades."""
     if not (0.0 < f1 < f2 <= fs / 2.0):
         raise SceneValidationError("require 0 < f1 < f2 <= fs/2")
@@ -181,7 +178,7 @@ def ess_generate(f1: float = 100.0, f2: float = 22050.0, duration: float = 3.2,
     t = np.arange(n) / fs
     rate = math.log(f2 / f1)
     x = np.sin(2.0 * math.pi * f1 * duration / rate * (np.exp(t * rate / duration) - 1.0))
-    n_fade = min(int(round(fade * fs)), n // 4)
+    n_fade = min(int(round(SWEEP_FADE_S * fs)), n // 4)
     if n_fade > 0:
         ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(n_fade) / n_fade)
         x[:n_fade] *= ramp

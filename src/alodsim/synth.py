@@ -99,10 +99,10 @@ def render_units(spatial_ir: SpatialIR,
     return units
 
 
-def synthesize_mono(spatial_ir: SpatialIR, apply_signature: bool = True) -> np.ndarray:
+def synthesize_mono(spatial_ir: SpatialIR) -> np.ndarray:
     """Omnidirectional (direction-discarding) rendering of a SpatialIR."""
     units = render_units(spatial_ir, lambda d: np.ones((len(d), 1)))
     out = units.get(0, np.zeros(1))
-    if apply_signature and spatial_ir.signature is not None:
+    if spatial_ir.signature is not None:
         out = fftconvolve(out, spatial_ir.signature)
     return out

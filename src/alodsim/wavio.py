@@ -1,8 +1,8 @@
 """Minimal RIFF/WAVE reader and writer.
 
-Supports PCM 16/24-bit and IEEE float32, mono or multichannel, with the
-format tag in the fmt chunk or in a WAVE_FORMAT_EXTENSIBLE subformat. No
-resampling: callers must check the returned rate.
+Reads PCM 16/24-bit and IEEE float32, mono or multichannel, with the format
+tag in the fmt chunk or in a WAVE_FORMAT_EXTENSIBLE subformat; writes IEEE
+float32. No resampling: callers must check the returned rate.
 """
 
 from __future__ import annotations
@@ -68,36 +68,19 @@ def read_wav(path: str):
     return samples.reshape(-1, channels), float(rate)
 
 
-def write_wav(path: str, samples: np.ndarray, rate: float, fmt: str = "float32"):
-    """Write (n, channels) or (n,) samples. fmt: float32 | pcm16 | pcm24."""
+def write_wav(path: str, samples: np.ndarray, rate: float):
+    """Write (n, channels) or (n,) samples as IEEE float32."""
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     channels = x.shape[1]
-    if fmt == "float32":
-        tag, bits = _FMT_FLOAT, 32
-        payload = x.astype("<f4").tobytes()
-    elif fmt == "pcm16":
-        tag, bits = _FMT_PCM, 16
-        clipped = np.clip(x, -1.0, 32767.0 / 32768.0)
-        payload = (clipped * 32768.0).round().astype("<i2").tobytes()
-    elif fmt == "pcm24":
-        tag, bits = _FMT_PCM, 24
-        clipped = np.clip(x, -1.0, (float(1 << 23) - 1) / float(1 << 23))
-        ints = (clipped * float(1 << 23)).round().astype(np.int32).reshape(-1)
-        raw = np.empty((ints.size, 3), dtype=np.uint8)
-        raw[:, 0] = ints & 0xFF
-        raw[:, 1] = (ints >> 8) & 0xFF
-        raw[:, 2] = (ints >> 16) & 0xFF
-        payload = raw.tobytes()
-    else:
-        raise SceneParseError(f"unknown WAV format {fmt!r}")
-    block_align = channels * bits // 8
+    payload = x.astype("<f4").tobytes()
+    block_align = channels * 4
     byte_rate = int(rate) * block_align
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, tag, channels, int(rate), byte_rate, block_align, bits,
+        b"fmt ", 16, _FMT_FLOAT, channels, int(rate), byte_rate, block_align, 32,
         b"data", len(payload),
     )
     with open(path, "wb") as fh:

@@ -98,9 +98,9 @@ def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_
     return units
 
 
-def binauralize_per_unit(spatial_ir, hrtf, orientation=None):
+def binauralize_per_unit(spatial_ir, hrtf, orientation):
     """Binaural render with one ``fftconvolve`` per render unit and ear."""
-    frame = head_frame(orientation) if orientation is not None else np.eye(3)
+    frame = head_frame(orientation)
     one_hot = np.eye(hrtf.directions.shape[0])
     units = render_units(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
     n = spatial_ir_length(spatial_ir)

@@ -78,6 +78,14 @@ def test_t30_requires_enough_decay():
         t30(schroeder_edc(h, FS))
 
 
+def test_t30_rejects_a_fit_span_of_one_sample():
+    # a lone impulse: the EDC drops from 0 dB to the floor in one step
+    h = np.zeros(1000)
+    h[10] = 1.0
+    with pytest.raises(InsufficientDecayError, match="fewer than two"):
+        t30(schroeder_edc(h, FS))
+
+
 # ---------------------------------------------------------------------------
 # NED
 # ---------------------------------------------------------------------------

@@ -321,17 +321,17 @@ def test_distinct_band_targets_match_per_band_oracle(monkeypatch, driven):
 
 def test_dual_slope_secondary_gain_formula():
     room = preset("underground").rooms[0]
-    dual = design_dual_slope(room, room.decay, FS)
+    primary, secondary = design_dual_slope(room, room.decay, FS)
     t1, t2, level = 1.6, 3.2, -40.0
     rel_db = level * (1.0 - t1 / t2) + 10.0 * math.log10(t1 / t2)
-    expected = dual.primary.input_gain * 10.0 ** (rel_db / 20.0)
-    assert dual.secondary.input_gain == pytest.approx(expected, rel=1e-12)
+    expected = primary.input_gain * 10.0 ** (rel_db / 20.0)
+    assert secondary.input_gain == pytest.approx(expected, rel=1e-12)
 
 
 def test_dual_slope_tail_knee_and_slopes():
     room = preset("underground").rooms[0]
-    dual = design_dual_slope(room, room.decay, FS)
-    streams = run_fdn(dual.primary, 3.8) + run_fdn(dual.secondary, 3.8)
+    primary, secondary = design_dual_slope(room, room.decay, FS)
+    streams = run_fdn(primary, 3.8) + run_fdn(secondary, 3.8)
     mono = np.sum([s.samples for s in streams], axis=0)
     fit = dual_slope_fit(schroeder_edc(mono, FS))
     assert -45.0 <= fit.knee_level <= -33.0, f"knee at {fit.knee_level:.1f} dB"
@@ -375,7 +375,7 @@ def test_splice_scales_tail_to_the_decay_curve():
                  direct_delay=direct_delay)
     from alodsim.synth import synthesize_mono
 
-    e_early = float(np.sum(synthesize_mono(early, apply_signature=False) ** 2))
+    e_early = float(np.sum(synthesize_mono(early) ** 2))
     e_tail = sum(float(np.dot(s.samples, s.samples)) for s in out.tail)
     rho = 10.0 ** (-60.0 * (onset - direct_delay) / t60 / 10.0)
     assert e_tail == pytest.approx(rho / (1.0 - rho) * e_early, rel=1e-9)

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from alodsim.errors import SceneValidationError
 from alodsim.ism import SpatialIR, TailStream, Taps
@@ -23,7 +24,7 @@ from alodsim.spatial import (
     synthetic_hrtf,
     vbap_gains,
 )
-from alodsim.pipeline import build_spatial_ir
+from alodsim.pipeline import build_spatial_ir, simulate
 from alodsim.scene import preset, profile_preset
 from alodsim.wavio import write_wav
 
@@ -39,6 +40,9 @@ def _tap(doa, delay=0.01, amp=0.5):
 
 def _single_tap_ir(doa):
     return SpatialIR(taps=_tap(doa), sample_rate=FS)
+
+
+FRONT = np.array([1.0, 0.0, 0.0])  # head_frame(FRONT) is the identity
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +64,7 @@ def test_synthetic_hrtf_nearest_recovers_grid_direction():
 
 def test_lateral_source_favors_the_near_ear():
     hrtf = synthetic_hrtf()
-    ir = binauralize(_single_tap_ir([0.0, 1.0, 0.0]), hrtf)  # from the left
+    ir = binauralize(_single_tap_ir([0.0, 1.0, 0.0]), hrtf, FRONT)  # from the left
     assert ir.n_channels == 2
     e_left = float(np.sum(ir.channels[0] ** 2))
     e_right = float(np.sum(ir.channels[1] ** 2))
@@ -69,7 +73,7 @@ def test_lateral_source_favors_the_near_ear():
 
 def test_frontal_source_is_symmetric():
     hrtf = synthetic_hrtf()
-    ir = binauralize(_single_tap_ir([1.0, 0.0, 0.0]), hrtf)
+    ir = binauralize(_single_tap_ir([1.0, 0.0, 0.0]), hrtf, FRONT)
     assert np.allclose(ir.channels[0], ir.channels[1], atol=1e-12)
 
 
@@ -99,7 +103,7 @@ def test_load_hrtf_dir_round_trip(tmp_path):
         az = np.degrees(np.arctan2(d[1], d[0]))
         el = np.degrees(np.arcsin(np.clip(d[2], -1, 1)))
         name = f"h{i:03d}.wav"
-        write_wav(str(tmp_path / name), hrtf.filters[i].T, FS, fmt="float32")
+        write_wav(str(tmp_path / name), hrtf.filters[i].T, FS)
         lines.append(f"{az:.6f} {el:.6f} {name}")
     (tmp_path / "index.txt").write_text("\n".join(lines) + "\n")
     loaded = load_hrtf_dir(str(tmp_path))
@@ -212,6 +216,65 @@ def test_vbap_on_a_hemispherical_layout():
     assert np.allclose(np.sum(gains**2, axis=1), 1.0)
 
 
+def test_vbap_sends_a_direction_below_a_hemisphere_to_the_nearest_speaker():
+    # all three gains of the nearest triangle clip to 0 for these directions
+    layout = _upper_hemisphere(0.0)
+    below = np.array([az_el_to_vec(10.0, -30.0), az_el_to_vec(30.0, -45.0),
+                      az_el_to_vec(180.0, -60.0)])
+    with pytest.warns(RuntimeWarning, match="3 of 3 directions") as caught:
+        gains = vbap_gains(below, layout)
+    assert len(caught) == 1
+    nearest = np.argmax(below @ layout.directions.T, axis=1)
+    assert np.array_equal(gains, np.eye(layout.n_speakers)[nearest])
+
+
+@pytest.mark.parametrize("profile", ["ism-15", "razr-full"])
+@pytest.mark.parametrize("scene", ["pub", "living-room", "underground"])
+def test_presets_render_to_a_hemispherical_layout(scene, profile):
+    layout = _upper_hemisphere(0.0)
+    with pytest.warns(RuntimeWarning, match="outside triangulated coverage"):
+        result = simulate(preset(scene), profile_preset(profile), output_mode="array",
+                          layout=layout)
+    assert result.ir.n_channels == layout.n_speakers
+    assert np.all(np.isfinite(result.ir.channels)) and np.any(result.ir.channels)
+
+
+_COORD = st.floats(-1.0, 1.0)
+_DIRECTION = st.tuples(_COORD, _COORD, _COORD).filter(
+    lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 > 1e-2)
+
+
+@st.composite
+def _layouts(draw):
+    """Random speaker sets, or upper-hemisphere rings plus the zenith."""
+    if draw(st.booleans()):
+        dirs = np.array(draw(st.lists(_DIRECTION, min_size=4, max_size=16)))
+    else:
+        rings = draw(st.lists(st.tuples(st.floats(0.0, 80.0), st.integers(3, 12),
+                                        st.floats(0.0, 360.0)), min_size=1, max_size=3))
+        dirs = np.array([az_el_to_vec(offset + 360.0 * i / count, el)
+                         for el, count, offset in rings for i in range(count)]
+                        + [[0.0, 0.0, 1.0]])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    try:
+        return LoudspeakerLayout(positions=2.0 * dirs, center=np.zeros(3))
+    except SceneValidationError:  # no 3-D hull, or two speakers in one place
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_layouts(), st.lists(_DIRECTION, min_size=1, max_size=20))
+def test_vbap_gains_on_random_layouts(layout, directions):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gains = vbap_gains(np.array(directions), layout)
+    assert all("outside triangulated coverage" in str(w.message) for w in caught)
+    assert len(caught) <= 1
+    assert np.all(np.isfinite(gains))
+    assert np.all(np.abs(np.sum(gains**2, axis=1) - 1.0) <= 1e-12)
+    assert np.all(np.count_nonzero(gains, axis=1) <= 3)
+
+
 def test_vbap_rejects_a_layout_in_one_plane():
     # a horizontal ring around the listener spans no 3-D hull
     dirs = [az_el_to_vec(360.0 * i / 8, 0.0) for i in range(8)]
@@ -244,7 +307,7 @@ def test_array_preset_86_layout():
 
 def test_render_array_routes_energy_to_vbap_channels():
     layout = array_preset_86()
-    ir = render_array(_single_tap_ir(layout.directions[3]), layout)
+    ir = render_array(_single_tap_ir(layout.directions[3]), layout, FRONT)
     assert ir.n_channels == 86
     energies = np.sum(ir.channels**2, axis=1)
     assert np.argmax(energies) == 3
@@ -257,7 +320,7 @@ def test_render_array_routes_energy_to_vbap_channels():
 
 def test_diotic_channels_bit_identical():
     hrtf = synthetic_hrtf()
-    ir = diotic(binauralize(_single_tap_ir([0.0, 1.0, 0.0]), hrtf))
+    ir = diotic(binauralize(_single_tap_ir([0.0, 1.0, 0.0]), hrtf, FRONT))
     assert ir.n_channels == 2
     assert np.array_equal(ir.channels[0], ir.channels[1])
 

@@ -120,6 +120,6 @@ def test_ism_15_array_render_filters_no_bands(monkeypatch):
     # flat absorption: every tap has equal bands, so the masks sum to 1
     ir = build_spatial_ir(preset("living-room"), profile_preset("ism-15"))
     applied = _record_calls(monkeypatch, BandFilter, "apply", lambda self, x: x.shape)
-    out = render_array(ir, array_preset_86())
+    out = render_array(ir, array_preset_86(), np.array([1.0, 0.0, 0.0]))
     assert len(ir.taps) > 4000 and np.any(out.channels)
     assert applied == []

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -27,10 +28,40 @@ def _ramp(n=512):
     return np.linspace(-0.9, 0.9, n)
 
 
+def _riff(fmt_body: bytes, rest: bytes) -> bytes:
+    """A RIFF/WAVE file holding a fmt chunk followed by ``rest``."""
+    chunks = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body + rest
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def _fmt(tag, channels, rate, bits) -> bytes:
+    block_align = channels * bits // 8 & 0xFFFF
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * block_align & 0xFFFFFFFF,
+                       block_align, bits)
+
+
+def _write(path, x, rate, fmt):
+    """A WAV file of (n, channels) or (n,) samples: write_wav for float32, and
+    for read_wav's PCM16/24 formats an encoder that clips to the largest code."""
+    if fmt == "float32":
+        return write_wav(path, x, rate)
+    bits = {"pcm16": 16, "pcm24": 24}[fmt]
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    scale = float(1 << (bits - 1))
+    ints = (np.clip(x, -1.0, (scale - 1.0) / scale) * scale).round().astype("<i4")
+    # the low bytes of a little-endian int32 are its 16- or 24-bit two's complement
+    payload = ints.view(np.uint8).reshape(-1, 4)[:, : bits // 8].tobytes()
+    data = b"data" + struct.pack("<I", len(payload)) + payload
+    with open(path, "wb") as fh:
+        fh.write(_riff(_fmt(1, x.shape[1], int(rate), bits), data))
+
+
 def test_wav_float32_round_trip(tmp_path):
     x = np.vstack([_ramp(), -_ramp()]).T  # stereo
     path = str(tmp_path / "f32.wav")
-    write_wav(path, x, FS, fmt="float32")
+    write_wav(path, x, FS)
     got, rate = read_wav(path)
     assert rate == FS
     assert got.shape == x.shape
@@ -40,7 +71,7 @@ def test_wav_float32_round_trip(tmp_path):
 def test_wav_pcm16_round_trip(tmp_path):
     x = _ramp()
     path = str(tmp_path / "p16.wav")
-    write_wav(path, x, FS, fmt="pcm16")
+    _write(path, x, FS, "pcm16")
     got, rate = read_wav(path)
     assert rate == FS
     assert got.shape == (x.size, 1)
@@ -51,7 +82,7 @@ def test_wav_pcm24_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.99, 0.99, size=(300, 2))
     path = str(tmp_path / "p24.wav")
-    write_wav(path, x, 48000.0, fmt="pcm24")
+    _write(path, x, 48000.0, "pcm24")
     got, rate = read_wav(path)
     assert rate == 48000.0
     assert np.max(np.abs(got - x)) < 1.0 / (1 << 23)
@@ -70,23 +101,11 @@ def test_wav_round_trip_within_quantization(tmp_path_factory, fmt, channels, fra
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, (frames, channels))
     x[:1] = 1.0  # the clipped extreme
     path = str(tmp_path_factory.mktemp("wav") / "x.wav")
-    write_wav(path, x, rate, fmt=fmt)
+    _write(path, x, rate, fmt)
     got, got_rate = read_wav(path)
     assert got_rate == rate
     assert got.shape == x.shape
     assert np.all(np.abs(got - x) <= _QUANTUM[fmt])
-
-
-def _riff(fmt_body: bytes, rest: bytes) -> bytes:
-    """A RIFF/WAVE file holding a fmt chunk followed by ``rest``."""
-    chunks = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body + rest
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
-
-
-def _fmt(tag, channels, rate, bits) -> bytes:
-    block_align = channels * bits // 8 & 0xFFFF
-    return struct.pack("<HHIIHH", tag, channels, rate, rate * block_align & 0xFFFFFFFF,
-                       block_align, bits)
 
 
 # the subformat GUID of WAVE_FORMAT_EXTENSIBLE after its leading format tag
@@ -158,7 +177,7 @@ def test_cli_reads_the_whole_frames_of_a_truncated_wav(tmp_path, fmt):
     rng = np.random.default_rng(4)
     h = rng.standard_normal((n, 2)) * 10.0 ** (-3.0 * np.arange(n) / n)[:, None] * 0.5
     path = tmp_path / "ir.wav"
-    write_wav(str(path), h, FS, fmt=fmt)
+    _write(str(path), h, FS, fmt)
     full, _ = read_wav(str(path))
     path.write_bytes(path.read_bytes()[:-3])  # the data chunk still claims n frames
     got, _ = read_wav(str(path))
@@ -172,11 +191,6 @@ def test_wav_rejects_garbage(tmp_path):
     path.write_bytes(b"not a wave file at all, sorry")
     with pytest.raises(SceneParseError):
         read_wav(str(path))
-
-
-def test_wav_rejects_unknown_format_name(tmp_path):
-    with pytest.raises(SceneParseError):
-        write_wav(str(tmp_path / "x.wav"), _ramp(), FS, fmt="pcm32")
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +259,18 @@ def test_cli_simulate_manifest_and_determinism(tmp_path):
     with open(out_b + ".manifest.json", encoding="utf-8") as fh:
         manifest_b = json.load(fh)
     assert manifest_b["outputs"][0]["sha256"] == manifest["outputs"][0]["sha256"]
+
+
+def test_cli_anechoic_manifest_has_no_t30(tmp_path):
+    # the direct sound alone: its EDC falls from -5 to -35 dB within one
+    # sample, too few to fit a line through
+    out = str(tmp_path / "pub.wav")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--preset", "pub", "--profile", "anechoic",
+                     "--output-mode", "binaural", "--out", out]) == 0
+    with open(out + ".manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["metrics"]["t30_s"] is None
 
 
 def test_cli_simulate_scene_file(tmp_path):
