@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InsufficientDecayError, SceneValidationError
 from .filterbank import BandFilter
@@ -22,6 +23,7 @@ NED_GAUSSIAN_FRACTION = math.erfc(1.0 / math.sqrt(2.0))  # ~0.3173
 DRR_CLAMP_DB = 120.0
 NED_WINDOW_S = 25e-3
 NED_HOP = 64  # samples between window centers
+NED_BLOCK_SAMPLES = 1 << 16  # frames are measured in blocks of about this size
 DUAL_SLOPE_SPAN_DB = 60.0  # fit down to this far below the peak
 DRR_DIRECT_WINDOW_S = 2.5e-3  # centered on the peak sample
 
@@ -98,22 +100,55 @@ def ned(ir: np.ndarray, fs: float) -> NedProfile:
     """
     h = np.asarray(ir, dtype=float)
     w = int(round(NED_WINDOW_S * fs))
+    w += (w + 1) % 2  # odd length
     if w > h.size:
         raise SceneValidationError("window longer than impulse response")
-    w += (w + 1) % 2  # odd length
     half = w // 2
     centers = np.arange(half, h.size - half, NED_HOP)
+    # one read-only row per center; the rows overlap, so nothing is copied
+    step = h.strides[0]
+    frames = as_strided(h, shape=(centers.size, w), strides=(NED_HOP * step, step),
+                        writeable=False)
     values = np.empty(centers.size)
-    for i, c in enumerate(centers):
-        frame = h[c - half: c + half + 1]
-        sigma = float(np.sqrt(np.mean(frame**2)))
-        if sigma == 0.0:
-            values[i] = 0.0
-        else:
-            values[i] = np.count_nonzero(np.abs(frame) > sigma) / frame.size
+    rows = max(NED_BLOCK_SAMPLES // w, 1)
+    for lo in range(0, centers.size, rows):
+        block = frames[lo:lo + rows]
+        sigma = np.sqrt(np.mean(block**2, axis=1))
+        above = np.count_nonzero(np.abs(block) > sigma[:, None], axis=1)
+        values[lo:lo + rows] = np.where(sigma == 0.0, 0.0, above / w)
     return NedProfile(times=centers / fs,
                       values=values / NED_GAUSSIAN_FRACTION,
                       window=w / fs)
+
+
+def _hinge_mse(t: np.ndarray, y: np.ndarray, knees: np.ndarray) -> np.ndarray:
+    """Mean squared error of the least-squares fit of y by 1, t and
+    max(t - t[k], 0), for each knee index k in ``knees``.
+
+    Each knee's 3x3 normal equations are built from the sums of x, x^2, y
+    and xy over [k, n), read off reversed cumulative sums, and solved by
+    eliminating the line (1, x) first, so a knee costs O(1) after one pass
+    over the span. x and y are centered on their means, which the constant
+    column absorbs; then the line's block of the Gram matrix is diagonal.
+    """
+    n = y.size
+    x = t - t.mean()
+    y = y - y.mean()
+
+    def tail(a):  # a[k:].sum() for every knee k
+        return np.cumsum(a[::-1])[::-1][knees]
+
+    sxx, sxy = x @ x, x @ y
+    s0, sx, sx2, sy, s_xy = n - knees, tail(x), tail(x * x), tail(y), tail(x * y)
+    xk = x[knees]
+    # the hinge column h = x - x[k] on [k, n): its products with 1, x, h, y
+    h1 = sx - xk * s0
+    hx = sx2 - xk * sx
+    hh = sx2 - 2.0 * xk * sx + xk * xk * s0
+    hy = s_xy - xk * sy
+    # what the hinge adds to the line fit: Schur complement of the line block
+    gain = (hy - hx * sxy / sxx) ** 2 / (hh - h1 * h1 / n - hx * hx / sxx)
+    return (y @ y - sxy * sxy / sxx - gain) / n
 
 
 def dual_slope_fit(edc: EdcCurve) -> DualSlopeFit:
@@ -133,21 +168,19 @@ def dual_slope_fit(edc: EdcCurve) -> DualSlopeFit:
     t = edc.times[start:stop + 1]
     y = v[start:stop + 1]
 
-    knee_levels = np.arange(-10.0, floor + 10.0, -0.5)
-    best = None
-    for level in knee_levels:
+    knees = []
+    for level in np.arange(-10.0, floor + 10.0, -0.5):
         k = int(np.argmax(y <= level))
-        if y[k] > level or k < 2 or k > y.size - 3:
-            continue
-        tk = t[k]
-        basis = np.stack([np.ones_like(t), t - t[0], np.maximum(t - tk, 0.0)], axis=1)
-        coef, _, _, _ = np.linalg.lstsq(basis, y, rcond=None)
-        resid = float(np.mean((basis @ coef - y) ** 2))
-        if best is None or resid < best[0]:
-            best = (resid, coef, tk)
-    if best is None:
+        if y[k] <= level and 2 <= k <= y.size - 3:
+            knees.append(k)
+    if not knees:
         raise InsufficientDecayError("no admissible knee position")
-    resid, coef, tk = best
+    # the first knee of least error, as a strict minimum over the levels picks it
+    k = knees[int(np.argmin(_hinge_mse(t, y, np.array(knees))))]
+    tk = t[k]
+    basis = np.stack([np.ones_like(t), t - t[0], np.maximum(t - tk, 0.0)], axis=1)
+    coef, _, _, _ = np.linalg.lstsq(basis, y, rcond=None)
+    resid = float(np.mean((basis @ coef - y) ** 2))
     slope1 = float(coef[1])
     slope2 = float(coef[1] + coef[2])
     knee_level = float(coef[0] + coef[1] * (tk - t[0]))

@@ -9,11 +9,11 @@ seed, version); each simulate run writes a JSON manifest alongside the WAV.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .wavio import read_wav, write_wav
 
 HRTF_ENV_VAR = "ALODSIM_HRTF_DIR"
 ANALYZE_METRICS = ("t30", "edc", "ned", "drr", "dual-slope")
+CSV_BLOCK_ROWS = 4096  # rows formatted per write
 
 
 def _sha256(data: bytes) -> str:
@@ -132,67 +133,72 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _write_csv(path: str, header, rows):
+def _write_columns(path: str, header, formats, columns):
+    """Write one CSV row per index of the equal-length array ``columns``.
+
+    ``formats`` holds one %-format per column. Lines end in "\r\n", as
+    ``csv.writer`` ends them, and no numeric field needs quoting. Rows are
+    formatted in blocks, so no text larger than a block is held.
+    """
+    row = ",".join(formats) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [c[lo:lo + CSV_BLOCK_ROWS].tolist() for c in columns]
+            fh.write((row * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
 
 
 def _analyze_one(metric: str, channels: np.ndarray, fs: float, path: str):
+    index = np.arange(channels.shape[0])
     if metric == "t30":
-        rows = [(ch, f"{t30(schroeder_edc(channels[ch], fs)):.6f}")
-                for ch in range(channels.shape[0])]
-        _write_csv(path, ("channel", "t30_s"), rows)
+        values = np.array([t30(schroeder_edc(ch, fs)) for ch in channels])
+        _write_columns(path, ("channel", "t30_s"), ("%d", "%.6f"), (index, values))
     elif metric == "drr":
-        rows = [(ch, f"{drr(channels[ch], fs):.4f}")
-                for ch in range(channels.shape[0])]
-        _write_csv(path, ("channel", "drr_db"), rows)
+        values = np.array([drr(ch, fs) for ch in channels])
+        _write_columns(path, ("channel", "drr_db"), ("%d", "%.4f"), (index, values))
     elif metric == "edc":
-        curves = [schroeder_edc(channels[ch], fs) for ch in range(channels.shape[0])]
-        n = max(c.values.size for c in curves)
-        rows = []
-        for i in range(n):
-            row = [f"{i / fs:.6f}"]
-            for c in curves:
-                row.append(f"{c.values[i]:.4f}" if i < c.values.size else "")
-            rows.append(row)
-        _write_csv(path, ("time_s", *(f"edc_db_ch{ch}" for ch in range(len(curves)))), rows)
+        curves = [schroeder_edc(ch, fs).values for ch in channels]
+        _write_columns(path, ("time_s", *(f"edc_db_ch{ch}" for ch in index)),
+                       ("%.6f",) + ("%.4f",) * len(curves),
+                       (np.arange(curves[0].size) / fs, *curves))
     elif metric == "ned":
-        profiles = [ned(channels[ch], fs) for ch in range(channels.shape[0])]
-        times = profiles[0].times
-        rows = [
-            [f"{times[i]:.6f}"] + [f"{p.values[i]:.5f}" for p in profiles]
-            for i in range(times.size)
-        ]
-        _write_csv(path, ("time_s", *(f"ned_ch{ch}" for ch in range(len(profiles)))), rows)
+        profiles = [ned(ch, fs) for ch in channels]
+        _write_columns(path, ("time_s", *(f"ned_ch{ch}" for ch in index)),
+                       ("%.6f",) + ("%.5f",) * len(profiles),
+                       (profiles[0].times, *(p.values for p in profiles)))
     elif metric == "dual-slope":
-        rows = []
-        for ch in range(channels.shape[0]):
-            fit = dual_slope_fit(schroeder_edc(channels[ch], fs))
-            rows.append((ch, f"{fit.slope1:.3f}", f"{fit.slope2:.3f}",
-                         f"{fit.knee_time:.5f}", f"{fit.knee_level:.2f}"))
-        _write_csv(path, ("channel", "slope1_db_per_s", "slope2_db_per_s",
-                          "knee_time_s", "knee_level_db"), rows)
-    else:
-        raise SceneParseError(
-            f"unknown metric {metric!r}; known: {', '.join(ANALYZE_METRICS)}"
-        )
+        fits = [dual_slope_fit(schroeder_edc(ch, fs)) for ch in channels]
+        values = np.array([(f.slope1, f.slope2, f.knee_time, f.knee_level) for f in fits])
+        _write_columns(path, ("channel", "slope1_db_per_s", "slope2_db_per_s",
+                              "knee_time_s", "knee_level_db"),
+                       ("%d", "%.3f", "%.3f", "%.5f", "%.2f"), (index, *values.T))
 
 
 def _cmd_analyze(args) -> int:
+    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not metrics:
+        raise SceneParseError("no metrics requested")
+    for metric in metrics:  # before anything is computed or written
+        if metric not in ANALYZE_METRICS:
+            raise SceneParseError(
+                f"unknown metric {metric!r}; known: {', '.join(ANALYZE_METRICS)}"
+            )
     data, fs = read_wav(args.ir)
     if data.size == 0:
         raise SceneParseError(f"{args.ir}: empty WAV")
     channels = data.T
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    if not metrics:
-        raise SceneParseError("no metrics requested")
     base, ext = os.path.splitext(args.out)
+    failed = []
     for metric in metrics:
         path = args.out if len(metrics) == 1 else f"{base}-{metric}{ext or '.csv'}"
-        _analyze_one(metric, channels, fs, path)
+        try:
+            _analyze_one(metric, channels, fs, path)
+        except AlodsimError as exc:  # the other metrics are still written
+            failed.append(f"{metric}: {exc}")
+            continue
         print(f"wrote {path}")
+    if failed:
+        raise AlodsimError("; ".join(failed))
     return 0
 
 

@@ -15,13 +15,33 @@ separately, where ``alodsim.spatial.binauralize`` sums unit spectra.
 ``directivity_gain``, ``emission_direction`` and ``early_taps_per_tap``
 handle one direction, image or tap at a time, as the early chain in
 ``alodsim.ism`` did before it carried images and taps as arrays.
+
+``dual_slope_fit_per_knee`` solves one ``lstsq`` over the whole span per
+knee level, where ``alodsim.analysis.dual_slope_fit`` scores the knees from
+suffix sums and solves once. ``ned_per_frame`` measures one frame at a
+time. ``write_analysis_csv`` formats one row at a time through
+``csv.writer``, as ``alodsim analyze`` wrote its CSVs before it formatted
+whole columns.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.signal import fftconvolve, hilbert
 
+from alodsim.analysis import (
+    DUAL_SLOPE_SPAN_DB,
+    NED_GAUSSIAN_FRACTION,
+    NED_HOP,
+    NED_WINDOW_S,
+    DualSlopeFit,
+    NedProfile,
+    drr,
+    schroeder_edc,
+    t30,
+)
+from alodsim.errors import InsufficientDecayError, SceneValidationError
 from alodsim.fdn import _run_band, _shape_decay, _t60_of
 from alodsim.filterbank import OCTAVE_CENTERS_8, band_masks
 from alodsim.ism import (
@@ -192,3 +212,90 @@ def early_taps_per_tap(scene, profile, source, receiver_pos, room, seed_seq):
         tap["burst_energy"] = tap["burst_energy"] * level**2
     taps.sort(key=lambda t: t["delay"])
     return taps
+
+
+def dual_slope_fit_per_knee(edc):
+    """``alodsim.analysis.dual_slope_fit`` with one ``lstsq`` per knee level."""
+    v = edc.values
+    if v.min() > -50.0:
+        raise InsufficientDecayError("EDC must span at least 50 dB")
+    floor = max(-DUAL_SLOPE_SPAN_DB, float(v.min()) + 5.0)
+    start = int(np.argmax(v <= -5.0))
+    stop = int(np.argmax(v <= floor))
+    t = edc.times[start:stop + 1]
+    y = v[start:stop + 1]
+    best = None
+    for level in np.arange(-10.0, floor + 10.0, -0.5):
+        k = int(np.argmax(y <= level))
+        if y[k] > level or k < 2 or k > y.size - 3:
+            continue
+        tk = t[k]
+        basis = np.stack([np.ones_like(t), t - t[0], np.maximum(t - tk, 0.0)], axis=1)
+        coef, _, _, _ = np.linalg.lstsq(basis, y, rcond=None)
+        resid = float(np.mean((basis @ coef - y) ** 2))
+        if best is None or resid < best[0]:
+            best = (resid, coef, tk)
+    if best is None:
+        raise InsufficientDecayError("no admissible knee position")
+    resid, coef, tk = best
+    knee_level = float(coef[0] + coef[1] * (tk - t[0]))
+    return DualSlopeFit(slope1=float(coef[1]), slope2=float(coef[1] + coef[2]),
+                        knee_time=float(tk), knee_level=min(knee_level, 0.0),
+                        residual=resid)
+
+
+def ned_per_frame(ir, fs):
+    """``alodsim.analysis.ned`` measured one frame at a time."""
+    h = np.asarray(ir, dtype=float)
+    w = int(round(NED_WINDOW_S * fs))
+    w += (w + 1) % 2  # odd length
+    if w > h.size:
+        raise SceneValidationError("window longer than impulse response")
+    half = w // 2
+    centers = np.arange(half, h.size - half, NED_HOP)
+    values = np.empty(centers.size)
+    for i, c in enumerate(centers):
+        frame = h[c - half: c + half + 1]
+        sigma = float(np.sqrt(np.mean(frame**2)))
+        if sigma == 0.0:
+            values[i] = 0.0
+        else:
+            values[i] = np.count_nonzero(np.abs(frame) > sigma) / frame.size
+    return NedProfile(times=centers / fs, values=values / NED_GAUSSIAN_FRACTION,
+                      window=w / fs)
+
+
+def write_analysis_csv(metric, channels, fs, path):
+    """The CSV ``alodsim analyze`` writes for one metric, row by row."""
+    n_ch = channels.shape[0]
+    if metric == "t30":
+        header = ("channel", "t30_s")
+        rows = [(ch, f"{t30(schroeder_edc(channels[ch], fs)):.6f}") for ch in range(n_ch)]
+    elif metric == "drr":
+        header = ("channel", "drr_db")
+        rows = [(ch, f"{drr(channels[ch], fs):.4f}") for ch in range(n_ch)]
+    elif metric == "edc":
+        curves = [schroeder_edc(channels[ch], fs) for ch in range(n_ch)]
+        header = ("time_s", *(f"edc_db_ch{ch}" for ch in range(n_ch)))
+        rows = [[f"{i / fs:.6f}"] + [f"{c.values[i]:.4f}" for c in curves]
+                for i in range(curves[0].values.size)]
+    elif metric == "ned":
+        profiles = [ned_per_frame(channels[ch], fs) for ch in range(n_ch)]
+        times = profiles[0].times
+        header = ("time_s", *(f"ned_ch{ch}" for ch in range(n_ch)))
+        rows = [[f"{times[i]:.6f}"] + [f"{p.values[i]:.5f}" for p in profiles]
+                for i in range(times.size)]
+    elif metric == "dual-slope":
+        header = ("channel", "slope1_db_per_s", "slope2_db_per_s",
+                  "knee_time_s", "knee_level_db")
+        rows = []
+        for ch in range(n_ch):
+            fit = dual_slope_fit_per_knee(schroeder_edc(channels[ch], fs))
+            rows.append((ch, f"{fit.slope1:.3f}", f"{fit.slope2:.3f}",
+                         f"{fit.knee_time:.5f}", f"{fit.knee_level:.2f}"))
+    else:
+        raise ValueError(metric)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alodsim.analysis import (
+    NED_WINDOW_S,
     drr,
     dual_slope_fit,
     mean_free_path,
@@ -11,6 +13,7 @@ from alodsim.analysis import (
 )
 from alodsim.errors import InsufficientDecayError, SceneValidationError
 from alodsim.scene import RoomSpec
+from oracles import dual_slope_fit_per_knee, ned_per_frame
 
 FS = 44100.0
 
@@ -111,6 +114,47 @@ def test_ned_window_longer_than_signal_rejected():
         ned(np.ones(100), FS)
 
 
+def test_ned_checks_the_window_after_rounding_it_to_odd_length():
+    # round(25 ms * 44.1 kHz) = 1102 samples, made odd: 1103
+    w = 1103
+    with pytest.raises(SceneValidationError):
+        ned(np.ones(w - 1), FS)
+    profile = ned(np.ones(w), FS)
+    assert profile.values.size == 1
+    assert profile.window == w / FS
+
+
+@st.composite
+def _ned_signals(draw):
+    """A random fs, a length from one window up, and a signal that may hold
+    silence, sparse impulses, decaying noise or values whose squares underflow."""
+    fs = float(draw(st.sampled_from([1000, 8000, 16000, 22050, 44100, 48000])))
+    w = int(round(NED_WINDOW_S * fs))
+    w += (w + 1) % 2
+    n = draw(st.integers(w, 6 * w))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "sparse", "silent gap", "tiny"]))
+    h = rng.standard_normal(n) * 10.0 ** (-draw(st.floats(0.0, 6.0)) * np.arange(n) / n)
+    if kind == "sparse":
+        h = np.where(rng.random(n) < draw(st.floats(0.0, 0.05)), h, 0.0)
+    elif kind == "silent gap":
+        lo = draw(st.integers(0, n - 1))
+        h[lo:lo + draw(st.integers(0, 3 * w))] = 0.0
+    elif kind == "tiny":
+        h = h * 1e-170  # squares below the smallest subnormal
+    return h, fs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_ned_signals())
+def test_ned_equals_the_per_frame_oracle(signal):
+    h, fs = signal
+    got, want = ned(h, fs), ned_per_frame(h, fs)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.values, want.values)
+    assert got.window == want.window
+
+
 # ---------------------------------------------------------------------------
 # dual slope
 # ---------------------------------------------------------------------------
@@ -142,6 +186,22 @@ def test_dual_slope_fit_on_single_slope_gives_equal_slopes():
     h = synthetic_decay(0.9, seed=6)
     fit = dual_slope_fit(schroeder_edc(h, FS))
     assert abs(fit.slope1 - fit.slope2) / abs(fit.slope1) < 0.15
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(t60=st.floats(0.1, 1.0), ratio=st.floats(0.5, 4.0), knee_db=st.floats(-45.0, -10.0),
+       seed=st.integers(0, 2**32 - 1), fs=st.sampled_from([4000.0, 8000.0, 16000.0]),
+       stretch=st.floats(0.8, 1.3))
+def test_dual_slope_fit_equals_the_per_knee_oracle(t60, ratio, knee_db, seed, fs, stretch):
+    h = synthetic_decay(t60, fs=fs, seed=seed, t60_2=ratio * t60, knee_db=knee_db)
+    edc = schroeder_edc(h[: int(stretch * h.size)], fs)
+    try:
+        want = dual_slope_fit_per_knee(edc)
+    except InsufficientDecayError:
+        with pytest.raises(InsufficientDecayError):
+            dual_slope_fit(edc)
+        return
+    assert dual_slope_fit(edc) == want
 
 
 def test_dual_slope_needs_50_db_of_decay():

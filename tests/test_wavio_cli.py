@@ -1,5 +1,6 @@
 """WAV round-trip and command-line interface tests."""
 
+import csv
 import json
 import os
 import struct
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import alodsim
-from alodsim.cli import main
+from alodsim.cli import ANALYZE_METRICS, _write_columns, main
 from alodsim.errors import AlodsimError, SceneParseError
 from alodsim.scene import parse_scene, preset, serialize_scene
 from alodsim.wavio import read_wav, write_wav
+from oracles import write_analysis_csv
 
 FS = 44100.0
 
@@ -311,6 +313,109 @@ def test_cli_analyze_single_metric_keeps_name(tmp_path):
     assert main(["analyze", "--ir", ir_path, "--metrics", "drr",
                  "--out", out]) == 0
     assert os.path.exists(out)
+
+
+def test_cli_analyze_writes_every_metric_that_succeeds(tmp_path, capsys):
+    # a lone impulse per channel, as in an anechoic render: the EDC falls
+    # past -35 dB within one sample, so T30 and the dual-slope fit fail
+    ir_path = str(tmp_path / "ir.wav")
+    h = np.zeros((2000, 2))
+    h[10] = 1.0
+    write_wav(ir_path, h, FS)
+    out = str(tmp_path / "an.csv")
+    code = main(["analyze", "--ir", ir_path, "--metrics", "edc,t30,drr,dual-slope",
+                 "--out", out])
+    assert code == 1
+    assert os.path.exists(str(tmp_path / "an-edc.csv"))
+    assert os.path.exists(str(tmp_path / "an-drr.csv"))
+    assert not os.path.exists(str(tmp_path / "an-t30.csv"))
+    assert not os.path.exists(str(tmp_path / "an-dual-slope.csv"))
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"wrote {tmp_path / 'an-edc.csv'}",
+                                         f"wrote {tmp_path / 'an-drr.csv'}"]
+    assert captured.err == ("error: t30: fewer than two EDC samples in the fit span; "
+                            "dual-slope: no admissible knee position\n")
+
+
+def test_cli_analyze_checks_every_metric_name_first(tmp_path, capsys):
+    ir_path = str(tmp_path / "ir.wav")
+    write_wav(ir_path, np.exp(-np.arange(4000) / 500.0), FS)
+    out = str(tmp_path / "an.csv")
+    assert main(["analyze", "--ir", ir_path, "--metrics", "edc,rt60", "--out", out]) == 1
+    assert sorted(os.listdir(tmp_path)) == ["ir.wav"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown metric 'rt60'")
+    assert err.count("\n") == 1
+
+
+_CSV_FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS, st.sampled_from(
+    [0.0, -0.0, -1e-9, -4e-5, -5e-5, 4.99999e-5, 5e-5, -120.0])), max_size=30),
+       block=st.integers(1, 7))
+def test_write_columns_equals_csv_writer(tmp_path_factory, rows, block):
+    path = tmp_path_factory.mktemp("csv")
+    formats = ("%.6f", "%.4f", "%.5f")
+    columns = tuple(np.array([r[i] for r in rows], dtype=float) for i in range(3))
+    with pytest.MonkeyPatch.context() as mp:  # rows that span several blocks
+        mp.setattr(alodsim.cli, "CSV_BLOCK_ROWS", block)
+        _write_columns(str(path / "got.csv"), ("a", "b", "c"), formats, columns)
+    with open(path / "want.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([("a", "b", "c")] + [
+            (f"{a:.6f}", f"{b:.4f}", f"{c:.5f}") for a, b, c in rows])
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+
+
+def _two_slope_channels(rng, n_channels, n, fs):
+    """Gaussian noise under the sum of two exponential energy decays, per channel."""
+    t = np.arange(n) / fs
+    out = np.empty((n, n_channels))
+    for ch in range(n_channels):
+        t1, t2 = rng.uniform(0.1, 0.6), rng.uniform(0.1, 2.0)
+        level = 10.0 ** (rng.uniform(-40.0, -10.0) / 10.0)
+        energy = 10.0 ** (-6.0 * t / t1) + level * 10.0 ** (-6.0 * t / t2)
+        out[:, ch] = rng.standard_normal(n) * np.sqrt(energy)
+    return out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n_channels=st.integers(1, 3), seconds=st.floats(0.3, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_cli_analyze_csv_bytes_equal_the_oracle(tmp_path_factory, n_channels, seconds, seed):
+    fs = 8000.0
+    path = tmp_path_factory.mktemp("analyze")
+    ir_path = str(path / "ir.wav")
+    write_wav(ir_path, _two_slope_channels(np.random.default_rng(seed), n_channels,
+                                           int(seconds * fs), fs), fs)
+    code = main(["analyze", "--ir", ir_path, "--metrics", ",".join(ANALYZE_METRICS),
+                 "--out", str(path / "m.csv")])
+    channels = read_wav(ir_path)[0].T
+    failed = 0
+    for metric in ANALYZE_METRICS:
+        got = path / f"m-{metric}.csv"
+        try:
+            write_analysis_csv(metric, channels, fs, str(path / "want.csv"))
+        except AlodsimError:
+            failed += 1
+            assert not got.exists()
+            continue
+        assert got.read_bytes() == (path / "want.csv").read_bytes(), metric
+    assert code == (1 if failed else 0)
+
+
+def test_cli_edc_csv_prints_negative_zero_as_csv_writer_did(tmp_path):
+    # the backward sum's first value lands a rounding error below the total
+    h = _two_slope_channels(np.random.default_rng(0), 2, 4000, 8000.0)
+    write_wav(str(tmp_path / "ir.wav"), h, 8000.0)
+    out = tmp_path / "edc.csv"
+    assert main(["analyze", "--ir", str(tmp_path / "ir.wav"), "--metrics", "edc",
+                 "--out", str(out)]) == 0
+    write_analysis_csv("edc", read_wav(str(tmp_path / "ir.wav"))[0].T, 8000.0,
+                       str(tmp_path / "want.csv"))
+    assert b",-0.0000" in out.read_bytes()
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_cli_render_normalize(tmp_path):
