@@ -9,6 +9,7 @@ seed, version); each simulate run writes a JSON manifest alongside the WAV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -195,6 +196,9 @@ def _cmd_analyze(args) -> int:
             _analyze_one(metric, channels, fs, path)
         except AlodsimError as exc:  # the other metrics are still written
             failed.append(f"{metric}: {exc}")
+            # an earlier run's file at this path would outlive the error
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
             continue
         print(f"wrote {path}")
     if failed:

@@ -331,19 +331,33 @@ def _apply_signature(channels: np.ndarray, spatial_ir: SpatialIR) -> np.ndarray:
 def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
                 orientation: np.ndarray) -> ImpulseResponse:
     """Two-channel render: nearest-direction HRTF pair per tap/tail stream,
-    for a listener facing ``orientation``."""
+    for a listener facing ``orientation``.
+
+    An impulse tap adds its amplitude times its HRTF pair into the ears.
+    The waves of units with bursts, band-dependent taps or tail streams are
+    convolved through one rfft each, summed into two ear spectra."""
     if hrtf.sample_rate != spatial_ir.sample_rate:
         raise RateMismatchError("HRTF and scene sample rates differ")
     frame = head_frame(orientation)
     one_hot = np.eye(hrtf.directions.shape[0])
-    units = render_units(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
-    # one rfft per unit, summed into two ear spectra one unit at a time
-    size = spatial_ir_length(spatial_ir) + hrtf.filters.shape[2] - 1
-    n_fft = next_fast_len(size)
-    out = np.zeros((2, n_fft // 2 + 1), dtype=complex)
-    for idx in sorted(units):
-        out += np.fft.rfft(units[idx], n_fft) * np.fft.rfft(hrtf.filters[idx], n_fft)
-    out = np.fft.irfft(out, n_fft)[:, :size]  # rebinding frees the spectra
+    impulses = []
+    units = render_units(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)],
+                         lambda *taps: impulses.append(taps))
+    n_taps = hrtf.filters.shape[2]
+    size = spatial_ir_length(spatial_ir) + n_taps - 1
+    if units:
+        n_fft = next_fast_len(size)
+        out = np.zeros((2, n_fft // 2 + 1), dtype=complex)
+        for idx in sorted(units):
+            out += np.fft.rfft(units[idx], n_fft) * np.fft.rfft(hrtf.filters[idx], n_fft)
+        out = np.fft.irfft(out, n_fft)[:, :size]  # rebinding frees the spectra
+    else:
+        out = np.zeros((2, size))
+    for unit, start, value in impulses:
+        at = (start[:, None] + np.arange(n_taps)).ravel()
+        for ear in (0, 1):
+            weights = (value[:, None] * hrtf.filters[unit, ear]).ravel()
+            out[ear] += np.bincount(at, weights, minlength=size)
     out = _apply_signature(out, spatial_ir)
     return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
 
@@ -351,13 +365,15 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
 def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
                  orientation: np.ndarray) -> ImpulseResponse:
     """N-channel render: VBAP of each tap/tail stream onto the layout, for a
-    listener facing ``orientation``."""
+    listener facing ``orientation``. Impulse taps add their gains times
+    their amplitudes into the channels; unit waves add whole."""
     frame = head_frame(orientation)
     n = spatial_ir_length(spatial_ir)
     # the output first, so the VBAP scratch and the units that follow it
     # leave one free region behind when the render returns
     out = np.zeros((layout.n_speakers, n))
-    units = render_units(spatial_ir, lambda d: vbap_gains(d @ frame.T, layout))
+    units = render_units(spatial_ir, lambda d: vbap_gains(d @ frame.T, layout),
+                         lambda unit, start, value: np.add.at(out, (unit, start), value))
     for idx, wave in units.items():
         out[idx] += wave
     if layout.calibration_gains is not None:

@@ -1,14 +1,15 @@
 """Sample-domain synthesis of a SpatialIR.
 
-Taps are accumulated over the early extent of the IR, one render unit at a
-time. When the burst-free taps carry equal amplitudes in every band (one
-group under ``filterbank.band_groups``), a unit that no diffuse burst
-reaches takes its impulses unfiltered, since the band masks sum to 1. Every
-other unit fills one buffer per band and filters it through the octave
-masks. A render unit is an HRTF index, a loudspeaker channel or the single
-mono unit; directions reach the units through one gain matrix,
-``unit_gains`` (k, 3) -> (k, n_units), shared by the binaural, array and
-mono paths.
+A render unit is an HRTF index, a loudspeaker channel or the single mono
+unit; directions reach the units through one gain matrix, ``unit_gains``
+(k, 3) -> (k, n_units), shared by the binaural, array and mono paths. A
+burst-free tap whose bands carry equal amplitudes (one group under
+``filterbank.band_groups``) passes the band masks unchanged, since they sum
+to 1: it stays an impulse, which the caller scatters straight into its
+output channels. Only a unit that a diffuse burst, a band-dependent tap or
+a tail stream reaches gets a waveform: its taps and bursts fill one buffer
+per band over the early extent of the IR, filtered through the octave
+masks, and its tail streams are added after.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from .filterbank import BandFilter, OCTAVE_CENTERS_8, band_groups, fftconvolve
+from .filterbank import BandFilter, OCTAVE_CENTERS_8, fftconvolve
 from .ism import SpatialIR, burst_samples
 
 
@@ -35,14 +36,20 @@ def spatial_ir_length(spatial_ir: SpatialIR) -> int:
 
 
 def render_units(spatial_ir: SpatialIR,
-                 unit_gains: Callable[[np.ndarray], np.ndarray]) -> Dict[int, np.ndarray]:
-    """Broadband waveform per render unit.
+                 unit_gains: Callable[[np.ndarray], np.ndarray],
+                 scatter: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+                 ) -> Dict[int, np.ndarray]:
+    """Broadband waveform per render unit that needs one.
 
-    Returns {unit: samples} for every unit that a tap or tail stream reaches
-    with a nonzero gain; all waveforms share the same length, and band work
-    follows the rule above. The optional coupling signature is NOT applied
-    here (it acts on the final channels; convolution commutes with the
-    per-unit linear processing).
+    A burst-free tap whose bands carry equal amplitudes is not rendered
+    here: the band masks sum to 1, so it stays an impulse. All of them go
+    to one call ``scatter(unit, start, value)``, whose arrays hold one entry
+    per (tap, unit) pair with a nonzero gain, in tap order; the caller adds
+    them into its output channels. Returns {unit: samples} for every unit
+    that a diffuse burst, a band-dependent tap or a tail stream reaches with
+    a nonzero gain; all waveforms share the same length. The optional
+    coupling signature is NOT applied here (it acts on the final channels;
+    convolution commutes with the per-unit linear processing).
     """
     fs = spatial_ir.sample_rate
     n = spatial_ir_length(spatial_ir)
@@ -57,6 +64,16 @@ def render_units(spatial_ir: SpatialIR,
                                        np.reshape([s.direction for s in streams], (-1, 3))]))
     tap_gains, stream_gains = gains[: len(rows)], gains[len(rows):]
 
+    amplitude = taps.amplitude[rows]
+    bursts = taps.has_burst[rows]
+    # a burst-free tap in one band group passes the band masks unchanged
+    flat = ~bursts & np.all(amplitude == amplitude[:, :1], axis=1)
+    tap, unit = np.nonzero(tap_gains)  # (tap, unit) pairs in tap order
+    keep = flat[tap]
+    banded = np.unique(unit[~keep])
+    tap, unit = tap[keep], unit[keep]
+    scatter(unit, starts[tap], tap_gains[tap, unit] * amplitude[tap, 0])
+
     # the band buffers and their transform span the taps plus a margin that
     # holds the filter kernels' decay (the lowest band edge sets the time scale)
     lengths = np.maximum(np.rint(taps.burst_duration[rows] * fs).astype(np.int64), 1)
@@ -64,24 +81,18 @@ def render_units(spatial_ir: SpatialIR,
     m = min(n, extent + max(int(0.15 * fs), 4096))
 
     # one band buffer alive at a time; each burst drawn once, kept until its
-    # last unit; with one band group the masks sum to 1 and filter nothing
-    bursts = taps.has_burst[rows]
-    flat = len(band_groups(taps.amplitude[rows[~bursts]].T)[0]) == 1
+    # last unit
     combine = cache(lambda: BandFilter(m, fs))
     reach = np.count_nonzero(tap_gains, axis=1)
     noise: Dict[int, np.ndarray] = {}
     # every wave is a row of one block, so no short-lived array of the loop
     # lands between two waves and splits the space they leave when freed
-    reached = np.flatnonzero(np.any(gains != 0.0, axis=0)).tolist()
-    units: Dict[int, np.ndarray] = dict(zip(reached, np.zeros((len(reached), n))))
-    for unit in np.flatnonzero(np.any(tap_gains != 0.0, axis=0)).tolist():
-        hit = np.flatnonzero(tap_gains[:, unit])
-        values = tap_gains[hit, unit][:, None] * taps.amplitude[rows[hit]]
-        if flat and not bursts[hit].any():
-            np.add.at(units[unit], starts[hit], values[:, 0])
-            continue
+    waved = np.union1d(banded, np.flatnonzero(np.any(stream_gains != 0.0, axis=0))).tolist()
+    units: Dict[int, np.ndarray] = dict(zip(waved, np.zeros((len(waved), n))))
+    for unit in banded.tolist():
+        hit = np.flatnonzero((tap_gains[:, unit] != 0.0) & ~flat)
         buf = np.zeros((len(OCTAVE_CENTERS_8), m))
-        np.add.at(buf.T, starts[hit], values)
+        np.add.at(buf.T, starts[hit], tap_gains[hit, unit][:, None] * amplitude[hit])
         for k in hit[bursts[hit]]:
             if k not in noise:
                 noise[k] = burst_samples(taps, rows[k], fs)
@@ -101,8 +112,12 @@ def render_units(spatial_ir: SpatialIR,
 
 def synthesize_mono(spatial_ir: SpatialIR) -> np.ndarray:
     """Omnidirectional (direction-discarding) rendering of a SpatialIR."""
-    units = render_units(spatial_ir, lambda d: np.ones((len(d), 1)))
-    out = units.get(0, np.zeros(1))
+    impulses = []
+    units = render_units(spatial_ir, lambda d: np.ones((len(d), 1)),
+                         lambda *taps: impulses.append(taps))
+    out = units[0] if units else np.zeros(spatial_ir_length(spatial_ir))
+    for _, start, value in impulses:
+        np.add.at(out, start, value)
     if spatial_ir.signature is not None:
         out = fftconvolve(out, spatial_ir.signature)
     return out

@@ -6,8 +6,13 @@ buffers, spreads one tap or stream direction at a time and filters at FFT
 length 2m. Both are the straightforward forms of what
 ``alodsim.fdn.run_fdn`` and ``alodsim.synth.render_units`` compute with
 band grouping, early-extent buffers, fast FFT lengths and one gain matrix.
-``binauralize_per_unit`` convolves each render unit with each ear's HRTF
-separately, where ``alodsim.spatial.binauralize`` sums unit spectra.
+``render_units_whole`` adds every impulse tap that ``render_units`` hands
+to its caller into a full-length unit wave, one tap at a time.
+``binauralize_per_unit`` convolves each such wave with each ear's HRTF
+separately, and ``render_array_per_tap`` pans each tap with its own
+``vbap_gains`` call, where ``alodsim.spatial`` scatters impulse taps
+straight into the output channels and sums the spectra of the remaining
+unit waves.
 
 ``envelope_db`` is ``alodsim.stimuli._envelope_db`` computed with
 ``scipy.signal.hilbert`` and a "same"-mode ``fftconvolve``.
@@ -50,7 +55,7 @@ from alodsim.ism import (
     enumerate_images,
     reflect_finite_panels,
 )
-from alodsim.spatial import ImpulseResponse, _apply_signature, head_frame
+from alodsim.spatial import ImpulseResponse, _apply_signature, head_frame, vbap_gains
 from alodsim.synth import render_units, spatial_ir_length
 
 
@@ -118,16 +123,42 @@ def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_
     return units
 
 
+def render_units_whole(spatial_ir, unit_gains):
+    """{unit: full-length waveform} holding every tap: the waves of
+    ``render_units`` plus the impulse taps it scatters, added one at a time."""
+    impulses = []
+    units = render_units(spatial_ir, unit_gains, lambda *taps: impulses.append(taps))
+    n = spatial_ir_length(spatial_ir)
+    for unit, start, value in impulses:
+        for u, k, v in zip(unit.tolist(), start.tolist(), value.tolist()):
+            units.setdefault(u, np.zeros(n))[k] += v
+    return units
+
+
 def binauralize_per_unit(spatial_ir, hrtf, orientation):
     """Binaural render with one ``fftconvolve`` per render unit and ear."""
     frame = head_frame(orientation)
     one_hot = np.eye(hrtf.directions.shape[0])
-    units = render_units(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
+    units = render_units_whole(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
     n = spatial_ir_length(spatial_ir)
     out = np.zeros((2, n + hrtf.filters.shape[2] - 1))
     for idx in sorted(units):
         out[0] += fftconvolve(units[idx], hrtf.filters[idx, 0])
         out[1] += fftconvolve(units[idx], hrtf.filters[idx, 1])
+    return ImpulseResponse(channels=_apply_signature(out, spatial_ir),
+                           sample_rate=spatial_ir.sample_rate)
+
+
+def render_array_per_tap(spatial_ir, layout, orientation):
+    """Array render of a layout without calibration: one ``vbap_gains``
+    call per tap and stream direction, every tap in a full-length unit wave."""
+    assert layout.calibration_gains is None and layout.calibration_delays is None
+    frame = head_frame(orientation)
+    units = render_units_whole(spatial_ir, lambda d: np.reshape(
+        [vbap_gains(v @ frame.T, layout) for v in d], (len(d), layout.n_speakers)))
+    out = np.zeros((layout.n_speakers, spatial_ir_length(spatial_ir)))
+    for unit, wave in units.items():
+        out[unit] += wave
     return ImpulseResponse(channels=_apply_signature(out, spatial_ir),
                            sample_rate=spatial_ir.sample_rate)
 

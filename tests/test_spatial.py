@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from alodsim.errors import SceneValidationError
-from alodsim.ism import SpatialIR, TailStream, Taps
+from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps
 from alodsim.spatial import (
     HrtfSet,
     ImpulseResponse,
@@ -28,7 +28,7 @@ from alodsim.pipeline import build_spatial_ir, simulate
 from alodsim.scene import preset, profile_preset
 from alodsim.wavio import write_wav
 
-from oracles import binauralize_per_unit
+from oracles import binauralize_per_unit, render_array_per_tap, render_units_whole
 
 FS = 44100.0
 
@@ -362,6 +362,62 @@ def test_binauralize_matches_per_unit_convolution():
     assert got.channels.shape == want.channels.shape
     peak = np.max(np.abs(want.channels))
     assert np.max(np.abs(got.channels - want.channels)) <= 1e-12 * peak
+
+
+def _unit_vectors(rng, k):
+    v = rng.standard_normal((k, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@st.composite
+def _spatial_irs(draw):
+    """Random SpatialIRs of burst-free taps with equal bands, and, when
+    drawn, taps with bursts, band-dependent taps, a tail stream and a
+    coupling signature; with a random head orientation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_flat = draw(st.integers(1, 40))
+    n_burst, n_banded = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    k = n_flat + n_burst + n_banded
+    amplitude = np.repeat(rng.uniform(-1.0, 1.0, (k, 1)), 8, axis=1)
+    amplitude[n_flat + n_burst:] = rng.uniform(0.0, 1.0, (n_banded, 8))
+    burst = np.arange(k) >= n_flat
+    burst[n_flat + n_burst:] = False
+    taps = Taps(delay=rng.uniform(0.0, 0.05, k), amplitude=amplitude,
+                doa=_unit_vectors(rng, k), order=rng.integers(1, 4, k),
+                burst_energy=np.where(burst[:, None], rng.uniform(0.0, 1e-3, (k, 8)), 0.0),
+                burst_seed=np.where(burst, rng.integers(0, 1000, k), NO_BURST))
+    tail = ()
+    if draw(st.booleans()):
+        tail = (TailStream(samples=1e-2 * rng.standard_normal(rng.integers(1, 3000)),
+                           onset=rng.uniform(0.0, 0.06), direction=_unit_vectors(rng, 1)[0]),)
+    signature = rng.standard_normal(rng.integers(1, 50)) if draw(st.booleans()) else None
+    ir = SpatialIR(taps=taps, sample_rate=FS, tail=tail, signature=signature)
+    return ir, _unit_vectors(rng, 1)[0]
+
+
+_ARRAY = array_preset_86()
+_HRTF = synthetic_hrtf()
+
+
+def _error_of_peak(got, want):
+    assert got.shape == want.shape
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_spatial_irs())
+def test_impulse_taps_scatter_as_the_per_unit_and_per_tap_oracles(case):
+    # the oracles add each impulse tap into a full-length unit wave and
+    # render that wave; waves of bursts and band-dependent taps are shared
+    ir, orientation = case
+    got = binauralize(ir, _HRTF, orientation).channels
+    assert _error_of_peak(got, binauralize_per_unit(ir, _HRTF, orientation).channels) <= 1e-12
+    got = render_array(ir, _ARRAY, orientation).channels
+    assert _error_of_peak(got, render_array_per_tap(ir, _ARRAY, orientation).channels) <= 1e-12
+    want = render_units_whole(ir, lambda d: np.ones((len(d), 1)))[0]
+    if ir.signature is not None:
+        want = np.convolve(want, ir.signature)
+    assert _error_of_peak(render_mono(ir).channels[0], want) <= 1e-12
 
 
 def test_tail_streams_render_at_their_onset():

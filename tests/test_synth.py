@@ -9,7 +9,7 @@ from alodsim.pipeline import build_spatial_ir
 from alodsim.spatial import array_preset_86, render_array
 from alodsim.synth import render_units, spatial_ir_length
 
-from oracles import render_units_2m
+from oracles import render_units_2m, render_units_whole
 
 FS = 44100.0
 
@@ -18,6 +18,10 @@ def _two_unit_gains(doa):
     # left-leaning directions go to unit 0, the rest to unit 1, with a
     # little crosstalk so both units see every tap
     return np.where((doa[:, 1] >= 0)[:, None], [0.8, 0.2], [0.3, 0.9])
+
+
+def _no_impulses(unit, start, value):
+    assert len(unit) == 0, "every tap here has a burst or band-dependent amplitudes"
 
 
 def _early_ir(tail_seconds: float) -> SpatialIR:
@@ -41,7 +45,7 @@ def test_render_units_match_the_2m_oracle():
     # around; at lags near m those tails are ~1e-7 of the peak
     ir = _early_ir(0.5)
     want = render_units_2m(ir, _two_unit_gains)
-    got = render_units(ir, _two_unit_gains)
+    got = render_units_whole(ir, _two_unit_gains)
     assert sorted(got) == sorted(want)
     peak = max(np.max(np.abs(w)) for w in want.values())
     for unit, wave in got.items():
@@ -60,7 +64,7 @@ def test_band_buffers_span_the_early_extent_not_the_tail():
     n = spatial_ir_length(ir)
     tracemalloc.start()
     try:
-        render_units(ir, lambda doa: np.ones((len(doa), 1)))
+        render_units(ir, lambda doa: np.ones((len(doa), 1)), _no_impulses)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -72,7 +76,8 @@ def _record_calls(monkeypatch, owner, name, note):
     """Wrap ``owner.name`` so that each call appends ``note(*args)``."""
     calls = []
     real = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: calls.append(note(*args)) or real(*args))
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs:
+                        calls.append(note(*args)) or real(*args, **kwargs))
     return calls
 
 
@@ -80,7 +85,7 @@ def test_each_burst_is_drawn_once_per_call(monkeypatch):
     # every tap reaches both units; its burst is still drawn only once
     calls = _record_calls(monkeypatch, synth, "burst_samples", lambda taps, row, fs: row)
     ir = _early_ir(0.1)
-    render_units(ir, _two_unit_gains)
+    render_units(ir, _two_unit_gains, _no_impulses)
     assert sorted(calls) == np.flatnonzero(ir.taps.has_burst).tolist()
 
 
@@ -104,7 +109,7 @@ def test_two_band_groups_match_the_2m_oracle(monkeypatch):
                 order=np.ones(30, dtype=int))
     ir = SpatialIR(taps=taps, sample_rate=FS)
     rows = _record_calls(monkeypatch, BandFilter, "apply", lambda self, x: x.shape[0])
-    got = render_units(ir, _two_unit_gains)
+    got = render_units(ir, _two_unit_gains, _no_impulses)
     assert rows == [8, 8]  # bands differ: one 8-band buffer per unit
     want = render_units_2m(ir, _two_unit_gains)
     assert sorted(got) == sorted(want)
@@ -123,3 +128,15 @@ def test_ism_15_array_render_filters_no_bands(monkeypatch):
     out = render_array(ir, array_preset_86(), np.array([1.0, 0.0, 0.0]))
     assert len(ir.taps) > 4000 and np.any(out.channels)
     assert applied == []
+
+
+def test_ism_15_binaural_render_makes_no_fft(monkeypatch):
+    # no burst, no band-dependent tap, no tail and no signature: every tap
+    # adds its amplitude times its HRTF pair, with no transform at all
+    scene, profile = preset("pub"), profile_preset("ism-15")
+    ir = build_spatial_ir(scene, profile)
+    assert ir.signature is None and not ir.tail and not ir.taps.has_burst.any()
+    calls = _record_calls(monkeypatch, np.fft, "rfft", lambda x, *rest: np.shape(x))
+    out = simulate(scene, profile, output_mode="binaural")
+    assert len(ir.taps) > 4000 and np.any(out.ir.channels)
+    assert calls == []

@@ -337,6 +337,27 @@ def test_cli_analyze_writes_every_metric_that_succeeds(tmp_path, capsys):
                             "dual-slope: no admissible knee position\n")
 
 
+def test_cli_analyze_removes_the_csv_of_a_metric_that_now_fails(tmp_path, capsys):
+    decay = str(tmp_path / "decay.wav")
+    n = int(0.5 * FS)
+    write_wav(decay, np.random.default_rng(4).standard_normal(n)
+              * 10.0 ** (-60.0 * np.arange(n) / FS / 0.3 / 20.0), FS)
+    impulse = str(tmp_path / "impulse.wav")  # no decay to fit a T30 to
+    h = np.zeros(2000)
+    h[10] = 1.0
+    write_wav(impulse, h, FS)
+    out = str(tmp_path / "st.csv")
+    assert main(["analyze", "--ir", decay, "--metrics", "edc,t30", "--out", out]) == 0
+    assert os.path.exists(str(tmp_path / "st-t30.csv"))
+    capsys.readouterr()
+    assert main(["analyze", "--ir", impulse, "--metrics", "edc,t30", "--out", out]) == 1
+    # the files on disk are the ones the second run reports
+    assert sorted(os.listdir(tmp_path)) == ["decay.wav", "impulse.wav", "st-edc.csv"]
+    with open(str(tmp_path / "st-edc.csv"), encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + h.size
+    assert capsys.readouterr().err.startswith("error: t30: ")
+
+
 def test_cli_analyze_checks_every_metric_name_first(tmp_path, capsys):
     ir_path = str(tmp_path / "ir.wav")
     write_wav(ir_path, np.exp(-np.arange(4000) / 500.0), FS)
