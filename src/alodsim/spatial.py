@@ -340,9 +340,8 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
         raise RateMismatchError("HRTF and scene sample rates differ")
     frame = head_frame(orientation)
     one_hot = np.eye(hrtf.directions.shape[0])
-    impulses = []
-    units = render_units(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)],
-                         lambda *taps: impulses.append(taps))
+    units, (unit, start, value) = render_units(
+        spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
     n_taps = hrtf.filters.shape[2]
     size = spatial_ir_length(spatial_ir) + n_taps - 1
     if units:
@@ -353,11 +352,10 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
         out = np.fft.irfft(out, n_fft)[:, :size]  # rebinding frees the spectra
     else:
         out = np.zeros((2, size))
-    for unit, start, value in impulses:
-        at = (start[:, None] + np.arange(n_taps)).ravel()
-        for ear in (0, 1):
-            weights = (value[:, None] * hrtf.filters[unit, ear]).ravel()
-            out[ear] += np.bincount(at, weights, minlength=size)
+    at = (start[:, None] + np.arange(n_taps)).ravel()
+    for ear in (0, 1):
+        weights = (value[:, None] * hrtf.filters[unit, ear]).ravel()
+        out[ear] += np.bincount(at, weights, minlength=size)
     out = _apply_signature(out, spatial_ir)
     return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
 
@@ -372,8 +370,9 @@ def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
     # the output first, so the VBAP scratch and the units that follow it
     # leave one free region behind when the render returns
     out = np.zeros((layout.n_speakers, n))
-    units = render_units(spatial_ir, lambda d: vbap_gains(d @ frame.T, layout),
-                         lambda unit, start, value: np.add.at(out, (unit, start), value))
+    units, (unit, start, value) = render_units(
+        spatial_ir, lambda d: vbap_gains(d @ frame.T, layout))
+    np.add.at(out, (unit, start), value)
     for idx, wave in units.items():
         out[idx] += wave
     if layout.calibration_gains is not None:

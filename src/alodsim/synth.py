@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -37,17 +37,16 @@ def spatial_ir_length(spatial_ir: SpatialIR) -> int:
 
 def render_units(spatial_ir: SpatialIR,
                  unit_gains: Callable[[np.ndarray], np.ndarray],
-                 scatter: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
-                 ) -> Dict[int, np.ndarray]:
-    """Broadband waveform per render unit that needs one.
+                 ) -> Tuple[Dict[int, np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Broadband waveform per render unit that needs one, and the impulses.
 
+    Returns ``(units, (unit, start, value))``. ``units`` is {unit: samples}
+    for every unit that a diffuse burst, a band-dependent tap or a tail
+    stream reaches with a nonzero gain; all waveforms share the same length.
     A burst-free tap whose bands carry equal amplitudes is not rendered
-    here: the band masks sum to 1, so it stays an impulse. All of them go
-    to one call ``scatter(unit, start, value)``, whose arrays hold one entry
-    per (tap, unit) pair with a nonzero gain, in tap order; the caller adds
-    them into its output channels. Returns {unit: samples} for every unit
-    that a diffuse burst, a band-dependent tap or a tail stream reaches with
-    a nonzero gain; all waveforms share the same length. The optional
+    into them: the band masks sum to 1, so it stays an impulse. The three
+    arrays hold one entry per such (tap, unit) pair with a nonzero gain, in
+    tap order, for the caller to add into its output channels. The optional
     coupling signature is NOT applied here (it acts on the final channels;
     convolution commutes with the per-unit linear processing).
     """
@@ -72,7 +71,7 @@ def render_units(spatial_ir: SpatialIR,
     keep = flat[tap]
     banded = np.unique(unit[~keep])
     tap, unit = tap[keep], unit[keep]
-    scatter(unit, starts[tap], tap_gains[tap, unit] * amplitude[tap, 0])
+    impulses = unit, starts[tap], tap_gains[tap, unit] * amplitude[tap, 0]
 
     # the band buffers and their transform span the taps plus a margin that
     # holds the filter kernels' decay (the lowest band edge sets the time scale)
@@ -107,17 +106,14 @@ def render_units(spatial_ir: SpatialIR,
         stop = min(offset + len(stream.samples), n)
         for unit in np.flatnonzero(gain).tolist():
             units[unit][offset:stop] += gain[unit] * stream.samples[: stop - offset]
-    return units
+    return units, impulses
 
 
 def synthesize_mono(spatial_ir: SpatialIR) -> np.ndarray:
     """Omnidirectional (direction-discarding) rendering of a SpatialIR."""
-    impulses = []
-    units = render_units(spatial_ir, lambda d: np.ones((len(d), 1)),
-                         lambda *taps: impulses.append(taps))
+    units, (_, start, value) = render_units(spatial_ir, lambda d: np.ones((len(d), 1)))
     out = units[0] if units else np.zeros(spatial_ir_length(spatial_ir))
-    for _, start, value in impulses:
-        np.add.at(out, start, value)
+    np.add.at(out, start, value)
     if spatial_ir.signature is not None:
         out = fftconvolve(out, spatial_ir.signature)
     return out

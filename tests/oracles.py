@@ -6,8 +6,8 @@ buffers, spreads one tap or stream direction at a time and filters at FFT
 length 2m. Both are the straightforward forms of what
 ``alodsim.fdn.run_fdn`` and ``alodsim.synth.render_units`` compute with
 band grouping, early-extent buffers, fast FFT lengths and one gain matrix.
-``render_units_whole`` adds every impulse tap that ``render_units`` hands
-to its caller into a full-length unit wave, one tap at a time.
+``render_units_whole`` adds every impulse tap that ``render_units`` returns
+beside its waves into a full-length unit wave, one tap at a time.
 ``binauralize_per_unit`` convolves each such wave with each ear's HRTF
 separately, and ``render_array_per_tap`` pans each tap with its own
 ``vbap_gains`` call, where ``alodsim.spatial`` scatters impulse taps
@@ -125,13 +125,11 @@ def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_
 
 def render_units_whole(spatial_ir, unit_gains):
     """{unit: full-length waveform} holding every tap: the waves of
-    ``render_units`` plus the impulse taps it scatters, added one at a time."""
-    impulses = []
-    units = render_units(spatial_ir, unit_gains, lambda *taps: impulses.append(taps))
+    ``render_units`` plus the impulse taps it returns, added one at a time."""
+    units, impulses = render_units(spatial_ir, unit_gains)
     n = spatial_ir_length(spatial_ir)
-    for unit, start, value in impulses:
-        for u, k, v in zip(unit.tolist(), start.tolist(), value.tolist()):
-            units.setdefault(u, np.zeros(n))[k] += v
+    for u, k, v in zip(*(a.tolist() for a in impulses)):
+        units.setdefault(u, np.zeros(n))[k] += v
     return units
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +73,25 @@ def test_positions_match_brute_force_oracle(dims, fraction, order):
     keys = [tuple(np.round(p, 9)) for p in images.position]
     assert len(set(keys)) == len(keys) == len(oracle)
     assert [oracle.get(k) for k in keys] == images.order.tolist()
+
+
+def test_fifty_rooms_match_the_oracle_within_1_s():
+    rng = np.random.default_rng(12345)
+    start = time.time()
+    for _ in range(50):
+        dims = rng.uniform(2.0, 9.0, 3)
+        source = dims * rng.uniform(0.1, 0.9, 3)
+        room = _box(dims)
+        for order in (0, 1, 4):
+            images = enumerate_images(room, source, order)
+            got = {tuple(np.round(p, 9)) for p in images.position}
+            oracle = set(brute_force_images(dims, source, order))
+            assert got == oracle, f"dims={dims} order={order}"
+            # per-image positions agree to 1e-9 with the oracle points
+            for p in images.position:
+                key = tuple(np.round(p, 9))
+                assert key in oracle
+    assert time.time() - start < 1.0, "oracle comparison exceeded 1 s"
 
 
 def test_image_counts_follow_4n2_plus_2():

@@ -20,17 +20,17 @@ def _two_unit_gains(doa):
     return np.where((doa[:, 1] >= 0)[:, None], [0.8, 0.2], [0.3, 0.9])
 
 
-def _no_impulses(unit, start, value):
-    assert len(unit) == 0, "every tap here has a burst or band-dependent amplitudes"
-
-
 def _early_ir(tail_seconds: float) -> SpatialIR:
     rng = np.random.default_rng(11)
     k = np.arange(40)
     doa = rng.standard_normal((40, 3))
     burst = k % 4 == 0
-    # every fourth tap carries a burst of 4 + k ms (order 2 + k / 2)
-    taps = Taps(delay=0.005 + 0.002 * k, amplitude=rng.uniform(0.0, 0.5, (40, 8)),
+    # every fourth tap carries a burst of 4 + k ms (order 2 + k / 2); the
+    # taps halfway between them are burst-free with equal bands, impulses
+    # that reach the same units as the band-dependent taps
+    amplitude = rng.uniform(0.0, 0.5, (40, 8))
+    amplitude[k % 4 == 2] = amplitude[k % 4 == 2, :1]
+    taps = Taps(delay=0.005 + 0.002 * k, amplitude=amplitude,
                 doa=doa / np.linalg.norm(doa, axis=1, keepdims=True),
                 order=2 + k // 2,
                 burst_energy=np.where(burst[:, None], rng.uniform(0.0, 1e-3, (40, 8)), 0.0),
@@ -45,6 +45,8 @@ def test_render_units_match_the_2m_oracle():
     # around; at lags near m those tails are ~1e-7 of the peak
     ir = _early_ir(0.5)
     want = render_units_2m(ir, _two_unit_gains)
+    unit, _, _ = render_units(ir, _two_unit_gains)[1]
+    assert len(unit) == 2 * 10  # ten impulse taps, each on both units
     got = render_units_whole(ir, _two_unit_gains)
     assert sorted(got) == sorted(want)
     peak = max(np.max(np.abs(w)) for w in want.values())
@@ -64,11 +66,12 @@ def test_band_buffers_span_the_early_extent_not_the_tail():
     n = spatial_ir_length(ir)
     tracemalloc.start()
     try:
-        render_units(ir, lambda doa: np.ones((len(doa), 1)), _no_impulses)
+        _, (unit, _, _) = render_units(ir, lambda doa: np.ones((len(doa), 1)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     one_full_band_buffer = 8 * n * 8  # (8, n) float64
+    assert len(unit) == 0
     assert peak < one_full_band_buffer, f"peak {peak} B for n = {n}"
 
 
@@ -85,7 +88,7 @@ def test_each_burst_is_drawn_once_per_call(monkeypatch):
     # every tap reaches both units; its burst is still drawn only once
     calls = _record_calls(monkeypatch, synth, "burst_samples", lambda taps, row, fs: row)
     ir = _early_ir(0.1)
-    render_units(ir, _two_unit_gains, _no_impulses)
+    render_units(ir, _two_unit_gains)
     assert sorted(calls) == np.flatnonzero(ir.taps.has_burst).tolist()
 
 
@@ -109,7 +112,8 @@ def test_two_band_groups_match_the_2m_oracle(monkeypatch):
                 order=np.ones(30, dtype=int))
     ir = SpatialIR(taps=taps, sample_rate=FS)
     rows = _record_calls(monkeypatch, BandFilter, "apply", lambda self, x: x.shape[0])
-    got = render_units(ir, _two_unit_gains, _no_impulses)
+    got, (unit, _, _) = render_units(ir, _two_unit_gains)
+    assert len(unit) == 0
     assert rows == [8, 8]  # bands differ: one 8-band buffer per unit
     want = render_units_2m(ir, _two_unit_gains)
     assert sorted(got) == sorted(want)
