@@ -92,13 +92,6 @@ def _smoothed_difference_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse) -> np.
         return 20.0 * np.log10(np.maximum(sa[sel], 1e-12) / np.maximum(sb[sel], 1e-12))
 
 
-def spectral_deviation_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse) -> float:
-    """Mean |difference| of third-octave smoothed magnitude spectra (dB)."""
-    if ir_a.sample_rate != ir_b.sample_rate:
-        raise RateMismatchError("sample rates differ")
-    return float(np.mean(np.abs(_smoothed_difference_db(ir_a, ir_b))))
-
-
 def match_spectrum(sim: ImpulseResponse, ref: ImpulseResponse):
     """Correct ``sim`` toward the average spectrum of ``ref``.
 

@@ -184,7 +184,8 @@ def load_hrtf_dir(path: str) -> HrtfSet:
 @dataclass(frozen=True)
 class LoudspeakerLayout:
     """Speaker positions around a listener, triangulated when built: the
-    directions must span a 3-D hull (at least 4, not all in one plane)."""
+    directions must span a 3-D hull (at least 4, not all in one plane), and
+    no two speakers may lie in one direction."""
     positions: np.ndarray  # (n, 3) meters
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))  # listener
     calibration_gains: Optional[np.ndarray] = None  # (n,) linear
@@ -208,12 +209,13 @@ class LoudspeakerLayout:
         if not all(np.isfinite(a).all() for a in (p, center, *calibration) if a is not None):
             raise SceneValidationError("loudspeaker positions, center and "
                                        "calibration values must be finite")
-        if len(np.unique(np.round(p, 9), axis=0)) != p.shape[0]:
-            raise SceneValidationError("duplicate loudspeaker positions")
         if np.any(np.all(np.abs(p - center) < 1e-9, axis=1)):
             raise SceneValidationError("loudspeaker at the listener position")
         object.__setattr__(self, "positions", p)
         object.__setattr__(self, "center", center)
+        if len(np.unique(np.round(self.directions, 9), axis=0)) != p.shape[0]:
+            raise SceneValidationError("two loudspeakers in one direction from "
+                                       "the listener")
         # kept on the layout itself, so it is freed with it and can never be
         # handed to another layout
         object.__setattr__(self, "_triangulation", _Triangulation(self))
@@ -255,20 +257,76 @@ def array_preset_86() -> LoudspeakerLayout:
     return LoudspeakerLayout(positions=np.array(positions), center=center)
 
 
+_NO_HULL = ("loudspeaker directions do not span a 3-D hull: at least 4 are "
+            "needed, not all in one plane")
+
+
+def _hull_triangles(dirs: np.ndarray) -> np.ndarray:
+    """Outward-facing (T, 3) triangles of the convex hull of distinct unit
+    vectors.
+
+    Gift wrapping of whole faces. Points in one plane lie on one circle of
+    the sphere, so each of them is a vertex of its face's polygon: no point
+    is inside a face and no three are collinear. The first edge joins point
+    0 to its nearest neighbour. A plane is pivoted about each open edge
+    until it meets a point; every point within 1e-9 of that plane is the
+    face, which is sorted by angle and fanned from its lowest index. A face
+    that brings no new directed edge was found before, across another edge
+    (rounding can do that near points almost in one plane), and is dropped.
+    """
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    def face(a, b, normal):
+        # pivot the plane through edge a -> b with outward normal ``normal``
+        # away from the face it bounds: the first point met has the smallest
+        # pivot angle, so the largest cotangent x / -y
+        e = unit(dirs[b] - dirs[a])
+        normal = unit(normal - (normal @ e) * e)
+        # e x normal, written out: np.cross costs ~20 us on two 3-vectors
+        away = e[[1, 2, 0]] * normal[[2, 0, 1]] - e[[2, 0, 1]] * normal[[1, 2, 0]]
+        w = dirs - dirs[a]
+        x, y = w @ away, w @ normal
+        below = y < -1e-9
+        if not below.any():  # this plane holds every point
+            raise SceneValidationError(_NO_HULL)
+        q = np.argmax(np.where(below, x / np.where(below, -y, 1.0), -np.inf))
+        h = math.hypot(x[q], y[q])
+        inward = (x[q] * away + y[q] * normal) / h  # from the edge toward q
+        normal = (x[q] * normal - y[q] * away) / h
+        on = np.flatnonzero(np.abs(w @ normal) <= 1e-9)
+        # angles about the circle's centre, counterclockwise seen from
+        # outside: (inward, e, normal) is right-handed
+        loop = on[np.argsort(np.arctan2(dirs[on] @ e, dirs[on] @ inward))].tolist()
+        first = loop.index(min(loop))
+        return loop[first:] + loop[:first], normal
+
+    if len(dirs) < 4:
+        raise SceneValidationError(_NO_HULL)
+    # the plane through 0 and its nearest neighbour b, normal to their sum,
+    # touches no other point
+    b = 1 + int(np.argmax(dirs[1:] @ dirs[0]))
+    faces, done, todo = [], set(), [(0, b, dirs[0] + dirs[b])]
+    while todo:
+        a, b, normal = todo.pop()
+        if (b, a) in done:
+            continue
+        loop, normal = face(a, b, normal)
+        edges = [edge for edge in zip(loop, loop[1:] + loop[:1]) if edge not in done]
+        if not edges:
+            continue
+        done.update(edges)
+        faces.append(loop)
+        todo += [(a, b, normal) for a, b in edges]
+    return np.array([(f[0], f[i], f[i + 1]) for f in faces for i in range(1, len(f) - 1)])
+
+
 class _Triangulation:
     """Convex-hull triangulation of the layout directions, with cached inverses."""
 
     def __init__(self, layout: LoudspeakerLayout):
-        # scipy.spatial takes ~0.5 s to import: only a layout pays for it
-        from scipy.spatial import ConvexHull, QhullError
-
         dirs = layout.directions
-        try:
-            triangles = ConvexHull(dirs).simplices
-        except QhullError:  # fewer than 4 speakers, or all in one plane
-            raise SceneValidationError("loudspeaker directions do not span a 3-D "
-                                       "hull: at least 4 are needed, not all in "
-                                       "one plane") from None
+        triangles = _hull_triangles(dirs)
         mats = dirs[triangles]  # (T, 3, 3): rows are speaker directions
         # a face through the listener (the open side of a hemispherical
         # layout) has no inverse; directions there fall back in vbap_gains
@@ -293,26 +351,23 @@ def vbap_gains(direction: np.ndarray, layout: LoudspeakerLayout) -> np.ndarray:
     """Power-normalized VBAP gains of (..., 3) directions, as (..., n_speakers).
 
     At most 3 gains per direction are nonzero and their squares sum to 1.
-    Directions outside the triangulated coverage use the nearest triangle,
-    or, where all three of its gains clip to 0 (below the open side of a
-    hemispherical layout), the nearest loudspeaker alone; one RuntimeWarning
-    per call counts them.
+    A direction outside the triangulated coverage (below the open side of a
+    hemispherical layout) goes to its nearest loudspeaker alone; one
+    RuntimeWarning per call counts them.
     """
     d = np.asarray(direction, dtype=float)
     flat = d.reshape(-1, 3)
     flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
     idx, g, worst = layout._triangulation.gains(flat)
-    outside = int(np.count_nonzero(worst < -1e-9))
-    if outside:
-        warnings.warn(f"{outside} of {len(flat)} directions outside triangulated "
-                      "coverage; using the nearest triangle or loudspeaker",
-                      RuntimeWarning)
     g = np.clip(g, 0.0, None)
     norm = np.linalg.norm(g, axis=1, keepdims=True)
-    lost = norm[:, 0] == 0.0
-    if np.any(lost):
-        idx[lost] = np.argmax(flat[lost] @ layout.directions.T, axis=1)[:, None]
-        g[lost] = norm[lost] = 1.0
+    outside = worst < -1e-9
+    if np.any(outside):
+        warnings.warn(f"{np.count_nonzero(outside)} of {len(flat)} directions "
+                      "outside triangulated coverage; using the nearest "
+                      "loudspeaker", RuntimeWarning)
+        idx[outside] = np.argmax(flat[outside] @ layout.directions.T, axis=1)[:, None]
+        g[outside] = norm[outside] = 1.0
     gains = np.zeros((len(flat), layout.n_speakers))
     np.put_along_axis(gains, idx, g / norm, axis=1)
     return gains.reshape(d.shape[:-1] + (layout.n_speakers,))

@@ -4,14 +4,19 @@ import pytest
 from alodsim.errors import RateMismatchError
 from alodsim.filterbank import band_masks
 from alodsim.postproc import (
+    _smoothed_difference_db,
     match_spectrum,
     minimum_phase_fir,
-    spectral_deviation_db,
     third_octave_smooth,
 )
 from alodsim.spatial import ImpulseResponse
 
 FS = 44100.0
+
+
+def spectral_deviation_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse) -> float:
+    """Mean |difference| of third-octave smoothed magnitude spectra (dB)."""
+    return float(np.mean(np.abs(_smoothed_difference_db(ir_a, ir_b))))
 
 
 def _noise_ir(seed=0, n=8192, channels=1):

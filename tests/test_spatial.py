@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from alodsim.errors import SceneValidationError
 from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps
@@ -11,6 +12,7 @@ from alodsim.spatial import (
     ImpulseResponse,
     LoudspeakerLayout,
     _Triangulation,
+    _hull_triangles,
     array_preset_86,
     az_el_to_vec,
     binauralize,
@@ -258,7 +260,7 @@ def _layouts(draw):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     try:
         return LoudspeakerLayout(positions=2.0 * dirs, center=np.zeros(3))
-    except SceneValidationError:  # no 3-D hull, or two speakers in one place
+    except SceneValidationError:  # no 3-D hull, or two speakers in one direction
         assume(False)
 
 
@@ -280,6 +282,104 @@ def test_vbap_rejects_a_layout_in_one_plane():
     dirs = [az_el_to_vec(360.0 * i / 8, 0.0) for i in range(8)]
     with pytest.raises(SceneValidationError, match="3-D hull"):
         LoudspeakerLayout(positions=2.0 * np.array(dirs), center=np.zeros(3))
+
+
+def test_layout_rejects_a_ring_off_the_listener_plane():
+    # one plane that misses the listener: the hull is still flat
+    dirs = [az_el_to_vec(360.0 * i / 8, 30.0) for i in range(8)]
+    with pytest.raises(SceneValidationError, match="3-D hull"):
+        LoudspeakerLayout(positions=2.0 * np.array(dirs), center=np.zeros(3))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_layout_rejects_fewer_than_four_speakers(count):
+    dirs = np.eye(3)[:count] + [0.0, 0.0, 0.5]
+    with pytest.raises(SceneValidationError, match="at least 4 are needed"):
+        LoudspeakerLayout(positions=2.0 * dirs, center=np.zeros(3))
+
+
+def test_layout_rejects_two_speakers_in_one_direction():
+    positions = np.vstack([np.eye(3), -np.eye(3), [[3.0, 0.0, 0.0]]])
+    with pytest.raises(SceneValidationError, match="one direction"):
+        LoudspeakerLayout(positions=positions, center=np.zeros(3))
+
+
+# The hull is checked against scipy's Qhull, kept as a test-only oracle.
+
+def _triangle_set(triangles) -> set:
+    return {tuple(sorted(t)) for t in np.asarray(triangles).tolist()}
+
+
+def _face_normals(dirs, triangles):
+    a, b, c = (dirs[triangles[:, i]] for i in range(3))
+    return np.cross(b - a, c - a)
+
+
+def _assert_outward(dirs, triangles):
+    # the mean of the hull's vertices lies strictly inside it
+    inward = dirs.mean(axis=0) - dirs[triangles[:, 0]]
+    assert np.all(np.einsum("ij,ij->i", _face_normals(dirs, triangles), inward) < 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_DIRECTION, min_size=4, max_size=24))
+def test_hull_of_a_layout_in_general_position_is_qhulls(points):
+    dirs = np.array(points)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    try:
+        hull = ConvexHull(dirs)
+    except QhullError:  # flat
+        assume(False)
+    # general position: no point within 1e-6 of a facet it is not on
+    off = np.abs(hull.equations @ np.hstack([dirs, np.ones((len(dirs), 1))]).T)
+    off[np.arange(len(hull.simplices))[:, None], hull.simplices] = np.inf
+    assume(off.min() > 1e-6 and len(hull.vertices) == len(dirs))
+    triangles = _hull_triangles(dirs)
+    assert _triangle_set(triangles) == _triangle_set(hull.simplices)
+    _assert_outward(dirs, triangles)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(-80.0, 80.0), st.integers(3, 16), st.floats(0.0, 360.0)),
+                min_size=1, max_size=3, unique_by=lambda ring: round(ring[0], 3)))
+def test_hull_of_rings_and_the_zenith_covers_qhulls_area(rings):
+    # each ring is one plane, so its faces hold more than three points and
+    # may be split into triangles either way
+    dirs = np.array([az_el_to_vec(offset + 360.0 * i / count, el)
+                     for el, count, offset in rings for i in range(count)]
+                    + [[0.0, 0.0, 1.0]])
+    hull = ConvexHull(dirs)
+    triangles = _hull_triangles(dirs)
+    assert len(triangles) == len(hull.simplices) == 2 * len(dirs) - 4
+    area = 0.5 * np.linalg.norm(_face_normals(dirs, triangles), axis=1).sum()
+    assert area == pytest.approx(hull.area, rel=1e-12)
+    _assert_outward(dirs, triangles)
+
+
+def test_hull_of_the_86_speaker_array():
+    dirs = array_preset_86().directions
+    triangles = _hull_triangles(dirs)
+    assert len(triangles) == 168
+    assert _triangle_set(triangles) == _triangle_set(ConvexHull(dirs).simplices)
+
+
+@pytest.mark.parametrize("layout", [array_preset_86, lambda: _upper_hemisphere(0.0)],
+                         ids=["array-86", "hemisphere"])
+def test_vbap_gains_do_not_depend_on_the_order_of_triangles(layout):
+    layout = layout()
+    rng = np.random.default_rng(11)
+    dirs = np.vstack([rng.standard_normal((500, 3)), az_el_to_vec(10.0, -30.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = vbap_gains(dirs, layout)
+        tri = layout._triangulation
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            rows = tri.triangles[rng.permutation(len(tri.triangles))]
+            tri.triangles = np.take_along_axis(rows, rng.permuted(
+                np.tile([0, 1, 2], (len(rows), 1)), axis=1), axis=1)
+            tri.inverses = np.linalg.inv(layout.directions[tri.triangles])
+            assert np.allclose(vbap_gains(dirs, layout), want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("field", ["positions", "center", "calibration_gains",

@@ -711,12 +711,10 @@ def test_cli_import_loads_no_scipy_signal_or_stats(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["binaural", "array"])
-def test_cli_loads_scipy_only_to_build_a_loudspeaker_layout(tmp_path, mode):
+def test_cli_loads_no_scipy_module_in_binaural_or_array_mode(tmp_path, mode):
+    # the array render triangulates the 86-speaker layout with numpy alone
     argv = ["simulate", "--preset", "pub", "--profile", "anechoic",
             "--output-mode", mode, "--out", "out.wav"]
     loaded = _scipy_modules_after(f"from alodsim.cli import main; assert main({argv!r}) == 0",
                                   tmp_path)
-    if mode == "array":  # the 86-speaker layout is triangulated with ConvexHull
-        assert "scipy.spatial" in loaded
-    else:
-        assert loaded == []
+    assert loaded == []
