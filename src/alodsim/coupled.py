@@ -10,6 +10,10 @@ Two modes:
   aperture-to-wall area ratio. Profiles with room details use it. This
   cross-feed is an explicit approximation of true coupled-FDN topologies.
 
+Every junction of a tail with the rest of the IR is decided here: ``splice``
+sits beside ``_fdn_onset`` and shares its energy sum and its scale-and-shift
+step with the cross-feed.
+
 The occluded direct path (edge diffraction around the door frame) is
 replaced by a documented stand-in: a single tap at the known path length
 with a broadband attenuation and a first-order lowpass.
@@ -18,16 +22,16 @@ with a broadband attenuation and a first-order lowpass.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from .errors import SceneValidationError
-from .fdn import design_dual_slope, design_fdn, run_fdn, splice
+from .fdn import design_dual_slope, design_fdn, run_fdn
 from .ism import SpatialIR, TailStream, Taps, early_spatial_ir
 from .scene import (
     ApertureSpec,
     BAND_CENTERS,
+    ReceiverSpec,
     RenderingProfile,
     SceneSpec,
     SourceSpec,
@@ -38,25 +42,32 @@ OCCLUSION_ATTEN_DB = 6.0  # broadband stand-in loss around the door frame
 OCCLUSION_CORNER_HZ = 2000.0  # first-order lowpass corner of the stand-in
 
 
-def occluded_direct(aperture: Optional[ApertureSpec], path_length: Optional[float],
-                    receiver_pos: np.ndarray, c: float) -> Taps:
-    """Stand-in direct tap for a blocked line of sight, as a one-row block.
+def occluded_direct_ir(scene: SceneSpec, source: SourceSpec,
+                       receiver: ReceiverSpec) -> SpatialIR:
+    """The stand-in direct tap for a blocked line of sight, alone.
 
-    Inverse-square amplitude over the stored path length, attenuated and
-    lowpassed by the occlusion filter; DOA points toward the aperture.
+    Inverse-square amplitude over the scene's occluded path length,
+    attenuated and lowpassed by the occlusion filter and scaled by the source
+    level; the DOA points toward the aperture. Kept out of the coupled
+    SpatialIR because the direct sound must not pass through the door
+    signature; the pipeline renders it separately and mixes the channels.
     """
-    if path_length is None:
+    r = scene.occluded_path_m
+    if r is None:
         raise SceneValidationError("no occluded path length available")
-    r = path_length
     lowpass = 1.0 / np.sqrt(1.0 + (BAND_CENTERS / OCCLUSION_CORNER_HZ) ** 2)
     amp = (1.0 / r) * 10.0 ** (-OCCLUSION_ATTEN_DB / 20.0) * lowpass
-    if aperture is not None:
-        d = aperture.center - np.asarray(receiver_pos, dtype=float)
+    level = 10.0 ** (source.level_db / 20.0)
+    if level != 1.0:
+        amp = amp * level
+    if scene.apertures:
+        d = scene.apertures[0].center - np.asarray(receiver.position, dtype=float)
         doa = d / np.linalg.norm(d)
     else:
         doa = np.array([1.0, 0.0, 0.0])
-    return Taps(delay=np.array([r / c]), amplitude=amp[None, :], doa=doa[None, :],
-                order=np.zeros(1, dtype=np.int64))
+    taps = Taps(delay=np.array([r / scene.speed_of_sound]), amplitude=amp[None, :],
+                doa=doa[None, :], order=np.zeros(1, dtype=np.int64))
+    return SpatialIR(taps=taps, sample_rate=scene.sample_rate)
 
 
 def _fdn_onset(room, profile: RenderingProfile, scene: SceneSpec,
@@ -70,6 +81,37 @@ def _fdn_onset(room, profile: RenderingProfile, scene: SceneSpec,
 
     mfp = mean_free_path(room)
     return max((profile.ism_order + 1) * mfp / scene.speed_of_sound, direct_delay)
+
+
+def _energy(streams) -> float:
+    return sum(float(np.dot(s.samples, s.samples)) for s in streams)
+
+
+def _rescaled(streams, energy: float, onset: float, k: float = 1.0) -> tuple:
+    """``streams`` scaled to a total of k^2 ``energy``, delayed by ``onset``."""
+    raw = _energy(streams)
+    scale = math.sqrt(energy / raw) * k if raw > 0 else 0.0
+    return tuple(TailStream(samples=s.samples * scale, onset=onset + s.onset,
+                            direction=s.direction) for s in streams)
+
+
+def splice(early: SpatialIR, tail, *, onset: float, t60: float,
+           direct_delay: float) -> SpatialIR:
+    """Attach tail streams to the early SpatialIR with a continuous EDC.
+
+    The tail is scaled so that the combined Schroeder curve at the junction
+    sits on the ideal decay anchored at the direct sound: with rho being the
+    linear EDC level -60 (onset - t_direct) / T60 dB, the tail energy is set
+    to rho / (1 - rho) times the early energy. The early IR carries no
+    signature: a coupled path adds one only after the splice.
+    """
+    mono = synthesize_mono(early)
+    e_early = float(np.dot(mono, mono))
+    level_db = -60.0 * max(onset - direct_delay, 0.0) / t60
+    rho = min(10.0 ** (level_db / 10.0), 1.0 - 1e-9)
+    return SpatialIR(taps=early.taps, sample_rate=early.sample_rate,
+                     tail=_rescaled(tail, rho / (1.0 - rho) * e_early, onset),
+                     signature=early.signature)
 
 
 def _room_tail(scene: SceneSpec, profile: RenderingProfile, room,
@@ -112,8 +154,7 @@ def _door_source(aperture: ApertureSpec, toward: np.ndarray) -> SourceSpec:
 
 def couple_two_stage(scene: SceneSpec, profile: RenderingProfile,
                      source: SourceSpec, receiver_pos: np.ndarray,
-                     duration: float, seed_seq: np.random.SeedSequence,
-                     door_signature: Optional[np.ndarray] = None) -> SpatialIR:
+                     duration: float, seed_seq: np.random.SeedSequence) -> SpatialIR:
     """Two separate single-room simulations chained through the door.
 
     Stage 1 renders the source room to an omni receiver at the door center
@@ -131,16 +172,14 @@ def couple_two_stage(scene: SceneSpec, profile: RenderingProfile,
         raise SceneValidationError("rooms are not adjacent via the aperture")
 
     stage1_seed, stage2_seed = seed_seq.spawn(2)
-    if door_signature is None:
-        stage1 = single_room_ir(scene, profile, source, aperture.center,
-                                src_room, duration, stage1_seed,
-                                include_panels=False)
-        door_signature = synthesize_mono(stage1)
+    stage1 = single_room_ir(scene, profile, source, aperture.center,
+                            src_room, duration, stage1_seed,
+                            include_panels=False)
     door = _door_source(aperture, receiver_pos)
     stage2 = single_room_ir(scene, profile, door, receiver_pos, rec_room,
                             duration, stage2_seed)
     return SpatialIR(taps=stage2.taps, sample_rate=stage2.sample_rate,
-                     tail=stage2.tail, signature=np.asarray(door_signature, dtype=float))
+                     tail=stage2.tail, signature=synthesize_mono(stage1))
 
 
 def coupling_gain(scene: SceneSpec, aperture: ApertureSpec) -> float:
@@ -167,6 +206,11 @@ def couple_full(scene: SceneSpec, profile: RenderingProfile,
     The receiver room's FDN is re-excited by the source room's diffuse tail
     scaled by the coupling gain k. Without a receiver-room tail (FDN off, or
     no decay target in that room) the result is couple_two_stage's.
+
+    The drive is a realization of the source room's tail apart from stage
+    1's. The cross-fed tail passes through the door signature, which holds
+    stage 1's tail; driving it with that same tail would square the tail's
+    spectrum, whose modal peaks then ring longer than the room's decay.
     """
     two_stage_seed, cross_seed = seed_seq.spawn(2)
     base = couple_two_stage(scene, profile, source, receiver_pos, duration,
@@ -186,12 +230,8 @@ def couple_full(scene: SceneSpec, profile: RenderingProfile,
     rec_config = design_fdn(rec_room, rec_room.decay, scene.sample_rate,
                             c=scene.speed_of_sound, seed=seed)
     cross = run_fdn(rec_config, duration, input_signal=k * drive)
-    onset = min(s.onset for s in base.tail)
-    ref_energy = sum(float(np.dot(s.samples, s.samples)) for s in base.tail)
-    raw = sum(float(np.dot(s.samples, s.samples)) for s in cross)
     # keep cross-fed energy in proportion to the main tail
-    scale = math.sqrt(ref_energy / raw) * k if raw > 0 else 0.0
-    cross = [TailStream(samples=s.samples * scale, onset=onset + s.onset,
-                        direction=s.direction) for s in cross]
+    onset = min(s.onset for s in base.tail)
+    cross = _rescaled(cross, _energy(base.tail), onset, k=k)
     return SpatialIR(taps=base.taps, sample_rate=base.sample_rate,
-                     tail=base.tail + tuple(cross), signature=base.signature)
+                     tail=base.tail + cross, signature=base.signature)

@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import SceneValidationError
 from .filterbank import BandFilter, band_groups
-from .ism import SpatialIR, TailStream
+from .ism import TailStream
 from .scene import DecayTarget, RoomSpec, volume
-from .synth import synthesize_mono
 
 N_LINES = 12
 
@@ -300,29 +299,6 @@ def run_fdn(config: FdnConfig, duration: float,
                    direction=config.output_directions[i])
         for i in range(config.n_lines)
     ]
-
-
-def splice(early: SpatialIR, tail, *, onset: float, t60: float,
-           direct_delay: float) -> SpatialIR:
-    """Attach tail streams to the early SpatialIR with a continuous EDC.
-
-    The tail is scaled so that the combined Schroeder curve at the junction
-    sits on the ideal decay anchored at the direct sound: with rho being the
-    linear EDC level -60 (onset - t_direct) / T60 dB, the tail energy is set
-    to rho / (1 - rho) times the early energy. The early IR carries no
-    signature: a coupled path adds one only after the splice.
-    """
-    mono = synthesize_mono(early)
-    e_early = float(np.dot(mono, mono))
-    level_db = -60.0 * max(onset - direct_delay, 0.0) / t60
-    rho = min(10.0 ** (level_db / 10.0), 1.0 - 1e-9)
-    e_tail_target = rho / (1.0 - rho) * e_early
-    e_tail_raw = sum(float(np.dot(s.samples, s.samples)) for s in tail)
-    scale = math.sqrt(e_tail_target / e_tail_raw) if e_tail_raw > 0 else 0.0
-    scaled = [TailStream(samples=s.samples * scale, onset=onset + s.onset,
-                         direction=s.direction) for s in tail]
-    return SpatialIR(taps=early.taps, sample_rate=early.sample_rate,
-                     tail=tuple(scaled), signature=early.signature)
 
 
 def design_dual_slope(room: RoomSpec, target: DecayTarget, fs: float,

@@ -9,7 +9,7 @@ at the scene seed, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,12 +17,12 @@ import numpy as np
 from .coupled import (
     couple_full,
     couple_two_stage,
-    occluded_direct,
+    occluded_direct_ir,
     single_room_ir,
 )
 from .errors import SceneValidationError
 from .ism import SpatialIR
-from .scene import ReceiverSpec, RenderingProfile, RoomSpec, SceneSpec, SourceSpec
+from .scene import ReceiverSpec, RenderingProfile, SceneSpec, SourceSpec
 from .spatial import (
     HrtfSet,
     ImpulseResponse,
@@ -88,32 +88,26 @@ def default_duration(scene: SceneSpec, profile: RenderingProfile) -> float:
     return t + _DURATION_PADDING_S
 
 
-def occluded_direct_ir(scene: SceneSpec, source: SourceSpec,
-                       receiver: ReceiverSpec) -> SpatialIR:
-    """The stand-in direct tap for a blocked line of sight, alone.
+def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
+                     source_id: Optional[str] = None,
+                     receiver_id: Optional[str] = None,
+                     duration: Optional[float] = None,
+                     seed: Optional[int] = None) -> SpatialIR:
+    """Directional impulse response for one source/receiver pair.
 
-    Kept out of the coupled SpatialIR because the direct sound must not pass
-    through the door signature; the pipeline renders it separately and mixes
-    the channels.
+    A coupled pair's IR carries the door signature; its occluded direct
+    sound is not part of it (see ``occluded_direct_ir``).
     """
-    aperture = scene.apertures[0] if scene.apertures else None
-    taps = occluded_direct(aperture, scene.occluded_path_m, receiver.position,
-                           scene.speed_of_sound)
-    level = 10.0 ** (source.level_db / 20.0)
-    if level != 1.0:
-        taps = replace(taps, amplitude=taps.amplitude * level)
-    return SpatialIR(taps=taps, sample_rate=scene.sample_rate)
-
-
-def _spatial_ir(scene: SceneSpec, profile: RenderingProfile,
-                source: SourceSpec, receiver: ReceiverSpec,
-                src_room: RoomSpec, rec_room: RoomSpec,
-                duration: float, seed: Optional[int]) -> SpatialIR:
+    source = _pick_source(scene, source_id)
+    receiver = _pick_receiver(scene, receiver_id)
+    if duration is None:
+        duration = default_duration(scene, profile)
     root = np.random.SeedSequence(
         [scene.rng_seed if seed is None else int(seed),
          scene.sources.index(source), scene.receivers.index(receiver)]
     )
-    if src_room.id == rec_room.id:
+    src_room = scene.room_of(source.position)
+    if src_room.id == scene.room_of(receiver.position).id:
         return single_room_ir(scene, profile, source, receiver.position,
                               src_room, duration, root)
     if profile.direct_only:
@@ -122,33 +116,18 @@ def _spatial_ir(scene: SceneSpec, profile: RenderingProfile,
     return couple(scene, profile, source, receiver.position, duration, root)
 
 
-def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
-                     source_id: Optional[str] = None,
-                     receiver_id: Optional[str] = None,
-                     duration: Optional[float] = None,
-                     seed: Optional[int] = None) -> SpatialIR:
-    """Directional impulse response for one source/receiver pair."""
-    source = _pick_source(scene, source_id)
-    receiver = _pick_receiver(scene, receiver_id)
-    if duration is None:
-        duration = default_duration(scene, profile)
-    return _spatial_ir(scene, profile, source, receiver,
-                       scene.room_of(source.position),
-                       scene.room_of(receiver.position), duration, seed)
-
-
 def render_output(spatial: SpatialIR, output_mode: str, receiver: ReceiverSpec,
                   hrtf: Optional[HrtfSet] = None,
                   layout: Optional[LoudspeakerLayout] = None) -> ImpulseResponse:
-    """Spatialize a SpatialIR for the requested presentation."""
+    """Spatialize a SpatialIR for the requested presentation.
+
+    ``hrtf`` is needed for binaural and diotic output, ``layout`` for array
+    output.
+    """
     if output_mode in ("binaural", "diotic"):
-        if hrtf is None:
-            hrtf = synthetic_hrtf(fs=spatial.sample_rate)
         ir = binauralize(spatial, hrtf, orientation=receiver.orientation)
         return diotic(ir) if output_mode == "diotic" else ir
     if output_mode == "array":
-        if layout is None:
-            layout = array_preset_86()
         return render_array(spatial, layout, orientation=receiver.orientation)
     if output_mode == "mono":
         return render_mono(spatial)
@@ -171,18 +150,25 @@ def simulate(scene: SceneSpec, profile: RenderingProfile,
              output_mode: Optional[str] = None,
              hrtf: Optional[HrtfSet] = None,
              layout: Optional[LoudspeakerLayout] = None) -> SimulationResult:
-    """Simulate one source/receiver pair and spatialize the result."""
-    receiver = _pick_receiver(scene, receiver_id)
+    """Simulate one source/receiver pair and spatialize the result.
+
+    Without ``hrtf`` binaural and diotic output use the synthetic HRTF set;
+    without ``layout`` array output uses the 86-speaker preset.
+    """
     source = _pick_source(scene, source_id)
-    src_room = scene.room_of(source.position)
-    rec_room = scene.room_of(receiver.position)
+    receiver = _pick_receiver(scene, receiver_id)
     if duration is None:
         duration = default_duration(scene, profile)
     mode = output_mode if output_mode is not None else profile.output_mode
-    spatial = _spatial_ir(scene, profile, source, receiver, src_room, rec_room,
-                          duration, seed)
+    if hrtf is None and mode in ("binaural", "diotic"):
+        hrtf = synthetic_hrtf(fs=scene.sample_rate)
+    if layout is None and mode == "array":
+        layout = array_preset_86()
+    spatial = build_spatial_ir(scene, profile, source.id, receiver.id,
+                               duration, seed)
     ir = render_output(spatial, mode, receiver, hrtf=hrtf, layout=layout)
-    if src_room.id != rec_room.id and not profile.direct_only:
+    if spatial.signature is not None:
+        # a coupled IR: the blocked direct sound bypasses the door signature
         direct = occluded_direct_ir(scene, source, receiver)
         ir = _mix(ir, render_output(direct, mode, receiver,
                                     hrtf=hrtf, layout=layout))

@@ -6,6 +6,7 @@ plain ``pytest -v`` run shows the full scorecard.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,9 +200,7 @@ def test_criterion_06_two_stage_coupling(capsys, living_scene):
     expected = 5.7 / living_scene.speed_of_sound * fs
     arrival_ok = abs(idx - expected) <= 1.0
 
-    unit = couple_two_stage(living_scene, profile, source, receiver, duration,
-                            np.random.SeedSequence([42]),
-                            door_signature=np.array([1.0]))
+    unit = replace(two, signature=np.array([1.0]))
     stage2_seed = np.random.SeedSequence([42]).spawn(2)[1]
     door = _door_source(living_scene.apertures[0], receiver)
     ref = single_room_ir(living_scene, profile, door, receiver,

@@ -3,23 +3,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from alodsim import pipeline
+from alodsim.analysis import schroeder_edc, t30
 from alodsim.coupled import (
     _door_source,
     couple_full,
     couple_two_stage,
     coupling_gain,
-    occluded_direct,
+    occluded_direct_ir,
     single_room_ir,
+    splice,
 )
 from alodsim.errors import SceneValidationError
-from alodsim.pipeline import (
-    build_spatial_ir,
-    occluded_direct_ir,
-    render_output,
-    simulate,
-)
+from alodsim.ism import SpatialIR, TailStream, Taps
+from alodsim.pipeline import build_spatial_ir, render_output, simulate
 from alodsim.scene import preset, profile_preset
-from alodsim.spatial import array_preset_86
+from alodsim.spatial import array_preset_86, synthetic_hrtf
 from alodsim.synth import synthesize_mono
 
 
@@ -49,8 +48,8 @@ def test_unit_door_signature_reduces_to_receiver_room(living):
     duration = 0.8
 
     root_a = np.random.SeedSequence([42])
-    coupled = couple_two_stage(living, profile, src, rec, duration, root_a,
-                               door_signature=np.array([1.0]))
+    unit = replace(couple_two_stage(living, profile, src, rec, duration, root_a),
+                   signature=np.array([1.0]))
 
     root_b = np.random.SeedSequence([42])
     _, stage2_seed = root_b.spawn(2)
@@ -59,7 +58,7 @@ def test_unit_door_signature_reduces_to_receiver_room(living):
     reference = single_room_ir(living, profile, door, rec, rec_room,
                                duration, stage2_seed)
 
-    a = synthesize_mono(coupled)
+    a = synthesize_mono(unit)
     b = synthesize_mono(reference)
     n = min(a.size, b.size)
     assert np.max(np.abs(a[:n] - b[:n])) < 1e-10
@@ -164,7 +163,8 @@ def test_direct_only_profile_renders_the_occluded_direct_path_alone(living, mode
     profile = profile_preset("anechoic")
     src, rec = _target(living), living.receivers[0]
     result = simulate(living, profile, source_id=src.id, output_mode=mode)
-    want = render_output(occluded_direct_ir(living, src, rec), mode, rec)
+    want = render_output(occluded_direct_ir(living, src, rec), mode, rec,
+                         hrtf=synthetic_hrtf(fs=living.sample_rate))
     assert np.array_equal(result.ir.channels, want.channels)
 
 
@@ -189,7 +189,9 @@ def test_anechoic_same_room_render_is_the_direct_tap_alone():
 def test_occluded_direct_tap(living):
     aperture = living.apertures[0]
     rec = living.receivers[0].position
-    taps = occluded_direct(aperture, living.occluded_path_m, rec, 343.0)
+    spatial = occluded_direct_ir(living, _target(living), living.receivers[0])
+    assert not spatial.tail and spatial.signature is None
+    taps = spatial.taps
     assert len(taps) == 1
     assert taps.delay[0] == pytest.approx(5.7 / 343.0, rel=1e-12)
     # -6 dB broadband loss on top of 1/r spreading, then a first-order
@@ -203,3 +205,55 @@ def test_occluded_direct_tap(living):
     door_dir = aperture.center - rec
     door_dir = door_dir / np.linalg.norm(door_dir)
     assert np.dot(taps.doa[0], door_dir) > 0.99
+
+
+
+def test_coupled_array_render_builds_the_default_layout_once(living, monkeypatch):
+    # one layout for the coupled part and the occluded direct sound
+    calls = []
+    build = pipeline.array_preset_86
+    monkeypatch.setattr(pipeline, "array_preset_86", lambda: calls.append(1) or build())
+    result = simulate(living, profile_preset("ism-15"), source_id="target",
+                      output_mode="array", duration=0.3)
+    assert len(calls) == 1 and result.ir.n_channels == 86
+
+
+# ---------------------------------------------------------------------------
+# splice
+# ---------------------------------------------------------------------------
+
+def test_splice_scales_tail_to_the_decay_curve():
+    fs = 44100.0
+    direct_delay = 0.01
+    onset = 0.04
+    t60 = 0.5
+    tap = Taps(delay=np.array([direct_delay]), amplitude=np.full((1, 8), 0.5),
+               doa=np.array([[1.0, 0.0, 0.0]]), order=np.zeros(1, dtype=int))
+    early = SpatialIR(taps=tap, sample_rate=fs)
+    rng = np.random.default_rng(0)
+    stream = TailStream(samples=rng.standard_normal(4000) * 1e-3, onset=0.0,
+                        direction=np.array([1.0, 0.0, 0.0]))
+    out = splice(early, [stream], onset=onset, t60=t60,
+                 direct_delay=direct_delay)
+
+    e_early = float(np.sum(synthesize_mono(early) ** 2))
+    e_tail = sum(float(np.dot(s.samples, s.samples)) for s in out.tail)
+    rho = 10.0 ** (-60.0 * (onset - direct_delay) / t60 / 10.0)
+    assert e_tail == pytest.approx(rho / (1.0 - rho) * e_early, rel=1e-9)
+    assert out.tail[0].onset == pytest.approx(onset)
+
+
+def test_splice_junction_is_continuous(living_masker_mono):
+    """EDC around the early/tail junction stays near the ideal decay line."""
+    ir = living_masker_mono.ir.channels[0]
+    fs = living_masker_mono.ir.sample_rate
+    edc = schroeder_edc(ir, fs)
+    # ideal: -60/T30 dB/s through the -5 dB point
+    est = t30(edc)
+    v = edc.values
+    i5 = int(np.argmax(v <= -5.0))
+    t = edc.times
+    ideal = -5.0 - 60.0 / est * (t - t[i5])
+    sel = (v >= -35.0) & (v <= -5.0)
+    dev = np.max(np.abs(v[sel] - ideal[sel]))
+    assert dev <= 1.5, f"EDC deviates {dev:.2f} dB from the single-slope line"

@@ -15,7 +15,6 @@ from alodsim.fdn import (
     design_dual_slope,
     design_fdn,
     run_fdn,
-    splice,
 )
 from alodsim.scene import DecayTarget, RoomSpec, SecondSlope, preset
 
@@ -352,47 +351,3 @@ def test_dual_slope_onset_must_lie_below_minus_20_db():
     decay = replace(room.decay, second_slope=SecondSlope(t30_2=3.2, onset_level_db=-10.0))
     with pytest.raises(SceneValidationError):
         design_dual_slope(room, decay, FS)
-
-
-# ---------------------------------------------------------------------------
-# splice
-# ---------------------------------------------------------------------------
-
-def test_splice_scales_tail_to_the_decay_curve():
-    from alodsim.ism import SpatialIR, TailStream, Taps
-
-    fs = FS
-    direct_delay = 0.01
-    onset = 0.04
-    t60 = 0.5
-    tap = Taps(delay=np.array([direct_delay]), amplitude=np.full((1, 8), 0.5),
-               doa=np.array([[1.0, 0.0, 0.0]]), order=np.zeros(1, dtype=int))
-    early = SpatialIR(taps=tap, sample_rate=fs)
-    rng = np.random.default_rng(0)
-    stream = TailStream(samples=rng.standard_normal(4000) * 1e-3, onset=0.0,
-                        direction=np.array([1.0, 0.0, 0.0]))
-    out = splice(early, [stream], onset=onset, t60=t60,
-                 direct_delay=direct_delay)
-    from alodsim.synth import synthesize_mono
-
-    e_early = float(np.sum(synthesize_mono(early) ** 2))
-    e_tail = sum(float(np.dot(s.samples, s.samples)) for s in out.tail)
-    rho = 10.0 ** (-60.0 * (onset - direct_delay) / t60 / 10.0)
-    assert e_tail == pytest.approx(rho / (1.0 - rho) * e_early, rel=1e-9)
-    assert out.tail[0].onset == pytest.approx(onset)
-
-
-def test_splice_junction_is_continuous(living_masker_mono):
-    """EDC around the early/tail junction stays near the ideal decay line."""
-    ir = living_masker_mono.ir.channels[0]
-    fs = living_masker_mono.ir.sample_rate
-    edc = schroeder_edc(ir, fs)
-    # ideal: -60/T30 dB/s through the -5 dB point
-    est = t30(edc)
-    v = edc.values
-    i5 = int(np.argmax(v <= -5.0))
-    t = edc.times
-    ideal = -5.0 - 60.0 / est * (t - t[i5])
-    sel = (v >= -35.0) & (v <= -5.0)
-    dev = np.max(np.abs(v[sel] - ideal[sel]))
-    assert dev <= 1.5, f"EDC deviates {dev:.2f} dB from the single-slope line"
