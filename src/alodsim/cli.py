@@ -75,7 +75,7 @@ def _load_scene(args) -> tuple:
             doc = fh.read()
         return parse_scene(doc), doc
     if args.preset is not None:
-        scene = preset(args.preset, seed=args.seed)
+        scene = preset(args.preset, seed=0 if args.seed is None else args.seed)
         return scene, serialize_scene(scene)
     raise SceneParseError("either --scene or --preset is required")
 
@@ -119,7 +119,7 @@ def _cmd_simulate(args) -> int:
         "scene_sha256": _sha256(doc.encode("utf-8")),
         "scene_name": scene.name,
         "profile": profile.name,
-        "seed": args.seed,
+        "seed": scene.rng_seed if args.seed is None else args.seed,
         "source": result.source_id,
         "output_mode": result.output_mode,
         "duration_s": result.duration,
@@ -291,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scene", help="scene JSON file")
     sim.add_argument("--preset", choices=preset_names(), help="built-in scene")
     sim.add_argument("--profile", required=True, choices=profile_names())
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=int,
+                     help="random seed (default: the scene's own; 0 for a preset)")
     sim.add_argument("--source", help="source id (default: first)")
     sim.add_argument("--duration", type=float, help="tail length override (s)")
     sim.add_argument("--output-mode", choices=("binaural", "array", "diotic", "mono"))

@@ -287,6 +287,25 @@ def test_cli_simulate_scene_file(tmp_path):
     assert data.shape[1] == 1 and data.shape[0] > 0
 
 
+def test_cli_simulate_uses_the_scene_files_own_seed(tmp_path):
+    scene = tmp_path / "pub7.json"
+    scene.write_bytes(_pub_scene_with("seed", value=7))
+    common = ["--profile", "razr-full", "--duration", "0.3", "--output-mode", "mono"]
+    outs = {name: str(tmp_path / f"{name}.wav") for name in ("file", "preset", "zero")}
+    assert main(["simulate", "--scene", str(scene), *common, "--out", outs["file"]]) == 0
+    assert main(["simulate", "--preset", "pub", "--seed", "7", *common,
+                 "--out", outs["preset"]]) == 0
+    assert main(["simulate", "--scene", str(scene), "--seed", "0", *common,
+                 "--out", outs["zero"]]) == 0
+    manifests = {}
+    for name, out in outs.items():
+        with open(out + ".manifest.json", encoding="utf-8") as fh:
+            manifests[name] = json.load(fh)
+    assert manifests["file"]["seed"] == 7 and manifests["zero"]["seed"] == 0
+    sha = {name: m["outputs"][0]["sha256"] for name, m in manifests.items()}
+    assert sha["file"] == sha["preset"] != sha["zero"]
+
+
 def test_cli_analyze_multiple_metrics(tmp_path):
     ir_path = str(tmp_path / "ir.wav")
     rng = np.random.default_rng(2)
