@@ -24,12 +24,30 @@ from .filterbank import BandFilter, OCTAVE_CENTERS_8, fftconvolve
 from .ism import SpatialIR, burst_samples
 
 
+def _kernel_margin(fs: float) -> int:
+    """Samples after band-filtered content that hold the filter kernels' decay.
+
+    The lowest band edge sets the time scale.
+    """
+    return max(int(0.15 * fs), 4096)
+
+
+def _band_filtered(taps) -> np.ndarray:
+    """Per tap: it has a burst or bands that differ, so the masks shape it."""
+    return taps.has_burst | np.any(taps.amplitude != taps.amplitude[:, :1], axis=1)
+
+
 def spatial_ir_length(spatial_ir: SpatialIR) -> int:
-    """Sample count needed to hold every tap, burst and tail stream."""
+    """Sample count needed to hold every tap, burst and tail stream.
+
+    Band-filtered taps are followed by the kernel margin.
+    """
     fs = spatial_ir.sample_rate
     taps = spatial_ir.taps
     t_end = np.max(taps.delay + taps.burst_duration, initial=0.0)
     n = int(math.ceil(t_end * fs)) + 1
+    if _band_filtered(taps).any():
+        n += _kernel_margin(fs)
     for stream in spatial_ir.tail:
         n = max(n, int(round(stream.onset * fs)) + len(stream.samples))
     return n
@@ -66,18 +84,17 @@ def render_units(spatial_ir: SpatialIR,
     amplitude = taps.amplitude[rows]
     bursts = taps.has_burst[rows]
     # a burst-free tap in one band group passes the band masks unchanged
-    flat = ~bursts & np.all(amplitude == amplitude[:, :1], axis=1)
+    flat = ~_band_filtered(taps)[rows]
     tap, unit = np.nonzero(tap_gains)  # (tap, unit) pairs in tap order
     keep = flat[tap]
     banded = np.unique(unit[~keep])
     tap, unit = tap[keep], unit[keep]
     impulses = unit, starts[tap], tap_gains[tap, unit] * amplitude[tap, 0]
 
-    # the band buffers and their transform span the taps plus a margin that
-    # holds the filter kernels' decay (the lowest band edge sets the time scale)
+    # the band buffers and their transform span the taps plus the kernel margin
     lengths = np.maximum(np.rint(taps.burst_duration[rows] * fs).astype(np.int64), 1)
     extent = int(np.max(np.minimum(starts + lengths, n), initial=0))
-    m = min(n, extent + max(int(0.15 * fs), 4096))
+    m = min(n, extent + _kernel_margin(fs))
 
     # one band buffer alive at a time; each burst drawn once, kept until its
     # last unit

@@ -1,13 +1,16 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from alodsim import preset, profile_preset, simulate, synth
+from alodsim.coupled import occluded_direct_ir
 from alodsim.filterbank import BandFilter
 from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps
 from alodsim.pipeline import build_spatial_ir
 from alodsim.spatial import array_preset_86, render_array
-from alodsim.synth import render_units, spatial_ir_length
+from alodsim.synth import render_units, spatial_ir_length, synthesize_mono
 
 from oracles import render_units_2m, render_units_whole
 
@@ -73,6 +76,35 @@ def test_band_buffers_span_the_early_extent_not_the_tail():
     one_full_band_buffer = 8 * n * 8  # (8, n) float64
     assert len(unit) == 0
     assert peak < one_full_band_buffer, f"peak {peak} B for n = {n}"
+
+
+def _occluded_direct():
+    scene = preset("living-room")
+    return occluded_direct_ir(scene, scene.sources[0], scene.receivers[0])
+
+
+def _burst_tap():
+    # an order-10 tap with a 20 ms burst and equal bands
+    tap = Taps(delay=np.array([0.01]), amplitude=np.full((1, 8), 0.5),
+               doa=np.array([[1.0, 0.0, 0.0]]), order=np.array([10]),
+               burst_energy=np.full((1, 8), 1e-4), burst_seed=np.array([1]))
+    return SpatialIR(taps=tap, sample_rate=FS)
+
+
+@pytest.mark.parametrize("build", [_occluded_direct, _burst_tap],
+                         ids=["band-dependent tap", "burst"])
+def test_band_filtered_content_keeps_its_kernel_margin(build):
+    # rendered as the last content of an IR, a band-filtered tap keeps its
+    # filter kernels' decay: the render equals the one with a silent tail
+    # stream after it, which leaves room for that decay
+    ir = build()
+    silent = TailStream(samples=np.zeros(int(0.5 * FS)), onset=0.0,
+                        direction=np.array([1.0, 0.0, 0.0]))
+    alone = synthesize_mono(ir)
+    padded = synthesize_mono(replace(ir, tail=(silent,)))
+    assert alone.size < padded.size
+    assert np.array_equal(alone, padded[: alone.size])
+    assert not padded[alone.size:].any()
 
 
 def _record_calls(monkeypatch, owner, name, note):
