@@ -10,9 +10,8 @@ Two modes:
   aperture-to-wall area ratio. Profiles with room details use it. This
   cross-feed is an explicit approximation of true coupled-FDN topologies.
 
-Every junction of a tail with the rest of the IR is decided here: ``splice``
-sits beside ``_fdn_onset`` and shares its energy sum and its scale-and-shift
-step with the cross-feed.
+Each tail junction is decided here: ``splice`` (beside ``_fdn_onset``) and
+the cross-feed share one energy sum and one scale-and-shift step.
 
 The occluded direct path (edge diffraction around the door frame) is
 replaced by a documented stand-in: a single tap at the known path length
@@ -57,9 +56,7 @@ def occluded_direct_ir(scene: SceneSpec, source: SourceSpec,
         raise SceneValidationError("no occluded path length available")
     lowpass = 1.0 / np.sqrt(1.0 + (BAND_CENTERS / OCCLUSION_CORNER_HZ) ** 2)
     amp = (1.0 / r) * 10.0 ** (-OCCLUSION_ATTEN_DB / 20.0) * lowpass
-    level = 10.0 ** (source.level_db / 20.0)
-    if level != 1.0:
-        amp = amp * level
+    amp = amp * 10.0 ** (source.level_db / 20.0)
     if scene.apertures:
         d = scene.apertures[0].center - np.asarray(receiver.position, dtype=float)
         doa = d / np.linalg.norm(d)
@@ -207,10 +204,9 @@ def couple_full(scene: SceneSpec, profile: RenderingProfile,
     scaled by the coupling gain k. Without a receiver-room tail (FDN off, or
     no decay target in that room) the result is couple_two_stage's.
 
-    The drive is a realization of the source room's tail apart from stage
-    1's. The cross-fed tail passes through the door signature, which holds
-    stage 1's tail; driving it with that same tail would square the tail's
-    spectrum, whose modal peaks then ring longer than the room's decay.
+    The drive is a source-room tail drawn apart from stage 1's: the cross
+    fed tail passes through the door signature, which holds stage 1's tail,
+    and that tail twice would square its spectrum and lengthen the decay.
     """
     two_stage_seed, cross_seed = seed_seq.spawn(2)
     base = couple_two_stage(scene, profile, source, receiver_pos, duration,

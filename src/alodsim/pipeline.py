@@ -22,7 +22,7 @@ from .coupled import (
 )
 from .errors import SceneValidationError
 from .ism import SpatialIR
-from .scene import ReceiverSpec, RenderingProfile, SceneSpec, SourceSpec
+from .scene import ReceiverSpec, RenderingProfile, SceneSpec
 from .spatial import (
     HrtfSet,
     ImpulseResponse,
@@ -50,22 +50,14 @@ class SimulationResult:
     output_mode: str
 
 
-def _pick_source(scene: SceneSpec, source_id: Optional[str]) -> SourceSpec:
-    if source_id is None:
-        return scene.sources[0]
-    for s in scene.sources:
-        if s.id == source_id:
-            return s
-    raise SceneValidationError(f"unknown source id {source_id!r}")
-
-
-def _pick_receiver(scene: SceneSpec, receiver_id: Optional[str]) -> ReceiverSpec:
-    if receiver_id is None:
-        return scene.receivers[0]
-    for r in scene.receivers:
-        if r.id == receiver_id:
-            return r
-    raise SceneValidationError(f"unknown receiver id {receiver_id!r}")
+def _pick(items: tuple, item_id: Optional[str], kind: str):
+    """The item with ``item_id``, or the first one when it is None."""
+    if item_id is None:
+        return items[0]
+    for item in items:
+        if item.id == item_id:
+            return item
+    raise SceneValidationError(f"unknown {kind} id {item_id!r}")
 
 
 def default_duration(scene: SceneSpec, profile: RenderingProfile) -> float:
@@ -95,11 +87,10 @@ def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
                      seed: Optional[int] = None) -> SpatialIR:
     """Directional impulse response for one source/receiver pair.
 
-    A coupled pair's IR carries the door signature; its occluded direct
-    sound is not part of it (see ``occluded_direct_ir``).
+    A coupled pair's IR carries the door signature, and no direct sound.
     """
-    source = _pick_source(scene, source_id)
-    receiver = _pick_receiver(scene, receiver_id)
+    source = _pick(scene.sources, source_id, "source")
+    receiver = _pick(scene.receivers, receiver_id, "receiver")
     if duration is None:
         duration = default_duration(scene, profile)
     root = np.random.SeedSequence(
@@ -119,11 +110,7 @@ def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
 def render_output(spatial: SpatialIR, output_mode: str, receiver: ReceiverSpec,
                   hrtf: Optional[HrtfSet] = None,
                   layout: Optional[LoudspeakerLayout] = None) -> ImpulseResponse:
-    """Spatialize a SpatialIR for the requested presentation.
-
-    ``hrtf`` is needed for binaural and diotic output, ``layout`` for array
-    output.
-    """
+    """Spatialize a SpatialIR with ``hrtf`` (binaural, diotic) or ``layout`` (array)."""
     if output_mode in ("binaural", "diotic"):
         ir = binauralize(spatial, hrtf, orientation=receiver.orientation)
         return diotic(ir) if output_mode == "diotic" else ir
@@ -152,11 +139,10 @@ def simulate(scene: SceneSpec, profile: RenderingProfile,
              layout: Optional[LoudspeakerLayout] = None) -> SimulationResult:
     """Simulate one source/receiver pair and spatialize the result.
 
-    Without ``hrtf`` binaural and diotic output use the synthetic HRTF set;
-    without ``layout`` array output uses the 86-speaker preset.
+    The defaults are the synthetic HRTF set and the 86-speaker layout.
     """
-    source = _pick_source(scene, source_id)
-    receiver = _pick_receiver(scene, receiver_id)
+    source = _pick(scene.sources, source_id, "source")
+    receiver = _pick(scene.receivers, receiver_id, "receiver")
     if duration is None:
         duration = default_duration(scene, profile)
     mode = output_mode if output_mode is not None else profile.output_mode

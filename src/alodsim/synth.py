@@ -25,11 +25,7 @@ from .ism import SpatialIR, burst_samples
 
 
 def _kernel_margin(fs: float) -> int:
-    """Samples after band-filtered content that hold the filter kernels' decay.
-
-    The lowest band edge sets the time scale.
-    """
-    return max(int(0.15 * fs), 4096)
+    return max(int(0.15 * fs), 4096)  # the band kernels' decay; the lowest edge sets it
 
 
 def _band_filtered(taps) -> np.ndarray:
