@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -69,11 +70,12 @@ def _file_sha256(path: str) -> str:
 
 
 def _load_scene(args) -> tuple:
-    """Returns (scene, scene document text)."""
+    """Returns (scene, scene document text); --seed replaces the scene's seed."""
     if args.scene is not None:
         with open(args.scene, "r", encoding="utf-8") as fh:
             doc = fh.read()
-        return parse_scene(doc), doc
+        scene = parse_scene(doc)
+        return (scene if args.seed is None else replace(scene, rng_seed=args.seed)), doc
     if args.preset is not None:
         scene = preset(args.preset, seed=0 if args.seed is None else args.seed)
         return scene, serialize_scene(scene)
@@ -109,8 +111,7 @@ def _cmd_simulate(args) -> int:
     if hrtf_dir:
         hrtf = load_hrtf_dir(hrtf_dir)
     layout = _load_layout(args.layout) if args.layout else None
-    result = simulate(scene, profile, source_id=args.source,
-                      duration=args.duration, seed=args.seed,
+    result = simulate(scene, profile, source_id=args.source, duration=args.duration,
                       output_mode=args.output_mode, hrtf=hrtf, layout=layout)
     write_wav(args.out, result.ir.channels.T, result.ir.sample_rate)
     manifest = {
@@ -119,7 +120,7 @@ def _cmd_simulate(args) -> int:
         "scene_sha256": _sha256(doc.encode("utf-8")),
         "scene_name": scene.name,
         "profile": profile.name,
-        "seed": scene.rng_seed if args.seed is None else args.seed,
+        "seed": scene.rng_seed,
         "source": result.source_id,
         "output_mode": result.output_mode,
         "duration_s": result.duration,

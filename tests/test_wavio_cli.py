@@ -558,6 +558,9 @@ _MALFORMED = {
         "scene.json", _pub_scene_with("occluded_path_m", value=0), _SCENE_RENDER),
     "scene with a negative seed": (
         "scene.json", _pub_scene_with("seed", value=-1), _SCENE_RENDER),
+    "scene file rendered with a negative --seed": (
+        "scene.json", _pub_scene_with("seed", value=7),
+        [*_SCENE_RENDER[:-1], "--seed", "-1", "--scene"]),
     "scene nested 100000 lists deep": (
         "scene.json", b"[" * 100000 + b"]" * 100000, _SCENE_RENDER),
     "scene with a misspelt source key": (
