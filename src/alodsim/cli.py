@@ -188,7 +188,8 @@ def _cmd_analyze(args) -> int:
     data, fs = read_wav(args.ir)
     if data.size == 0:
         raise SceneParseError(f"{args.ir}: empty WAV")
-    channels = data.T
+    # rejects non-finite samples, as render and match do
+    channels = ImpulseResponse(channels=data.T, sample_rate=fs).channels
     base, ext = os.path.splitext(args.out)
     failed = []
     for metric in metrics:
@@ -214,7 +215,11 @@ def _cmd_stimulus(args) -> int:
         timing["duration"] = args.duration
     if args.kind == "pink-pulse":
         if args.band_offsets:
-            offsets = tuple(float(v) for v in args.band_offsets.split(","))
+            try:
+                offsets = tuple(float(v) for v in args.band_offsets.split(","))
+            except ValueError:
+                raise SceneParseError("--band-offsets: expected comma-separated numbers, "
+                                      f"got {args.band_offsets!r:.60}") from None
             stim = pink_pulse_variant(BandLevels(offsets_db=offsets), **timing)
         else:
             stim = pink_pulse(**timing)
@@ -246,7 +251,7 @@ def _cmd_match(args) -> int:
     ref_data, ref_fs = read_wav(args.ref)
     sim = ImpulseResponse(channels=sim_data.T, sample_rate=sim_fs)
     ref = ImpulseResponse(channels=ref_data.T, sample_rate=ref_fs)
-    corrected, _fir, report = match_spectrum(sim, ref)
+    corrected, fir, report = match_spectrum(sim, ref)
     write_wav(args.out, corrected.channels.T, corrected.sample_rate)
     report_doc = {
         "residual_mean_db": float(report.residual_mean_db),
@@ -254,7 +259,7 @@ def _cmd_match(args) -> int:
         "residual_rms_db": float(report.residual_rms_db),
         "band_range_hz": [float(v) for v in report.band_range],
         "clamped": bool(report.clamped),
-        "filter_taps": int(np.asarray(report.filter_taps).size),
+        "filter_taps": int(fir.size),
     }
     report_path = args.report or args.out + ".report.json"
     with open(report_path, "w", encoding="utf-8") as fh:

@@ -7,6 +7,11 @@ feedback matrix is a seeded random orthogonal matrix, so the loop is
 energy-preserving before attenuation. The loop runs once per distinct set
 of band gains, so a broadband target costs one run and no band filtering.
 
+The input enters each line at taps derived from the delays alone: the line
+input, then about one per min(delay) samples, so long lines radiate from
+their first pass as a diffuse field fills a room. Each tap is attenuated by
+gain^(offset/delay), so every exit lands on the target decay curve.
+
 The recurrence keeps no delay-line buffers. It runs inside its (lines, n)
 output array: the input is written ahead to where it leaves each line, and
 each block of min(delay) samples, once final, writes its feed through the
@@ -34,17 +39,8 @@ class FdnConfig:
     delays: np.ndarray  # samples per line, pairwise distinct integers
     feedback_matrix: np.ndarray  # orthogonal (n, n)
     line_gains: np.ndarray  # (n_lines, n_bands)
-    output_directions: np.ndarray  # (n_lines, 3) unit vectors
     sample_rate: float
     input_gain: float = 1.0
-    # Injection points per line: an input sample at t leaves the line at
-    # t + offset, or at t + delay for offset 0 (the line input). Multiple
-    # offsets spread the input along each line the way a diffuse field fills
-    # a room, so long lines radiate continuously instead of staying silent
-    # for a full recirculation; the injected amplitudes are pre-attenuated by
-    # gain^(offset/delay) so every exit lands on the target decay curve.
-    # (0,) per line = classic injection at the line input.
-    input_offsets: Optional[tuple] = None
 
     def __post_init__(self):
         delays = np.asarray(self.delays, dtype=int)
@@ -52,27 +48,12 @@ class FdnConfig:
             raise SceneValidationError("FDN delays must be >= 1 sample")
         if len(set(delays.tolist())) != delays.size:
             raise SceneValidationError("FDN delays must be pairwise distinct")
-        offsets = self.input_offsets
-        if offsets is None:
-            offsets = tuple((0,) for _ in range(delays.size))
-        else:
-            if len(offsets) != delays.size:
-                raise SceneValidationError("input_offsets must match delays")
-            offsets = tuple(tuple(int(o) for o in line) for line in offsets)
-            for d, line in zip(delays, offsets):
-                if not line:
-                    raise SceneValidationError("each line needs >= 1 input offset")
-                if not all(0 <= o < d for o in line):
-                    raise SceneValidationError("input offsets must lie in [0, delay)")
-        object.__setattr__(self, "input_offsets", offsets)
         m = np.asarray(self.feedback_matrix, dtype=float)
         if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > 1e-9:
             raise SceneValidationError("FDN feedback matrix must be orthogonal")
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "feedback_matrix", m)
         object.__setattr__(self, "line_gains", np.asarray(self.line_gains, dtype=float))
-        object.__setattr__(self, "output_directions",
-                           np.asarray(self.output_directions, dtype=float))
 
     @property
     def n_lines(self) -> int:
@@ -135,36 +116,32 @@ def design_fdn(room: RoomSpec, target: DecayTarget, fs: float,
     stretched = np.concatenate([paths * (1.0 + 0.31 * k) for k in range(reps)])
     raw = np.sort(stretched)[:N_LINES] * fs / c
     delays = _coprime_delays(raw)
-    if len(set(delays.tolist())) != N_LINES:
-        raise SceneValidationError("room too small for distinct FDN delays")
     t60 = np.asarray(target.t30_bands, dtype=float)
     line_gains = 10.0 ** (-3.0 * delays[:, None] / (fs * t60[None, :]))
-    # injection points roughly every min-delay along each line, with a
-    # deterministic golden-ratio jitter so lines never fire in sync
-    d_min = int(delays.min())
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    offsets = []
-    for i, d in enumerate(delays):
-        line = [0]
-        k = 1
-        while True:
-            jitter = int(((i * 31 + k) * phi % 1.0) * 0.9 * d_min)
-            o = k * d_min + jitter
-            if o > d - 1:
-                break
-            line.append(o)
-            k += 1
-        offsets.append(tuple(line))
-    offsets = tuple(offsets)
     return FdnConfig(
         delays=delays,
         feedback_matrix=_random_orthogonal(N_LINES, seed),
         line_gains=line_gains,
-        output_directions=_fibonacci_sphere(N_LINES),
         sample_rate=fs,
         input_gain=1.0 / math.sqrt(N_LINES),
-        input_offsets=offsets,
     )
+
+
+def _input_taps(delays: np.ndarray) -> list:
+    """Injection offsets per line: 0 (the line input), then k min(delay) for
+    k = 1, 2, ... plus a golden-ratio jitter below 0.9 min(delay), so lines
+    never fire in sync, while below the line's delay. Only offset 0 lies
+    below the block size min(delay)."""
+    d_min = int(delays.min())
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    taps = []
+    for i, d in enumerate(delays.tolist()):
+        line, k = [0], 1
+        while (o := k * d_min + int(((i * 31 + k) * phi % 1.0) * 0.9 * d_min)) < d:
+            line.append(o)
+            k += 1
+        taps.append(np.array(line))
+    return taps
 
 
 def _run_band(config: FdnConfig, gains: np.ndarray, n: int,
@@ -186,11 +163,12 @@ def _run_band(config: FdnConfig, gains: np.ndarray, n: int,
     m = config.feedback_matrix
     # equal amplitude per injection tap (the loop equilibrates toward equal
     # energy density per sample), decayed along the line and normalized so
-    # the total injected energy matches the classic single-tap injection
-    offsets = [np.asarray(line, dtype=int) for line in config.input_offsets]
+    # the total injected energy matches one tap per line at its input; the
+    # line input's weight is 1, so the total is at least n_lines
+    offsets = _input_taps(delays)
     weights = [gains[i] ** (offsets[i] / delays[i]) for i in range(n_lines)]
     total = sum(float(np.dot(w, w)) for w in weights)
-    scale = config.input_gain * math.sqrt(n_lines / total) if total > 0 else 0.0
+    scale = config.input_gain * math.sqrt(n_lines / total)
     out = np.zeros((n_lines, n))
     for i, d in enumerate(delays):
         for off, w in zip(offsets[i], weights[i]):
@@ -285,6 +263,7 @@ def run_fdn(config: FdnConfig, duration: float,
     impulse_driven = input_signal is None
     if input_signal is None:
         input_signal = np.array([1.0])
+    directions = _fibonacci_sphere(config.n_lines)
     groups, weights = band_groups(config.line_gains.T)
     lines = None
     for g, gains in enumerate(groups):
@@ -295,8 +274,7 @@ def run_fdn(config: FdnConfig, duration: float,
             out = BandFilter(n, fs, weights[g:g + 1]).apply(out[None])
         lines = out if lines is None else lines + out
     return [
-        TailStream(samples=lines[i], onset=0.0,
-                   direction=config.output_directions[i])
+        TailStream(samples=lines[i], onset=0.0, direction=directions[i])
         for i in range(config.n_lines)
     ]
 

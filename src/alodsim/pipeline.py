@@ -9,6 +9,7 @@ at the scene seed, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,19 +84,20 @@ def default_duration(scene: SceneSpec, profile: RenderingProfile) -> float:
 def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
                      source_id: Optional[str] = None,
                      receiver_id: Optional[str] = None,
-                     duration: Optional[float] = None,
-                     seed: Optional[int] = None) -> SpatialIR:
+                     duration: Optional[float] = None) -> SpatialIR:
     """Directional impulse response for one source/receiver pair.
 
     A coupled pair's IR carries the door signature, and no direct sound.
+    The tail lasts ``duration`` seconds (default ``default_duration``).
     """
     source = _pick(scene.sources, source_id, "source")
     receiver = _pick(scene.receivers, receiver_id, "receiver")
     if duration is None:
         duration = default_duration(scene, profile)
+    elif not (math.isfinite(duration) and duration > 0.0):
+        raise SceneValidationError(f"duration must be finite and > 0 s, got {duration}")
     root = np.random.SeedSequence(
-        [scene.rng_seed if seed is None else int(seed),
-         scene.sources.index(source), scene.receivers.index(receiver)]
+        [scene.rng_seed, scene.sources.index(source), scene.receivers.index(receiver)]
     )
     src_room = scene.room_of(source.position)
     if src_room.id == scene.room_of(receiver.position).id:
@@ -133,7 +135,6 @@ def simulate(scene: SceneSpec, profile: RenderingProfile,
              source_id: Optional[str] = None,
              receiver_id: Optional[str] = None,
              duration: Optional[float] = None,
-             seed: Optional[int] = None,
              output_mode: Optional[str] = None,
              hrtf: Optional[HrtfSet] = None,
              layout: Optional[LoudspeakerLayout] = None) -> SimulationResult:
@@ -150,8 +151,7 @@ def simulate(scene: SceneSpec, profile: RenderingProfile,
         hrtf = synthetic_hrtf(fs=scene.sample_rate)
     if layout is None and mode == "array":
         layout = array_preset_86()
-    spatial = build_spatial_ir(scene, profile, source.id, receiver.id,
-                               duration, seed)
+    spatial = build_spatial_ir(scene, profile, source.id, receiver.id, duration)
     ir = render_output(spatial, mode, receiver, hrtf=hrtf, layout=layout)
     if spatial.signature is not None:
         # a coupled IR: the blocked direct sound bypasses the door signature

@@ -29,7 +29,6 @@ class SpectralMatchReport:
     residual_rms_db: float
     band_range: tuple
     clamped: bool
-    filter_taps: np.ndarray
 
 
 def third_octave_smooth(magnitude: np.ndarray, fs: float) -> np.ndarray:
@@ -109,8 +108,9 @@ def match_spectrum(sim: ImpulseResponse, ref: ImpulseResponse):
     mag_sim = third_octave_smooth(_mean_magnitude(sim, n_fft), sim.sample_rate)
     mag_ref = third_octave_smooth(_mean_magnitude(ref, n_fft), ref.sample_rate)
     sel = (freqs >= lo) & (freqs <= hi)
-    if not np.any(mag_sim[sel] > 1e-9 * np.max(mag_sim)):
-        raise MatchInfeasibleError("simulated IR spectrally empty in match range")
+    for name, mag in (("simulated", mag_sim), ("reference", mag_ref)):
+        if not np.any(mag[sel] > 1e-9 * np.max(mag)):
+            raise MatchInfeasibleError(f"{name} IR spectrally empty in match range")
 
     raw = mag_ref / np.maximum(mag_sim, 1e-12 * np.max(mag_sim))
     clamp = 10.0 ** (DEFAULT_CLAMP_DB / 20.0)
@@ -133,6 +133,5 @@ def match_spectrum(sim: ImpulseResponse, ref: ImpulseResponse):
         residual_rms_db=float(math.sqrt(np.mean(diff**2))),
         band_range=DEFAULT_RANGE_HZ,
         clamped=clamped,
-        filter_taps=fir,
     )
     return corrected, fir, report

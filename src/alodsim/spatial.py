@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import RateMismatchError, SceneParseError, SceneValidationError
-from .filterbank import fftconvolve, next_fast_len
+from .filterbank import next_fast_len
 from .ism import SpatialIR
 from .scene import head_frame
-from .synth import render_units, spatial_ir_length, synthesize_mono
+from .synth import apply_signature, render_units, spatial_ir_length, synthesize_mono
 
 
 @dataclass(frozen=True)
@@ -89,20 +89,24 @@ def az_el_to_vec(az_deg: float, el_deg: float) -> np.ndarray:
 _HEAD_RADIUS_M = 0.0875
 
 
-def synthetic_hrtf(fs: float = 44100.0, n_az: int = 24, n_el: int = 7,
-                   n_taps: int = 64) -> HrtfSet:
+_HRTF_AZIMUTHS = 24  # per elevation ring, from 0 deg
+_HRTF_ELEVATIONS = 7  # rings from -90 to +90 deg; each pole holds one direction
+_HRTF_TAPS = 64
+
+
+def synthetic_hrtf(fs: float = 44100.0) -> HrtfSet:
     """Crude spherical-head HRTF stand-in (ITD + first-order shadowing).
 
     Not a measured set; used as the default when no HRTF directory is given
     and by the tests.
     """
     c = 343.0
-    azimuths = np.arange(n_az) * 360.0 / n_az
-    elevations = np.linspace(-90.0, 90.0, n_el)
+    azimuths = np.arange(_HRTF_AZIMUTHS) * 360.0 / _HRTF_AZIMUTHS
+    elevations = np.linspace(-90.0, 90.0, _HRTF_ELEVATIONS)
     dirs = []
     filters = []
-    t = np.arange(n_taps)
-    half = n_taps // 4  # fractional-delay kernel half width
+    t = np.arange(_HRTF_TAPS)
+    half = _HRTF_TAPS // 4  # fractional-delay kernel half width
 
     def frac_delay(d: float) -> np.ndarray:
         # windowed sinc centered on the delay (a raised cosine centered at
@@ -118,7 +122,7 @@ def synthetic_hrtf(fs: float = 44100.0, n_az: int = 24, n_el: int = 7,
             sin_lat = float(v[1])  # +1 = fully left
             itd = _HEAD_RADIUS_M / c * (math.asin(np.clip(sin_lat, -1, 1))
                                         + sin_lat)
-            base_delay = n_taps // 2
+            base_delay = _HRTF_TAPS // 2
             dl = base_delay - itd * fs / 2.0
             dr = base_delay + itd * fs / 2.0
             gl = math.sqrt(1.0 + 0.6 * sin_lat)
@@ -377,12 +381,6 @@ def vbap_gains(direction: np.ndarray, layout: LoudspeakerLayout) -> np.ndarray:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _apply_signature(channels: np.ndarray, spatial_ir: SpatialIR) -> np.ndarray:
-    if spatial_ir.signature is None:
-        return channels
-    return fftconvolve(channels, spatial_ir.signature)
-
-
 def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
                 orientation: np.ndarray) -> ImpulseResponse:
     """Two-channel render: nearest-direction HRTF pair per tap/tail stream,
@@ -411,7 +409,7 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
     for ear in (0, 1):
         weights = (value[:, None] * hrtf.filters[unit, ear]).ravel()
         out[ear] += np.bincount(at, weights, minlength=size)
-    out = _apply_signature(out, spatial_ir)
+    out = apply_signature(out, spatial_ir)
     return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
 
 
@@ -442,7 +440,7 @@ def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
             else:
                 shifted[i, :k] = out[i, -k:]
         out = shifted
-    out = _apply_signature(out, spatial_ir)
+    out = apply_signature(out, spatial_ir)
     return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
 
 

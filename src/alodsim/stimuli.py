@@ -37,6 +37,8 @@ class Stimulus:
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
+        if s.ndim != 1 or s.size == 0:
+            raise SceneValidationError("stimulus must be one channel of >= 1 sample")
         if not np.all(np.isfinite(s)):
             raise SceneValidationError("stimulus contains non-finite samples")
         if np.max(np.abs(s)) > 1.0 + 1e-9:
@@ -59,6 +61,14 @@ class BandLevels:
         if any(o not in ALLOWED_BAND_OFFSETS_DB for o in offsets):
             raise SceneValidationError("band offsets must be +6, 0 or -6 dB")
         object.__setattr__(self, "offsets_db", offsets)
+
+
+def _sample_count(duration: float, fs: float) -> int:
+    """Samples in ``duration`` seconds at ``fs`` Hz, both finite and > 0."""
+    for name, value in (("sample rate", fs), ("duration", duration)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise SceneValidationError(f"{name} must be finite and > 0, got {value}")
+    return int(round(duration * fs))
 
 
 def _envelope_db(x: np.ndarray, fs: float) -> np.ndarray:
@@ -114,9 +124,11 @@ def _enforce_envelope(x: np.ndarray, fs: float):
 
 def _build_pulse(fs: float, duration: float, offsets: Optional[BandLevels],
                  kind: str) -> Stimulus:
+    n = _sample_count(duration, fs)
     if fs < 8000.0:
         raise SceneValidationError("sample rate must be >= 8 kHz")
-    n = int(round(duration * fs))
+    if n < int(round(ENVELOPE_DEADLINE_S * fs)) + 2:  # an odd n builds n - 1 samples
+        raise SceneValidationError(f"pulse must outlast its envelope deadline, got {duration} s")
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
     mag = _pink_magnitude(freqs, offsets)
 
@@ -172,9 +184,11 @@ def convolve(stimulus: Stimulus, ir: ImpulseResponse) -> np.ndarray:
 def ess_generate(f1: float = 100.0, f2: float = 22050.0, duration: float = 3.2,
                  fs: float = 44100.0) -> Stimulus:
     """Exponential sine sweep (Farina), with short raised-cosine fades."""
+    n = _sample_count(duration, fs)
     if not (0.0 < f1 < f2 <= fs / 2.0):
         raise SceneValidationError("require 0 < f1 < f2 <= fs/2")
-    n = int(round(duration * fs))
+    if n < 1:
+        raise SceneValidationError(f"sweep must last at least one sample, got {duration} s")
     t = np.arange(n) / fs
     rate = math.log(f2 / f1)
     x = np.sin(2.0 * math.pi * f1 * duration / rate * (np.exp(t * rate / duration) - 1.0))

@@ -67,29 +67,26 @@ def render_units(spatial_ir: SpatialIR,
     fs = spatial_ir.sample_rate
     n = spatial_ir_length(spatial_ir)
 
+    # n holds every tap, burst and stream, so none of them is clipped
     taps = spatial_ir.taps
     starts = np.rint(taps.delay * fs).astype(np.int64)
-    rows = np.flatnonzero(starts < n)
-    starts = starts[rows]
-    streams = [s for s in spatial_ir.tail
-               if len(s.samples) and int(round(s.onset * fs)) < n]
-    gains = unit_gains(np.concatenate([taps.doa[rows],
+    streams = spatial_ir.tail
+    gains = unit_gains(np.concatenate([taps.doa,
                                        np.reshape([s.direction for s in streams], (-1, 3))]))
-    tap_gains, stream_gains = gains[: len(rows)], gains[len(rows):]
+    tap_gains, stream_gains = gains[: len(taps)], gains[len(taps):]
 
-    amplitude = taps.amplitude[rows]
-    bursts = taps.has_burst[rows]
+    bursts = taps.has_burst
     # a burst-free tap in one band group passes the band masks unchanged
-    flat = ~_band_filtered(taps)[rows]
+    flat = ~_band_filtered(taps)
     tap, unit = np.nonzero(tap_gains)  # (tap, unit) pairs in tap order
     keep = flat[tap]
     banded = np.unique(unit[~keep])
     tap, unit = tap[keep], unit[keep]
-    impulses = unit, starts[tap], tap_gains[tap, unit] * amplitude[tap, 0]
+    impulses = unit, starts[tap], tap_gains[tap, unit] * taps.amplitude[tap, 0]
 
     # the band buffers and their transform span the taps plus the kernel margin
-    lengths = np.maximum(np.rint(taps.burst_duration[rows] * fs).astype(np.int64), 1)
-    extent = int(np.max(np.minimum(starts + lengths, n), initial=0))
+    lengths = np.maximum(np.rint(taps.burst_duration * fs).astype(np.int64), 1)
+    extent = int(np.max(starts + lengths, initial=0))
     m = min(n, extent + _kernel_margin(fs))
 
     # one band buffer alive at a time; each burst drawn once, kept until its
@@ -104,21 +101,19 @@ def render_units(spatial_ir: SpatialIR,
     for unit in banded.tolist():
         hit = np.flatnonzero((tap_gains[:, unit] != 0.0) & ~flat)
         buf = np.zeros((len(OCTAVE_CENTERS_8), m))
-        np.add.at(buf.T, starts[hit], tap_gains[hit, unit][:, None] * amplitude[hit])
+        np.add.at(buf.T, starts[hit], tap_gains[hit, unit][:, None] * taps.amplitude[hit])
         for k in hit[bursts[hit]]:
             if k not in noise:
-                noise[k] = burst_samples(taps, rows[k], fs)
+                noise[k] = burst_samples(taps, k, fs)
             reach[k] -= 1
             burst = noise[k] if reach[k] else noise.pop(k)
-            stop = min(starts[k] + burst.shape[1], n)
-            buf[:, starts[k]:stop] += tap_gains[k, unit] * burst[:, : stop - starts[k]]
+            buf[:, starts[k]:starts[k] + burst.shape[1]] += tap_gains[k, unit] * burst
         units[unit][:m] = combine().apply(buf)
 
     for stream, gain in zip(streams, stream_gains):
         offset = int(round(stream.onset * fs))
-        stop = min(offset + len(stream.samples), n)
         for unit in np.flatnonzero(gain).tolist():
-            units[unit][offset:stop] += gain[unit] * stream.samples[: stop - offset]
+            units[unit][offset:offset + len(stream.samples)] += gain[unit] * stream.samples
     return units, impulses
 
 
@@ -127,6 +122,11 @@ def synthesize_mono(spatial_ir: SpatialIR) -> np.ndarray:
     units, (_, start, value) = render_units(spatial_ir, lambda d: np.ones((len(d), 1)))
     out = units[0] if units else np.zeros(spatial_ir_length(spatial_ir))
     np.add.at(out, start, value)
-    if spatial_ir.signature is not None:
-        out = fftconvolve(out, spatial_ir.signature)
-    return out
+    return apply_signature(out, spatial_ir)
+
+
+def apply_signature(channels: np.ndarray, spatial_ir: SpatialIR) -> np.ndarray:
+    """``channels`` convolved with the IR's door signature, if it carries one."""
+    if spatial_ir.signature is None:
+        return channels
+    return fftconvolve(channels, spatial_ir.signature)

@@ -55,8 +55,8 @@ from alodsim.ism import (
     enumerate_images,
     reflect_finite_panels,
 )
-from alodsim.spatial import ImpulseResponse, _apply_signature, head_frame, vbap_gains
-from alodsim.synth import render_units, spatial_ir_length
+from alodsim.spatial import ImpulseResponse, head_frame, vbap_gains
+from alodsim.synth import apply_signature, render_units, spatial_ir_length
 
 
 def per_band_run_fdn(config, duration, input_signal=None,
@@ -143,7 +143,7 @@ def binauralize_per_unit(spatial_ir, hrtf, orientation):
     for idx in sorted(units):
         out[0] += fftconvolve(units[idx], hrtf.filters[idx, 0])
         out[1] += fftconvolve(units[idx], hrtf.filters[idx, 1])
-    return ImpulseResponse(channels=_apply_signature(out, spatial_ir),
+    return ImpulseResponse(channels=apply_signature(out, spatial_ir),
                            sample_rate=spatial_ir.sample_rate)
 
 
@@ -157,7 +157,7 @@ def render_array_per_tap(spatial_ir, layout, orientation):
     out = np.zeros((layout.n_speakers, spatial_ir_length(spatial_ir)))
     for unit, wave in units.items():
         out[unit] += wave
-    return ImpulseResponse(channels=_apply_signature(out, spatial_ir),
+    return ImpulseResponse(channels=apply_signature(out, spatial_ir),
                            sample_rate=spatial_ir.sample_rate)
 
 

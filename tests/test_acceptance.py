@@ -253,16 +253,16 @@ def test_criterion_07_vbap(capsys, living_scene):
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_diotic(capsys, living_scene):
-    res = simulate(living_scene, profile_preset("razr-full"),
-                   source_id="masker", output_mode="diotic",
-                   duration=0.4, seed=1)
+    scene = replace(living_scene, rng_seed=1)
+    res = simulate(scene, profile_preset("razr-full"),
+                   source_id="masker", output_mode="diotic", duration=0.4)
     headphone_ok = (res.ir.n_channels == 2
                     and np.array_equal(res.ir.channels[0], res.ir.channels[1]))
 
     layout = array_preset_86()
-    arr = simulate(living_scene, profile_preset("razr-full"),
+    arr = simulate(scene, profile_preset("razr-full"),
                    source_id="masker", output_mode="array",
-                   duration=0.4, seed=1, layout=layout)
+                   duration=0.4, layout=layout)
     d = diotic_array(arr.ir, layout)
     active = np.flatnonzero(np.any(d.channels != 0.0, axis=1))
     frontal = frontal_speaker_index(layout)
@@ -345,15 +345,15 @@ def test_criterion_11_estimators(capsys):
 
 def test_criterion_12_determinism_and_speed(capsys, living_scene):
     profile = profile_preset("razr-full")
-    a = simulate(living_scene, profile, source_id="masker",
-                 output_mode="mono", duration=0.5, seed=3)
-    b = simulate(living_scene, profile, source_id="masker",
-                 output_mode="mono", duration=0.5, seed=3)
+    seeded = replace(living_scene, rng_seed=3)
+    a = simulate(seeded, profile, source_id="masker",
+                 output_mode="mono", duration=0.5)
+    b = simulate(seeded, profile, source_id="masker",
+                 output_mode="mono", duration=0.5)
     det_ok = a.ir.channels.tobytes() == b.ir.channels.tobytes()
 
     t0 = time.perf_counter()
-    simulate(living_scene, profile, output_mode="binaural",
-             duration=2.0, seed=0)
+    simulate(living_scene, profile, output_mode="binaural", duration=2.0)
     elapsed = time.perf_counter() - t0
     speed_ok = elapsed < 10.0
 

@@ -27,23 +27,26 @@ def _living_room():
     return preset("living-room").room("living-room")
 
 
-def _small_config(offsets=None):
-    delays = np.array([13, 17, 19, 23])
+# the derived injection taps of these delays are (0,), (0, 22), (0, 23, 32)
+# and (0, 14, 34, 42): every line but the shortest is fed at several taps
+MULTI_TAP_DELAYS = (13, 29, 41, 53)
+
+
+def _small_config(delays=(13, 17, 19, 23)):
     rng = np.random.default_rng(5)
     q, r = np.linalg.qr(rng.standard_normal((4, 4)))
     q = q * np.sign(np.diag(r))
     gains = np.full((4, 8), 0.9)
-    dirs = np.tile(np.array([1.0, 0.0, 0.0]), (4, 1))
-    return FdnConfig(delays=delays, feedback_matrix=q, line_gains=gains,
-                     output_directions=dirs, sample_rate=FS,
-                     input_gain=0.5, input_offsets=offsets)
+    return FdnConfig(delays=np.array(delays), feedback_matrix=q, line_gains=gains,
+                     sample_rate=FS, input_gain=0.5)
 
 
 def naive_fdn(config, gains, n, input_signal):
-    """Per-sample oracle for the blocked recurrence in fdn._run_band."""
+    """Per-sample oracle for the blocked recurrence in fdn._run_band, fed at
+    the injection taps that fdn._input_taps derives from the delays."""
     n_lines = config.n_lines
     delays = config.delays
-    offsets = [np.asarray(line, dtype=int) for line in config.input_offsets]
+    offsets = fdn._input_taps(delays)
     weights = [gains[i] ** (offsets[i] / delays[i]) for i in range(n_lines)]
     total = sum(float(np.dot(w, w)) for w in weights)
     scale = config.input_gain * math.sqrt(n_lines / total)
@@ -74,29 +77,28 @@ def test_delays_must_be_distinct():
     with pytest.raises(SceneValidationError):
         FdnConfig(delays=np.array([13, 13, 19, 23]),
                   feedback_matrix=cfg.feedback_matrix,
-                  line_gains=cfg.line_gains,
-                  output_directions=cfg.output_directions, sample_rate=FS)
+                  line_gains=cfg.line_gains, sample_rate=FS)
 
 
 def test_matrix_must_be_orthogonal():
     cfg = _small_config()
     with pytest.raises(SceneValidationError):
         FdnConfig(delays=cfg.delays, feedback_matrix=np.eye(4) * 1.01,
-                  line_gains=cfg.line_gains,
-                  output_directions=cfg.output_directions, sample_rate=FS)
+                  line_gains=cfg.line_gains, sample_rate=FS)
 
 
-def test_offsets_below_delay_are_accepted_and_exact():
-    # an offset below the block size min(delays) = 13 is as exact as any other
-    short = _small_config(offsets=((0,), (0, 5), (0,), (0,)))
-    gains = short.line_gains[:, 0]
-    x = np.random.default_rng(3).standard_normal(30)
-    fast = _run_band(short, gains, 200, x)
-    assert np.max(np.abs(fast - naive_fdn(short, gains, 200, x))) < 1e-12
-    with pytest.raises(SceneValidationError):
-        _small_config(offsets=((0,), (0, 17), (0,), (0,)))  # 17 >= delay 17
-    ok = _small_config(offsets=((0,), (0, 13), (0, 14), (0, 13)))
-    assert ok.input_offsets == ((0,), (0, 13), (0, 14), (0, 13))
+def test_input_taps_start_at_the_line_input_and_stay_inside_the_line():
+    # one tap per min(delay) = 13 samples along each line, each jittered by
+    # less than 0.9 * 13 samples: none but the line input below the block
+    delays = np.array([53, 13, 41, 29, 200])
+    taps = fdn._input_taps(delays)
+    assert [t.tolist() for t in taps[:4]] == [[0, 20, 28, 48], [0], [0, 23, 32], [0, 14]]
+    for d, line in zip(delays, taps):
+        assert line[0] == 0 and np.all(np.diff(line) > 0) and line[-1] < d
+        k = np.arange(1, len(line))
+        assert np.all((line[1:] >= 13 * k) & (line[1:] < 13 * k + 0.9 * 13))
+    # the next tap would leave the line: its offset is at least 13 (k + 1)
+    assert all(13 * len(line) + 0.9 * 13 > d for d, line in zip(delays, taps))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ def test_block_recurrence_matches_per_sample_oracle():
 
 
 def test_block_recurrence_matches_oracle_with_input_offsets():
-    cfg = _small_config(offsets=((0,), (0, 13), (0, 14), (0, 13, 18)))
+    cfg = _small_config(MULTI_TAP_DELAYS)
     gains = cfg.line_gains[:, 0]
     x = np.random.default_rng(1).standard_normal(60)
     fast = _run_band(cfg, gains, 500, x)
@@ -126,22 +128,21 @@ def test_block_recurrence_matches_oracle_with_input_offsets():
 @st.composite
 def _random_fdn_case(draw):
     n_lines = draw(st.integers(3, 6))
-    delays = draw(st.lists(st.integers(5, 40), min_size=n_lines,
-                           max_size=n_lines, unique=True))
-    offsets = tuple(
-        tuple(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=4,
-                            unique=True)))
-        for d in delays
-    )
+    # the shortest delay sets the tap spacing; a line at least twice as long
+    # is fed at two taps or more, and the lines come in any order
+    block = draw(st.integers(2, 14))
+    longest = draw(st.integers(max(2 * block, block + n_lines), 4 * block + 8))
+    others = draw(st.lists(st.integers(block + 1, longest - 1), min_size=n_lines - 2,
+                           max_size=n_lines - 2, unique=True))
+    delays = draw(st.permutations([block, longest, *others]))
     gains = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_lines,
                                    max_size=n_lines)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q, r = np.linalg.qr(rng.standard_normal((n_lines, n_lines)))
     q = q * np.sign(np.diag(r))
     cfg = FdnConfig(delays=np.array(delays), feedback_matrix=q,
-                    line_gains=gains[:, None],
-                    output_directions=np.tile([1.0, 0.0, 0.0], (n_lines, 1)),
-                    sample_rate=FS, input_gain=0.5, input_offsets=offsets)
+                    line_gains=gains[:, None], sample_rate=FS, input_gain=0.5)
+    assert max(len(line) for line in fdn._input_taps(cfg.delays)) > 1
     n = draw(st.integers(1, 160))
     x = rng.uniform(-1.0, 1.0, draw(st.integers(1, 200)))  # longer or shorter than n
     return cfg, gains, n, x
@@ -173,7 +174,7 @@ def test_moving_average_equals_uniform_filter1d(n, win, decades, seed):
 def test_recurrence_prefix_is_run_length_invariant():
     # the same config must produce a bit-identical prefix regardless of the
     # requested duration (determinism contract)
-    cfg = _small_config(offsets=((0,), (0, 13), (0, 14), (0, 13, 18)))
+    cfg = _small_config(MULTI_TAP_DELAYS)
     gains = cfg.line_gains[:, 0]
     x = np.random.default_rng(2).standard_normal(50)
     short = _run_band(cfg, gains, 300, x)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alodsim.errors import RateMismatchError
+from alodsim.errors import MatchInfeasibleError, RateMismatchError
 from alodsim.filterbank import band_masks
 from alodsim.postproc import (
     _smoothed_difference_db,
@@ -89,6 +89,13 @@ def test_match_spectrum_rejects_rate_mismatch():
     other = ImpulseResponse(channels=ir.channels, sample_rate=48000.0)
     with pytest.raises(RateMismatchError):
         match_spectrum(ir, other)
+
+
+def test_match_spectrum_rejects_a_silent_reference():
+    ir = _noise_ir(seed=5)
+    silent = ImpulseResponse(channels=np.zeros_like(ir.channels), sample_rate=FS)
+    with pytest.raises(MatchInfeasibleError, match="reference"):
+        match_spectrum(ir, silent)
 
 
 def test_spectral_deviation_zero_for_identical():

@@ -91,7 +91,7 @@ def test_orientation_rotates_the_scene():
 
 @pytest.mark.parametrize("field", ["directions", "filters"])
 def test_hrtf_set_rejects_non_finite_values(field):
-    base = synthetic_hrtf(n_az=6, n_el=3, n_taps=32)
+    base = synthetic_hrtf()
     values = dict(directions=base.directions.copy(), filters=base.filters.copy())
     values[field].flat[0] = np.nan
     with pytest.raises(SceneValidationError, match="finite"):
@@ -99,7 +99,7 @@ def test_hrtf_set_rejects_non_finite_values(field):
 
 
 def test_load_hrtf_dir_round_trip(tmp_path):
-    hrtf = synthetic_hrtf(n_az=6, n_el=3, n_taps=32)
+    hrtf = synthetic_hrtf()
     lines = []
     for i, d in enumerate(hrtf.directions):
         az = np.degrees(np.arctan2(d[1], d[0]))

@@ -6,6 +6,7 @@ from alodsim.filterbank import band_energies
 from alodsim.spatial import ImpulseResponse
 from alodsim.stimuli import (
     BandLevels,
+    Stimulus,
     convolve,
     ess_deconvolve,
     ess_generate,
@@ -147,6 +148,12 @@ def test_sweep_frequency_bounds_validated():
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
+
+def test_stimulus_rejects_an_empty_signal():
+    # as ``alodsim render`` builds one from a WAV with no frames
+    with pytest.raises(SceneValidationError, match="one channel"):
+        Stimulus(samples=np.zeros(0), sample_rate=FS, kind="file")
+
 
 def test_convolve_shapes_and_rate_check():
     p = pink_pulse()

@@ -574,6 +574,10 @@ _MALFORMED = {
         "ir.wav", _wav_with_fmt(struct.pack("<HHIIHH", 3, 1, 0, 0, 4, 32),
                                 np.exp(-np.arange(4000) / 500.0).astype("<f4").tobytes()),
         ["analyze", "--metrics", "t30", "--ir"]),
+    "WAV with a NaN sample, analyzed": (
+        "ir.wav", _wav_with_fmt(struct.pack("<HHIIHH", 3, 1, 44100, 176400, 4, 32),
+                                np.array([1.0, np.nan, 0.5, 0.25], "<f4").tobytes()),
+        ["analyze", "--metrics", "edc,drr", "--ir"]),
     "6-byte fmt chunk": (
         "ir.wav", _wav_with_fmt(struct.pack("<HHH", 1, 1, 0)),
         ["analyze", "--metrics", "t30", "--ir"]),
@@ -712,6 +716,42 @@ def test_cli_prints_one_error_line_for_malformed_input(tmp_path, capsys, case):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# each case: CLI arguments with one malformed value
+_MALFORMED_ARGUMENTS = {
+    "pink pulse of NaN seconds": ["stimulus", "pink-pulse", "--duration", "nan"],
+    "pink pulse of -1 s": ["stimulus", "pink-pulse", "--duration", "-1"],
+    "pink pulse of 0 s": ["stimulus", "pink-pulse", "--duration", "0"],
+    "pink pulse shorter than one sample": ["stimulus", "pink-pulse", "--duration", "1e-5"],
+    "pink pulse at a NaN rate": ["stimulus", "pink-pulse", "--rate", "nan"],
+    "pink pulse at an infinite rate": ["stimulus", "pink-pulse", "--rate", "inf"],
+    "sweep at an infinite rate": ["stimulus", "sweep", "--rate", "inf"],
+    "sweep of NaN seconds": ["stimulus", "sweep", "--duration", "nan"],
+    "sweep of 0 s": ["stimulus", "sweep", "--duration", "0"],
+    "sweep of -1 s": ["stimulus", "sweep", "--duration", "-1"],
+    "non-numeric band offset": ["stimulus", "pink-pulse", "--band-offsets", "0,0,x"],
+    "razr-full render of NaN seconds": ["simulate", "--preset", "pub", "--profile", "razr-full",
+                                        "--output-mode", "mono", "--duration", "nan"],
+    "razr-full render of infinite seconds": ["simulate", "--preset", "pub", "--profile",
+                                             "razr-full", "--output-mode", "mono",
+                                             "--duration", "inf"],
+    "ism-15 render of -1 s": ["simulate", "--preset", "pub", "--profile", "ism-15",
+                              "--output-mode", "mono", "--duration", "-1"],
+    "ism-15 render of NaN seconds": ["simulate", "--preset", "pub", "--profile", "ism-15",
+                                     "--output-mode", "mono", "--duration", "nan"],
+    "anechoic render of 0 s": ["simulate", "--preset", "pub", "--profile", "anechoic",
+                               "--output-mode", "mono", "--duration", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_ARGUMENTS))
+def test_cli_prints_one_error_line_for_a_malformed_argument(tmp_path, capsys, case):
+    out = tmp_path / "out.wav"
+    assert main(_MALFORMED_ARGUMENTS[case] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def _scipy_modules_after(code: str, cwd) -> list:
