@@ -1,8 +1,8 @@
 """Objective impulse-response metrics.
 
 Schroeder backward integration, T30 from the ISO [-5, -35] dB span,
-normalized echo density, two-segment (dual-slope) decay fitting,
-direct-to-reverberant ratio and the mean free path.
+normalized echo density, two-segment (dual-slope) decay fitting and the
+direct-to-reverberant ratio.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import InsufficientDecayError, SceneValidationError
 from .filterbank import BandFilter
-from .scene import RoomSpec, surface_area, volume
 
 EDC_FLOOR_DB = -120.0
 T30_FIT_SPAN_DB = (-5.0, -35.0)
@@ -186,11 +185,6 @@ def dual_slope_fit(edc: EdcCurve) -> DualSlopeFit:
     knee_level = float(coef[0] + coef[1] * (tk - t[0]))
     return DualSlopeFit(slope1=slope1, slope2=slope2, knee_time=float(tk),
                         knee_level=min(knee_level, 0.0), residual=resid)
-
-
-def mean_free_path(room: RoomSpec) -> float:
-    """4 V / S, the average distance between reflections."""
-    return 4.0 * volume(room) / surface_area(room)
 
 
 def drr(ir: np.ndarray, fs: float) -> float:

@@ -89,6 +89,14 @@ def _load_layout(spec: str) -> LoudspeakerLayout:
         return parse_document(fh.read(), LoudspeakerLayout)
 
 
+def _read_ir(path: str) -> ImpulseResponse:
+    """An IR WAV; an empty one, or one with a non-finite sample, is rejected."""
+    data, fs = read_wav(path)
+    if data.size == 0:
+        raise SceneParseError(f"{path}: empty WAV")
+    return ImpulseResponse(channels=data.T, sample_rate=fs)  # checks finiteness
+
+
 def _metric_summary(ir: ImpulseResponse) -> dict:
     mono = ir.channels.sum(axis=0)
     summary = {
@@ -185,11 +193,8 @@ def _cmd_analyze(args) -> int:
             raise SceneParseError(
                 f"unknown metric {metric!r}; known: {', '.join(ANALYZE_METRICS)}"
             )
-    data, fs = read_wav(args.ir)
-    if data.size == 0:
-        raise SceneParseError(f"{args.ir}: empty WAV")
-    # rejects non-finite samples, as render and match do
-    channels = ImpulseResponse(channels=data.T, sample_rate=fs).channels
+    ir = _read_ir(args.ir)
+    channels, fs = ir.channels, ir.sample_rate
     base, ext = os.path.splitext(args.out)
     failed = []
     for metric in metrics:
@@ -234,23 +239,20 @@ def _cmd_stimulus(args) -> int:
 
 def _cmd_render(args) -> int:
     stim_data, stim_fs = read_wav(args.stim)
-    ir_data, ir_fs = read_wav(args.ir)
+    ir = _read_ir(args.ir)
     stim = Stimulus(samples=stim_data[:, 0], sample_rate=stim_fs, kind="file")
-    ir = ImpulseResponse(channels=ir_data.T, sample_rate=ir_fs)
     out = convolve(stim, ir)
     peak = float(np.max(np.abs(out)))
     if args.normalize and peak > 0:
         out = out / peak * 10.0 ** (-1.0 / 20.0)
-    write_wav(args.out, out.T, ir_fs)
+    write_wav(args.out, out.T, ir.sample_rate)
     print(f"wrote {args.out} ({out.shape[0]} ch, peak {peak:.4g})")
     return 0
 
 
 def _cmd_match(args) -> int:
-    sim_data, sim_fs = read_wav(args.sim)
-    ref_data, ref_fs = read_wav(args.ref)
-    sim = ImpulseResponse(channels=sim_data.T, sample_rate=sim_fs)
-    ref = ImpulseResponse(channels=ref_data.T, sample_rate=ref_fs)
+    sim = _read_ir(args.sim)
+    ref = _read_ir(args.ref)
     corrected, fir, report = match_spectrum(sim, ref)
     write_wav(args.out, corrected.channels.T, corrected.sample_rate)
     report_doc = {

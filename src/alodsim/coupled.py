@@ -34,6 +34,7 @@ from .scene import (
     RenderingProfile,
     SceneSpec,
     SourceSpec,
+    mean_free_path,
 )
 from .synth import synthesize_mono
 
@@ -74,8 +75,6 @@ def _fdn_onset(room, profile: RenderingProfile, scene: SceneSpec,
     Estimated by mean free path: reflections of order n cluster around
     n * mfp / c, so the tail starts at (ism_order + 1) * mfp / c.
     """
-    from .analysis import mean_free_path
-
     mfp = mean_free_path(room)
     return max((profile.ism_order + 1) * mfp / scene.speed_of_sound, direct_delay)
 
@@ -112,18 +111,22 @@ def splice(early: SpatialIR, tail, *, onset: float, t60: float,
 
 
 def _room_tail(scene: SceneSpec, profile: RenderingProfile, room,
-               duration: float, seed_seq: np.random.SeedSequence):
-    """Designed + rendered (unscaled) tail streams for one room."""
+               duration: float, seed_seq: np.random.SeedSequence,
+               drive=None) -> list:
+    """Designed + rendered (unscaled) tail streams for one room.
+
+    The room's FDN, or its dual-slope pair when the profile renders a second
+    slope, is driven by ``drive``, or by a unit impulse when that is None.
+    """
     if not profile.fdn_enabled or room.decay is None:
         return []
     fs = scene.sample_rate
     seed = int(seed_seq.generate_state(1)[0] % (2**31))
     if profile.second_slope(room) is not None:
-        primary, secondary = design_dual_slope(room, room.decay, fs,
-                                               c=scene.speed_of_sound, seed=seed)
-        return run_fdn(primary, duration) + run_fdn(secondary, duration)
-    config = design_fdn(room, room.decay, fs, c=scene.speed_of_sound, seed=seed)
-    return run_fdn(config, duration)
+        configs = design_dual_slope(room, room.decay, fs, c=scene.speed_of_sound, seed=seed)
+    else:
+        configs = (design_fdn(room, room.decay, fs, c=scene.speed_of_sound, seed=seed),)
+    return [s for config in configs for s in run_fdn(config, duration, input_signal=drive)]
 
 
 def single_room_ir(scene: SceneSpec, profile: RenderingProfile,
@@ -200,9 +203,10 @@ def couple_full(scene: SceneSpec, profile: RenderingProfile,
                 duration: float, seed_seq: np.random.SeedSequence) -> SpatialIR:
     """Two-stage early path plus cross-fed FDN energy (mixed decay).
 
-    The receiver room's FDN is re-excited by the source room's diffuse tail
-    scaled by the coupling gain k. Without a receiver-room tail (FDN off, or
-    no decay target in that room) the result is couple_two_stage's.
+    The receiver room's FDN (its dual-slope pair, when it has a second slope)
+    is re-excited by the source room's diffuse tail scaled by the coupling
+    gain k. Without a receiver-room tail (FDN off, or no decay target in
+    that room) the result is couple_two_stage's.
 
     The drive is a source-room tail drawn apart from stage 1's: the cross
     fed tail passes through the door signature, which holds stage 1's tail,
@@ -222,10 +226,7 @@ def couple_full(scene: SceneSpec, profile: RenderingProfile,
     if not src_streams:
         return base
     drive = np.sum([s.samples for s in src_streams], axis=0)
-    seed = int(rec_fdn_seed.generate_state(1)[0] % (2**31))
-    rec_config = design_fdn(rec_room, rec_room.decay, scene.sample_rate,
-                            c=scene.speed_of_sound, seed=seed)
-    cross = run_fdn(rec_config, duration, input_signal=k * drive)
+    cross = _room_tail(scene, profile, rec_room, duration, rec_fdn_seed, drive=k * drive)
     # keep cross-fed energy in proportion to the main tail
     onset = min(s.onset for s in base.tail)
     cross = _rescaled(cross, _energy(base.tail), onset, k=k)

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SceneValidationError
+from .errors import InfeasibleTargetError, SceneValidationError
 from .filterbank import BandFilter, band_groups
 from .ism import TailStream
 from .scene import DecayTarget, RoomSpec, volume
@@ -104,13 +104,11 @@ def design_fdn(room: RoomSpec, target: DecayTarget, fs: float,
     """FDN whose per-line band gains realize the room's decay target.
 
     g_i(f) = 10^(-3 d_i / (fs T60(f))), i.e. -60 dB per T60 of recirculation.
-    When the room carries a volume override (non-box real geometry), path
-    lengths are scaled by (V_override / V_box)^(1/3).
+    Path lengths are scaled by (V / V_box)^(1/3), so a room's volume override
+    (non-box real geometry) stretches them; without one the factor is 1.
     """
-    paths = _room_path_lengths(room)
-    box_volume = float(np.prod(room.dims))
-    if room.volume_override is not None:
-        paths = paths * (volume(room) / box_volume) ** (1.0 / 3.0)
+    stretch = (volume(room) / float(np.prod(room.dims))) ** (1.0 / 3.0)
+    paths = _room_path_lengths(room) * stretch
     # cycle the 7 physical paths with a golden-ratio-ish stretch for extra lines
     reps = int(math.ceil(N_LINES / paths.size))
     stretched = np.concatenate([paths * (1.0 + 0.31 * k) for k in range(reps)])
@@ -118,6 +116,10 @@ def design_fdn(room: RoomSpec, target: DecayTarget, fs: float,
     delays = _coprime_delays(raw)
     t60 = np.asarray(target.t30_bands, dtype=float)
     line_gains = 10.0 ** (-3.0 * delays[:, None] / (fs * t60[None, :]))
+    if not np.all((line_gains > 0.0) & (line_gains < 1.0)):
+        raise InfeasibleTargetError(
+            f"room {room.id}: T30 target out of reach for its FDN delays "
+            "(a line gain rounds to 0 or 1)")
     return FdnConfig(
         delays=delays,
         feedback_matrix=_random_orthogonal(N_LINES, seed),
@@ -283,22 +285,16 @@ def design_dual_slope(room: RoomSpec, target: DecayTarget, fs: float,
                       c: float = 343.0, seed: int = 0) -> tuple:
     """(primary, secondary) FDNs whose EDC asymptotes cross at the onset level.
 
-    The secondary input gain follows from the two exponential decay rates:
-    with EDC_i(t) = a_i^2 (T_i / k) 10^(-60 t / (10 T_i)), requiring the
-    crossing at level L places it at t* = -L T1 / 60 and gives
+    The target's second slope is slower than its primary and starts below
+    -20 dB (``DecayTarget`` and ``SecondSlope`` check both). The secondary
+    input gain follows from the two exponential decay rates: with
+    EDC_i(t) = a_i^2 (T_i / k) 10^(-60 t / (10 T_i)), requiring the crossing
+    at level L places it at t* = -L T1 / 60 and gives
     20 log10(a2/a1) = L (1 - T1/T2) + 10 log10(T1/T2).
     """
-    if target.second_slope is None:
-        raise SceneValidationError("decay target has no second slope")
     t1 = target.broadband_t30
     t2 = target.second_slope.t30_2
-    if abs(t2 - t1) < 1e-9:
-        raise SceneValidationError("dual-slope decay times must differ")
-    if t2 < t1:
-        raise SceneValidationError("secondary T60 must exceed the primary")
     level = target.second_slope.onset_level_db
-    if level >= -20.0:
-        raise SceneValidationError("dual-slope onset level must be below -20 dB")
     primary = design_fdn(room, target, fs, c=c, seed=seed)
     secondary_target = DecayTarget(t30_bands=np.full_like(target.t30_bands, t2))
     secondary = design_fdn(room, secondary_target, fs, c=c, seed=seed + 1)

@@ -86,8 +86,9 @@ class SecondSlope:
     def __post_init__(self):
         _finite(self.t30_2, "second-slope T30", positive=True)
         _finite(self.onset_level_db, "second-slope onset level")
-        if self.onset_level_db >= 0:
-            raise SceneValidationError("second-slope onset level must be below 0 dB")
+        # the knee lies below the first 20 dB of the decay, set by the primary
+        if self.onset_level_db >= -20.0:
+            raise SceneValidationError("second-slope onset level must be below -20 dB")
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,12 @@ class DecayTarget:
         _set(self, t30_bands=_bands(self.t30_bands, "t30"))
         if not np.all((self.t30_bands > 0) & np.isfinite(self.t30_bands)):
             raise SceneValidationError("T30 targets must be finite and positive")
+        second = self.second_slope
+        # the second slope is the slower one; T30s within 1e-9 s count as equal
+        if second is not None and not second.t30_2 > self.broadband_t30 + 1e-9:
+            raise SceneValidationError(
+                f"second-slope T30 {second.t30_2!r} s must exceed the primary "
+                f"broadband T30 {self.broadband_t30:.6g} s")
 
     @property
     def broadband_t30(self) -> float:
@@ -418,6 +425,11 @@ def volume(room: RoomSpec) -> float:
     return float(np.prod(room.dims))
 
 
+def mean_free_path(room: RoomSpec) -> float:
+    """4 V / S, the average distance between reflections."""
+    return 4.0 * volume(room) / surface_area(room)
+
+
 def fit_absorption(room: RoomSpec, target: DecayTarget) -> np.ndarray:
     """Per-band uniform absorption that reproduces the target T60 (Eyring).
 
@@ -451,7 +463,26 @@ def _fitted_room(room_id, dims, t30, origin=(0, 0, 0), volume_override=None,
     return replace(shell, absorption=np.tile(alpha, (6, 1)), decay=decay)
 
 
-def _living_room_scene(seed: int = 0) -> SceneSpec:
+def _listening_scene(name: str, listener, facing, target, target_facing,
+                     **scene_fields) -> SceneSpec:
+    """A preset's sources and listener: the target, and the masker 1 m to the
+    listener's right, facing the listener."""
+    listener, facing = np.asarray(listener, dtype=float), np.asarray(facing, dtype=float)
+    masker = listener + np.cross(facing, np.array([0.0, 0.0, 1.0]))
+    to_listener = listener - masker
+    return SceneSpec(
+        name=name,
+        sources=(
+            SourceSpec(id="target", position=target, orientation=target_facing),
+            SourceSpec(id="masker", position=masker,
+                       orientation=to_listener / np.linalg.norm(to_listener)),
+        ),
+        receivers=(ReceiverSpec(id="listener", position=listener, orientation=facing),),
+        **scene_fields,
+    )
+
+
+def _living_room_scene() -> SceneSpec:
     # Living room spans y in [0, 3.78]; the kitchen adjoins at y = 3.78.
     living = _fitted_room("living-room", (4.97, 3.78, 2.71), 0.54)
     kitchen = _fitted_room("kitchen", (4.97, 2.00, 2.71), 0.66, origin=(0.0, 3.78, 0.0))
@@ -465,39 +496,18 @@ def _living_room_scene(seed: int = 0) -> SceneSpec:
     d1 = OCCLUDED_PATH_LIVING_ROOM - d2
     source_pos = door_center + np.array([0.0, d1, 0.0])
     to_door = door_center - source_pos
-    look = to_door / np.linalg.norm(to_door)
-    rec_look = np.array([0.0, 1.0, 0.0])  # facing the kitchen wall
-    masker_pos = receiver_pos + 1.0 * np.cross(rec_look, np.array([0.0, 0.0, 1.0]))
-    return SceneSpec(
-        name="living-room",
-        rooms=(living, kitchen),
-        apertures=(door,),
-        sources=(
-            SourceSpec(id="target", position=source_pos, orientation=look),
-            SourceSpec(id="masker", position=masker_pos,
-                       orientation=_masker_orientation(masker_pos, receiver_pos)),
-        ),
-        receivers=(ReceiverSpec(id="listener", position=receiver_pos,
-                                orientation=rec_look),),
-        rng_seed=seed,
+    return _listening_scene(
+        "living-room", receiver_pos, (0.0, 1.0, 0.0),  # facing the kitchen wall
+        source_pos, to_door / np.linalg.norm(to_door),
+        rooms=(living, kitchen), apertures=(door,),
         occluded_path_m=OCCLUDED_PATH_LIVING_ROOM,
     )
 
 
-def _masker_orientation(masker_pos, receiver_pos) -> np.ndarray:
-    d = np.asarray(receiver_pos) - np.asarray(masker_pos)
-    return d / np.linalg.norm(d)
-
-
-def _pub_scene(seed: int = 0) -> SceneSpec:
+def _pub_scene() -> SceneSpec:
     # Stated volume (~442 m^3) is below the box product (floor plan is not
     # rectangular); kept as an override for reverb design.
     room = _fitted_room("pub", (17.76, 10.2, 2.9), 0.7, volume_override=442.0)
-    receiver_pos = np.array([8.0, 5.0, 1.2])
-    source_pos = np.array([8.0, 5.97, 1.2])  # directly opposite, 0.97 m away
-    look = np.array([0.0, -1.0, 0.0])
-    rec_look = np.array([0.0, 1.0, 0.0])
-    masker_pos = receiver_pos + 1.0 * np.cross(rec_look, np.array([0.0, 0.0, 1.0]))
     table = PanelSpec(
         id="table",
         corners=np.array([
@@ -514,22 +524,13 @@ def _pub_scene(seed: int = 0) -> SceneSpec:
         ]),
         absorption=0.1,
     )
-    return SceneSpec(
-        name="pub",
-        rooms=(room,),
-        panels=(table, chalkboard),
-        sources=(
-            SourceSpec(id="target", position=source_pos, orientation=look),
-            SourceSpec(id="masker", position=masker_pos,
-                       orientation=_masker_orientation(masker_pos, receiver_pos)),
-        ),
-        receivers=(ReceiverSpec(id="listener", position=receiver_pos,
-                                orientation=rec_look),),
-        rng_seed=seed,
-    )
+    # the target sits directly opposite, 0.97 m away
+    return _listening_scene("pub", (8.0, 5.0, 1.2), (0.0, 1.0, 0.0),
+                            (8.0, 5.97, 1.2), (0.0, -1.0, 0.0),
+                            rooms=(room,), panels=(table, chalkboard))
 
 
-def _underground_scene(seed: int = 0) -> SceneSpec:
+def _underground_scene() -> SceneSpec:
     # Coupled tunnel volumes produce the dual-slope decay; they are modeled
     # through the secondary decay target, not through extra geometry.
     room = _fitted_room(
@@ -537,21 +538,10 @@ def _underground_scene(seed: int = 0) -> SceneSpec:
         second_slope=SecondSlope(t30_2=3.2, onset_level_db=-40.0),
     )
     receiver_pos = np.array([60.0, 7.85, 1.6])
-    source_pos = receiver_pos + np.array([6.37, 0.0, 0.0])  # 6.37 m frontal
     rec_look = np.array([1.0, 0.0, 0.0])
-    masker_pos = receiver_pos + 1.0 * np.cross(rec_look, np.array([0.0, 0.0, 1.0]))
-    return SceneSpec(
-        name="underground",
-        rooms=(room,),
-        sources=(
-            SourceSpec(id="target", position=source_pos, orientation=-rec_look),
-            SourceSpec(id="masker", position=masker_pos,
-                       orientation=_masker_orientation(masker_pos, receiver_pos)),
-        ),
-        receivers=(ReceiverSpec(id="listener", position=receiver_pos,
-                                orientation=rec_look),),
-        rng_seed=seed,
-    )
+    # the target stands 6.37 m frontal, facing the listener
+    return _listening_scene("underground", receiver_pos, rec_look,
+                            receiver_pos + 6.37 * rec_look, -rec_look, rooms=(room,))
 
 
 _SCENE_PRESETS = {
@@ -567,7 +557,7 @@ def preset(name: str, seed: int = 0) -> SceneSpec:
         raise SceneParseError(
             f"unknown preset {name!r}; known: {', '.join(sorted(_SCENE_PRESETS))}"
         )
-    return _SCENE_PRESETS[name](seed=seed)
+    return replace(_SCENE_PRESETS[name](), rng_seed=seed)
 
 
 def preset_names() -> tuple:

@@ -463,7 +463,10 @@ def frontal_speaker_index(layout: LoudspeakerLayout) -> int:
 
 
 def diotic_array(ir: ImpulseResponse, layout: LoudspeakerLayout) -> ImpulseResponse:
-    """Loudspeaker diotic: the mono collapse routed to the frontal speaker."""
+    """Loudspeaker diotic: a mono IR routed to the frontal speaker alone."""
+    if ir.n_channels != 1:
+        raise SceneValidationError(
+            f"a loudspeaker diotic IR is made from a mono IR, got {ir.n_channels} channels")
     out = np.zeros((layout.n_speakers, ir.n_samples))
     out[frontal_speaker_index(layout)] = ir.channels[0]
     return ImpulseResponse(channels=out, sample_rate=ir.sample_rate)

@@ -127,9 +127,11 @@ def _build_pulse(fs: float, duration: float, offsets: Optional[BandLevels],
     n = _sample_count(duration, fs)
     if fs < 8000.0:
         raise SceneValidationError("sample rate must be >= 8 kHz")
-    if n < int(round(ENVELOPE_DEADLINE_S * fs)) + 2:  # an odd n builds n - 1 samples
+    if n < int(round(ENVELOPE_DEADLINE_S * fs)) + 1:
         raise SceneValidationError(f"pulse must outlast its envelope deadline, got {duration} s")
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    # minimum_phase_fir's FFT is 2 (bins - 1) long, so an odd n is designed
+    # on the grid of n + 1 and keeps its first n samples
+    freqs = np.fft.rfftfreq(n + n % 2, 1.0 / fs)
     mag = _pink_magnitude(freqs, offsets)
 
     # Interior octave bands (250 Hz .. 8 kHz at 44.1 kHz) must come out flat

@@ -7,11 +7,12 @@ float32. No resampling: callers must check the returned rate.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .errors import SceneParseError
+from .errors import SceneParseError, SceneValidationError
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
@@ -69,12 +70,21 @@ def read_wav(path: str):
 
 
 def write_wav(path: str, samples: np.ndarray, rate: float):
-    """Write (n, channels) or (n,) samples as IEEE float32."""
+    """Write (n, channels) or (n,) samples as IEEE float32.
+
+    Raises before the file is opened when a sample is not finite as float32.
+    """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     channels = x.shape[1]
-    payload = x.astype("<f4").tobytes()
+    with np.errstate(over="ignore"):  # beyond the float32 range: inf, rejected below
+        f32 = x.astype("<f4")
+    # min and max allocate nothing, and are NaN when a sample is
+    if f32.size and not (math.isfinite(f32.min()) and math.isfinite(f32.max())):
+        raise SceneValidationError(
+            f"{path}: a sample is not finite or exceeds the float32 range")
+    payload = f32.tobytes()
     block_align = channels * 4
     byte_rate = int(rate) * block_align
     header = struct.pack(

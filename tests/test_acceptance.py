@@ -260,18 +260,18 @@ def test_criterion_08_diotic(capsys, living_scene):
                     and np.array_equal(res.ir.channels[0], res.ir.channels[1]))
 
     layout = array_preset_86()
-    arr = simulate(scene, profile_preset("razr-full"),
-                   source_id="masker", output_mode="array",
-                   duration=0.4, layout=layout)
-    d = diotic_array(arr.ir, layout)
+    mono = simulate(scene, profile_preset("razr-full"),
+                    source_id="masker", output_mode="mono", duration=0.4)
+    d = diotic_array(mono.ir, layout)
     active = np.flatnonzero(np.any(d.channels != 0.0, axis=1))
     frontal = frontal_speaker_index(layout)
-    array_ok = active.tolist() == [frontal]
+    array_ok = (active.tolist() == [frontal]
+                and np.array_equal(d.channels[frontal], mono.ir.channels[0]))
 
     ok = headphone_ok and array_ok
     _report(capsys, 8, ok, f"headphone channels bit-identical: {headphone_ok}, "
                    f"array diotic active channels {active.tolist()} "
-                   f"(frontal = {frontal})")
+                   f"(frontal = {frontal}) carrying the mono render: {array_ok}")
     assert ok
 
 

@@ -6,13 +6,12 @@ from alodsim.analysis import (
     NED_WINDOW_S,
     drr,
     dual_slope_fit,
-    mean_free_path,
     ned,
     schroeder_edc,
     t30,
 )
 from alodsim.errors import InsufficientDecayError, SceneValidationError
-from alodsim.scene import RoomSpec
+from alodsim.scene import RoomSpec, mean_free_path
 from oracles import dual_slope_fit_per_knee, ned_per_frame
 
 FS = 44100.0

@@ -15,9 +15,10 @@ from alodsim.coupled import (
     splice,
 )
 from alodsim.errors import SceneValidationError
+from alodsim.fdn import N_LINES
 from alodsim.ism import SpatialIR, TailStream, Taps
 from alodsim.pipeline import build_spatial_ir, render_output, simulate
-from alodsim.scene import preset, profile_preset
+from alodsim.scene import SecondSlope, preset, profile_preset
 from alodsim.spatial import array_preset_86, synthetic_hrtf
 from alodsim.synth import synthesize_mono
 
@@ -125,6 +126,23 @@ def test_full_coupling_adds_cross_fed_tail(living):
     two_stage_seed, _ = root.spawn(2)
     base = couple_two_stage(living, profile, src, rec, 0.6, two_stage_seed)
     assert len(full.tail) > len(base.tail)
+
+
+def test_cross_feed_into_a_dual_slope_room_drives_its_dual_slope_pair(living):
+    # the receiver room's cross-fed tail comes from the same model as its own
+    # tail: with a second slope, both are the dual-slope pair of FDNs
+    slope = SecondSlope(t30_2=1.2, onset_level_db=-40.0)
+    rooms = tuple(replace(r, decay=replace(r.decay, second_slope=slope))
+                  if r.id == "living-room" else r for r in living.rooms)
+    scene = replace(living, rooms=rooms)
+    profile = profile_preset("razr-full")
+    src = _target(scene)
+    rec = scene.receivers[0].position
+    full = couple_full(scene, profile, src, rec, 0.3, np.random.SeedSequence([1]))
+    two_stage_seed, _ = np.random.SeedSequence([1]).spawn(2)
+    base = couple_two_stage(scene, profile, src, rec, 0.3, two_stage_seed)
+    assert len(base.tail) == 2 * N_LINES
+    assert len(full.tail) == 2 * len(base.tail)
 
 
 def test_coupling_requires_different_rooms(living):

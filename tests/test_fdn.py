@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from alodsim import fdn
 from alodsim.analysis import dual_slope_fit, schroeder_edc, t30, t30_bands
-from alodsim.errors import SceneValidationError
+from alodsim.coupled import _room_tail
+from alodsim.errors import InfeasibleTargetError, SceneValidationError
 from alodsim.fdn import (
     N_LINES,
     FdnConfig,
@@ -16,7 +16,7 @@ from alodsim.fdn import (
     design_fdn,
     run_fdn,
 )
-from alodsim.scene import DecayTarget, RoomSpec, SecondSlope, preset
+from alodsim.scene import DecayTarget, RoomSpec, SecondSlope, preset, profile_preset
 
 from oracles import per_band_run_fdn
 
@@ -340,15 +340,29 @@ def test_dual_slope_tail_knee_and_slopes():
 
 
 def test_dual_slope_requires_second_slope():
-    room = _living_room()
-    with pytest.raises(SceneValidationError):
-        design_dual_slope(room, room.decay, FS)
+    # a room's tail is the dual-slope pair only where the profile renders a
+    # second slope: the living room has none, and razr-simple renders none
+    cases = (("living-room", "razr-full", N_LINES), ("underground", "razr-full", 2 * N_LINES),
+             ("underground", "razr-simple", N_LINES))
+    for name, profile, n_streams in cases:
+        scene = preset(name)
+        tail = _room_tail(scene, profile_preset(profile), scene.rooms[0], 0.05,
+                          np.random.SeedSequence(0))
+        assert len(tail) == n_streams, (name, profile)
 
 
 def test_dual_slope_onset_must_lie_below_minus_20_db():
-    # SecondSlope accepts any level below 0 dB; the FDN design needs a knee
-    # below -20 dB
-    room = preset("underground").room("underground")
-    decay = replace(room.decay, second_slope=SecondSlope(t30_2=3.2, onset_level_db=-10.0))
-    with pytest.raises(SceneValidationError):
-        design_dual_slope(room, decay, FS)
+    # the scene rejects what the dual-slope FDN design cannot realize
+    with pytest.raises(SceneValidationError, match="below -20 dB"):
+        SecondSlope(t30_2=3.2, onset_level_db=-10.0)
+    with pytest.raises(SceneValidationError, match="below -20 dB"):
+        SecondSlope(t30_2=3.2, onset_level_db=-20.0)
+    assert SecondSlope(t30_2=3.2, onset_level_db=-20.5).onset_level_db == -20.5
+
+
+@pytest.mark.parametrize("t30", [1e-6, 1e300])
+def test_unreachable_t30_target_is_an_infeasible_target(t30):
+    # 1e-6 s underflows the line gains to 0; 1e300 s rounds them to 1
+    room = _living_room()
+    with pytest.raises(InfeasibleTargetError, match="living-room"):
+        design_fdn(room, DecayTarget(t30_bands=t30), FS)

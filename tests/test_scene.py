@@ -227,6 +227,15 @@ def test_second_slope_validation():
         SecondSlope(t30_2=2.0, onset_level_db=5.0)
 
 
+@pytest.mark.parametrize("t30_2", [1.0, 1.6, 1.6 + 1e-12])
+def test_second_slope_must_be_slower_than_the_primary(t30_2):
+    # the primary's broadband T30 is the geometric mean of its bands, 1.6 s
+    with pytest.raises(SceneValidationError, match="must exceed the primary"):
+        DecayTarget(t30_bands=[0.8, 3.2] * 4, second_slope=SecondSlope(t30_2=t30_2))
+    assert DecayTarget(t30_bands=[0.8, 3.2] * 4,
+                       second_slope=SecondSlope(t30_2=1.61)).second_slope.t30_2 == 1.61
+
+
 # each builds a spec with one out-of-range value from a preset's parts
 _OUT_OF_RANGE = {
     "sample_rate NaN": lambda s: replace(s, sample_rate=math.nan),
@@ -418,9 +427,12 @@ def _unit_vectors(draw):
 def _rooms(draw, room_id, dims, origin):
     decay = None
     if draw(st.booleans()):
-        second = draw(st.none() | st.builds(SecondSlope, t30_2=_floats(0.5, 5.0),
-                                            onset_level_db=_floats(-60.0, -10.0)))
-        decay = DecayTarget(t30_bands=draw(_per_band(0.2, 3.0)), second_slope=second)
+        bands, second = draw(_per_band(0.2, 3.0)), None
+        if draw(st.booleans()):  # slower than the primary, from below -20 dB
+            primary = DecayTarget(t30_bands=bands).broadband_t30
+            second = SecondSlope(t30_2=primary + draw(_floats(0.01, 3.0)),
+                                 onset_level_db=draw(_floats(-60.0, -20.5)))
+        decay = DecayTarget(t30_bands=bands, second_slope=second)
     walls = st.lists(st.lists(_floats(0.0, 0.95), min_size=8, max_size=8),
                      min_size=6, max_size=6)
     return RoomSpec(id=room_id, dims=dims, origin=origin,

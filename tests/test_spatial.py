@@ -433,6 +433,14 @@ def test_diotic_array_uses_only_frontal_speaker():
     assert list(active) == [frontal_speaker_index(layout)]
 
 
+def test_diotic_array_rejects_a_multichannel_ir():
+    # it routes a mono IR; an array render's channel 0 is speaker 0's feed
+    layout = array_preset_86()
+    arr = render_array(_single_tap_ir([0.0, 1.0, 0.0]), layout, orientation=FRONT)
+    with pytest.raises(SceneValidationError):
+        diotic_array(arr, layout)
+
+
 def test_render_mono_places_tap_at_delay():
     ir = render_mono(_single_tap_ir([1.0, 0.0, 0.0]))
     peak = int(np.argmax(np.abs(ir.channels[0])))

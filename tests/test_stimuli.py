@@ -39,6 +39,15 @@ def test_pink_pulse_interior_bands_flat():
     assert np.max(np.abs(dev)) < 0.5, f"interior band spread {dev}"
 
 
+@pytest.mark.parametrize("n", [22051, 1589])
+def test_pink_pulse_of_an_odd_sample_count_is_that_long(n):
+    # the minimum-phase design's FFT grid is even; an odd count once lost
+    # its last sample. 1589 samples is the shortest pulse past the deadline.
+    assert pink_pulse(duration=n / FS).samples.size == n
+    levels = BandLevels(offsets_db=(0.0,) * 9 + (6.0,))
+    assert pink_pulse_variant(levels, duration=n / FS).samples.size == n
+
+
 def test_pink_pulse_envelope_reaches_floor_in_time():
     from alodsim.stimuli import _envelope_db
 

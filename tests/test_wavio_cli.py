@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import alodsim
 from alodsim.cli import ANALYZE_METRICS, _write_columns, main
-from alodsim.errors import AlodsimError, SceneParseError
+from alodsim.errors import AlodsimError, SceneParseError, SceneValidationError
 from alodsim.scene import parse_scene, preset, serialize_scene
 from alodsim.wavio import read_wav, write_wav
 from oracles import write_analysis_csv
@@ -68,6 +68,16 @@ def test_wav_float32_round_trip(tmp_path):
     assert rate == FS
     assert got.shape == x.shape
     assert np.max(np.abs(got - x)) < 1e-7
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+def test_write_wav_rejects_a_sample_that_is_not_finite_as_float32(tmp_path, value):
+    path = tmp_path / "x.wav"
+    with pytest.raises(SceneValidationError):
+        write_wav(str(path), np.array([0.0, value, 0.5]), FS)
+    assert not path.exists()  # raised before the file was opened
+    write_wav(str(path), np.array([0.0, 3e38, -3e38]), FS)  # inside the range
+    assert read_wav(str(path))[0][1, 0] == np.float32(3e38)
 
 
 def test_wav_pcm16_round_trip(tmp_path):
@@ -537,6 +547,9 @@ _ARRAY_RENDER = ["simulate", "--preset", "pub", "--profile", "anechoic",
                  "--output-mode", "array", "--layout"]
 _SCENE_RENDER = ["simulate", "--profile", "razr-full", "--output-mode", "mono",
                  "--duration", "0.3", "--scene"]
+_SIMPLE_RENDER = [*_SCENE_RENDER[:2], "razr-simple", *_SCENE_RENDER[3:]]
+# stim.wav: a valid stimulus that the test writes beside the case's file
+_RENDER = ["render", "--stim", "stim.wav", "--ir"]
 
 # each case: (file name, file contents, CLI arguments reading the file)
 _MALFORMED = {
@@ -567,6 +580,28 @@ _MALFORMED = {
         "scene.json", _pub_scene_with("sources", 0, "level_dB", value=-20), _SCENE_RENDER),
     "scene with a misspelt room key": (
         "scene.json", _pub_scene_with("rooms", 0, "volume_overide", value=1), _SCENE_RENDER),
+    # razr-simple renders no second slope, so only the scene can reject these
+    "scene with a second slope from -10 dB, rendered razr-simple": (
+        "scene.json", _pub_scene_with("rooms", 0, "decay", "second_slope",
+                                      value={"t30_2": 1.4, "onset_level_db": -10.0}),
+        _SIMPLE_RENDER),
+    "scene with a second slope faster than the primary, rendered razr-simple": (
+        "scene.json", _pub_scene_with("rooms", 0, "decay", "second_slope",
+                                      value={"t30_2": 0.5, "onset_level_db": -40.0}),
+        _SIMPLE_RENDER),
+    "scene with a T30 target of 1e-6 s": (
+        "scene.json", _pub_scene_with("rooms", 0, "decay", "t30_bands", value=1e-6),
+        _SCENE_RENDER),
+    "scene with a source beyond the float32 range": (
+        "scene.json", _pub_scene_with("sources", 0, "level_db", value=800),
+        ["simulate", "--profile", "ism-15", "--output-mode", "mono", "--scene"]),
+    "IR of 3e38 whose render exceeds the float32 range": (
+        "ir.wav", _wav_with_fmt(struct.pack("<HHIIHH", 3, 1, 44100, 176400, 4, 32),
+                                np.full(3, 3e38, "<f4").tobytes()),
+        _RENDER),
+    "empty IR WAV, rendered": (
+        "ir.wav", _wav_with_fmt(struct.pack("<HHIIHH", 3, 1, 44100, 176400, 4, 32), b""),
+        _RENDER),
     "WAV with 0 channels": (
         "ir.wav", _wav_with_fmt(struct.pack("<HHIIHH", 1, 0, 44100, 0, 0, 16)),
         ["analyze", "--metrics", "t30", "--ir"]),
@@ -707,8 +742,10 @@ def test_wav_rejects_a_truncated_fmt_chunk(tmp_path):
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
-def test_cli_prints_one_error_line_for_malformed_input(tmp_path, capsys, case):
+def test_cli_prints_one_error_line_for_malformed_input(tmp_path, capsys, monkeypatch, case):
     name, data, argv = _MALFORMED[case]
+    monkeypatch.chdir(tmp_path)
+    write_wav("stim.wav", np.hanning(1000), FS)
     (tmp_path / name).write_bytes(data)
     code = main(argv + [str(tmp_path / name), "--out", str(tmp_path / "out")])
     assert code == 1
