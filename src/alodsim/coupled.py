@@ -84,11 +84,11 @@ def _energy(streams) -> float:
 
 
 def _rescaled(streams, energy: float, onset: float, k: float = 1.0) -> tuple:
-    """``streams`` scaled to a total of k^2 ``energy``, delayed by ``onset``."""
+    """``streams`` scaled in place to a total of k^2 ``energy``, delayed by ``onset``."""
     raw = _energy(streams)
     scale = math.sqrt(energy / raw) * k if raw > 0 else 0.0
-    return tuple(TailStream(samples=s.samples * scale, onset=onset + s.onset,
-                            direction=s.direction) for s in streams)
+    return tuple(TailStream(samples=np.multiply(s.samples, scale, out=s.samples),
+                            onset=onset + s.onset, direction=s.direction) for s in streams)
 
 
 def splice(early: SpatialIR, tail, *, onset: float, t60: float,
@@ -97,9 +97,9 @@ def splice(early: SpatialIR, tail, *, onset: float, t60: float,
 
     The tail is scaled so that the combined Schroeder curve at the junction
     sits on the ideal decay anchored at the direct sound: with rho being the
-    linear EDC level -60 (onset - t_direct) / T60 dB, the tail energy is set
-    to rho / (1 - rho) times the early energy. The early IR carries no
-    signature: a coupled path adds one only after the splice.
+    linear EDC level -60 (onset - t_direct) / T60 dB, the tail's samples are
+    scaled in place to rho / (1 - rho) times the early energy. The early IR
+    carries no signature: a coupled path adds one only after the splice.
     """
     mono = synthesize_mono(early)
     e_early = float(np.dot(mono, mono))

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InfeasibleTargetError, SceneValidationError
 from .filterbank import BandFilter, band_groups
 from .ism import TailStream
-from .scene import DecayTarget, RoomSpec, volume
+from .scene import DecayTarget, RoomSpec, _set, volume
 
 N_LINES = 12
 
@@ -51,9 +51,11 @@ class FdnConfig:
         m = np.asarray(self.feedback_matrix, dtype=float)
         if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > 1e-9:
             raise SceneValidationError("FDN feedback matrix must be orthogonal")
-        object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "feedback_matrix", m)
-        object.__setattr__(self, "line_gains", np.asarray(self.line_gains, dtype=float))
+        gains = np.asarray(self.line_gains, dtype=float)
+        if not np.all((gains > 0.0) & (gains < 1.0)):
+            raise InfeasibleTargetError("FDN line gains must lie in (0, 1); a decay "
+                                        "target out of reach of the delays rounds them to 0 or 1")
+        _set(self, delays=delays, feedback_matrix=m, line_gains=gains)
 
     @property
     def n_lines(self) -> int:
@@ -116,17 +118,12 @@ def design_fdn(room: RoomSpec, target: DecayTarget, fs: float,
     delays = _coprime_delays(raw)
     t60 = np.asarray(target.t30_bands, dtype=float)
     line_gains = 10.0 ** (-3.0 * delays[:, None] / (fs * t60[None, :]))
-    if not np.all((line_gains > 0.0) & (line_gains < 1.0)):
-        raise InfeasibleTargetError(
-            f"room {room.id}: T30 target out of reach for its FDN delays "
-            "(a line gain rounds to 0 or 1)")
-    return FdnConfig(
-        delays=delays,
-        feedback_matrix=_random_orthogonal(N_LINES, seed),
-        line_gains=line_gains,
-        sample_rate=fs,
-        input_gain=1.0 / math.sqrt(N_LINES),
-    )
+    try:
+        return FdnConfig(delays=delays, feedback_matrix=_random_orthogonal(N_LINES, seed),
+                         line_gains=line_gains, sample_rate=fs,
+                         input_gain=1.0 / math.sqrt(N_LINES))
+    except InfeasibleTargetError as err:
+        raise InfeasibleTargetError(f"room {room.id}: T30 target: {err}") from None
 
 
 def _input_taps(delays: np.ndarray) -> list:
@@ -213,7 +210,7 @@ def _moving_average(x: np.ndarray, win: int) -> np.ndarray:
 
 
 def _shape_decay(lines: np.ndarray, fs: float, t60: float) -> np.ndarray:
-    """Regularize the summed power envelope toward the target exponential.
+    """Regularize the summed power envelope toward the target exponential, in place.
 
     Widely spread delay lines make the output flux oscillate around the
     ideal decay (energy parks in long lines for a full recirculation). The
@@ -221,9 +218,9 @@ def _shape_decay(lines: np.ndarray, fs: float, t60: float) -> np.ndarray:
     removes the gross wobble without touching the fine structure.
     """
     n = lines.shape[1]
-    power = np.sum(lines**2, axis=0)
+    power = np.einsum("ij,ij->j", lines, lines)  # no (lines, n) temporary
     total = float(power.sum())
-    if total <= 0.0 or not math.isfinite(t60):
+    if total <= 0.0:
         return lines
     win = max(int(_SHAPE_WINDOW_S * fs), 1) | 1  # odd: keeps the mean centered
     # the running-sum filter can round to tiny negatives on signals spanning
@@ -237,14 +234,11 @@ def _shape_decay(lines: np.ndarray, fs: float, t60: float) -> np.ndarray:
     gain = np.sqrt(target / np.maximum(actual, floor))
     gain = np.clip(gain, 1.0 / clamp, clamp)
     gain[actual <= floor] = 1.0
-    return lines * gain[None, :]
+    return np.multiply(lines, gain, out=lines)
 
 
 def _t60_of(config: FdnConfig, gains: np.ndarray) -> float:
-    g = float(gains[0])
-    if g >= 1.0:
-        return math.inf
-    return -3.0 * float(config.delays[0]) / (config.sample_rate * math.log10(g))
+    return -3.0 * float(config.delays[0]) / (config.sample_rate * math.log10(float(gains[0])))
 
 
 def run_fdn(config: FdnConfig, duration: float,

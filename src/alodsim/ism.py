@@ -14,23 +14,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, SceneValidationError
-from .scene import (
-    N_BANDS,
-    RenderingProfile,
-    RoomSpec,
-    SceneSpec,
-    SourceSpec,
-)
+from .filterbank import OCTAVE_CENTERS_8, band_energies, band_masks
+from .scene import N_BANDS, RenderingProfile, RoomSpec, SceneSpec, SourceSpec, _set
 
 # Diffuse burst duration per reflection order (temporal smearing kernel).
 BURST_SECONDS_PER_ORDER = 2e-3
 # Burst envelope decays by 60 dB over its duration.
 BURST_DECAY_DB = 60.0
+# A burst's part in band b outlasts it by 3 periods of the band's lower edge.
+BURST_EXTENSION_S = 3.0 * math.sqrt(2.0) / np.array(OCTAVE_CENTERS_8)
+NOISE_TABLE_LEN = 8192  # samples per band of the bursts' noise table (512 KiB)
 # Burst seed of a tap that carries no diffuse burst.
 NO_BURST = -1
 # Jitter standard deviation per reflection order, meters per axis.
@@ -55,8 +54,8 @@ class Taps:
     """Reflection taps, one row each.
 
     A tap whose ``burst_seed`` is not NO_BURST also carries ``burst_energy``
-    per band as a noise burst of BURST_SECONDS_PER_ORDER * order seconds
-    (see ``burst_samples``). Left out, the burst fields mean no bursts.
+    per band as one broadband noise burst (see ``burst_samples``). Left out,
+    the burst fields mean no bursts.
     """
 
     delay: np.ndarray  # (N,) seconds
@@ -68,10 +67,9 @@ class Taps:
 
     def __post_init__(self):
         if self.burst_energy is None:
-            object.__setattr__(self, "burst_energy", np.zeros_like(self.amplitude))
+            _set(self, burst_energy=np.zeros_like(self.amplitude))
         if self.burst_seed is None:
-            object.__setattr__(self, "burst_seed",
-                               np.full(len(self.delay), NO_BURST, dtype=np.int64))
+            _set(self, burst_seed=np.full(len(self.delay), NO_BURST, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.delay)
@@ -82,8 +80,9 @@ class Taps:
 
     @property
     def burst_duration(self) -> np.ndarray:
-        """Burst length in seconds per tap; zero for taps without a burst."""
-        return np.where(self.has_burst, BURST_SECONDS_PER_ORDER * self.order, 0.0)
+        """Burst wave length in seconds per tap; zero for taps without a burst."""
+        return np.where(self.has_burst, BURST_SECONDS_PER_ORDER * self.order
+                        + BURST_EXTENSION_S.max(), 0.0)
 
     def _rows(self, index) -> "Taps":
         return Taps(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
@@ -115,9 +114,8 @@ class SpatialIR:
     signature: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "taps",
-                           self.taps._rows(np.argsort(self.taps.delay, kind="stable")))
-        object.__setattr__(self, "tail", tuple(self.tail))
+        _set(self, taps=self.taps._rows(np.argsort(self.taps.delay, kind="stable")),
+             tail=tuple(self.tail))
 
 
 def enumerate_images(room: RoomSpec, source_pos: np.ndarray, max_order: int) -> Images:
@@ -207,8 +205,8 @@ def smear_taps(taps: Taps, profile: RenderingProfile, scattering: np.ndarray,
 
     With s the room's scattering, the specular part keeps sqrt(1 - s) of the
     amplitude; the diffuse burst carries the remaining energy s * a^2 per
-    band as an exponentially decaying noise burst of duration
-    BURST_SECONDS_PER_ORDER * order. The split conserves per-band energy
+    band as a seeded noise burst of BURST_SECONDS_PER_ORDER * order seconds,
+    one broadband wave (``burst_samples``). The split conserves per-band energy
     exactly. Part of RAZR's diffuse model, so it follows the FDN switch.
     """
     if not profile.fdn_enabled:
@@ -225,21 +223,34 @@ def smear_taps(taps: Taps, profile: RenderingProfile, scattering: np.ndarray,
     )
 
 
+@cache
+def _noise_table(fs: float) -> tuple:
+    """Read-only (n_bands, NOISE_TABLE_LEN) noise, row b one fixed white noise under band
+    b's mask (stationary, periodic), and the share of white noise each mask passes."""
+    white = np.random.default_rng(0).standard_normal(NOISE_TABLE_LEN)
+    table = np.fft.irfft(band_masks(NOISE_TABLE_LEN, fs) * np.fft.rfft(white), NOISE_TABLE_LEN)
+    table.flags.writeable = False
+    return table, band_energies(np.eye(1, NOISE_TABLE_LEN)[0], fs)  # a unit impulse's
+
+
 def burst_samples(taps: Taps, row: int, fs: float) -> np.ndarray:
-    """(n_bands, n) deterministic noise bursts of one tap, each normalized
-    to the tap's burst energy in its band."""
-    duration = BURST_SECONDS_PER_ORDER * taps.order[row]
-    n = max(int(round(duration * fs)), 1)
-    t = np.arange(n) / fs
-    envelope = 10.0 ** (-BURST_DECAY_DB * t / (20.0 * duration))
-    seed = int(taps.burst_seed[row])
-    bands = []
-    for band, band_energy in enumerate(taps.burst_energy[row]):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, band]))
-        shaped = rng.standard_normal(n) * envelope
-        energy = float(np.dot(shaped, shaped))
-        bands.append(shaped if energy == 0.0 else shaped * math.sqrt(band_energy / energy))
-    return np.array(bands)
+    """One tap's diffuse burst as one deterministic broadband wave, with no FFT.
+
+    Band b adds a slice of noise-table row b, at an offset drawn from the tap's
+    burst seed, decaying by BURST_DECAY_DB over the burst plus BURST_EXTENSION_S[b]:
+    the energy band b's mask passes of white noise with the tap's band-b energy."""
+    table, share = _noise_table(float(fs))
+    length = (BURST_SECONDS_PER_ORDER * taps.order[row] + BURST_EXTENSION_S) * fs  # samples
+    n, rate = np.rint(length).astype(np.int64), -BURST_DECAY_DB / 20.0 * math.log(10.0) / length
+    offset = np.random.default_rng(taps.burst_seed[row]).integers(NOISE_TABLE_LEN, size=N_BANDS)
+    t = np.arange(max(n.max(), 1))
+    wave = np.zeros(t.size)
+    for b, target in enumerate(taps.burst_energy[row] * share):
+        part = np.take(table[b], t[:n[b]] + offset[b], mode="wrap") * np.exp(rate[b] * t[:n[b]])
+        energy = part @ part
+        if energy > 0.0:
+            wave[:n[b]] += math.sqrt(target / energy) * part
+    return wave
 
 
 def reflect_finite_panels(panels, source_pos: np.ndarray, receiver_pos: np.ndarray,

@@ -25,6 +25,7 @@ DEFAULT_SAMPLE_RATE = 44100.0
 DEFAULT_SPEED_OF_SOUND = 343.0
 DEFAULT_SCATTERING = 0.3  # broadband scattering used by all presets
 CONTAINS_TOL_M = 1e-9  # a point this far outside a room's walls is still in it
+MAX_LEVEL_DB = 1000.0  # far beyond any sound; the squared linear gain stays finite
 
 # Wall order used for per-surface absorption: (x=0, x=Lx, y=0, y=Ly, z=0, z=Lz)
 WALL_NAMES = ("x0", "x1", "y0", "y1", "z0", "z1")
@@ -272,6 +273,9 @@ class SourceSpec:
     def __post_init__(self):
         _set(self, position=_vec(self.position), orientation=_unit(self.orientation))
         _finite(self.level_db, f"source {self.id}: level_db")
+        if abs(self.level_db) > MAX_LEVEL_DB:
+            raise SceneValidationError(f"source {self.id}: level_db must lie within "
+                                       f"+/-{MAX_LEVEL_DB:g} dB, got {self.level_db!r}")
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,13 @@
 A render unit is an HRTF index, a loudspeaker channel or the single mono
 unit; directions reach the units through one gain matrix, ``unit_gains``
 (k, 3) -> (k, n_units), shared by the binaural, array and mono paths. A
-burst-free tap whose bands carry equal amplitudes (one group under
+specular tap whose bands carry equal amplitudes (one group under
 ``filterbank.band_groups``) passes the band masks unchanged, since they sum
 to 1: it stays an impulse, which the caller scatters straight into its
-output channels. Only a unit that a diffuse burst, a band-dependent tap or
-a tail stream reaches gets a waveform: its taps and bursts fill one buffer
-per band over the early extent of the IR, filtered through the octave
-masks, and its tail streams are added after.
+output channels. Each diffuse burst is one broadband wave, drawn once and
+added into every unit it reaches. Only band-dependent specular taps are
+band-filtered: each of their units fills one buffer per band over the early
+extent of the IR, filtered through the octave masks. Tail streams come last.
 """
 
 from __future__ import annotations
@@ -29,15 +29,13 @@ def _kernel_margin(fs: float) -> int:
 
 
 def _band_filtered(taps) -> np.ndarray:
-    """Per tap: it has a burst or bands that differ, so the masks shape it."""
-    return taps.has_burst | np.any(taps.amplitude != taps.amplitude[:, :1], axis=1)
+    """Per tap: its specular bands differ, so the masks shape it."""
+    return np.any(taps.amplitude != taps.amplitude[:, :1], axis=1)
 
 
 def spatial_ir_length(spatial_ir: SpatialIR) -> int:
-    """Sample count needed to hold every tap, burst and tail stream.
-
-    Band-filtered taps are followed by the kernel margin.
-    """
+    """Sample count needed to hold every tap, burst and tail stream; taps with
+    band-dependent amplitudes are followed by the kernel margin."""
     fs = spatial_ir.sample_rate
     taps = spatial_ir.taps
     t_end = np.max(taps.delay + taps.burst_duration, initial=0.0)
@@ -57,12 +55,13 @@ def render_units(spatial_ir: SpatialIR,
     Returns ``(units, (unit, start, value))``. ``units`` is {unit: samples}
     for every unit that a diffuse burst, a band-dependent tap or a tail
     stream reaches with a nonzero gain; all waveforms share the same length.
-    A burst-free tap whose bands carry equal amplitudes is not rendered
-    into them: the band masks sum to 1, so it stays an impulse. The three
-    arrays hold one entry per such (tap, unit) pair with a nonzero gain, in
-    tap order, for the caller to add into its output channels. The optional
-    coupling signature is NOT applied here (it acts on the final channels;
-    convolution commutes with the per-unit linear processing).
+    Each burst wave is drawn once and added into each unit it reaches, times
+    its gain there. A specular tap with equal band amplitudes stays an
+    impulse: the three arrays hold one entry per such (tap, unit) pair with
+    a nonzero gain, in tap order, for the caller to add into its output
+    channels. The optional coupling signature is NOT applied here (it acts
+    on the final channels; convolution commutes with the per-unit linear
+    processing).
     """
     fs = spatial_ir.sample_rate
     n = spatial_ir_length(spatial_ir)
@@ -75,41 +74,32 @@ def render_units(spatial_ir: SpatialIR,
                                        np.reshape([s.direction for s in streams], (-1, 3))]))
     tap_gains, stream_gains = gains[: len(taps)], gains[len(taps):]
 
-    bursts = taps.has_burst
-    # a burst-free tap in one band group passes the band masks unchanged
-    flat = ~_band_filtered(taps)
+    filtered = _band_filtered(taps)
     tap, unit = np.nonzero(tap_gains)  # (tap, unit) pairs in tap order
-    keep = flat[tap]
+    keep = ~filtered[tap]
     banded = np.unique(unit[~keep])
     tap, unit = tap[keep], unit[keep]
     impulses = unit, starts[tap], tap_gains[tap, unit] * taps.amplitude[tap, 0]
 
-    # the band buffers and their transform span the taps plus the kernel margin
-    lengths = np.maximum(np.rint(taps.burst_duration * fs).astype(np.int64), 1)
-    extent = int(np.max(starts + lengths, initial=0))
-    m = min(n, extent + _kernel_margin(fs))
-
-    # one band buffer alive at a time; each burst drawn once, kept until its
-    # last unit
-    combine = cache(lambda: BandFilter(m, fs))
-    reach = np.count_nonzero(tap_gains, axis=1)
-    noise: Dict[int, np.ndarray] = {}
+    bursts = np.flatnonzero(taps.has_burst & np.any(tap_gains != 0.0, axis=1))
+    reached = np.any(tap_gains[bursts] != 0.0, axis=0) | np.any(stream_gains != 0.0, axis=0)
     # every wave is a row of one block, so no short-lived array of the loop
     # lands between two waves and splits the space they leave when freed
-    waved = np.union1d(banded, np.flatnonzero(np.any(stream_gains != 0.0, axis=0))).tolist()
+    waved = np.union1d(banded, np.flatnonzero(reached)).tolist()
     units: Dict[int, np.ndarray] = dict(zip(waved, np.zeros((len(waved), n))))
+
+    # the band buffers and their transform span the taps plus the kernel margin
+    m = min(n, int(np.max(starts, initial=-1)) + 1 + _kernel_margin(fs))
+    combine = cache(lambda: BandFilter(m, fs))
     for unit in banded.tolist():
-        hit = np.flatnonzero((tap_gains[:, unit] != 0.0) & ~flat)
+        hit = np.flatnonzero((tap_gains[:, unit] != 0.0) & filtered)
         buf = np.zeros((len(OCTAVE_CENTERS_8), m))
         np.add.at(buf.T, starts[hit], tap_gains[hit, unit][:, None] * taps.amplitude[hit])
-        for k in hit[bursts[hit]]:
-            if k not in noise:
-                noise[k] = burst_samples(taps, k, fs)
-            reach[k] -= 1
-            burst = noise[k] if reach[k] else noise.pop(k)
-            buf[:, starts[k]:starts[k] + burst.shape[1]] += tap_gains[k, unit] * burst
         units[unit][:m] = combine().apply(buf)
-
+    for k in bursts.tolist():
+        wave = burst_samples(taps, k, fs)
+        for unit in np.flatnonzero(tap_gains[k]).tolist():
+            units[unit][starts[k]:starts[k] + wave.size] += tap_gains[k, unit] * wave
     for stream, gain in zip(streams, stream_gains):
         offset = int(round(stream.onset * fs))
         for unit in np.flatnonzero(gain).tolist():

@@ -2,8 +2,9 @@
 
 ``per_band_run_fdn`` runs the FDN loop once per octave band and filters
 every band at FFT length 2n; ``render_units_2m`` allocates full-length band
-buffers, spreads one tap or stream direction at a time and filters at FFT
-length 2m. Both are the straightforward forms of what
+buffers for every specular tap, spreads one tap, burst or stream direction
+at a time and filters at FFT length 2m. Both are the straightforward forms
+of what
 ``alodsim.fdn.run_fdn`` and ``alodsim.synth.render_units`` compute with
 band grouping, early-extent buffers, fast FFT lengths and one gain matrix.
 ``render_units_whole`` adds every impulse tap that ``render_units`` returns
@@ -80,7 +81,8 @@ def per_band_run_fdn(config, duration, input_signal=None,
 
 
 def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_8):
-    """{unit: waveform} with (n_bands, n) buffers filtered at length 2m."""
+    """{unit: waveform}: every specular tap in (n_bands, n) buffers filtered
+    at length 2m, then each tap's burst wave and each stream added."""
     fs = spatial_ir.sample_rate
     n = max(n_samples, spatial_ir_length(spatial_ir))
     n_bands = len(centers)
@@ -94,15 +96,8 @@ def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_
         extent = max(extent, idx + 1)
         gains = unit_gains(taps.doa[i][None, :])[0]
         for unit in np.flatnonzero(gains):
-            gain = gains[unit]
             buf = band_bufs.setdefault(int(unit), np.zeros((n_bands, n)))
-            buf[:, idx] += gain * taps.amplitude[i]
-            if taps.has_burst[i]:
-                noise = burst_samples(taps, i, fs)
-                for b in range(n_bands):
-                    stop = min(idx + noise.shape[1], n)
-                    buf[b, idx:stop] += gain * noise[b, : stop - idx]
-                    extent = max(extent, stop)
+            buf[:, idx] += gains[unit] * taps.amplitude[i]
     m = min(n, extent + max(int(0.15 * fs), 4096))
     masks = band_masks(2 * m, fs, centers)
     units = {}
@@ -111,6 +106,13 @@ def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_
         wave = np.zeros(n)
         wave[:m] = np.fft.irfft(spec, n=2 * m)[:m]
         units[unit] = wave
+    for i in np.flatnonzero(taps.has_burst):
+        idx = int(round(taps.delay[i] * fs))
+        noise = burst_samples(taps, i, fs)
+        stop = min(idx + noise.size, n)
+        gains = unit_gains(taps.doa[i][None, :])[0]
+        for unit in np.flatnonzero(gains):
+            units[int(unit)][idx:stop] += gains[unit] * noise[: stop - idx]
     for stream in spatial_ir.tail:
         offset = int(round(stream.onset * fs))
         stop = min(offset + len(stream.samples), n)

@@ -87,6 +87,16 @@ def test_matrix_must_be_orthogonal():
                   line_gains=cfg.line_gains, sample_rate=FS)
 
 
+@pytest.mark.parametrize("gain", [0.0, 1.0, 1.5, np.nan])
+def test_line_gains_must_lie_strictly_between_0_and_1(gain):
+    cfg = _small_config()
+    gains = cfg.line_gains.copy()
+    gains[2, 5] = gain
+    with pytest.raises(InfeasibleTargetError, match=r"\(0, 1\)"):
+        FdnConfig(delays=cfg.delays, feedback_matrix=cfg.feedback_matrix,
+                  line_gains=gains, sample_rate=FS)
+
+
 def test_input_taps_start_at_the_line_input_and_stay_inside_the_line():
     # one tap per min(delay) = 13 samples along each line, each jittered by
     # less than 0.9 * 13 samples: none but the line input below the block
@@ -135,8 +145,8 @@ def _random_fdn_case(draw):
     others = draw(st.lists(st.integers(block + 1, longest - 1), min_size=n_lines - 2,
                            max_size=n_lines - 2, unique=True))
     delays = draw(st.permutations([block, longest, *others]))
-    gains = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_lines,
-                                   max_size=n_lines)))
+    gains = np.array(draw(st.lists(st.floats(1e-3, 1.0, exclude_max=True),
+                                   min_size=n_lines, max_size=n_lines)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q, r = np.linalg.qr(rng.standard_normal((n_lines, n_lines)))
     q = q * np.sign(np.diag(r))

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alodsim.filterbank import band_energies, band_masks
 from alodsim.ism import (
+    NOISE_TABLE_LEN,
     Images,
+    Taps,
     _emission_direction,
+    _noise_table,
     apply_jitter,
     burst_samples,
     early_spatial_ir,
@@ -198,12 +202,48 @@ def test_burst_samples_deterministic_and_energy_normalized():
     a = burst_samples(smeared, row, 44100.0)
     b = burst_samples(smeared, row, 44100.0)
     assert np.array_equal(a, b)
-    assert a.shape == (8, round(2e-3 * smeared.order[row] * 44100.0))
+    assert a.shape == (round(smeared.burst_duration[row] * 44100.0),)
+    # with its burst energy in one band alone, the wave holds what that
+    # band's mask passes of a white noise of that energy: the mask's energy
+    # share, as the band energy of a unit impulse gives it
+    share = band_energies(np.eye(1, NOISE_TABLE_LEN)[0], 44100.0)
+    waves = []
     for band in range(8):
-        assert float(np.dot(a[band], a[band])) == pytest.approx(
-            smeared.burst_energy[row, band], rel=1e-9)
-    # different bands draw different noise
-    assert not np.array_equal(a[2], a[3])
+        alone = np.where(np.arange(8) == band, smeared.burst_energy, 0.0)
+        waves.append(burst_samples(dataclasses.replace(smeared, burst_energy=alone), row, 44100.0))
+        assert float(np.dot(waves[-1], waves[-1])) == pytest.approx(
+            smeared.burst_energy[row, band] * share[band], rel=1e-9)
+    # different bands read different noise
+    assert not np.allclose(waves[2] / np.max(np.abs(waves[2])),
+                           waves[3] / np.max(np.abs(waves[3])))
+
+
+def test_burst_wave_carries_each_bands_energy():
+    # band energies 3 dB apart; the target is what the masks pass of
+    # independent white noises with those energies, one per band. One
+    # burst's low bands hold few degrees of freedom, so 32 bursts are pooled
+    fs, energy = 44100.0, 10.0 ** (-0.3 * np.arange(8))
+    taps = Taps(delay=np.zeros(32), amplitude=np.zeros((32, 8)),
+                doa=np.tile([1.0, 0.0, 0.0], (32, 1)), order=np.full(32, 3),
+                burst_energy=np.tile(energy, (32, 1)), burst_seed=np.arange(32))
+    waves = [burst_samples(taps, k, fs) for k in range(32)]
+    n = waves[0].size
+    got = np.mean([band_energies(w, fs) for w in waves], axis=0)
+    power = band_masks(n, fs) ** 2
+    weights = np.full(power.shape[1], 2.0)  # rfft bins count twice, but DC and Nyquist
+    weights[0] = 1.0
+    weights[-1] = 1.0 if n % 2 == 0 else 2.0
+    want = (power * weights) @ (energy @ power) / n
+    assert np.max(np.abs(10.0 * np.log10(got / want))) < 1.0
+
+
+def test_noise_table_is_cached_on_the_sample_rate_value():
+    # a sample rate read from a file or a numpy array is a new float object
+    table = _noise_table(44100.0)
+    assert _noise_table(float("44100")) is table
+    assert _noise_table(np.float64(44100.0)) is table
+    assert _noise_table(48000.0) is not table
+    assert not table[0].flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,7 @@ _OUT_OF_RANGE = {
     "seed -1": lambda s: replace(s, rng_seed=-1),
     "level_db NaN": lambda s: replace(s.sources[0], level_db=math.nan),
     "level_db a string": lambda s: replace(s.sources[0], level_db="loud"),
+    "level_db 4000": lambda s: replace(s.sources[0], level_db=4000.0),
     "volume_override NaN": lambda s: replace(s.rooms[0], volume_override=math.nan),
     "absorption NaN": lambda s: replace(s.rooms[0], absorption=math.nan),
     "scattering NaN": lambda s: replace(s.rooms[0], scattering=math.nan),

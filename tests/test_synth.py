@@ -59,7 +59,8 @@ def test_render_units_match_the_2m_oracle():
 
 
 def test_band_buffers_span_the_early_extent_not_the_tail():
-    # an order-10 tap carries a 20 ms burst
+    # an order-10 tap carries a 20 ms burst; its flat specular part is one
+    # impulse
     tap = Taps(delay=np.array([0.01]), amplitude=np.full((1, 8), 0.5),
                doa=np.array([[1.0, 0.0, 0.0]]), order=np.array([10]),
                burst_energy=np.full((1, 8), 1e-4), burst_seed=np.array([1]))
@@ -74,7 +75,7 @@ def test_band_buffers_span_the_early_extent_not_the_tail():
     finally:
         tracemalloc.stop()
     one_full_band_buffer = 8 * n * 8  # (8, n) float64
-    assert len(unit) == 0
+    assert len(unit) == 1
     assert peak < one_full_band_buffer, f"peak {peak} B for n = {n}"
 
 
@@ -131,6 +132,31 @@ def test_burst_count_of_a_pub_array_render(monkeypatch):
     simulate(scene, profile, output_mode="array")
     # once for the splice's mono energy, once for the 86-channel render
     assert n_bursts > 0 and len(calls) == 2 * n_bursts
+
+
+def test_razr_full_pub_array_render_filters_no_bands(monkeypatch):
+    # flat absorption: each burst is one broadband wave and every specular
+    # tap an impulse, so no unit needs band buffers
+    applied = _record_calls(monkeypatch, BandFilter, "apply", lambda self, x: x.shape)
+    out = simulate(preset("pub"), profile_preset("razr-full"), output_mode="array")
+    assert np.any(out.ir.channels)
+    assert applied == []
+
+
+@pytest.mark.parametrize("fixture", ["underground_full_mono", "pub_full_mono",
+                                     "living_full_mono"])
+def test_razr_full_renders_have_no_silent_window(request, fixture):
+    # criterion 4 compares echo densities from 20 ms after the direct sound
+    # on, and a silent window reads NED 0; the bursts' low bands outlast the
+    # bursts and bridge the gap before the tail's first output
+    ir = request.getfixturevalue(fixture).ir
+    x, fs = ir.channels[0], ir.sample_rate
+    direct = int(np.argmax(np.abs(x) > 0.05 * np.max(np.abs(x))))
+    window = int(0.025 * fs)
+    energy = np.concatenate([[0.0], np.cumsum(x**2)])
+    starts = np.arange(direct, int(0.15 * fs) - window + 1)
+    quietest = np.min(energy[starts + window] - energy[starts])
+    assert quietest > 1e-9 * energy[-1]
 
 
 def test_two_band_groups_match_the_2m_oracle(monkeypatch):

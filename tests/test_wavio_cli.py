@@ -592,6 +592,10 @@ _MALFORMED = {
     "scene with a T30 target of 1e-6 s": (
         "scene.json", _pub_scene_with("rooms", 0, "decay", "t30_bands", value=1e-6),
         _SCENE_RENDER),
+    # squaring its linear gain would overflow a float
+    "scene with a source level of 4000 dB": (
+        "scene.json", _pub_scene_with("sources", 0, "level_db", value=4000),
+        ["simulate", "--profile", "ism-15", "--output-mode", "mono", "--scene"]),
     "scene with a source beyond the float32 range": (
         "scene.json", _pub_scene_with("sources", 0, "level_db", value=800),
         ["simulate", "--profile", "ism-15", "--output-mode", "mono", "--scene"]),
