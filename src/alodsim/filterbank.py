@@ -5,7 +5,7 @@ crossovers on a log-frequency axis. The masks of a bank sum to exactly 1 at
 every bin, so per-band buffers that carry identical gains recombine into the
 original broadband signal. Every band-limiting step in the package goes
 through :class:`BandFilter`, and every linear convolution through
-:func:`fftconvolve`.
+:func:`fftconvolve` or, for many waves summed, :func:`partitioned_convolve`.
 """
 
 from __future__ import annotations
@@ -88,6 +88,21 @@ def fftconvolve(a, b) -> np.ndarray:
     size = a.shape[-1] + b.shape[-1] - 1
     n_fft = next_fast_len(size)
     return np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft)[..., :size]
+
+
+def partitioned_convolve(waves, kernels) -> np.ndarray:
+    """``sum(fftconvolve(waves[u], kernels[u]))`` over U waves of length n and
+    (U, E, taps) kernels, uniformly partitioned: per block of max(2048, 4 taps)
+    samples, one batched rfft, one product summed over u and one irfft."""
+    n, taps = len(waves[0]), kernels.shape[-1]
+    block = max(2048, 4 * taps)
+    n_fft = next_fast_len(block + taps - 1)
+    spectra, out = np.fft.rfft(kernels, n_fft), np.zeros((kernels.shape[1], n + taps - 1))
+    for i in range(0, n, block):
+        chunk = np.fft.rfft([w[i:i + block] for w in waves], n_fft)
+        m = min(block, n - i) + taps - 1  # samples of this block's convolution
+        out[:, i:i + m] += np.fft.irfft(np.einsum("uef,uf->ef", spectra, chunk), n_fft)[:, :m]
+    return out
 
 
 def band_groups(values: np.ndarray):

@@ -30,6 +30,7 @@ BURST_DECAY_DB = 60.0
 # A burst's part in band b outlasts it by 3 periods of the band's lower edge.
 BURST_EXTENSION_S = 3.0 * math.sqrt(2.0) / np.array(OCTAVE_CENTERS_8)
 NOISE_TABLE_LEN = 8192  # samples per band of the bursts' noise table (512 KiB)
+_BURST_CHUNK = 1 << 16  # samples per array of one chunk of burst draws (512 KiB)
 # Burst seed of a tap that carries no diffuse burst.
 NO_BURST = -1
 # Jitter standard deviation per reflection order, meters per axis.
@@ -54,7 +55,7 @@ class Taps:
     """Reflection taps, one row each.
 
     A tap whose ``burst_seed`` is not NO_BURST also carries ``burst_energy``
-    per band as one broadband noise burst (see ``burst_samples``). Left out,
+    per band as one broadband noise burst (see ``burst_waves``). Left out,
     the burst fields mean no bursts.
     """
 
@@ -206,7 +207,7 @@ def smear_taps(taps: Taps, profile: RenderingProfile, scattering: np.ndarray,
     With s the room's scattering, the specular part keeps sqrt(1 - s) of the
     amplitude; the diffuse burst carries the remaining energy s * a^2 per
     band as a seeded noise burst of BURST_SECONDS_PER_ORDER * order seconds,
-    one broadband wave (``burst_samples``). The split conserves per-band energy
+    one broadband wave (``burst_waves``). The split conserves per-band energy
     exactly. Part of RAZR's diffuse model, so it follows the FDN switch.
     """
     if not profile.fdn_enabled:
@@ -233,24 +234,32 @@ def _noise_table(fs: float) -> tuple:
     return table, band_energies(np.eye(1, NOISE_TABLE_LEN)[0], fs)  # a unit impulse's
 
 
-def burst_samples(taps: Taps, row: int, fs: float) -> np.ndarray:
-    """One tap's diffuse burst as one deterministic broadband wave, with no FFT.
+def burst_waves(taps: Taps, rows: np.ndarray, fs: float):
+    """Yield ``(row, wave)`` per row in turn: its diffuse burst as one wave, with no FFT.
 
     Band b adds a slice of noise-table row b, at an offset drawn from the tap's
     burst seed, decaying by BURST_DECAY_DB over the burst plus BURST_EXTENSION_S[b]:
-    the energy band b's mask passes of white noise with the tap's band-b energy."""
+    the energy band b's mask passes of white noise with the tap's band-b energy.
+    Per chunk of rows (_BURST_CHUNK samples), each band is one gather per order."""
     table, share = _noise_table(float(fs))
-    length = (BURST_SECONDS_PER_ORDER * taps.order[row] + BURST_EXTENSION_S) * fs  # samples
-    n, rate = np.rint(length).astype(np.int64), -BURST_DECAY_DB / 20.0 * math.log(10.0) / length
-    offset = np.random.default_rng(taps.burst_seed[row]).integers(NOISE_TABLE_LEN, size=N_BANDS)
-    t = np.arange(max(n.max(), 1))
-    wave = np.zeros(t.size)
-    for b, target in enumerate(taps.burst_energy[row] * share):
-        part = np.take(table[b], t[:n[b]] + offset[b], mode="wrap") * np.exp(rate[b] * t[:n[b]])
-        energy = part @ part
-        if energy > 0.0:
-            wave[:n[b]] += math.sqrt(target / energy) * part
-    return wave
+    size = np.maximum(np.rint(taps.burst_duration[rows] * fs).astype(np.int64), 1)
+    step = max(1, _BURST_CHUNK // int(size.max(initial=1)))
+    for first in range(0, len(rows), step):
+        chunk, sizes = rows[first:first + step], size[first:first + step]
+        offset = np.array([np.random.default_rng(seed).integers(NOISE_TABLE_LEN, size=N_BANDS)
+                           for seed in taps.burst_seed[chunk]])
+        waves = np.zeros((len(chunk), sizes.max()))
+        for order in np.unique(taps.order[chunk]):
+            at = np.flatnonzero(taps.order[chunk] == order)
+            span = (BURST_SECONDS_PER_ORDER * order + BURST_EXTENSION_S) * fs  # samples
+            n, rate = np.rint(span).astype(np.int64), -BURST_DECAY_DB / 20.0 * math.log(10.0) / span
+            for b, t in enumerate(map(np.arange, n)):
+                part = np.take(table[b], t + offset[at, b, None], mode="wrap") * np.exp(rate[b] * t)
+                energy = np.matmul(part[:, None], part[..., None])[:, 0, 0]  # part @ part per row
+                scale = np.divide(taps.burst_energy[chunk[at], b] * share[b], energy,
+                                  out=np.zeros_like(energy), where=energy > 0.0)
+                waves[at, :t.size] += np.sqrt(scale)[:, None] * part
+        yield from zip(chunk.tolist(), map(lambda wave, m: wave[:m], waves, sizes))
 
 
 def reflect_finite_panels(panels, source_pos: np.ndarray, receiver_pos: np.ndarray,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RateMismatchError, SceneParseError, SceneValidationError
-from .filterbank import next_fast_len
+from .filterbank import partitioned_convolve
 from .ism import SpatialIR
 from .scene import head_frame
 from .synth import apply_signature, render_units, spatial_ir_length, synthesize_mono
@@ -61,8 +61,8 @@ class HrtfSet:
             raise SceneValidationError("HRTF directions and filters must be finite")
         if np.linalg.matrix_rank(d) < 3:
             raise SceneValidationError("HRTF directions must be non-coplanar")
-        if f.shape[:2] != (d.shape[0], 2):
-            raise SceneValidationError("HRTF filters must be (n_dirs, 2, taps)")
+        if f.ndim != 3 or f.shape[:2] != (d.shape[0], 2) or f.shape[2] < 1:
+            raise SceneValidationError("HRTF filters must be (n_dirs, 2, taps), at least 1 tap")
         norms = np.linalg.norm(d, axis=1, keepdims=True)
         object.__setattr__(self, "directions", d / norms)
         object.__setattr__(self, "filters", f)
@@ -386,9 +386,8 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
     """Two-channel render: nearest-direction HRTF pair per tap/tail stream,
     for a listener facing ``orientation``.
 
-    An impulse tap adds its amplitude times its HRTF pair into the ears.
-    The waves of units with bursts, band-dependent taps or tail streams are
-    convolved through one rfft each, summed into two ear spectra."""
+    An impulse tap adds its amplitude times its HRTF pair into the ears; the
+    waves of the other units are convolved with their pairs block by block."""
     if hrtf.sample_rate != spatial_ir.sample_rate:
         raise RateMismatchError("HRTF and scene sample rates differ")
     frame = head_frame(orientation)
@@ -396,19 +395,12 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
     units, (unit, start, value) = render_units(
         spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
     n_taps = hrtf.filters.shape[2]
-    size = spatial_ir_length(spatial_ir) + n_taps - 1
-    if units:
-        n_fft = next_fast_len(size)
-        out = np.zeros((2, n_fft // 2 + 1), dtype=complex)
-        for idx in sorted(units):
-            out += np.fft.rfft(units[idx], n_fft) * np.fft.rfft(hrtf.filters[idx], n_fft)
-        out = np.fft.irfft(out, n_fft)[:, :size]  # rebinding frees the spectra
-    else:
-        out = np.zeros((2, size))
+    out = (partitioned_convolve(list(units.values()), hrtf.filters[list(units)]) if units
+           else np.zeros((2, spatial_ir_length(spatial_ir) + n_taps - 1)))
     at = (start[:, None] + np.arange(n_taps)).ravel()
     for ear in (0, 1):
         weights = (value[:, None] * hrtf.filters[unit, ear]).ravel()
-        out[ear] += np.bincount(at, weights, minlength=size)
+        out[ear] += np.bincount(at, weights, minlength=out.shape[1])
     out = apply_signature(out, spatial_ir)
     return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
 

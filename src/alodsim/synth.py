@@ -6,10 +6,10 @@ unit; directions reach the units through one gain matrix, ``unit_gains``
 specular tap whose bands carry equal amplitudes (one group under
 ``filterbank.band_groups``) passes the band masks unchanged, since they sum
 to 1: it stays an impulse, which the caller scatters straight into its
-output channels. Each diffuse burst is one broadband wave, drawn once and
-added into every unit it reaches. Only band-dependent specular taps are
-band-filtered: each of their units fills one buffer per band over the early
-extent of the IR, filtered through the octave masks. Tail streams come last.
+output channels. Each diffuse burst is one broadband wave, drawn once, in a
+chunk of bursts, and added in tap order into every unit it reaches. Only
+band-dependent specular taps are band-filtered, through one buffer per band
+and unit over the early extent of the IR. Tail streams come last.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .filterbank import BandFilter, OCTAVE_CENTERS_8, fftconvolve
-from .ism import SpatialIR, burst_samples
+from .ism import SpatialIR, burst_waves
 
 
 def _kernel_margin(fs: float) -> int:
@@ -55,13 +55,13 @@ def render_units(spatial_ir: SpatialIR,
     Returns ``(units, (unit, start, value))``. ``units`` is {unit: samples}
     for every unit that a diffuse burst, a band-dependent tap or a tail
     stream reaches with a nonzero gain; all waveforms share the same length.
-    Each burst wave is drawn once and added into each unit it reaches, times
-    its gain there. A specular tap with equal band amplitudes stays an
-    impulse: the three arrays hold one entry per such (tap, unit) pair with
-    a nonzero gain, in tap order, for the caller to add into its output
-    channels. The optional coupling signature is NOT applied here (it acts
-    on the final channels; convolution commutes with the per-unit linear
-    processing).
+    Bursts are drawn in chunks (``ism.burst_waves``), each once, and added in
+    tap order into each unit they reach, times the gain there. A specular tap
+    with equal band amplitudes stays an impulse: the three arrays hold one
+    entry per such (tap, unit) pair with a nonzero gain, in tap order, for
+    the caller to add into its output channels. The optional coupling
+    signature is NOT applied here (it acts on the final channels; convolution
+    commutes with the per-unit linear processing).
     """
     fs = spatial_ir.sample_rate
     n = spatial_ir_length(spatial_ir)
@@ -96,8 +96,7 @@ def render_units(spatial_ir: SpatialIR,
         buf = np.zeros((len(OCTAVE_CENTERS_8), m))
         np.add.at(buf.T, starts[hit], tap_gains[hit, unit][:, None] * taps.amplitude[hit])
         units[unit][:m] = combine().apply(buf)
-    for k in bursts.tolist():
-        wave = burst_samples(taps, k, fs)
+    for k, wave in burst_waves(taps, bursts, fs):
         for unit in np.flatnonzero(tap_gains[k]).tolist():
             units[unit][starts[k]:starts[k] + wave.size] += tap_gains[k, unit] * wave
     for stream, gain in zip(streams, stream_gains):

@@ -10,10 +10,13 @@ band grouping, early-extent buffers, fast FFT lengths and one gain matrix.
 ``render_units_whole`` adds every impulse tap that ``render_units`` returns
 beside its waves into a full-length unit wave, one tap at a time.
 ``binauralize_per_unit`` convolves each such wave with each ear's HRTF
-separately, and ``render_array_per_tap`` pans each tap with its own
-``vbap_gains`` call, where ``alodsim.spatial`` scatters impulse taps
-straight into the output channels and sums the spectra of the remaining
-unit waves.
+separately at the full length, and ``render_array_per_tap`` pans each tap
+with its own ``vbap_gains`` call, where ``alodsim.spatial`` scatters impulse
+taps straight into the output channels and, in binaural renders, convolves
+the remaining unit waves block by block, summed over the units.
+
+``burst_samples`` draws one tap's diffuse burst at a time, where
+``alodsim.ism.burst_waves`` draws a chunk of rows per gather.
 
 ``envelope_db`` is ``alodsim.stimuli._envelope_db`` computed with
 ``scipy.signal.hilbert`` and a "same"-mode ``fftconvolve``.
@@ -51,8 +54,12 @@ from alodsim.errors import InsufficientDecayError, SceneValidationError
 from alodsim.fdn import _run_band, _shape_decay, _t60_of
 from alodsim.filterbank import OCTAVE_CENTERS_8, band_masks
 from alodsim.ism import (
+    BURST_DECAY_DB,
+    BURST_EXTENSION_S,
+    BURST_SECONDS_PER_ORDER,
     JITTER_SIGMA_PER_ORDER,
-    burst_samples,
+    NOISE_TABLE_LEN,
+    _noise_table,
     enumerate_images,
     reflect_finite_panels,
 )
@@ -78,6 +85,23 @@ def per_band_run_fdn(config, duration, input_signal=None,
         contrib = np.fft.rfft(lines, n=2 * n, axis=1) * masks[b][None, :]
         spectra = contrib if spectra is None else spectra + contrib
     return np.fft.irfft(spectra, n=2 * n, axis=1)[:, :n]
+
+
+def burst_samples(taps, row, fs):
+    """One tap's diffuse burst, as ``alodsim.ism.burst_waves`` yields it: one
+    seeded generator, then one gather, envelope and ``part @ part`` per band."""
+    table, share = _noise_table(float(fs))
+    length = (BURST_SECONDS_PER_ORDER * taps.order[row] + BURST_EXTENSION_S) * fs  # samples
+    n, rate = np.rint(length).astype(np.int64), -BURST_DECAY_DB / 20.0 * math.log(10.0) / length
+    offset = np.random.default_rng(taps.burst_seed[row]).integers(NOISE_TABLE_LEN, size=len(share))
+    t = np.arange(max(n.max(), 1))
+    wave = np.zeros(t.size)
+    for b, target in enumerate(taps.burst_energy[row] * share):
+        part = np.take(table[b], t[:n[b]] + offset[b], mode="wrap") * np.exp(rate[b] * t[:n[b]])
+        energy = part @ part
+        if energy > 0.0:
+            wave[:n[b]] += math.sqrt(target / energy) * part
+    return wave
 
 
 def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_8):

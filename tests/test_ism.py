@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alodsim import ism
 from alodsim.filterbank import band_energies, band_masks
 from alodsim.ism import (
     NOISE_TABLE_LEN,
@@ -14,7 +15,7 @@ from alodsim.ism import (
     _emission_direction,
     _noise_table,
     apply_jitter,
-    burst_samples,
+    burst_waves,
     early_spatial_ir,
     enumerate_images,
     reflect_finite_panels,
@@ -24,7 +25,7 @@ from alodsim.ism import (
 from alodsim.scene import DirectivityGrid, PanelSpec, RoomSpec, preset, profile_preset
 from alodsim.errors import SceneValidationError
 
-from oracles import directivity_gain, early_taps_per_tap, emission_direction
+from oracles import burst_samples, directivity_gain, early_taps_per_tap, emission_direction
 
 
 def _box(dims, absorption=0.3, origin=(0, 0, 0)):
@@ -192,6 +193,12 @@ def test_smearing_disabled_is_identity():
     assert out is taps
 
 
+def _burst(taps, row, fs):
+    ((drawn, wave),) = burst_waves(taps, np.array([row]), fs)
+    assert drawn == row
+    return wave
+
+
 def test_burst_samples_deterministic_and_energy_normalized():
     room = _box((5.0, 4.0, 3.0))
     images = enumerate_images(room, np.array([1.5, 1.5, 1.5]), 2)
@@ -199,8 +206,8 @@ def test_burst_samples_deterministic_and_energy_normalized():
     smeared = smear_taps(taps, profile_preset("razr-full"), room.scattering,
                          np.random.SeedSequence(7))
     row = int(np.argmax(smeared.has_burst))
-    a = burst_samples(smeared, row, 44100.0)
-    b = burst_samples(smeared, row, 44100.0)
+    a = _burst(smeared, row, 44100.0)
+    b = _burst(smeared, row, 44100.0)
     assert np.array_equal(a, b)
     assert a.shape == (round(smeared.burst_duration[row] * 44100.0),)
     # with its burst energy in one band alone, the wave holds what that
@@ -210,7 +217,7 @@ def test_burst_samples_deterministic_and_energy_normalized():
     waves = []
     for band in range(8):
         alone = np.where(np.arange(8) == band, smeared.burst_energy, 0.0)
-        waves.append(burst_samples(dataclasses.replace(smeared, burst_energy=alone), row, 44100.0))
+        waves.append(_burst(dataclasses.replace(smeared, burst_energy=alone), row, 44100.0))
         assert float(np.dot(waves[-1], waves[-1])) == pytest.approx(
             smeared.burst_energy[row, band] * share[band], rel=1e-9)
     # different bands read different noise
@@ -226,7 +233,7 @@ def test_burst_wave_carries_each_bands_energy():
     taps = Taps(delay=np.zeros(32), amplitude=np.zeros((32, 8)),
                 doa=np.tile([1.0, 0.0, 0.0], (32, 1)), order=np.full(32, 3),
                 burst_energy=np.tile(energy, (32, 1)), burst_seed=np.arange(32))
-    waves = [burst_samples(taps, k, fs) for k in range(32)]
+    waves = [wave for _, wave in burst_waves(taps, np.arange(32), fs)]
     n = waves[0].size
     got = np.mean([band_energies(w, fs) for w in waves], axis=0)
     power = band_masks(n, fs) ** 2
@@ -235,6 +242,28 @@ def test_burst_wave_carries_each_bands_energy():
     weights[-1] = 1.0 if n % 2 == 0 else 2.0
     want = (power * weights) @ (energy @ power) / n
     assert np.max(np.abs(10.0 * np.log10(got / want))) < 1.0
+
+
+def test_batched_bursts_equal_the_per_row_oracle():
+    # orders 1-6 mixed as delay order mixes them, a band at 0 in each row
+    # and one row at 0 in every band; 160 of 200 rows, of up to 2025 samples
+    # each, fill several chunks of the draw
+    rng = np.random.default_rng(3)
+    k = np.arange(200)
+    energy = rng.uniform(0.0, 1e-3, (200, 8))
+    energy[k, k % 8] = 0.0
+    energy[17] = 0.0
+    taps = Taps(delay=np.zeros(200), amplitude=np.zeros((200, 8)),
+                doa=np.tile([1.0, 0.0, 0.0], (200, 1)), order=rng.integers(1, 7, 200),
+                burst_energy=energy, burst_seed=rng.integers(0, 2**32, 200))
+    rows = k[k % 5 != 3]
+    fs = 44100.0
+    assert len(rows) * round(taps.burst_duration.max() * fs) > 2 * ism._BURST_CHUNK
+    drawn = list(burst_waves(taps, rows, fs))
+    assert [row for row, _ in drawn] == rows.tolist()
+    for row, wave in drawn:
+        assert wave.tobytes() == burst_samples(taps, row, fs).tobytes(), row
+    assert not drawn[rows.tolist().index(17)][1].any()
 
 
 def test_noise_table_is_cached_on_the_sample_rate_value():

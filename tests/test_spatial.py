@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from alodsim.errors import SceneValidationError
-from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps
+from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps, _noise_table
 from alodsim.spatial import (
     HrtfSet,
     ImpulseResponse,
@@ -28,6 +28,7 @@ from alodsim.spatial import (
 )
 from alodsim.pipeline import build_spatial_ir, simulate
 from alodsim.scene import preset, profile_preset
+from alodsim.synth import spatial_ir_length
 from alodsim.wavio import write_wav
 
 from oracles import binauralize_per_unit, render_array_per_tap, render_units_whole
@@ -526,6 +527,50 @@ def test_impulse_taps_scatter_as_the_per_unit_and_per_tap_oracles(case):
     if ir.signature is not None:
         want = np.convolve(want, ir.signature)
     assert _error_of_peak(render_mono(ir).channels[0], want) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def living_full_ir():
+    return build_spatial_ir(preset("living-room"), profile_preset("razr-full"))
+
+
+def _short_ir():
+    """20 ms of three tail streams and two impulse taps."""
+    rng = np.random.default_rng(5)
+    tail = tuple(TailStream(samples=1e-2 * rng.standard_normal(int(0.02 * FS)), onset=0.0,
+                            direction=d) for d in _unit_vectors(rng, 3))
+    taps = Taps(delay=np.array([0.004, 0.011]), amplitude=np.full((2, 8), 0.5),
+                doa=_unit_vectors(rng, 2), order=np.zeros(2, dtype=int))
+    return SpatialIR(taps=taps, sample_rate=FS, tail=tail)
+
+
+@pytest.mark.parametrize("taps", [1, 64, 512, 3000])
+@pytest.mark.parametrize("ir", ["living-room razr-full", "20 ms"])
+def test_binauralize_matches_per_unit_convolution_at_any_hrtf_length(living_full_ir, ir, taps):
+    # the partitions follow the HRTF length; the 20 ms IR is shorter than
+    # one partition, which is at least 2048 samples
+    ir = living_full_ir if ir == "living-room razr-full" else _short_ir()
+    assert ir is living_full_ir or spatial_ir_length(ir) < 2048
+    base = synthetic_hrtf()
+    rng = np.random.default_rng(taps)
+    filters = rng.standard_normal(base.filters.shape[:2] + (taps,)) * np.exp(-np.arange(taps) / 50)
+    hrtf = HrtfSet(directions=base.directions, filters=filters, sample_rate=FS)
+    orientation = np.array([0.3, -1.0, 0.2])
+    got = binauralize(ir, hrtf, orientation).channels
+    assert _error_of_peak(got, binauralize_per_unit(ir, hrtf, orientation).channels) <= 1e-12
+
+
+def test_pub_binaural_render_makes_no_transform_longer_than_two_partitions(monkeypatch):
+    # the pub has no door signature, so the HRTF partitions (2048 samples for
+    # the synthetic set's 64 taps) are the longest transforms of its render;
+    # the unit waves span the whole IR, about 53 000 samples
+    _noise_table(FS)  # built once per sample rate, outside any render
+    lengths, rfft = [], np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, *args, **kwargs: lengths.append(
+        np.shape(a)[-1] if n is None else n) or rfft(a, n, *args, **kwargs))
+    out = simulate(preset("pub"), profile_preset("razr-full"), output_mode="binaural")
+    assert np.any(out.ir.channels) and lengths
+    assert max(lengths) <= 2 * 2048, max(lengths)
 
 
 def test_tail_streams_render_at_their_onset():

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alodsim import preset, profile_preset, simulate, synth
+from alodsim import ism, preset, profile_preset, simulate, synth
 from alodsim.coupled import occluded_direct_ir
 from alodsim.filterbank import BandFilter
-from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps
+from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps, early_spatial_ir
 from alodsim.pipeline import build_spatial_ir
+from alodsim.scene import RenderingProfile
 from alodsim.spatial import array_preset_86, render_array
 from alodsim.synth import render_units, spatial_ir_length, synthesize_mono
 
@@ -117,21 +118,54 @@ def _record_calls(monkeypatch, owner, name, note):
     return calls
 
 
+def _drawn_rows(monkeypatch):
+    """The burst rows that ``render_units`` draws, in the order asked for."""
+    calls = _record_calls(monkeypatch, synth, "burst_waves", lambda taps, rows, fs: rows)
+    return lambda: [row for rows in calls for row in rows.tolist()]
+
+
 def test_each_burst_is_drawn_once_per_call(monkeypatch):
     # every tap reaches both units; its burst is still drawn only once
-    calls = _record_calls(monkeypatch, synth, "burst_samples", lambda taps, row, fs: row)
+    drawn = _drawn_rows(monkeypatch)
     ir = _early_ir(0.1)
     render_units(ir, _two_unit_gains)
-    assert sorted(calls) == np.flatnonzero(ir.taps.has_burst).tolist()
+    assert sorted(drawn()) == np.flatnonzero(ir.taps.has_burst).tolist()
 
 
 def test_burst_count_of_a_pub_array_render(monkeypatch):
     scene, profile = preset("pub"), profile_preset("razr-full")
     n_bursts = int(np.count_nonzero(build_spatial_ir(scene, profile).taps.has_burst))
-    calls = _record_calls(monkeypatch, synth, "burst_samples", lambda taps, row, fs: row)
+    drawn = _drawn_rows(monkeypatch)
     simulate(scene, profile, output_mode="array")
     # once for the splice's mono energy, once for the 86-channel render
-    assert n_bursts > 0 and len(calls) == 2 * n_bursts
+    assert n_bursts > 0 and len(drawn()) == 2 * n_bursts
+
+
+def test_burst_draws_stay_under_the_chunk_bound(monkeypatch):
+    # at ism_order 8 the pub's burst waves hold over 12 MiB of samples;
+    # drawn chunk by chunk, the draw adds less than 4 MiB to the traced peak
+    scene = preset("pub")
+    profile = RenderingProfile(name="order-8", ism_order=8)
+    ir = early_spatial_ir(scene, profile, scene.sources[0], scene.receivers[0].position,
+                          scene.rooms[0], np.random.SeedSequence(0))
+    bound = 4 << 20
+    assert 8 * np.sum(np.rint(ir.taps.burst_duration * FS)) > 3 * bound
+    ism._noise_table(FS)  # built once per sample rate, outside any render
+    growth = []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        yield from ism.burst_waves(*args)
+        growth.append(tracemalloc.get_traced_memory()[1] - base)
+
+    monkeypatch.setattr(synth, "burst_waves", traced)
+    tracemalloc.start()
+    try:
+        render_units(ir, lambda doa: np.ones((len(doa), 1)))
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == 1 and growth[0] < bound, growth
 
 
 def test_razr_full_pub_array_render_filters_no_bands(monkeypatch):

@@ -672,6 +672,7 @@ _MALFORMED_HRTF_INDEX = {
     "NaN azimuth among five valid rows": ("nan 0 a.wav\n" + _FIVE_ROWS, "line 1"),
     "infinite elevation": (_FIVE_ROWS + "0 inf a.wav\n", "line 6"),
     "only comments": ("# azimuth elevation file\n\n", "lists no HRTF files"),
+    "stereo files with no frame": (_FIVE_ROWS.replace("a.wav", "empty.wav"), "at least 1 tap"),
 }
 
 
@@ -679,6 +680,7 @@ _MALFORMED_HRTF_INDEX = {
 def test_cli_prints_one_error_line_for_a_malformed_hrtf_index(tmp_path, capsys, case):
     index, named = _MALFORMED_HRTF_INDEX[case]
     write_wav(str(tmp_path / "a.wav"), np.eye(64, 2), FS)
+    write_wav(str(tmp_path / "empty.wav"), np.zeros((0, 2)), FS)
     (tmp_path / "index.txt").write_text(index)
     code = main(["simulate", "--preset", "pub", "--profile", "anechoic",
                  "--output-mode", "binaural", "--hrtf", str(tmp_path),
