@@ -1,14 +1,14 @@
 """Coupled-volume rendering through a rectangular aperture.
 
-Two modes:
-
-* ``two_stage`` -- the source room is simulated with an omnidirectional
-  receiver at the (closed) door, and its mono response becomes the signature
-  of an omnidirectional source at the door center in the receiver room.
-* ``full`` -- the same early path, plus the receiver room's FDN re-excited
-  by the source room's diffuse tail with a coupling gain derived from the
-  aperture-to-wall area ratio. Profiles with room details use it. This
-  cross-feed is an explicit approximation of true coupled-FDN topologies.
+A coupled pair renders as two parts whose renders are summed
+(``coupled_parts``). Through the door: the source room is simulated to an
+omnidirectional receiver at the door center (stage 1), and its mono response
+becomes the signature of an omnidirectional source there in the receiver
+room (stage 2; ``couple_two_stage``). Beside the door: the occluded direct
+path and, with room details, the receiver room's FDN driven by stage 1's own
+tail through the area-ratio coupling gain, an explicit approximation of true
+coupled-FDN topologies. No signature is convolved onto this part, so stage
+1's tail enters it once.
 
 Each tail junction is decided here: ``splice`` (beside ``_fdn_onset``) and
 the cross-feed share one energy sum and one scale-and-shift step.
@@ -42,29 +42,37 @@ OCCLUSION_ATTEN_DB = 6.0  # broadband stand-in loss around the door frame
 OCCLUSION_CORNER_HZ = 2000.0  # first-order lowpass corner of the stand-in
 
 
+def _door(scene: SceneSpec, source: SourceSpec, receiver_pos: np.ndarray) -> tuple:
+    """(source room, receiver room, the aperture that joins the two)."""
+    src_room = scene.room_of(source.position)
+    rec_room = scene.room_of(receiver_pos)
+    if src_room is None or rec_room is None or src_room.id == rec_room.id:
+        raise SceneValidationError("coupling requires source and receiver in different rooms")
+    for aperture in scene.apertures:
+        if set(aperture.connects) == {src_room.id, rec_room.id}:
+            return src_room, rec_room, aperture
+    raise SceneValidationError(f"rooms {src_room.id!r} and {rec_room.id!r} share no aperture")
+
+
 def occluded_direct_ir(scene: SceneSpec, source: SourceSpec,
                        receiver: ReceiverSpec) -> SpatialIR:
     """The stand-in direct tap for a blocked line of sight, alone.
 
     Inverse-square amplitude over the scene's occluded path length,
     attenuated and lowpassed by the occlusion filter and scaled by the source
-    level; the DOA points toward the aperture. Kept out of the coupled
-    SpatialIR because the direct sound must not pass through the door
-    signature; the pipeline renders it separately and mixes the channels.
+    level; the DOA points toward the aperture between the two rooms. It is
+    rendered beside the door: it must not pass through the door signature.
     """
     r = scene.occluded_path_m
     if r is None:
         raise SceneValidationError("no occluded path length available")
+    _, _, aperture = _door(scene, source, receiver.position)
     lowpass = 1.0 / np.sqrt(1.0 + (BAND_CENTERS / OCCLUSION_CORNER_HZ) ** 2)
     amp = (1.0 / r) * 10.0 ** (-OCCLUSION_ATTEN_DB / 20.0) * lowpass
     amp = amp * 10.0 ** (source.level_db / 20.0)
-    if scene.apertures:
-        d = scene.apertures[0].center - np.asarray(receiver.position, dtype=float)
-        doa = d / np.linalg.norm(d)
-    else:
-        doa = np.array([1.0, 0.0, 0.0])
+    d = aperture.center - np.asarray(receiver.position, dtype=float)
     taps = Taps(delay=np.array([r / scene.speed_of_sound]), amplitude=amp[None, :],
-                doa=doa[None, :], order=np.zeros(1, dtype=np.int64))
+                doa=(d / np.linalg.norm(d))[None, :], order=np.zeros(1, dtype=np.int64))
     return SpatialIR(taps=taps, sample_rate=scene.sample_rate)
 
 
@@ -152,6 +160,19 @@ def _door_source(aperture: ApertureSpec, toward: np.ndarray) -> SourceSpec:
     return SourceSpec(id="door", position=aperture.center, orientation=d)
 
 
+def _stages(scene: SceneSpec, profile: RenderingProfile, source: SourceSpec,
+            receiver_pos: np.ndarray, duration: float, seeds) -> tuple:
+    """(aperture, stage 1, stage 2 carrying stage 1's response as its signature)."""
+    src_room, rec_room, aperture = _door(scene, source, receiver_pos)
+    stage1 = single_room_ir(scene, profile, source, aperture.center,
+                            src_room, duration, seeds[0], include_panels=False)
+    door = _door_source(aperture, receiver_pos)
+    stage2 = single_room_ir(scene, profile, door, receiver_pos, rec_room,
+                            duration, seeds[1])
+    return aperture, stage1, SpatialIR(taps=stage2.taps, sample_rate=stage2.sample_rate,
+                                       tail=stage2.tail, signature=synthesize_mono(stage1))
+
+
 def couple_two_stage(scene: SceneSpec, profile: RenderingProfile,
                      source: SourceSpec, receiver_pos: np.ndarray,
                      duration: float, seed_seq: np.random.SeedSequence) -> SpatialIR:
@@ -161,25 +182,7 @@ def couple_two_stage(scene: SceneSpec, profile: RenderingProfile,
     (mono); stage 2 renders the receiver room from an omni source at the
     door center, and carries the stage-1 response as its signature.
     """
-    if not scene.apertures:
-        raise SceneValidationError("two-stage coupling requires an aperture")
-    aperture = scene.apertures[0]
-    src_room = scene.room_of(source.position)
-    rec_room = scene.room_of(receiver_pos)
-    if src_room is None or rec_room is None or src_room.id == rec_room.id:
-        raise SceneValidationError("coupling requires source and receiver in different rooms")
-    if not set(aperture.connects) == {src_room.id, rec_room.id}:
-        raise SceneValidationError("rooms are not adjacent via the aperture")
-
-    stage1_seed, stage2_seed = seed_seq.spawn(2)
-    stage1 = single_room_ir(scene, profile, source, aperture.center,
-                            src_room, duration, stage1_seed,
-                            include_panels=False)
-    door = _door_source(aperture, receiver_pos)
-    stage2 = single_room_ir(scene, profile, door, receiver_pos, rec_room,
-                            duration, stage2_seed)
-    return SpatialIR(taps=stage2.taps, sample_rate=stage2.sample_rate,
-                     tail=stage2.tail, signature=synthesize_mono(stage1))
+    return _stages(scene, profile, source, receiver_pos, duration, seed_seq.spawn(2))[2]
 
 
 def coupling_gain(scene: SceneSpec, aperture: ApertureSpec) -> float:
@@ -198,37 +201,30 @@ def coupling_gain(scene: SceneSpec, aperture: ApertureSpec) -> float:
     return aperture.area / areas[0]
 
 
-def couple_full(scene: SceneSpec, profile: RenderingProfile,
-                source: SourceSpec, receiver_pos: np.ndarray,
-                duration: float, seed_seq: np.random.SeedSequence) -> SpatialIR:
-    """Two-stage early path plus cross-fed FDN energy (mixed decay).
+def coupled_parts(scene: SceneSpec, profile: RenderingProfile,
+                  source: SourceSpec, receiver: ReceiverSpec, duration: float,
+                  seed_seq: np.random.SeedSequence) -> tuple:
+    """A coupled pair's IR in parts: through the door, then beside it.
 
-    The receiver room's FDN (its dual-slope pair, when it has a second slope)
-    is re-excited by the source room's diffuse tail scaled by the coupling
-    gain k. Without a receiver-room tail (FDN off, or no decay target in
-    that room) the result is couple_two_stage's.
-
-    The drive is a source-room tail drawn apart from stage 1's: the cross
-    fed tail passes through the door signature, which holds stage 1's tail,
-    and that tail twice would square its spectrum and lengthen the decay.
+    Through the door is ``couple_two_stage``'s IR; beside it, the occluded
+    direct tap. With room details, the beside part also holds the receiver
+    room's FDN (or its dual-slope pair) driven by k times stage 1's summed
+    tail streams, scaled to k^2 E(stage-2 tail) E(signature): the stage-2
+    tail's energy after the signature, for noise-like content. A direct-only
+    profile gets the direct tap alone, as the door would relay nothing else.
     """
-    two_stage_seed, cross_seed = seed_seq.spawn(2)
-    base = couple_two_stage(scene, profile, source, receiver_pos, duration,
-                            two_stage_seed)
-    k = coupling_gain(scene, scene.apertures[0])
-    if not base.tail:
-        return base
-    src_room = scene.room_of(source.position)
-    rec_room = scene.room_of(receiver_pos)
-    # source-room diffuse tail, summed to mono, drives the receiver-room FDN
-    src_tail_seed, rec_fdn_seed = cross_seed.spawn(2)
-    src_streams = _room_tail(scene, profile, src_room, duration, src_tail_seed)
-    if not src_streams:
-        return base
-    drive = np.sum([s.samples for s in src_streams], axis=0)
-    cross = _room_tail(scene, profile, rec_room, duration, rec_fdn_seed, drive=k * drive)
-    # keep cross-fed energy in proportion to the main tail
-    onset = min(s.onset for s in base.tail)
-    cross = _rescaled(cross, _energy(base.tail), onset, k=k)
-    return SpatialIR(taps=base.taps, sample_rate=base.sample_rate,
-                     tail=base.tail + cross, signature=base.signature)
+    if profile.direct_only:
+        return (occluded_direct_ir(scene, source, receiver),)
+    seeds = seed_seq.spawn(3)  # the first two are spawn(2)'s: couple_two_stage's seeds
+    aperture, stage1, through = _stages(scene, profile, source, receiver.position,
+                                        duration, seeds[:2])
+    direct = occluded_direct_ir(scene, source, receiver)
+    if not (profile.room_details and stage1.tail and through.tail):
+        return through, direct
+    k = coupling_gain(scene, aperture)
+    drive = k * np.sum([s.samples for s in stage1.tail], axis=0)
+    cross = _room_tail(scene, profile, scene.room_of(receiver.position), duration,
+                       seeds[2], drive=drive)
+    energy = _energy(through.tail) * float(np.dot(through.signature, through.signature))
+    cross = _rescaled(cross, energy, min(s.onset for s in through.tail), k=k)
+    return through, SpatialIR(taps=direct.taps, sample_rate=direct.sample_rate, tail=cross)

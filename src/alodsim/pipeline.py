@@ -2,25 +2,21 @@
 
 ``simulate`` is the single entry point used by the CLI. It resolves the
 source/receiver rooms, picks the single-room or coupled-room path at the
-profile's level of detail and spatializes the result according to the
-requested output mode. All randomness descends from one SeedSequence rooted
-at the scene seed, so repeated runs are bit-identical.
+profile's level of detail, spatializes each part of the result according to
+the requested output mode and sums the renders. All randomness descends from
+one SeedSequence rooted at the scene seed, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .coupled import (
-    couple_full,
-    couple_two_stage,
-    occluded_direct_ir,
-    single_room_ir,
-)
+from .coupled import coupled_parts, single_room_ir
 from .errors import SceneValidationError
 from .ism import SpatialIR
 from .scene import ReceiverSpec, RenderingProfile, SceneSpec
@@ -44,7 +40,7 @@ _DURATION_PADDING_S = 0.25
 @dataclass(frozen=True)
 class SimulationResult:
     ir: ImpulseResponse
-    spatial: SpatialIR
+    parts: tuple[SpatialIR, ...]  # build_spatial_ir's parts; ir sums their renders
     source_id: str
     receiver_id: str
     duration: float
@@ -84,11 +80,14 @@ def default_duration(scene: SceneSpec, profile: RenderingProfile) -> float:
 def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
                      source_id: Optional[str] = None,
                      receiver_id: Optional[str] = None,
-                     duration: Optional[float] = None) -> SpatialIR:
-    """Directional impulse response for one source/receiver pair.
+                     duration: Optional[float] = None) -> tuple[SpatialIR, ...]:
+    """The directional impulse response of one source/receiver pair, in parts.
 
-    A coupled pair's IR carries the door signature, and no direct sound.
-    The tail lasts ``duration`` seconds (default ``default_duration``).
+    A render of the pair is the sum of its parts' renders. A same-room pair
+    is one part. A coupled pair is ``coupled_parts``: the part through the
+    door carries the door signature and no direct sound; the part beside it
+    holds the occluded direct sound and any cross-fed tail. The tails last
+    ``duration`` seconds (default ``default_duration``).
     """
     source = _pick(scene.sources, source_id, "source")
     receiver = _pick(scene.receivers, receiver_id, "receiver")
@@ -101,12 +100,9 @@ def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
     )
     src_room = scene.room_of(source.position)
     if src_room.id == scene.room_of(receiver.position).id:
-        return single_room_ir(scene, profile, source, receiver.position,
-                              src_room, duration, root)
-    if profile.direct_only:
-        return occluded_direct_ir(scene, source, receiver)
-    couple = couple_full if profile.room_details else couple_two_stage
-    return couple(scene, profile, source, receiver.position, duration, root)
+        return (single_room_ir(scene, profile, source, receiver.position,
+                               src_room, duration, root),)
+    return coupled_parts(scene, profile, source, receiver, duration, root)
 
 
 def render_output(spatial: SpatialIR, output_mode: str, receiver: ReceiverSpec,
@@ -151,13 +147,9 @@ def simulate(scene: SceneSpec, profile: RenderingProfile,
         hrtf = synthetic_hrtf(fs=scene.sample_rate)
     if layout is None and mode == "array":
         layout = array_preset_86()
-    spatial = build_spatial_ir(scene, profile, source.id, receiver.id, duration)
-    ir = render_output(spatial, mode, receiver, hrtf=hrtf, layout=layout)
-    if spatial.signature is not None:
-        # a coupled IR: the blocked direct sound bypasses the door signature
-        direct = occluded_direct_ir(scene, source, receiver)
-        ir = _mix(ir, render_output(direct, mode, receiver,
-                                    hrtf=hrtf, layout=layout))
-    return SimulationResult(ir=ir, spatial=spatial, source_id=source.id,
+    parts = build_spatial_ir(scene, profile, source.id, receiver.id, duration)
+    ir = functools.reduce(_mix, (render_output(part, mode, receiver, hrtf=hrtf, layout=layout)
+                                 for part in parts))
+    return SimulationResult(ir=ir, parts=parts, source_id=source.id,
                             receiver_id=receiver.id, duration=duration,
                             output_mode=mode)

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alodsim import pipeline
+from alodsim import coupled, pipeline
 from alodsim.analysis import schroeder_edc, t30
 from alodsim.coupled import (
     _door_source,
-    couple_full,
     couple_two_stage,
+    coupled_parts,
     coupling_gain,
     occluded_direct_ir,
     single_room_ir,
@@ -18,7 +18,14 @@ from alodsim.errors import SceneValidationError
 from alodsim.fdn import N_LINES
 from alodsim.ism import SpatialIR, TailStream, Taps
 from alodsim.pipeline import build_spatial_ir, render_output, simulate
-from alodsim.scene import SecondSlope, preset, profile_preset
+from alodsim.scene import (
+    ApertureSpec,
+    DecayTarget,
+    RoomSpec,
+    SecondSlope,
+    preset,
+    profile_preset,
+)
 from alodsim.spatial import array_preset_86, synthetic_hrtf
 from alodsim.synth import synthesize_mono
 
@@ -87,14 +94,12 @@ def test_two_stage_signature_is_stage_one_response(living):
 
 def test_full_coupling_without_fdn_equals_two_stage(living):
     profile = replace(profile_preset("razr-full"), fdn_enabled=False)
-    src = _target(living)
-    rec = living.receivers[0].position
-    a = couple_full(living, profile, src, rec, 0.5, np.random.SeedSequence([1]))
-    # couple_full spawns (two_stage_seed, cross_seed); replicate
-    root = np.random.SeedSequence([1])
-    two_stage_seed, _ = root.spawn(2)
-    b = couple_two_stage(living, profile, src, rec, 0.5, two_stage_seed)
+    src, rec = _target(living), living.receivers[0]
+    a, beside = coupled_parts(living, profile, src, rec, 0.5, np.random.SeedSequence([1]))
+    # coupled_parts spawns 3 children, and the first two are spawn(2)'s
+    b = couple_two_stage(living, profile, src, rec.position, 0.5, np.random.SeedSequence([1]))
     assert np.array_equal(synthesize_mono(a), synthesize_mono(b))
+    assert not beside.tail
 
 
 def test_full_coupling_without_a_receiver_room_decay_equals_two_stage(living):
@@ -104,12 +109,10 @@ def test_full_coupling_without_a_receiver_room_decay_equals_two_stage(living):
                   for r in living.rooms)
     scene = replace(living, rooms=rooms)
     profile = profile_preset("razr-full")
-    src = _target(scene)
-    rec = scene.receivers[0].position
-    a = couple_full(scene, profile, src, rec, 0.5, np.random.SeedSequence([1]))
-    two_stage_seed, _ = np.random.SeedSequence([1]).spawn(2)
-    b = couple_two_stage(scene, profile, src, rec, 0.5, two_stage_seed)
-    assert a.tail == () and b.tail == ()
+    src, rec = _target(scene), scene.receivers[0]
+    a, beside = coupled_parts(scene, profile, src, rec, 0.5, np.random.SeedSequence([1]))
+    b = couple_two_stage(scene, profile, src, rec.position, 0.5, np.random.SeedSequence([1]))
+    assert a.tail == () and b.tail == () and beside.tail == ()
     assert np.array_equal(synthesize_mono(a), synthesize_mono(b))
     assert np.array_equal(a.signature, b.signature)
     result = simulate(scene, profile, source_id=src.id, output_mode="mono")
@@ -118,14 +121,13 @@ def test_full_coupling_without_a_receiver_room_decay_equals_two_stage(living):
 
 def test_full_coupling_adds_cross_fed_tail(living):
     profile = profile_preset("razr-full")
-    src = _target(living)
-    rec = living.receivers[0].position
-    root = np.random.SeedSequence([1])
-    full = couple_full(living, profile, src, rec, 0.6, root)
-    root = np.random.SeedSequence([1])
-    two_stage_seed, _ = root.spawn(2)
-    base = couple_two_stage(living, profile, src, rec, 0.6, two_stage_seed)
-    assert len(full.tail) > len(base.tail)
+    src, rec = _target(living), living.receivers[0]
+    through, beside = coupled_parts(living, profile, src, rec, 0.6, np.random.SeedSequence([1]))
+    base = couple_two_stage(living, profile, src, rec.position, 0.6, np.random.SeedSequence([1]))
+    direct = occluded_direct_ir(living, src, rec)
+    assert len(beside.tail) > len(direct.tail)
+    # the part through the door is two-stage coupling's IR, unchanged
+    assert np.array_equal(synthesize_mono(through), synthesize_mono(base))
 
 
 def test_cross_feed_into_a_dual_slope_room_drives_its_dual_slope_pair(living):
@@ -136,13 +138,61 @@ def test_cross_feed_into_a_dual_slope_room_drives_its_dual_slope_pair(living):
                   if r.id == "living-room" else r for r in living.rooms)
     scene = replace(living, rooms=rooms)
     profile = profile_preset("razr-full")
-    src = _target(scene)
-    rec = scene.receivers[0].position
-    full = couple_full(scene, profile, src, rec, 0.3, np.random.SeedSequence([1]))
-    two_stage_seed, _ = np.random.SeedSequence([1]).spawn(2)
-    base = couple_two_stage(scene, profile, src, rec, 0.3, two_stage_seed)
+    src, rec = _target(scene), scene.receivers[0]
+    base, beside = coupled_parts(scene, profile, src, rec, 0.3, np.random.SeedSequence([1]))
     assert len(base.tail) == 2 * N_LINES
-    assert len(full.tail) == 2 * len(base.tail)
+    assert len(beside.tail) == 2 * N_LINES
+
+
+def test_beside_part_carries_no_signature(living):
+    # the cross-fed tail is driven by stage 1's tail, so it must not pass
+    # through the door signature, which holds that tail as well
+    src, rec = _target(living), living.receivers[0]
+    through, beside = build_spatial_ir(living, profile_preset("razr-full"), src.id, rec.id)
+    assert through.signature is not None and through.tail
+    assert beside.signature is None and beside.tail
+    direct = occluded_direct_ir(living, src, rec)
+    assert np.array_equal(beside.taps.delay, direct.taps.delay)
+    assert np.array_equal(beside.taps.amplitude, direct.taps.amplitude)
+
+
+def test_living_room_razr_full_render_makes_three_fdn_runs(living, monkeypatch):
+    # stage 1, stage 2 and the cross-feed; stage 1's tail is the drive
+    calls = []
+    run = coupled.run_fdn
+    monkeypatch.setattr(coupled, "run_fdn", lambda *a, **kw: calls.append(1) or run(*a, **kw))
+    simulate(living, profile_preset("razr-full"), source_id="target",
+             output_mode="mono", duration=0.3)
+    assert len(calls) == 3
+
+
+def _with_hall(scene):
+    """``scene`` with a hall beside the living room, whose door is listed first."""
+    hall = RoomSpec(id="hall", dims=(3.0, 3.78, 2.71), origin=(-3.0, 0.0, 0.0),
+                    absorption=0.3, decay=DecayTarget(t30_bands=0.8))
+    door = ApertureSpec(connects=("hall", "living-room"), center=(0.0, 2.0, 1.0),
+                        width=0.8, height=2.0)
+    return replace(scene, rooms=scene.rooms + (hall,), apertures=(door,) + scene.apertures)
+
+
+@pytest.mark.parametrize("profile", ["razr-full", "razr-simple", "anechoic"])
+def test_coupling_uses_the_aperture_between_the_two_rooms(living, profile):
+    # a door to another room, listed first, changes nothing: the stage
+    # checks, the coupling gain and the occluded tap's DOA use the kitchen door
+    hrtf = synthetic_hrtf(fs=living.sample_rate)
+    got, want = (simulate(scene, profile_preset(profile), source_id="target",
+                          output_mode="binaural", duration=0.3, hrtf=hrtf)
+                 for scene in (_with_hall(living), living))
+    assert np.array_equal(got.ir.channels, want.ir.channels)
+
+
+def test_coupling_requires_an_aperture_between_the_two_rooms(living):
+    scene = _with_hall(living)
+    listener = replace(scene.receivers[0], position=np.array([-1.5, 2.0, 1.2]))
+    scene = replace(scene, receivers=(listener,))  # in the hall, no door to the kitchen
+    for profile in ("razr-full", "razr-simple", "anechoic"):
+        with pytest.raises(SceneValidationError, match="share no aperture"):
+            build_spatial_ir(scene, profile_preset(profile), "target", duration=0.3)
 
 
 def test_coupling_requires_different_rooms(living):
@@ -155,19 +205,17 @@ def test_coupling_requires_different_rooms(living):
 
 
 def test_array_render_sums_coupled_part_and_occluded_direct(living):
-    # the pipeline renders the blocked direct sound apart from the coupled
-    # IR and mixes the channels; the mix must be the plain zero-padded sum
+    # the pipeline renders the part through the door and the part beside it
+    # (the blocked direct sound and the cross-fed tail) apart and mixes the
+    # channels; the mix must be the plain zero-padded sum
     profile = profile_preset("razr-full")
     layout = array_preset_86()
     src, rec = _target(living), living.receivers[0]
     result = simulate(living, profile, source_id=src.id, receiver_id=rec.id,
                       output_mode="array", layout=layout)
-    parts = [
-        render_output(build_spatial_ir(living, profile, src.id, rec.id),
-                      "array", rec, layout=layout),
-        render_output(occluded_direct_ir(living, src, rec), "array", rec,
-                      layout=layout),
-    ]
+    parts = [render_output(part, "array", rec, layout=layout)
+             for part in build_spatial_ir(living, profile, src.id, rec.id)]
+    assert len(parts) == 2
     want = np.zeros((layout.n_speakers, max(p.n_samples for p in parts)))
     for part in parts:
         want[:, : part.n_samples] += part.channels
@@ -198,7 +246,7 @@ def test_direct_only_with_room_details_renders_the_occluded_direct_path_alone(li
 
 def test_anechoic_same_room_render_is_the_direct_tap_alone():
     # ISM order 0 with the FDN, panels and smearing off needs no special case
-    spatial = build_spatial_ir(preset("pub"), profile_preset("anechoic"))
+    spatial, = build_spatial_ir(preset("pub"), profile_preset("anechoic"))
     assert len(spatial.taps) == 1 and spatial.taps.order[0] == 0
     assert not spatial.tail and spatial.signature is None
     assert not spatial.taps.has_burst.any()

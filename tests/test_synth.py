@@ -134,7 +134,8 @@ def test_each_burst_is_drawn_once_per_call(monkeypatch):
 
 def test_burst_count_of_a_pub_array_render(monkeypatch):
     scene, profile = preset("pub"), profile_preset("razr-full")
-    n_bursts = int(np.count_nonzero(build_spatial_ir(scene, profile).taps.has_burst))
+    spatial, = build_spatial_ir(scene, profile)
+    n_bursts = int(np.count_nonzero(spatial.taps.has_burst))
     drawn = _drawn_rows(monkeypatch)
     simulate(scene, profile, output_mode="array")
     # once for the splice's mono energy, once for the 86-channel render
@@ -219,7 +220,7 @@ def test_two_band_groups_match_the_2m_oracle(monkeypatch):
 
 def test_ism_15_array_render_filters_no_bands(monkeypatch):
     # flat absorption: every tap has equal bands, so the masks sum to 1
-    ir = build_spatial_ir(preset("living-room"), profile_preset("ism-15"))
+    ir, _ = build_spatial_ir(preset("living-room"), profile_preset("ism-15"))  # through the door
     applied = _record_calls(monkeypatch, BandFilter, "apply", lambda self, x: x.shape)
     out = render_array(ir, array_preset_86(), np.array([1.0, 0.0, 0.0]))
     assert len(ir.taps) > 4000 and np.any(out.channels)
@@ -230,7 +231,7 @@ def test_ism_15_binaural_render_makes_no_fft(monkeypatch):
     # no burst, no band-dependent tap, no tail and no signature: every tap
     # adds its amplitude times its HRTF pair, with no transform at all
     scene, profile = preset("pub"), profile_preset("ism-15")
-    ir = build_spatial_ir(scene, profile)
+    ir, = build_spatial_ir(scene, profile)
     assert ir.signature is None and not ir.tail and not ir.taps.has_burst.any()
     calls = _record_calls(monkeypatch, np.fft, "rfft", lambda x, *rest: np.shape(x))
     out = simulate(scene, profile, output_mode="binaural")
