@@ -186,19 +186,21 @@ def couple_two_stage(scene: SceneSpec, profile: RenderingProfile,
 
 
 def coupling_gain(scene: SceneSpec, aperture: ApertureSpec) -> float:
-    """k = aperture area / shared wall area (area-ratio coupling rule)."""
-    room = scene.room(aperture.connects[0])
-    # the shared wall is the face containing the aperture center
-    local = aperture.center - room.origin
-    areas = []
-    lx, ly, lz = room.dims
-    faces = [(0, ly * lz), (1, lx * lz), (2, lx * ly)]
-    for axis, area in faces:
-        if abs(local[axis]) < 1e-6 or abs(local[axis] - room.dims[axis]) < 1e-6:
-            areas.append(area)
-    if not areas:
-        raise SceneValidationError("aperture center does not lie on a wall")
-    return aperture.area / areas[0]
+    """k = aperture area / shared wall area (area-ratio coupling rule).
+
+    The shared wall is the overlap of the two rooms' faces in the plane that
+    holds the aperture center, so k does not depend on which room
+    ``aperture.connects`` lists first.
+    """
+    a, b = (scene.room(room_id) for room_id in aperture.connects)
+    lo = np.maximum(a.origin, b.origin)
+    extent = np.minimum(a.origin + a.dims, b.origin + b.dims) - lo
+    for axis in range(3):
+        if abs(extent[axis]) < 1e-6 and abs(aperture.center[axis] - lo[axis]) < 1e-6:
+            shared = float(np.prod(np.delete(extent, axis)))
+            if shared > 0.0:
+                return aperture.area / shared
+    raise SceneValidationError("aperture center does not lie on a wall the two rooms share")
 
 
 def coupled_parts(scene: SceneSpec, profile: RenderingProfile,

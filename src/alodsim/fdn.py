@@ -1,16 +1,17 @@
 """Feedback-delay-network late reverberation.
 
-Delay times are physically based: the room's edge lengths, face diagonals
-and space diagonal, converted to samples and nudged to pairwise coprime
-integers. Per-line per-band attenuation realizes the decay target; the
-feedback matrix is a seeded random orthogonal matrix, so the loop is
-energy-preserving before attenuation. The loop runs once per distinct set
-of band gains, so a broadband target costs one run and no band filtering.
+Delay times are physically based: 12 lengths spread geometrically from the
+room's shortest edge to its space diagonal, with the longest capped at
+``MAX_DELAY_MFP`` mean free paths, converted to samples and nudged to
+pairwise coprime integers. A line holds its energy for one whole pass before
+it comes back out; the cap keeps that pass short against the decay, so the
+summed envelope follows the target exponential with no reshaping. Per-line
+per-band attenuation realizes the decay target; the feedback matrix is a
+seeded random orthogonal matrix, so the loop is energy-preserving before
+attenuation. The loop runs once per distinct set of band gains, so a
+broadband target costs one run and no band filtering.
 
-The input enters each line at taps derived from the delays alone: the line
-input, then about one per min(delay) samples, so long lines radiate from
-their first pass as a diffuse field fills a room. Each tap is attenuated by
-gain^(offset/delay), so every exit lands on the target decay curve.
+The input enters each line at its input, scaled by ``input_gain``.
 
 The recurrence keeps no delay-line buffers. It runs inside its (lines, n)
 output array: the input is written ahead to where it leaves each line, and
@@ -29,9 +30,12 @@ import numpy as np
 from .errors import InfeasibleTargetError, SceneValidationError
 from .filterbank import BandFilter, band_groups
 from .ism import TailStream
-from .scene import DecayTarget, RoomSpec, _set, volume
+from .scene import DecayTarget, RoomSpec, _set, mean_free_path, volume
 
 N_LINES = 12
+# the longest line holds a pass of its energy for at most this many mean
+# free paths, so no line parks energy far longer than the room's own echoes
+MAX_DELAY_MFP = 4.0
 
 
 @dataclass(frozen=True)
@@ -73,15 +77,6 @@ def _coprime_delays(raw: np.ndarray) -> np.ndarray:
     return np.asarray(chosen, dtype=int)
 
 
-def _room_path_lengths(room: RoomSpec) -> np.ndarray:
-    lx, ly, lz = room.dims
-    return np.array([
-        lx, ly, lz,
-        math.hypot(lx, ly), math.hypot(lx, lz), math.hypot(ly, lz),
-        math.sqrt(lx * lx + ly * ly + lz * lz),
-    ])
-
-
 def _fibonacci_sphere(n: int) -> np.ndarray:
     """Quasi-uniform unit directions (golden-angle spiral)."""
     i = np.arange(n) + 0.5
@@ -105,17 +100,18 @@ def design_fdn(room: RoomSpec, target: DecayTarget, fs: float,
                c: float = 343.0, seed: int = 0) -> FdnConfig:
     """FDN whose per-line band gains realize the room's decay target.
 
+    The 12 delays are spread geometrically from the room's shortest edge to
+    its space diagonal, or to ``MAX_DELAY_MFP`` mean free paths where that is
+    shorter; the coprime nudges add a few samples at most. Lengths are
+    scaled by (V / V_box)^(1/3), so a room's volume override (non-box real
+    geometry) stretches them; without one the factor is 1.
     g_i(f) = 10^(-3 d_i / (fs T60(f))), i.e. -60 dB per T60 of recirculation.
-    Path lengths are scaled by (V / V_box)^(1/3), so a room's volume override
-    (non-box real geometry) stretches them; without one the factor is 1.
     """
     stretch = (volume(room) / float(np.prod(room.dims))) ** (1.0 / 3.0)
-    paths = _room_path_lengths(room) * stretch
-    # cycle the 7 physical paths with a golden-ratio-ish stretch for extra lines
-    reps = int(math.ceil(N_LINES / paths.size))
-    stretched = np.concatenate([paths * (1.0 + 0.31 * k) for k in range(reps)])
-    raw = np.sort(stretched)[:N_LINES] * fs / c
-    delays = _coprime_delays(raw)
+    longest = min(float(np.linalg.norm(room.dims)) * stretch,
+                  MAX_DELAY_MFP * mean_free_path(room))
+    shortest = min(float(np.min(room.dims)) * stretch, longest)
+    delays = _coprime_delays(np.geomspace(shortest, longest, N_LINES) * fs / c)
     t60 = np.asarray(target.t30_bands, dtype=float)
     line_gains = 10.0 ** (-3.0 * delays[:, None] / (fs * t60[None, :]))
     try:
@@ -126,56 +122,29 @@ def design_fdn(room: RoomSpec, target: DecayTarget, fs: float,
         raise InfeasibleTargetError(f"room {room.id}: T30 target: {err}") from None
 
 
-def _input_taps(delays: np.ndarray) -> list:
-    """Injection offsets per line: 0 (the line input), then k min(delay) for
-    k = 1, 2, ... plus a golden-ratio jitter below 0.9 min(delay), so lines
-    never fire in sync, while below the line's delay. Only offset 0 lies
-    below the block size min(delay)."""
-    d_min = int(delays.min())
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    taps = []
-    for i, d in enumerate(delays.tolist()):
-        line, k = [0], 1
-        while (o := k * d_min + int(((i * 31 + k) * phi % 1.0) * 0.9 * d_min)) < d:
-            line.append(o)
-            k += 1
-        taps.append(np.array(line))
-    return taps
-
-
 def _run_band(config: FdnConfig, gains: np.ndarray, n: int,
               input_signal: np.ndarray) -> np.ndarray:
     """Run the recurrence for one band; returns (n_lines, n) line outputs.
 
     Write-ahead recurrence inside the output array: `out` starts as the
-    injected input, each sample u[t] landing at t + offset on its line (at
-    t + delay for offset 0, the line input). Then, block by block with block
-    size B = min(delay), the block's values are final; they are scaled by
-    the line gains in place and their feed m @ y is added d_i samples ahead
-    on line i, which is never inside the current block. Results match the
+    input scaled by ``input_gain``, each sample u[t] landing at t + d_i on
+    line i, where it leaves the line. Then, block by block with block size
+    B = min(delay), the block's values are final; they are scaled by the
+    line gains in place and their feed m @ y is added d_i samples ahead on
+    line i, which is never inside the current block. Results match the
     per-sample recurrence to rounding (the matrix products are evaluated
     blockwise, which may round differently in the last ulp).
     """
-    n_lines = config.n_lines
     delays = config.delays
     block = int(delays.min())
     m = config.feedback_matrix
-    # equal amplitude per injection tap (the loop equilibrates toward equal
-    # energy density per sample), decayed along the line and normalized so
-    # the total injected energy matches one tap per line at its input; the
-    # line input's weight is 1, so the total is at least n_lines
-    offsets = _input_taps(delays)
-    weights = [gains[i] ** (offsets[i] / delays[i]) for i in range(n_lines)]
-    total = sum(float(np.dot(w, w)) for w in weights)
-    scale = config.input_gain * math.sqrt(n_lines / total)
-    out = np.zeros((n_lines, n))
+    out = np.zeros((config.n_lines, n))
     for i, d in enumerate(delays):
-        for off, w in zip(offsets[i], weights[i]):
-            ahead = out[i, off or d:][: len(input_signal)]
-            ahead += (scale * w) * input_signal[: ahead.size]
+        ahead = out[i, d:d + len(input_signal)]
+        ahead += config.input_gain * input_signal[: ahead.size]
     for pos in range(0, n, block):
         # tap the output after the absorption gain, so even the very first
-        # pass of a long line lands on the target decay curve
+        # pass of a line lands on the target decay curve
         y = out[:, pos:pos + block]
         y *= gains[:, None]
         x = m @ y
@@ -183,62 +152,6 @@ def _run_band(config: FdnConfig, gains: np.ndarray, n: int,
             ahead = out[i, pos + d:pos + d + block]
             ahead += x[i, : ahead.size]
     return out
-
-
-_SHAPE_CLAMP_DB = 12.0
-_SHAPE_WINDOW_S = 0.03
-
-
-def _moving_average(x: np.ndarray, win: int) -> np.ndarray:
-    """Mean of ``x`` over a centered window of ``win`` samples, zero outside.
-
-    A running sum, as ``scipy.ndimage.uniform_filter1d(x, win,
-    mode="constant")`` keeps it, with the same roundings: the first window
-    summed in order, then each step adds the entering sample minus the
-    leaving one, and each output is the sum divided by ``win``.
-    """
-    n, before = len(x), win // 2
-    pad = np.zeros(n + win - 1)
-    pad[before:before + n] = x
-    sums = np.empty_like(pad)
-    sums[:win] = pad[:win]
-    np.subtract(pad[win:], pad[:n - 1], out=sums[win:])
-    np.cumsum(sums, out=sums)  # in order, where np.sum adds pairwise
-    means = sums[win - 1:]
-    means /= win
-    return means
-
-
-def _shape_decay(lines: np.ndarray, fs: float, t60: float) -> np.ndarray:
-    """Regularize the summed power envelope toward the target exponential, in place.
-
-    Widely spread delay lines make the output flux oscillate around the
-    ideal decay (energy parks in long lines for a full recirculation). The
-    correction gain is smoothed over 30 ms and clamped to +/- 12 dB, so it
-    removes the gross wobble without touching the fine structure.
-    """
-    n = lines.shape[1]
-    power = np.einsum("ij,ij->j", lines, lines)  # no (lines, n) temporary
-    total = float(power.sum())
-    if total <= 0.0:
-        return lines
-    win = max(int(_SHAPE_WINDOW_S * fs), 1) | 1  # odd: keeps the mean centered
-    # the running-sum filter can round to tiny negatives on signals spanning
-    # many orders of magnitude, so clamp both envelopes at zero
-    actual = np.maximum(_moving_average(power, win), 0.0)
-    ideal = 10.0 ** (-6.0 * np.arange(n) / (fs * t60))
-    ideal *= total / float(ideal.sum())
-    target = np.maximum(_moving_average(ideal, win), 0.0)
-    clamp = 10.0 ** (_SHAPE_CLAMP_DB / 20.0)
-    floor = float(actual.max()) * 1e-20
-    gain = np.sqrt(target / np.maximum(actual, floor))
-    gain = np.clip(gain, 1.0 / clamp, clamp)
-    gain[actual <= floor] = 1.0
-    return np.multiply(lines, gain, out=lines)
-
-
-def _t60_of(config: FdnConfig, gains: np.ndarray) -> float:
-    return -3.0 * float(config.delays[0]) / (config.sample_rate * math.log10(float(gains[0])))
 
 
 def run_fdn(config: FdnConfig, duration: float,
@@ -249,14 +162,12 @@ def run_fdn(config: FdnConfig, duration: float,
     distinct gain set runs once; its line outputs are band-limited with the
     sum of its bands' zero-phase masks, and the groups are summed per line.
     When every band has the same gains the masks sum to 1 and no filtering
-    is needed. Default input is a unit impulse at t = 0, in which case each
-    group's envelope is regularized toward its target decay.
+    is needed. Default input is a unit impulse at t = 0.
     """
     fs = config.sample_rate
     n = int(round(duration * fs))
     if n <= 0:
         raise SceneValidationError("duration must cover at least one sample")
-    impulse_driven = input_signal is None
     if input_signal is None:
         input_signal = np.array([1.0])
     directions = _fibonacci_sphere(config.n_lines)
@@ -264,8 +175,6 @@ def run_fdn(config: FdnConfig, duration: float,
     lines = None
     for g, gains in enumerate(groups):
         out = _run_band(config, gains, n, input_signal)
-        if impulse_driven:
-            out = _shape_decay(out, fs, _t60_of(config, gains))
         if len(groups) > 1:
             out = BandFilter(n, fs, weights[g:g + 1]).apply(out[None])
         lines = out if lines is None else lines + out

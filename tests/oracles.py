@@ -51,7 +51,7 @@ from alodsim.analysis import (
     t30,
 )
 from alodsim.errors import InsufficientDecayError, SceneValidationError
-from alodsim.fdn import _run_band, _shape_decay, _t60_of
+from alodsim.fdn import _run_band
 from alodsim.filterbank import OCTAVE_CENTERS_8, band_masks
 from alodsim.ism import (
     BURST_DECAY_DB,
@@ -72,16 +72,12 @@ def per_band_run_fdn(config, duration, input_signal=None,
     """(n_lines, n) line outputs: one loop run and one masked FFT per band."""
     fs = config.sample_rate
     n = int(round(duration * fs))
-    impulse_driven = input_signal is None
     if input_signal is None:
         input_signal = np.array([1.0])
     masks = band_masks(2 * n, fs, band_centers)
     spectra = None
     for b in range(config.line_gains.shape[1]):
-        gains = config.line_gains[:, b]
-        lines = _run_band(config, gains, n, input_signal)
-        if impulse_driven:
-            lines = _shape_decay(lines, fs, _t60_of(config, gains))
+        lines = _run_band(config, config.line_gains[:, b], n, input_signal)
         contrib = np.fft.rfft(lines, n=2 * n, axis=1) * masks[b][None, :]
         spectra = contrib if spectra is None else spectra + contrib
     return np.fft.irfft(spectra, n=2 * n, axis=1)[:, :n]

@@ -166,6 +166,17 @@ def test_living_room_razr_full_render_makes_three_fdn_runs(living, monkeypatch):
     assert len(calls) == 3
 
 
+def test_coupling_gain_divides_by_the_wall_the_two_rooms_share(living):
+    # a 3 x 2 x 2.71 m hall on the living room's x = 0 wall: the shared wall
+    # is the hall's 2 x 2.71 m face, whichever room the door lists first
+    hall = RoomSpec(id="hall", dims=(3.0, 2.0, 2.71), origin=(-3.0, 1.0, 0.0),
+                    absorption=0.3, decay=DecayTarget(t30_bands=0.8))
+    scene = replace(living, rooms=living.rooms + (hall,))
+    for connects in (("hall", "living-room"), ("living-room", "hall")):
+        door = ApertureSpec(connects=connects, center=(0.0, 2.0, 1.0), width=0.8, height=2.0)
+        assert coupling_gain(scene, door) == pytest.approx((0.8 * 2.0) / (2.0 * 2.71), rel=1e-12)
+
+
 def _with_hall(scene):
     """``scene`` with a hall beside the living room, whose door is listed first."""
     hall = RoomSpec(id="hall", dims=(3.0, 3.78, 2.71), origin=(-3.0, 0.0, 0.0),

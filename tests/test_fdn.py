@@ -9,6 +9,7 @@ from alodsim.analysis import dual_slope_fit, schroeder_edc, t30, t30_bands
 from alodsim.coupled import _room_tail
 from alodsim.errors import InfeasibleTargetError, SceneValidationError
 from alodsim.fdn import (
+    MAX_DELAY_MFP,
     N_LINES,
     FdnConfig,
     _run_band,
@@ -16,7 +17,14 @@ from alodsim.fdn import (
     design_fdn,
     run_fdn,
 )
-from alodsim.scene import DecayTarget, RoomSpec, SecondSlope, preset, profile_preset
+from alodsim.scene import (
+    DecayTarget,
+    RoomSpec,
+    SecondSlope,
+    mean_free_path,
+    preset,
+    profile_preset,
+)
 
 from oracles import per_band_run_fdn
 
@@ -27,9 +35,9 @@ def _living_room():
     return preset("living-room").room("living-room")
 
 
-# the derived injection taps of these delays are (0,), (0, 22), (0, 23, 32)
-# and (0, 14, 34, 42): every line but the shortest is fed at several taps
-MULTI_TAP_DELAYS = (13, 29, 41, 53)
+# spread delays: the longest line is four blocks of min(delay) long, so its
+# feed written ahead lands several blocks past the block that made it
+SPREAD_DELAYS = (13, 29, 41, 53)
 
 
 def _small_config(delays=(13, 17, 19, 23)):
@@ -42,14 +50,10 @@ def _small_config(delays=(13, 17, 19, 23)):
 
 
 def naive_fdn(config, gains, n, input_signal):
-    """Per-sample oracle for the blocked recurrence in fdn._run_band, fed at
-    the injection taps that fdn._input_taps derives from the delays."""
+    """Per-sample oracle for the blocked recurrence in fdn._run_band: one
+    circular buffer per line, fed at the line input."""
     n_lines = config.n_lines
     delays = config.delays
-    offsets = fdn._input_taps(delays)
-    weights = [gains[i] ** (offsets[i] / delays[i]) for i in range(n_lines)]
-    total = sum(float(np.dot(w, w)) for w in weights)
-    scale = config.input_gain * math.sqrt(n_lines / total)
     buffers = [np.zeros(d) for d in delays]
     heads = [0] * n_lines
     out = np.zeros((n_lines, n))
@@ -62,8 +66,7 @@ def naive_fdn(config, gains, n, input_signal):
         for i in range(n_lines):
             buffers[i][heads[i]] = x[i]
             if t < len(input_signal):
-                for off, w in zip(offsets[i], weights[i]):
-                    buffers[i][(heads[i] + off) % delays[i]] += scale * w * input_signal[t]
+                buffers[i][heads[i]] += config.input_gain * input_signal[t]
             heads[i] = (heads[i] + 1) % delays[i]
     return out
 
@@ -97,20 +100,6 @@ def test_line_gains_must_lie_strictly_between_0_and_1(gain):
                   line_gains=gains, sample_rate=FS)
 
 
-def test_input_taps_start_at_the_line_input_and_stay_inside_the_line():
-    # one tap per min(delay) = 13 samples along each line, each jittered by
-    # less than 0.9 * 13 samples: none but the line input below the block
-    delays = np.array([53, 13, 41, 29, 200])
-    taps = fdn._input_taps(delays)
-    assert [t.tolist() for t in taps[:4]] == [[0, 20, 28, 48], [0], [0, 23, 32], [0, 14]]
-    for d, line in zip(delays, taps):
-        assert line[0] == 0 and np.all(np.diff(line) > 0) and line[-1] < d
-        k = np.arange(1, len(line))
-        assert np.all((line[1:] >= 13 * k) & (line[1:] < 13 * k + 0.9 * 13))
-    # the next tap would leave the line: its offset is at least 13 (k + 1)
-    assert all(13 * len(line) + 0.9 * 13 > d for d, line in zip(delays, taps))
-
-
 # ---------------------------------------------------------------------------
 # recurrence correctness
 # ---------------------------------------------------------------------------
@@ -126,8 +115,8 @@ def test_block_recurrence_matches_per_sample_oracle():
     assert np.max(np.abs(fast - slow)) < 1e-12
 
 
-def test_block_recurrence_matches_oracle_with_input_offsets():
-    cfg = _small_config(MULTI_TAP_DELAYS)
+def test_block_recurrence_matches_oracle_with_spread_delays():
+    cfg = _small_config(SPREAD_DELAYS)
     gains = cfg.line_gains[:, 0]
     x = np.random.default_rng(1).standard_normal(60)
     fast = _run_band(cfg, gains, 500, x)
@@ -138,8 +127,8 @@ def test_block_recurrence_matches_oracle_with_input_offsets():
 @st.composite
 def _random_fdn_case(draw):
     n_lines = draw(st.integers(3, 6))
-    # the shortest delay sets the tap spacing; a line at least twice as long
-    # is fed at two taps or more, and the lines come in any order
+    # the shortest delay sets the block size; the longest line spans two
+    # blocks or more, and the lines come in any order
     block = draw(st.integers(2, 14))
     longest = draw(st.integers(max(2 * block, block + n_lines), 4 * block + 8))
     others = draw(st.lists(st.integers(block + 1, longest - 1), min_size=n_lines - 2,
@@ -152,7 +141,6 @@ def _random_fdn_case(draw):
     q = q * np.sign(np.diag(r))
     cfg = FdnConfig(delays=np.array(delays), feedback_matrix=q,
                     line_gains=gains[:, None], sample_rate=FS, input_gain=0.5)
-    assert max(len(line) for line in fdn._input_taps(cfg.delays)) > 1
     n = draw(st.integers(1, 160))
     x = rng.uniform(-1.0, 1.0, draw(st.integers(1, 200)))  # longer or shorter than n
     return cfg, gains, n, x
@@ -167,24 +155,10 @@ def test_block_recurrence_matches_oracle_on_random_configs(case):
     assert np.max(np.abs(fast - slow)) < 1e-12
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(st.integers(1, 3000), st.integers(1, 1500), st.floats(0.0, 12.0),
-       st.integers(0, 2**32 - 1))
-def test_moving_average_equals_uniform_filter1d(n, win, decades, seed):
-    # a decaying power envelope spanning up to 12 decades, as _shape_decay
-    # smooths; n < win and win = 1 included
-    from scipy.ndimage import uniform_filter1d
-
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) ** 2 * 10.0 ** (-decades * np.arange(n) / n)
-    assert np.array_equal(fdn._moving_average(x, win),
-                          uniform_filter1d(x, win, mode="constant"))
-
-
 def test_recurrence_prefix_is_run_length_invariant():
     # the same config must produce a bit-identical prefix regardless of the
     # requested duration (determinism contract)
-    cfg = _small_config(MULTI_TAP_DELAYS)
+    cfg = _small_config(SPREAD_DELAYS)
     gains = cfg.line_gains[:, 0]
     x = np.random.default_rng(2).standard_normal(50)
     short = _run_band(cfg, gains, 300, x)
@@ -233,6 +207,17 @@ def test_design_shortest_delay_tracks_room_height():
     cfg = design_fdn(room, room.decay, FS)
     raw = 2.71 * FS / 343.0  # ~348.4 samples
     assert abs(int(cfg.delays.min()) - raw) < 8  # coprime nudges go upward
+
+
+@pytest.mark.parametrize("name", ["living-room", "pub", "underground"])
+def test_design_delays_rise_to_at_most_max_delay_mfp(name):
+    # a line holds its energy for a whole pass; the underground preset's
+    # longest line once ran 22643 samples, where 4 mean free paths are 4620.
+    # Only the coprime nudge, upward by a few samples, may pass the cap
+    for room in preset(name).rooms:
+        cfg = design_fdn(room, room.decay, FS)
+        assert np.all(np.diff(cfg.delays) > 0)
+        assert cfg.delays.max() < MAX_DELAY_MFP * mean_free_path(room) * FS / 343.0 + 8
 
 
 def test_volume_override_scales_delays():
