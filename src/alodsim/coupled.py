@@ -4,11 +4,11 @@ A coupled pair renders as two parts whose renders are summed
 (``coupled_parts``). Through the door: the source room is simulated to an
 omnidirectional receiver at the door center (stage 1), and its mono response
 becomes the signature of an omnidirectional source there in the receiver
-room (stage 2; ``couple_two_stage``). Beside the door: the occluded direct
-path and, with room details, the receiver room's FDN driven by stage 1's own
-tail through the area-ratio coupling gain, an explicit approximation of true
-coupled-FDN topologies. No signature is convolved onto this part, so stage
-1's tail enters it once.
+room (stage 2). Beside the door: the occluded direct path and, with room
+details, the receiver room's FDN driven by stage 1's own tail through the
+area-ratio coupling gain, an explicit approximation of true coupled-FDN
+topologies. No signature is convolved onto this part, so stage 1's tail
+enters it once.
 
 Each tail junction is decided here: ``splice`` (beside ``_fdn_onset``) and
 the cross-feed share one energy sum and one scale-and-shift step.
@@ -21,10 +21,11 @@ with a broadband attenuation and a first-order lowpass.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import SceneValidationError
+from .errors import InfeasibleTargetError, SceneValidationError
 from .fdn import design_dual_slope, design_fdn, run_fdn
 from .ism import SpatialIR, TailStream, Taps, early_spatial_ir
 from .scene import (
@@ -106,16 +107,20 @@ def splice(early: SpatialIR, tail, *, onset: float, t60: float,
     The tail is scaled so that the combined Schroeder curve at the junction
     sits on the ideal decay anchored at the direct sound: with rho being the
     linear EDC level -60 (onset - t_direct) / T60 dB, the tail's samples are
-    scaled in place to rho / (1 - rho) times the early energy. The early IR
-    carries no signature: a coupled path adds one only after the splice.
+    scaled in place to rho / (1 - rho) times the early energy. An onset at
+    the direct sound leaves the early part no share of the decay (rho -> 1),
+    so it is an ``InfeasibleTargetError``. The early IR carries no
+    signature: a coupled path adds one only after the splice.
     """
+    level_db = -60.0 * max(onset - direct_delay, 0.0) / t60
+    rho = 10.0 ** (level_db / 10.0)
+    if rho >= 1.0 - 1e-9:
+        raise InfeasibleTargetError(
+            f"tail onset {onset * 1e3:.3f} ms is at the direct sound "
+            f"({direct_delay * 1e3:.3f} ms): the tail would hold the whole decay")
     mono = synthesize_mono(early)
     e_early = float(np.dot(mono, mono))
-    level_db = -60.0 * max(onset - direct_delay, 0.0) / t60
-    rho = min(10.0 ** (level_db / 10.0), 1.0 - 1e-9)
-    return SpatialIR(taps=early.taps, sample_rate=early.sample_rate,
-                     tail=_rescaled(tail, rho / (1.0 - rho) * e_early, onset),
-                     signature=early.signature)
+    return replace(early, tail=_rescaled(tail, rho / (1.0 - rho) * e_early, onset))
 
 
 def _room_tail(scene: SceneSpec, profile: RenderingProfile, room,
@@ -160,31 +165,6 @@ def _door_source(aperture: ApertureSpec, toward: np.ndarray) -> SourceSpec:
     return SourceSpec(id="door", position=aperture.center, orientation=d)
 
 
-def _stages(scene: SceneSpec, profile: RenderingProfile, source: SourceSpec,
-            receiver_pos: np.ndarray, duration: float, seeds) -> tuple:
-    """(aperture, stage 1, stage 2 carrying stage 1's response as its signature)."""
-    src_room, rec_room, aperture = _door(scene, source, receiver_pos)
-    stage1 = single_room_ir(scene, profile, source, aperture.center,
-                            src_room, duration, seeds[0], include_panels=False)
-    door = _door_source(aperture, receiver_pos)
-    stage2 = single_room_ir(scene, profile, door, receiver_pos, rec_room,
-                            duration, seeds[1])
-    return aperture, stage1, SpatialIR(taps=stage2.taps, sample_rate=stage2.sample_rate,
-                                       tail=stage2.tail, signature=synthesize_mono(stage1))
-
-
-def couple_two_stage(scene: SceneSpec, profile: RenderingProfile,
-                     source: SourceSpec, receiver_pos: np.ndarray,
-                     duration: float, seed_seq: np.random.SeedSequence) -> SpatialIR:
-    """Two separate single-room simulations chained through the door.
-
-    Stage 1 renders the source room to an omni receiver at the door center
-    (mono); stage 2 renders the receiver room from an omni source at the
-    door center, and carries the stage-1 response as its signature.
-    """
-    return _stages(scene, profile, source, receiver_pos, duration, seed_seq.spawn(2))[2]
-
-
 def coupling_gain(scene: SceneSpec, aperture: ApertureSpec) -> float:
     """k = aperture area / shared wall area (area-ratio coupling rule).
 
@@ -208,25 +188,30 @@ def coupled_parts(scene: SceneSpec, profile: RenderingProfile,
                   seed_seq: np.random.SeedSequence) -> tuple:
     """A coupled pair's IR in parts: through the door, then beside it.
 
-    Through the door is ``couple_two_stage``'s IR; beside it, the occluded
-    direct tap. With room details, the beside part also holds the receiver
-    room's FDN (or its dual-slope pair) driven by k times stage 1's summed
-    tail streams, scaled to k^2 E(stage-2 tail) E(signature): the stage-2
-    tail's energy after the signature, for noise-like content. A direct-only
-    profile gets the direct tap alone, as the door would relay nothing else.
+    Through the door is stage 2, carrying stage 1's mono response as its
+    signature; stage 1 renders the source room without panels. Beside the
+    door is the occluded direct tap. With room details, the beside part also
+    holds the receiver room's FDN (or its dual-slope pair) driven by k times
+    stage 1's summed tail streams, scaled to k^2 E(stage-2 tail) E(signature):
+    the stage-2 tail's energy after the signature, for noise-like content. A
+    direct-only profile gets the direct tap alone, as the door would relay
+    nothing else.
     """
     if profile.direct_only:
         return (occluded_direct_ir(scene, source, receiver),)
-    seeds = seed_seq.spawn(3)  # the first two are spawn(2)'s: couple_two_stage's seeds
-    aperture, stage1, through = _stages(scene, profile, source, receiver.position,
-                                        duration, seeds[:2])
+    src_room, rec_room, aperture = _door(scene, source, receiver.position)
+    stage1_seed, stage2_seed, cross_seed = seed_seq.spawn(3)
+    stage1 = single_room_ir(scene, profile, source, aperture.center, src_room,
+                            duration, stage1_seed, include_panels=False)
+    stage2 = single_room_ir(scene, profile, _door_source(aperture, receiver.position),
+                            receiver.position, rec_room, duration, stage2_seed)
+    through = replace(stage2, signature=synthesize_mono(stage1))
     direct = occluded_direct_ir(scene, source, receiver)
     if not (profile.room_details and stage1.tail and through.tail):
         return through, direct
     k = coupling_gain(scene, aperture)
     drive = k * np.sum([s.samples for s in stage1.tail], axis=0)
-    cross = _room_tail(scene, profile, scene.room_of(receiver.position), duration,
-                       seeds[2], drive=drive)
+    cross = _room_tail(scene, profile, rec_room, duration, cross_seed, drive=drive)
     energy = _energy(through.tail) * float(np.dot(through.signature, through.signature))
     cross = _rescaled(cross, energy, min(s.onset for s in through.tail), k=k)
-    return through, SpatialIR(taps=direct.taps, sample_rate=direct.sample_rate, tail=cross)
+    return through, replace(direct, tail=cross)

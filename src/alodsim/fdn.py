@@ -190,7 +190,9 @@ def design_dual_slope(room: RoomSpec, target: DecayTarget, fs: float,
 
     The target's second slope is slower than its primary and starts below
     -20 dB (``DecayTarget`` and ``SecondSlope`` check both). The secondary
-    input gain follows from the two exponential decay rates: with
+    FDN's band T30s are the primary's scaled by t30_2 / broadband T30, so
+    every band crosses at the same level and one input gain serves them all.
+    That gain follows from the two exponential decay rates: with
     EDC_i(t) = a_i^2 (T_i / k) 10^(-60 t / (10 T_i)), requiring the crossing
     at level L places it at t* = -L T1 / 60 and gives
     20 log10(a2/a1) = L (1 - T1/T2) + 10 log10(T1/T2).
@@ -199,7 +201,7 @@ def design_dual_slope(room: RoomSpec, target: DecayTarget, fs: float,
     t2 = target.second_slope.t30_2
     level = target.second_slope.onset_level_db
     primary = design_fdn(room, target, fs, c=c, seed=seed)
-    secondary_target = DecayTarget(t30_bands=np.full_like(target.t30_bands, t2))
+    secondary_target = DecayTarget(t30_bands=target.t30_bands * (t2 / t1))
     secondary = design_fdn(room, secondary_target, fs, c=c, seed=seed + 1)
     rel_db = level * (1.0 - t1 / t2) + 10.0 * math.log10(t1 / t2)
     gain_ratio = 10.0 ** (rel_db / 20.0)

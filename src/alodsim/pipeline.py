@@ -40,7 +40,6 @@ _DURATION_PADDING_S = 0.25
 @dataclass(frozen=True)
 class SimulationResult:
     ir: ImpulseResponse
-    parts: tuple[SpatialIR, ...]  # build_spatial_ir's parts; ir sums their renders
     source_id: str
     receiver_id: str
     duration: float
@@ -150,6 +149,5 @@ def simulate(scene: SceneSpec, profile: RenderingProfile,
     parts = build_spatial_ir(scene, profile, source.id, receiver.id, duration)
     ir = functools.reduce(_mix, (render_output(part, mode, receiver, hrtf=hrtf, layout=layout)
                                  for part in parts))
-    return SimulationResult(ir=ir, parts=parts, source_id=source.id,
-                            receiver_id=receiver.id, duration=duration,
-                            output_mode=mode)
+    return SimulationResult(ir=ir, source_id=source.id, receiver_id=receiver.id,
+                            duration=duration, output_mode=mode)

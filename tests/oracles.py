@@ -25,6 +25,12 @@ the remaining unit waves block by block, summed over the units.
 handle one direction, image or tap at a time, as the early chain in
 ``alodsim.ism`` did before it carried images and taps as arrays.
 
+``two_stage`` chains two single-room renders through the door: stage 1 to
+the door center without panels, stage 2 from an omni source there carrying
+stage 1's mono response as its signature, with ``spawn(2)``'s seeds. It is
+the part through the door of ``alodsim.coupled.coupled_parts``, whose first
+two seeds are ``spawn(3)``'s first two.
+
 ``dual_slope_fit_per_knee`` solves one ``lstsq`` over the whole span per
 knee level, where ``alodsim.analysis.dual_slope_fit`` scores the knees from
 suffix sums and solves once. ``ned_per_frame`` measures one frame at a
@@ -35,6 +41,7 @@ whole columns.
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.signal import fftconvolve, hilbert
@@ -50,6 +57,7 @@ from alodsim.analysis import (
     schroeder_edc,
     t30,
 )
+from alodsim.coupled import _door_source, single_room_ir
 from alodsim.errors import InsufficientDecayError, SceneValidationError
 from alodsim.fdn import _run_band
 from alodsim.filterbank import OCTAVE_CENTERS_8, band_masks
@@ -64,7 +72,7 @@ from alodsim.ism import (
     reflect_finite_panels,
 )
 from alodsim.spatial import ImpulseResponse, head_frame, vbap_gains
-from alodsim.synth import apply_signature, render_units, spatial_ir_length
+from alodsim.synth import apply_signature, render_units, spatial_ir_length, synthesize_mono
 
 
 def per_band_run_fdn(config, duration, input_signal=None,
@@ -263,6 +271,18 @@ def early_taps_per_tap(scene, profile, source, receiver_pos, room, seed_seq):
         tap["burst_energy"] = tap["burst_energy"] * level**2
     taps.sort(key=lambda t: t["delay"])
     return taps
+
+
+def two_stage(scene, profile, source, receiver_pos, duration, seed_seq):
+    """The two-stage chain through the scene's first door, as one SpatialIR."""
+    aperture = scene.apertures[0]
+    stage1_seed, stage2_seed = seed_seq.spawn(2)
+    stage1 = single_room_ir(scene, profile, source, aperture.center,
+                            scene.room_of(source.position), duration, stage1_seed,
+                            include_panels=False)
+    stage2 = single_room_ir(scene, profile, _door_source(aperture, receiver_pos),
+                            receiver_pos, scene.room_of(receiver_pos), duration, stage2_seed)
+    return replace(stage2, signature=synthesize_mono(stage1))
 
 
 def dual_slope_fit_per_knee(edc):

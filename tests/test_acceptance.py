@@ -13,7 +13,7 @@ import pytest
 
 from alodsim import preset, profile_preset, simulate
 from alodsim.analysis import dual_slope_fit, ned, schroeder_edc, t30
-from alodsim.coupled import _door_source, couple_two_stage, single_room_ir
+from alodsim.coupled import _door_source, coupled_parts, single_room_ir
 from alodsim.filterbank import OCTAVE_CENTERS_8, band_energies, band_masks
 from alodsim.ism import enumerate_images
 from alodsim.postproc import match_spectrum
@@ -193,8 +193,8 @@ def test_criterion_06_two_stage_coupling(capsys, living_scene):
     duration = 1.2
     fs = living_scene.sample_rate
 
-    two = couple_two_stage(living_scene, profile, source, receiver, duration,
-                           np.random.SeedSequence([42]))
+    two = coupled_parts(living_scene, profile, source, living_scene.receivers[0], duration,
+                        np.random.SeedSequence([42]))[0]
     mono = synthesize_mono(two)
     idx = first_arrival(mono, fs)
     expected = 5.7 / living_scene.speed_of_sound * fs

@@ -7,14 +7,13 @@ from alodsim import coupled, pipeline
 from alodsim.analysis import schroeder_edc, t30
 from alodsim.coupled import (
     _door_source,
-    couple_two_stage,
     coupled_parts,
     coupling_gain,
     occluded_direct_ir,
     single_room_ir,
     splice,
 )
-from alodsim.errors import SceneValidationError
+from alodsim.errors import InfeasibleTargetError, SceneValidationError
 from alodsim.fdn import N_LINES
 from alodsim.ism import SpatialIR, TailStream, Taps
 from alodsim.pipeline import build_spatial_ir, render_output, simulate
@@ -28,6 +27,8 @@ from alodsim.scene import (
 )
 from alodsim.spatial import array_preset_86, synthetic_hrtf
 from alodsim.synth import synthesize_mono
+
+from oracles import two_stage
 
 
 @pytest.fixture(scope="module")
@@ -48,16 +49,16 @@ def test_coupling_gain_is_area_ratio(living):
 
 
 def test_unit_door_signature_reduces_to_receiver_room(living):
-    """couple_two_stage with a unit-impulse signature must equal the plain
-    receiver-room simulation run from a source at the door."""
+    """The part through the door with a unit-impulse signature must equal the
+    plain receiver-room simulation run from a source at the door."""
     profile = profile_preset("razr-simple")
     src = _target(living)
     rec = living.receivers[0].position
     duration = 0.8
 
     root_a = np.random.SeedSequence([42])
-    unit = replace(couple_two_stage(living, profile, src, rec, duration, root_a),
-                   signature=np.array([1.0]))
+    through = coupled_parts(living, profile, src, living.receivers[0], duration, root_a)[0]
+    unit = replace(through, signature=np.array([1.0]))
 
     root_b = np.random.SeedSequence([42])
     _, stage2_seed = root_b.spawn(2)
@@ -81,7 +82,7 @@ def test_two_stage_signature_is_stage_one_response(living):
     duration = 0.6
 
     root = np.random.SeedSequence([7])
-    coupled = couple_two_stage(living, profile, src, rec, duration, root)
+    coupled = coupled_parts(living, profile, src, living.receivers[0], duration, root)[0]
 
     root_b = np.random.SeedSequence([7])
     stage1_seed, _ = root_b.spawn(2)
@@ -97,7 +98,7 @@ def test_full_coupling_without_fdn_equals_two_stage(living):
     src, rec = _target(living), living.receivers[0]
     a, beside = coupled_parts(living, profile, src, rec, 0.5, np.random.SeedSequence([1]))
     # coupled_parts spawns 3 children, and the first two are spawn(2)'s
-    b = couple_two_stage(living, profile, src, rec.position, 0.5, np.random.SeedSequence([1]))
+    b = two_stage(living, profile, src, rec.position, 0.5, np.random.SeedSequence([1]))
     assert np.array_equal(synthesize_mono(a), synthesize_mono(b))
     assert not beside.tail
 
@@ -111,7 +112,7 @@ def test_full_coupling_without_a_receiver_room_decay_equals_two_stage(living):
     profile = profile_preset("razr-full")
     src, rec = _target(scene), scene.receivers[0]
     a, beside = coupled_parts(scene, profile, src, rec, 0.5, np.random.SeedSequence([1]))
-    b = couple_two_stage(scene, profile, src, rec.position, 0.5, np.random.SeedSequence([1]))
+    b = two_stage(scene, profile, src, rec.position, 0.5, np.random.SeedSequence([1]))
     assert a.tail == () and b.tail == () and beside.tail == ()
     assert np.array_equal(synthesize_mono(a), synthesize_mono(b))
     assert np.array_equal(a.signature, b.signature)
@@ -123,7 +124,7 @@ def test_full_coupling_adds_cross_fed_tail(living):
     profile = profile_preset("razr-full")
     src, rec = _target(living), living.receivers[0]
     through, beside = coupled_parts(living, profile, src, rec, 0.6, np.random.SeedSequence([1]))
-    base = couple_two_stage(living, profile, src, rec.position, 0.6, np.random.SeedSequence([1]))
+    base = two_stage(living, profile, src, rec.position, 0.6, np.random.SeedSequence([1]))
     direct = occluded_direct_ir(living, src, rec)
     assert len(beside.tail) > len(direct.tail)
     # the part through the door is two-stage coupling's IR, unchanged
@@ -209,10 +210,10 @@ def test_coupling_requires_an_aperture_between_the_two_rooms(living):
 def test_coupling_requires_different_rooms(living):
     profile = profile_preset("razr-full")
     masker = next(s for s in living.sources if s.id == "masker")
-    rec = living.receivers[0].position  # same room as the masker
+    rec = living.receivers[0]  # same room as the masker
     with pytest.raises(SceneValidationError):
-        couple_two_stage(living, profile, masker, rec, 0.5,
-                         np.random.SeedSequence([0]))
+        coupled_parts(living, profile, masker, rec, 0.5,
+                      np.random.SeedSequence([0]))
 
 
 def test_array_render_sums_coupled_part_and_occluded_direct(living):
@@ -318,6 +319,23 @@ def test_splice_scales_tail_to_the_decay_curve():
     rho = 10.0 ** (-60.0 * (onset - direct_delay) / t60 / 10.0)
     assert e_tail == pytest.approx(rho / (1.0 - rho) * e_early, rel=1e-9)
     assert out.tail[0].onset == pytest.approx(onset)
+
+
+def test_splice_rejects_a_tail_onset_at_the_direct_sound():
+    # a source 22 m down a 2 m wide corridor: the direct sound arrives after
+    # four mean free paths, so the tail onset is clamped to it, where the
+    # ideal decay would leave the early part no energy
+    pub = preset("pub")
+    room = replace(pub.rooms[0], dims=np.array([30.0, 2.0, 2.5]), volume_override=None)
+    target = replace(pub.sources[0], position=np.array([25.0, 1.0, 1.2]),
+                     orientation=np.array([-1.0, 0.0, 0.0]))
+    masker = replace(pub.sources[1], position=np.array([3.0, 0.5, 1.2]))
+    listener = replace(pub.receivers[0], position=np.array([3.0, 1.0, 1.2]),
+                       orientation=np.array([1.0, 0.0, 0.0]))
+    scene = replace(pub, rooms=(room,), panels=(), sources=(target, masker),
+                    receivers=(listener,))
+    with pytest.raises(InfeasibleTargetError, match=r"onset 64\.140 ms .* \(64\.140 ms\)"):
+        simulate(scene, profile_preset("razr-full"), output_mode="mono")
 
 
 def test_splice_junction_is_continuous(living_masker_mono):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -321,6 +322,21 @@ def test_dual_slope_secondary_gain_formula():
     rel_db = level * (1.0 - t1 / t2) + 10.0 * math.log10(t1 / t2)
     expected = primary.input_gain * 10.0 ** (rel_db / 20.0)
     assert secondary.input_gain == pytest.approx(expected, rel=1e-12)
+
+
+def _line_t60(config):
+    """(lines, bands) T60 that each line gain realizes over its delay."""
+    return -3.0 * config.delays[:, None] / (config.sample_rate * np.log10(config.line_gains))
+
+
+def test_dual_slope_secondary_scales_every_band_t30():
+    # per-band primary T30s: each band's second slope is its own T30 times
+    # t2 / t1, so every band meets its knee where the broadband rule puts it
+    room = preset("underground").rooms[0]
+    target = replace(room.decay, t30_bands=1.6 * np.geomspace(1.4, 0.55, 8))
+    primary, secondary = design_dual_slope(room, target, FS)
+    ratio = target.second_slope.t30_2 / target.broadband_t30
+    np.testing.assert_allclose(_line_t60(secondary), _line_t60(primary) * ratio, rtol=1e-9)
 
 
 def test_dual_slope_tail_knee_and_slopes():
