@@ -36,6 +36,7 @@ from .errors import (
 from .pipeline import simulate
 from .postproc import match_spectrum
 from .scene import (
+    OUTPUT_MODES,
     parse_document,
     parse_scene,
     preset,
@@ -228,10 +229,8 @@ def _cmd_stimulus(args) -> int:
             stim = pink_pulse_variant(BandLevels(offsets_db=offsets), **timing)
         else:
             stim = pink_pulse(**timing)
-    elif args.kind == "sweep":
+    else:  # "sweep", the only other choice argparse lets through
         stim = ess_generate(f1=args.f1, f2=args.f2, **timing)
-    else:
-        raise SceneParseError(f"unknown stimulus kind {args.kind!r}")
     write_wav(args.out, stim.samples, stim.sample_rate)
     print(f"wrote {args.out} ({stim.samples.size} samples)")
     return 0
@@ -303,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="random seed (default: the scene's own; 0 for a preset)")
     sim.add_argument("--source", help="source id (default: first)")
     sim.add_argument("--duration", type=float, help="tail length override (s)")
-    sim.add_argument("--output-mode", choices=("binaural", "array", "diotic", "mono"))
+    sim.add_argument("--output-mode", choices=OUTPUT_MODES)
     sim.add_argument("--hrtf", help=f"HRTF directory (default ${HRTF_ENV_VAR})")
     sim.add_argument("--layout", help="loudspeaker layout JSON or '86-preset'")
     sim.add_argument("--manifest", help="manifest path (default <out>.manifest.json)")

@@ -11,7 +11,7 @@ topologies. No signature is convolved onto this part, so stage 1's tail
 enters it once.
 
 Each tail junction is decided here: ``splice`` (beside ``_fdn_onset``) and
-the cross-feed share one energy sum and one scale-and-shift step.
+the cross-feed share one energy sum and one scale step and set ``tail_onset``.
 
 The occluded direct path (edge diffraction around the door frame) is
 replaced by a documented stand-in: a single tap at the known path length
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasibleTargetError, SceneValidationError
 from .fdn import design_dual_slope, design_fdn, run_fdn
-from .ism import SpatialIR, TailStream, Taps, early_spatial_ir
+from .ism import SpatialIR, Taps, early_spatial_ir
 from .scene import (
     ApertureSpec,
     BAND_CENTERS,
@@ -92,12 +92,13 @@ def _energy(streams) -> float:
     return sum(float(np.dot(s.samples, s.samples)) for s in streams)
 
 
-def _rescaled(streams, energy: float, onset: float, k: float = 1.0) -> tuple:
-    """``streams`` scaled in place to a total of k^2 ``energy``, delayed by ``onset``."""
+def _rescaled(streams, energy: float, k: float = 1.0) -> tuple:
+    """``streams``, their samples scaled in place to a total of k^2 ``energy``."""
     raw = _energy(streams)
     scale = math.sqrt(energy / raw) * k if raw > 0 else 0.0
-    return tuple(TailStream(samples=np.multiply(s.samples, scale, out=s.samples),
-                            onset=onset + s.onset, direction=s.direction) for s in streams)
+    for s in streams:
+        np.multiply(s.samples, scale, out=s.samples)
+    return tuple(streams)
 
 
 def splice(early: SpatialIR, tail, *, onset: float, t60: float,
@@ -107,10 +108,11 @@ def splice(early: SpatialIR, tail, *, onset: float, t60: float,
     The tail is scaled so that the combined Schroeder curve at the junction
     sits on the ideal decay anchored at the direct sound: with rho being the
     linear EDC level -60 (onset - t_direct) / T60 dB, the tail's samples are
-    scaled in place to rho / (1 - rho) times the early energy. An onset at
-    the direct sound leaves the early part no share of the decay (rho -> 1),
-    so it is an ``InfeasibleTargetError``. The early IR carries no
-    signature: a coupled path adds one only after the splice.
+    scaled in place to rho / (1 - rho) times the early energy, and the tail
+    starts at ``onset`` (the result's ``tail_onset``). An onset at the direct
+    sound leaves the early part no share of the decay (rho -> 1), so it is
+    an ``InfeasibleTargetError``. The early IR carries no signature: a
+    coupled path adds one only after the splice.
     """
     level_db = -60.0 * max(onset - direct_delay, 0.0) / t60
     rho = 10.0 ** (level_db / 10.0)
@@ -120,7 +122,7 @@ def splice(early: SpatialIR, tail, *, onset: float, t60: float,
             f"({direct_delay * 1e3:.3f} ms): the tail would hold the whole decay")
     mono = synthesize_mono(early)
     e_early = float(np.dot(mono, mono))
-    return replace(early, tail=_rescaled(tail, rho / (1.0 - rho) * e_early, onset))
+    return replace(early, tail=_rescaled(tail, rho / (1.0 - rho) * e_early), tail_onset=onset)
 
 
 def _room_tail(scene: SceneSpec, profile: RenderingProfile, room,
@@ -193,9 +195,9 @@ def coupled_parts(scene: SceneSpec, profile: RenderingProfile,
     door is the occluded direct tap. With room details, the beside part also
     holds the receiver room's FDN (or its dual-slope pair) driven by k times
     stage 1's summed tail streams, scaled to k^2 E(stage-2 tail) E(signature):
-    the stage-2 tail's energy after the signature, for noise-like content. A
-    direct-only profile gets the direct tap alone, as the door would relay
-    nothing else.
+    the stage-2 tail's energy after the signature, for noise-like content.
+    It starts at the stage-2 tail's onset. A direct-only profile gets the
+    direct tap alone, as the door would relay nothing else.
     """
     if profile.direct_only:
         return (occluded_direct_ir(scene, source, receiver),)
@@ -210,8 +212,8 @@ def coupled_parts(scene: SceneSpec, profile: RenderingProfile,
     if not (profile.room_details and stage1.tail and through.tail):
         return through, direct
     k = coupling_gain(scene, aperture)
-    drive = k * np.sum([s.samples for s in stage1.tail], axis=0)
+    drive = k * sum(s.samples for s in stage1.tail)
     cross = _room_tail(scene, profile, rec_room, duration, cross_seed, drive=drive)
     energy = _energy(through.tail) * float(np.dot(through.signature, through.signature))
-    cross = _rescaled(cross, energy, min(s.onset for s in through.tail), k=k)
-    return through, replace(direct, tail=cross)
+    return through, replace(direct, tail=_rescaled(cross, energy, k=k),
+                            tail_onset=through.tail_onset)

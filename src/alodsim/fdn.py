@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InfeasibleTargetError, SceneValidationError
 from .filterbank import BandFilter, band_groups
 from .ism import TailStream
-from .scene import DecayTarget, RoomSpec, _set, mean_free_path, volume
+from .scene import DecayTarget, RoomSpec, _set, mean_free_path, sample_count, volume
 
 N_LINES = 12
 # the longest line holds a pass of its energy for at most this many mean
@@ -162,12 +162,10 @@ def run_fdn(config: FdnConfig, duration: float,
     distinct gain set runs once; its line outputs are band-limited with the
     sum of its bands' zero-phase masks, and the groups are summed per line.
     When every band has the same gains the masks sum to 1 and no filtering
-    is needed. Default input is a unit impulse at t = 0.
+    is needed. The input (default: a unit impulse) and the streams start at t = 0.
     """
     fs = config.sample_rate
-    n = int(round(duration * fs))
-    if n <= 0:
-        raise SceneValidationError("duration must cover at least one sample")
+    n = sample_count(duration, fs, "duration")
     if input_signal is None:
         input_signal = np.array([1.0])
     directions = _fibonacci_sphere(config.n_lines)
@@ -178,10 +176,7 @@ def run_fdn(config: FdnConfig, duration: float,
         if len(groups) > 1:
             out = BandFilter(n, fs, weights[g:g + 1]).apply(out[None])
         lines = out if lines is None else lines + out
-    return [
-        TailStream(samples=lines[i], onset=0.0, direction=directions[i])
-        for i in range(config.n_lines)
-    ]
+    return [TailStream(samples=lines[i], direction=directions[i]) for i in range(config.n_lines)]
 
 
 def design_dual_slope(room: RoomSpec, target: DecayTarget, fs: float,

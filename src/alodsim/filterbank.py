@@ -4,8 +4,10 @@ Bands are realized as raised-cosine magnitude masks on the rFFT grid with
 crossovers on a log-frequency axis. The masks of a bank sum to exactly 1 at
 every bin, so per-band buffers that carry identical gains recombine into the
 original broadband signal. Every band-limiting step in the package goes
-through :class:`BandFilter`, and every linear convolution through
-:func:`fftconvolve` or, for many waves summed, :func:`partitioned_convolve`.
+through :class:`BandFilter`, every log-frequency raised cosine through
+:func:`log_ramp`, every set of band edges through :func:`band_edges`, and
+every linear convolution through :func:`fftconvolve` or, for many waves
+summed, :func:`partitioned_convolve`.
 """
 
 from __future__ import annotations
@@ -24,11 +26,18 @@ OCTAVE_CENTERS_10 = (
 CROSSOVER_OCTAVES = 1.0 / 3.0
 
 
-def _smooth_step(log_f: np.ndarray, log_edge: float, half_width: float) -> np.ndarray:
-    """Raised-cosine step rising 0 -> 1 around ``log_edge`` (log2 frequency)."""
-    x = (log_f - (log_edge - half_width)) / (2.0 * half_width)
-    x = np.clip(x, 0.0, 1.0)
+def log_ramp(log_f: np.ndarray, start: float, width: float) -> np.ndarray:
+    """Raised-cosine ramp on a log2-frequency axis: 0 at ``start``, 1 at
+    ``start + width`` (both in log2 units), constant beyond either end. A
+    negative ``width`` makes it fall toward higher frequencies."""
+    x = np.clip((log_f - start) / width, 0.0, 1.0)
     return 0.5 - 0.5 * np.cos(np.pi * x)
+
+
+def band_edges(centers) -> np.ndarray:
+    """The geometric midpoints between neighboring band centers."""
+    centers = np.asarray(centers, dtype=float)
+    return np.sqrt(centers[:-1] * centers[1:])
 
 
 def band_masks(n_fft: int, fs: float, centers=OCTAVE_CENTERS_8) -> np.ndarray:
@@ -37,13 +46,11 @@ def band_masks(n_fft: int, fs: float, centers=OCTAVE_CENTERS_8) -> np.ndarray:
     Band ``i`` spans the geometric-midpoint edges between neighboring
     centers; the lowest band extends to DC and the highest to Nyquist.
     """
-    centers = np.asarray(centers, dtype=float)
     freqs = np.fft.rfftfreq(n_fft, 1.0 / fs)
     log_f = np.log2(np.maximum(freqs, 1e-6))
-    edges = np.sqrt(centers[:-1] * centers[1:])
-    half_width = CROSSOVER_OCTAVES / 2.0
-
-    steps = [_smooth_step(log_f, np.log2(e), half_width) for e in edges]
+    edges = band_edges(centers)
+    steps = [log_ramp(log_f, np.log2(e) - CROSSOVER_OCTAVES / 2.0, CROSSOVER_OCTAVES)
+             for e in edges]
     masks = np.empty((len(centers), freqs.size))
     lower = np.ones_like(freqs)  # step at the band's lower edge (1 for band 0)
     for i in range(len(centers)):

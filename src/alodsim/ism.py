@@ -99,7 +99,6 @@ class TailStream:
     """One direction-labeled stream of the diffuse tail."""
 
     samples: np.ndarray
-    onset: float  # seconds
     direction: np.ndarray  # unit vector (apparent incidence)
 
 
@@ -110,6 +109,7 @@ class SpatialIR:
     taps: Taps  # sorted by delay on construction
     sample_rate: float
     tail: tuple = ()
+    tail_onset: float = 0.0  # seconds; every tail stream starts here
     # Optional mono kernel convolved into every rendered channel (used by the
     # two-stage room coupling to inject the source-room response).
     signature: Optional[np.ndarray] = None

@@ -10,7 +10,6 @@ one SeedSequence rooted at the scene seed, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +18,7 @@ import numpy as np
 from .coupled import coupled_parts, single_room_ir
 from .errors import SceneValidationError
 from .ism import SpatialIR
-from .scene import ReceiverSpec, RenderingProfile, SceneSpec
+from .scene import ReceiverSpec, RenderingProfile, SceneSpec, sample_count
 from .spatial import (
     HrtfSet,
     ImpulseResponse,
@@ -86,14 +85,13 @@ def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
     is one part. A coupled pair is ``coupled_parts``: the part through the
     door carries the door signature and no direct sound; the part beside it
     holds the occluded direct sound and any cross-fed tail. The tails last
-    ``duration`` seconds (default ``default_duration``).
+    ``duration`` seconds (default ``default_duration``; ``sample_count`` checks it).
     """
     source = _pick(scene.sources, source_id, "source")
     receiver = _pick(scene.receivers, receiver_id, "receiver")
     if duration is None:
         duration = default_duration(scene, profile)
-    elif not (math.isfinite(duration) and duration > 0.0):
-        raise SceneValidationError(f"duration must be finite and > 0 s, got {duration}")
+    sample_count(duration, scene.sample_rate, "duration")
     root = np.random.SeedSequence(
         [scene.rng_seed, scene.sources.index(source), scene.receivers.index(receiver)]
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MatchInfeasibleError, RateMismatchError
-from .filterbank import fftconvolve
+from .filterbank import fftconvolve, log_ramp
 from .spatial import ImpulseResponse
 
 DEFAULT_RANGE_HZ = (100.0, 16000.0)
@@ -68,14 +68,10 @@ def minimum_phase_fir(magnitude: np.ndarray, n_taps: int) -> np.ndarray:
 
 def _smooth_edge(freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """1 inside [lo, hi], raised-cosine rolloff over 1/3 octave outside."""
-    w = np.ones_like(freqs)
-    third = 2.0 ** (1.0 / 3.0)
-    with np.errstate(divide="ignore"):
-        log_f = np.log2(np.maximum(freqs, 1e-6))
-    lo_edge = (log_f - np.log2(lo / third)) / (np.log2(lo) - np.log2(lo / third))
-    hi_edge = (np.log2(hi * third) - log_f) / (np.log2(hi * third) - np.log2(hi))
-    w = np.minimum(np.clip(lo_edge, 0.0, 1.0), np.clip(hi_edge, 0.0, 1.0))
-    return 0.5 - 0.5 * np.cos(np.pi * w)
+    log_f = np.log2(np.maximum(freqs, 1e-6))
+    below, above = np.log2(lo / 2.0 ** (1.0 / 3.0)), np.log2(hi * 2.0 ** (1.0 / 3.0))
+    return np.minimum(log_ramp(log_f, below, np.log2(lo) - below),
+                      log_ramp(log_f, above, np.log2(hi) - above))
 
 
 def _smoothed_difference_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse) -> np.ndarray:

@@ -26,6 +26,8 @@ DEFAULT_SPEED_OF_SOUND = 343.0
 DEFAULT_SCATTERING = 0.3  # broadband scattering used by all presets
 CONTAINS_TOL_M = 1e-9  # a point this far outside a room's walls is still in it
 MAX_LEVEL_DB = 1000.0  # far beyond any sound; the squared linear gain stays finite
+MAX_SAMPLES = 1 << 25  # samples per channel of any signal: 12.7 min at 44.1 kHz
+OUTPUT_MODES = ("binaural", "array", "diotic", "mono")
 
 # Wall order used for per-surface absorption: (x=0, x=Lx, y=0, y=Ly, z=0, z=Lz)
 WALL_NAMES = ("x0", "x1", "y0", "y1", "z0", "z1")
@@ -46,6 +48,18 @@ def _finite(value, what: str, positive: bool = False) -> None:
     if not ok:
         raise SceneValidationError(
             f"{what} must be a finite{' positive' if positive else ''} number, got {value!r}")
+
+
+def sample_count(seconds: float, fs: float, what: str) -> int:
+    """round(``seconds`` x ``fs``) for both finite and > 0, checked to lie in
+    [1, MAX_SAMPLES] before anything that long exists."""
+    _finite(fs, "sample rate", positive=True)
+    _finite(seconds, what, positive=True)
+    n = round(min(seconds * fs, MAX_SAMPLES + 1.0))
+    if not 1 <= n <= MAX_SAMPLES:
+        raise SceneValidationError(
+            f"{what} of {seconds} s at {fs} Hz must come to 1 .. {MAX_SAMPLES} samples")
+    return n
 
 
 def _vec(v) -> np.ndarray:
@@ -357,12 +371,12 @@ class RenderingProfile:
     ism_order: int = 3
     fdn_enabled: bool = True
     room_details: bool = True
-    output_mode: str = "binaural"  # binaural | array | diotic | mono
+    output_mode: str = "binaural"  # one of OUTPUT_MODES
 
     def __post_init__(self):
         if self.ism_order < 0:
             raise SceneValidationError("ism_order must be >= 0")
-        if self.output_mode not in ("binaural", "array", "diotic", "mono"):
+        if self.output_mode not in OUTPUT_MODES:
             raise SceneValidationError(f"unknown output_mode {self.output_mode!r}")
 
     @property

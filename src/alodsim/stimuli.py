@@ -4,7 +4,7 @@ The pink pulse is built in the frequency domain (1/sqrt(f) magnitude from
 50 Hz to Nyquist, raised-cosine rolloff over the octave below 50 Hz) and
 reconstructed with minimum phase. Its envelope is required to fall to
 -60 dBFS within 36 ms; if the raw construction misses that, an exponential
-gain ramp enforces it and the stimulus is flagged.
+gain ramp enforces it. Its length and a sweep's come from ``scene.sample_count``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import RateMismatchError, SceneValidationError
-from .filterbank import OCTAVE_CENTERS_8, OCTAVE_CENTERS_10, band_energies, fftconvolve
+from .filterbank import (OCTAVE_CENTERS_8, OCTAVE_CENTERS_10, band_edges, band_energies,
+                         fftconvolve, log_ramp)
 from .postproc import minimum_phase_fir
+from .scene import sample_count
 from .spatial import ImpulseResponse
 
 PINK_LOW_EDGE_HZ = 50.0
@@ -33,7 +35,6 @@ class Stimulus:
     samples: np.ndarray
     sample_rate: float
     kind: str
-    envelope_enforced: bool = False
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -63,14 +64,6 @@ class BandLevels:
         object.__setattr__(self, "offsets_db", offsets)
 
 
-def _sample_count(duration: float, fs: float) -> int:
-    """Samples in ``duration`` seconds at ``fs`` Hz, both finite and > 0."""
-    for name, value in (("sample rate", fs), ("duration", duration)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise SceneValidationError(f"{name} must be finite and > 0, got {value}")
-    return int(round(duration * fs))
-
-
 def _envelope_db(x: np.ndarray, fs: float) -> np.ndarray:
     # magnitude of the analytic signal: the spectrum's positive frequencies
     # doubled, its negative ones zeroed, DC and (for even n) Nyquist kept
@@ -87,28 +80,19 @@ def _envelope_db(x: np.ndarray, fs: float) -> np.ndarray:
 
 
 def _pink_magnitude(freqs: np.ndarray, offsets: Optional[BandLevels]) -> np.ndarray:
-    mag = np.zeros_like(freqs)
-    above = freqs >= PINK_LOW_EDGE_HZ
-    mag[above] = 1.0 / np.sqrt(freqs[above])
-    # raised-cosine rolloff over the octave below the low edge
-    roll = (freqs >= PINK_LOW_EDGE_HZ / 2.0) & ~above
-    x = (np.log2(freqs[roll] / (PINK_LOW_EDGE_HZ / 2.0)))  # 0..1 over the octave
-    mag[roll] = (0.5 - 0.5 * np.cos(np.pi * x)) / np.sqrt(PINK_LOW_EDGE_HZ)
+    # 1/sqrt(f) from the low edge up, rolled off over the octave below it
+    octaves = np.log2(np.maximum(freqs, 1e-6) / (PINK_LOW_EDGE_HZ / 2.0))
+    mag = log_ramp(octaves, 0.0, 1.0) / np.sqrt(np.maximum(freqs, PINK_LOW_EDGE_HZ))
     if offsets is not None:
-        centers = np.asarray(OCTAVE_CENTERS_10)
-        edges = np.sqrt(centers[:-1] * centers[1:])
-        band = np.digitize(freqs, edges)
         gains = 10.0 ** (np.asarray(offsets.offsets_db) / 20.0)
-        mag *= gains[band]
+        mag *= gains[np.digitize(freqs, band_edges(OCTAVE_CENTERS_10))]
     return mag
 
 
 def _enforce_envelope(x: np.ndarray, fs: float):
-    n = x.size
     deadline = int(round(ENVELOPE_DEADLINE_S * fs))
     probe = max(int(round(2e-3 * fs)), 1)
-    t = np.arange(n) / fs
-    enforced = False
+    t = np.arange(x.size) / fs
     for _ in range(8):
         env = _envelope_db(x, fs)
         at_deadline = float(np.max(env[deadline: deadline + probe]))
@@ -118,13 +102,12 @@ def _enforce_envelope(x: np.ndarray, fs: float):
         rate_db_per_s = (at_deadline - ENVELOPE_FLOOR_DB + 3.0) / ENVELOPE_DEADLINE_S
         x = x * 10.0 ** (-rate_db_per_s * t / 20.0)
         x = x / np.max(np.abs(x))
-        enforced = True
-    return x, enforced
+    return x
 
 
 def _build_pulse(fs: float, duration: float, offsets: Optional[BandLevels],
                  kind: str) -> Stimulus:
-    n = _sample_count(duration, fs)
+    n = sample_count(duration, fs, "duration")
     if fs < 8000.0:
         raise SceneValidationError("sample rate must be >= 8 kHz")
     if n < int(round(ENVELOPE_DEADLINE_S * fs)) + 1:
@@ -140,28 +123,25 @@ def _build_pulse(fs: float, duration: float, offsets: Optional[BandLevels],
     # iterate a measured per-band correction until the residual is < 0.05 dB.
     centers = np.asarray(OCTAVE_CENTERS_8)
     usable = centers[centers < fs / 2.0]
-    edges = np.sqrt(usable[:-1] * usable[1:])
-    band_of = np.digitize(freqs, edges)
+    band_of = np.digitize(freqs, band_edges(usable))
     interior = np.arange(1, usable.size - 1)
     targets = np.zeros(usable.size)
     if offsets is not None:
         off = dict(zip(OCTAVE_CENTERS_10, offsets.offsets_db))
         targets = np.array([off.get(c, 0.0) for c in usable])
     corr_db = np.zeros(usable.size)
-    x, enforced = np.zeros(n), False
     for _ in range(6):
         gains = 10.0 ** (corr_db[band_of] / 20.0)
         x = minimum_phase_fir(mag * gains, n)
         x = x / np.max(np.abs(x))
-        x, enforced = _enforce_envelope(x, fs)
+        x = _enforce_envelope(x, fs)
         meas = 10.0 * np.log10(band_energies(x, fs, centers=tuple(usable)))
         err = (meas - targets)[interior]
         err = err - err.mean()
         if np.max(np.abs(err)) < 0.05:
             break
         corr_db[interior] -= err
-    return Stimulus(samples=x, sample_rate=fs, kind=kind,
-                    envelope_enforced=enforced)
+    return Stimulus(samples=x, sample_rate=fs, kind=kind)
 
 
 def pink_pulse(fs: float = 44100.0, duration: float = 0.5) -> Stimulus:
@@ -186,11 +166,9 @@ def convolve(stimulus: Stimulus, ir: ImpulseResponse) -> np.ndarray:
 def ess_generate(f1: float = 100.0, f2: float = 22050.0, duration: float = 3.2,
                  fs: float = 44100.0) -> Stimulus:
     """Exponential sine sweep (Farina), with short raised-cosine fades."""
-    n = _sample_count(duration, fs)
+    n = sample_count(duration, fs, "duration")
     if not (0.0 < f1 < f2 <= fs / 2.0):
         raise SceneValidationError("require 0 < f1 < f2 <= fs/2")
-    if n < 1:
-        raise SceneValidationError(f"sweep must last at least one sample, got {duration} s")
     t = np.arange(n) / fs
     rate = math.log(f2 / f1)
     x = np.sin(2.0 * math.pi * f1 * duration / rate * (np.exp(t * rate / duration) - 1.0))

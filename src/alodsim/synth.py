@@ -9,7 +9,8 @@ to 1: it stays an impulse, which the caller scatters straight into its
 output channels. Each diffuse burst is one broadband wave, drawn once, in a
 chunk of bursts, and added in tap order into every unit it reaches. Only
 band-dependent specular taps are band-filtered, through one buffer per band
-and unit over the early extent of the IR. Tail streams come last.
+and unit over the early extent of the IR. Tail streams come last, all from
+the IR's ``tail_onset``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
+from .errors import SceneValidationError
 from .filterbank import BandFilter, OCTAVE_CENTERS_8, fftconvolve
 from .ism import SpatialIR, burst_waves
+from .scene import MAX_SAMPLES
 
 
 def _kernel_margin(fs: float) -> int:
@@ -35,15 +38,18 @@ def _band_filtered(taps) -> np.ndarray:
 
 def spatial_ir_length(spatial_ir: SpatialIR) -> int:
     """Sample count needed to hold every tap, burst and tail stream; taps with
-    band-dependent amplitudes are followed by the kernel margin."""
+    band-dependent amplitudes are followed by the kernel margin. A count
+    above ``MAX_SAMPLES`` is rejected before any wave is allocated."""
     fs = spatial_ir.sample_rate
     taps = spatial_ir.taps
     t_end = np.max(taps.delay + taps.burst_duration, initial=0.0)
     n = int(math.ceil(t_end * fs)) + 1
     if _band_filtered(taps).any():
         n += _kernel_margin(fs)
-    for stream in spatial_ir.tail:
-        n = max(n, int(round(stream.onset * fs)) + len(stream.samples))
+    for stream in spatial_ir.tail:  # each starts at the one tail onset
+        n = max(n, int(round(spatial_ir.tail_onset * fs)) + len(stream.samples))
+    if n > MAX_SAMPLES:
+        raise SceneValidationError(f"the IR would hold {n} samples, more than {MAX_SAMPLES}")
     return n
 
 
@@ -99,8 +105,8 @@ def render_units(spatial_ir: SpatialIR,
     for k, wave in burst_waves(taps, bursts, fs):
         for unit in np.flatnonzero(tap_gains[k]).tolist():
             units[unit][starts[k]:starts[k] + wave.size] += tap_gains[k, unit] * wave
+    offset = int(round(spatial_ir.tail_onset * fs))
     for stream, gain in zip(streams, stream_gains):
-        offset = int(round(stream.onset * fs))
         for unit in np.flatnonzero(gain).tolist():
             units[unit][offset:offset + len(stream.samples)] += gain[unit] * stream.samples
     return units, impulses

@@ -72,12 +72,18 @@ def read_wav(path: str):
 def write_wav(path: str, samples: np.ndarray, rate: float):
     """Write (n, channels) or (n,) samples as IEEE float32.
 
-    Raises before the file is opened when a sample is not finite as float32.
+    Raises before the file is opened when ``rate`` is not a whole number of
+    Hz, when it or the byte rate does not fit the header's 32-bit fields, or
+    when a sample is not finite as float32.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     channels = x.shape[1]
+    block_align = channels * 4
+    if not (float(rate).is_integer() and 0 <= rate < 2**32 and rate * block_align < 2**32):
+        raise SceneValidationError(f"{path}: a WAV header needs a whole number of Hz below "
+                                   f"2^32 / (4 x channels), not {rate} Hz x {channels} channel(s)")
     with np.errstate(over="ignore"):  # beyond the float32 range: inf, rejected below
         f32 = x.astype("<f4")
     # min and max allocate nothing, and are NaN when a sample is
@@ -85,12 +91,10 @@ def write_wav(path: str, samples: np.ndarray, rate: float):
         raise SceneValidationError(
             f"{path}: a sample is not finite or exceeds the float32 range")
     payload = f32.tobytes()
-    block_align = channels * 4
-    byte_rate = int(rate) * block_align
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, _FMT_FLOAT, channels, int(rate), byte_rate, block_align, 32,
+        b"fmt ", 16, _FMT_FLOAT, channels, int(rate), int(rate) * block_align, block_align, 32,
         b"data", len(payload),
     )
     with open(path, "wb") as fh:

@@ -141,8 +141,8 @@ def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_
         gains = unit_gains(taps.doa[i][None, :])[0]
         for unit in np.flatnonzero(gains):
             units[int(unit)][idx:stop] += gains[unit] * noise[: stop - idx]
+    offset = int(round(spatial_ir.tail_onset * fs))
     for stream in spatial_ir.tail:
-        offset = int(round(stream.onset * fs))
         stop = min(offset + len(stream.samples), n)
         if stop <= offset:
             continue

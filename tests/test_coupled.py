@@ -309,7 +309,7 @@ def test_splice_scales_tail_to_the_decay_curve():
                doa=np.array([[1.0, 0.0, 0.0]]), order=np.zeros(1, dtype=int))
     early = SpatialIR(taps=tap, sample_rate=fs)
     rng = np.random.default_rng(0)
-    stream = TailStream(samples=rng.standard_normal(4000) * 1e-3, onset=0.0,
+    stream = TailStream(samples=rng.standard_normal(4000) * 1e-3,
                         direction=np.array([1.0, 0.0, 0.0]))
     out = splice(early, [stream], onset=onset, t60=t60,
                  direct_delay=direct_delay)
@@ -318,7 +318,7 @@ def test_splice_scales_tail_to_the_decay_curve():
     e_tail = sum(float(np.dot(s.samples, s.samples)) for s in out.tail)
     rho = 10.0 ** (-60.0 * (onset - direct_delay) / t60 / 10.0)
     assert e_tail == pytest.approx(rho / (1.0 - rho) * e_early, rel=1e-9)
-    assert out.tail[0].onset == pytest.approx(onset)
+    assert out.tail_onset == pytest.approx(onset)
 
 
 def test_splice_rejects_a_tail_onset_at_the_direct_sound():

@@ -18,6 +18,7 @@ from alodsim.errors import (
 from alodsim.scene import (
     DEFAULT_SAMPLE_RATE,
     DEFAULT_SCATTERING,
+    MAX_SAMPLES,
     ApertureSpec,
     DecayTarget,
     DirectivityGrid,
@@ -34,6 +35,7 @@ from alodsim.scene import (
     preset_names,
     profile_names,
     profile_preset,
+    sample_count,
     serialize_scene,
     surface_area,
     volume,
@@ -531,3 +533,35 @@ def test_edited_preset_documents_parse_or_raise_an_alodsim_error(site, edit):
         parse_scene(json.dumps(doc))
     except AlodsimError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# sample_count
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seconds, fs, n", [
+    (1.0 / 44100.0, 44100.0, 1),  # one sample
+    (0.6 / 44100.0, 44100.0, 1),  # rounds up to one sample
+    (0.50003, 44100.0, 22051),
+    (MAX_SAMPLES / 44100.0, 44100.0, MAX_SAMPLES),  # the bound itself
+    (MAX_SAMPLES / 8000.0, 8000.0, MAX_SAMPLES),
+])
+def test_sample_count_rounds_within_the_bound(seconds, fs, n):
+    assert sample_count(seconds, fs, "duration") == n
+
+
+@pytest.mark.parametrize("seconds, fs, named", [
+    (0.0, 44100.0, "duration must be a finite positive number"),
+    (-1.0, 44100.0, "duration must be a finite positive number"),
+    (math.nan, 44100.0, "duration must be a finite positive number"),
+    (math.inf, 44100.0, "duration must be a finite positive number"),
+    (1.0, 0.0, "sample rate must be a finite positive number"),
+    (1.0, math.nan, "sample rate must be a finite positive number"),
+    (1.0, math.inf, "sample rate must be a finite positive number"),
+    (0.4 / 44100.0, 44100.0, f"must come to 1 .. {MAX_SAMPLES} samples"),  # rounds to 0
+    ((MAX_SAMPLES + 1) / 44100.0, 44100.0, f"must come to 1 .. {MAX_SAMPLES} samples"),
+    (1e200, 1e200, f"must come to 1 .. {MAX_SAMPLES} samples"),  # the product is inf
+])
+def test_sample_count_rejects_what_is_not_one_sample_to_the_bound(seconds, fs, named):
+    with pytest.raises(SceneValidationError, match=re.escape(named)):
+        sample_count(seconds, fs, "duration")

@@ -495,12 +495,14 @@ def _spatial_irs(draw):
                 doa=_unit_vectors(rng, k), order=rng.integers(1, 4, k),
                 burst_energy=np.where(burst[:, None], rng.uniform(0.0, 1e-3, (k, 8)), 0.0),
                 burst_seed=np.where(burst, rng.integers(0, 1000, k), NO_BURST))
-    tail = ()
+    tail, tail_onset = (), 0.0
     if draw(st.booleans()):
-        tail = (TailStream(samples=1e-2 * rng.standard_normal(rng.integers(1, 3000)),
-                           onset=rng.uniform(0.0, 0.06), direction=_unit_vectors(rng, 1)[0]),)
+        samples = 1e-2 * rng.standard_normal(rng.integers(1, 3000))
+        tail_onset = rng.uniform(0.0, 0.06)
+        tail = (TailStream(samples=samples, direction=_unit_vectors(rng, 1)[0]),)
     signature = rng.standard_normal(rng.integers(1, 50)) if draw(st.booleans()) else None
-    ir = SpatialIR(taps=taps, sample_rate=FS, tail=tail, signature=signature)
+    ir = SpatialIR(taps=taps, sample_rate=FS, tail=tail, tail_onset=tail_onset,
+                   signature=signature)
     return ir, _unit_vectors(rng, 1)[0]
 
 
@@ -537,8 +539,8 @@ def living_full_ir():
 def _short_ir():
     """20 ms of three tail streams and two impulse taps."""
     rng = np.random.default_rng(5)
-    tail = tuple(TailStream(samples=1e-2 * rng.standard_normal(int(0.02 * FS)), onset=0.0,
-                            direction=d) for d in _unit_vectors(rng, 3))
+    tail = tuple(TailStream(samples=1e-2 * rng.standard_normal(int(0.02 * FS)), direction=d)
+                 for d in _unit_vectors(rng, 3))
     taps = Taps(delay=np.array([0.004, 0.011]), amplitude=np.full((2, 8), 0.5),
                 doa=_unit_vectors(rng, 2), order=np.zeros(2, dtype=int))
     return SpatialIR(taps=taps, sample_rate=FS, tail=tail)
@@ -574,11 +576,10 @@ def test_pub_binaural_render_makes_no_transform_longer_than_two_partitions(monke
 
 
 def test_tail_streams_render_at_their_onset():
-    stream = TailStream(samples=np.ones(100), onset=0.05,
-                        direction=np.array([1.0, 0.0, 0.0]))
+    stream = TailStream(samples=np.ones(100), direction=np.array([1.0, 0.0, 0.0]))
     no_taps = Taps(delay=np.zeros(0), amplitude=np.zeros((0, 8)),
                    doa=np.zeros((0, 3)), order=np.zeros(0, dtype=int))
-    spatial = SpatialIR(taps=no_taps, sample_rate=FS, tail=(stream,))
+    spatial = SpatialIR(taps=no_taps, sample_rate=FS, tail=(stream,), tail_onset=0.05)
     ir = render_mono(spatial)
     start = int(round(0.05 * FS))
     assert np.all(ir.channels[0][:start] == 0.0)

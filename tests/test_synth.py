@@ -6,10 +6,11 @@ import pytest
 
 from alodsim import ism, preset, profile_preset, simulate, synth
 from alodsim.coupled import occluded_direct_ir
+from alodsim.errors import SceneValidationError
 from alodsim.filterbank import BandFilter
 from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps, early_spatial_ir
 from alodsim.pipeline import build_spatial_ir
-from alodsim.scene import RenderingProfile
+from alodsim.scene import MAX_SAMPLES, RenderingProfile
 from alodsim.spatial import array_preset_86, render_array
 from alodsim.synth import render_units, spatial_ir_length, synthesize_mono
 
@@ -40,8 +41,8 @@ def _early_ir(tail_seconds: float) -> SpatialIR:
                 burst_energy=np.where(burst[:, None], rng.uniform(0.0, 1e-3, (40, 8)), 0.0),
                 burst_seed=np.where(burst, k, NO_BURST))
     tail = TailStream(samples=1e-3 * rng.standard_normal(int(tail_seconds * FS)),
-                      onset=0.05, direction=np.array([0.0, -1.0, 0.0]))
-    return SpatialIR(taps=taps, sample_rate=FS, tail=(tail,))
+                      direction=np.array([0.0, -1.0, 0.0]))
+    return SpatialIR(taps=taps, sample_rate=FS, tail=(tail,), tail_onset=0.05)
 
 
 def test_render_units_match_the_2m_oracle():
@@ -65,9 +66,8 @@ def test_band_buffers_span_the_early_extent_not_the_tail():
     tap = Taps(delay=np.array([0.01]), amplitude=np.full((1, 8), 0.5),
                doa=np.array([[1.0, 0.0, 0.0]]), order=np.array([10]),
                burst_energy=np.full((1, 8), 1e-4), burst_seed=np.array([1]))
-    tail = TailStream(samples=np.full(int(10.0 * FS), 1e-4), onset=0.02,
-                      direction=np.array([1.0, 0.0, 0.0]))
-    ir = SpatialIR(taps=tap, sample_rate=FS, tail=(tail,))
+    tail = TailStream(samples=np.full(int(10.0 * FS), 1e-4), direction=np.array([1.0, 0.0, 0.0]))
+    ir = SpatialIR(taps=tap, sample_rate=FS, tail=(tail,), tail_onset=0.02)
     n = spatial_ir_length(ir)
     tracemalloc.start()
     try:
@@ -100,8 +100,7 @@ def test_band_filtered_content_keeps_its_kernel_margin(build):
     # filter kernels' decay: the render equals the one with a silent tail
     # stream after it, which leaves room for that decay
     ir = build()
-    silent = TailStream(samples=np.zeros(int(0.5 * FS)), onset=0.0,
-                        direction=np.array([1.0, 0.0, 0.0]))
+    silent = TailStream(samples=np.zeros(int(0.5 * FS)), direction=np.array([1.0, 0.0, 0.0]))
     alone = synthesize_mono(ir)
     padded = synthesize_mono(replace(ir, tail=(silent,)))
     assert alone.size < padded.size
@@ -237,3 +236,18 @@ def test_ism_15_binaural_render_makes_no_fft(monkeypatch):
     out = simulate(scene, profile, output_mode="binaural")
     assert len(ir.taps) > 4000 and np.any(out.ir.channels)
     assert calls == []
+
+
+def test_spatial_ir_length_is_bounded_before_any_wave_exists():
+    # a one-sample stream ending on the last sample allowed, or one beyond it
+    no_taps = Taps(delay=np.zeros(0), amplitude=np.zeros((0, 8)),
+                   doa=np.zeros((0, 3)), order=np.zeros(0, dtype=int))
+    stream = TailStream(samples=np.ones(1), direction=np.array([1.0, 0.0, 0.0]))
+    at_bound = SpatialIR(taps=no_taps, sample_rate=FS, tail=(stream,),
+                         tail_onset=(MAX_SAMPLES - 1) / FS)
+    assert spatial_ir_length(at_bound) == MAX_SAMPLES
+    beyond = replace(at_bound, tail_onset=MAX_SAMPLES / FS)
+    with pytest.raises(SceneValidationError, match=f"more than {MAX_SAMPLES}"):
+        spatial_ir_length(beyond)
+    with pytest.raises(SceneValidationError, match=f"more than {MAX_SAMPLES}"):
+        synthesize_mono(replace(at_bound, tail_onset=1e6))  # 4.41e10 samples

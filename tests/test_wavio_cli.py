@@ -580,6 +580,12 @@ _MALFORMED = {
         "scene.json", _pub_scene_with("sources", 0, "level_dB", value=-20), _SCENE_RENDER),
     "scene with a misspelt room key": (
         "scene.json", _pub_scene_with("rooms", 0, "volume_overide", value=1), _SCENE_RENDER),
+    # 0.3 s at 1e12 Hz: FDN lines of 3e11 samples (26.2 TiB)
+    "scene with sample rate 1e12": (
+        "scene.json", _pub_scene_with("sample_rate", value=1e12), _SCENE_RENDER),
+    # the mean free path, and with it the tail onset, runs to 1e10 m (28.5 TiB)
+    "scene with a room volume of 1e12 m^3": (
+        "scene.json", _pub_scene_with("rooms", 0, "volume_override", value=1e12), _SCENE_RENDER),
     # razr-simple renders no second slope, so only the scene can reject these
     "scene with a second slope from -10 dB, rendered razr-simple": (
         "scene.json", _pub_scene_with("rooms", 0, "decay", "second_slope",
@@ -785,6 +791,15 @@ _MALFORMED_ARGUMENTS = {
                                      "--output-mode", "mono", "--duration", "nan"],
     "anechoic render of 0 s": ["simulate", "--preset", "pub", "--profile", "anechoic",
                                "--output-mode", "mono", "--duration", "0"],
+    # each of these would allocate TiB before the sample-count bound
+    "razr-full render of 1e7 s": ["simulate", "--preset", "pub", "--profile", "razr-full",
+                                  "--output-mode", "mono", "--duration", "1e7"],
+    "sweep of 1e7 s": ["stimulus", "sweep", "--duration", "1e7"],
+    "pink pulse of 1e7 s": ["stimulus", "pink-pulse", "--duration", "1e7"],
+    # the WAV header holds a whole number of Hz in 32 bits, and so the byte rate
+    "sweep at 5e9 Hz": ["stimulus", "sweep", "--rate", "5e9", "--duration", "2e-9",
+                        "--f1", "1", "--f2", "1e6"],
+    "sweep at 44100.7 Hz": ["stimulus", "sweep", "--rate", "44100.7", "--duration", "0.01"],
 }
 
 
