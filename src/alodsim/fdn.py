@@ -8,8 +8,9 @@ it comes back out; the cap keeps that pass short against the decay, so the
 summed envelope follows the target exponential with no reshaping. Per-line
 per-band attenuation realizes the decay target; the feedback matrix is a
 seeded random orthogonal matrix, so the loop is energy-preserving before
-attenuation. The loop runs once per distinct set of band gains, so a
-broadband target costs one run and no band filtering.
+attenuation. The loop runs once per distinct set of band gains, on its
+input band-limited to those bands, so a broadband target costs one run and
+no band filtering.
 
 The input enters each line at its input, scaled by ``input_gain``.
 
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleTargetError, SceneValidationError
-from .filterbank import BandFilter, band_groups
+from .filterbank import band_kernels, fftconvolve
 from .ism import TailStream
 from .scene import DecayTarget, RoomSpec, _set, mean_free_path, sample_count, volume
 
@@ -158,24 +159,27 @@ def run_fdn(config: FdnConfig, duration: float,
             input_signal: Optional[np.ndarray] = None) -> list:
     """Direction-labeled tail streams of the FDN response.
 
-    Bands whose line gains are exactly equal share one run of the loop. Each
-    distinct gain set runs once; its line outputs are band-limited with the
-    sum of its bands' zero-phase masks, and the groups are summed per line.
-    When every band has the same gains the masks sum to 1 and no filtering
-    is needed. The input (default: a unit impulse) and the streams start at t = 0.
+    Bands whose line gains are exactly equal share one run of the loop, so a
+    broadband target runs it once, unfiltered. Otherwise each gain set runs
+    h samples longer on its input convolved with its bands' ``band_kernels``,
+    which band-limits its output (the loop is linear and time-invariant),
+    and drops the first h. The input (default: a unit impulse) and the
+    streams start at t = 0.
     """
     fs = config.sample_rate
     n = sample_count(duration, fs, "duration")
     if input_signal is None:
         input_signal = np.array([1.0])
     directions = _fibonacci_sphere(config.n_lines)
-    groups, weights = band_groups(config.line_gains.T)
-    lines = None
-    for g, gains in enumerate(groups):
-        out = _run_band(config, gains, n, input_signal)
-        if len(groups) > 1:
-            out = BandFilter(n, fs, weights[g:g + 1]).apply(out[None])
-        lines = out if lines is None else lines + out
+    groups, band_group = np.unique(config.line_gains.T, axis=0, return_inverse=True)
+    if len(groups) == 1:
+        lines = _run_band(config, groups[0], n, input_signal)
+    else:
+        kernels = band_kernels(fs)
+        h = kernels.shape[1] // 2
+        lines = sum(_run_band(config, gains, n + h, fftconvolve(
+            input_signal, kernels[band_group.ravel() == g].sum(axis=0)))[:, h:]
+            for g, gains in enumerate(groups))
     return [TailStream(samples=lines[i], direction=directions[i]) for i in range(config.n_lines)]
 
 

@@ -4,10 +4,10 @@ Bands are realized as raised-cosine magnitude masks on the rFFT grid with
 crossovers on a log-frequency axis. The masks of a bank sum to exactly 1 at
 every bin, so per-band buffers that carry identical gains recombine into the
 original broadband signal. Every band-limiting step in the package goes
-through :class:`BandFilter`, every log-frequency raised cosine through
-:func:`log_ramp`, every set of band edges through :func:`band_edges`, and
-every linear convolution through :func:`fftconvolve` or, for many waves
-summed, :func:`partitioned_convolve`.
+through :class:`BandFilter` or, for a short input, :func:`band_kernels`,
+every log-frequency raised cosine through :func:`log_ramp`, every set of
+band edges through :func:`band_edges`, and every linear convolution through
+:func:`fftconvolve` or, for many waves summed, :func:`partitioned_convolve`.
 """
 
 from __future__ import annotations
@@ -112,27 +112,20 @@ def partitioned_convolve(waves, kernels) -> np.ndarray:
     return out
 
 
-def band_groups(values: np.ndarray):
-    """Group bands whose rows of ``values`` (n_bands, k) are exactly equal:
-    the distinct rows, (G, k), in the order of each group's lowest band, and
-    (G, n_bands) 0/1 ``BandFilter`` weights that give each group the sum of
-    its bands' masks."""
-    same = np.all(values[:, None] == values[None], axis=2)  # (n_bands, n_bands)
-    lowest = np.unique(np.argmax(same, axis=1))
-    return values[lowest], same[lowest].astype(float)
+def band_kernels(fs: float) -> np.ndarray:
+    """(n_bands, 2 h) zero-phase band kernels, h = max(0.3 fs, 4096): each
+    band mask's impulse response, rolled by h so that it is causal."""
+    h = max(int(0.3 * fs), 4096)
+    return np.roll(np.fft.irfft(band_masks(2 * h, fs), 2 * h), h, axis=-1)
 
 
 class BandFilter:
-    """Zero-phase filter of length-``n`` signals by weighted band masks.
+    """Zero-phase filter of length-``n`` signals by the band masks."""
 
-    Mask ``j`` is ``weights[j] @ band_masks`` (band ``j`` without weights).
-    """
-
-    def __init__(self, n: int, fs: float, weights=None):
+    def __init__(self, n: int, fs: float):
         self.n = n
         self.n_fft = padded_len(n)
-        mask = band_masks(self.n_fft, fs)
-        self.mask = mask if weights is None else np.asarray(weights, dtype=float) @ mask
+        self.mask = band_masks(self.n_fft, fs)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Filter slice ``x[j]`` along axis 0 with mask ``j`` (shapes

@@ -3,14 +3,13 @@
 A render unit is an HRTF index, a loudspeaker channel or the single mono
 unit; directions reach the units through one gain matrix, ``unit_gains``
 (k, 3) -> (k, n_units), shared by the binaural, array and mono paths. A
-specular tap whose bands carry equal amplitudes (one group under
-``filterbank.band_groups``) passes the band masks unchanged, since they sum
-to 1: it stays an impulse, which the caller scatters straight into its
-output channels. Each diffuse burst is one broadband wave, drawn once, in a
-chunk of bursts, and added in tap order into every unit it reaches. Only
-band-dependent specular taps are band-filtered, through one buffer per band
-and unit over the early extent of the IR. Tail streams come last, all from
-the IR's ``tail_onset``.
+specular tap whose bands carry equal amplitudes passes the band masks
+unchanged, since they sum to 1: it stays an impulse, which the caller
+scatters straight into its output channels. Each diffuse burst is one
+broadband wave, drawn once, in a chunk of bursts, and added in tap order
+into every unit it reaches. Only band-dependent specular taps are
+band-filtered, through one buffer per band and unit over the early extent
+of the IR. Tail streams come last, all from the IR's ``tail_onset``.
 """
 
 from __future__ import annotations

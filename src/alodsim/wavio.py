@@ -73,8 +73,8 @@ def write_wav(path: str, samples: np.ndarray, rate: float):
     """Write (n, channels) or (n,) samples as IEEE float32.
 
     Raises before the file is opened when ``rate`` is not a whole number of
-    Hz, when it or the byte rate does not fit the header's 32-bit fields, or
-    when a sample is not finite as float32.
+    Hz, when it, the byte rate or the RIFF size does not fit the header's
+    32-bit fields, or when a sample is not finite as float32.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim == 1:
@@ -84,6 +84,9 @@ def write_wav(path: str, samples: np.ndarray, rate: float):
     if not (float(rate).is_integer() and 0 <= rate < 2**32 and rate * block_align < 2**32):
         raise SceneValidationError(f"{path}: a WAV header needs a whole number of Hz below "
                                    f"2^32 / (4 x channels), not {rate} Hz x {channels} channel(s)")
+    if 36 + 4 * x.size >= 2**32:  # checked before a payload of GiB is converted
+        raise SceneValidationError(f"{path}: {x.size} float32 samples exceed a WAV file's "
+                                   "32-bit RIFF size")
     with np.errstate(over="ignore"):  # beyond the float32 range: inf, rejected below
         f32 = x.astype("<f4")
     # min and max allocate nothing, and are NaN when a sample is

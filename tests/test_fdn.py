@@ -298,17 +298,41 @@ def test_broadband_target_runs_the_loop_once(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _four_band_groups(driven):
+    """A living-room FDN whose 8 band targets form 4 groups, and its input:
+    300 noise samples when ``driven``, else None (a unit impulse)."""
+    target = DecayTarget(t30_bands=np.array([0.8, 0.8, 0.7, 0.6, 0.6, 0.6, 0.45, 0.45]))
+    x = np.random.default_rng(4).standard_normal(300) if driven else None
+    return design_fdn(_living_room(), target, FS), x
+
+
 @pytest.mark.parametrize("driven", [False, True])
 def test_distinct_band_targets_match_per_band_oracle(monkeypatch, driven):
-    room = _living_room()
-    target = DecayTarget(t30_bands=np.array([0.8, 0.8, 0.7, 0.6, 0.6, 0.6, 0.45, 0.45]))
-    cfg = design_fdn(room, target, FS)
-    x = np.random.default_rng(4).standard_normal(300) if driven else None
-    want = per_band_run_fdn(cfg, 0.5, input_signal=x)
+    cfg, x = _four_band_groups(driven)
+    # the oracle runs past 0.5 s, so the acausal half of its band kernels
+    # sees the loop's own continuation there, as run_fdn's band-limited
+    # input does, not zeros
+    want = per_band_run_fdn(cfg, 1.0, input_signal=x)[:, :int(0.5 * FS)]
     calls = _count_band_runs(monkeypatch)
     got = _lines(run_fdn(cfg, 0.5, input_signal=x))
     assert len(calls) == 4
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_distinct_band_targets_transform_no_twice_duration(monkeypatch, driven):
+    # each group's input is band-limited by a short convolution: no line
+    # output is transformed at the 2n that masking n samples would need
+    cfg, x = _four_band_groups(driven)
+    lengths, rfft = [], np.fft.rfft
+
+    def recorded(a, n=None, *args, **kwargs):
+        lengths.append(np.shape(a)[-1] if n is None else n)
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recorded)
+    run_fdn(cfg, 0.5, input_signal=x)
+    assert all(length < 2 * int(0.5 * FS) for length in lengths), lengths
 
 
 # ---------------------------------------------------------------------------

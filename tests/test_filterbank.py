@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from alodsim.filterbank import (
     OCTAVE_CENTERS_8,
     band_energies,
+    band_kernels,
     band_masks,
     BandFilter,
     fftconvolve,
@@ -61,8 +62,9 @@ def test_recombination_is_exact():
 
 
 def _band(x, b):
-    """One octave band of ``x``: a BandFilter with one-hot weights."""
-    return BandFilter(len(x), FS, np.eye(8)[b:b + 1]).apply(x[None, :])
+    """One octave band of ``x``: its spectrum at padded_len times band b's mask."""
+    n_fft = padded_len(len(x))
+    return np.fft.irfft(np.fft.rfft(x, n_fft) * band_masks(n_fft, FS)[b], n_fft)[:len(x)]
 
 
 def test_bandpass_sums_back_to_signal():
@@ -98,6 +100,18 @@ def test_band_filter_gives_every_band_from_one_transform():
     assert bands.shape == (8, x.size)
     for b in range(8):
         assert np.max(np.abs(bands[b] - _band(x, b))) < 1e-12
+
+
+def test_band_kernels_are_causal_zero_phase_bands_that_sum_to_a_delay():
+    kernels = band_kernels(FS)
+    h = int(0.3 * FS)
+    assert kernels.shape == (8, 2 * h)
+    delay = np.zeros(2 * h)
+    delay[h] = 1.0
+    assert np.max(np.abs(kernels.sum(axis=0) - delay)) < 1e-12
+    # each band's kernel is symmetric about sample h, where it peaks
+    assert np.all(np.argmax(np.abs(kernels), axis=1) == h)
+    np.testing.assert_allclose(kernels[:, h - 100:h], kernels[:, h + 100:h:-1], atol=1e-15)
 
 
 # shapes of (a, b) by case, for signal lengths n and k

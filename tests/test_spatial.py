@@ -415,6 +415,27 @@ def test_render_array_routes_energy_to_vbap_channels():
     assert energies[3] > 0.99 * energies.sum()
 
 
+def test_render_array_scales_then_shifts_each_channel_by_its_calibration():
+    # one tap on each speaker, 5..13.5 ms; odd channels move 3 ms (132
+    # samples) earlier, even ones 1 ms (44 samples) later, with zero fill
+    k = _ARRAY.n_speakers
+    taps = Taps(delay=0.005 + 1e-4 * np.arange(k), amplitude=np.full((k, 8), 0.5),
+                doa=_ARRAY.directions, order=np.ones(k, dtype=int))
+    ir = SpatialIR(taps=taps, sample_rate=FS)
+    plain = render_array(ir, _ARRAY, FRONT).channels
+    gains = np.linspace(0.5, 2.0, k)
+    delays = np.where(np.arange(k) % 2, -3e-3, 1e-3)
+    layout = LoudspeakerLayout(positions=_ARRAY.positions, center=_ARRAY.center,
+                               calibration_gains=gains, calibration_delays=delays)
+    got = render_array(ir, layout, FRONT).channels
+    n = plain.shape[1]
+    for i, shift in enumerate(np.rint(delays * FS).astype(int)):
+        padded = np.concatenate([np.zeros(max(shift, 0)), gains[i] * plain[i],
+                                 np.zeros(max(-shift, 0))])
+        assert np.array_equal(got[i], padded[max(-shift, 0):][:n])
+    assert np.all(np.abs(plain).max(axis=1) > 0)  # every channel carries its tap
+
+
 # ---------------------------------------------------------------------------
 # diotic and mono contracts
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import alodsim
 from alodsim.cli import ANALYZE_METRICS, _write_columns, main
 from alodsim.errors import AlodsimError, SceneParseError, SceneValidationError
 from alodsim.scene import parse_scene, preset, serialize_scene
+from alodsim.stimuli import BandLevels, pink_pulse_variant
 from alodsim.wavio import read_wav, write_wav
 from oracles import write_analysis_csv
 
@@ -78,6 +79,14 @@ def test_write_wav_rejects_a_sample_that_is_not_finite_as_float32(tmp_path, valu
     assert not path.exists()  # raised before the file was opened
     write_wav(str(path), np.array([0.0, 3e38, -3e38]), FS)  # inside the range
     assert read_wav(str(path))[0][1, 0] == np.float32(3e38)
+
+
+def test_write_wav_rejects_a_payload_beyond_the_riff_size_field(tmp_path):
+    # 2^31 samples are 8 GiB of float32; the zero-stride view holds one
+    path = tmp_path / "x.wav"
+    with pytest.raises(SceneValidationError, match="RIFF size"):
+        write_wav(str(path), np.broadcast_to(np.zeros((1, 1)), (2**30, 2)), FS)
+    assert not path.exists()
 
 
 def test_wav_pcm16_round_trip(tmp_path):
@@ -227,6 +236,17 @@ def test_cli_stimulus_pink_pulse(tmp_path):
     data, rate = read_wav(path)
     assert rate == FS
     assert data.shape[0] == int(0.5 * FS)
+
+
+def test_cli_stimulus_pink_pulse_with_band_offsets(tmp_path):
+    offsets = (6.0, 0.0, -6.0, 0.0, 6.0, 6.0, -6.0, 0.0, 0.0, -6.0)
+    path = str(tmp_path / "variant.wav")
+    assert main(["stimulus", "pink-pulse", "--band-offsets", ",".join(map(str, offsets)),
+                 "--out", path]) == 0
+    data, rate = read_wav(path)
+    want = pink_pulse_variant(BandLevels(offsets_db=offsets))
+    assert rate == want.sample_rate
+    assert np.array_equal(data[:, 0], want.samples.astype(np.float32))
 
 
 def test_cli_stimulus_sweep(tmp_path):
