@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import InsufficientDecayError, SceneValidationError
-from .filterbank import BandFilter
+from .filterbank import OCTAVE_CENTERS_8, band_split, padded_len
 
 EDC_FLOOR_DB = -120.0
 T30_FIT_SPAN_DB = (-5.0, -35.0)
@@ -87,9 +87,12 @@ def t30(edc: EdcCurve) -> float:
 
 
 def t30_bands(ir: np.ndarray, fs: float) -> np.ndarray:
-    """Per-octave-band T30 of a single channel."""
-    # one slice in, one row out per band: a single forward transform
-    bands = BandFilter(len(ir), fs).apply(np.asarray(ir)[None, None, :])
+    """Per-octave-band T30 of a single channel; a band with no energy has none."""
+    bands = band_split(ir, fs, padded_len(len(ir)))
+    silent = ~bands.any(axis=1)  # as a band above the Nyquist frequency
+    if silent.any():
+        raise InsufficientDecayError(f"the {OCTAVE_CENTERS_8[np.argmax(silent)]:g} Hz band "
+                                     f"carries no energy at a sample rate of {fs:g} Hz")
     return np.array([t30(schroeder_edc(band, fs)) for band in bands])
 
 

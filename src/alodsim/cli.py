@@ -43,6 +43,7 @@ from .scene import (
     preset_names,
     profile_names,
     profile_preset,
+    read_text,
     serialize_scene,
 )
 from .spatial import ImpulseResponse, LoudspeakerLayout, array_preset_86, load_hrtf_dir
@@ -73,8 +74,7 @@ def _file_sha256(path: str) -> str:
 def _load_scene(args) -> tuple:
     """Returns (scene, scene document text); --seed replaces the scene's seed."""
     if args.scene is not None:
-        with open(args.scene, "r", encoding="utf-8") as fh:
-            doc = fh.read()
+        doc = read_text(args.scene)
         scene = parse_scene(doc)
         return (scene if args.seed is None else replace(scene, rng_seed=args.seed)), doc
     if args.preset is not None:
@@ -86,8 +86,7 @@ def _load_scene(args) -> tuple:
 def _load_layout(spec: str) -> LoudspeakerLayout:
     if spec == "86-preset":
         return array_preset_86()
-    with open(spec, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read(), LoudspeakerLayout)
+    return parse_document(read_text(spec), LoudspeakerLayout)
 
 
 def _read_ir(path: str) -> ImpulseResponse:
@@ -115,10 +114,8 @@ def _metric_summary(ir: ImpulseResponse) -> dict:
 def _cmd_simulate(args) -> int:
     scene, doc = _load_scene(args)
     profile = profile_preset(args.profile)
-    hrtf = None
     hrtf_dir = args.hrtf or os.environ.get(HRTF_ENV_VAR)
-    if hrtf_dir:
-        hrtf = load_hrtf_dir(hrtf_dir)
+    hrtf = load_hrtf_dir(hrtf_dir) if hrtf_dir else None
     layout = _load_layout(args.layout) if args.layout else None
     result = simulate(scene, profile, source_id=args.source, duration=args.duration,
                       output_mode=args.output_mode, hrtf=hrtf, layout=layout)
@@ -137,9 +134,12 @@ def _cmd_simulate(args) -> int:
         "metrics": _metric_summary(result.ir),
     }
     manifest_path = args.manifest or args.out + ".manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(manifest, indent=2) + "\n")
+    except OSError:
+        os.remove(args.out)  # no WAV without its manifest
+        raise
     print(f"wrote {args.out} ({result.ir.n_channels} ch) and {manifest_path}")
     return 0
 
@@ -264,8 +264,7 @@ def _cmd_match(args) -> int:
     }
     report_path = args.report or args.out + ".report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report_doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(report_doc, indent=2) + "\n")
     print(f"wrote {args.out} and {report_path} "
           f"(mean residual {report.residual_mean_db:.3f} dB)")
     return 0
@@ -279,8 +278,7 @@ def _cmd_presets(args) -> int:
         for name in preset_names():
             path = os.path.join(args.write_scenes, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(serialize_scene(preset(name)))
-                fh.write("\n")
+                fh.write(serialize_scene(preset(name)) + "\n")
             print(f"wrote {path}")
     return 0
 
@@ -358,8 +356,8 @@ def main(argv=None) -> int:
     except AlodsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc.filename}: no such file", file=sys.stderr)
+    except OSError as exc:  # a path that is missing, a directory or not writable
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -3,9 +3,10 @@
 Bands are realized as raised-cosine magnitude masks on the rFFT grid with
 crossovers on a log-frequency axis. The masks of a bank sum to exactly 1 at
 every bin, so per-band buffers that carry identical gains recombine into the
-original broadband signal. Every band-limiting step in the package goes
-through :class:`BandFilter` or, for a short input, :func:`band_kernels`,
-every log-frequency raised cosine through :func:`log_ramp`, every set of
+original broadband signal. Each band job has one owner: :func:`band_split`
+splits a signal into its bands, ``synth.render_units`` merges per-band rows
+into one wave, and :func:`band_kernels` band-limits an FDN input. Every
+log-frequency raised cosine goes through :func:`log_ramp`, every set of
 band edges through :func:`band_edges`, and every linear convolution through
 :func:`fftconvolve` or, for many waves summed, :func:`partitioned_convolve`.
 """
@@ -112,33 +113,24 @@ def partitioned_convolve(waves, kernels) -> np.ndarray:
     return out
 
 
+def band_split(x: np.ndarray, fs: float, n_fft: int) -> np.ndarray:
+    """The zero-phase octave bands of ``x``, shape (n_bands, len(x)): its
+    spectrum at ``n_fft`` times each band mask, transformed back one band at a
+    time (complex temporaries stay one row long) and cut to ``len(x)``: circular
+    at ``n_fft == len(x)``, padded against wrap-around at ``padded_len(len(x))``."""
+    spec = np.fft.rfft(x, n_fft)
+    masks = band_masks(n_fft, fs)
+    bands = np.empty((len(masks), len(x)))
+    for band, mask in zip(bands, masks):
+        band[:] = np.fft.irfft(spec * mask, n_fft)[:len(x)]
+    return bands
+
+
 def band_kernels(fs: float) -> np.ndarray:
     """(n_bands, 2 h) zero-phase band kernels, h = max(0.3 fs, 4096): each
-    band mask's impulse response, rolled by h so that it is causal."""
+    band of a unit impulse, rolled by h so that it is causal."""
     h = max(int(0.3 * fs), 4096)
-    return np.roll(np.fft.irfft(band_masks(2 * h, fs), 2 * h), h, axis=-1)
-
-
-class BandFilter:
-    """Zero-phase filter of length-``n`` signals by the band masks."""
-
-    def __init__(self, n: int, fs: float):
-        self.n = n
-        self.n_fft = padded_len(n)
-        self.mask = band_masks(self.n_fft, fs)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Filter slice ``x[j]`` along axis 0 with mask ``j`` (shapes
-        broadcast), sum the slices and truncate to ``n`` samples."""
-        spec = np.fft.rfft(x, n=self.n_fft)
-        shape = np.broadcast_shapes(spec.shape, self.mask.shape)
-        spec, mask = np.broadcast_to(spec, shape), np.broadcast_to(self.mask, shape)
-        out = np.empty(shape[1:-1] + (self.n,))
-        # one output row at a time: complex temporaries stay one row long
-        for row in np.ndindex(shape[1:-1]):
-            at = (slice(None),) + row
-            out[row] = np.fft.irfft((spec[at] * mask[at]).sum(axis=0), n=self.n_fft)[:self.n]
-        return out
+    return np.roll(band_split(np.eye(1, 2 * h)[0], fs, 2 * h), h, axis=-1)
 
 
 def band_energies(x: np.ndarray, fs: float, centers=OCTAVE_CENTERS_8) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateGeometryError, SceneValidationError
-from .filterbank import OCTAVE_CENTERS_8, band_energies, band_masks
+from .filterbank import OCTAVE_CENTERS_8, band_energies, band_split
 from .scene import N_BANDS, RenderingProfile, RoomSpec, SceneSpec, SourceSpec, _set
 
 # Diffuse burst duration per reflection order (temporal smearing kernel).
@@ -229,7 +229,7 @@ def _noise_table(fs: float) -> tuple:
     """Read-only (n_bands, NOISE_TABLE_LEN) noise, row b one fixed white noise under band
     b's mask (stationary, periodic), and the share of white noise each mask passes."""
     white = np.random.default_rng(0).standard_normal(NOISE_TABLE_LEN)
-    table = np.fft.irfft(band_masks(NOISE_TABLE_LEN, fs) * np.fft.rfft(white), NOISE_TABLE_LEN)
+    table = band_split(white, fs, NOISE_TABLE_LEN)  # circular: the table wraps
     table.flags.writeable = False
     return table, band_energies(np.eye(1, NOISE_TABLE_LEN)[0], fs)  # a unit impulse's
 

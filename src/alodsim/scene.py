@@ -654,6 +654,15 @@ def _from_json(tp, value, path: str):
     return value
 
 
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``; other bytes are a SceneParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SceneParseError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 def parse_document(document: str, spec_type):
     """Parse a UTF-8 JSON document into the dataclass ``spec_type``: one key
     per field, checked by :func:`_from_json`, then by the dataclass."""

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import RateMismatchError, SceneParseError, SceneValidationError
 from .filterbank import partitioned_convolve
 from .ism import SpatialIR
-from .scene import head_frame
+from .scene import head_frame, read_text
 from .synth import apply_signature, render_units, spatial_ir_length, synthesize_mono
 
 
@@ -146,32 +146,29 @@ def load_hrtf_dir(path: str) -> HrtfSet:
     from .wavio import read_wav
 
     index_path = os.path.join(path, "index.txt")
-    if not os.path.exists(index_path):
-        raise SceneValidationError(f"HRTF directory {path!r} lacks index.txt")
     dirs, filters, fs = [], [], None
-    with open(index_path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                az_s, el_s, name = line.split()
-                az, el = float(az_s), float(el_s)
-                if not math.isfinite(az + el):
-                    raise ValueError
-            except ValueError:  # too few or many fields, or not finite numbers
-                raise SceneParseError(f"{index_path}, line {number}: expected "
-                                      "'azimuth_deg elevation_deg filename' with "
-                                      f"finite angles, got {line!r:.60}") from None
-            data, rate = read_wav(os.path.join(path, name))
-            if data.ndim != 2 or data.shape[1] != 2:
-                raise SceneValidationError(f"HRTF file {name!r} is not stereo")
-            if fs is None:
-                fs = rate
-            elif rate != fs:
-                raise RateMismatchError("HRTF files disagree on sample rate")
-            dirs.append(az_el_to_vec(az, el))
-            filters.append(data.T)
+    for number, line in enumerate(read_text(index_path).split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            az_s, el_s, name = line.split()
+            az, el = float(az_s), float(el_s)
+            if not math.isfinite(az + el):
+                raise ValueError
+        except ValueError:  # too few or many fields, or not finite numbers
+            raise SceneParseError(f"{index_path}, line {number}: expected "
+                                  "'azimuth_deg elevation_deg filename' with "
+                                  f"finite angles, got {line!r:.60}") from None
+        data, rate = read_wav(os.path.join(path, name))
+        if data.ndim != 2 or data.shape[1] != 2:
+            raise SceneValidationError(f"HRTF file {name!r} is not stereo")
+        if fs is None:
+            fs = rate
+        elif rate != fs:
+            raise RateMismatchError("HRTF files disagree on sample rate")
+        dirs.append(az_el_to_vec(az, el))
+        filters.append(data.T)
     if not filters:
         raise SceneParseError(f"{index_path} lists no HRTF files")
     lengths = {f.shape[1] for f in filters}

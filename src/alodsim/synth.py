@@ -15,13 +15,12 @@ of the IR. Tail streams come last, all from the IR's ``tail_onset``.
 from __future__ import annotations
 
 import math
-from functools import cache
 from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from .errors import SceneValidationError
-from .filterbank import BandFilter, OCTAVE_CENTERS_8, fftconvolve
+from .filterbank import OCTAVE_CENTERS_8, band_masks, fftconvolve, padded_len
 from .ism import SpatialIR, burst_waves
 from .scene import MAX_SAMPLES
 
@@ -95,12 +94,13 @@ def render_units(spatial_ir: SpatialIR,
 
     # the band buffers and their transform span the taps plus the kernel margin
     m = min(n, int(np.max(starts, initial=-1)) + 1 + _kernel_margin(fs))
-    combine = cache(lambda: BandFilter(m, fs))
+    n_fft = padded_len(m)
+    masks = band_masks(n_fft, fs) if banded.size else None
     for unit in banded.tolist():
         hit = np.flatnonzero((tap_gains[:, unit] != 0.0) & filtered)
         buf = np.zeros((len(OCTAVE_CENTERS_8), m))
         np.add.at(buf.T, starts[hit], tap_gains[hit, unit][:, None] * taps.amplitude[hit])
-        units[unit][:m] = combine().apply(buf)
+        units[unit][:m] = np.fft.irfft((np.fft.rfft(buf, n_fft) * masks).sum(axis=0), n_fft)[:m]
     for k, wave in burst_waves(taps, bursts, fs):
         for unit in np.flatnonzero(tap_gains[k]).tolist():
             units[unit][starts[k]:starts[k] + wave.size] += tap_gains[k, unit] * wave

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,11 @@ from alodsim.analysis import (
     ned,
     schroeder_edc,
     t30,
+    t30_bands,
 )
 from alodsim.errors import InsufficientDecayError, SceneValidationError
-from alodsim.scene import RoomSpec, mean_free_path
+from alodsim.pipeline import simulate
+from alodsim.scene import RoomSpec, mean_free_path, preset, profile_preset
 from oracles import dual_slope_fit_per_knee, ned_per_frame
 
 FS = 44100.0
@@ -91,6 +95,17 @@ def test_t30_rejects_a_fit_span_of_one_sample():
 # ---------------------------------------------------------------------------
 # NED
 # ---------------------------------------------------------------------------
+
+def test_t30_bands_names_a_band_above_the_nyquist_frequency():
+    # at 16 kHz the 16 kHz band's mask is zero, since its crossover starts
+    # at 10.1 kHz; the IR itself is loud
+    ir = simulate(replace(preset("pub"), sample_rate=16000.0), profile_preset("razr-full"),
+                  output_mode="mono").ir
+    assert np.max(np.abs(ir.channels)) > 1.0
+    with pytest.raises(InsufficientDecayError,
+                       match="the 16000 Hz band carries no energy at a sample rate of 16000 Hz"):
+        t30_bands(ir.channels[0], ir.sample_rate)
+
 
 def test_ned_of_gaussian_noise_is_one():
     rng = np.random.default_rng(0)

@@ -9,7 +9,7 @@ from alodsim.filterbank import (
     band_energies,
     band_kernels,
     band_masks,
-    BandFilter,
+    band_split,
     fftconvolve,
     next_fast_len,
     padded_len,
@@ -57,13 +57,15 @@ def test_band_energies_are_parseval_complete():
 def test_recombination_is_exact():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(4096)
-    rec = BandFilter(x.size, FS).apply(np.tile(x, (8, 1)))
-    assert np.max(np.abs(rec - x)) < 1e-12
+    for n_fft in (padded_len(x.size), x.size):  # padded and circular
+        rec = band_split(x, FS, n_fft).sum(axis=0)
+        assert np.max(np.abs(rec - x)) < 1e-12
 
 
-def _band(x, b):
-    """One octave band of ``x``: its spectrum at padded_len times band b's mask."""
-    n_fft = padded_len(len(x))
+def _band(x, b, n_fft=None):
+    """One octave band of ``x``: its spectrum at ``n_fft`` (padded_len by
+    default) times band b's mask."""
+    n_fft = n_fft or padded_len(len(x))
     return np.fft.irfft(np.fft.rfft(x, n_fft) * band_masks(n_fft, FS)[b], n_fft)[:len(x)]
 
 
@@ -93,13 +95,29 @@ def test_padded_len_is_fast_and_holds_the_kernel(n):
     assert size == 1, f"{padded_len(n)} has a prime factor above 5"
 
 
-def test_band_filter_gives_every_band_from_one_transform():
+def test_band_filter_gives_every_band_from_one_transform(monkeypatch):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(3000)
-    bands = BandFilter(x.size, FS).apply(x[None, None, :])
-    assert bands.shape == (8, x.size)
-    for b in range(8):
-        assert np.max(np.abs(bands[b] - _band(x, b))) < 1e-12
+    rfft = np.fft.rfft
+    for n_fft in (padded_len(x.size), x.size):  # padded and circular
+        want = [_band(x, b, n_fft) for b in range(8)]
+        lengths = []
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "rfft", lambda a, n: lengths.append(n) or rfft(a, n))
+            bands = band_split(x, FS, n_fft)
+        assert lengths == [n_fft]
+        assert bands.shape == (8, x.size)
+        for b in range(8):
+            assert np.max(np.abs(bands[b] - want[b])) < 1e-12
+
+
+@pytest.mark.parametrize("fs", [44100.0, 48000.0])
+def test_band_kernels_are_the_rolled_inverse_transforms_of_the_masks(fs):
+    # a unit impulse's spectrum is exactly 1, so its bands are the masks'
+    # inverse transforms, bit for bit
+    h = max(int(0.3 * fs), 4096)
+    want = np.roll(np.fft.irfft(band_masks(2 * h, fs), 2 * h), h, axis=-1)
+    assert np.array_equal(band_kernels(fs), want)
 
 
 def test_band_kernels_are_causal_zero_phase_bands_that_sum_to_a_delay():

@@ -7,7 +7,6 @@ import pytest
 from alodsim import ism, preset, profile_preset, simulate, synth
 from alodsim.coupled import occluded_direct_ir
 from alodsim.errors import SceneValidationError
-from alodsim.filterbank import BandFilter
 from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps, early_spatial_ir
 from alodsim.pipeline import build_spatial_ir
 from alodsim.scene import MAX_SAMPLES, RenderingProfile
@@ -171,10 +170,10 @@ def test_burst_draws_stay_under_the_chunk_bound(monkeypatch):
 def test_razr_full_pub_array_render_filters_no_bands(monkeypatch):
     # flat absorption: each burst is one broadband wave and every specular
     # tap an impulse, so no unit needs band buffers
-    applied = _record_calls(monkeypatch, BandFilter, "apply", lambda self, x: x.shape)
+    masked = _record_calls(monkeypatch, synth, "band_masks", lambda n_fft, fs: n_fft)
     out = simulate(preset("pub"), profile_preset("razr-full"), output_mode="array")
     assert np.any(out.ir.channels)
-    assert applied == []
+    assert masked == []
 
 
 @pytest.mark.parametrize("fixture", ["underground_full_mono", "pub_full_mono",
@@ -203,7 +202,10 @@ def test_two_band_groups_match_the_2m_oracle(monkeypatch):
                 doa=doa / np.linalg.norm(doa, axis=1, keepdims=True),
                 order=np.ones(30, dtype=int))
     ir = SpatialIR(taps=taps, sample_rate=FS)
-    rows = _record_calls(monkeypatch, BandFilter, "apply", lambda self, x: x.shape[0])
+    # no burst, stream or signature: with the noise table built, every
+    # transform is of a band buffer
+    ism._noise_table(FS)
+    rows = _record_calls(monkeypatch, np.fft, "rfft", lambda x, *rest: np.shape(x)[0])
     got, (unit, _, _) = render_units(ir, _two_unit_gains)
     assert len(unit) == 0
     assert rows == [8, 8]  # bands differ: one 8-band buffer per unit
@@ -220,10 +222,10 @@ def test_two_band_groups_match_the_2m_oracle(monkeypatch):
 def test_ism_15_array_render_filters_no_bands(monkeypatch):
     # flat absorption: every tap has equal bands, so the masks sum to 1
     ir, _ = build_spatial_ir(preset("living-room"), profile_preset("ism-15"))  # through the door
-    applied = _record_calls(monkeypatch, BandFilter, "apply", lambda self, x: x.shape)
+    masked = _record_calls(monkeypatch, synth, "band_masks", lambda n_fft, fs: n_fft)
     out = render_array(ir, array_preset_86(), np.array([1.0, 0.0, 0.0]))
     assert len(ir.taps) > 4000 and np.any(out.channels)
-    assert applied == []
+    assert masked == []
 
 
 def test_ism_15_binaural_render_makes_no_fft(monkeypatch):

@@ -725,6 +725,57 @@ def test_cli_renders_with_the_base_hrtf_directory_of_the_malformed_cases(tmp_pat
                  "--out", str(tmp_path / "out.wav")]) == 0
 
 
+# each case: a valid text file, the CLI arguments that read it; the test
+# writes the file in UTF-16, which starts with the bytes ff fe
+_TEXT_FILES = {
+    "scene": ("scene.json", serialize_scene(preset("pub")), [*_SCENE_RENDER, "scene.json"]),
+    "layout": ("layout.json", _layout_json().decode(), [*_ARRAY_RENDER, "layout.json"]),
+    "HRTF index": ("index.txt", _FIVE_ROWS, ["simulate", "--preset", "pub", "--profile",
+                                            "anechoic", "--output-mode", "binaural",
+                                            "--hrtf", "."]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TEXT_FILES))
+def test_cli_prints_one_error_line_naming_a_text_file_that_is_not_utf8(tmp_path, capsys,
+                                                                        monkeypatch, case):
+    name, text, argv = _TEXT_FILES[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(text.encode("utf-16"))
+    assert main(argv + ["--out", "out.wav"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{name}: byte 0 is not UTF-8" in err
+    assert os.listdir(tmp_path) == [name]
+
+
+# each case: CLI arguments in which DIR names an empty directory and FILE a file
+_UNUSABLE_PATHS = {
+    "simulate --out DIR": ["simulate", "--preset", "pub", "--profile", "anechoic",
+                           "--out", "DIR"],
+    "simulate --scene DIR": ["simulate", "--scene", "DIR", "--profile", "anechoic",
+                             "--out", "out.wav"],
+    "simulate --manifest DIR": ["simulate", "--preset", "pub", "--profile", "anechoic",
+                                "--manifest", "DIR", "--out", "out.wav"],
+    "analyze --ir DIR": ["analyze", "--ir", "DIR", "--metrics", "t30", "--out", "out.csv"],
+    "stimulus pink-pulse --out DIR": ["stimulus", "pink-pulse", "--out", "DIR"],
+    "presets --write-scenes FILE": ["presets", "--write-scenes", "FILE"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNUSABLE_PATHS))
+def test_cli_prints_one_error_line_for_a_directory_or_unwritable_path(tmp_path, capsys,
+                                                                       monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "FILE").write_bytes(b"")
+    assert main(_UNUSABLE_PATHS[case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {case[-4:].strip()}: ") and err.count("\n") == 1
+    # the manifest case wrote its WAV first, and removed it
+    assert sorted(os.listdir(tmp_path)) == ["DIR", "FILE"] and not os.listdir("DIR")
+
+
 def test_cli_renders_the_base_layout_of_the_malformed_cases(tmp_path):
     (tmp_path / "layout.json").write_bytes(_layout_json())
     code = main(_ARRAY_RENDER + [str(tmp_path / "layout.json"), "--out", str(tmp_path / "out")])
