@@ -62,13 +62,22 @@ ANALYZE_METRICS = ("t30", "edc", "ned", "drr", "dual-slope")
 CSV_BLOCK_ROWS = 4096  # rows formatted per write
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _json_path(out: str, path, suffix: str) -> str:
+    """``path``, or ``out + suffix`` if None; one naming the WAV ``out`` is an error."""
+    path = path or out + suffix
+    if os.path.realpath(path) == os.path.realpath(out):
+        raise SceneParseError(f"{path} would overwrite the output WAV {out}")
+    return path
 
 
-def _file_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _sha256(fh.read())
+def _write_json(out: str, path: str, doc: dict):
+    """Write ``doc`` as JSON to ``path``, or remove the WAV ``out`` if that fails."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
+    except OSError:
+        os.remove(out)
+        raise
 
 
 def _load_scene(args) -> tuple:
@@ -112,6 +121,7 @@ def _metric_summary(ir: ImpulseResponse) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    manifest_path = _json_path(args.out, args.manifest, ".manifest.json")
     scene, doc = _load_scene(args)
     profile = profile_preset(args.profile)
     hrtf_dir = args.hrtf or os.environ.get(HRTF_ENV_VAR)
@@ -120,26 +130,22 @@ def _cmd_simulate(args) -> int:
     result = simulate(scene, profile, source_id=args.source, duration=args.duration,
                       output_mode=args.output_mode, hrtf=hrtf, layout=layout)
     write_wav(args.out, result.ir.channels.T, result.ir.sample_rate)
+    with open(args.out, "rb") as fh:
+        wav = fh.read()
     manifest = {
         "tool": "alodsim",
         "version": __version__,
-        "scene_sha256": _sha256(doc.encode("utf-8")),
+        "scene_sha256": hashlib.sha256(doc.encode("utf-8")).hexdigest(),
         "scene_name": scene.name,
         "profile": profile.name,
         "seed": scene.rng_seed,
         "source": result.source_id,
         "output_mode": result.output_mode,
         "duration_s": result.duration,
-        "outputs": [{"path": args.out, "sha256": _file_sha256(args.out)}],
+        "outputs": [{"path": args.out, "sha256": hashlib.sha256(wav).hexdigest()}],
         "metrics": _metric_summary(result.ir),
     }
-    manifest_path = args.manifest or args.out + ".manifest.json"
-    try:
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, indent=2) + "\n")
-    except OSError:
-        os.remove(args.out)  # no WAV without its manifest
-        raise
+    _write_json(args.out, manifest_path, manifest)
     print(f"wrote {args.out} ({result.ir.n_channels} ch) and {manifest_path}")
     return 0
 
@@ -202,10 +208,11 @@ def _cmd_analyze(args) -> int:
         path = args.out if len(metrics) == 1 else f"{base}-{metric}{ext or '.csv'}"
         try:
             _analyze_one(metric, channels, fs, path)
-        except AlodsimError as exc:  # the other metrics are still written
-            failed.append(f"{metric}: {exc}")
-            # an earlier run's file at this path would outlive the error
-            with contextlib.suppress(FileNotFoundError):
+        except (AlodsimError, OSError) as exc:  # the other metrics are still written
+            failed.append(f"{metric}: {path}: {exc.strerror}" if isinstance(exc, OSError)
+                          else f"{metric}: {exc}")
+            # an earlier run's file would outlive the error; a directory stays
+            with contextlib.suppress(OSError):
                 os.remove(path)
             continue
         print(f"wrote {path}")
@@ -250,6 +257,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    report_path = _json_path(args.out, args.report, ".report.json")
     sim = _read_ir(args.sim)
     ref = _read_ir(args.ref)
     corrected, fir, report = match_spectrum(sim, ref)
@@ -262,9 +270,7 @@ def _cmd_match(args) -> int:
         "clamped": bool(report.clamped),
         "filter_taps": int(fir.size),
     }
-    report_path = args.report or args.out + ".report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report_doc, indent=2) + "\n")
+    _write_json(args.out, report_path, report_doc)
     print(f"wrote {args.out} and {report_path} "
           f"(mean residual {report.residual_mean_db:.3f} dB)")
     return 0

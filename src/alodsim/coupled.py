@@ -3,12 +3,12 @@
 A coupled pair renders as two parts whose renders are summed
 (``coupled_parts``). Through the door: the source room is simulated to an
 omnidirectional receiver at the door center (stage 1), and its mono response
-becomes the signature of an omnidirectional source there in the receiver
-room (stage 2). Beside the door: the occluded direct path and, with room
-details, the receiver room's FDN driven by stage 1's own tail through the
-area-ratio coupling gain, an explicit approximation of true coupled-FDN
-topologies. No signature is convolved onto this part, so stage 1's tail
-enters it once.
+is the door signature of an omni source there in the receiver room (stage
+2); ``pipeline.render_output`` convolves it into each channel of the part.
+Beside the door: the occluded direct path and, with room details, the
+receiver room's FDN driven by stage 1's own tail through the area-ratio
+coupling gain, an explicit approximation of true coupled-FDN topologies.
+This part has no signature, so stage 1's tail enters it once.
 
 Each tail junction is decided here: ``splice`` (beside ``_fdn_onset``) and
 the cross-feed share one energy sum and one scale step and set ``tail_onset``.
@@ -111,8 +111,8 @@ def splice(early: SpatialIR, tail, *, onset: float, t60: float,
     scaled in place to rho / (1 - rho) times the early energy, and the tail
     starts at ``onset`` (the result's ``tail_onset``). An onset at the direct
     sound leaves the early part no share of the decay (rho -> 1), so it is
-    an ``InfeasibleTargetError``. The early IR carries no signature: a
-    coupled path adds one only after the splice.
+    an ``InfeasibleTargetError``. The early IR carries no signature:
+    ``coupled_parts`` sets one on a part through the door after the splice.
     """
     level_db = -60.0 * max(onset - direct_delay, 0.0) / t60
     rho = 10.0 ** (level_db / 10.0)

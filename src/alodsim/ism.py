@@ -110,8 +110,8 @@ class SpatialIR:
     sample_rate: float
     tail: tuple = ()
     tail_onset: float = 0.0  # seconds; every tail stream starts here
-    # Optional mono kernel convolved into every rendered channel (used by the
-    # two-stage room coupling to inject the source-room response).
+    # Optional door signature that ``coupled_parts`` sets on a part through a
+    # door; ``pipeline.render_output`` convolves it into each rendered channel.
     signature: Optional[np.ndarray] = None
 
     def __post_init__(self):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .coupled import coupled_parts, single_room_ir
 from .errors import SceneValidationError
+from .filterbank import fftconvolve
 from .ism import SpatialIR
 from .scene import ReceiverSpec, RenderingProfile, SceneSpec, sample_count
 from .spatial import (
@@ -27,9 +28,9 @@ from .spatial import (
     binauralize,
     diotic,
     render_array,
-    render_mono,
     synthetic_hrtf,
 )
+from .synth import synthesize_mono
 
 # Rendered tail length beyond the decay model, to absorb onsets and direct
 # path delays.
@@ -105,15 +106,20 @@ def build_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
 def render_output(spatial: SpatialIR, output_mode: str, receiver: ReceiverSpec,
                   hrtf: Optional[HrtfSet] = None,
                   layout: Optional[LoudspeakerLayout] = None) -> ImpulseResponse:
-    """Spatialize a SpatialIR with ``hrtf`` (binaural, diotic) or ``layout`` (array)."""
+    """A part's channels: the mode's render of its taps and tail with ``hrtf``
+    (binaural, diotic) or ``layout`` (array), convolved once with the part's
+    door signature if it has one; a diotic output then copies the left ear."""
     if output_mode in ("binaural", "diotic"):
         ir = binauralize(spatial, hrtf, orientation=receiver.orientation)
-        return diotic(ir) if output_mode == "diotic" else ir
-    if output_mode == "array":
-        return render_array(spatial, layout, orientation=receiver.orientation)
-    if output_mode == "mono":
-        return render_mono(spatial)
-    raise SceneValidationError(f"unknown output mode {output_mode!r}")
+    elif output_mode == "array":
+        ir = render_array(spatial, layout, orientation=receiver.orientation)
+    elif output_mode == "mono":
+        ir = ImpulseResponse(synthesize_mono(spatial)[None, :], spatial.sample_rate)
+    else:
+        raise SceneValidationError(f"unknown output mode {output_mode!r}")
+    if spatial.signature is not None:
+        ir = ImpulseResponse(fftconvolve(ir.channels, spatial.signature), ir.sample_rate)
+    return diotic(ir) if output_mode == "diotic" else ir
 
 
 def _mix(a: ImpulseResponse, b: ImpulseResponse) -> ImpulseResponse:

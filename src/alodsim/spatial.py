@@ -1,4 +1,4 @@
-"""Spatialization: binaural (HRTF), loudspeaker array (VBAP), diotic, mono.
+"""Spatialization: binaural (HRTF), loudspeaker array (VBAP) and diotic.
 
 Directions are expressed in the listener's head frame: x front, y left,
 z up. Azimuth is counterclockwise from front (positive = left), elevation
@@ -19,7 +19,7 @@ from .errors import RateMismatchError, SceneParseError, SceneValidationError
 from .filterbank import partitioned_convolve
 from .ism import SpatialIR
 from .scene import head_frame, read_text
-from .synth import apply_signature, render_units, spatial_ir_length, synthesize_mono
+from .synth import render_units, spatial_ir_length
 
 
 @dataclass(frozen=True)
@@ -398,7 +398,6 @@ def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
     for ear in (0, 1):
         weights = (value[:, None] * hrtf.filters[unit, ear]).ravel()
         out[ear] += np.bincount(at, weights, minlength=out.shape[1])
-    out = apply_signature(out, spatial_ir)
     return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
 
 
@@ -429,13 +428,7 @@ def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
             else:
                 shifted[i, :k] = out[i, -k:]
         out = shifted
-    out = apply_signature(out, spatial_ir)
     return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
-
-
-def render_mono(spatial_ir: SpatialIR) -> ImpulseResponse:
-    return ImpulseResponse(channels=synthesize_mono(spatial_ir)[None, :],
-                           sample_rate=spatial_ir.sample_rate)
 
 
 def diotic(ir: ImpulseResponse) -> ImpulseResponse:

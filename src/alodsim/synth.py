@@ -20,7 +20,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .errors import SceneValidationError
-from .filterbank import OCTAVE_CENTERS_8, band_masks, fftconvolve, padded_len
+from .filterbank import OCTAVE_CENTERS_8, band_masks, padded_len
 from .ism import SpatialIR, burst_waves
 from .scene import MAX_SAMPLES
 
@@ -63,9 +63,7 @@ def render_units(spatial_ir: SpatialIR,
     tap order into each unit they reach, times the gain there. A specular tap
     with equal band amplitudes stays an impulse: the three arrays hold one
     entry per such (tap, unit) pair with a nonzero gain, in tap order, for
-    the caller to add into its output channels. The optional coupling
-    signature is NOT applied here (it acts on the final channels; convolution
-    commutes with the per-unit linear processing).
+    the caller to add into its output channels.
     """
     fs = spatial_ir.sample_rate
     n = spatial_ir_length(spatial_ir)
@@ -112,15 +110,9 @@ def render_units(spatial_ir: SpatialIR,
 
 
 def synthesize_mono(spatial_ir: SpatialIR) -> np.ndarray:
-    """Omnidirectional (direction-discarding) rendering of a SpatialIR."""
+    """Omnidirectional (direction-discarding) rendering of a SpatialIR's taps
+    and tail; its door signature is left to ``pipeline.render_output``."""
     units, (_, start, value) = render_units(spatial_ir, lambda d: np.ones((len(d), 1)))
     out = units[0] if units else np.zeros(spatial_ir_length(spatial_ir))
     np.add.at(out, start, value)
-    return apply_signature(out, spatial_ir)
-
-
-def apply_signature(channels: np.ndarray, spatial_ir: SpatialIR) -> np.ndarray:
-    """``channels`` convolved with the IR's door signature, if it carries one."""
-    if spatial_ir.signature is None:
-        return channels
-    return fftconvolve(channels, spatial_ir.signature)
+    return out

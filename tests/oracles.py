@@ -13,7 +13,10 @@ beside its waves into a full-length unit wave, one tap at a time.
 separately at the full length, and ``render_array_per_tap`` pans each tap
 with its own ``vbap_gains`` call, where ``alodsim.spatial`` scatters impulse
 taps straight into the output channels and, in binaural renders, convolves
-the remaining unit waves block by block, summed over the units.
+the remaining unit waves block by block, summed over the units. Both then
+convolve each channel with the part's door signature through
+``scipy.signal.fftconvolve``, as ``alodsim.pipeline.render_output`` does
+once after the renderer.
 
 ``burst_samples`` draws one tap's diffuse burst at a time, where
 ``alodsim.ism.burst_waves`` draws a chunk of rows per gather.
@@ -72,7 +75,7 @@ from alodsim.ism import (
     reflect_finite_panels,
 )
 from alodsim.spatial import ImpulseResponse, head_frame, vbap_gains
-from alodsim.synth import apply_signature, render_units, spatial_ir_length, synthesize_mono
+from alodsim.synth import render_units, spatial_ir_length, synthesize_mono
 
 
 def per_band_run_fdn(config, duration, input_signal=None,
@@ -163,8 +166,16 @@ def render_units_whole(spatial_ir, unit_gains):
     return units
 
 
+def _with_signature(out, spatial_ir):
+    """``out`` as an IR, each channel convolved with the door signature, if any."""
+    if spatial_ir.signature is not None:
+        out = fftconvolve(out, spatial_ir.signature[None, :])
+    return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
+
+
 def binauralize_per_unit(spatial_ir, hrtf, orientation):
-    """Binaural render with one ``fftconvolve`` per render unit and ear."""
+    """Binaural render of a part with one ``fftconvolve`` per render unit and
+    ear, then one per ear with its door signature."""
     frame = head_frame(orientation)
     one_hot = np.eye(hrtf.directions.shape[0])
     units = render_units_whole(spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
@@ -173,13 +184,13 @@ def binauralize_per_unit(spatial_ir, hrtf, orientation):
     for idx in sorted(units):
         out[0] += fftconvolve(units[idx], hrtf.filters[idx, 0])
         out[1] += fftconvolve(units[idx], hrtf.filters[idx, 1])
-    return ImpulseResponse(channels=apply_signature(out, spatial_ir),
-                           sample_rate=spatial_ir.sample_rate)
+    return _with_signature(out, spatial_ir)
 
 
 def render_array_per_tap(spatial_ir, layout, orientation):
     """Array render of a layout without calibration: one ``vbap_gains``
-    call per tap and stream direction, every tap in a full-length unit wave."""
+    call per tap and stream direction, every tap in a full-length unit wave,
+    then each channel convolved with the door signature."""
     assert layout.calibration_gains is None and layout.calibration_delays is None
     frame = head_frame(orientation)
     units = render_units_whole(spatial_ir, lambda d: np.reshape(
@@ -187,8 +198,7 @@ def render_array_per_tap(spatial_ir, layout, orientation):
     out = np.zeros((layout.n_speakers, spatial_ir_length(spatial_ir)))
     for unit, wave in units.items():
         out[unit] += wave
-    return ImpulseResponse(channels=apply_signature(out, spatial_ir),
-                           sample_rate=spatial_ir.sample_rate)
+    return _with_signature(out, spatial_ir)
 
 
 def envelope_db(x, fs, smooth_s=1e-3):

@@ -16,6 +16,7 @@ from alodsim.analysis import dual_slope_fit, ned, schroeder_edc, t30
 from alodsim.coupled import _door_source, coupled_parts, single_room_ir
 from alodsim.filterbank import OCTAVE_CENTERS_8, band_energies, band_masks
 from alodsim.ism import enumerate_images
+from alodsim.pipeline import render_output
 from alodsim.postproc import match_spectrum
 from alodsim.scene import RoomSpec
 from alodsim.spatial import (
@@ -26,7 +27,6 @@ from alodsim.spatial import (
     vbap_gains,
 )
 from alodsim.stimuli import _envelope_db, ess_deconvolve, ess_generate, pink_pulse
-from alodsim.synth import synthesize_mono
 
 from conftest import RENDER_TIMES, first_arrival
 
@@ -193,9 +193,10 @@ def test_criterion_06_two_stage_coupling(capsys, living_scene):
     duration = 1.2
     fs = living_scene.sample_rate
 
-    two = coupled_parts(living_scene, profile, source, living_scene.receivers[0], duration,
+    listener = living_scene.receivers[0]
+    two = coupled_parts(living_scene, profile, source, listener, duration,
                         np.random.SeedSequence([42]))[0]
-    mono = synthesize_mono(two)
+    mono = render_output(two, "mono", listener).channels[0]
     idx = first_arrival(mono, fs)
     expected = 5.7 / living_scene.speed_of_sound * fs
     arrival_ok = abs(idx - expected) <= 1.0
@@ -205,8 +206,8 @@ def test_criterion_06_two_stage_coupling(capsys, living_scene):
     door = _door_source(living_scene.apertures[0], receiver)
     ref = single_room_ir(living_scene, profile, door, receiver,
                          living_scene.room_of(receiver), duration, stage2_seed)
-    a = synthesize_mono(unit)
-    b = synthesize_mono(ref)
+    a = render_output(unit, "mono", listener).channels[0]
+    b = render_output(ref, "mono", listener).channels[0]
     n = min(a.size, b.size)
     diff = float(np.max(np.abs(a[:n] - b[:n])))
     identity_ok = diff < 1e-10 and not (np.any(a[n:]) or np.any(b[n:]))

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,13 +23,12 @@ from alodsim.spatial import (
     head_frame,
     load_hrtf_dir,
     render_array,
-    render_mono,
     synthetic_hrtf,
     vbap_gains,
 )
-from alodsim.pipeline import build_spatial_ir, simulate
-from alodsim.scene import preset, profile_preset
-from alodsim.synth import spatial_ir_length
+from alodsim.pipeline import build_spatial_ir, render_output, simulate
+from alodsim.scene import ReceiverSpec, preset, profile_preset
+from alodsim.synth import spatial_ir_length, synthesize_mono
 from alodsim.wavio import write_wav
 
 from oracles import binauralize_per_unit, render_array_per_tap, render_units_whole
@@ -46,6 +46,13 @@ def _single_tap_ir(doa):
 
 
 FRONT = np.array([1.0, 0.0, 0.0])  # head_frame(FRONT) is the identity
+TURNED = np.array([0.3, -1.0, 0.2]) / np.linalg.norm([0.3, -1.0, 0.2])
+
+
+def _render(ir, mode, orientation=FRONT, **kwargs):
+    """``render_output`` for a listener facing ``orientation``."""
+    receiver = ReceiverSpec(id="r", position=np.zeros(3), orientation=orientation)
+    return render_output(ir, mode, receiver, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +456,7 @@ def test_diotic_channels_bit_identical():
 
 def test_diotic_array_uses_only_frontal_speaker():
     layout = array_preset_86()
-    mono = render_mono(_single_tap_ir([0.0, 1.0, 0.0]))
+    mono = _render(_single_tap_ir([0.0, 1.0, 0.0]), "mono")
     out = diotic_array(mono, layout)
     active = np.nonzero(np.sum(out.channels**2, axis=1))[0]
     assert list(active) == [frontal_speaker_index(layout)]
@@ -464,7 +471,7 @@ def test_diotic_array_rejects_a_multichannel_ir():
 
 
 def test_render_mono_places_tap_at_delay():
-    ir = render_mono(_single_tap_ir([1.0, 0.0, 0.0]))
+    ir = _render(_single_tap_ir([1.0, 0.0, 0.0]), "mono")
     peak = int(np.argmax(np.abs(ir.channels[0])))
     assert peak == int(round(0.01 * FS))
     assert ir.channels[0][peak] == pytest.approx(0.5, rel=1e-6)
@@ -473,12 +480,29 @@ def test_render_mono_places_tap_at_delay():
 def test_signature_applies_to_rendered_channels():
     tap = _tap([1.0, 0.0, 0.0])
     sig = np.array([0.0, 2.0])  # one-sample shift, gain 2
-    plain = render_mono(SpatialIR(taps=tap, sample_rate=FS))
-    with_sig = render_mono(SpatialIR(taps=tap, sample_rate=FS,
-                                     signature=sig))
+    plain = _render(SpatialIR(taps=tap, sample_rate=FS), "mono")
+    with_sig = _render(SpatialIR(taps=tap, sample_rate=FS, signature=sig), "mono")
     n = plain.n_samples
     assert np.allclose(with_sig.channels[0][1:n + 1], 2.0 * plain.channels[0],
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["mono", "binaural", "diotic", "array"])
+def test_render_output_convolves_each_channel_once_with_the_signature(mode):
+    # the renderers make the taps and tail alone; a second convolution with
+    # [0, 0.5] would delay the render by two samples and scale it by 0.25
+    part = _short_ir()
+    if mode == "mono":
+        plain = synthesize_mono(part)[None, :]
+    elif mode == "array":
+        plain = render_array(part, _ARRAY, FRONT).channels
+    else:
+        plain = binauralize(part, _HRTF, FRONT).channels[[0, 0] if mode == "diotic" else [0, 1]]
+    want = np.zeros((len(plain), plain.shape[1] + 1))
+    want[:, 1:] = 0.5 * plain
+    ir = replace(part, signature=np.array([0.0, 0.5]))
+    got = _render(ir, mode, hrtf=_HRTF, layout=_ARRAY).channels
+    assert _error_of_peak(got, want) <= 1e-12
 
 
 def test_binauralize_matches_per_unit_convolution():
@@ -486,8 +510,8 @@ def test_binauralize_matches_per_unit_convolution():
     ir, _ = build_spatial_ir(preset("living-room"), profile_preset("razr-full"))  # through the door
     assert ir.tail and ir.signature is not None
     hrtf = synthetic_hrtf()
-    orientation = np.array([0.3, -1.0, 0.2])
-    got = binauralize(ir, hrtf, orientation)
+    orientation = TURNED
+    got = _render(ir, "binaural", orientation, hrtf=hrtf)
     want = binauralize_per_unit(ir, hrtf, orientation)
     assert got.channels.shape == want.channels.shape
     peak = np.max(np.abs(want.channels))
@@ -542,14 +566,14 @@ def test_impulse_taps_scatter_as_the_per_unit_and_per_tap_oracles(case):
     # the oracles add each impulse tap into a full-length unit wave and
     # render that wave; waves of bursts and band-dependent taps are shared
     ir, orientation = case
-    got = binauralize(ir, _HRTF, orientation).channels
+    got = _render(ir, "binaural", orientation, hrtf=_HRTF).channels
     assert _error_of_peak(got, binauralize_per_unit(ir, _HRTF, orientation).channels) <= 1e-12
-    got = render_array(ir, _ARRAY, orientation).channels
+    got = _render(ir, "array", orientation, layout=_ARRAY).channels
     assert _error_of_peak(got, render_array_per_tap(ir, _ARRAY, orientation).channels) <= 1e-12
     want = render_units_whole(ir, lambda d: np.ones((len(d), 1)))[0]
     if ir.signature is not None:
         want = np.convolve(want, ir.signature)
-    assert _error_of_peak(render_mono(ir).channels[0], want) <= 1e-12
+    assert _error_of_peak(_render(ir, "mono", orientation).channels[0], want) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -578,8 +602,8 @@ def test_binauralize_matches_per_unit_convolution_at_any_hrtf_length(living_full
     rng = np.random.default_rng(taps)
     filters = rng.standard_normal(base.filters.shape[:2] + (taps,)) * np.exp(-np.arange(taps) / 50)
     hrtf = HrtfSet(directions=base.directions, filters=filters, sample_rate=FS)
-    orientation = np.array([0.3, -1.0, 0.2])
-    got = binauralize(ir, hrtf, orientation).channels
+    orientation = TURNED
+    got = _render(ir, "binaural", orientation, hrtf=hrtf).channels
     assert _error_of_peak(got, binauralize_per_unit(ir, hrtf, orientation).channels) <= 1e-12
 
 
@@ -601,7 +625,7 @@ def test_tail_streams_render_at_their_onset():
     no_taps = Taps(delay=np.zeros(0), amplitude=np.zeros((0, 8)),
                    doa=np.zeros((0, 3)), order=np.zeros(0, dtype=int))
     spatial = SpatialIR(taps=no_taps, sample_rate=FS, tail=(stream,), tail_onset=0.05)
-    ir = render_mono(spatial)
+    ir = _render(spatial, "mono")
     start = int(round(0.05 * FS))
     assert np.all(ir.channels[0][:start] == 0.0)
     assert ir.channels[0][start] == pytest.approx(1.0)

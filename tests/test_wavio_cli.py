@@ -319,7 +319,7 @@ def test_cli_simulate_scene_file(tmp_path):
 
 def test_cli_simulate_uses_the_scene_files_own_seed(tmp_path):
     scene = tmp_path / "pub7.json"
-    scene.write_bytes(_pub_scene_with("seed", value=7))
+    scene.write_bytes(_scene_with("seed", value=7))
     common = ["--profile", "razr-full", "--duration", "0.3", "--output-mode", "mono"]
     outs = {name: str(tmp_path / f"{name}.wav") for name in ("file", "preset", "zero")}
     assert main(["simulate", "--scene", str(scene), *common, "--out", outs["file"]]) == 0
@@ -522,6 +522,63 @@ def test_cli_match_report(tmp_path):
     assert os.path.exists(out)
 
 
+def _decaying_noise(path, seed=3):
+    n = int(0.5 * FS)
+    write_wav(path, np.random.default_rng(seed).standard_normal(n)
+              * 10.0 ** (-60.0 * np.arange(n) / FS / 0.4 / 20.0), FS)
+
+
+# each case: CLI arguments that name one file twice; sim.wav and ref.wav exist
+_ONE_PATH_TWICE = {
+    "simulate --manifest same.wav": ["simulate", "--preset", "pub", "--profile", "anechoic",
+                                     "--out", "same.wav", "--manifest", "same.wav"],
+    "simulate --manifest ./same.wav": ["simulate", "--preset", "pub", "--profile", "anechoic",
+                                       "--out", "same.wav", "--manifest", "./same.wav"],
+    "match --report m.wav": ["match", "--sim", "sim.wav", "--ref", "ref.wav",
+                             "--out", "m.wav", "--report", "m.wav"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_PATH_TWICE))
+def test_cli_rejects_two_outputs_at_one_path_before_writing(tmp_path, capsys, monkeypatch,
+                                                             case):
+    monkeypatch.chdir(tmp_path)
+    _decaying_noise("sim.wav")
+    _decaying_noise("ref.wav", seed=4)
+    assert main(_ONE_PATH_TWICE[case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "would overwrite" in err and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["ref.wav", "sim.wav"]
+
+
+def test_cli_match_removes_its_wav_when_the_report_cannot_be_written(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _decaying_noise("sim.wav")
+    _decaying_noise("ref.wav", seed=4)
+    (tmp_path / "DIR").mkdir()
+    assert main(["match", "--sim", "sim.wav", "--ref", "ref.wav", "--out", "m.wav",
+                 "--report", "DIR"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DIR: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["DIR", "ref.wav", "sim.wav"]
+
+
+def test_cli_analyze_runs_every_metric_past_a_csv_that_cannot_be_written(tmp_path, capsys):
+    ir_path = str(tmp_path / "ir.wav")
+    _decaying_noise(ir_path)
+    (tmp_path / "o-ned.csv").mkdir()
+    code = main(["analyze", "--ir", ir_path, "--metrics", "edc,ned,drr",
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert sorted(os.listdir(tmp_path)) == ["ir.wav", "o-drr.csv", "o-edc.csv", "o-ned.csv"]
+    assert not os.listdir(tmp_path / "o-ned.csv")
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"wrote {tmp_path / 'o-edc.csv'}",
+                                         f"wrote {tmp_path / 'o-drr.csv'}"]
+    assert captured.err == f"error: ned: {tmp_path / 'o-ned.csv'}: Is a directory\n"
+
+
 def test_cli_error_path(tmp_path, capsys):
     out = str(tmp_path / "x.wav")
     code = main(["simulate", "--scene", str(tmp_path / "missing.json"),
@@ -542,9 +599,9 @@ def _scene_with_absorption(value) -> str:
     return json.dumps(doc)
 
 
-def _pub_scene_with(*path, value) -> bytes:
-    # scenes/pub.json with the value at path (keys and list indices) set
-    doc = json.loads(serialize_scene(preset("pub")))
+def _scene_with(*path, value, scene="pub") -> bytes:
+    # scenes/<scene>.json with the value at path (keys and list indices) set
+    doc = json.loads(serialize_scene(preset(scene)))
     *parents, last = path
     node = doc
     for key in parents:
@@ -579,51 +636,51 @@ _MALFORMED = {
         "scene.json", _scene_with_absorption("abc").encode(),
         ["simulate", "--profile", "ism-15", "--scene"]),
     "scene with a string sample rate": (
-        "scene.json", _pub_scene_with("sample_rate", value="x"), _SCENE_RENDER),
+        "scene.json", _scene_with("sample_rate", value="x"), _SCENE_RENDER),
     "scene with speed of sound 0": (
-        "scene.json", _pub_scene_with("speed_of_sound", value=0), _SCENE_RENDER),
+        "scene.json", _scene_with("speed_of_sound", value=0), _SCENE_RENDER),
     "scene with a string source level": (
-        "scene.json", _pub_scene_with("sources", 0, "level_db", value="loud"), _SCENE_RENDER),
+        "scene.json", _scene_with("sources", 0, "level_db", value="loud"), _SCENE_RENDER),
     "scene with sample rate 0, rendered anechoic": (
-        "scene.json", _pub_scene_with("sample_rate", value=0),
+        "scene.json", _scene_with("sample_rate", value=0),
         ["simulate", "--profile", "anechoic", "--output-mode", "mono", "--scene"]),
     "scene with occluded path 0": (
-        "scene.json", _pub_scene_with("occluded_path_m", value=0), _SCENE_RENDER),
+        "scene.json", _scene_with("occluded_path_m", value=0), _SCENE_RENDER),
     "scene with a negative seed": (
-        "scene.json", _pub_scene_with("seed", value=-1), _SCENE_RENDER),
+        "scene.json", _scene_with("seed", value=-1), _SCENE_RENDER),
     "scene file rendered with a negative --seed": (
-        "scene.json", _pub_scene_with("seed", value=7),
+        "scene.json", _scene_with("seed", value=7),
         [*_SCENE_RENDER[:-1], "--seed", "-1", "--scene"]),
     "scene nested 100000 lists deep": (
         "scene.json", b"[" * 100000 + b"]" * 100000, _SCENE_RENDER),
     "scene with a misspelt source key": (
-        "scene.json", _pub_scene_with("sources", 0, "level_dB", value=-20), _SCENE_RENDER),
+        "scene.json", _scene_with("sources", 0, "level_dB", value=-20), _SCENE_RENDER),
     "scene with a misspelt room key": (
-        "scene.json", _pub_scene_with("rooms", 0, "volume_overide", value=1), _SCENE_RENDER),
+        "scene.json", _scene_with("rooms", 0, "volume_overide", value=1), _SCENE_RENDER),
     # 0.3 s at 1e12 Hz: FDN lines of 3e11 samples (26.2 TiB)
     "scene with sample rate 1e12": (
-        "scene.json", _pub_scene_with("sample_rate", value=1e12), _SCENE_RENDER),
+        "scene.json", _scene_with("sample_rate", value=1e12), _SCENE_RENDER),
     # the mean free path, and with it the tail onset, runs to 1e10 m (28.5 TiB)
     "scene with a room volume of 1e12 m^3": (
-        "scene.json", _pub_scene_with("rooms", 0, "volume_override", value=1e12), _SCENE_RENDER),
+        "scene.json", _scene_with("rooms", 0, "volume_override", value=1e12), _SCENE_RENDER),
     # razr-simple renders no second slope, so only the scene can reject these
     "scene with a second slope from -10 dB, rendered razr-simple": (
-        "scene.json", _pub_scene_with("rooms", 0, "decay", "second_slope",
+        "scene.json", _scene_with("rooms", 0, "decay", "second_slope",
                                       value={"t30_2": 1.4, "onset_level_db": -10.0}),
         _SIMPLE_RENDER),
     "scene with a second slope faster than the primary, rendered razr-simple": (
-        "scene.json", _pub_scene_with("rooms", 0, "decay", "second_slope",
+        "scene.json", _scene_with("rooms", 0, "decay", "second_slope",
                                       value={"t30_2": 0.5, "onset_level_db": -40.0}),
         _SIMPLE_RENDER),
     "scene with a T30 target of 1e-6 s": (
-        "scene.json", _pub_scene_with("rooms", 0, "decay", "t30_bands", value=1e-6),
+        "scene.json", _scene_with("rooms", 0, "decay", "t30_bands", value=1e-6),
         _SCENE_RENDER),
     # squaring its linear gain would overflow a float
     "scene with a source level of 4000 dB": (
-        "scene.json", _pub_scene_with("sources", 0, "level_db", value=4000),
+        "scene.json", _scene_with("sources", 0, "level_db", value=4000),
         ["simulate", "--profile", "ism-15", "--output-mode", "mono", "--scene"]),
     "scene with a source beyond the float32 range": (
-        "scene.json", _pub_scene_with("sources", 0, "level_db", value=800),
+        "scene.json", _scene_with("sources", 0, "level_db", value=800),
         ["simulate", "--profile", "ism-15", "--output-mode", "mono", "--scene"]),
     "IR of 3e38 whose render exceeds the float32 range": (
         "ir.wav", _wav_with_fmt(struct.pack("<HHIIHH", 3, 1, 44100, 176400, 4, 32),
@@ -646,6 +703,29 @@ _MALFORMED = {
     "6-byte fmt chunk": (
         "ir.wav", _wav_with_fmt(struct.pack("<HHH", 1, 1, 0)),
         ["analyze", "--metrics", "t30", "--ir"]),
+    "coupled scene without an occluded path length": (
+        "scene.json", _scene_with("occluded_path_m", value=None, scene="living-room"),
+        _SCENE_RENDER),
+    "aperture center off the wall the two rooms share": (
+        "scene.json", _scene_with("apertures", 0, "center", value=[4.0, 3.0, 1.0],
+                                  scene="living-room"),
+        _SCENE_RENDER),
+    "receiver at the source position, rendered ism-15": (
+        "scene.json", _scene_with("receivers", 0, "position",
+                                  value=preset("pub").sources[0].position.tolist()),
+        ["simulate", "--profile", "ism-15", "--output-mode", "mono", "--scene"]),
+    "receiver orientation of norm 2": (
+        "scene.json", _scene_with("receivers", 0, "orientation", value=[2.0, 0.0, 0.0]),
+        _SCENE_RENDER),
+    "all-zero IR, analyzed for DRR": (
+        "ir.wav", _wav_with_fmt(struct.pack("<HHIIHH", 3, 1, 44100, 176400, 4, 32),
+                                np.zeros(4000, "<f4").tobytes()),
+        ["analyze", "--metrics", "drr", "--ir"]),
+    # stim.wav, the valid stimulus, serves as the IR here
+    "stimulus with a sample at 2.0, rendered": (
+        "loud.wav", _wav_with_fmt(struct.pack("<HHIIHH", 3, 1, 44100, 176400, 4, 32),
+                                  np.array([0.5, 2.0, 0.25], "<f4").tobytes()),
+        ["render", "--ir", "stim.wav", "--stim"]),
     "layout without positions": (
         "layout.json", b'{"center": [0, 0, 0]}', _ARRAY_RENDER),
     "layout with non-numeric positions": (
@@ -871,6 +951,16 @@ _MALFORMED_ARGUMENTS = {
     "sweep at 5e9 Hz": ["stimulus", "sweep", "--rate", "5e9", "--duration", "2e-9",
                         "--f1", "1", "--f2", "1e6"],
     "sweep at 44100.7 Hz": ["stimulus", "sweep", "--rate", "44100.7", "--duration", "0.01"],
+    "pink pulse at 4000 Hz": ["stimulus", "pink-pulse", "--rate", "4000"],
+    "pink pulse of 10 ms": ["stimulus", "pink-pulse", "--duration", "0.01"],
+    "simulate without --scene or --preset": ["simulate", "--profile", "anechoic"],
+    "unknown --source": ["simulate", "--preset", "pub", "--profile", "anechoic",
+                         "--source", "nope"],
+    # the named layout is built before the render rejects its duration
+    "86-preset array render of 0 s": ["simulate", "--preset", "pub", "--profile", "anechoic",
+                                      "--output-mode", "array", "--layout", "86-preset",
+                                      "--duration", "0"],
+    "no metric between the commas": ["analyze", "--ir", "ir.wav", "--metrics", ","],
 }
 
 
