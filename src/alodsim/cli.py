@@ -62,12 +62,15 @@ ANALYZE_METRICS = ("t30", "edc", "ned", "drr", "dual-slope")
 CSV_BLOCK_ROWS = 4096  # rows formatted per write
 
 
-def _json_path(out: str, path, suffix: str) -> str:
-    """``path``, or ``out + suffix`` if None; one naming the WAV ``out`` is an error."""
-    path = path or out + suffix
-    if os.path.realpath(path) == os.path.realpath(out):
-        raise SceneParseError(f"{path} would overwrite the output WAV {out}")
-    return path
+def _check_outputs(outputs, *inputs):
+    """Raise, before anything is read, if an output names an input file
+    (None is no file) or an earlier output."""
+    taken = {os.path.realpath(path): f"the input {path}" for path in inputs if path is not None}
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in taken:
+            raise SceneParseError(f"{path} would overwrite {taken[real]}")
+        taken[real] = f"the output {path}"
 
 
 def _write_json(out: str, path: str, doc: dict):
@@ -121,7 +124,9 @@ def _metric_summary(ir: ImpulseResponse) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    manifest_path = _json_path(args.out, args.manifest, ".manifest.json")
+    manifest_path = args.manifest or args.out + ".manifest.json"
+    _check_outputs((args.out, manifest_path), args.scene,
+                   None if args.layout == "86-preset" else args.layout)  # the preset is no file
     scene, doc = _load_scene(args)
     profile = profile_preset(args.profile)
     hrtf_dir = args.hrtf or os.environ.get(HRTF_ENV_VAR)
@@ -200,12 +205,14 @@ def _cmd_analyze(args) -> int:
             raise SceneParseError(
                 f"unknown metric {metric!r}; known: {', '.join(ANALYZE_METRICS)}"
             )
+    base, ext = os.path.splitext(args.out)
+    paths = {metric: args.out if len(metrics) == 1 else f"{base}-{metric}{ext or '.csv'}"
+             for metric in metrics}
+    _check_outputs(paths.values(), args.ir)
     ir = _read_ir(args.ir)
     channels, fs = ir.channels, ir.sample_rate
-    base, ext = os.path.splitext(args.out)
     failed = []
-    for metric in metrics:
-        path = args.out if len(metrics) == 1 else f"{base}-{metric}{ext or '.csv'}"
+    for metric, path in paths.items():
         try:
             _analyze_one(metric, channels, fs, path)
         except (AlodsimError, OSError) as exc:  # the other metrics are still written
@@ -244,6 +251,7 @@ def _cmd_stimulus(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    _check_outputs((args.out,), args.ir, args.stim)
     stim_data, stim_fs = read_wav(args.stim)
     ir = _read_ir(args.ir)
     stim = Stimulus(samples=stim_data[:, 0], sample_rate=stim_fs, kind="file")
@@ -257,7 +265,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    report_path = _json_path(args.out, args.report, ".report.json")
+    report_path = args.report or args.out + ".report.json"
+    _check_outputs((args.out, report_path), args.sim, args.ref)
     sim = _read_ir(args.sim)
     ref = _read_ir(args.ref)
     corrected, fir, report = match_spectrum(sim, ref)

@@ -89,13 +89,22 @@ def padded_len(n: int) -> int:
 
 def fftconvolve(a, b) -> np.ndarray:
     """Full linear convolution of ``a`` and ``b`` along the last axis; the
-    other axes broadcast. One real FFT product at a 2-3-5-smooth length."""
+    other axes broadcast. One real FFT product at a 2-3-5-smooth length, of
+    ``b`` once and of ``a`` 8 rows at a time, straight into the output rows."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape[-1] == 1 or b.shape[-1] == 1:
         return a * b  # a one-sample factor only scales: exact, no FFT rounding
     size = a.shape[-1] + b.shape[-1] - 1
     n_fft = next_fast_len(size)
-    return np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft)[..., :size]
+    lead, spectrum = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), np.fft.rfft(b, n_fft)
+    out = np.empty(lead + (size,))
+    # rows in step: views unless a or b broadcasts
+    a, spectrum = (np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
+                   for x in (a, spectrum))
+    for i in range(0, len(a), 8):
+        chunk = np.fft.rfft(a[i:i + 8], n_fft) * spectrum[i:i + 8]
+        out.reshape(-1, size)[i:i + 8] = np.fft.irfft(chunk, n_fft)[:, :size]
+    return out
 
 
 def partitioned_convolve(waves, kernels) -> np.ndarray:

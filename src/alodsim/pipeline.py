@@ -24,10 +24,10 @@ from .spatial import (
     HrtfSet,
     ImpulseResponse,
     LoudspeakerLayout,
+    array_channels,
     array_preset_86,
-    binauralize,
+    binaural_channels,
     diotic,
-    render_array,
     synthetic_hrtf,
 )
 from .synth import synthesize_mono
@@ -108,17 +108,19 @@ def render_output(spatial: SpatialIR, output_mode: str, receiver: ReceiverSpec,
                   layout: Optional[LoudspeakerLayout] = None) -> ImpulseResponse:
     """A part's channels: the mode's render of its taps and tail with ``hrtf``
     (binaural, diotic) or ``layout`` (array), convolved once with the part's
-    door signature if it has one; a diotic output then copies the left ear."""
+    door signature if it has one and checked for finiteness once; a diotic
+    output then copies the left ear."""
     if output_mode in ("binaural", "diotic"):
-        ir = binauralize(spatial, hrtf, orientation=receiver.orientation)
+        channels = binaural_channels(spatial, hrtf, receiver.orientation)
     elif output_mode == "array":
-        ir = render_array(spatial, layout, orientation=receiver.orientation)
+        channels = array_channels(spatial, layout, receiver.orientation)
     elif output_mode == "mono":
-        ir = ImpulseResponse(synthesize_mono(spatial)[None, :], spatial.sample_rate)
+        channels = synthesize_mono(spatial)[None, :]
     else:
         raise SceneValidationError(f"unknown output mode {output_mode!r}")
-    if spatial.signature is not None:
-        ir = ImpulseResponse(fftconvolve(ir.channels, spatial.signature), ir.sample_rate)
+    if spatial.signature is not None:  # a non-finite sample leaves non-finite ones
+        channels = fftconvolve(channels, spatial.signature)
+    ir = ImpulseResponse(channels, spatial.sample_rate)
     return diotic(ir) if output_mode == "diotic" else ir
 
 

@@ -359,7 +359,9 @@ def vbap_gains(direction: np.ndarray, layout: LoudspeakerLayout) -> np.ndarray:
     d = np.asarray(direction, dtype=float)
     flat = d.reshape(-1, 3)
     flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
-    idx, g, worst = layout._triangulation.gains(flat)
+    # 256 directions at a time, each tested against every triangle at once
+    idx, g, worst = map(np.concatenate, zip(*(layout._triangulation.gains(flat[i:i + 256])
+                                              for i in range(0, max(len(flat), 1), 256))))
     g = np.clip(g, 0.0, None)
     norm = np.linalg.norm(g, axis=1, keepdims=True)
     outside = worst < -1e-9
@@ -378,57 +380,66 @@ def vbap_gains(direction: np.ndarray, layout: LoudspeakerLayout) -> np.ndarray:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet,
-                orientation: np.ndarray) -> ImpulseResponse:
-    """Two-channel render: nearest-direction HRTF pair per tap/tail stream,
-    for a listener facing ``orientation``.
-
-    An impulse tap adds its amplitude times its HRTF pair into the ears; the
-    waves of the other units are convolved with their pairs block by block."""
+def binaural_channels(spatial_ir: SpatialIR, hrtf: HrtfSet,
+                      orientation: np.ndarray) -> np.ndarray:
+    """Two ears, unchecked: nearest-direction HRTF pair per tap/tail stream,
+    for a listener facing ``orientation``. An impulse tap adds its amplitude
+    times its HRTF pair into the ears; the waves of the other units are
+    convolved with their pairs block by block."""
     if hrtf.sample_rate != spatial_ir.sample_rate:
         raise RateMismatchError("HRTF and scene sample rates differ")
     frame = head_frame(orientation)
     one_hot = np.eye(hrtf.directions.shape[0])
+    n = spatial_ir_length(spatial_ir)
+    # HRTF units are not output channels: their waves fill one block of rows
     units, (unit, start, value) = render_units(
-        spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)])
+        spatial_ir, lambda d: one_hot[hrtf.nearest(d @ frame.T)],
+        lambda waved: dict(zip(waved, np.zeros((len(waved), n)))))
     n_taps = hrtf.filters.shape[2]
     out = (partitioned_convolve(list(units.values()), hrtf.filters[list(units)]) if units
-           else np.zeros((2, spatial_ir_length(spatial_ir) + n_taps - 1)))
+           else np.zeros((2, n + n_taps - 1)))
     at = (start[:, None] + np.arange(n_taps)).ravel()
     for ear in (0, 1):
         weights = (value[:, None] * hrtf.filters[unit, ear]).ravel()
         out[ear] += np.bincount(at, weights, minlength=out.shape[1])
-    return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
+    return out
+
+
+def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet, orientation: np.ndarray) -> ImpulseResponse:
+    """Two-channel render: ``binaural_channels``, checked for finiteness."""
+    return ImpulseResponse(binaural_channels(spatial_ir, hrtf, orientation), spatial_ir.sample_rate)
+
+
+def array_channels(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
+                   orientation: np.ndarray) -> np.ndarray:
+    """Loudspeaker feeds, unchecked: VBAP of each tap/tail stream onto the
+    layout, for a listener facing ``orientation``. Unit waves go straight
+    into their channels, impulse taps add their gains times their amplitudes,
+    then each channel is scaled and shifted by its calibration."""
+    frame = head_frame(orientation)
+    n = spatial_ir_length(spatial_ir)
+    # every wave goes straight into these rows; made first, so the VBAP and
+    # band scratch after them leaves one free region behind when freed
+    out = np.zeros((layout.n_speakers, n))
+    _, (unit, start, value) = render_units(
+        spatial_ir, lambda d: vbap_gains(d @ frame.T, layout), lambda waved: out)
+    np.add.at(out, (unit, start), value)
+    if layout.calibration_gains is not None:
+        out *= layout.calibration_gains[:, None]
+    if layout.calibration_delays is not None:
+        for row, d in zip(out, layout.calibration_delays):
+            # clamped to +/- n: a channel shifted past the whole IR is silent
+            k = min(max(int(round(d * spatial_ir.sample_rate)), -n), n)
+            lo, hi = max(k, 0), n + min(k, 0)  # where the kept samples land
+            row[lo:hi] = row[lo - k:hi - k]  # in place: numpy copies an overlapping source
+            row[:lo] = row[hi:] = 0.0
+    return out
 
 
 def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
                  orientation: np.ndarray) -> ImpulseResponse:
-    """N-channel render: VBAP of each tap/tail stream onto the layout, for a
-    listener facing ``orientation``. Impulse taps add their gains times
-    their amplitudes into the channels; unit waves add whole."""
-    frame = head_frame(orientation)
-    n = spatial_ir_length(spatial_ir)
-    # the output first, so the VBAP scratch and the units that follow it
-    # leave one free region behind when the render returns
-    out = np.zeros((layout.n_speakers, n))
-    units, (unit, start, value) = render_units(
-        spatial_ir, lambda d: vbap_gains(d @ frame.T, layout))
-    np.add.at(out, (unit, start), value)
-    for idx, wave in units.items():
-        out[idx] += wave
-    if layout.calibration_gains is not None:
-        out *= layout.calibration_gains[:, None]
-    if layout.calibration_delays is not None:
-        shifted = np.zeros_like(out)
-        for i, d in enumerate(layout.calibration_delays):
-            # clamped to +/- n: a channel shifted past the whole IR is silent
-            k = min(max(int(round(d * spatial_ir.sample_rate)), -n), n)
-            if k >= 0:
-                shifted[i, k:] = out[i, : n - k]
-            else:
-                shifted[i, :k] = out[i, -k:]
-        out = shifted
-    return ImpulseResponse(channels=out, sample_rate=spatial_ir.sample_rate)
+    """N-channel render: ``array_channels``, checked for finiteness."""
+    return ImpulseResponse(array_channels(spatial_ir, layout, orientation), spatial_ir.sample_rate)
 
 
 def diotic(ir: ImpulseResponse) -> ImpulseResponse:

@@ -5,17 +5,18 @@ unit; directions reach the units through one gain matrix, ``unit_gains``
 (k, 3) -> (k, n_units), shared by the binaural, array and mono paths. A
 specular tap whose bands carry equal amplitudes passes the band masks
 unchanged, since they sum to 1: it stays an impulse, which the caller
-scatters straight into its output channels. Each diffuse burst is one
-broadband wave, drawn once, in a chunk of bursts, and added in tap order
-into every unit it reaches. Only band-dependent specular taps are
-band-filtered, through one buffer per band and unit over the early extent
-of the IR. Tail streams come last, all from the IR's ``tail_onset``.
+scatters straight into its output channels; every other wave goes into the
+caller's row of its unit. Each diffuse burst is one broadband wave, drawn
+once, in a chunk of bursts, and added in tap order into every unit it
+reaches. Only band-dependent specular taps are band-filtered, through one
+buffer per band and unit over the early extent of the IR. Tail streams come
+last, all from the IR's ``tail_onset``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Tuple
+from typing import Any, Callable, List, Tuple
 
 import numpy as np
 
@@ -53,17 +54,18 @@ def spatial_ir_length(spatial_ir: SpatialIR) -> int:
 
 def render_units(spatial_ir: SpatialIR,
                  unit_gains: Callable[[np.ndarray], np.ndarray],
-                 ) -> Tuple[Dict[int, np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                 rows: Callable[[List[int]], Any]) -> Tuple[Any, Tuple[np.ndarray, ...]]:
     """Broadband waveform per render unit that needs one, and the impulses.
 
-    Returns ``(units, (unit, start, value))``. ``units`` is {unit: samples}
-    for every unit that a diffuse burst, a band-dependent tap or a tail
-    stream reaches with a nonzero gain; all waveforms share the same length.
-    Bursts are drawn in chunks (``ism.burst_waves``), each once, and added in
-    tap order into each unit they reach, times the gain there. A specular tap
-    with equal band amplitudes stays an impulse: the three arrays hold one
-    entry per such (tap, unit) pair with a nonzero gain, in tap order, for
-    the caller to add into its output channels.
+    Returns ``(R, (unit, start, value))``. ``R = rows(waved)``, called before
+    any wave exists, with every unit that a diffuse burst, a band-dependent
+    tap or a tail stream reaches with a nonzero gain; each such unit's wave
+    is added into the caller's row ``R[unit]`` of ``spatial_ir_length``
+    samples. Bursts are drawn in chunks (``ism.burst_waves``), each once,
+    and added in tap order into each unit they reach, times the gain there.
+    A specular tap with equal band amplitudes stays an impulse: the three
+    arrays hold one entry per such (tap, unit) pair with a nonzero gain, in
+    tap order, for the caller to add into its output channels.
     """
     fs = spatial_ir.sample_rate
     n = spatial_ir_length(spatial_ir)
@@ -85,10 +87,9 @@ def render_units(spatial_ir: SpatialIR,
 
     bursts = np.flatnonzero(taps.has_burst & np.any(tap_gains != 0.0, axis=1))
     reached = np.any(tap_gains[bursts] != 0.0, axis=0) | np.any(stream_gains != 0.0, axis=0)
-    # every wave is a row of one block, so no short-lived array of the loop
-    # lands between two waves and splits the space they leave when freed
-    waved = np.union1d(banded, np.flatnonzero(reached)).tolist()
-    units: Dict[int, np.ndarray] = dict(zip(waved, np.zeros((len(waved), n))))
+    # the rows exist before the loop's first short-lived array, so none of
+    # those lands between two rows and splits the space they leave when freed
+    units = rows(np.union1d(banded, np.flatnonzero(reached)).tolist())
 
     # the band buffers and their transform span the taps plus the kernel margin
     m = min(n, int(np.max(starts, initial=-1)) + 1 + _kernel_margin(fs))
@@ -98,7 +99,7 @@ def render_units(spatial_ir: SpatialIR,
         hit = np.flatnonzero((tap_gains[:, unit] != 0.0) & filtered)
         buf = np.zeros((len(OCTAVE_CENTERS_8), m))
         np.add.at(buf.T, starts[hit], tap_gains[hit, unit][:, None] * taps.amplitude[hit])
-        units[unit][:m] = np.fft.irfft((np.fft.rfft(buf, n_fft) * masks).sum(axis=0), n_fft)[:m]
+        units[unit][:m] += np.fft.irfft((np.fft.rfft(buf, n_fft) * masks).sum(axis=0), n_fft)[:m]
     for k, wave in burst_waves(taps, bursts, fs):
         for unit in np.flatnonzero(tap_gains[k]).tolist():
             units[unit][starts[k]:starts[k] + wave.size] += tap_gains[k, unit] * wave
@@ -112,7 +113,7 @@ def render_units(spatial_ir: SpatialIR,
 def synthesize_mono(spatial_ir: SpatialIR) -> np.ndarray:
     """Omnidirectional (direction-discarding) rendering of a SpatialIR's taps
     and tail; its door signature is left to ``pipeline.render_output``."""
-    units, (_, start, value) = render_units(spatial_ir, lambda d: np.ones((len(d), 1)))
-    out = units[0] if units else np.zeros(spatial_ir_length(spatial_ir))
+    out = np.zeros(spatial_ir_length(spatial_ir))
+    _, (_, start, value) = render_units(spatial_ir, lambda d: np.ones((len(d), 1)), lambda _: [out])
     np.add.at(out, start, value)
     return out

@@ -7,8 +7,10 @@ at a time and filters at FFT length 2m. Both are the straightforward forms
 of what
 ``alodsim.fdn.run_fdn`` and ``alodsim.synth.render_units`` compute with
 band grouping, early-extent buffers, fast FFT lengths and one gain matrix.
-``render_units_whole`` adds every impulse tap that ``render_units`` returns
-beside its waves into a full-length unit wave, one tap at a time.
+``render_units_block`` gives ``render_units`` a (units, n) block of rows
+of its own. ``render_units_whole`` adds every impulse tap that
+``render_units`` returns beside its waves into a full-length unit wave, one
+tap at a time.
 ``binauralize_per_unit`` convolves each such wave with each ear's HRTF
 separately at the full length, and ``render_array_per_tap`` pans each tap
 with its own ``vbap_gains`` call, where ``alodsim.spatial`` scatters impulse
@@ -17,6 +19,17 @@ the remaining unit waves block by block, summed over the units. Both then
 convolve each channel with the part's door signature through
 ``scipy.signal.fftconvolve``, as ``alodsim.pipeline.render_output`` does
 once after the renderer.
+
+``render_array_block`` renders an array as ``alodsim.spatial`` did before
+its unit waves went straight into the output rows: every wave in a block
+row of its own, added whole into its channel after the impulse taps.
+``vbap_gains_one_call`` tests every direction against every triangle in
+one call, where ``alodsim.spatial.vbap_gains`` takes 256 directions at a
+time; ``fftconvolve_one_shot`` transforms every row at once, where
+``alodsim.filterbank.fftconvolve`` transforms 8 rows at a time.
+``calibrated`` scales and shifts each channel by its loudspeaker's
+calibration, one output sample at a time, where ``alodsim.spatial`` shifts
+each row in place.
 
 ``burst_samples`` draws one tap's diffuse burst at a time, where
 ``alodsim.ism.burst_waves`` draws a chunk of rows per gather.
@@ -63,7 +76,7 @@ from alodsim.analysis import (
 from alodsim.coupled import _door_source, single_room_ir
 from alodsim.errors import InsufficientDecayError, SceneValidationError
 from alodsim.fdn import _run_band
-from alodsim.filterbank import OCTAVE_CENTERS_8, band_masks
+from alodsim.filterbank import OCTAVE_CENTERS_8, band_masks, next_fast_len
 from alodsim.ism import (
     BURST_DECAY_DB,
     BURST_EXTENSION_S,
@@ -156,10 +169,18 @@ def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_
     return units
 
 
+def render_units_block(spatial_ir, unit_gains):
+    """``render_units`` into one (units, n) block of its own rows:
+    ({unit: waveform}, impulses)."""
+    n = spatial_ir_length(spatial_ir)
+    return render_units(spatial_ir, unit_gains,
+                        lambda waved: dict(zip(waved, np.zeros((len(waved), n)))))
+
+
 def render_units_whole(spatial_ir, unit_gains):
     """{unit: full-length waveform} holding every tap: the waves of
     ``render_units`` plus the impulse taps it returns, added one at a time."""
-    units, impulses = render_units(spatial_ir, unit_gains)
+    units, impulses = render_units_block(spatial_ir, unit_gains)
     n = spatial_ir_length(spatial_ir)
     for u, k, v in zip(*(a.tolist() for a in impulses)):
         units.setdefault(u, np.zeros(n))[k] += v
@@ -199,6 +220,63 @@ def render_array_per_tap(spatial_ir, layout, orientation):
     for unit, wave in units.items():
         out[unit] += wave
     return _with_signature(out, spatial_ir)
+
+
+def vbap_gains_one_call(direction, layout):
+    """``alodsim.spatial.vbap_gains`` with every direction in one
+    ``_Triangulation.gains`` call, and no warning."""
+    d = np.asarray(direction, dtype=float)
+    flat = d.reshape(-1, 3)
+    flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
+    idx, g, worst = layout._triangulation.gains(flat)
+    g = np.clip(g, 0.0, None)
+    norm = np.linalg.norm(g, axis=1, keepdims=True)
+    outside = worst < -1e-9
+    idx[outside] = np.argmax(flat[outside] @ layout.directions.T, axis=1)[:, None]
+    g[outside] = norm[outside] = 1.0
+    gains = np.zeros((len(flat), layout.n_speakers))
+    np.put_along_axis(gains, idx, g / norm, axis=1)
+    return gains.reshape(d.shape[:-1] + (layout.n_speakers,))
+
+
+def fftconvolve_one_shot(a, b):
+    """``alodsim.filterbank.fftconvolve`` as one rfft of all of ``a``, one
+    product and one irfft at the full FFT length, cut to the output."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    size = a.shape[-1] + b.shape[-1] - 1
+    n_fft = next_fast_len(size)
+    return np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft)[..., :size]
+
+
+def calibrated(channels, layout, fs):
+    """``channels`` (speakers, n) with each row times its calibration gain,
+    then read at its calibration delay: out[j] = row[j - k] for
+    k = round(delay * fs), zero where j - k falls outside the row."""
+    out = np.array(channels, dtype=float)
+    n = out.shape[1]
+    if layout.calibration_gains is not None:
+        out *= layout.calibration_gains[:, None]
+    if layout.calibration_delays is not None:
+        for i, delay in enumerate(layout.calibration_delays):
+            source = np.arange(n) - int(round(delay * fs))
+            inside = (source >= 0) & (source < n)
+            out[i] = np.where(inside, out[i][np.clip(source, 0, n - 1)], 0.0)
+    return out
+
+
+def render_array_block(spatial_ir, layout, orientation):
+    """Array render with every unit wave in a (units, n) block of its own:
+    the impulse taps are scattered into the channels first, then each wave
+    is added whole into its channel, then the calibration is applied."""
+    frame = head_frame(orientation)
+    fs = spatial_ir.sample_rate
+    units, (unit, start, value) = render_units_block(
+        spatial_ir, lambda d: vbap_gains(d @ frame.T, layout))
+    out = np.zeros((layout.n_speakers, spatial_ir_length(spatial_ir)))
+    np.add.at(out, (unit, start), value)
+    for idx, wave in units.items():
+        out[idx] += wave
+    return ImpulseResponse(channels=calibrated(out, layout, fs), sample_rate=fs)
 
 
 def envelope_db(x, fs, smooth_s=1e-3):

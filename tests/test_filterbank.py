@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -14,6 +16,8 @@ from alodsim.filterbank import (
     next_fast_len,
     padded_len,
 )
+
+from oracles import fftconvolve_one_shot
 
 FS = 44100.0
 
@@ -153,6 +157,34 @@ def test_fftconvolve_matches_scipy(case, n, k, seed):
     got = fftconvolve(a, b)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("channels", [None, 1, 7, 8, 9, 86], ids=lambda c: f"{c or '1-D'}")
+@pytest.mark.parametrize("n, k", [(3001, 700), (700, 3001), (9597, 9978)])
+def test_fftconvolve_in_chunks_of_rows_equals_one_product(channels, n, k):
+    # each chunk of 8 rows is transformed apart from the others: every row
+    # still gets the same sums as in one transform of all of them
+    rng = np.random.default_rng(n + (channels or 0))
+    a = rng.standard_normal(n if channels is None else (channels, n))
+    for b in (rng.standard_normal(k), rng.standard_normal((1, k))):
+        got, want = fftconvolve(a, b), fftconvolve_one_shot(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_fftconvolve_of_86_channels_holds_its_output_and_bounded_scratch():
+    # the living room's door signature on an 86-channel array render: the
+    # whole complex spectrum of the channels at once, and an output that was
+    # a view of an n_fft-long buffer, took the peak to 2.0 x the output
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((86, 9597)), rng.standard_normal(9978)
+    tracemalloc.start()
+    try:
+        out = fftconvolve(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (86, 9597 + 9978 - 1) and out.base is None
+    assert peak < out.nbytes + (8 << 20), f"peak {peak} B for {out.nbytes} B of output"
 
 
 def test_next_fast_len_matches_scipy():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -31,7 +32,14 @@ from alodsim.scene import ReceiverSpec, preset, profile_preset
 from alodsim.synth import spatial_ir_length, synthesize_mono
 from alodsim.wavio import write_wav
 
-from oracles import binauralize_per_unit, render_array_per_tap, render_units_whole
+from oracles import (
+    binauralize_per_unit,
+    calibrated,
+    render_array_block,
+    render_array_per_tap,
+    render_units_whole,
+    vbap_gains_one_call,
+)
 
 FS = 44100.0
 
@@ -236,6 +244,45 @@ def test_vbap_sends_a_direction_below_a_hemisphere_to_the_nearest_speaker():
     assert len(caught) == 1
     nearest = np.argmax(below @ layout.directions.T, axis=1)
     assert np.array_equal(gains, np.eye(layout.n_speakers)[nearest])
+
+
+@pytest.mark.parametrize("k", [0, 1, 255, 256, 257, 4991])
+def test_vbap_gains_in_chunks_equal_one_gains_call(k):
+    # 256 directions at a time; on the hemisphere some fall outside coverage
+    dirs = np.random.default_rng(k).standard_normal((k, 3))
+    for layout in (_ARRAY, _upper_hemisphere(10.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = vbap_gains(dirs, layout)
+        want = vbap_gains_one_call(dirs, layout)
+        assert got.shape == want.shape == (k, layout.n_speakers)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_vbap_warns_once_per_call_over_many_chunks():
+    # 600 directions in three chunks, every other one below the hemisphere
+    layout = _upper_hemisphere(10.0)
+    rng = np.random.default_rng(9)
+    el = np.where(np.arange(600) % 2, rng.uniform(-80.0, -1.0, 600), rng.uniform(11.0, 89.0, 600))
+    dirs = np.array([az_el_to_vec(az, e) for az, e in zip(rng.uniform(0.0, 360.0, 600), el)])
+    with pytest.warns(RuntimeWarning) as caught:
+        vbap_gains(dirs, layout)
+    assert len(caught) == 1
+    assert "300 of 600 directions" in str(caught[0].message)
+
+
+def test_vbap_gains_of_an_ism_15_tap_count_stay_under_5_mb():
+    # the (168, k, 3) test of every triangle against all 4991 directions at
+    # once peaked at 33.7 MB; the gains themselves take 3.4 MB
+    dirs = np.random.default_rng(0).standard_normal((4991, 3))
+    tracemalloc.start()
+    try:
+        gains = vbap_gains(dirs, _ARRAY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gains.shape == (4991, 86)
+    assert peak < 5e6, f"peak {peak} B"
 
 
 @pytest.mark.parametrize("profile", ["ism-15", "razr-full"])
@@ -443,6 +490,55 @@ def test_render_array_scales_then_shifts_each_channel_by_its_calibration():
     assert np.all(np.abs(plain).max(axis=1) > 0)  # every channel carries its tap
 
 
+def test_calibrated_layout_renders_as_the_per_row_oracle():
+    # gains, and delays of 0, +-1, +-132 samples, +-(n - 1), +-n and beyond
+    # +-n, each row shifted in place where the oracle reads it sample by sample
+    ir = _short_ir()
+    n = spatial_ir_length(ir)
+    k = _ARRAY.n_speakers
+    shifts = np.resize([0, 1, -1, 132, -132, n - 1, 1 - n, n, -n, n + 5, -n - 5, 3 * n], k)
+    layout = LoudspeakerLayout(positions=_ARRAY.positions, center=_ARRAY.center,
+                               calibration_gains=np.linspace(0.5, 2.0, k),
+                               calibration_delays=shifts / FS)
+    for orientation in (FRONT, TURNED):
+        plain = render_array(ir, _ARRAY, orientation).channels
+        got = render_array(ir, layout, orientation).channels
+        assert got.tobytes() == calibrated(plain, layout, FS).tobytes()
+        assert np.all(np.abs(got[np.abs(shifts) >= n]) == 0.0)
+
+
+@pytest.mark.parametrize("scene, profile", [("pub", "razr-full"), ("pub", "ism-15"),
+                                            ("living-room", "razr-full"),
+                                            ("living-room", "razr-1st")])
+def test_render_array_matches_the_block_oracle(scene, profile):
+    # waves now go straight into the output rows before the impulse taps:
+    # where two taps meet a wave on one sample, the sum's order changes
+    calibration = np.linspace(0.8, 1.2, _ARRAY.n_speakers)
+    layout = LoudspeakerLayout(positions=_ARRAY.positions, center=_ARRAY.center,
+                               calibration_gains=calibration,
+                               calibration_delays=np.rint(40 * calibration - 40) / FS)
+    for part in build_spatial_ir(preset(scene), profile_preset(profile)):
+        for lay in (_ARRAY, layout):
+            got = render_array(part, lay, TURNED).channels
+            assert _error_of_peak(got, render_array_block(part, lay, TURNED).channels) <= 1e-15
+
+
+def test_a_pub_array_render_holds_its_output_and_bounded_scratch():
+    # a second full-length row beside each reached loudspeaker's output row
+    # and the (168, k, 3) VBAP scratch once took the traced peak to 2.07 x
+    # the output
+    scene, profile = preset("pub"), profile_preset("razr-full")
+    _noise_table(FS)  # built once per sample rate, outside any render
+    tracemalloc.start()
+    try:
+        out = simulate(scene, profile, output_mode="array", layout=_ARRAY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.ir.n_channels == 86
+    assert peak < 1.5 * out.ir.channels.nbytes, f"{peak / out.ir.channels.nbytes:.2f} x"
+
+
 # ---------------------------------------------------------------------------
 # diotic and mono contracts
 # ---------------------------------------------------------------------------
@@ -503,6 +599,35 @@ def test_render_output_convolves_each_channel_once_with_the_signature(mode):
     ir = replace(part, signature=np.array([0.0, 0.5]))
     got = _render(ir, mode, hrtf=_HRTF, layout=_ARRAY).channels
     assert _error_of_peak(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["mono", "binaural", "diotic", "array"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["tap amplitude", "signature"])
+def test_a_non_finite_sample_before_the_signature_ends_as_an_error(mode, bad, where):
+    # the renderer's channels are checked only after the door convolution,
+    # which leaves a non-finite sample non-finite
+    part = replace(_short_ir(), signature=np.array([0.0, 0.5, 0.25]))
+    if where == "tap amplitude":
+        amplitude = part.taps.amplitude.copy()
+        amplitude[1] = bad
+        part = replace(part, taps=replace(part.taps, amplitude=amplitude))
+    else:
+        part.signature[1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(SceneValidationError, match="non-finite"):
+        _render(part, mode, hrtf=_HRTF, layout=_ARRAY)
+
+
+@pytest.mark.parametrize("mode", ["mono", "binaural", "array"])
+def test_render_output_scans_the_channels_of_a_part_once(monkeypatch, mode):
+    # with a door signature too: only the convolved channels are scanned
+    scanned, isfinite = [], np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x, *args, **kwargs: scanned.append(
+        np.shape(x)) or isfinite(x, *args, **kwargs))
+    for signature in (None, np.array([0.0, 0.5, 0.25])):
+        scanned.clear()
+        ir = _render(replace(_short_ir(), signature=signature), mode, hrtf=_HRTF, layout=_ARRAY)
+        assert [shape for shape in scanned if len(shape) == 2] == [ir.channels.shape]
 
 
 def test_binauralize_matches_per_unit_convolution():

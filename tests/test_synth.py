@@ -11,9 +11,9 @@ from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps, early_spatial_ir
 from alodsim.pipeline import build_spatial_ir
 from alodsim.scene import MAX_SAMPLES, RenderingProfile
 from alodsim.spatial import array_preset_86, render_array
-from alodsim.synth import render_units, spatial_ir_length, synthesize_mono
+from alodsim.synth import spatial_ir_length, synthesize_mono
 
-from oracles import render_units_2m, render_units_whole
+from oracles import render_units_2m, render_units_block, render_units_whole
 
 FS = 44100.0
 
@@ -49,7 +49,7 @@ def test_render_units_match_the_2m_oracle():
     # around; at lags near m those tails are ~1e-7 of the peak
     ir = _early_ir(0.5)
     want = render_units_2m(ir, _two_unit_gains)
-    unit, _, _ = render_units(ir, _two_unit_gains)[1]
+    unit, _, _ = render_units_block(ir, _two_unit_gains)[1]
     assert len(unit) == 2 * 10  # ten impulse taps, each on both units
     got = render_units_whole(ir, _two_unit_gains)
     assert sorted(got) == sorted(want)
@@ -70,7 +70,7 @@ def test_band_buffers_span_the_early_extent_not_the_tail():
     n = spatial_ir_length(ir)
     tracemalloc.start()
     try:
-        _, (unit, _, _) = render_units(ir, lambda doa: np.ones((len(doa), 1)))
+        _, (unit, _, _) = render_units_block(ir, lambda doa: np.ones((len(doa), 1)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -126,7 +126,7 @@ def test_each_burst_is_drawn_once_per_call(monkeypatch):
     # every tap reaches both units; its burst is still drawn only once
     drawn = _drawn_rows(monkeypatch)
     ir = _early_ir(0.1)
-    render_units(ir, _two_unit_gains)
+    render_units_block(ir, _two_unit_gains)
     assert sorted(drawn()) == np.flatnonzero(ir.taps.has_burst).tolist()
 
 
@@ -161,7 +161,7 @@ def test_burst_draws_stay_under_the_chunk_bound(monkeypatch):
     monkeypatch.setattr(synth, "burst_waves", traced)
     tracemalloc.start()
     try:
-        render_units(ir, lambda doa: np.ones((len(doa), 1)))
+        render_units_block(ir, lambda doa: np.ones((len(doa), 1)))
     finally:
         tracemalloc.stop()
     assert len(growth) == 1 and growth[0] < bound, growth
@@ -206,7 +206,7 @@ def test_two_band_groups_match_the_2m_oracle(monkeypatch):
     # transform is of a band buffer
     ism._noise_table(FS)
     rows = _record_calls(monkeypatch, np.fft, "rfft", lambda x, *rest: np.shape(x)[0])
-    got, (unit, _, _) = render_units(ir, _two_unit_gains)
+    got, (unit, _, _) = render_units_block(ir, _two_unit_gains)
     assert len(unit) == 0
     assert rows == [8, 8]  # bands differ: one 8-band buffer per unit
     want = render_units_2m(ir, _two_unit_gains)

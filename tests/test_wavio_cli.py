@@ -551,6 +551,51 @@ def test_cli_rejects_two_outputs_at_one_path_before_writing(tmp_path, capsys, mo
     assert sorted(os.listdir(tmp_path)) == ["ref.wav", "sim.wav"]
 
 
+# each case: CLI arguments whose output names one of their own input files;
+# s.json, l.json, ir.wav, p.wav, sim.wav, ref.wav and o-edc.csv (an IR WAV)
+# exist, and link.json is a symbolic link to s.json
+_MONO_SCENE = ["simulate", "--scene", "s.json", "--profile", "anechoic", "--output-mode", "mono"]
+_INPUT_AS_OUTPUT = {
+    "simulate --out s.json": [*_MONO_SCENE, "--out", "s.json"],
+    "simulate --out ./s.json": [*_MONO_SCENE, "--out", "./s.json"],
+    "simulate --out link.json": [*_MONO_SCENE, "--out", "link.json"],
+    "simulate --scene link.json --out s.json": [*_MONO_SCENE[:2], "link.json", *_MONO_SCENE[3:],
+                                                "--out", "s.json"],
+    "simulate --manifest s.json": [*_MONO_SCENE, "--out", "o.wav", "--manifest", "s.json"],
+    "simulate --out l.json": ["simulate", "--preset", "pub", "--profile", "anechoic",
+                              "--output-mode", "array", "--layout", "l.json", "--out", "l.json"],
+    "simulate --manifest l.json": ["simulate", "--preset", "pub", "--profile", "anechoic",
+                                   "--output-mode", "array", "--layout", "l.json",
+                                   "--out", "o.wav", "--manifest", "l.json"],
+    "render --out ir.wav": ["render", "--ir", "ir.wav", "--stim", "p.wav", "--out", "ir.wav"],
+    "render --out p.wav": ["render", "--ir", "ir.wav", "--stim", "p.wav", "--out", "p.wav"],
+    "match --out sim.wav": ["match", "--sim", "sim.wav", "--ref", "ref.wav", "--out", "sim.wav"],
+    "match --report ref.wav": ["match", "--sim", "sim.wav", "--ref", "ref.wav",
+                               "--out", "m.wav", "--report", "ref.wav"],
+    "analyze --out ir.wav": ["analyze", "--ir", "ir.wav", "--metrics", "t30", "--out", "ir.wav"],
+    "analyze --ir o-edc.csv --out o.csv": ["analyze", "--ir", "o-edc.csv",
+                                           "--metrics", "t30,edc", "--out", "o.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_AS_OUTPUT))
+def test_cli_rejects_an_output_at_an_input_path_before_reading(tmp_path, capsys, monkeypatch,
+                                                                case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(serialize_scene(preset("pub")))
+    (tmp_path / "l.json").write_bytes(_layout_json())
+    os.symlink("s.json", tmp_path / "link.json")
+    for name, seed in (("ir.wav", 3), ("sim.wav", 3), ("ref.wav", 4), ("o-edc.csv", 5)):
+        _decaying_noise(name, seed=seed)
+    write_wav("p.wav", pink_pulse_variant(BandLevels(offsets_db=(0.0,) * 10)).samples, FS)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main(_INPUT_AS_OUTPUT[case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "would overwrite the input" in err
+    assert err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_cli_match_removes_its_wav_when_the_report_cannot_be_written(tmp_path, capsys,
                                                                      monkeypatch):
     monkeypatch.chdir(tmp_path)
