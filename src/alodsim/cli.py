@@ -125,11 +125,13 @@ def _metric_summary(ir: ImpulseResponse) -> dict:
 
 def _cmd_simulate(args) -> int:
     manifest_path = args.manifest or args.out + ".manifest.json"
-    _check_outputs((args.out, manifest_path), args.scene,
+    hrtf_dir = args.hrtf or os.environ.get(HRTF_ENV_VAR)
+    hrtf_files = ([os.path.join(hrtf_dir, name) for name in os.listdir(hrtf_dir)]
+                  if hrtf_dir and os.path.isdir(hrtf_dir) else [])  # each may be read
+    _check_outputs((args.out, manifest_path), args.scene, *hrtf_files,
                    None if args.layout == "86-preset" else args.layout)  # the preset is no file
     scene, doc = _load_scene(args)
     profile = profile_preset(args.profile)
-    hrtf_dir = args.hrtf or os.environ.get(HRTF_ENV_VAR)
     hrtf = load_hrtf_dir(hrtf_dir) if hrtf_dir else None
     layout = _load_layout(args.layout) if args.layout else None
     result = simulate(scene, profile, source_id=args.source, duration=args.duration,

@@ -11,7 +11,8 @@ coupling gain, an explicit approximation of true coupled-FDN topologies.
 This part has no signature, so stage 1's tail enters it once.
 
 Each tail junction is decided here: ``splice`` (beside ``_fdn_onset``) and
-the cross-feed share one energy sum and one scale step and set ``tail_onset``.
+the cross-feed set ``tail_onset`` and a ``Tail``'s target energy, which the
+renderer meets with one scale step. Stage 1's tail drives the cross-feed.
 
 The occluded direct path (edge diffraction around the door frame) is
 replaced by a documented stand-in: a single tap at the known path length
@@ -20,14 +21,14 @@ with a broadband attenuation and a first-order lowpass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
 from .errors import InfeasibleTargetError, SceneValidationError
-from .fdn import design_dual_slope, design_fdn, run_fdn
-from .ism import SpatialIR, Taps, early_spatial_ir
+from .fdn import design_dual_slope, design_fdn
+from .ism import SpatialIR, Tail, Taps, early_spatial_ir
 from .scene import (
     ApertureSpec,
     BAND_CENTERS,
@@ -36,8 +37,9 @@ from .scene import (
     SceneSpec,
     SourceSpec,
     mean_free_path,
+    sample_count,
 )
-from .synth import synthesize_mono
+from .synth import spatial_ir_length, synthesize_mono
 
 OCCLUSION_ATTEN_DB = 6.0  # broadband stand-in loss around the door frame
 OCCLUSION_CORNER_HZ = 2000.0  # first-order lowpass corner of the stand-in
@@ -88,27 +90,14 @@ def _fdn_onset(room, profile: RenderingProfile, scene: SceneSpec,
     return max((profile.ism_order + 1) * mfp / scene.speed_of_sound, direct_delay)
 
 
-def _energy(streams) -> float:
-    return sum(float(np.dot(s.samples, s.samples)) for s in streams)
-
-
-def _rescaled(streams, energy: float, k: float = 1.0) -> tuple:
-    """``streams``, their samples scaled in place to a total of k^2 ``energy``."""
-    raw = _energy(streams)
-    scale = math.sqrt(energy / raw) * k if raw > 0 else 0.0
-    for s in streams:
-        np.multiply(s.samples, scale, out=s.samples)
-    return tuple(streams)
-
-
-def splice(early: SpatialIR, tail, *, onset: float, t60: float,
+def splice(early: SpatialIR, tail: Tail, *, onset: float, t60: float,
            direct_delay: float) -> SpatialIR:
-    """Attach tail streams to the early SpatialIR with a continuous EDC.
+    """Attach a tail to the early SpatialIR with a continuous EDC.
 
-    The tail is scaled so that the combined Schroeder curve at the junction
-    sits on the ideal decay anchored at the direct sound: with rho being the
-    linear EDC level -60 (onset - t_direct) / T60 dB, the tail's samples are
-    scaled in place to rho / (1 - rho) times the early energy, and the tail
+    The tail's target is set so that the combined Schroeder curve at the
+    junction sits on the ideal decay anchored at the direct sound: with rho
+    being the linear EDC level -60 (onset - t_direct) / T60 dB, the tail's
+    lines carry rho / (1 - rho) times the early energy, and the tail
     starts at ``onset`` (the result's ``tail_onset``). An onset at the direct
     sound leaves the early part no share of the decay (rho -> 1), so it is
     an ``InfeasibleTargetError``. The early IR carries no signature:
@@ -122,26 +111,28 @@ def splice(early: SpatialIR, tail, *, onset: float, t60: float,
             f"({direct_delay * 1e3:.3f} ms): the tail would hold the whole decay")
     mono = synthesize_mono(early)
     e_early = float(np.dot(mono, mono))
-    return replace(early, tail=_rescaled(tail, rho / (1.0 - rho) * e_early), tail_onset=onset)
+    return replace(early, tail=replace(tail, energy=rho / (1.0 - rho) * e_early),
+                   tail_onset=onset)
 
 
 def _room_tail(scene: SceneSpec, profile: RenderingProfile, room,
                duration: float, seed_seq: np.random.SeedSequence,
-               drive=None) -> list:
-    """Designed + rendered (unscaled) tail streams for one room.
+               drive=None) -> Optional[Tail]:
+    """The tail recipe of one room, its target energy 0, or None without an FDN.
 
     The room's FDN, or its dual-slope pair when the profile renders a second
     slope, is driven by ``drive``, or by a unit impulse when that is None.
     """
     if not profile.fdn_enabled or room.decay is None:
-        return []
+        return None
     fs = scene.sample_rate
     seed = int(seed_seq.generate_state(1)[0] % (2**31))
     if profile.second_slope(room) is not None:
         configs = design_dual_slope(room, room.decay, fs, c=scene.speed_of_sound, seed=seed)
     else:
         configs = (design_fdn(room, room.decay, fs, c=scene.speed_of_sound, seed=seed),)
-    return [s for config in configs for s in run_fdn(config, duration, input_signal=drive)]
+    return Tail(configs=configs, length=sample_count(duration, fs, "duration"), energy=0.0,
+                drive=drive)
 
 
 def single_room_ir(scene: SceneSpec, profile: RenderingProfile,
@@ -153,7 +144,7 @@ def single_room_ir(scene: SceneSpec, profile: RenderingProfile,
     early = early_spatial_ir(scene, profile, source, receiver_pos, room,
                              early_seed, include_panels=include_panels)
     tail = _room_tail(scene, profile, room, duration, tail_seed)
-    if not tail:
+    if tail is None:
         return early
     direct_delay = float(np.linalg.norm(source.position - receiver_pos)) / scene.speed_of_sound
     onset = _fdn_onset(room, profile, scene, direct_delay)
@@ -194,10 +185,10 @@ def coupled_parts(scene: SceneSpec, profile: RenderingProfile,
     signature; stage 1 renders the source room without panels. Beside the
     door is the occluded direct tap. With room details, the beside part also
     holds the receiver room's FDN (or its dual-slope pair) driven by k times
-    stage 1's summed tail streams, scaled to k^2 E(stage-2 tail) E(signature):
-    the stage-2 tail's energy after the signature, for noise-like content.
-    It starts at the stage-2 tail's onset. A direct-only profile gets the
-    direct tap alone, as the door would relay nothing else.
+    stage 1's scaled mono tail, scaled to k^2 E(stage-2 tail) E(signature):
+    the stage-2 tail's target energy after the signature, for noise-like
+    content. It starts at the stage-2 tail's onset. A direct-only profile
+    gets the direct tap alone, as the door would relay nothing else.
     """
     if profile.direct_only:
         return (occluded_direct_ir(scene, source, receiver),)
@@ -207,13 +198,17 @@ def coupled_parts(scene: SceneSpec, profile: RenderingProfile,
                             duration, stage1_seed, include_panels=False)
     stage2 = single_room_ir(scene, profile, _door_source(aperture, receiver.position),
                             receiver.position, rec_room, duration, stage2_seed)
-    through = replace(stage2, signature=synthesize_mono(stage1))
-    direct = occluded_direct_ir(scene, source, receiver)
-    if not (profile.room_details and stage1.tail and through.tail):
-        return through, direct
+    if not (profile.room_details and stage1.tail and stage2.tail):
+        return (replace(stage2, signature=synthesize_mono(stage1)),
+                occluded_direct_ir(scene, source, receiver))
     k = coupling_gain(scene, aperture)
-    drive = k * sum(s.samples for s in stage1.tail)
+    # stage 1's tail first and alone: one run of its FDNs, for the drive too
+    signature = synthesize_mono(replace(stage1, taps=stage1.taps._rows(slice(0))),
+                                out=np.zeros(spatial_ir_length(stage1)))
+    drive = k * signature[round(stage1.tail_onset * scene.sample_rate):][:stage1.tail.length]
+    synthesize_mono(replace(stage1, tail=None), out=signature)
     cross = _room_tail(scene, profile, rec_room, duration, cross_seed, drive=drive)
-    energy = _energy(through.tail) * float(np.dot(through.signature, through.signature))
-    return through, replace(direct, tail=_rescaled(cross, energy, k=k),
-                            tail_onset=through.tail_onset)
+    energy = k**2 * stage2.tail.energy * float(np.einsum("i,i->", signature, signature))
+    direct = occluded_direct_ir(scene, source, receiver)
+    return (replace(stage2, signature=signature),
+            replace(direct, tail=replace(cross, energy=energy), tail_onset=stage2.tail_onset))

@@ -14,10 +14,11 @@ no band filtering.
 
 The input enters each line at its input, scaled by ``input_gain``.
 
-The recurrence keeps no delay-line buffers. It runs inside its (lines, n)
-output array: the input is written ahead to where it leaves each line, and
-each block of min(delay) samples, once final, writes its feed through the
-matrix ahead by each line's delay.
+The recurrence streams: ``line_blocks`` keeps a ring of a few line delays
+per line and band group and yields the line outputs block by block, so the
+memory of a tail does not grow with its length. Each step of min(delay)
+samples, once final, writes its feed through the matrix ahead by each
+line's delay.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ import numpy as np
 
 from .errors import InfeasibleTargetError, SceneValidationError
 from .filterbank import band_kernels, fftconvolve
-from .ism import TailStream
-from .scene import DecayTarget, RoomSpec, _set, mean_free_path, sample_count, volume
+from .scene import DecayTarget, RoomSpec, _set, mean_free_path, volume
 
 N_LINES = 12
 # the longest line holds a pass of its energy for at most this many mean
 # free paths, so no line parks energy far longer than the room's own echoes
 MAX_DELAY_MFP = 4.0
+_BLOCK_SAMPLES = 8192  # line output samples per block that the recurrence yields, at least
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,10 @@ class FdnConfig:
     @property
     def n_lines(self) -> int:
         return self.delays.size
+
+    @property
+    def directions(self) -> np.ndarray:  # (lines, 3): the incidence of each line
+        return _fibonacci_sphere(self.n_lines)
 
 
 def _coprime_delays(raw: np.ndarray) -> np.ndarray:
@@ -123,64 +128,60 @@ def design_fdn(room: RoomSpec, target: DecayTarget, fs: float,
         raise InfeasibleTargetError(f"room {room.id}: T30 target: {err}") from None
 
 
-def _run_band(config: FdnConfig, gains: np.ndarray, n: int,
-              input_signal: np.ndarray) -> np.ndarray:
-    """Run the recurrence for one band; returns (n_lines, n) line outputs.
-
-    Write-ahead recurrence inside the output array: `out` starts as the
-    input scaled by ``input_gain``, each sample u[t] landing at t + d_i on
-    line i, where it leaves the line. Then, block by block with block size
-    B = min(delay), the block's values are final; they are scaled by the
-    line gains in place and their feed m @ y is added d_i samples ahead on
-    line i, which is never inside the current block. Results match the
-    per-sample recurrence to rounding (the matrix products are evaluated
-    blockwise, which may round differently in the last ulp).
-    """
-    delays = config.delays
-    block = int(delays.min())
-    m = config.feedback_matrix
-    out = np.zeros((config.n_lines, n))
-    for i, d in enumerate(delays):
-        ahead = out[i, d:d + len(input_signal)]
-        ahead += config.input_gain * input_signal[: ahead.size]
-    for pos in range(0, n, block):
-        # tap the output after the absorption gain, so even the very first
-        # pass of a line lands on the target decay curve
-        y = out[:, pos:pos + block]
-        y *= gains[:, None]
-        x = m @ y
-        for i, d in enumerate(delays):
-            ahead = out[i, pos + d:pos + d + block]
-            ahead += x[i, : ahead.size]
-    return out
-
-
-def run_fdn(config: FdnConfig, duration: float,
-            input_signal: Optional[np.ndarray] = None) -> list:
-    """Direction-labeled tail streams of the FDN response.
+def line_blocks(config: FdnConfig, n: int, drive: Optional[np.ndarray] = None):
+    """The first ``n`` samples of the line outputs, as (start, (lines, b)) blocks in order.
 
     Bands whose line gains are exactly equal share one run of the loop, so a
-    broadband target runs it once, unfiltered. Otherwise each gain set runs
-    h samples longer on its input convolved with its bands' ``band_kernels``,
-    which band-limits its output (the loop is linear and time-invariant),
-    and drops the first h. The input (default: a unit impulse) and the
-    streams start at t = 0.
+    broadband target runs it once, unfiltered. Otherwise each gain set runs,
+    in step with the others, h samples longer on ``drive`` convolved with
+    its bands' ``band_kernels`` (the loop is linear and time-invariant), and
+    drops the first h. The drive (default: a unit impulse) starts at t = 0.
+
+    Write-ahead recurrence in a ring of L samples per line, L the first
+    multiple of B = min(delay) at or above max(delay) + B: each step of B
+    samples is one final slice, scaled by the line gains in place and copied
+    out; its feed m @ y plus the drive of those B samples is written d_i
+    samples ahead on line i (wrapping at most once), where nothing else
+    lands before it is read. Steps gather into blocks of at least
+    ``_BLOCK_SAMPLES``, each the caller's until the next is asked for.
     """
-    fs = config.sample_rate
-    n = sample_count(duration, fs, "duration")
-    if input_signal is None:
-        input_signal = np.array([1.0])
-    directions = _fibonacci_sphere(config.n_lines)
+    u = np.array([1.0]) if drive is None else drive
     groups, band_group = np.unique(config.line_gains.T, axis=0, return_inverse=True)
-    if len(groups) == 1:
-        lines = _run_band(config, groups[0], n, input_signal)
-    else:
-        kernels = band_kernels(fs)
+    h, inputs = 0, u[None, None, :]
+    if len(groups) > 1:
+        kernels = band_kernels(config.sample_rate)
         h = kernels.shape[1] // 2
-        lines = sum(_run_band(config, gains, n + h, fftconvolve(
-            input_signal, kernels[band_group.ravel() == g].sum(axis=0)))[:, h:]
-            for g, gains in enumerate(groups))
-    return [TailStream(samples=lines[i], direction=directions[i]) for i in range(config.n_lines)]
+        inputs = np.stack([fftconvolve(u, kernels[band_group.ravel() == g].sum(axis=0))
+                           for g in range(len(groups))])[:, None, :]
+    inputs = config.input_gain * inputs
+    delays, m, lines = config.delays.tolist(), config.feedback_matrix, config.n_lines
+    step = min(delays)
+    size = step * (-(-max(delays) // step) + 1)
+    ring, gains = np.zeros((len(groups) * lines, size)), groups.reshape(-1, 1)  # group-major rows
+    out, done, fill = np.empty((lines, _BLOCK_SAMPLES + step)), 0, 0
+    for pos in range(0, n + h, step):
+        slot, b = pos % size, min(step, n + h - pos)
+        # tap the output after the absorption gain, so even the very first
+        # pass of a line lands on the target decay curve
+        y = ring[:, slot:slot + b]
+        y *= gains
+        x = m @ y.reshape(-1, lines, b)
+        if pos < inputs.shape[-1]:  # the drive enters each line with the feed
+            x[..., :inputs.shape[-1] - pos] += inputs[..., pos:pos + b]
+        keep = y[:, max(h - pos, 0):]  # the step's samples past the first h
+        out[:, fill:fill + keep.shape[1]] = keep.reshape(len(groups), lines, -1).sum(axis=0) \
+            if len(groups) > 1 else keep
+        fill += keep.shape[1]
+        for row, d, feed in zip(ring, delays * len(groups), x.reshape(y.shape)):
+            at = (slot + d) % size  # no other feed lands there before it is read
+            row[at:at + b] = feed[:size - at]
+            if at + b > size:
+                row[:at + b - size] = feed[size - at:]
+        if fill >= _BLOCK_SAMPLES:
+            yield done, out[:, :fill]
+            done, fill = done + fill, 0
+    if fill:
+        yield done, out[:, :fill]
 
 
 def design_dual_slope(room: RoomSpec, target: DecayTarget, fs: float,

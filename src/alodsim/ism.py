@@ -8,6 +8,7 @@ upper wall |m| times along each axis.
 The chain enumerate -> jitter -> taps -> panels -> smear passes two blocks
 of rows: ``Images`` (one row per image source) and ``Taps`` (one row per
 reflection). Each step transforms a whole block with array operations.
+A ``SpatialIR``'s tail is a recipe: no tail sample exists until it is rendered.
 """
 
 from __future__ import annotations
@@ -95,11 +96,14 @@ def _stack(*blocks: Taps) -> Taps:
 
 
 @dataclass(frozen=True)
-class TailStream:
-    """One direction-labeled stream of the diffuse tail."""
+class Tail:
+    """The diffuse tail as a recipe: each FDN in ``configs`` runs ``length`` samples on
+    ``drive`` (a unit impulse when None); all lines together carry ``energy``."""
 
-    samples: np.ndarray
-    direction: np.ndarray  # unit vector (apparent incidence)
+    configs: tuple  # fdn.FdnConfig each; its lines arrive from its directions
+    length: int  # samples
+    energy: float  # the junction's target for the lines' summed energy
+    drive: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -108,15 +112,14 @@ class SpatialIR:
 
     taps: Taps  # sorted by delay on construction
     sample_rate: float
-    tail: tuple = ()
-    tail_onset: float = 0.0  # seconds; every tail stream starts here
+    tail: Optional[Tail] = None
+    tail_onset: float = 0.0  # seconds; every tail line starts here
     # Optional door signature that ``coupled_parts`` sets on a part through a
     # door; ``pipeline.render_output`` convolves it into each rendered channel.
     signature: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        _set(self, taps=self.taps._rows(np.argsort(self.taps.delay, kind="stable")),
-             tail=tuple(self.tail))
+        _set(self, taps=self.taps._rows(np.argsort(self.taps.delay, kind="stable")))
 
 
 def enumerate_images(room: RoomSpec, source_pos: np.ndarray, max_order: int) -> Images:

@@ -29,9 +29,6 @@ MAX_LEVEL_DB = 1000.0  # far beyond any sound; the squared linear gain stays fin
 MAX_SAMPLES = 1 << 25  # samples per channel of any signal: 12.7 min at 44.1 kHz
 OUTPUT_MODES = ("binaural", "array", "diotic", "mono")
 
-# Wall order used for per-surface absorption: (x=0, x=Lx, y=0, y=Ly, z=0, z=Lz)
-WALL_NAMES = ("x0", "x1", "y0", "y1", "z0", "z1")
-
 
 def _set(spec, **values) -> None:
     """Store normalized field values on a frozen dataclass."""
@@ -136,7 +133,7 @@ class RoomSpec:
     id: str
     dims: np.ndarray
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    absorption: np.ndarray  # (6 walls, n_bands)
+    absorption: np.ndarray  # (6 walls: x=0, x=Lx, y=0, y=Ly, z=0, z=Lz; n_bands)
     scattering: np.ndarray = DEFAULT_SCATTERING  # (n_bands,)
     decay: Optional[DecayTarget] = None
     volume_override: Optional[float] = None

@@ -6,21 +6,23 @@ unit; directions reach the units through one gain matrix, ``unit_gains``
 specular tap whose bands carry equal amplitudes passes the band masks
 unchanged, since they sum to 1: it stays an impulse, which the caller
 scatters straight into its output channels; every other wave goes into the
-caller's row of its unit. Each diffuse burst is one broadband wave, drawn
-once, in a chunk of bursts, and added in tap order into every unit it
-reaches. Only band-dependent specular taps are band-filtered, through one
-buffer per band and unit over the early extent of the IR. Tail streams come
-last, all from the IR's ``tail_onset``.
+caller's row of its unit. The tail comes first: each FDN's line outputs
+stream block by block (``fdn.line_blocks``) into the rows, which are then
+scaled once to the tail's target energy. Each diffuse burst is one
+broadband wave, drawn once, in a chunk of bursts, and added in tap order
+into every unit it reaches. Only band-dependent specular taps are
+band-filtered, through one buffer per band and unit over the early extent.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import SceneValidationError
+from .fdn import line_blocks
 from .filterbank import OCTAVE_CENTERS_8, band_masks, padded_len
 from .ism import SpatialIR, burst_waves
 from .scene import MAX_SAMPLES
@@ -36,7 +38,7 @@ def _band_filtered(taps) -> np.ndarray:
 
 
 def spatial_ir_length(spatial_ir: SpatialIR) -> int:
-    """Sample count needed to hold every tap, burst and tail stream; taps with
+    """Sample count needed to hold every tap, burst and the tail; taps with
     band-dependent amplitudes are followed by the kernel margin. A count
     above ``MAX_SAMPLES`` is rejected before any wave is allocated."""
     fs = spatial_ir.sample_rate
@@ -45,8 +47,8 @@ def spatial_ir_length(spatial_ir: SpatialIR) -> int:
     n = int(math.ceil(t_end * fs)) + 1
     if _band_filtered(taps).any():
         n += _kernel_margin(fs)
-    for stream in spatial_ir.tail:  # each starts at the one tail onset
-        n = max(n, int(round(spatial_ir.tail_onset * fs)) + len(stream.samples))
+    if spatial_ir.tail is not None:
+        n = max(n, int(round(spatial_ir.tail_onset * fs)) + spatial_ir.tail.length)
     if n > MAX_SAMPLES:
         raise SceneValidationError(f"the IR would hold {n} samples, more than {MAX_SAMPLES}")
     return n
@@ -59,24 +61,25 @@ def render_units(spatial_ir: SpatialIR,
 
     Returns ``(R, (unit, start, value))``. ``R = rows(waved)``, called before
     any wave exists, with every unit that a diffuse burst, a band-dependent
-    tap or a tail stream reaches with a nonzero gain; each such unit's wave
-    is added into the caller's row ``R[unit]`` of ``spatial_ir_length``
-    samples. Bursts are drawn in chunks (``ism.burst_waves``), each once,
-    and added in tap order into each unit they reach, times the gain there.
-    A specular tap with equal band amplitudes stays an impulse: the three
-    arrays hold one entry per such (tap, unit) pair with a nonzero gain, in
-    tap order, for the caller to add into its output channels.
+    tap or a tail line reaches with a nonzero gain; each such unit's wave
+    is added into the caller's zeroed row ``R[unit]`` of
+    ``spatial_ir_length`` samples, the scaled tail first. Bursts are drawn
+    in chunks (``ism.burst_waves``), each once, and added in tap order into
+    each unit they reach, times the gain there. A specular tap with equal
+    band amplitudes stays an impulse: the three arrays hold one entry per
+    such (tap, unit) pair with a nonzero gain, in tap order, for the caller
+    to add into its output channels.
     """
     fs = spatial_ir.sample_rate
     n = spatial_ir_length(spatial_ir)
 
-    # n holds every tap, burst and stream, so none of them is clipped
+    # n holds every tap, burst and the tail, so none of them is clipped
     taps = spatial_ir.taps
     starts = np.rint(taps.delay * fs).astype(np.int64)
-    streams = spatial_ir.tail
-    gains = unit_gains(np.concatenate([taps.doa,
-                                       np.reshape([s.direction for s in streams], (-1, 3))]))
-    tap_gains, stream_gains = gains[: len(taps)], gains[len(taps):]
+    tail = spatial_ir.tail
+    configs = tail.configs if tail is not None else ()
+    gains = unit_gains(np.concatenate([taps.doa, *(config.directions for config in configs)]))
+    tap_gains, line_gains = gains[: len(taps)], gains[len(taps):]
 
     filtered = _band_filtered(taps)
     tap, unit = np.nonzero(tap_gains)  # (tap, unit) pairs in tap order
@@ -86,10 +89,23 @@ def render_units(spatial_ir: SpatialIR,
     impulses = unit, starts[tap], tap_gains[tap, unit] * taps.amplitude[tap, 0]
 
     bursts = np.flatnonzero(taps.has_burst & np.any(tap_gains != 0.0, axis=1))
-    reached = np.any(tap_gains[bursts] != 0.0, axis=0) | np.any(stream_gains != 0.0, axis=0)
+    reached = np.any(tap_gains[bursts] != 0.0, axis=0) | np.any(line_gains != 0.0, axis=0)
     # the rows exist before the loop's first short-lived array, so none of
     # those lands between two rows and splits the space they leave when freed
     units = rows(np.union1d(banded, np.flatnonzero(reached)).tolist())
+    if tail is not None:  # first, so that its one scale step touches no other wave
+        offset, first, raw = round(spatial_ir.tail_onset * fs), 0, 0.0
+        waved = np.flatnonzero(np.any(line_gains != 0.0, axis=0)).tolist()
+        for config in tail.configs:  # one product of the waved units' line gains per block
+            mix = line_gains[first:first + config.n_lines, waved].T
+            first += config.n_lines
+            for start, y in line_blocks(config, tail.length, tail.drive):
+                raw += np.einsum("ij,ij->", y, y)  # no BLAS: its threads cost more here
+                for unit, wave in zip(waved, mix @ y):
+                    units[unit][offset + start:offset + start + wave.size] += wave
+        scale = math.sqrt(tail.energy / raw) if raw > 0 else 0.0
+        for unit in waved:
+            units[unit][offset:offset + tail.length] *= scale
 
     # the band buffers and their transform span the taps plus the kernel margin
     m = min(n, int(np.max(starts, initial=-1)) + 1 + _kernel_margin(fs))
@@ -103,17 +119,19 @@ def render_units(spatial_ir: SpatialIR,
     for k, wave in burst_waves(taps, bursts, fs):
         for unit in np.flatnonzero(tap_gains[k]).tolist():
             units[unit][starts[k]:starts[k] + wave.size] += tap_gains[k, unit] * wave
-    offset = int(round(spatial_ir.tail_onset * fs))
-    for stream, gain in zip(streams, stream_gains):
-        for unit in np.flatnonzero(gain).tolist():
-            units[unit][offset:offset + len(stream.samples)] += gain[unit] * stream.samples
     return units, impulses
 
 
-def synthesize_mono(spatial_ir: SpatialIR) -> np.ndarray:
+def synthesize_mono(spatial_ir: SpatialIR, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Omnidirectional (direction-discarding) rendering of a SpatialIR's taps
-    and tail; its door signature is left to ``pipeline.render_output``."""
-    out = np.zeros(spatial_ir_length(spatial_ir))
+    and tail, added into ``out`` (default: zeros of ``spatial_ir_length``)
+    and returned; its door signature is left to ``pipeline.render_output``.
+    With a tail, ``out`` must be all zeros: the tail's scale step scales
+    the row's whole tail span, whatever it held before."""
+    if out is None:
+        out = np.zeros(spatial_ir_length(spatial_ir))
+    elif spatial_ir.tail is not None and out.any():
+        raise ValueError("a tail renders only into a zeroed row, which its scale step scales")
     _, (_, start, value) = render_units(spatial_ir, lambda d: np.ones((len(d), 1)), lambda _: [out])
     np.add.at(out, start, value)
     return out

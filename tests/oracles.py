@@ -1,12 +1,18 @@
 """Slow reference implementations kept as test oracles.
 
-``per_band_run_fdn`` runs the FDN loop once per octave band and filters
-every band at FFT length 2n; ``render_units_2m`` allocates full-length band
-buffers for every specular tap, spreads one tap, burst or stream direction
-at a time and filters at FFT length 2m. Both are the straightforward forms
-of what
-``alodsim.fdn.run_fdn`` and ``alodsim.synth.render_units`` compute with
-band grouping, early-extent buffers, fast FFT lengths and one gain matrix.
+``run_band`` runs the FDN recurrence for one set of band gains inside a
+(lines, n) output array, and ``fdn_lines`` runs it once per band group,
+each group's (lines, n + h) block written whole, then sums the groups:
+``alodsim.fdn.line_blocks`` streams the same lines through a ring of a few
+thousand samples. ``tail_lines`` renders a ``Tail`` recipe that way and
+scales its lines in place to their target, as the tail was held before the
+renderer ran it. ``per_band_run_fdn`` runs the FDN loop once per octave
+band and filters every band at FFT length 2n; ``render_units_2m``
+allocates full-length band buffers for every specular tap, spreads one
+tap, burst or tail line direction at a time and filters at FFT length 2m.
+Both are the straightforward forms of what ``alodsim.fdn.line_blocks`` and
+``alodsim.synth.render_units`` compute with band grouping, early-extent
+buffers, fast FFT lengths and one gain matrix.
 ``render_units_block`` gives ``render_units`` a (units, n) block of rows
 of its own. ``render_units_whole`` adds every impulse tap that
 ``render_units`` returns beside its waves into a full-length unit wave, one
@@ -75,8 +81,7 @@ from alodsim.analysis import (
 )
 from alodsim.coupled import _door_source, single_room_ir
 from alodsim.errors import InsufficientDecayError, SceneValidationError
-from alodsim.fdn import _run_band
-from alodsim.filterbank import OCTAVE_CENTERS_8, band_masks, next_fast_len
+from alodsim.filterbank import OCTAVE_CENTERS_8, band_kernels, band_masks, next_fast_len
 from alodsim.ism import (
     BURST_DECAY_DB,
     BURST_EXTENSION_S,
@@ -91,6 +96,61 @@ from alodsim.spatial import ImpulseResponse, head_frame, vbap_gains
 from alodsim.synth import render_units, spatial_ir_length, synthesize_mono
 
 
+def run_band(config, gains, n, input_signal):
+    """Run the recurrence for one band; returns (n_lines, n) line outputs.
+
+    Write-ahead recurrence inside the output array: `out` starts as the
+    input scaled by ``input_gain``, each sample u[t] landing at t + d_i on
+    line i, where it leaves the line. Then, block by block with block size
+    B = min(delay), the block's values are final; they are scaled by the
+    line gains in place and their feed m @ y is added d_i samples ahead on
+    line i, which is never inside the current block.
+    """
+    delays = config.delays
+    block = int(delays.min())
+    m = config.feedback_matrix
+    out = np.zeros((config.n_lines, n))
+    for i, d in enumerate(delays):
+        ahead = out[i, d:d + len(input_signal)]
+        ahead += config.input_gain * input_signal[: ahead.size]
+    for pos in range(0, n, block):
+        y = out[:, pos:pos + block]
+        y *= gains[:, None]
+        x = m @ y
+        for i, d in enumerate(delays):
+            ahead = out[i, pos + d:pos + d + block]
+            ahead += x[i, : ahead.size]
+    return out
+
+
+def fdn_lines(config, n, input_signal=None, run=run_band):
+    """(n_lines, n) line outputs: ``run`` (config, gains, n, input) once per
+    set of equal band gains, on the input convolved with the set's band
+    kernels for h samples more, the first h dropped, and the sets summed."""
+    if input_signal is None:
+        input_signal = np.array([1.0])
+    groups, band_group = np.unique(config.line_gains.T, axis=0, return_inverse=True)
+    if len(groups) == 1:
+        return run(config, groups[0], n, input_signal)
+    kernels = band_kernels(config.sample_rate)
+    h = kernels.shape[1] // 2
+    return sum(run(config, gains, n + h, fftconvolve(
+        input_signal, kernels[band_group.ravel() == g].sum(axis=0)))[:, h:]
+        for g, gains in enumerate(groups))
+
+
+def tail_lines(tail):
+    """[(samples, direction)] of every line of a ``Tail`` recipe: each FDN's
+    ``fdn_lines``, all scaled in place so that they carry ``tail.energy``."""
+    lines = [(row, d) for config in tail.configs
+             for row, d in zip(fdn_lines(config, tail.length, tail.drive), config.directions)]
+    raw = sum(float(np.dot(row, row)) for row, _ in lines)
+    scale = math.sqrt(tail.energy / raw) if raw > 0 else 0.0
+    for row, _ in lines:
+        row *= scale
+    return lines
+
+
 def per_band_run_fdn(config, duration, input_signal=None,
                      band_centers=OCTAVE_CENTERS_8) -> np.ndarray:
     """(n_lines, n) line outputs: one loop run and one masked FFT per band."""
@@ -101,7 +161,7 @@ def per_band_run_fdn(config, duration, input_signal=None,
     masks = band_masks(2 * n, fs, band_centers)
     spectra = None
     for b in range(config.line_gains.shape[1]):
-        lines = _run_band(config, config.line_gains[:, b], n, input_signal)
+        lines = run_band(config, config.line_gains[:, b], n, input_signal)
         contrib = np.fft.rfft(lines, n=2 * n, axis=1) * masks[b][None, :]
         spectra = contrib if spectra is None else spectra + contrib
     return np.fft.irfft(spectra, n=2 * n, axis=1)[:, :n]
@@ -126,7 +186,7 @@ def burst_samples(taps, row, fs):
 
 def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_8):
     """{unit: waveform}: every specular tap in (n_bands, n) buffers filtered
-    at length 2m, then each tap's burst wave and each stream added."""
+    at length 2m, then each tap's burst wave and each tail line added."""
     fs = spatial_ir.sample_rate
     n = max(n_samples, spatial_ir_length(spatial_ir))
     n_bands = len(centers)
@@ -158,14 +218,14 @@ def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_
         for unit in np.flatnonzero(gains):
             units[int(unit)][idx:stop] += gains[unit] * noise[: stop - idx]
     offset = int(round(spatial_ir.tail_onset * fs))
-    for stream in spatial_ir.tail:
-        stop = min(offset + len(stream.samples), n)
+    for samples, direction in tail_lines(spatial_ir.tail) if spatial_ir.tail else ():
+        stop = min(offset + len(samples), n)
         if stop <= offset:
             continue
-        gains = unit_gains(stream.direction[None, :])[0]
+        gains = unit_gains(direction[None, :])[0]
         for unit in np.flatnonzero(gains):
             wave = units.setdefault(int(unit), np.zeros(n))
-            wave[offset:stop] += gains[unit] * stream.samples[: stop - offset]
+            wave[offset:stop] += gains[unit] * samples[: stop - offset]
     return units
 
 

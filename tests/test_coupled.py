@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alodsim import coupled, pipeline
+from alodsim import coupled, pipeline, synth
 from alodsim.analysis import schroeder_edc, t30
 from alodsim.coupled import (
     _door_source,
@@ -14,8 +14,8 @@ from alodsim.coupled import (
     splice,
 )
 from alodsim.errors import InfeasibleTargetError, SceneValidationError
-from alodsim.fdn import N_LINES
-from alodsim.ism import SpatialIR, TailStream, Taps
+from alodsim.fdn import N_LINES, design_fdn
+from alodsim.ism import SpatialIR, Tail, Taps
 from alodsim.pipeline import build_spatial_ir, render_output, simulate
 from alodsim.scene import (
     ApertureSpec,
@@ -28,7 +28,7 @@ from alodsim.scene import (
 from alodsim.spatial import ImpulseResponse, array_preset_86, synthetic_hrtf
 from alodsim.synth import synthesize_mono
 
-from oracles import two_stage
+from oracles import render_units_block, two_stage
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ def test_full_coupling_without_fdn_equals_two_stage(living):
     # coupled_parts spawns 3 children, and the first two are spawn(2)'s
     b = two_stage(living, profile, src, rec.position, 0.5, np.random.SeedSequence([1]))
     assert np.array_equal(_mono(a, rec), _mono(b, rec))
-    assert not beside.tail
+    assert beside.tail is None
 
 
 def test_full_coupling_without_a_receiver_room_decay_equals_two_stage(living):
@@ -118,7 +118,7 @@ def test_full_coupling_without_a_receiver_room_decay_equals_two_stage(living):
     src, rec = _target(scene), scene.receivers[0]
     a, beside = coupled_parts(scene, profile, src, rec, 0.5, np.random.SeedSequence([1]))
     b = two_stage(scene, profile, src, rec.position, 0.5, np.random.SeedSequence([1]))
-    assert a.tail == () and b.tail == () and beside.tail == ()
+    assert a.tail is None and b.tail is None and beside.tail is None
     assert np.array_equal(_mono(a, rec), _mono(b, rec))
     assert np.array_equal(a.signature, b.signature)
     result = simulate(scene, profile, source_id=src.id, output_mode="mono")
@@ -131,7 +131,7 @@ def test_full_coupling_adds_cross_fed_tail(living):
     through, beside = coupled_parts(living, profile, src, rec, 0.6, np.random.SeedSequence([1]))
     base = two_stage(living, profile, src, rec.position, 0.6, np.random.SeedSequence([1]))
     direct = occluded_direct_ir(living, src, rec)
-    assert len(beside.tail) > len(direct.tail)
+    assert direct.tail is None and len(beside.tail.configs) == 1
     # the part through the door is two-stage coupling's IR, unchanged
     assert np.array_equal(_mono(through, rec), _mono(base, rec))
 
@@ -146,8 +146,8 @@ def test_cross_feed_into_a_dual_slope_room_drives_its_dual_slope_pair(living):
     profile = profile_preset("razr-full")
     src, rec = _target(scene), scene.receivers[0]
     base, beside = coupled_parts(scene, profile, src, rec, 0.3, np.random.SeedSequence([1]))
-    assert len(base.tail) == 2 * N_LINES
-    assert len(beside.tail) == 2 * N_LINES
+    for tail in (base.tail, beside.tail):
+        assert [config.n_lines for config in tail.configs] == [N_LINES, N_LINES]
 
 
 @pytest.mark.parametrize("longer", ["first", "second"])
@@ -171,14 +171,18 @@ def test_beside_part_carries_no_signature(living):
     assert np.array_equal(beside.taps.amplitude, direct.taps.amplitude)
 
 
-def test_living_room_razr_full_render_makes_three_fdn_runs(living, monkeypatch):
-    # stage 1, stage 2 and the cross-feed; stage 1's tail is the drive
+@pytest.mark.parametrize("name, runs", [("underground", 2), ("living-room", 3), ("pub", 1)])
+def test_a_razr_full_render_runs_each_recurrence_once(monkeypatch, name, runs):
+    # underground: its dual-slope pair; living room: stage 1, stage 2 and
+    # the cross-feed, whose drive is stage 1's tail from the run that also
+    # makes the door signature; pub: its one FDN
     calls = []
-    run = coupled.run_fdn
-    monkeypatch.setattr(coupled, "run_fdn", lambda *a, **kw: calls.append(1) or run(*a, **kw))
-    simulate(living, profile_preset("razr-full"), source_id="target",
+    run = synth.line_blocks
+    monkeypatch.setattr(synth, "line_blocks", lambda *a, **kw: calls.append(1) or run(*a, **kw))
+    scene = preset(name)
+    simulate(scene, profile_preset("razr-full"), source_id=_target(scene).id,
              output_mode="mono", duration=0.3)
-    assert len(calls) == 3
+    assert len(calls) == runs
 
 
 def test_coupling_gain_divides_by_the_wall_the_two_rooms_share(living):
@@ -274,7 +278,7 @@ def test_anechoic_same_room_render_is_the_direct_tap_alone():
     # ISM order 0 with the FDN, panels and smearing off needs no special case
     spatial, = build_spatial_ir(preset("pub"), profile_preset("anechoic"))
     assert len(spatial.taps) == 1 and spatial.taps.order[0] == 0
-    assert not spatial.tail and spatial.signature is None
+    assert spatial.tail is None and spatial.signature is None
     assert not spatial.taps.has_burst.any()
 
 
@@ -282,7 +286,7 @@ def test_occluded_direct_tap(living):
     aperture = living.apertures[0]
     rec = living.receivers[0].position
     spatial = occluded_direct_ir(living, _target(living), living.receivers[0])
-    assert not spatial.tail and spatial.signature is None
+    assert spatial.tail is None and spatial.signature is None
     taps = spatial.taps
     assert len(taps) == 1
     assert taps.delay[0] == pytest.approx(5.7 / 343.0, rel=1e-12)
@@ -322,14 +326,16 @@ def test_splice_scales_tail_to_the_decay_curve():
     tap = Taps(delay=np.array([direct_delay]), amplitude=np.full((1, 8), 0.5),
                doa=np.array([[1.0, 0.0, 0.0]]), order=np.zeros(1, dtype=int))
     early = SpatialIR(taps=tap, sample_rate=fs)
-    rng = np.random.default_rng(0)
-    stream = TailStream(samples=rng.standard_normal(4000) * 1e-3,
-                        direction=np.array([1.0, 0.0, 0.0]))
-    out = splice(early, [stream], onset=onset, t60=t60,
+    room = preset("living-room").rooms[0]
+    tail = Tail(configs=(design_fdn(room, room.decay, fs),), length=4000, energy=0.0)
+    out = splice(early, tail, onset=onset, t60=t60,
                  direct_delay=direct_delay)
 
     e_early = float(np.sum(synthesize_mono(early) ** 2))
-    e_tail = sum(float(np.dot(s.samples, s.samples)) for s in out.tail)
+    # the tail rendered alone, each line into a unit of its own
+    lines, _ = render_units_block(replace(out, taps=tap._rows(slice(0))), lambda d: np.eye(len(d)))
+    assert len(lines) == N_LINES
+    e_tail = sum(float(np.dot(row, row)) for row in lines.values())
     rho = 10.0 ** (-60.0 * (onset - direct_delay) / t60 / 10.0)
     assert e_tail == pytest.approx(rho / (1.0 - rho) * e_early, rel=1e-9)
     assert out.tail_onset == pytest.approx(onset)

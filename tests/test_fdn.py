@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,11 +14,11 @@ from alodsim.fdn import (
     MAX_DELAY_MFP,
     N_LINES,
     FdnConfig,
-    _run_band,
     design_dual_slope,
     design_fdn,
-    run_fdn,
+    line_blocks,
 )
+from alodsim.ism import SpatialIR, Tail, Taps
 from alodsim.scene import (
     DecayTarget,
     RoomSpec,
@@ -27,9 +28,13 @@ from alodsim.scene import (
     profile_preset,
 )
 
-from oracles import per_band_run_fdn
+from alodsim.synth import synthesize_mono
+
+from oracles import fdn_lines, per_band_run_fdn, run_band
 
 FS = 44100.0
+NO_TAPS = Taps(delay=np.zeros(0), amplitude=np.zeros((0, 8)), doa=np.zeros((0, 3)),
+               order=np.zeros(0, dtype=int))
 
 
 def _living_room():
@@ -50,8 +55,26 @@ def _small_config(delays=(13, 17, 19, 23)):
                      sample_rate=FS, input_gain=0.5)
 
 
+def ring(config, n, input_signal=None):
+    """(lines, n): the blocks of ``fdn.line_blocks``, laid end to end."""
+    out = np.full((config.n_lines, n), np.nan)
+    at = 0
+    for start, y in line_blocks(config, n, input_signal):
+        assert start == at
+        out[:, start:start + y.shape[1]] = y
+        at += y.shape[1]
+    assert at == n
+    return out
+
+
+def mono_tail(configs, seconds, drive=None):
+    """The mono render of a tail of ``configs`` alone, at unit energy."""
+    tail = Tail(configs=tuple(configs), length=int(seconds * FS), energy=1.0, drive=drive)
+    return synthesize_mono(SpatialIR(taps=NO_TAPS, sample_rate=FS, tail=tail))
+
+
 def naive_fdn(config, gains, n, input_signal):
-    """Per-sample oracle for the blocked recurrence in fdn._run_band: one
+    """Per-sample oracle for the blocked recurrence in fdn.line_blocks: one
     circular buffer per line, fed at the line input."""
     n_lines = config.n_lines
     delays = config.delays
@@ -107,11 +130,12 @@ def test_line_gains_must_lie_strictly_between_0_and_1(gain):
 
 def test_block_recurrence_matches_per_sample_oracle():
     # blockwise matrix products may round differently in the last ulp, so
-    # the comparison allows rounding noise but nothing structural
+    # the comparison allows rounding noise but nothing structural; the
+    # 40-sample input is longer than the 39-sample ring
     cfg = _small_config()
     gains = cfg.line_gains[:, 0]
     x = np.random.default_rng(0).standard_normal(40)
-    fast = _run_band(cfg, gains, 400, x)
+    fast = ring(cfg, 400, x)
     slow = naive_fdn(cfg, gains, 400, x)
     assert np.max(np.abs(fast - slow)) < 1e-12
 
@@ -120,7 +144,7 @@ def test_block_recurrence_matches_oracle_with_spread_delays():
     cfg = _small_config(SPREAD_DELAYS)
     gains = cfg.line_gains[:, 0]
     x = np.random.default_rng(1).standard_normal(60)
-    fast = _run_band(cfg, gains, 500, x)
+    fast = ring(cfg, 500, x)
     slow = naive_fdn(cfg, gains, 500, x)
     assert np.max(np.abs(fast - slow)) < 1e-12
 
@@ -151,9 +175,54 @@ def _random_fdn_case(draw):
 @given(_random_fdn_case())
 def test_block_recurrence_matches_oracle_on_random_configs(case):
     cfg, gains, n, x = case
-    fast = _run_band(cfg, gains, n, x)
+    fast = ring(cfg, n, x)
     slow = naive_fdn(cfg, gains, n, x)
     assert np.max(np.abs(fast - slow)) < 1e-12
+    assert np.array_equal(fast, run_band(cfg, gains, n, x))
+
+
+def _ring_case(case):
+    """(configs, drive, seconds) of one of the tails that the ring must run."""
+    room = _living_room()
+    if case == "broadband":
+        return [design_fdn(room, room.decay, FS)], None, 0.15
+    if case == "per-band groups":
+        cfg, x = _four_band_groups(True)
+        return [cfg], x, 0.05
+    if case == "driven past the ring":  # 4000 samples into a 1392-sample ring
+        x = np.random.default_rng(6).standard_normal(4000)
+        return [design_fdn(room, room.decay, FS)], x, 0.15
+    underground = preset("underground").rooms[0]
+    return list(design_dual_slope(underground, underground.decay, FS)), None, 0.15
+
+
+@pytest.mark.parametrize("case", ["broadband", "per-band groups", "driven past the ring",
+                                  "dual-slope pair"])
+def test_ring_matches_the_whole_block_and_per_sample_oracles(case):
+    configs, x, seconds = _ring_case(case)
+    n = int(seconds * FS)
+    for cfg in configs:
+        got = ring(cfg, n, x)
+        for run in (run_band, naive_fdn):
+            want = fdn_lines(cfg, n, x, run=run)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), run.__name__
+
+
+def test_ring_holds_a_few_line_delays_not_the_tail():
+    # underground primary: a 5391-sample ring of 12 lines and one block of
+    # 8192 samples and a step, against a (12, 176 400) array of line outputs
+    # for 4 s (16.9 MB)
+    room = preset("underground").rooms[0]
+    cfg = design_fdn(room, room.decay, FS)
+    n = int(4.0 * FS)
+    tracemalloc.start()
+    try:
+        widths = [y.shape[1] for _, y in line_blocks(cfg, n)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(widths) == n and min(widths[:-1]) >= 8192
+    assert peak < 2 << 20, peak
 
 
 def test_recurrence_prefix_is_run_length_invariant():
@@ -162,8 +231,8 @@ def test_recurrence_prefix_is_run_length_invariant():
     cfg = _small_config(SPREAD_DELAYS)
     gains = cfg.line_gains[:, 0]
     x = np.random.default_rng(2).standard_normal(50)
-    short = _run_band(cfg, gains, 300, x)
-    long = _run_band(cfg, gains, 900, x)
+    short = ring(cfg, 300, x)
+    long = ring(cfg, 900, x)
     assert np.array_equal(short, long[:, :300])
 
 
@@ -236,7 +305,7 @@ def test_volume_override_scales_delays():
 def test_tail_broadband_t30_hits_target():
     room = _living_room()
     cfg = design_fdn(room, room.decay, FS)
-    mono = np.sum([s.samples for s in run_fdn(cfg, 1.2)], axis=0)
+    mono = mono_tail([cfg], 1.2)
     est = t30(schroeder_edc(mono, FS))
     assert 0.49 <= est <= 0.59, f"T30 {est:.3f} outside 0.54 +/- 10%"
 
@@ -244,7 +313,7 @@ def test_tail_broadband_t30_hits_target():
 def test_tail_per_band_t30_within_ten_percent():
     room = _living_room()
     cfg = design_fdn(room, room.decay, FS)
-    mono = np.sum([s.samples for s in run_fdn(cfg, 1.2)], axis=0)
+    mono = mono_tail([cfg], 1.2)
     bands = t30_bands(mono, FS)
     rel = np.abs(bands / room.decay.t30_bands - 1.0)
     assert np.all(rel < 0.10), f"per-band rel errors {np.round(rel, 3)}"
@@ -253,8 +322,8 @@ def test_tail_per_band_t30_within_ten_percent():
 def test_tail_is_seed_deterministic():
     room = _living_room()
     cfg = design_fdn(room, room.decay, FS, seed=3)
-    a = np.sum([s.samples for s in run_fdn(cfg, 0.4)], axis=0)
-    b = np.sum([s.samples for s in run_fdn(cfg, 0.4)], axis=0)
+    a = mono_tail([cfg], 0.4)
+    b = mono_tail([cfg], 0.4)
     assert np.array_equal(a, b)
 
 
@@ -271,20 +340,16 @@ def test_different_seed_changes_matrix_not_decay():
 # band grouping against the per-band oracle
 # ---------------------------------------------------------------------------
 
-def _count_band_runs(monkeypatch):
+def _count_band_limited_inputs(monkeypatch):
     calls = []
-    original = fdn._run_band
+    original = fdn.fftconvolve
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fdn, "_run_band", counted)
+    monkeypatch.setattr(fdn, "fftconvolve", counted)
     return calls
-
-
-def _lines(streams):
-    return np.stack([s.samples for s in streams])
 
 
 def test_broadband_target_runs_the_loop_once(monkeypatch):
@@ -292,9 +357,9 @@ def test_broadband_target_runs_the_loop_once(monkeypatch):
     cfg = design_fdn(room, room.decay, FS)
     assert len(np.unique(cfg.line_gains.T, axis=0)) == 1
     want = per_band_run_fdn(cfg, 0.5)
-    calls = _count_band_runs(monkeypatch)
-    got = _lines(run_fdn(cfg, 0.5))
-    assert len(calls) == 1
+    calls = _count_band_limited_inputs(monkeypatch)
+    got = ring(cfg, int(0.5 * FS))
+    assert len(calls) == 0  # one group: the impulse enters unfiltered
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -310,12 +375,12 @@ def _four_band_groups(driven):
 def test_distinct_band_targets_match_per_band_oracle(monkeypatch, driven):
     cfg, x = _four_band_groups(driven)
     # the oracle runs past 0.5 s, so the acausal half of its band kernels
-    # sees the loop's own continuation there, as run_fdn's band-limited
+    # sees the loop's own continuation there, as line_blocks' band-limited
     # input does, not zeros
     want = per_band_run_fdn(cfg, 1.0, input_signal=x)[:, :int(0.5 * FS)]
-    calls = _count_band_runs(monkeypatch)
-    got = _lines(run_fdn(cfg, 0.5, input_signal=x))
-    assert len(calls) == 4
+    calls = _count_band_limited_inputs(monkeypatch)
+    got = ring(cfg, int(0.5 * FS), x)
+    assert len(calls) == 4  # one band-limited input per group
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
@@ -331,7 +396,7 @@ def test_distinct_band_targets_transform_no_twice_duration(monkeypatch, driven):
         return rfft(a, n, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", recorded)
-    run_fdn(cfg, 0.5, input_signal=x)
+    ring(cfg, int(0.5 * FS), x)
     assert all(length < 2 * int(0.5 * FS) for length in lengths), lengths
 
 
@@ -366,8 +431,7 @@ def test_dual_slope_secondary_scales_every_band_t30():
 def test_dual_slope_tail_knee_and_slopes():
     room = preset("underground").rooms[0]
     primary, secondary = design_dual_slope(room, room.decay, FS)
-    streams = run_fdn(primary, 3.8) + run_fdn(secondary, 3.8)
-    mono = np.sum([s.samples for s in streams], axis=0)
+    mono = mono_tail([primary, secondary], 3.8)
     fit = dual_slope_fit(schroeder_edc(mono, FS))
     assert -45.0 <= fit.knee_level <= -33.0, f"knee at {fit.knee_level:.1f} dB"
     # the late slope must be distinctly shallower than the early one
@@ -377,13 +441,14 @@ def test_dual_slope_tail_knee_and_slopes():
 def test_dual_slope_requires_second_slope():
     # a room's tail is the dual-slope pair only where the profile renders a
     # second slope: the living room has none, and razr-simple renders none
-    cases = (("living-room", "razr-full", N_LINES), ("underground", "razr-full", 2 * N_LINES),
-             ("underground", "razr-simple", N_LINES))
-    for name, profile, n_streams in cases:
+    cases = (("living-room", "razr-full", 1), ("underground", "razr-full", 2),
+             ("underground", "razr-simple", 1))
+    for name, profile, n_fdns in cases:
         scene = preset(name)
         tail = _room_tail(scene, profile_preset(profile), scene.rooms[0], 0.05,
                           np.random.SeedSequence(0))
-        assert len(tail) == n_streams, (name, profile)
+        assert len(tail.configs) == n_fdns, (name, profile)
+        assert all(config.n_lines == N_LINES for config in tail.configs)
 
 
 def test_dual_slope_onset_must_lie_below_minus_20_db():

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from alodsim.errors import SceneValidationError
-from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps, _noise_table
+from alodsim.fdn import FdnConfig
+from alodsim.ism import NO_BURST, SpatialIR, Tail, Taps, _noise_table
 from alodsim.spatial import (
     HrtfSet,
     ImpulseResponse,
@@ -38,6 +39,7 @@ from oracles import (
     render_array_block,
     render_array_per_tap,
     render_units_whole,
+    tail_lines,
     vbap_gains_one_call,
 )
 
@@ -643,6 +645,14 @@ def test_binauralize_matches_per_unit_convolution():
     assert np.max(np.abs(got.channels - want.channels)) <= 1e-12 * peak
 
 
+def _small_tail(rng, n, energy):
+    """An n-sample tail of a 4-line FDN with a seeded matrix and short delays."""
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+    config = FdnConfig(delays=np.array([13, 17, 19, 23]), feedback_matrix=q * np.sign(np.diag(r)),
+                       line_gains=np.full((4, 8), 0.95), sample_rate=FS, input_gain=0.5)
+    return Tail(configs=(config,), length=n, energy=energy)
+
+
 def _unit_vectors(rng, k):
     v = rng.standard_normal((k, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -651,8 +661,8 @@ def _unit_vectors(rng, k):
 @st.composite
 def _spatial_irs(draw):
     """Random SpatialIRs of burst-free taps with equal bands, and, when
-    drawn, taps with bursts, band-dependent taps, a tail stream and a
-    coupling signature; with a random head orientation."""
+    drawn, taps with bursts, band-dependent taps, a tail and a coupling
+    signature; with a random head orientation."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_flat = draw(st.integers(1, 40))
     n_burst, n_banded = draw(st.integers(0, 3)), draw(st.integers(0, 3))
@@ -665,11 +675,11 @@ def _spatial_irs(draw):
                 doa=_unit_vectors(rng, k), order=rng.integers(1, 4, k),
                 burst_energy=np.where(burst[:, None], rng.uniform(0.0, 1e-3, (k, 8)), 0.0),
                 burst_seed=np.where(burst, rng.integers(0, 1000, k), NO_BURST))
-    tail, tail_onset = (), 0.0
+    tail, tail_onset = None, 0.0
     if draw(st.booleans()):
-        samples = 1e-2 * rng.standard_normal(rng.integers(1, 3000))
+        n = int(rng.integers(1, 3000))
+        tail = _small_tail(rng, n, energy=1e-4 * n)
         tail_onset = rng.uniform(0.0, 0.06)
-        tail = (TailStream(samples=samples, direction=_unit_vectors(rng, 1)[0]),)
     signature = rng.standard_normal(rng.integers(1, 50)) if draw(st.booleans()) else None
     ir = SpatialIR(taps=taps, sample_rate=FS, tail=tail, tail_onset=tail_onset,
                    signature=signature)
@@ -707,10 +717,10 @@ def living_full_ir():
 
 
 def _short_ir():
-    """20 ms of three tail streams and two impulse taps."""
+    """20 ms of a 4-line tail and two impulse taps."""
     rng = np.random.default_rng(5)
-    tail = tuple(TailStream(samples=1e-2 * rng.standard_normal(int(0.02 * FS)), direction=d)
-                 for d in _unit_vectors(rng, 3))
+    n = int(0.02 * FS)
+    tail = _small_tail(rng, n, energy=1e-4 * n)
     taps = Taps(delay=np.array([0.004, 0.011]), amplitude=np.full((2, 8), 0.5),
                 doa=_unit_vectors(rng, 2), order=np.zeros(2, dtype=int))
     return SpatialIR(taps=taps, sample_rate=FS, tail=tail)
@@ -745,12 +755,17 @@ def test_pub_binaural_render_makes_no_transform_longer_than_two_partitions(monke
     assert max(lengths) <= 2 * 2048, max(lengths)
 
 
-def test_tail_streams_render_at_their_onset():
-    stream = TailStream(samples=np.ones(100), direction=np.array([1.0, 0.0, 0.0]))
+def test_the_tail_renders_at_its_onset():
+    # each line's first output leaves it one line delay after the onset
     no_taps = Taps(delay=np.zeros(0), amplitude=np.zeros((0, 8)),
                    doa=np.zeros((0, 3)), order=np.zeros(0, dtype=int))
-    spatial = SpatialIR(taps=no_taps, sample_rate=FS, tail=(stream,), tail_onset=0.05)
+    spatial = SpatialIR(taps=no_taps, sample_rate=FS, tail=_small_tail(
+        np.random.default_rng(0), 100, energy=1.0), tail_onset=0.05)
     ir = _render(spatial, "mono")
     start = int(round(0.05 * FS))
-    assert np.all(ir.channels[0][:start] == 0.0)
-    assert ir.channels[0][start] == pytest.approx(1.0)
+    assert ir.n_samples == start + 100
+    assert np.all(ir.channels[0][:start + 13] == 0.0)
+    assert ir.channels[0][start + 13] != 0.0
+    want = np.zeros(start + 100)
+    want[start:] = sum(samples for samples, _ in tail_lines(spatial.tail))
+    assert _error_of_peak(ir.channels[0], want) <= 1e-12

@@ -7,7 +7,8 @@ import pytest
 from alodsim import ism, preset, profile_preset, simulate, synth
 from alodsim.coupled import occluded_direct_ir
 from alodsim.errors import SceneValidationError
-from alodsim.ism import NO_BURST, SpatialIR, TailStream, Taps, early_spatial_ir
+from alodsim.fdn import design_fdn
+from alodsim.ism import NO_BURST, SpatialIR, Tail, Taps, early_spatial_ir
 from alodsim.pipeline import build_spatial_ir
 from alodsim.scene import MAX_SAMPLES, RenderingProfile
 from alodsim.spatial import array_preset_86, render_array
@@ -16,6 +17,16 @@ from alodsim.synth import spatial_ir_length, synthesize_mono
 from oracles import render_units_2m, render_units_block, render_units_whole
 
 FS = 44100.0
+NO_TAPS = Taps(delay=np.zeros(0), amplitude=np.zeros((0, 8)), doa=np.zeros((0, 3)),
+               order=np.zeros(0, dtype=int))
+
+
+def _tail(seconds: float, rms: float) -> Tail:
+    """The living room's FDN for ``seconds``, its 12 lines together at about
+    ``rms`` per sample."""
+    room = preset("living-room").rooms[0]
+    n = int(seconds * FS)
+    return Tail(configs=(design_fdn(room, room.decay, FS),), length=n, energy=rms**2 * n)
 
 
 def _two_unit_gains(doa):
@@ -39,9 +50,7 @@ def _early_ir(tail_seconds: float) -> SpatialIR:
                 order=2 + k // 2,
                 burst_energy=np.where(burst[:, None], rng.uniform(0.0, 1e-3, (40, 8)), 0.0),
                 burst_seed=np.where(burst, k, NO_BURST))
-    tail = TailStream(samples=1e-3 * rng.standard_normal(int(tail_seconds * FS)),
-                      direction=np.array([0.0, -1.0, 0.0]))
-    return SpatialIR(taps=taps, sample_rate=FS, tail=(tail,), tail_onset=0.05)
+    return SpatialIR(taps=taps, sample_rate=FS, tail=_tail(tail_seconds, 1e-3), tail_onset=0.05)
 
 
 def test_render_units_match_the_2m_oracle():
@@ -65,8 +74,7 @@ def test_band_buffers_span_the_early_extent_not_the_tail():
     tap = Taps(delay=np.array([0.01]), amplitude=np.full((1, 8), 0.5),
                doa=np.array([[1.0, 0.0, 0.0]]), order=np.array([10]),
                burst_energy=np.full((1, 8), 1e-4), burst_seed=np.array([1]))
-    tail = TailStream(samples=np.full(int(10.0 * FS), 1e-4), direction=np.array([1.0, 0.0, 0.0]))
-    ir = SpatialIR(taps=tap, sample_rate=FS, tail=(tail,), tail_onset=0.02)
+    ir = SpatialIR(taps=tap, sample_rate=FS, tail=_tail(10.0, 1e-4), tail_onset=0.02)
     n = spatial_ir_length(ir)
     tracemalloc.start()
     try:
@@ -97,11 +105,10 @@ def _burst_tap():
 def test_band_filtered_content_keeps_its_kernel_margin(build):
     # rendered as the last content of an IR, a band-filtered tap keeps its
     # filter kernels' decay: the render equals the one with a silent tail
-    # stream after it, which leaves room for that decay
+    # after it, which leaves room for that decay
     ir = build()
-    silent = TailStream(samples=np.zeros(int(0.5 * FS)), direction=np.array([1.0, 0.0, 0.0]))
     alone = synthesize_mono(ir)
-    padded = synthesize_mono(replace(ir, tail=(silent,)))
+    padded = synthesize_mono(replace(ir, tail=_tail(0.5, 0.0)))
     assert alone.size < padded.size
     assert np.array_equal(alone, padded[: alone.size])
     assert not padded[alone.size:].any()
@@ -233,7 +240,7 @@ def test_ism_15_binaural_render_makes_no_fft(monkeypatch):
     # adds its amplitude times its HRTF pair, with no transform at all
     scene, profile = preset("pub"), profile_preset("ism-15")
     ir, = build_spatial_ir(scene, profile)
-    assert ir.signature is None and not ir.tail and not ir.taps.has_burst.any()
+    assert ir.signature is None and ir.tail is None and not ir.taps.has_burst.any()
     calls = _record_calls(monkeypatch, np.fft, "rfft", lambda x, *rest: np.shape(x))
     out = simulate(scene, profile, output_mode="binaural")
     assert len(ir.taps) > 4000 and np.any(out.ir.channels)
@@ -241,11 +248,8 @@ def test_ism_15_binaural_render_makes_no_fft(monkeypatch):
 
 
 def test_spatial_ir_length_is_bounded_before_any_wave_exists():
-    # a one-sample stream ending on the last sample allowed, or one beyond it
-    no_taps = Taps(delay=np.zeros(0), amplitude=np.zeros((0, 8)),
-                   doa=np.zeros((0, 3)), order=np.zeros(0, dtype=int))
-    stream = TailStream(samples=np.ones(1), direction=np.array([1.0, 0.0, 0.0]))
-    at_bound = SpatialIR(taps=no_taps, sample_rate=FS, tail=(stream,),
+    # a one-sample tail ending on the last sample allowed, or one beyond it
+    at_bound = SpatialIR(taps=NO_TAPS, sample_rate=FS, tail=replace(_tail(0.0, 1.0), length=1),
                          tail_onset=(MAX_SAMPLES - 1) / FS)
     assert spatial_ir_length(at_bound) == MAX_SAMPLES
     beyond = replace(at_bound, tail_onset=MAX_SAMPLES / FS)
@@ -253,3 +257,29 @@ def test_spatial_ir_length_is_bounded_before_any_wave_exists():
         spatial_ir_length(beyond)
     with pytest.raises(SceneValidationError, match=f"more than {MAX_SAMPLES}"):
         synthesize_mono(replace(at_bound, tail_onset=1e6))  # 4.41e10 samples
+
+
+def test_a_tail_renders_only_into_a_zeroed_row():
+    # the tail's scale step scales its whole span of the row, so content
+    # already there would be rescaled with it
+    ir = SpatialIR(taps=NO_TAPS, sample_rate=FS, tail=_tail(0.01, 1.0), tail_onset=0.001)
+    row = np.zeros(spatial_ir_length(ir))
+    assert synthesize_mono(ir, out=row) is row
+    assert np.array_equal(row, synthesize_mono(ir))
+    with pytest.raises(ValueError, match="zeroed row"):
+        synthesize_mono(ir, out=row)
+
+
+def test_a_30_s_pub_mono_render_holds_its_output_and_a_ring():
+    # the FDN streams through a ring of 2112 samples per line into the output
+    # row; its (12, n) block of line outputs used to set a peak of 14 x
+    scene, profile = preset("pub"), profile_preset("razr-full")
+    simulate(scene, profile, output_mode="mono", duration=1.0)  # caches outside the trace
+    tracemalloc.start()
+    try:
+        out = simulate(scene, profile, output_mode="mono", duration=30.0).ir.channels
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape[1] > 30 * FS
+    assert peak <= 2 * out.nbytes, f"peak {peak / out.nbytes:.2f} x the output"

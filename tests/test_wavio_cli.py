@@ -596,6 +596,29 @@ def test_cli_rejects_an_output_at_an_input_path_before_reading(tmp_path, capsys,
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("via", ["--hrtf", "ALODSIM_HRTF_DIR"])
+@pytest.mark.parametrize("out", ["--out h/h0.wav", "--manifest h/index.txt"])
+def test_cli_rejects_an_output_at_a_file_of_the_hrtf_directory(tmp_path, capsys, monkeypatch,
+                                                               via, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h").mkdir()
+    write_wav("h/h0.wav", np.eye(64, 2), FS)
+    (tmp_path / "h" / "index.txt").write_text(_FIVE_ROWS.replace("a.wav", "h0.wav"))
+    before = {path.name: path.read_bytes() for path in (tmp_path / "h").iterdir()}
+    argv = ["simulate", "--preset", "pub", "--profile", "anechoic", "--output-mode", "binaural",
+            *(["--out", "o.wav"] if out.startswith("--manifest") else []), *out.split()]
+    if via == "--hrtf":
+        argv += ["--hrtf", "h"]
+    else:
+        monkeypatch.setenv("ALODSIM_HRTF_DIR", str(tmp_path / "h"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "would overwrite the input" in err
+    assert err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in (tmp_path / "h").iterdir()} == before
+    assert sorted(os.listdir(tmp_path)) == ["h"]
+
+
 def test_cli_match_removes_its_wav_when_the_report_cannot_be_written(tmp_path, capsys,
                                                                      monkeypatch):
     monkeypatch.chdir(tmp_path)
