@@ -60,10 +60,13 @@ def schroeder_edc(ir: np.ndarray, fs: float) -> EdcCurve:
     total = float(energy.sum())
     if total <= 0.0:
         raise SceneValidationError("all-zero impulse response")
-    tail = np.cumsum(energy[::-1])[::-1]
+    values = np.cumsum(energy[::-1])[::-1]  # turned into the curve in place
+    del energy  # only the curve is held from here on
+    values /= total
     with np.errstate(divide="ignore"):
-        values = 10.0 * np.log10(tail / total)
-    values = np.maximum(values, EDC_FLOOR_DB)
+        np.log10(values, out=values)
+    values *= 10.0
+    np.maximum(values, EDC_FLOOR_DB, out=values)
     return EdcCurve(values=values, sample_rate=fs)
 
 
@@ -79,7 +82,7 @@ def t30(edc: EdcCurve) -> float:
         raise InsufficientDecayError("EDC never reaches -35 dB")
     if stop == start:  # a line through one sample has no defined slope
         raise InsufficientDecayError("fewer than two EDC samples in the fit span")
-    t = edc.times[start:stop + 1]
+    t = np.arange(start, stop + 1) / edc.sample_rate
     slope = float(np.polyfit(t, v[start:stop + 1], 1)[0])
     if slope >= 0:
         raise InsufficientDecayError("EDC is not decaying over the fit span")
@@ -167,7 +170,7 @@ def dual_slope_fit(edc: EdcCurve) -> DualSlopeFit:
     floor = max(-DUAL_SLOPE_SPAN_DB, float(v.min()) + 5.0)
     start = int(np.argmax(v <= -5.0))
     stop = int(np.argmax(v <= floor))
-    t = edc.times[start:stop + 1]
+    t = np.arange(start, stop + 1) / edc.sample_rate
     y = v[start:stop + 1]
 
     knees = []

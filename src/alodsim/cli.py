@@ -110,11 +110,11 @@ def _read_ir(path: str) -> ImpulseResponse:
 
 
 def _metric_summary(ir: ImpulseResponse) -> dict:
-    mono = ir.channels.sum(axis=0)
+    mono = ir.channels[0] if ir.n_channels == 1 else ir.channels.sum(axis=0)
     summary = {
         "n_channels": int(ir.n_channels),
         "n_samples": int(ir.n_samples),
-        "peak": float(np.max(np.abs(ir.channels))),
+        "peak": float(max(ir.channels.max(), -ir.channels.min())),  # no |x| copy
     }
     try:
         summary["t30_s"] = round(t30(schroeder_edc(mono, ir.sample_rate)), 4)
@@ -126,8 +126,8 @@ def _metric_summary(ir: ImpulseResponse) -> dict:
 def _cmd_simulate(args) -> int:
     manifest_path = args.manifest or args.out + ".manifest.json"
     hrtf_dir = args.hrtf or os.environ.get(HRTF_ENV_VAR)
-    hrtf_files = ([os.path.join(hrtf_dir, name) for name in os.listdir(hrtf_dir)]
-                  if hrtf_dir and os.path.isdir(hrtf_dir) else [])  # each may be read
+    hrtf_files = ([os.path.join(root, name) for root, _, names in os.walk(hrtf_dir)
+                   for name in names] if hrtf_dir else [])  # each may be read
     _check_outputs((args.out, manifest_path), args.scene, *hrtf_files,
                    None if args.layout == "86-preset" else args.layout)  # the preset is no file
     scene, doc = _load_scene(args)
@@ -137,8 +137,10 @@ def _cmd_simulate(args) -> int:
     result = simulate(scene, profile, source_id=args.source, duration=args.duration,
                       output_mode=args.output_mode, hrtf=hrtf, layout=layout)
     write_wav(args.out, result.ir.channels.T, result.ir.sample_rate)
+    wav = hashlib.sha256()
     with open(args.out, "rb") as fh:
-        wav = fh.read()
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            wav.update(chunk)
     manifest = {
         "tool": "alodsim",
         "version": __version__,
@@ -149,7 +151,7 @@ def _cmd_simulate(args) -> int:
         "source": result.source_id,
         "output_mode": result.output_mode,
         "duration_s": result.duration,
-        "outputs": [{"path": args.out, "sha256": hashlib.sha256(wav).hexdigest()}],
+        "outputs": [{"path": args.out, "sha256": wav.hexdigest()}],
         "metrics": _metric_summary(result.ir),
     }
     _write_json(args.out, manifest_path, manifest)

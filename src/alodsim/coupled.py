@@ -11,8 +11,9 @@ coupling gain, an explicit approximation of true coupled-FDN topologies.
 This part has no signature, so stage 1's tail enters it once.
 
 Each tail junction is decided here: ``splice`` (beside ``_fdn_onset``) and
-the cross-feed set ``tail_onset`` and a ``Tail``'s target energy, which the
-renderer meets with one scale step. Stage 1's tail drives the cross-feed.
+the cross-feed each build a whole ``Tail``, with its start sample and its
+target energy, which the renderer meets with one scale step. Stage 1's tail
+drives the cross-feed.
 
 The occluded direct path (edge diffraction around the door frame) is
 replaced by a documented stand-in: a single tap at the known path length
@@ -90,15 +91,16 @@ def _fdn_onset(room, profile: RenderingProfile, scene: SceneSpec,
     return max((profile.ism_order + 1) * mfp / scene.speed_of_sound, direct_delay)
 
 
-def splice(early: SpatialIR, tail: Tail, *, onset: float, t60: float,
+def splice(early: SpatialIR, configs: tuple, *, length: int, onset: float, t60: float,
            direct_delay: float) -> SpatialIR:
-    """Attach a tail to the early SpatialIR with a continuous EDC.
+    """Attach the ``length``-sample tail of FDNs ``configs`` to the early
+    SpatialIR with a continuous EDC.
 
     The tail's target is set so that the combined Schroeder curve at the
     junction sits on the ideal decay anchored at the direct sound: with rho
     being the linear EDC level -60 (onset - t_direct) / T60 dB, the tail's
     lines carry rho / (1 - rho) times the early energy, and the tail
-    starts at ``onset`` (the result's ``tail_onset``). An onset at the direct
+    starts at the sample nearest ``onset`` seconds. An onset at the direct
     sound leaves the early part no share of the decay (rho -> 1), so it is
     an ``InfeasibleTargetError``. The early IR carries no signature:
     ``coupled_parts`` sets one on a part through the door after the splice.
@@ -111,28 +113,22 @@ def splice(early: SpatialIR, tail: Tail, *, onset: float, t60: float,
             f"({direct_delay * 1e3:.3f} ms): the tail would hold the whole decay")
     mono = synthesize_mono(early)
     e_early = float(np.dot(mono, mono))
-    return replace(early, tail=replace(tail, energy=rho / (1.0 - rho) * e_early),
-                   tail_onset=onset)
+    return replace(early, tail=Tail(configs=configs, length=length,
+                                    energy=rho / (1.0 - rho) * e_early,
+                                    start=round(onset * early.sample_rate)))
 
 
-def _room_tail(scene: SceneSpec, profile: RenderingProfile, room,
-               duration: float, seed_seq: np.random.SeedSequence,
-               drive=None) -> Optional[Tail]:
-    """The tail recipe of one room, its target energy 0, or None without an FDN.
-
-    The room's FDN, or its dual-slope pair when the profile renders a second
-    slope, is driven by ``drive``, or by a unit impulse when that is None.
-    """
+def _room_fdns(scene: SceneSpec, profile: RenderingProfile, room,
+               seed_seq: np.random.SeedSequence) -> Optional[tuple]:
+    """The FDN of one room, or its dual-slope pair when the profile renders a
+    second slope; None without an FDN."""
     if not profile.fdn_enabled or room.decay is None:
         return None
     fs = scene.sample_rate
     seed = int(seed_seq.generate_state(1)[0] % (2**31))
     if profile.second_slope(room) is not None:
-        configs = design_dual_slope(room, room.decay, fs, c=scene.speed_of_sound, seed=seed)
-    else:
-        configs = (design_fdn(room, room.decay, fs, c=scene.speed_of_sound, seed=seed),)
-    return Tail(configs=configs, length=sample_count(duration, fs, "duration"), energy=0.0,
-                drive=drive)
+        return design_dual_slope(room, room.decay, fs, c=scene.speed_of_sound, seed=seed)
+    return (design_fdn(room, room.decay, fs, c=scene.speed_of_sound, seed=seed),)
 
 
 def single_room_ir(scene: SceneSpec, profile: RenderingProfile,
@@ -143,13 +139,13 @@ def single_room_ir(scene: SceneSpec, profile: RenderingProfile,
     early_seed, tail_seed = seed_seq.spawn(2)
     early = early_spatial_ir(scene, profile, source, receiver_pos, room,
                              early_seed, include_panels=include_panels)
-    tail = _room_tail(scene, profile, room, duration, tail_seed)
-    if tail is None:
+    configs = _room_fdns(scene, profile, room, tail_seed)
+    if configs is None:
         return early
     direct_delay = float(np.linalg.norm(source.position - receiver_pos)) / scene.speed_of_sound
     onset = _fdn_onset(room, profile, scene, direct_delay)
-    return splice(early, tail, onset=onset, t60=room.decay.broadband_t30,
-                  direct_delay=direct_delay)
+    return splice(early, configs, length=sample_count(duration, scene.sample_rate, "duration"),
+                  onset=onset, t60=room.decay.broadband_t30, direct_delay=direct_delay)
 
 
 def _door_source(aperture: ApertureSpec, toward: np.ndarray) -> SourceSpec:
@@ -187,7 +183,7 @@ def coupled_parts(scene: SceneSpec, profile: RenderingProfile,
     holds the receiver room's FDN (or its dual-slope pair) driven by k times
     stage 1's scaled mono tail, scaled to k^2 E(stage-2 tail) E(signature):
     the stage-2 tail's target energy after the signature, for noise-like
-    content. It starts at the stage-2 tail's onset. A direct-only profile
+    content. It starts at the stage-2 tail's start. A direct-only profile
     gets the direct tap alone, as the door would relay nothing else.
     """
     if profile.direct_only:
@@ -205,10 +201,10 @@ def coupled_parts(scene: SceneSpec, profile: RenderingProfile,
     # stage 1's tail first and alone: one run of its FDNs, for the drive too
     signature = synthesize_mono(replace(stage1, taps=stage1.taps._rows(slice(0))),
                                 out=np.zeros(spatial_ir_length(stage1)))
-    drive = k * signature[round(stage1.tail_onset * scene.sample_rate):][:stage1.tail.length]
+    drive = k * signature[stage1.tail.start:][:stage1.tail.length]
     synthesize_mono(replace(stage1, tail=None), out=signature)
-    cross = _room_tail(scene, profile, rec_room, duration, cross_seed, drive=drive)
-    energy = k**2 * stage2.tail.energy * float(np.einsum("i,i->", signature, signature))
-    direct = occluded_direct_ir(scene, source, receiver)
+    cross = Tail(configs=_room_fdns(scene, profile, rec_room, cross_seed),
+                 length=stage2.tail.length, start=stage2.tail.start, drive=drive,
+                 energy=k**2 * stage2.tail.energy * float(np.einsum("i,i->", signature, signature)))
     return (replace(stage2, signature=signature),
-            replace(direct, tail=replace(cross, energy=energy), tail_onset=stage2.tail_onset))
+            replace(occluded_direct_ir(scene, source, receiver), tail=cross))

@@ -98,11 +98,13 @@ def _stack(*blocks: Taps) -> Taps:
 @dataclass(frozen=True)
 class Tail:
     """The diffuse tail as a recipe: each FDN in ``configs`` runs ``length`` samples on
-    ``drive`` (a unit impulse when None); all lines together carry ``energy``."""
+    ``drive`` (a unit impulse when None) from IR sample ``start``; all lines together
+    carry ``energy``."""
 
     configs: tuple  # fdn.FdnConfig each; its lines arrive from its directions
     length: int  # samples
     energy: float  # the junction's target for the lines' summed energy
+    start: int  # the IR sample at which every line starts
     drive: Optional[np.ndarray] = None
 
 
@@ -113,7 +115,6 @@ class SpatialIR:
     taps: Taps  # sorted by delay on construction
     sample_rate: float
     tail: Optional[Tail] = None
-    tail_onset: float = 0.0  # seconds; every tail line starts here
     # Optional door signature that ``coupled_parts`` sets on a part through a
     # door; ``pipeline.render_output`` convolves it into each rendered channel.
     signature: Optional[np.ndarray] = None

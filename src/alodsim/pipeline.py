@@ -27,7 +27,6 @@ from .spatial import (
     array_channels,
     array_preset_86,
     binaural_channels,
-    diotic,
     synthetic_hrtf,
 )
 from .synth import synthesize_mono
@@ -108,8 +107,8 @@ def render_output(spatial: SpatialIR, output_mode: str, receiver: ReceiverSpec,
                   layout: Optional[LoudspeakerLayout] = None) -> ImpulseResponse:
     """A part's channels: the mode's render of its taps and tail with ``hrtf``
     (binaural, diotic) or ``layout`` (array), convolved once with the part's
-    door signature if it has one and checked for finiteness once; a diotic
-    output then copies the left ear."""
+    door signature if it has one; a diotic output copies the left ear, and
+    the channels are then checked for finiteness once."""
     if output_mode in ("binaural", "diotic"):
         channels = binaural_channels(spatial, hrtf, receiver.orientation)
     elif output_mode == "array":
@@ -120,8 +119,9 @@ def render_output(spatial: SpatialIR, output_mode: str, receiver: ReceiverSpec,
         raise SceneValidationError(f"unknown output mode {output_mode!r}")
     if spatial.signature is not None:  # a non-finite sample leaves non-finite ones
         channels = fftconvolve(channels, spatial.signature)
-    ir = ImpulseResponse(channels, spatial.sample_rate)
-    return diotic(ir) if output_mode == "diotic" else ir
+    if output_mode == "diotic":
+        channels = channels[[0, 0]]
+    return ImpulseResponse(channels, spatial.sample_rate)
 
 
 def _mix(a: ImpulseResponse, b: ImpulseResponse) -> ImpulseResponse:

@@ -405,11 +405,6 @@ def binaural_channels(spatial_ir: SpatialIR, hrtf: HrtfSet,
     return out
 
 
-def binauralize(spatial_ir: SpatialIR, hrtf: HrtfSet, orientation: np.ndarray) -> ImpulseResponse:
-    """Two-channel render: ``binaural_channels``, checked for finiteness."""
-    return ImpulseResponse(binaural_channels(spatial_ir, hrtf, orientation), spatial_ir.sample_rate)
-
-
 def array_channels(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
                    orientation: np.ndarray) -> np.ndarray:
     """Loudspeaker feeds, unchecked: VBAP of each tap/tail stream onto the
@@ -434,19 +429,6 @@ def array_channels(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
             row[lo:hi] = row[lo - k:hi - k]  # in place: numpy copies an overlapping source
             row[:lo] = row[hi:] = 0.0
     return out
-
-
-def render_array(spatial_ir: SpatialIR, layout: LoudspeakerLayout,
-                 orientation: np.ndarray) -> ImpulseResponse:
-    """N-channel render: ``array_channels``, checked for finiteness."""
-    return ImpulseResponse(array_channels(spatial_ir, layout, orientation), spatial_ir.sample_rate)
-
-
-def diotic(ir: ImpulseResponse) -> ImpulseResponse:
-    """Headphone diotic: the left channel presented to both ears."""
-    left = ir.channels[0]
-    return ImpulseResponse(channels=np.stack([left, left.copy()]),
-                           sample_rate=ir.sample_rate)
 
 
 def frontal_speaker_index(layout: LoudspeakerLayout) -> int:

@@ -48,7 +48,7 @@ def spatial_ir_length(spatial_ir: SpatialIR) -> int:
     if _band_filtered(taps).any():
         n += _kernel_margin(fs)
     if spatial_ir.tail is not None:
-        n = max(n, int(round(spatial_ir.tail_onset * fs)) + spatial_ir.tail.length)
+        n = max(n, spatial_ir.tail.start + spatial_ir.tail.length)
     if n > MAX_SAMPLES:
         raise SceneValidationError(f"the IR would hold {n} samples, more than {MAX_SAMPLES}")
     return n
@@ -94,7 +94,7 @@ def render_units(spatial_ir: SpatialIR,
     # those lands between two rows and splits the space they leave when freed
     units = rows(np.union1d(banded, np.flatnonzero(reached)).tolist())
     if tail is not None:  # first, so that its one scale step touches no other wave
-        offset, first, raw = round(spatial_ir.tail_onset * fs), 0, 0.0
+        offset, first, raw = tail.start, 0, 0.0
         waved = np.flatnonzero(np.any(line_gains != 0.0, axis=0)).tolist()
         for config in tail.configs:  # one product of the waved units' line gains per block
             mix = line_gains[first:first + config.n_lines, waved].T

@@ -217,7 +217,7 @@ def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_
         gains = unit_gains(taps.doa[i][None, :])[0]
         for unit in np.flatnonzero(gains):
             units[int(unit)][idx:stop] += gains[unit] * noise[: stop - idx]
-    offset = int(round(spatial_ir.tail_onset * fs))
+    offset = spatial_ir.tail.start if spatial_ir.tail else 0
     for samples, direction in tail_lines(spatial_ir.tail) if spatial_ir.tail else ():
         stop = min(offset + len(samples), n)
         if stop <= offset:

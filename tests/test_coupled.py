@@ -327,9 +327,8 @@ def test_splice_scales_tail_to_the_decay_curve():
                doa=np.array([[1.0, 0.0, 0.0]]), order=np.zeros(1, dtype=int))
     early = SpatialIR(taps=tap, sample_rate=fs)
     room = preset("living-room").rooms[0]
-    tail = Tail(configs=(design_fdn(room, room.decay, fs),), length=4000, energy=0.0)
-    out = splice(early, tail, onset=onset, t60=t60,
-                 direct_delay=direct_delay)
+    out = splice(early, (design_fdn(room, room.decay, fs),), length=4000, onset=onset,
+                 t60=t60, direct_delay=direct_delay)
 
     e_early = float(np.sum(synthesize_mono(early) ** 2))
     # the tail rendered alone, each line into a unit of its own
@@ -338,7 +337,7 @@ def test_splice_scales_tail_to_the_decay_curve():
     e_tail = sum(float(np.dot(row, row)) for row in lines.values())
     rho = 10.0 ** (-60.0 * (onset - direct_delay) / t60 / 10.0)
     assert e_tail == pytest.approx(rho / (1.0 - rho) * e_early, rel=1e-9)
-    assert out.tail_onset == pytest.approx(onset)
+    assert out.tail.start == round(onset * fs) and out.tail.length == 4000
 
 
 def test_splice_rejects_a_tail_onset_at_the_direct_sound():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from alodsim import fdn
 from alodsim.analysis import dual_slope_fit, schroeder_edc, t30, t30_bands
-from alodsim.coupled import _room_tail
+from alodsim.coupled import _room_fdns
 from alodsim.errors import InfeasibleTargetError, SceneValidationError
 from alodsim.fdn import (
     MAX_DELAY_MFP,
@@ -69,7 +69,7 @@ def ring(config, n, input_signal=None):
 
 def mono_tail(configs, seconds, drive=None):
     """The mono render of a tail of ``configs`` alone, at unit energy."""
-    tail = Tail(configs=tuple(configs), length=int(seconds * FS), energy=1.0, drive=drive)
+    tail = Tail(configs=tuple(configs), length=int(seconds * FS), energy=1.0, start=0, drive=drive)
     return synthesize_mono(SpatialIR(taps=NO_TAPS, sample_rate=FS, tail=tail))
 
 
@@ -445,10 +445,10 @@ def test_dual_slope_requires_second_slope():
              ("underground", "razr-simple", 1))
     for name, profile, n_fdns in cases:
         scene = preset(name)
-        tail = _room_tail(scene, profile_preset(profile), scene.rooms[0], 0.05,
-                          np.random.SeedSequence(0))
-        assert len(tail.configs) == n_fdns, (name, profile)
-        assert all(config.n_lines == N_LINES for config in tail.configs)
+        configs = _room_fdns(scene, profile_preset(profile), scene.rooms[0],
+                             np.random.SeedSequence(0))
+        assert len(configs) == n_fdns, (name, profile)
+        assert all(config.n_lines == N_LINES for config in configs)
 
 
 def test_dual_slope_onset_must_lie_below_minus_20_db():

@@ -18,13 +18,10 @@ from alodsim.spatial import (
     _hull_triangles,
     array_preset_86,
     az_el_to_vec,
-    binauralize,
-    diotic,
     diotic_array,
     frontal_speaker_index,
     head_frame,
     load_hrtf_dir,
-    render_array,
     synthetic_hrtf,
     vbap_gains,
 )
@@ -84,7 +81,7 @@ def test_synthetic_hrtf_nearest_recovers_grid_direction():
 
 def test_lateral_source_favors_the_near_ear():
     hrtf = synthetic_hrtf()
-    ir = binauralize(_single_tap_ir([0.0, 1.0, 0.0]), hrtf, FRONT)  # from the left
+    ir = _render(_single_tap_ir([0.0, 1.0, 0.0]), "binaural", hrtf=hrtf)  # from the left
     assert ir.n_channels == 2
     e_left = float(np.sum(ir.channels[0] ** 2))
     e_right = float(np.sum(ir.channels[1] ** 2))
@@ -93,15 +90,15 @@ def test_lateral_source_favors_the_near_ear():
 
 def test_frontal_source_is_symmetric():
     hrtf = synthetic_hrtf()
-    ir = binauralize(_single_tap_ir([1.0, 0.0, 0.0]), hrtf, FRONT)
+    ir = _render(_single_tap_ir([1.0, 0.0, 0.0]), "binaural", hrtf=hrtf)
     assert np.allclose(ir.channels[0], ir.channels[1], atol=1e-12)
 
 
 def test_orientation_rotates_the_scene():
     hrtf = synthetic_hrtf()
     # listener facing +y, source at world +x = to the listener's right
-    ir = binauralize(_single_tap_ir([1.0, 0.0, 0.0]), hrtf,
-                     orientation=np.array([0.0, 1.0, 0.0]))
+    ir = _render(_single_tap_ir([1.0, 0.0, 0.0]), "binaural", np.array([0.0, 1.0, 0.0]),
+                 hrtf=hrtf)
     e_left = float(np.sum(ir.channels[0] ** 2))
     e_right = float(np.sum(ir.channels[1] ** 2))
     assert e_right > 1.5 * e_left
@@ -464,7 +461,7 @@ def test_array_preset_86_layout():
 
 def test_render_array_routes_energy_to_vbap_channels():
     layout = array_preset_86()
-    ir = render_array(_single_tap_ir(layout.directions[3]), layout, FRONT)
+    ir = _render(_single_tap_ir(layout.directions[3]), "array", layout=layout)
     assert ir.n_channels == 86
     energies = np.sum(ir.channels**2, axis=1)
     assert np.argmax(energies) == 3
@@ -478,12 +475,12 @@ def test_render_array_scales_then_shifts_each_channel_by_its_calibration():
     taps = Taps(delay=0.005 + 1e-4 * np.arange(k), amplitude=np.full((k, 8), 0.5),
                 doa=_ARRAY.directions, order=np.ones(k, dtype=int))
     ir = SpatialIR(taps=taps, sample_rate=FS)
-    plain = render_array(ir, _ARRAY, FRONT).channels
+    plain = _render(ir, "array", layout=_ARRAY).channels
     gains = np.linspace(0.5, 2.0, k)
     delays = np.where(np.arange(k) % 2, -3e-3, 1e-3)
     layout = LoudspeakerLayout(positions=_ARRAY.positions, center=_ARRAY.center,
                                calibration_gains=gains, calibration_delays=delays)
-    got = render_array(ir, layout, FRONT).channels
+    got = _render(ir, "array", layout=layout).channels
     n = plain.shape[1]
     for i, shift in enumerate(np.rint(delays * FS).astype(int)):
         padded = np.concatenate([np.zeros(max(shift, 0)), gains[i] * plain[i],
@@ -503,8 +500,8 @@ def test_calibrated_layout_renders_as_the_per_row_oracle():
                                calibration_gains=np.linspace(0.5, 2.0, k),
                                calibration_delays=shifts / FS)
     for orientation in (FRONT, TURNED):
-        plain = render_array(ir, _ARRAY, orientation).channels
-        got = render_array(ir, layout, orientation).channels
+        plain = _render(ir, "array", orientation, layout=_ARRAY).channels
+        got = _render(ir, "array", orientation, layout=layout).channels
         assert got.tobytes() == calibrated(plain, layout, FS).tobytes()
         assert np.all(np.abs(got[np.abs(shifts) >= n]) == 0.0)
 
@@ -521,7 +518,7 @@ def test_render_array_matches_the_block_oracle(scene, profile):
                                calibration_delays=np.rint(40 * calibration - 40) / FS)
     for part in build_spatial_ir(preset(scene), profile_preset(profile)):
         for lay in (_ARRAY, layout):
-            got = render_array(part, lay, TURNED).channels
+            got = _render(replace(part, signature=None), "array", TURNED, layout=lay).channels
             assert _error_of_peak(got, render_array_block(part, lay, TURNED).channels) <= 1e-15
 
 
@@ -547,7 +544,7 @@ def test_a_pub_array_render_holds_its_output_and_bounded_scratch():
 
 def test_diotic_channels_bit_identical():
     hrtf = synthetic_hrtf()
-    ir = diotic(binauralize(_single_tap_ir([0.0, 1.0, 0.0]), hrtf, FRONT))
+    ir = _render(_single_tap_ir([0.0, 1.0, 0.0]), "diotic", hrtf=hrtf)
     assert ir.n_channels == 2
     assert np.array_equal(ir.channels[0], ir.channels[1])
 
@@ -563,7 +560,7 @@ def test_diotic_array_uses_only_frontal_speaker():
 def test_diotic_array_rejects_a_multichannel_ir():
     # it routes a mono IR; an array render's channel 0 is speaker 0's feed
     layout = array_preset_86()
-    arr = render_array(_single_tap_ir([0.0, 1.0, 0.0]), layout, orientation=FRONT)
+    arr = _render(_single_tap_ir([0.0, 1.0, 0.0]), "array", layout=layout)
     with pytest.raises(SceneValidationError):
         diotic_array(arr, layout)
 
@@ -592,10 +589,8 @@ def test_render_output_convolves_each_channel_once_with_the_signature(mode):
     part = _short_ir()
     if mode == "mono":
         plain = synthesize_mono(part)[None, :]
-    elif mode == "array":
-        plain = render_array(part, _ARRAY, FRONT).channels
     else:
-        plain = binauralize(part, _HRTF, FRONT).channels[[0, 0] if mode == "diotic" else [0, 1]]
+        plain = _render(part, mode, hrtf=_HRTF, layout=_ARRAY).channels
     want = np.zeros((len(plain), plain.shape[1] + 1))
     want[:, 1:] = 0.5 * plain
     ir = replace(part, signature=np.array([0.0, 0.5]))
@@ -620,7 +615,7 @@ def test_a_non_finite_sample_before_the_signature_ends_as_an_error(mode, bad, wh
         _render(part, mode, hrtf=_HRTF, layout=_ARRAY)
 
 
-@pytest.mark.parametrize("mode", ["mono", "binaural", "array"])
+@pytest.mark.parametrize("mode", ["mono", "binaural", "diotic", "array"])
 def test_render_output_scans_the_channels_of_a_part_once(monkeypatch, mode):
     # with a door signature too: only the convolved channels are scanned
     scanned, isfinite = [], np.isfinite
@@ -645,12 +640,13 @@ def test_binauralize_matches_per_unit_convolution():
     assert np.max(np.abs(got.channels - want.channels)) <= 1e-12 * peak
 
 
-def _small_tail(rng, n, energy):
-    """An n-sample tail of a 4-line FDN with a seeded matrix and short delays."""
+def _small_tail(rng, n, energy, start=0):
+    """An n-sample tail of a 4-line FDN with a seeded matrix and short delays,
+    from sample ``start``."""
     q, r = np.linalg.qr(rng.standard_normal((4, 4)))
     config = FdnConfig(delays=np.array([13, 17, 19, 23]), feedback_matrix=q * np.sign(np.diag(r)),
                        line_gains=np.full((4, 8), 0.95), sample_rate=FS, input_gain=0.5)
-    return Tail(configs=(config,), length=n, energy=energy)
+    return Tail(configs=(config,), length=n, energy=energy, start=start)
 
 
 def _unit_vectors(rng, k):
@@ -675,14 +671,13 @@ def _spatial_irs(draw):
                 doa=_unit_vectors(rng, k), order=rng.integers(1, 4, k),
                 burst_energy=np.where(burst[:, None], rng.uniform(0.0, 1e-3, (k, 8)), 0.0),
                 burst_seed=np.where(burst, rng.integers(0, 1000, k), NO_BURST))
-    tail, tail_onset = None, 0.0
+    tail = None
     if draw(st.booleans()):
         n = int(rng.integers(1, 3000))
         tail = _small_tail(rng, n, energy=1e-4 * n)
-        tail_onset = rng.uniform(0.0, 0.06)
+        tail = replace(tail, start=round(rng.uniform(0.0, 0.06) * FS))
     signature = rng.standard_normal(rng.integers(1, 50)) if draw(st.booleans()) else None
-    ir = SpatialIR(taps=taps, sample_rate=FS, tail=tail, tail_onset=tail_onset,
-                   signature=signature)
+    ir = SpatialIR(taps=taps, sample_rate=FS, tail=tail, signature=signature)
     return ir, _unit_vectors(rng, 1)[0]
 
 
@@ -759,10 +754,10 @@ def test_the_tail_renders_at_its_onset():
     # each line's first output leaves it one line delay after the onset
     no_taps = Taps(delay=np.zeros(0), amplitude=np.zeros((0, 8)),
                    doa=np.zeros((0, 3)), order=np.zeros(0, dtype=int))
+    start = round(0.05 * FS)
     spatial = SpatialIR(taps=no_taps, sample_rate=FS, tail=_small_tail(
-        np.random.default_rng(0), 100, energy=1.0), tail_onset=0.05)
+        np.random.default_rng(0), 100, energy=1.0, start=start))
     ir = _render(spatial, "mono")
-    start = int(round(0.05 * FS))
     assert ir.n_samples == start + 100
     assert np.all(ir.channels[0][:start + 13] == 0.0)
     assert ir.channels[0][start + 13] != 0.0

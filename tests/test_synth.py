@@ -9,9 +9,9 @@ from alodsim.coupled import occluded_direct_ir
 from alodsim.errors import SceneValidationError
 from alodsim.fdn import design_fdn
 from alodsim.ism import NO_BURST, SpatialIR, Tail, Taps, early_spatial_ir
-from alodsim.pipeline import build_spatial_ir
-from alodsim.scene import MAX_SAMPLES, RenderingProfile
-from alodsim.spatial import array_preset_86, render_array
+from alodsim.pipeline import build_spatial_ir, render_output
+from alodsim.scene import MAX_SAMPLES, ReceiverSpec, RenderingProfile
+from alodsim.spatial import array_preset_86
 from alodsim.synth import spatial_ir_length, synthesize_mono
 
 from oracles import render_units_2m, render_units_block, render_units_whole
@@ -21,12 +21,13 @@ NO_TAPS = Taps(delay=np.zeros(0), amplitude=np.zeros((0, 8)), doa=np.zeros((0, 3
                order=np.zeros(0, dtype=int))
 
 
-def _tail(seconds: float, rms: float) -> Tail:
-    """The living room's FDN for ``seconds``, its 12 lines together at about
-    ``rms`` per sample."""
+def _tail(seconds: float, rms: float, start: int = 0) -> Tail:
+    """The living room's FDN for ``seconds`` from sample ``start``, its 12
+    lines together at about ``rms`` per sample."""
     room = preset("living-room").rooms[0]
     n = int(seconds * FS)
-    return Tail(configs=(design_fdn(room, room.decay, FS),), length=n, energy=rms**2 * n)
+    return Tail(configs=(design_fdn(room, room.decay, FS),), length=n, energy=rms**2 * n,
+                start=start)
 
 
 def _two_unit_gains(doa):
@@ -50,7 +51,7 @@ def _early_ir(tail_seconds: float) -> SpatialIR:
                 order=2 + k // 2,
                 burst_energy=np.where(burst[:, None], rng.uniform(0.0, 1e-3, (40, 8)), 0.0),
                 burst_seed=np.where(burst, k, NO_BURST))
-    return SpatialIR(taps=taps, sample_rate=FS, tail=_tail(tail_seconds, 1e-3), tail_onset=0.05)
+    return SpatialIR(taps=taps, sample_rate=FS, tail=_tail(tail_seconds, 1e-3, start=2205))  # 50 ms
 
 
 def test_render_units_match_the_2m_oracle():
@@ -74,7 +75,7 @@ def test_band_buffers_span_the_early_extent_not_the_tail():
     tap = Taps(delay=np.array([0.01]), amplitude=np.full((1, 8), 0.5),
                doa=np.array([[1.0, 0.0, 0.0]]), order=np.array([10]),
                burst_energy=np.full((1, 8), 1e-4), burst_seed=np.array([1]))
-    ir = SpatialIR(taps=tap, sample_rate=FS, tail=_tail(10.0, 1e-4), tail_onset=0.02)
+    ir = SpatialIR(taps=tap, sample_rate=FS, tail=_tail(10.0, 1e-4, start=882))  # 20 ms
     n = spatial_ir_length(ir)
     tracemalloc.start()
     try:
@@ -230,7 +231,8 @@ def test_ism_15_array_render_filters_no_bands(monkeypatch):
     # flat absorption: every tap has equal bands, so the masks sum to 1
     ir, _ = build_spatial_ir(preset("living-room"), profile_preset("ism-15"))  # through the door
     masked = _record_calls(monkeypatch, synth, "band_masks", lambda n_fft, fs: n_fft)
-    out = render_array(ir, array_preset_86(), np.array([1.0, 0.0, 0.0]))
+    front = ReceiverSpec(id="r", position=np.zeros(3), orientation=np.array([1.0, 0.0, 0.0]))
+    out = render_output(ir, "array", front, layout=array_preset_86())
     assert len(ir.taps) > 4000 and np.any(out.channels)
     assert masked == []
 
@@ -249,20 +251,20 @@ def test_ism_15_binaural_render_makes_no_fft(monkeypatch):
 
 def test_spatial_ir_length_is_bounded_before_any_wave_exists():
     # a one-sample tail ending on the last sample allowed, or one beyond it
-    at_bound = SpatialIR(taps=NO_TAPS, sample_rate=FS, tail=replace(_tail(0.0, 1.0), length=1),
-                         tail_onset=(MAX_SAMPLES - 1) / FS)
+    tail = replace(_tail(0.0, 1.0, start=MAX_SAMPLES - 1), length=1)
+    at_bound = SpatialIR(taps=NO_TAPS, sample_rate=FS, tail=tail)
     assert spatial_ir_length(at_bound) == MAX_SAMPLES
-    beyond = replace(at_bound, tail_onset=MAX_SAMPLES / FS)
+    beyond = replace(at_bound, tail=replace(tail, start=MAX_SAMPLES))
     with pytest.raises(SceneValidationError, match=f"more than {MAX_SAMPLES}"):
         spatial_ir_length(beyond)
     with pytest.raises(SceneValidationError, match=f"more than {MAX_SAMPLES}"):
-        synthesize_mono(replace(at_bound, tail_onset=1e6))  # 4.41e10 samples
+        synthesize_mono(replace(at_bound, tail=replace(tail, start=44_100_000_000)))  # 1e6 s
 
 
 def test_a_tail_renders_only_into_a_zeroed_row():
     # the tail's scale step scales its whole span of the row, so content
     # already there would be rescaled with it
-    ir = SpatialIR(taps=NO_TAPS, sample_rate=FS, tail=_tail(0.01, 1.0), tail_onset=0.001)
+    ir = SpatialIR(taps=NO_TAPS, sample_rate=FS, tail=_tail(0.01, 1.0, start=44))
     row = np.zeros(spatial_ir_length(ir))
     assert synthesize_mono(ir, out=row) is row
     assert np.array_equal(row, synthesize_mono(ir))

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -596,15 +597,23 @@ def test_cli_rejects_an_output_at_an_input_path_before_reading(tmp_path, capsys,
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+def _files_under(path):
+    return {str(p.relative_to(path)): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
 @pytest.mark.parametrize("via", ["--hrtf", "ALODSIM_HRTF_DIR"])
-@pytest.mark.parametrize("out", ["--out h/h0.wav", "--manifest h/index.txt"])
+@pytest.mark.parametrize("out", ["--out h/h0.wav", "--out h/sub/h0.wav",
+                                 "--manifest h/index.txt"])
 def test_cli_rejects_an_output_at_a_file_of_the_hrtf_directory(tmp_path, capsys, monkeypatch,
                                                                via, out):
+    # the index also names a file in a subdirectory, which the set reads too
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "h").mkdir()
+    (tmp_path / "h" / "sub").mkdir(parents=True)
     write_wav("h/h0.wav", np.eye(64, 2), FS)
-    (tmp_path / "h" / "index.txt").write_text(_FIVE_ROWS.replace("a.wav", "h0.wav"))
-    before = {path.name: path.read_bytes() for path in (tmp_path / "h").iterdir()}
+    write_wav("h/sub/h0.wav", np.eye(64, 2), FS)
+    (tmp_path / "h" / "index.txt").write_text(_FIVE_ROWS.replace("a.wav", "h0.wav")
+                                              + "0 -90 sub/h0.wav\n")
+    before = _files_under(tmp_path / "h")
     argv = ["simulate", "--preset", "pub", "--profile", "anechoic", "--output-mode", "binaural",
             *(["--out", "o.wav"] if out.startswith("--manifest") else []), *out.split()]
     if via == "--hrtf":
@@ -615,8 +624,25 @@ def test_cli_rejects_an_output_at_a_file_of_the_hrtf_directory(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "would overwrite the input" in err
     assert err.count("\n") == 1
-    assert {path.name: path.read_bytes() for path in (tmp_path / "h").iterdir()} == before
+    assert _files_under(tmp_path / "h") == before
     assert sorted(os.listdir(tmp_path)) == ["h"]
+
+
+def test_simulate_holds_a_30_s_mono_render_in_a_few_times_its_output(tmp_path):
+    # the WAV hashed in chunks, the peak read with no |x| copy, the float32
+    # frames written from their own buffer and the EDC built in place; the
+    # command once peaked at 6.5 x the render, the render itself at 1.3 x
+    argv = ["simulate", "--preset", "pub", "--profile", "razr-full", "--output-mode", "mono"]
+    assert main(argv + ["--duration", "1", "--out", str(tmp_path / "warm.wav")]) == 0  # caches
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--duration", "30", "--out", str(tmp_path / "long.wav")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = json.loads((tmp_path / "long.wav.manifest.json").read_text())["metrics"]["n_samples"]
+    assert n > 30 * FS
+    assert peak <= 3.5 * 8 * n, f"peak {peak / (8 * n):.2f} x the output"
 
 
 def test_cli_match_removes_its_wav_when_the_report_cannot_be_written(tmp_path, capsys,
