@@ -32,10 +32,6 @@ class EdcCurve:
     values: np.ndarray  # dB, 0 at t = 0, non-increasing
     sample_rate: float
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class NedProfile:

@@ -46,7 +46,7 @@ from .scene import (
     read_text,
     serialize_scene,
 )
-from .spatial import ImpulseResponse, LoudspeakerLayout, array_preset_86, load_hrtf_dir
+from .spatial import ImpulseResponse, LoudspeakerLayout, array_preset_86, hrtf_index, load_hrtf_dir
 from .stimuli import (
     BandLevels,
     Stimulus,
@@ -126,9 +126,9 @@ def _metric_summary(ir: ImpulseResponse) -> dict:
 def _cmd_simulate(args) -> int:
     manifest_path = args.manifest or args.out + ".manifest.json"
     hrtf_dir = args.hrtf or os.environ.get(HRTF_ENV_VAR)
-    hrtf_files = ([os.path.join(root, name) for root, _, names in os.walk(hrtf_dir)
-                   for name in names] if hrtf_dir else [])  # each may be read
-    _check_outputs((args.out, manifest_path), args.scene, *hrtf_files,
+    hrtf_index_path, hrtf_rows = hrtf_index(hrtf_dir) if hrtf_dir else (None, [])
+    _check_outputs((args.out, manifest_path), args.scene, hrtf_index_path,
+                   *(name for _, _, name in hrtf_rows),  # each file the set reads
                    None if args.layout == "86-preset" else args.layout)  # the preset is no file
     scene, doc = _load_scene(args)
     profile = profile_preset(args.profile)

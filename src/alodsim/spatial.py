@@ -137,16 +137,11 @@ def synthetic_hrtf(fs: float = 44100.0) -> HrtfSet:
                    sample_rate=fs)
 
 
-def load_hrtf_dir(path: str) -> HrtfSet:
-    """Load an HRTF set from a directory with an ``index.txt``.
-
-    Each index row: ``azimuth_deg elevation_deg filename``; each file is a
-    stereo WAV (left, right) at the set's common sample rate.
-    """
-    from .wavio import read_wav
-
+def hrtf_index(path: str) -> tuple:
+    """The path of the ``index.txt`` in the HRTF directory ``path`` and its
+    rows, each (azimuth_deg, elevation_deg, the row's file joined to ``path``)."""
     index_path = os.path.join(path, "index.txt")
-    dirs, filters, fs = [], [], None
+    rows = []
     for number, line in enumerate(read_text(index_path).split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -160,7 +155,23 @@ def load_hrtf_dir(path: str) -> HrtfSet:
             raise SceneParseError(f"{index_path}, line {number}: expected "
                                   "'azimuth_deg elevation_deg filename' with "
                                   f"finite angles, got {line!r:.60}") from None
-        data, rate = read_wav(os.path.join(path, name))
+        rows.append((az, el, os.path.join(path, name)))
+    if not rows:
+        raise SceneParseError(f"{index_path} lists no HRTF files")
+    return index_path, rows
+
+
+def load_hrtf_dir(path: str) -> HrtfSet:
+    """Load an HRTF set from a directory with an ``index.txt``.
+
+    Each index row: ``azimuth_deg elevation_deg filename``; each file is a
+    stereo WAV (left, right) at the set's common sample rate.
+    """
+    from .wavio import read_wav
+
+    dirs, filters, fs = [], [], None
+    for az, el, name in hrtf_index(path)[1]:
+        data, rate = read_wav(name)
         if data.ndim != 2 or data.shape[1] != 2:
             raise SceneValidationError(f"HRTF file {name!r} is not stereo")
         if fs is None:
@@ -169,8 +180,6 @@ def load_hrtf_dir(path: str) -> HrtfSet:
             raise RateMismatchError("HRTF files disagree on sample rate")
         dirs.append(az_el_to_vec(az, el))
         filters.append(data.T)
-    if not filters:
-        raise SceneParseError(f"{index_path} lists no HRTF files")
     lengths = {f.shape[1] for f in filters}
     if len(lengths) != 1:
         raise SceneValidationError("HRTF filter lengths differ")

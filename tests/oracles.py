@@ -441,7 +441,7 @@ def dual_slope_fit_per_knee(edc):
     floor = max(-DUAL_SLOPE_SPAN_DB, float(v.min()) + 5.0)
     start = int(np.argmax(v <= -5.0))
     stop = int(np.argmax(v <= floor))
-    t = edc.times[start:stop + 1]
+    t = np.arange(start, stop + 1) / edc.sample_rate
     y = v[start:stop + 1]
     best = None
     for level in np.arange(-10.0, floor + 10.0, -0.5):

@@ -179,7 +179,7 @@ def _single_line_mse(edc, span_db=60.0):
     v = edc.values
     floor = max(-span_db, float(v.min()) + 5.0)
     start, stop = int(np.argmax(v <= -5.0)), int(np.argmax(v <= floor))
-    t, y = edc.times[start:stop + 1], v[start:stop + 1]
+    t, y = np.arange(start, stop + 1) / edc.sample_rate, v[start:stop + 1]
     return float(np.mean((np.polyval(np.polyfit(t, y, 1), t) - y) ** 2))
 
 

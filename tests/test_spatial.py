@@ -589,6 +589,8 @@ def test_render_output_convolves_each_channel_once_with_the_signature(mode):
     part = _short_ir()
     if mode == "mono":
         plain = synthesize_mono(part)[None, :]
+    elif mode == "diotic":  # the left ear of the binaural render, twice
+        plain = _render(part, "binaural", hrtf=_HRTF).channels[[0, 0]]
     else:
         plain = _render(part, mode, hrtf=_HRTF, layout=_ARRAY).channels
     want = np.zeros((len(plain), plain.shape[1] + 1))

@@ -628,10 +628,39 @@ def test_cli_rejects_an_output_at_a_file_of_the_hrtf_directory(tmp_path, capsys,
     assert sorted(os.listdir(tmp_path)) == ["h"]
 
 
+# each case: the file that every index row names, and the output path at it
+_HRTF_FILES_OUTSIDE = {
+    "above the directory": ("../x.wav", "x.wav"),
+    "absolute": ("ABS/x.wav", "x.wav"),
+    "behind a symlinked subdirectory": ("link/h0.wav", "other/h0.wav"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HRTF_FILES_OUTSIDE))
+def test_cli_rejects_an_output_at_a_file_the_hrtf_index_names_outside_its_directory(
+        tmp_path, capsys, monkeypatch, case):
+    # the set reads each row's file joined to the directory, wherever it lies
+    name, out = _HRTF_FILES_OUTSIDE[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h").mkdir()
+    (tmp_path / "other").mkdir()
+    os.symlink("../other", tmp_path / "h" / "link")
+    write_wav("x.wav", np.eye(64, 2), FS)
+    write_wav("other/h0.wav", np.eye(64, 2), FS)
+    (tmp_path / "h" / "index.txt").write_text(
+        _FIVE_ROWS.replace("a.wav", name.replace("ABS", str(tmp_path))))
+    before = _files_under(tmp_path)
+    assert main(["simulate", "--preset", "pub", "--profile", "anechoic", "--output-mode",
+                 "binaural", "--hrtf", "h", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "would overwrite the input" in err
+    assert err.count("\n") == 1
+    assert _files_under(tmp_path) == before
+
+
 def test_simulate_holds_a_30_s_mono_render_in_a_few_times_its_output(tmp_path):
     # the WAV hashed in chunks, the peak read with no |x| copy, the float32
-    # frames written from their own buffer and the EDC built in place; the
-    # command once peaked at 6.5 x the render, the render itself at 1.3 x
+    # frames written from their own buffer and the EDC built in place
     argv = ["simulate", "--preset", "pub", "--profile", "razr-full", "--output-mode", "mono"]
     assert main(argv + ["--duration", "1", "--out", str(tmp_path / "warm.wav")]) == 0  # caches
     tracemalloc.start()
