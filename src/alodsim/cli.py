@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DualSlopeFit,
     drr,
     dual_slope_fit,
     ned,
@@ -176,14 +177,20 @@ def _write_columns(path: str, header, formats, columns):
 
 def _analyze_one(metric: str, channels: np.ndarray, fs: float, path: str):
     index = np.arange(channels.shape[0])
+    heard = channels.any()  # an IR silent in every channel fails its metrics
+
+    def each(measure, silent):  # a silent channel beside a heard one has no decay
+        return [measure(ch) if ch.any() or not heard else silent for ch in channels]
+
     if metric == "t30":
-        values = np.array([t30(schroeder_edc(ch, fs)) for ch in channels])
+        values = np.array(each(lambda ch: t30(schroeder_edc(ch, fs)), np.nan))
         _write_columns(path, ("channel", "t30_s"), ("%d", "%.6f"), (index, values))
     elif metric == "drr":
-        values = np.array([drr(ch, fs) for ch in channels])
+        values = np.array(each(lambda ch: drr(ch, fs), np.nan))
         _write_columns(path, ("channel", "drr_db"), ("%d", "%.4f"), (index, values))
     elif metric == "edc":
-        curves = [schroeder_edc(ch, fs).values for ch in channels]
+        curves = each(lambda ch: schroeder_edc(ch, fs).values,
+                      np.broadcast_to(np.nan, channels.shape[1]))
         _write_columns(path, ("time_s", *(f"edc_db_ch{ch}" for ch in index)),
                        ("%.6f",) + ("%.4f",) * len(curves),
                        (np.arange(curves[0].size) / fs, *curves))
@@ -193,7 +200,7 @@ def _analyze_one(metric: str, channels: np.ndarray, fs: float, path: str):
                        ("%.6f",) + ("%.5f",) * len(profiles),
                        (profiles[0].times, *(p.values for p in profiles)))
     elif metric == "dual-slope":
-        fits = [dual_slope_fit(schroeder_edc(ch, fs)) for ch in channels]
+        fits = each(lambda ch: dual_slope_fit(schroeder_edc(ch, fs)), DualSlopeFit(*[np.nan] * 5))
         values = np.array([(f.slope1, f.slope2, f.knee_time, f.knee_level) for f in fits])
         _write_columns(path, ("channel", "slope1_db_per_s", "slope2_db_per_s",
                               "knee_time_s", "knee_level_db"),

@@ -6,8 +6,8 @@ omnidirectional receiver at the door center (stage 1), and its mono response
 is the door signature of an omni source there in the receiver room (stage
 2); ``pipeline.render_output`` convolves it into each channel of the part.
 Beside the door: the occluded direct path and, with room details, the
-receiver room's FDN driven by stage 1's own tail through the area-ratio
-coupling gain, an explicit approximation of true coupled-FDN topologies.
+receiver room's FDN driven by stage 1's own tail, its energy set by the
+area-ratio coupling gain: an approximation of true coupled-FDN topologies.
 This part has no signature, so stage 1's tail enters it once.
 
 Each tail junction is decided here: ``splice`` (beside ``_fdn_onset``) and
@@ -180,8 +180,8 @@ def coupled_parts(scene: SceneSpec, profile: RenderingProfile,
     Through the door is stage 2, carrying stage 1's mono response as its
     signature; stage 1 renders the source room without panels. Beside the
     door is the occluded direct tap. With room details, the beside part also
-    holds the receiver room's FDN (or its dual-slope pair) driven by k times
-    stage 1's scaled mono tail, scaled to k^2 E(stage-2 tail) E(signature):
+    holds the receiver room's FDN (or its dual-slope pair) driven by stage
+    1's scaled mono tail, scaled to k^2 E(stage-2 tail) E(signature):
     the stage-2 tail's target energy after the signature, for noise-like
     content. It starts at the stage-2 tail's start. A direct-only profile
     gets the direct tap alone, as the door would relay nothing else.
@@ -199,9 +199,10 @@ def coupled_parts(scene: SceneSpec, profile: RenderingProfile,
                 occluded_direct_ir(scene, source, receiver))
     k = coupling_gain(scene, aperture)
     # stage 1's tail first and alone: one run of its FDNs, for the drive too
-    signature = synthesize_mono(replace(stage1, taps=stage1.taps._rows(slice(0))),
+    signature = synthesize_mono(SpatialIR(taps=stage1.taps._rows(slice(0)), tail=stage1.tail,
+                                          sample_rate=stage1.sample_rate),
                                 out=np.zeros(spatial_ir_length(stage1)))
-    drive = k * signature[stage1.tail.start:][:stage1.tail.length]
+    drive = signature[stage1.tail.start:][:stage1.tail.length].copy()  # before the early part
     synthesize_mono(replace(stage1, tail=None), out=signature)
     cross = Tail(configs=_room_fdns(scene, profile, rec_room, cross_seed),
                  length=stage2.tail.length, start=stage2.tail.start, drive=drive,

@@ -5,16 +5,18 @@ integer lattice vector m, the image sits at (1 - 2q) * s + 2 m L (per axis,
 room-local coordinates). The image hits the lower wall |m - q| times and the
 upper wall |m| times along each axis.
 
-The chain enumerate -> jitter -> taps -> panels -> smear passes two blocks
-of rows: ``Images`` (one row per image source) and ``Taps`` (one row per
-reflection). Each step transforms a whole block with array operations.
+The chain enumerate -> jitter -> taps -> panels -> smear passes blocks of
+rows: ``Images`` (one per image source), then ``Taps`` (one per specular
+reflection) and ``Bursts`` (one per diffuse burst, naming its tap's row).
+Taps are sorted by delay once, before smearing, so bursts follow tap order.
+Each step transforms a whole block with array operations.
 A ``SpatialIR``'s tail is a recipe: no tail sample exists until it is rendered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from typing import Optional
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, SceneValidationError
 from .filterbank import OCTAVE_CENTERS_8, band_energies, band_split
-from .scene import N_BANDS, RenderingProfile, RoomSpec, SceneSpec, SourceSpec, _set
+from .scene import N_BANDS, RenderingProfile, RoomSpec, SceneSpec, SourceSpec
 
 # Diffuse burst duration per reflection order (temporal smearing kernel).
 BURST_SECONDS_PER_ORDER = 2e-3
@@ -32,8 +34,6 @@ BURST_DECAY_DB = 60.0
 BURST_EXTENSION_S = 3.0 * math.sqrt(2.0) / np.array(OCTAVE_CENTERS_8)
 NOISE_TABLE_LEN = 8192  # samples per band of the bursts' noise table (512 KiB)
 _BURST_CHUNK = 1 << 16  # samples per array of one chunk of burst draws (512 KiB)
-# Burst seed of a tap that carries no diffuse burst.
-NO_BURST = -1
 # Jitter standard deviation per reflection order, meters per axis.
 JITTER_SIGMA_PER_ORDER = 0.1
 
@@ -53,38 +53,15 @@ class Images:
 
 @dataclass(frozen=True)
 class Taps:
-    """Reflection taps, one row each.
-
-    A tap whose ``burst_seed`` is not NO_BURST also carries ``burst_energy``
-    per band as one broadband noise burst (see ``burst_waves``). Left out,
-    the burst fields mean no bursts.
-    """
+    """Specular reflection taps, one row each."""
 
     delay: np.ndarray  # (N,) seconds
     amplitude: np.ndarray  # (N, n_bands) linear gain
     doa: np.ndarray  # (N, 3) unit vectors from the receiver toward the apparent source
     order: np.ndarray  # (N,)
-    burst_energy: Optional[np.ndarray] = None  # (N, n_bands)
-    burst_seed: Optional[np.ndarray] = None  # (N,)
-
-    def __post_init__(self):
-        if self.burst_energy is None:
-            _set(self, burst_energy=np.zeros_like(self.amplitude))
-        if self.burst_seed is None:
-            _set(self, burst_seed=np.full(len(self.delay), NO_BURST, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.delay)
-
-    @property
-    def has_burst(self) -> np.ndarray:
-        return self.burst_seed != NO_BURST
-
-    @property
-    def burst_duration(self) -> np.ndarray:
-        """Burst wave length in seconds per tap; zero for taps without a burst."""
-        return np.where(self.has_burst, BURST_SECONDS_PER_ORDER * self.order
-                        + BURST_EXTENSION_S.max(), 0.0)
 
     def _rows(self, index) -> "Taps":
         return Taps(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
@@ -93,6 +70,25 @@ class Taps:
 def _stack(*blocks: Taps) -> Taps:
     return Taps(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
                    for f in fields(Taps)})
+
+
+@dataclass(frozen=True)
+class Bursts:
+    """Diffuse bursts, one row each: a noise wave (``burst_waves``) at its tap's delay and DOA."""
+
+    tap: np.ndarray  # (M,) the row of the specular tap the burst split from
+    energy: np.ndarray  # (M, n_bands)
+    offset: np.ndarray  # (M, n_bands) noise-table offset of each band's slice
+
+
+def _no_bursts() -> Bursts:
+    return Bursts(tap=np.zeros(0, dtype=np.int64), energy=np.zeros((0, N_BANDS)),
+                  offset=np.zeros((0, N_BANDS), dtype=np.int64))
+
+
+def burst_duration(order) -> np.ndarray:
+    """Burst wave length in seconds of a reflection of each order."""
+    return BURST_SECONDS_PER_ORDER * np.asarray(order) + BURST_EXTENSION_S.max()
 
 
 @dataclass(frozen=True)
@@ -112,15 +108,13 @@ class Tail:
 class SpatialIR:
     """Directional impulse response before spatialization."""
 
-    taps: Taps  # sorted by delay on construction
+    taps: Taps
     sample_rate: float
     tail: Optional[Tail] = None
     # Optional door signature that ``coupled_parts`` sets on a part through a
     # door; ``pipeline.render_output`` convolves it into each rendered channel.
     signature: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        _set(self, taps=self.taps._rows(np.argsort(self.taps.delay, kind="stable")))
+    bursts: Bursts = field(default_factory=_no_bursts)
 
 
 def enumerate_images(room: RoomSpec, source_pos: np.ndarray, max_order: int) -> Images:
@@ -189,7 +183,7 @@ def _emission_direction(images: Images, receiver_pos: np.ndarray) -> np.ndarray:
 
 def taps_from_images(images: Images, receiver_pos: np.ndarray, c: float,
                      directivity=None, source_orientation=None) -> Taps:
-    """Taps sorted by delay: delay r/c, amplitude band_gain / r, DOA toward image."""
+    """One tap per image: delay r/c, amplitude band_gain / r, DOA toward image."""
     receiver_pos = np.asarray(receiver_pos, dtype=float)
     diff = images.position - receiver_pos
     r = np.linalg.norm(diff, axis=1)
@@ -199,33 +193,29 @@ def taps_from_images(images: Images, receiver_pos: np.ndarray, c: float,
     if directivity is not None and source_orientation is not None:
         emit = _emission_direction(images, receiver_pos)
         amplitude = amplitude * directivity.gain(emit, source_orientation)
-    taps = Taps(delay=r / c, amplitude=amplitude, doa=diff / r[:, None],
-                order=images.order)
-    return taps._rows(np.argsort(taps.delay, kind="stable"))
+    return Taps(delay=r / c, amplitude=amplitude, doa=diff / r[:, None], order=images.order)
 
 
 def smear_taps(taps: Taps, profile: RenderingProfile, scattering: np.ndarray,
-               seed_seq: np.random.SeedSequence) -> Taps:
-    """Split reflections of order >= 1 into specular + diffuse-burst parts.
+               seed_seq: np.random.SeedSequence) -> tuple:
+    """Split reflections of order >= 1 into specular + diffuse-burst parts: (taps, bursts).
 
     With s the room's scattering, the specular part keeps sqrt(1 - s) of the
-    amplitude; the diffuse burst carries the remaining energy s * a^2 per
-    band as a seeded noise burst of BURST_SECONDS_PER_ORDER * order seconds,
-    one broadband wave (``burst_waves``). The split conserves per-band energy
-    exactly. Part of RAZR's diffuse model, so it follows the FDN switch.
+    amplitude; the diffuse burst carries the remaining energy s * a^2 per band,
+    if some band of it is > 0, as one broadband wave of BURST_SECONDS_PER_ORDER
+    * order seconds (``burst_waves``), at noise offsets one generator draws here.
+    The split conserves per-band energy exactly. Part of RAZR's diffuse model,
+    so it follows the FDN switch.
     """
     if not profile.fdn_enabled:
-        return taps
+        return taps, _no_bursts()
     s = np.clip(np.asarray(scattering, dtype=float), 0.0, 1.0)
-    seeds = seed_seq.generate_state(max(len(taps), 1))[: len(taps)]
-    smeared = taps.order >= 1
-    split = smeared[:, None]
-    return replace(
-        taps,
-        amplitude=np.where(split, np.sqrt(1.0 - s) * taps.amplitude, taps.amplitude),
-        burst_energy=np.where(split, s * taps.amplitude**2, 0.0),
-        burst_seed=np.where(smeared, seeds.astype(np.int64), NO_BURST),
-    )
+    split = (taps.order >= 1)[:, None]
+    energy = np.where(split, s * taps.amplitude**2, 0.0)
+    tap = np.flatnonzero(np.any(energy > 0.0, axis=1))
+    offset = np.random.default_rng(seed_seq).integers(NOISE_TABLE_LEN, size=(len(tap), N_BANDS))
+    amplitude = np.where(split, np.sqrt(1.0 - s) * taps.amplitude, taps.amplitude)
+    return replace(taps, amplitude=amplitude), Bursts(tap=tap, energy=energy[tap], offset=offset)
 
 
 @cache
@@ -238,32 +228,33 @@ def _noise_table(fs: float) -> tuple:
     return table, band_energies(np.eye(1, NOISE_TABLE_LEN)[0], fs)  # a unit impulse's
 
 
-def burst_waves(taps: Taps, rows: np.ndarray, fs: float):
-    """Yield ``(row, wave)`` per row in turn: its diffuse burst as one wave, with no FFT.
+def burst_waves(taps: Taps, bursts: Bursts, rows: np.ndarray, fs: float):
+    """Yield ``(tap, wave)`` per burst of ``rows`` in turn: the row of its tap, and
+    its diffuse burst as one wave, with no FFT.
 
-    Band b adds a slice of noise-table row b, at an offset drawn from the tap's
-    burst seed, decaying by BURST_DECAY_DB over the burst plus BURST_EXTENSION_S[b]:
-    the energy band b's mask passes of white noise with the tap's band-b energy.
+    Band b adds a slice of noise-table row b, at the burst's band-b offset,
+    decaying by BURST_DECAY_DB over the burst plus BURST_EXTENSION_S[b]:
+    the energy band b's mask passes of white noise with the burst's band-b energy.
     Per chunk of rows (_BURST_CHUNK samples), each band is one gather per order."""
     table, share = _noise_table(float(fs))
-    size = np.maximum(np.rint(taps.burst_duration[rows] * fs).astype(np.int64), 1)
+    orders = taps.order[bursts.tap[rows]]
+    size = np.maximum(np.rint(burst_duration(orders) * fs).astype(np.int64), 1)
     step = max(1, _BURST_CHUNK // int(size.max(initial=1)))
     for first in range(0, len(rows), step):
-        chunk, sizes = rows[first:first + step], size[first:first + step]
-        offset = np.array([np.random.default_rng(seed).integers(NOISE_TABLE_LEN, size=N_BANDS)
-                           for seed in taps.burst_seed[chunk]])
+        chunk, sizes, chunk_orders = (a[first:first + step] for a in (rows, size, orders))
+        offset = bursts.offset[chunk]
         waves = np.zeros((len(chunk), sizes.max()))
-        for order in np.unique(taps.order[chunk]):
-            at = np.flatnonzero(taps.order[chunk] == order)
+        for order in np.unique(chunk_orders):
+            at = np.flatnonzero(chunk_orders == order)
             span = (BURST_SECONDS_PER_ORDER * order + BURST_EXTENSION_S) * fs  # samples
             n, rate = np.rint(span).astype(np.int64), -BURST_DECAY_DB / 20.0 * math.log(10.0) / span
             for b, t in enumerate(map(np.arange, n)):
                 part = np.take(table[b], t + offset[at, b, None], mode="wrap") * np.exp(rate[b] * t)
                 energy = np.matmul(part[:, None], part[..., None])[:, 0, 0]  # part @ part per row
-                scale = np.divide(taps.burst_energy[chunk[at], b] * share[b], energy,
+                scale = np.divide(bursts.energy[chunk[at], b] * share[b], energy,
                                   out=np.zeros_like(energy), where=energy > 0.0)
                 waves[at, :t.size] += np.sqrt(scale)[:, None] * part
-        yield from zip(chunk.tolist(), map(lambda wave, m: wave[:m], waves, sizes))
+        yield from zip(bursts.tap[chunk].tolist(), map(lambda wave, m: wave[:m], waves, sizes))
 
 
 def reflect_finite_panels(panels, source_pos: np.ndarray, receiver_pos: np.ndarray,
@@ -314,8 +305,8 @@ def early_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
                      include_panels: bool = True) -> SpatialIR:
     """Early reflections for one source/receiver pair inside one room.
 
-    Composes enumerate -> jitter -> taps -> panels -> smear. Panels are only
-    reflected when both endpoints lie in this room.
+    Composes enumerate -> jitter -> taps -> panels -> sort by delay -> smear.
+    Panels are only reflected when both endpoints lie in this room.
     """
     jitter_seed, smear_seed = seed_seq.spawn(2)
     images = enumerate_images(room, source.position, profile.ism_order)
@@ -328,9 +319,10 @@ def early_spatial_ir(scene: SceneSpec, profile: RenderingProfile,
                     if room.contains(p.corners.mean(axis=0))]
         taps = _stack(taps, reflect_finite_panels(relevant, source.position,
                                                   receiver_pos, scene.speed_of_sound))
-    taps = smear_taps(taps, profile, room.scattering, smear_seed)
+    taps = taps._rows(np.argsort(taps.delay, kind="stable"))
+    taps, bursts = smear_taps(taps, profile, room.scattering, smear_seed)
     level = 10.0 ** (source.level_db / 20.0)
     if level != 1.0:
-        taps = replace(taps, amplitude=taps.amplitude * level,
-                       burst_energy=taps.burst_energy * level**2)
-    return SpatialIR(taps=taps, sample_rate=scene.sample_rate)
+        taps = replace(taps, amplitude=taps.amplitude * level)
+        bursts = replace(bursts, energy=bursts.energy * level**2)
+    return SpatialIR(taps=taps, sample_rate=scene.sample_rate, bursts=bursts)

@@ -31,7 +31,7 @@ class SpectralMatchReport:
     clamped: bool
 
 
-def third_octave_smooth(magnitude: np.ndarray, fs: float) -> np.ndarray:
+def third_octave_smooth(magnitude: np.ndarray) -> np.ndarray:
     """Energy mean over a +/- 1/6-octave window around each rFFT bin."""
     mag = np.asarray(magnitude, dtype=float)
     n_bins = mag.size
@@ -79,8 +79,8 @@ def _smoothed_difference_db(ir_a: ImpulseResponse, ir_b: ImpulseResponse) -> np.
     the rFFT bins inside DEFAULT_RANGE_HZ; both share ``ir_a``'s sample rate."""
     n_fft = 1 << max(ir_a.n_samples, ir_b.n_samples, 2).bit_length()
     freqs = np.fft.rfftfreq(n_fft, 1.0 / ir_a.sample_rate)
-    sa = third_octave_smooth(_mean_magnitude(ir_a, n_fft), ir_a.sample_rate)
-    sb = third_octave_smooth(_mean_magnitude(ir_b, n_fft), ir_b.sample_rate)
+    sa = third_octave_smooth(_mean_magnitude(ir_a, n_fft))
+    sb = third_octave_smooth(_mean_magnitude(ir_b, n_fft))
     lo, hi = DEFAULT_RANGE_HZ
     sel = (freqs >= lo) & (freqs <= hi)
     with np.errstate(divide="ignore"):
@@ -101,8 +101,8 @@ def match_spectrum(sim: ImpulseResponse, ref: ImpulseResponse):
     n_fft = 1 << max(sim.n_samples, ref.n_samples, 4 * DEFAULT_FIR_TAPS).bit_length()
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sim.sample_rate)
 
-    mag_sim = third_octave_smooth(_mean_magnitude(sim, n_fft), sim.sample_rate)
-    mag_ref = third_octave_smooth(_mean_magnitude(ref, n_fft), ref.sample_rate)
+    mag_sim = third_octave_smooth(_mean_magnitude(sim, n_fft))
+    mag_ref = third_octave_smooth(_mean_magnitude(ref, n_fft))
     sel = (freqs >= lo) & (freqs <= hi)
     for name, mag in (("simulated", mag_sim), ("reference", mag_ref)):
         if not np.any(mag[sel] > 1e-9 * np.max(mag)):

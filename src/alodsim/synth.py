@@ -9,8 +9,8 @@ scatters straight into its output channels; every other wave goes into the
 caller's row of its unit. The tail comes first: each FDN's line outputs
 stream block by block (``fdn.line_blocks``) into the rows, which are then
 scaled once to the tail's target energy. Each diffuse burst is one
-broadband wave, drawn once, in a chunk of bursts, and added in tap order
-into every unit it reaches. Only band-dependent specular taps are
+broadband wave, drawn once, in a chunk of bursts, and added in row order
+into every unit its tap reaches. Only band-dependent specular taps are
 band-filtered, through one buffer per band and unit over the early extent.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import SceneValidationError
 from .fdn import line_blocks
 from .filterbank import OCTAVE_CENTERS_8, band_masks, padded_len
-from .ism import SpatialIR, burst_waves
+from .ism import SpatialIR, burst_duration, burst_waves
 from .scene import MAX_SAMPLES
 
 
@@ -42,9 +42,9 @@ def spatial_ir_length(spatial_ir: SpatialIR) -> int:
     band-dependent amplitudes are followed by the kernel margin. A count
     above ``MAX_SAMPLES`` is rejected before any wave is allocated."""
     fs = spatial_ir.sample_rate
-    taps = spatial_ir.taps
-    t_end = np.max(taps.delay + taps.burst_duration, initial=0.0)
-    n = int(math.ceil(t_end * fs)) + 1
+    taps, tap = spatial_ir.taps, spatial_ir.bursts.tap
+    ends = np.append(taps.delay, taps.delay[tap] + burst_duration(taps.order[tap]))
+    n = int(math.ceil(np.max(ends, initial=0.0) * fs)) + 1
     if _band_filtered(taps).any():
         n += _kernel_margin(fs)
     if spatial_ir.tail is not None:
@@ -64,8 +64,8 @@ def render_units(spatial_ir: SpatialIR,
     tap or a tail line reaches with a nonzero gain; each such unit's wave
     is added into the caller's zeroed row ``R[unit]`` of
     ``spatial_ir_length`` samples, the scaled tail first. Bursts are drawn
-    in chunks (``ism.burst_waves``), each once, and added in tap order into
-    each unit they reach, times the gain there. A specular tap with equal
+    in chunks (``ism.burst_waves``), each once, and added in row order into
+    each unit their tap reaches, times its gain. A specular tap with equal
     band amplitudes stays an impulse: the three arrays hold one entry per
     such (tap, unit) pair with a nonzero gain, in tap order, for the caller
     to add into its output channels.
@@ -74,7 +74,7 @@ def render_units(spatial_ir: SpatialIR,
     n = spatial_ir_length(spatial_ir)
 
     # n holds every tap, burst and the tail, so none of them is clipped
-    taps = spatial_ir.taps
+    taps, bursts = spatial_ir.taps, spatial_ir.bursts
     starts = np.rint(taps.delay * fs).astype(np.int64)
     tail = spatial_ir.tail
     configs = tail.configs if tail is not None else ()
@@ -88,8 +88,8 @@ def render_units(spatial_ir: SpatialIR,
     tap, unit = tap[keep], unit[keep]
     impulses = unit, starts[tap], tap_gains[tap, unit] * taps.amplitude[tap, 0]
 
-    bursts = np.flatnonzero(taps.has_burst & np.any(tap_gains != 0.0, axis=1))
-    reached = np.any(tap_gains[bursts] != 0.0, axis=0) | np.any(line_gains != 0.0, axis=0)
+    heard = np.flatnonzero(np.any(tap_gains[bursts.tap] != 0.0, axis=1))  # burst rows
+    reached = np.any(tap_gains[bursts.tap] != 0.0, axis=0) | np.any(line_gains != 0.0, axis=0)
     # the rows exist before the loop's first short-lived array, so none of
     # those lands between two rows and splits the space they leave when freed
     units = rows(np.union1d(banded, np.flatnonzero(reached)).tolist())
@@ -116,7 +116,7 @@ def render_units(spatial_ir: SpatialIR,
         buf = np.zeros((len(OCTAVE_CENTERS_8), m))
         np.add.at(buf.T, starts[hit], tap_gains[hit, unit][:, None] * taps.amplitude[hit])
         units[unit][:m] += np.fft.irfft((np.fft.rfft(buf, n_fft) * masks).sum(axis=0), n_fft)[:m]
-    for k, wave in burst_waves(taps, bursts, fs):
+    for k, wave in burst_waves(taps, bursts, heard, fs):
         for unit in np.flatnonzero(tap_gains[k]).tolist():
             units[unit][starts[k]:starts[k] + wave.size] += tap_gains[k, unit] * wave
     return units, impulses

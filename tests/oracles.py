@@ -37,8 +37,11 @@ time; ``fftconvolve_one_shot`` transforms every row at once, where
 calibration, one output sample at a time, where ``alodsim.spatial`` shifts
 each row in place.
 
-``burst_samples`` draws one tap's diffuse burst at a time, where
+``burst_samples`` draws one diffuse burst at a time, where
 ``alodsim.ism.burst_waves`` draws a chunk of rows per gather.
+``seeded_offsets`` draws each burst's noise-table offsets from a generator
+of its own seed, as the renderer did per burst before ``alodsim.ism.smear_taps``
+drew every burst's offsets at once.
 
 ``envelope_db`` is ``alodsim.stimuli._envelope_db`` computed with
 ``scipy.signal.hilbert`` and a "same"-mode ``fftconvolve``.
@@ -167,16 +170,22 @@ def per_band_run_fdn(config, duration, input_signal=None,
     return np.fft.irfft(spectra, n=2 * n, axis=1)[:, :n]
 
 
-def burst_samples(taps, row, fs):
-    """One tap's diffuse burst, as ``alodsim.ism.burst_waves`` yields it: one
-    seeded generator, then one gather, envelope and ``part @ part`` per band."""
+def seeded_offsets(seeds):
+    """(len(seeds), 8) noise-table offsets, row i drawn by a generator seeded with seeds[i]."""
+    rows = [np.random.default_rng(seed).integers(NOISE_TABLE_LEN, size=8) for seed in seeds]
+    return np.array(rows, dtype=np.int64).reshape(-1, 8)
+
+
+def burst_samples(taps, bursts, row, fs):
+    """Burst ``row``'s diffuse burst, as ``alodsim.ism.burst_waves`` yields it:
+    one gather, envelope and ``part @ part`` per band."""
     table, share = _noise_table(float(fs))
-    length = (BURST_SECONDS_PER_ORDER * taps.order[row] + BURST_EXTENSION_S) * fs  # samples
+    length = (BURST_SECONDS_PER_ORDER * taps.order[bursts.tap[row]] + BURST_EXTENSION_S) * fs
     n, rate = np.rint(length).astype(np.int64), -BURST_DECAY_DB / 20.0 * math.log(10.0) / length
-    offset = np.random.default_rng(taps.burst_seed[row]).integers(NOISE_TABLE_LEN, size=len(share))
+    offset = bursts.offset[row]
     t = np.arange(max(n.max(), 1))
     wave = np.zeros(t.size)
-    for b, target in enumerate(taps.burst_energy[row] * share):
+    for b, target in enumerate(bursts.energy[row] * share):
         part = np.take(table[b], t[:n[b]] + offset[b], mode="wrap") * np.exp(rate[b] * t[:n[b]])
         energy = part @ part
         if energy > 0.0:
@@ -210,9 +219,9 @@ def render_units_2m(spatial_ir, unit_gains, n_samples=0, centers=OCTAVE_CENTERS_
         wave = np.zeros(n)
         wave[:m] = np.fft.irfft(spec, n=2 * m)[:m]
         units[unit] = wave
-    for i in np.flatnonzero(taps.has_burst):
+    for row, i in enumerate(spatial_ir.bursts.tap):
         idx = int(round(taps.delay[i] * fs))
-        noise = burst_samples(taps, i, fs)
+        noise = burst_samples(taps, spatial_ir.bursts, row, fs)
         stop = min(idx + noise.size, n)
         gains = unit_gains(taps.doa[i][None, :])[0]
         for unit in np.flatnonzero(gains):
@@ -381,7 +390,8 @@ def emission_direction(position, wall_hits, receiver_pos):
 
 def early_taps_per_tap(scene, profile, source, receiver_pos, room, seed_seq):
     """The early chain of ``alodsim.ism.early_spatial_ir``, one image and
-    one tap at a time: a list of dicts sorted by delay."""
+    one tap at a time: a list of tap dicts sorted by delay, and a list of
+    burst dicts in tap order, each naming its tap's index."""
     jitter_seed, smear_seed = seed_seq.spawn(2)
     images = enumerate_images(room, source.position, profile.ism_order)
     rng = np.random.default_rng(jitter_seed)
@@ -399,26 +409,26 @@ def early_taps_per_tap(scene, profile, source, receiver_pos, room, seed_seq):
             emit = emission_direction(position, images.wall_hits[i], receiver_pos)
             amp = amp * directivity_gain(source.directivity, emit, source.orientation)
         taps.append(dict(delay=r / c, amplitude=amp, doa=diff / r, order=order))
-    taps.sort(key=lambda t: t["delay"])
     if profile.room_details:
         relevant = [p for p in scene.panels if room.contains(p.corners.mean(axis=0))]
         panels = reflect_finite_panels(relevant, source.position, receiver_pos, c)
         taps += [dict(delay=panels.delay[k], amplitude=panels.amplitude[k],
                       doa=panels.doa[k], order=1) for k in range(len(panels))]
-    seeds = smear_seed.generate_state(max(len(taps), 1))
+    taps.sort(key=lambda t: t["delay"])
     s = np.clip(room.scattering, 0.0, 1.0)
     level = 10.0 ** (source.level_db / 20.0)
+    bursts = []
     for i, tap in enumerate(taps):
-        tap["burst_energy"] = np.zeros_like(tap["amplitude"])
-        tap["burst_seed"] = -1
         if profile.fdn_enabled and tap["order"] >= 1:
-            tap["burst_energy"] = s * tap["amplitude"] ** 2
-            tap["burst_seed"] = int(seeds[i])
+            energy = s * tap["amplitude"] ** 2
+            if np.any(energy > 0.0):
+                bursts.append(dict(tap=i, energy=energy * level**2))
             tap["amplitude"] = np.sqrt(1.0 - s) * tap["amplitude"]
         tap["amplitude"] = tap["amplitude"] * level
-        tap["burst_energy"] = tap["burst_energy"] * level**2
-    taps.sort(key=lambda t: t["delay"])
-    return taps
+    offsets = np.random.default_rng(smear_seed).integers(NOISE_TABLE_LEN, size=(len(bursts), 8))
+    for burst, offset in zip(bursts, offsets):
+        burst["offset"] = offset
+    return taps, bursts
 
 
 def two_stage(scene, profile, source, receiver_pos, duration, seed_seq):

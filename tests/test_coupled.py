@@ -171,6 +171,19 @@ def test_beside_part_carries_no_signature(living):
     assert np.array_equal(beside.taps.amplitude, direct.taps.amplitude)
 
 
+@pytest.mark.parametrize("factor", [0.5, 3.0, "1/k"])
+def test_the_cross_feed_drive_level_cancels_in_its_scale_step(living, factor):
+    # the cross tail is scaled to its target energy, so the level of its
+    # drive leaves the beside part's render unchanged but for rounding
+    src, rec = _target(living), living.receivers[0]
+    _, beside = build_spatial_ir(living, profile_preset("razr-full"), src.id, rec.id)
+    if factor == "1/k":
+        factor = 1.0 / coupling_gain(living, living.apertures[0])
+    scaled = replace(beside, tail=replace(beside.tail, drive=factor * beside.tail.drive))
+    want = _mono(beside, rec)
+    assert np.max(np.abs(_mono(scaled, rec) - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("name, runs", [("underground", 2), ("living-room", 3), ("pub", 1)])
 def test_a_razr_full_render_runs_each_recurrence_once(monkeypatch, name, runs):
     # underground: its dual-slope pair; living room: stage 1, stage 2 and
@@ -279,7 +292,7 @@ def test_anechoic_same_room_render_is_the_direct_tap_alone():
     spatial, = build_spatial_ir(preset("pub"), profile_preset("anechoic"))
     assert len(spatial.taps) == 1 and spatial.taps.order[0] == 0
     assert spatial.tail is None and spatial.signature is None
-    assert not spatial.taps.has_burst.any()
+    assert len(spatial.bursts.tap) == 0
 
 
 def test_occluded_direct_tap(living):

@@ -10,11 +10,13 @@ from alodsim import ism
 from alodsim.filterbank import band_energies, band_masks
 from alodsim.ism import (
     NOISE_TABLE_LEN,
+    Bursts,
     Images,
     Taps,
     _emission_direction,
     _noise_table,
     apply_jitter,
+    burst_duration,
     burst_waves,
     early_spatial_ir,
     enumerate_images,
@@ -25,7 +27,13 @@ from alodsim.ism import (
 from alodsim.scene import DirectivityGrid, PanelSpec, RoomSpec, preset, profile_preset
 from alodsim.errors import SceneValidationError
 
-from oracles import burst_samples, directivity_gain, early_taps_per_tap, emission_direction
+from oracles import (
+    burst_samples,
+    directivity_gain,
+    early_taps_per_tap,
+    emission_direction,
+    seeded_offsets,
+)
 
 
 def _box(dims, absorption=0.3, origin=(0, 0, 0)):
@@ -171,31 +179,44 @@ def test_smearing_conserves_per_band_energy():
     room = _box((5.0, 4.0, 3.0))
     images = enumerate_images(room, np.array([1.5, 1.5, 1.5]), 3)
     taps = taps_from_images(images, np.array([3.0, 2.0, 1.5]), 343.0)
-    smeared = smear_taps(taps, profile_preset("razr-full"), room.scattering,
-                         np.random.SeedSequence(7))
+    smeared, bursts = smear_taps(taps, profile_preset("razr-full"), room.scattering,
+                                 np.random.SeedSequence(7))
+    diffuse = np.zeros_like(taps.amplitude)
+    diffuse[bursts.tap] = bursts.energy
     for i in range(len(taps)):
         if taps.order[i] < 1:
             assert np.array_equal(smeared.amplitude[i], taps.amplitude[i])
-            assert not smeared.has_burst[i]
+            assert i not in bursts.tap
             continue
-        assert smeared.has_burst[i]
+        assert i in bursts.tap
         specular = smeared.amplitude[i] ** 2
-        diffuse = smeared.burst_energy[i]
-        assert np.allclose(specular + diffuse, taps.amplitude[i] ** 2, rtol=1e-12)
+        assert np.allclose(specular + diffuse[i], taps.amplitude[i] ** 2, rtol=1e-12)
 
 
 def test_smearing_disabled_is_identity():
     room = _box((5.0, 4.0, 3.0))
     images = enumerate_images(room, np.array([1.5, 1.5, 1.5]), 2)
     taps = taps_from_images(images, np.array([3.0, 2.0, 1.5]), 343.0)
-    out = smear_taps(taps, profile_preset("ism-15"), room.scattering,
-                     np.random.SeedSequence(7))
-    assert out is taps
+    out, bursts = smear_taps(taps, profile_preset("ism-15"), room.scattering,
+                             np.random.SeedSequence(7))
+    assert out is taps and len(bursts.tap) == 0
 
 
-def _burst(taps, row, fs):
-    ((drawn, wave),) = burst_waves(taps, np.array([row]), fs)
-    assert drawn == row
+def test_a_room_without_scattering_draws_no_burst():
+    # s = 0 leaves every reflection its whole energy as a specular tap, so
+    # none carries a burst and the IR is not extended by any burst length
+    room = dataclasses.replace(_box((5.0, 4.0, 3.0)), scattering=0.0)
+    images = enumerate_images(room, np.array([1.5, 1.5, 1.5]), 3)
+    taps = taps_from_images(images, np.array([3.0, 2.0, 1.5]), 343.0)
+    smeared, bursts = smear_taps(taps, profile_preset("razr-full"), room.scattering,
+                                 np.random.SeedSequence(7))
+    assert np.array_equal(smeared.amplitude, taps.amplitude)
+    assert len(bursts.tap) == 0 and bursts.offset.shape == (0, 8)
+
+
+def _burst(taps, bursts, row, fs):
+    ((drawn, wave),) = burst_waves(taps, bursts, np.array([row]), fs)
+    assert drawn == bursts.tap[row]
     return wave
 
 
@@ -203,23 +224,23 @@ def test_burst_samples_deterministic_and_energy_normalized():
     room = _box((5.0, 4.0, 3.0))
     images = enumerate_images(room, np.array([1.5, 1.5, 1.5]), 2)
     taps = taps_from_images(images, np.array([3.0, 2.0, 1.5]), 343.0)
-    smeared = smear_taps(taps, profile_preset("razr-full"), room.scattering,
-                         np.random.SeedSequence(7))
-    row = int(np.argmax(smeared.has_burst))
-    a = _burst(smeared, row, 44100.0)
-    b = _burst(smeared, row, 44100.0)
+    smeared, bursts = smear_taps(taps, profile_preset("razr-full"), room.scattering,
+                                 np.random.SeedSequence(7))
+    row = 0
+    a = _burst(smeared, bursts, row, 44100.0)
+    b = _burst(smeared, bursts, row, 44100.0)
     assert np.array_equal(a, b)
-    assert a.shape == (round(smeared.burst_duration[row] * 44100.0),)
+    assert a.shape == (round(burst_duration(smeared.order[bursts.tap[row]]) * 44100.0),)
     # with its burst energy in one band alone, the wave holds what that
     # band's mask passes of a white noise of that energy: the mask's energy
     # share, as the band energy of a unit impulse gives it
     share = band_energies(np.eye(1, NOISE_TABLE_LEN)[0], 44100.0)
     waves = []
     for band in range(8):
-        alone = np.where(np.arange(8) == band, smeared.burst_energy, 0.0)
-        waves.append(_burst(dataclasses.replace(smeared, burst_energy=alone), row, 44100.0))
+        alone = np.where(np.arange(8) == band, bursts.energy, 0.0)
+        waves.append(_burst(smeared, dataclasses.replace(bursts, energy=alone), row, 44100.0))
         assert float(np.dot(waves[-1], waves[-1])) == pytest.approx(
-            smeared.burst_energy[row, band] * share[band], rel=1e-9)
+            bursts.energy[row, band] * share[band], rel=1e-9)
     # different bands read different noise
     assert not np.allclose(waves[2] / np.max(np.abs(waves[2])),
                            waves[3] / np.max(np.abs(waves[3])))
@@ -231,9 +252,10 @@ def test_burst_wave_carries_each_bands_energy():
     # burst's low bands hold few degrees of freedom, so 32 bursts are pooled
     fs, energy = 44100.0, 10.0 ** (-0.3 * np.arange(8))
     taps = Taps(delay=np.zeros(32), amplitude=np.zeros((32, 8)),
-                doa=np.tile([1.0, 0.0, 0.0], (32, 1)), order=np.full(32, 3),
-                burst_energy=np.tile(energy, (32, 1)), burst_seed=np.arange(32))
-    waves = [wave for _, wave in burst_waves(taps, np.arange(32), fs)]
+                doa=np.tile([1.0, 0.0, 0.0], (32, 1)), order=np.full(32, 3))
+    bursts = Bursts(tap=np.arange(32), energy=np.tile(energy, (32, 1)),
+                    offset=seeded_offsets(np.arange(32)))
+    waves = [wave for _, wave in burst_waves(taps, bursts, np.arange(32), fs)]
     n = waves[0].size
     got = np.mean([band_energies(w, fs) for w in waves], axis=0)
     power = band_masks(n, fs) ** 2
@@ -254,15 +276,15 @@ def test_batched_bursts_equal_the_per_row_oracle():
     energy[k, k % 8] = 0.0
     energy[17] = 0.0
     taps = Taps(delay=np.zeros(200), amplitude=np.zeros((200, 8)),
-                doa=np.tile([1.0, 0.0, 0.0], (200, 1)), order=rng.integers(1, 7, 200),
-                burst_energy=energy, burst_seed=rng.integers(0, 2**32, 200))
+                doa=np.tile([1.0, 0.0, 0.0], (200, 1)), order=rng.integers(1, 7, 200))
+    bursts = Bursts(tap=k, energy=energy, offset=seeded_offsets(rng.integers(0, 2**32, 200)))
     rows = k[k % 5 != 3]
     fs = 44100.0
-    assert len(rows) * round(taps.burst_duration.max() * fs) > 2 * ism._BURST_CHUNK
-    drawn = list(burst_waves(taps, rows, fs))
-    assert [row for row, _ in drawn] == rows.tolist()
-    for row, wave in drawn:
-        assert wave.tobytes() == burst_samples(taps, row, fs).tobytes(), row
+    assert len(rows) * round(burst_duration(taps.order).max() * fs) > 2 * ism._BURST_CHUNK
+    drawn = list(burst_waves(taps, bursts, rows, fs))
+    assert [tap for tap, _ in drawn] == rows.tolist()
+    for row, (_, wave) in zip(rows, drawn):
+        assert wave.tobytes() == burst_samples(taps, bursts, row, fs).tobytes(), row
     assert not drawn[rows.tolist().index(17)][1].any()
 
 
@@ -291,7 +313,7 @@ def test_panel_reflection_matches_mirror_geometry():
     rec = np.array([1.5, 1.0, 2.0])
     taps = reflect_finite_panels([panel], src, rec, c=343.0)
     assert len(taps) == 1
-    assert taps.order[0] == 1 and not taps.has_burst[0]
+    assert taps.order[0] == 1
     mirror = np.array([0.5, 1.0, 0.0])  # src reflected across z = 1
     r = np.linalg.norm(rec - mirror)
     assert taps.delay[0] == pytest.approx(r / 343.0, rel=1e-12)
@@ -390,17 +412,20 @@ def test_directional_source_taps_match_the_per_tap_chain():
     receiver = scene.receivers[0].position
     profile = profile_preset("razr-full")  # diffuse model and panels on
     room = scene.rooms[0]
-    got = early_spatial_ir(scene, profile, source, receiver, room,
-                           np.random.SeedSequence(4)).taps
-    want = early_taps_per_tap(scene, profile, source, receiver, room,
-                              np.random.SeedSequence(4))
+    ir = early_spatial_ir(scene, profile, source, receiver, room, np.random.SeedSequence(4))
+    got, bursts = ir.taps, ir.bursts
+    want, want_bursts = early_taps_per_tap(scene, profile, source, receiver, room,
+                                           np.random.SeedSequence(4))
     assert len(got) == len(want) == 65
-    for name in ("delay", "amplitude", "doa", "burst_energy"):
+    for name in ("delay", "amplitude", "doa"):
         ref = np.array([t[name] for t in want])
         err = np.max(np.abs(getattr(got, name) - ref))
         assert err <= 1e-12 * np.max(np.abs(ref)), name
     assert np.array_equal(got.order, [t["order"] for t in want])
-    assert np.array_equal(got.burst_seed, [t["burst_seed"] for t in want])
+    ref = np.array([b["energy"] for b in want_bursts])
+    assert np.max(np.abs(bursts.energy - ref)) <= 1e-12 * np.max(ref)
+    assert np.array_equal(bursts.tap, [b["tap"] for b in want_bursts])
+    assert np.array_equal(bursts.offset, [b["offset"] for b in want_bursts])
     # the grid does shape the taps
     omni = early_spatial_ir(scene, profile, dataclasses.replace(source, directivity=None),
                             receiver, room, np.random.SeedSequence(4)).taps

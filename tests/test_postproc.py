@@ -37,14 +37,14 @@ def _colored(ir, offsets_db, seed=None):
 
 def test_third_octave_smooth_preserves_flat_spectra():
     mag = np.full(2049, 3.0)
-    out = third_octave_smooth(mag, FS)
+    out = third_octave_smooth(mag)
     assert np.allclose(out, 3.0, atol=1e-12)
 
 
 def test_third_octave_smooth_averages_narrow_peaks_away():
     mag = np.ones(4097)
     mag[2000] = 100.0
-    out = third_octave_smooth(mag, FS)
+    out = third_octave_smooth(mag)
     assert out[2000] < 10.0  # the lone bin is diluted by its neighborhood
 
 

@@ -9,7 +9,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from alodsim.errors import SceneValidationError
 from alodsim.fdn import FdnConfig
-from alodsim.ism import NO_BURST, SpatialIR, Tail, Taps, _noise_table
+from alodsim.ism import Bursts, SpatialIR, Tail, Taps, _noise_table
 from alodsim.spatial import (
     HrtfSet,
     ImpulseResponse,
@@ -36,6 +36,7 @@ from oracles import (
     render_array_block,
     render_array_per_tap,
     render_units_whole,
+    seeded_offsets,
     tail_lines,
     vbap_gains_one_call,
 )
@@ -670,16 +671,17 @@ def _spatial_irs(draw):
     burst = np.arange(k) >= n_flat
     burst[n_flat + n_burst:] = False
     taps = Taps(delay=rng.uniform(0.0, 0.05, k), amplitude=amplitude,
-                doa=_unit_vectors(rng, k), order=rng.integers(1, 4, k),
-                burst_energy=np.where(burst[:, None], rng.uniform(0.0, 1e-3, (k, 8)), 0.0),
-                burst_seed=np.where(burst, rng.integers(0, 1000, k), NO_BURST))
+                doa=_unit_vectors(rng, k), order=rng.integers(1, 4, k))
+    energy, seeds = rng.uniform(0.0, 1e-3, (k, 8)), rng.integers(0, 1000, k)
+    bursts = Bursts(tap=np.flatnonzero(burst), energy=energy[burst],
+                    offset=seeded_offsets(seeds[burst]))
     tail = None
     if draw(st.booleans()):
         n = int(rng.integers(1, 3000))
         tail = _small_tail(rng, n, energy=1e-4 * n)
         tail = replace(tail, start=round(rng.uniform(0.0, 0.06) * FS))
     signature = rng.standard_normal(rng.integers(1, 50)) if draw(st.booleans()) else None
-    ir = SpatialIR(taps=taps, sample_rate=FS, tail=tail, signature=signature)
+    ir = SpatialIR(taps=taps, sample_rate=FS, tail=tail, signature=signature, bursts=bursts)
     return ir, _unit_vectors(rng, 1)[0]
 
 

@@ -8,13 +8,13 @@ from alodsim import ism, preset, profile_preset, simulate, synth
 from alodsim.coupled import occluded_direct_ir
 from alodsim.errors import SceneValidationError
 from alodsim.fdn import design_fdn
-from alodsim.ism import NO_BURST, SpatialIR, Tail, Taps, early_spatial_ir
+from alodsim.ism import Bursts, SpatialIR, Tail, Taps, burst_duration, early_spatial_ir
 from alodsim.pipeline import build_spatial_ir, render_output
 from alodsim.scene import MAX_SAMPLES, ReceiverSpec, RenderingProfile
-from alodsim.spatial import array_preset_86
+from alodsim.spatial import array_preset_86, synthetic_hrtf
 from alodsim.synth import spatial_ir_length, synthesize_mono
 
-from oracles import render_units_2m, render_units_block, render_units_whole
+from oracles import render_units_2m, render_units_block, render_units_whole, seeded_offsets
 
 FS = 44100.0
 NO_TAPS = Taps(delay=np.zeros(0), amplitude=np.zeros((0, 8)), doa=np.zeros((0, 3)),
@@ -48,10 +48,11 @@ def _early_ir(tail_seconds: float) -> SpatialIR:
     amplitude[k % 4 == 2] = amplitude[k % 4 == 2, :1]
     taps = Taps(delay=0.005 + 0.002 * k, amplitude=amplitude,
                 doa=doa / np.linalg.norm(doa, axis=1, keepdims=True),
-                order=2 + k // 2,
-                burst_energy=np.where(burst[:, None], rng.uniform(0.0, 1e-3, (40, 8)), 0.0),
-                burst_seed=np.where(burst, k, NO_BURST))
-    return SpatialIR(taps=taps, sample_rate=FS, tail=_tail(tail_seconds, 1e-3, start=2205))  # 50 ms
+                order=2 + k // 2)
+    bursts = Bursts(tap=k[burst], energy=rng.uniform(0.0, 1e-3, (40, 8))[burst],
+                    offset=seeded_offsets(k[burst]))
+    return SpatialIR(taps=taps, sample_rate=FS, bursts=bursts,
+                     tail=_tail(tail_seconds, 1e-3, start=2205))  # 50 ms
 
 
 def test_render_units_match_the_2m_oracle():
@@ -72,10 +73,7 @@ def test_render_units_match_the_2m_oracle():
 def test_band_buffers_span_the_early_extent_not_the_tail():
     # an order-10 tap carries a 20 ms burst; its flat specular part is one
     # impulse
-    tap = Taps(delay=np.array([0.01]), amplitude=np.full((1, 8), 0.5),
-               doa=np.array([[1.0, 0.0, 0.0]]), order=np.array([10]),
-               burst_energy=np.full((1, 8), 1e-4), burst_seed=np.array([1]))
-    ir = SpatialIR(taps=tap, sample_rate=FS, tail=_tail(10.0, 1e-4, start=882))  # 20 ms
+    ir = replace(_burst_tap(), tail=_tail(10.0, 1e-4, start=882))  # 20 ms
     n = spatial_ir_length(ir)
     tracemalloc.start()
     try:
@@ -96,9 +94,9 @@ def _occluded_direct():
 def _burst_tap():
     # an order-10 tap with a 20 ms burst and equal bands
     tap = Taps(delay=np.array([0.01]), amplitude=np.full((1, 8), 0.5),
-               doa=np.array([[1.0, 0.0, 0.0]]), order=np.array([10]),
-               burst_energy=np.full((1, 8), 1e-4), burst_seed=np.array([1]))
-    return SpatialIR(taps=tap, sample_rate=FS)
+               doa=np.array([[1.0, 0.0, 0.0]]), order=np.array([10]))
+    burst = Bursts(tap=np.array([0]), energy=np.full((1, 8), 1e-4), offset=seeded_offsets([1]))
+    return SpatialIR(taps=tap, sample_rate=FS, bursts=burst)
 
 
 @pytest.mark.parametrize("build", [_occluded_direct, _burst_tap],
@@ -126,7 +124,7 @@ def _record_calls(monkeypatch, owner, name, note):
 
 def _drawn_rows(monkeypatch):
     """The burst rows that ``render_units`` draws, in the order asked for."""
-    calls = _record_calls(monkeypatch, synth, "burst_waves", lambda taps, rows, fs: rows)
+    calls = _record_calls(monkeypatch, synth, "burst_waves", lambda taps, bursts, rows, fs: rows)
     return lambda: [row for rows in calls for row in rows.tolist()]
 
 
@@ -135,13 +133,13 @@ def test_each_burst_is_drawn_once_per_call(monkeypatch):
     drawn = _drawn_rows(monkeypatch)
     ir = _early_ir(0.1)
     render_units_block(ir, _two_unit_gains)
-    assert sorted(drawn()) == np.flatnonzero(ir.taps.has_burst).tolist()
+    assert sorted(drawn()) == list(range(len(ir.bursts.tap)))
 
 
 def test_burst_count_of_a_pub_array_render(monkeypatch):
     scene, profile = preset("pub"), profile_preset("razr-full")
     spatial, = build_spatial_ir(scene, profile)
-    n_bursts = int(np.count_nonzero(spatial.taps.has_burst))
+    n_bursts = len(spatial.bursts.tap)
     drawn = _drawn_rows(monkeypatch)
     simulate(scene, profile, output_mode="array")
     # once for the splice's mono energy, once for the 86-channel render
@@ -156,7 +154,7 @@ def test_burst_draws_stay_under_the_chunk_bound(monkeypatch):
     ir = early_spatial_ir(scene, profile, scene.sources[0], scene.receivers[0].position,
                           scene.rooms[0], np.random.SeedSequence(0))
     bound = 4 << 20
-    assert 8 * np.sum(np.rint(ir.taps.burst_duration * FS)) > 3 * bound
+    assert 8 * np.sum(np.rint(burst_duration(ir.taps.order[ir.bursts.tap]) * FS)) > 3 * bound
     ism._noise_table(FS)  # built once per sample rate, outside any render
     growth = []
 
@@ -237,12 +235,30 @@ def test_ism_15_array_render_filters_no_bands(monkeypatch):
     assert masked == []
 
 
+def test_no_render_draws_a_random_number(monkeypatch):
+    # every burst's noise offsets are drawn when the early part is built
+    scene, profile = preset("living-room"), profile_preset("razr-full")
+    parts = build_spatial_ir(scene, profile)
+    ism._noise_table(FS)
+    hrtf, layout, receiver = synthetic_hrtf(), array_preset_86(), scene.receivers[0]
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a render drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    for part in parts:
+        for mode in ("mono", "binaural", "array"):
+            out = render_output(part, mode, receiver, hrtf=hrtf, layout=layout)
+            assert np.any(out.channels)
+    assert len(parts) == 2 and len(parts[0].bursts.tap) > 0
+
+
 def test_ism_15_binaural_render_makes_no_fft(monkeypatch):
     # no burst, no band-dependent tap, no tail and no signature: every tap
     # adds its amplitude times its HRTF pair, with no transform at all
     scene, profile = preset("pub"), profile_preset("ism-15")
     ir, = build_spatial_ir(scene, profile)
-    assert ir.signature is None and ir.tail is None and not ir.taps.has_burst.any()
+    assert ir.signature is None and ir.tail is None and len(ir.bursts.tap) == 0
     calls = _record_calls(monkeypatch, np.fft, "rfft", lambda x, *rest: np.shape(x))
     out = simulate(scene, profile, output_mode="binaural")
     assert len(ir.taps) > 4000 and np.any(out.ir.channels)

@@ -408,6 +408,29 @@ def test_cli_analyze_removes_the_csv_of_a_metric_that_now_fails(tmp_path, capsys
     assert capsys.readouterr().err.startswith("error: t30: ")
 
 
+def test_cli_analyze_reads_nan_for_a_silent_channel_beside_heard_ones(tmp_path):
+    # an array render leaves the loudspeakers no direction reaches silent;
+    # such a channel has no decay, and the other channels are still measured
+    ir_path = str(tmp_path / "ir.wav")
+    n = int(0.5 * FS)
+    decay = np.random.default_rng(5).standard_normal(n) * 10.0 ** (-3.0 * np.arange(n) / FS / 0.3)
+    h = np.stack([decay, np.zeros(n), 0.5 * decay], axis=1)
+    write_wav(ir_path, h, FS)
+    out = str(tmp_path / "m.csv")
+    assert main(["analyze", "--ir", ir_path, "--metrics", "t30,edc,drr,dual-slope",
+                 "--out", out]) == 0
+    for metric in ("t30", "drr", "dual-slope"):
+        with open(str(tmp_path / f"m-{metric}.csv"), encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == ["0", "1", "2"]
+        assert all(v == "nan" for v in rows[1][1:]), metric
+        assert not any(v == "nan" for row in (rows[0], rows[2]) for v in row), metric
+    with open(str(tmp_path / "m-edc.csv"), encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["time_s", "edc_db_ch0", "edc_db_ch1", "edc_db_ch2"] and len(rows) == 1 + n
+    assert all(row[2] == "nan" and row[1] != "nan" for row in rows[1:])
+
+
 def test_cli_analyze_checks_every_metric_name_first(tmp_path, capsys):
     ir_path = str(tmp_path / "ir.wav")
     write_wav(ir_path, np.exp(-np.arange(4000) / 500.0), FS)
