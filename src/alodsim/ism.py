@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, SceneValidationError
 from .filterbank import OCTAVE_CENTERS_8, band_energies, band_split
-from .scene import N_BANDS, RenderingProfile, RoomSpec, SceneSpec, SourceSpec
+from .scene import N_BANDS, RenderingProfile, RoomSpec, SceneSpec, SourceSpec, check_order
 
 # Diffuse burst duration per reflection order (temporal smearing kernel).
 BURST_SECONDS_PER_ORDER = 2e-3
@@ -120,40 +120,34 @@ class SpatialIR:
 def enumerate_images(room: RoomSpec, source_pos: np.ndarray, max_order: int) -> Images:
     """All mirror images with total reflection order <= max_order.
 
-    Ordering is deterministic: by order, then lexicographic wall_hits.
-    Per-band gain is the product of sqrt(1 - alpha) over all wall hits.
+    Builds only the rows that fit: of the per-axis entries (q, m), q outer and
+    m ascending, the combinations whose orders sum to at most max_order. Rows
+    run by order, then lexicographic wall_hits; rows of equal wall_hits (q = 0,
+    m = +-k) keep lattice order, which the jitter draws follow. Per-band gain
+    is the product of sqrt(1 - alpha) over all wall hits.
     """
     source_pos = np.asarray(source_pos, dtype=float)
     if not room.contains(source_pos):
         raise SceneValidationError(f"source {source_pos} outside room {room.id}")
-    if max_order < 0:
-        raise SceneValidationError("max_order must be >= 0")
-
-    local = source_pos - room.origin
-    dims = room.dims
+    n = check_order(max_order, "max_order")
+    q, m = np.array([(q, m) for q in (0, 1) for m in range(-n, n + 2)
+                     if abs(m - q) + abs(m) <= n], dtype=np.int64).T
+    hits = np.stack([np.abs(m - q), np.abs(m)], axis=1)  # (lower, upper) wall hits
+    own = hits.sum(axis=1)  # the order of each entry on its own
+    rows = np.nonzero(own[:, None, None] + own[:, None] + own <= n)  # in lattice order
+    order = sum(own[axis] for axis in rows)
+    rank = 2 * hits[:, 0] + hits[:, 1]  # sorts as (lower, upper) does: they differ by <= 1
+    keep = np.argsort(np.ravel_multi_index(  # an int64 key per row: raises past int64, never wraps
+        (order, *(rank[axis] for axis in rows)), (n + 1,) + (2 * n + 1,) * 3), kind="stable")
+    rows = [axis[keep] for axis in rows]
     # sqrt(1 - alpha) per wall: energy-consistent amplitude per bounce
     log_wall_amp = np.log(np.sqrt(1.0 - room.absorption))  # (6, n_bands)
-
-    # per axis: the (lower hits, upper hits) and the coordinate of each
-    # lattice entry that fits within max_order on its own
-    hits, coords = [], []
-    for axis in range(3):
-        entries = [(abs(m - q), abs(m), (1 - 2 * q) * local[axis] + 2 * m * dims[axis])
-                   for q in (0, 1) for m in range(-max_order, max_order + 2)
-                   if abs(m - q) + abs(m) <= max_order]
-        hits.append(np.array([e[:2] for e in entries], dtype=np.int64))
-        coords.append(np.array([e[2] for e in entries]))
-    grid = [g.ravel() for g in np.meshgrid(*(np.arange(len(c)) for c in coords),
-                                           indexing="ij")]
-    wall_hits = np.concatenate([h[g] for h, g in zip(hits, grid)], axis=1)
-    order = wall_hits.sum(axis=1)
-    keep = np.flatnonzero(order <= max_order)
-    keep = keep[np.lexsort((*wall_hits[keep].T[::-1], order[keep]))]
-    wall_hits = wall_hits[keep]
-    log_gain = sum(wall_hits[:, [wall]] * log_wall_amp[wall] for wall in range(6))
-    position = np.stack([c[g[keep]] for c, g in zip(coords, grid)], axis=1)
-    return Images(position=position + room.origin, order=order[keep],
-                  wall_hits=wall_hits, band_gain=np.exp(log_gain))
+    log_gain = sum(np.take(hits[:, wall % 2, None] * log_wall_amp[wall], rows[wall // 2], axis=0)
+                   for wall in range(6))  # walls in turn: the sum's bits depend on its order
+    coord = (1 - 2 * q)[:, None] * (source_pos - room.origin) + 2 * m[:, None] * room.dims
+    position = np.stack([np.take(coord[:, axis], rows[axis]) for axis in range(3)], axis=1)
+    return Images(position=position + room.origin, order=order[keep], band_gain=np.exp(log_gain),
+                  wall_hits=np.concatenate([np.take(hits, axis, axis=0) for axis in rows], axis=1))
 
 
 def apply_jitter(images: Images, profile: RenderingProfile,

@@ -47,6 +47,13 @@ def _finite(value, what: str, positive: bool = False) -> None:
             f"{what} must be a finite{' positive' if positive else ''} number, got {value!r}")
 
 
+def check_order(value, what: str) -> int:
+    """``value`` as an int if it is a Python or numpy int >= 0 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise SceneValidationError(f"{what} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def sample_count(seconds: float, fs: float, what: str) -> int:
     """round(``seconds`` x ``fs``) for both finite and > 0, checked to lie in
     [1, MAX_SAMPLES] before anything that long exists."""
@@ -371,8 +378,7 @@ class RenderingProfile:
     output_mode: str = "binaural"  # one of OUTPUT_MODES
 
     def __post_init__(self):
-        if self.ism_order < 0:
-            raise SceneValidationError("ism_order must be >= 0")
+        check_order(self.ism_order, "ism_order")
         if self.output_mode not in OUTPUT_MODES:
             raise SceneValidationError(f"unknown output_mode {self.output_mode!r}")
 

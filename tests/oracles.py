@@ -46,6 +46,10 @@ drew every burst's offsets at once.
 ``envelope_db`` is ``alodsim.stimuli._envelope_db`` computed with
 ``scipy.signal.hilbert`` and a "same"-mode ``fftconvolve``.
 
+``enumerate_images_grid`` builds every row of the lattice grid of image
+sources and keeps those whose order fits, where
+``alodsim.ism.enumerate_images`` builds the kept rows only.
+
 ``directivity_gain``, ``emission_direction`` and ``early_taps_per_tap``
 handle one direction, image or tap at a time, as the early chain in
 ``alodsim.ism`` did before it carried images and taps as arrays.
@@ -91,6 +95,7 @@ from alodsim.ism import (
     BURST_SECONDS_PER_ORDER,
     JITTER_SIGMA_PER_ORDER,
     NOISE_TABLE_LEN,
+    Images,
     _noise_table,
     enumerate_images,
     reflect_finite_panels,
@@ -355,6 +360,33 @@ def envelope_db(x, fs, smooth_s=1e-3):
     env = np.sqrt(fftconvolve(env**2, np.ones(k) / k, mode="same"))
     peak = np.max(env)
     return 20.0 * np.log10(np.maximum(env, 1e-12 * peak) / peak)
+
+
+def enumerate_images_grid(room, source_pos, max_order):
+    """``alodsim.ism.enumerate_images`` from the whole lattice grid: every
+    row of the (2N + 1)^3 grid of per-axis entries with its six hit counts,
+    the rows of order <= N kept and put in order by one ``np.lexsort``."""
+    local = np.asarray(source_pos, dtype=float) - room.origin
+    dims = room.dims
+    log_wall_amp = np.log(np.sqrt(1.0 - room.absorption))  # (6, n_bands)
+    hits, coords = [], []
+    for axis in range(3):
+        entries = [(abs(m - q), abs(m), (1 - 2 * q) * local[axis] + 2 * m * dims[axis])
+                   for q in (0, 1) for m in range(-max_order, max_order + 2)
+                   if abs(m - q) + abs(m) <= max_order]
+        hits.append(np.array([e[:2] for e in entries], dtype=np.int64))
+        coords.append(np.array([e[2] for e in entries]))
+    grid = [g.ravel() for g in np.meshgrid(*(np.arange(len(c)) for c in coords),
+                                           indexing="ij")]
+    wall_hits = np.concatenate([h[g] for h, g in zip(hits, grid)], axis=1)
+    order = wall_hits.sum(axis=1)
+    keep = np.flatnonzero(order <= max_order)
+    keep = keep[np.lexsort((*wall_hits[keep].T[::-1], order[keep]))]
+    wall_hits = wall_hits[keep]
+    log_gain = sum(wall_hits[:, [wall]] * log_wall_amp[wall] for wall in range(6))
+    position = np.stack([c[g[keep]] for c, g in zip(coords, grid)], axis=1)
+    return Images(position=position + room.origin, order=order[keep],
+                  wall_hits=wall_hits, band_gain=np.exp(log_gain))
 
 
 def directivity_gain(grid, direction, forward):

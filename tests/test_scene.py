@@ -188,6 +188,16 @@ def test_every_profile_field_is_set_by_some_preset():
                        for p in presets), f.name
 
 
+@pytest.mark.parametrize("order", [2.5, True, "3", -1])
+def test_ism_order_must_be_a_whole_number(order):
+    with pytest.raises(SceneValidationError):
+        RenderingProfile(name="p", ism_order=order)
+
+
+def test_ism_order_may_be_a_numpy_integer():
+    assert RenderingProfile(name="p", ism_order=np.int64(4)).ism_order == 4
+
+
 def test_unknown_profile_raises():
     with pytest.raises(SceneParseError):
         profile_preset("hybrid")
