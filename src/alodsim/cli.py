@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from itertools import chain
 
 import numpy as np
 
@@ -61,6 +60,9 @@ from .wavio import read_wav, write_wav
 HRTF_ENV_VAR = "ALODSIM_HRTF_DIR"
 ANALYZE_METRICS = ("t30", "edc", "ned", "drr", "dual-slope")
 CSV_BLOCK_ROWS = 4096  # rows formatted per write
+_CSV_TEXTS = ((np.isnan, b"nan"), (np.isposinf, b"inf"), (np.isneginf, b"-inf"))
+# _CSV_DIGITS[j, i]: the ASCII code of digit j, counted from the right, of i < 10**4
+_CSV_DIGITS = (np.arange(10_000) // 10 ** np.arange(4)[:, None] % 10 + ord("0")).astype(np.uint8)
 
 
 def _check_outputs(outputs, *inputs):
@@ -160,19 +162,118 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _csv_fields(x: np.ndarray, fmt: str):
+    """One column of ``_write_columns``, ready to be placed.
+
+    Returns the length of each field; its characters by offset from the
+    field's end (``planes[k]`` is every field's k-th character from the
+    right, an array or one code for all); where each field is negative; how
+    many digits and points precede its end (0 for a text field); and the
+    ``(rows, text)`` pairs that replace those rows' digits.
+    """
+    texts = []
+    whole_text = False
+    if fmt == "%d":
+        decimals = 0
+        q = np.abs(x).astype(np.uint64)  # |-2**63| wraps to 2**63 as uint64
+        neg = x < 0
+    else:
+        decimals = int(fmt[2:-1])
+        # rint(y) is x correctly rounded unless a half unit lies within
+        # spacing(y) <= y * 2**-52 of y: a tie, or y >= 2**52; nan and inf
+        # (also the inf of an overflowing product) compare false
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.abs(x) * 10.0 ** decimals  # 10**N is exact for N <= 22
+            q = np.rint(y)
+            exact = 0.5 - np.abs(y - q) > y * 2.0 ** -52
+        neg = np.signbit(x)  # so -0.0 reads -0.0000, as % writes it
+        if not exact.all():
+            for test, text in _CSV_TEXTS:
+                rows = np.flatnonzero(test(x))
+                if rows.size:
+                    texts.append((rows, text))
+            texts += [(i, (fmt % x[i]).encode()) for i in np.flatnonzero(~exact & np.isfinite(x))]
+            whole_text = not exact.any()
+            q[~exact] = 0.0
+            neg &= exact
+        q = q.astype(np.uint64)
+    width = max(len(str(int(q.max()))), decimals + 1)  # digits of the longest field
+    body = np.full(q.shape, decimals + 1 + (decimals > 0), np.int64)
+    for k in range(decimals + 1, width):
+        body += q >= 10**k
+    lengths = body + neg
+    planes = []
+    for _ in range(0 if whole_text else width, 0, -4):  # four digits per table lookup
+        high = q // 10_000
+        planes.extend(_CSV_DIGITS[:width - len(planes)].take(q - high * 10_000, axis=1))
+        q = high
+    if decimals and planes:
+        planes.insert(decimals, ord("."))
+    for rows, text in texts:
+        lengths[rows] = len(text)
+        body[rows] = 0
+    return lengths, planes, neg, body, texts
+
+
+def _csv_block(block, formats) -> np.ndarray:
+    """The bytes of the CSV rows whose columns are ``block``.
+
+    Each field ends at an offset found from the lengths of the fields
+    before it, and its characters are scattered there one position at a
+    time, the position farthest from the field's end first. A field with
+    fewer digits than its column's longest gets leading zeros before its
+    start; they land on an earlier field's characters nearer that field's
+    end, which are written later, or on a separator. Signs, texts and
+    separators are written last.
+    """
+    fields = [_csv_fields(x, fmt) for x, fmt in zip(block, formats)]
+    row_len = sum(f[0] for f in fields) + len(fields) + 1  # the commas and "\r\n"
+    end = np.cumsum(row_len) - row_len
+    stops = []  # the offset just past each field
+    for lengths, *_ in fields:
+        end += lengths
+        stops.append(end.copy())
+        end += 1
+    pad = max(len(f[1]) for f in fields) + 1  # room for the first row's leading zeros
+    buf = np.empty(pad + int(end[-1]) + 1, np.uint8)
+    for k in range(pad - 2, -1, -1):
+        at = buf[pad - 1 - k:]  # at[stop] is the k-th character before stop
+        for stop, (_, planes, *_) in zip(stops, fields):
+            if k < len(planes):
+                at[stop] = planes[k]
+    at = buf[pad - 1:]
+    for stop, (lengths, _, neg, body, texts) in zip(stops, fields):
+        if neg.any():  # where x >= 0 the sign lands on the separator before
+            at[stop - body] = ord("-")
+        for rows, text in texts:
+            first = stop[rows] - len(text) + 1
+            for j, char in enumerate(text):
+                at[first + j] = char
+    out = buf[pad:]
+    for stop in stops[:-1]:
+        out[stop] = ord(",")
+    out[stops[-1]] = ord("\r")
+    out[stops[-1] + 1] = ord("\n")
+    return out
+
+
 def _write_columns(path: str, header, formats, columns):
     """Write one CSV row per index of the equal-length array ``columns``.
 
-    ``formats`` holds one %-format per column. Lines end in "\r\n", as
-    ``csv.writer`` ends them, and no numeric field needs quoting. Rows are
-    formatted in blocks, so no text larger than a block is held.
+    ``formats`` holds "%d" (for a column of integers) or "%.Nf" (N <= 22)
+    per column, and each field is exactly the text Python's ``%`` writes:
+    the binary value correctly rounded to N decimals, ties to even, "-" for
+    a negative value that rounds to zero, and "nan", "inf" or "-inf". Digits
+    are taken from the values by integer arithmetic on whole arrays; ``%``
+    runs only for a value whose rounding the scaled product cannot decide.
+    Lines end in "\r\n", as ``csv.writer`` ends them, and no numeric field
+    needs quoting. Rows are formatted in blocks, so no text larger than a
+    block is held.
     """
-    row = ",".join(formats) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("utf-8"))
         for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = [c[lo:lo + CSV_BLOCK_ROWS].tolist() for c in columns]
-            fh.write((row * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+            fh.write(_csv_block([c[lo:lo + CSV_BLOCK_ROWS] for c in columns], formats))
 
 
 def _analyze_one(metric: str, channels: np.ndarray, fs: float, path: str):
@@ -384,6 +485,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:  # a path that is missing, a directory or not writable
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an output too large for the address space
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

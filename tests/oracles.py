@@ -65,12 +65,15 @@ knee level, where ``alodsim.analysis.dual_slope_fit`` scores the knees from
 suffix sums and solves once. ``ned_per_frame`` measures one frame at a
 time. ``write_analysis_csv`` formats one row at a time through
 ``csv.writer``, as ``alodsim analyze`` wrote its CSVs before it formatted
-whole columns.
+whole columns. ``write_columns_percent`` formats each block of rows with
+one ``%``, as ``alodsim.cli._write_columns`` did before it took the digits
+from the values by array arithmetic.
 """
 
 import csv
 import math
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 from scipy.signal import fftconvolve, hilbert
@@ -526,20 +529,44 @@ def ned_per_frame(ir, fs):
                       window=w / fs)
 
 
+def write_columns_percent(path, header, formats, columns, block_rows=4096):
+    """``alodsim.cli._write_columns`` with one ``%`` per block of rows."""
+    row = ",".join(formats) + "\r\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), block_rows):
+            block = [c[lo:lo + block_rows].tolist() for c in columns]
+            fh.write((row * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+
+
 def write_analysis_csv(metric, channels, fs, path):
-    """The CSV ``alodsim analyze`` writes for one metric, row by row."""
+    """The CSV ``alodsim analyze`` writes for one metric, row by row.
+
+    A silent channel beside heard ones reads nan in t30, drr, edc and
+    dual-slope.
+    """
     n_ch = channels.shape[0]
+    heard = channels.any()
+
+    def each(measure, ch):
+        return measure(channels[ch]) if channels[ch].any() or not heard else None
+
+    def fixed(value, fmt):
+        return "nan" if value is None else format(value, fmt)
+
     if metric == "t30":
         header = ("channel", "t30_s")
-        rows = [(ch, f"{t30(schroeder_edc(channels[ch], fs)):.6f}") for ch in range(n_ch)]
+        rows = [(ch, fixed(each(lambda h: t30(schroeder_edc(h, fs)), ch), ".6f"))
+                for ch in range(n_ch)]
     elif metric == "drr":
         header = ("channel", "drr_db")
-        rows = [(ch, f"{drr(channels[ch], fs):.4f}") for ch in range(n_ch)]
+        rows = [(ch, fixed(each(lambda h: drr(h, fs), ch), ".4f")) for ch in range(n_ch)]
     elif metric == "edc":
-        curves = [schroeder_edc(channels[ch], fs) for ch in range(n_ch)]
+        curves = [each(lambda h: schroeder_edc(h, fs).values, ch) for ch in range(n_ch)]
+        n = channels.shape[1]
         header = ("time_s", *(f"edc_db_ch{ch}" for ch in range(n_ch)))
-        rows = [[f"{i / fs:.6f}"] + [f"{c.values[i]:.4f}" for c in curves]
-                for i in range(curves[0].values.size)]
+        rows = [[f"{i / fs:.6f}"] + [fixed(None if c is None else c[i], ".4f") for c in curves]
+                for i in range(n)]
     elif metric == "ned":
         profiles = [ned_per_frame(channels[ch], fs) for ch in range(n_ch)]
         times = profiles[0].times
@@ -551,9 +578,10 @@ def write_analysis_csv(metric, channels, fs, path):
                   "knee_time_s", "knee_level_db")
         rows = []
         for ch in range(n_ch):
-            fit = dual_slope_fit_per_knee(schroeder_edc(channels[ch], fs))
-            rows.append((ch, f"{fit.slope1:.3f}", f"{fit.slope2:.3f}",
-                         f"{fit.knee_time:.5f}", f"{fit.knee_level:.2f}"))
+            fit = each(lambda h: dual_slope_fit_per_knee(schroeder_edc(h, fs)), ch)
+            values = (None,) * 4 if fit is None else (
+                fit.slope1, fit.slope2, fit.knee_time, fit.knee_level)
+            rows.append((ch, *(fixed(v, f) for v, f in zip(values, (".3f", ".3f", ".5f", ".2f")))))
     else:
         raise ValueError(metric)
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import alodsim
 from alodsim.cli import ANALYZE_METRICS, _write_columns, main
@@ -19,7 +19,7 @@ from alodsim.errors import AlodsimError, SceneParseError, SceneValidationError
 from alodsim.scene import parse_scene, preset, serialize_scene
 from alodsim.stimuli import BandLevels, pink_pulse_variant
 from alodsim.wavio import read_wav, write_wav
-from oracles import write_analysis_csv
+from oracles import write_analysis_csv, write_columns_percent
 
 FS = 44100.0
 
@@ -445,21 +445,44 @@ def test_cli_analyze_checks_every_metric_name_first(tmp_path, capsys):
 _CSV_FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 
+def _rounding_cases():
+    """Values whose last decimal a scaled product rounds wrongly, or nearly."""
+    ties = [(k + 0.5) / 10.0**n for n in range(2, 7)
+            for k in (*range(200), 1234, 99_999, 123_456_789, 2**40)]
+    dyadic = [k / 2.0**m for m in range(1, 9) for k in range(1, 3 * 2**m, 2)]  # 0.03125 ...
+    values = np.array([*ties, *dyadic, -2.745, 1e17, -1e20, 5e-324, 2.0**53, 1e300])
+    values = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+    return np.concatenate([values, -values]).tolist()
+
+
+_CSV_FORMATS = ("%.6f", "%.4f", "%.5f", "%.2f", "%.3f", "%d")
+_ROUNDING = _rounding_cases()
+_CSV_VALUES = st.one_of(_CSV_FLOATS, st.sampled_from(_ROUNDING))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(rows=st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS, st.sampled_from(
-    [0.0, -0.0, -1e-9, -4e-5, -5e-5, 4.99999e-5, 5e-5, -120.0])), max_size=30),
+@given(rows=st.lists(st.tuples(_CSV_VALUES, _CSV_VALUES, st.sampled_from(
+    [0.0, -0.0, -1e-9, -4e-5, -5e-5, 4.99999e-5, 5e-5, -120.0]), _CSV_VALUES, _CSV_VALUES,
+    st.integers(-2**63, 2**63 - 1)), max_size=30),
        block=st.integers(1, 7))
+@example(rows=[(v, v, v, v, v, i) for i, v in enumerate(_ROUNDING)], block=4096)
+@example(rows=[(np.nan, v, np.nan, np.inf, -np.inf, -i) for i, v in enumerate(_ROUNDING[:50])],
+         block=16)
 def test_write_columns_equals_csv_writer(tmp_path_factory, rows, block):
     path = tmp_path_factory.mktemp("csv")
-    formats = ("%.6f", "%.4f", "%.5f")
-    columns = tuple(np.array([r[i] for r in rows], dtype=float) for i in range(3))
+    header = ("a", "b", "c", "d", "e", "f")
+    columns = tuple(np.array([r[i] for r in rows], dtype=float) for i in range(5)) + (
+        np.array([r[5] for r in rows], dtype=np.int64),)
     with pytest.MonkeyPatch.context() as mp:  # rows that span several blocks
         mp.setattr(alodsim.cli, "CSV_BLOCK_ROWS", block)
-        _write_columns(str(path / "got.csv"), ("a", "b", "c"), formats, columns)
+        _write_columns(str(path / "got.csv"), header, _CSV_FORMATS, columns)
     with open(path / "want.csv", "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([("a", "b", "c")] + [
-            (f"{a:.6f}", f"{b:.4f}", f"{c:.5f}") for a, b, c in rows])
-    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+        csv.writer(fh).writerows([header] + [
+            [fmt % v for fmt, v in zip(_CSV_FORMATS, r)] for r in rows])
+    write_columns_percent(str(path / "percent.csv"), header, _CSV_FORMATS, columns, block)
+    got = (path / "got.csv").read_bytes()
+    assert got == (path / "want.csv").read_bytes()
+    assert got == (path / "percent.csv").read_bytes()
 
 
 def _two_slope_channels(rng, n_channels, n, fs):
@@ -476,13 +499,16 @@ def _two_slope_channels(rng, n_channels, n, fs):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(n_channels=st.integers(1, 3), seconds=st.floats(0.3, 2.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_cli_analyze_csv_bytes_equal_the_oracle(tmp_path_factory, n_channels, seconds, seed):
+       seed=st.integers(0, 2**32 - 1), silent=st.sets(st.integers(0, 2)))
+def test_cli_analyze_csv_bytes_equal_the_oracle(tmp_path_factory, n_channels, seconds, seed,
+                                                silent):
+    # a silent channel, as an array render leaves a loudspeaker, reads nan
     fs = 8000.0
     path = tmp_path_factory.mktemp("analyze")
     ir_path = str(path / "ir.wav")
-    write_wav(ir_path, _two_slope_channels(np.random.default_rng(seed), n_channels,
-                                           int(seconds * fs), fs), fs)
+    h = _two_slope_channels(np.random.default_rng(seed), n_channels, int(seconds * fs), fs)
+    h[:, [ch for ch in silent if ch < n_channels]] = 0.0
+    write_wav(ir_path, h, fs)
     code = main(["analyze", "--ir", ir_path, "--metrics", ",".join(ANALYZE_METRICS),
                  "--out", str(path / "m.csv")])
     channels = read_wav(ir_path)[0].T
@@ -708,6 +734,25 @@ def test_cli_match_removes_its_wav_when_the_report_cannot_be_written(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: DIR: ") and err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ["DIR", "ref.wav", "sim.wav"]
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 19.8 GiB for an array with shape (86, 30870000) and data type float64",
+     "error: Unable to allocate 19.8 GiB for an array with shape (86, 30870000) and data type "
+     "float64\n"),
+    ("", "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_cli_prints_one_error_line_for_an_output_it_cannot_allocate(tmp_path, capsys,
+                                                                    monkeypatch, message, line):
+    # 700 s of an 86-channel render in a 2.4 GiB address space
+    def simulate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(alodsim.cli, "simulate", simulate)
+    assert main(["simulate", "--preset", "pub", "--profile", "razr-full", "--output-mode",
+                 "array", "--duration", "700", "--out", str(tmp_path / "o.wav")]) == 1
+    assert capsys.readouterr().err == line
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_analyze_runs_every_metric_past_a_csv_that_cannot_be_written(tmp_path, capsys):
