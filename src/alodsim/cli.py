@@ -296,10 +296,12 @@ def _analyze_one(metric: str, channels: np.ndarray, fs: float, path: str):
                        ("%.6f",) + ("%.4f",) * len(curves),
                        (np.arange(curves[0].size) / fs, *curves))
     elif metric == "ned":
-        profiles = [ned(ch, fs) for ch in channels]
+        profiles = each(lambda ch: ned(ch, fs), None)
+        times = next(p for p in profiles if p is not None).times  # equal for every channel
         _write_columns(path, ("time_s", *(f"ned_ch{ch}" for ch in index)),
                        ("%.6f",) + ("%.5f",) * len(profiles),
-                       (profiles[0].times, *(p.values for p in profiles)))
+                       (times, *(np.broadcast_to(np.nan, times.size) if p is None else p.values
+                                 for p in profiles)))
     elif metric == "dual-slope":
         fits = each(lambda ch: dual_slope_fit(schroeder_edc(ch, fs)), DualSlopeFit(*[np.nan] * 5))
         values = np.array([(f.slope1, f.slope2, f.knee_time, f.knee_level) for f in fits])
@@ -327,13 +329,15 @@ def _cmd_analyze(args) -> int:
     for metric, path in paths.items():
         try:
             _analyze_one(metric, channels, fs, path)
-        except (AlodsimError, OSError) as exc:  # the other metrics are still written
-            failed.append(f"{metric}: {path}: {exc.strerror}" if isinstance(exc, OSError)
-                          else f"{metric}: {exc}")
-            # an earlier run's file would outlive the error; a directory stays
+        except BaseException as exc:
+            # a partial file, or an earlier run's, would outlive the error; a directory stays
             with contextlib.suppress(OSError):
                 os.remove(path)
-            continue
+            if not isinstance(exc, (AlodsimError, OSError)):  # e.g. MemoryError: `main` ends
+                raise
+            failed.append(f"{metric}: {path}: {exc.strerror}" if isinstance(exc, OSError)
+                          else f"{metric}: {exc}")
+            continue  # the other metrics are still written
         print(f"wrote {path}")
     if failed:
         raise AlodsimError("; ".join(failed))

@@ -6,14 +6,13 @@ omnidirectional receiver at the door center (stage 1), and its mono response
 is the door signature of an omni source there in the receiver room (stage
 2); ``pipeline.render_output`` convolves it into each channel of the part.
 Beside the door: the occluded direct path and, with room details, the
-receiver room's FDN driven by stage 1's own tail, its energy set by the
-area-ratio coupling gain: an approximation of true coupled-FDN topologies.
-This part has no signature, so stage 1's tail enters it once.
+receiver room's FDN driven by the signature from stage 1's tail start on,
+its energy set by the area-ratio coupling gain: an approximation of true
+coupled-FDN topologies. This part has no signature, so the drive enters once.
 
 Each tail junction is decided here: ``splice`` (beside ``_fdn_onset``) and
 the cross-feed each build a whole ``Tail``, with its start sample and its
-target energy, which the renderer meets with one scale step. Stage 1's tail
-drives the cross-feed.
+target energy, which the renderer meets with one scale step.
 
 The occluded direct path (edge diffraction around the door frame) is
 replaced by a documented stand-in: a single tap at the known path length
@@ -40,7 +39,7 @@ from .scene import (
     mean_free_path,
     sample_count,
 )
-from .synth import spatial_ir_length, synthesize_mono
+from .synth import synthesize_mono
 
 OCCLUSION_ATTEN_DB = 6.0  # broadband stand-in loss around the door frame
 OCCLUSION_CORNER_HZ = 2000.0  # first-order lowpass corner of the stand-in
@@ -178,34 +177,31 @@ def coupled_parts(scene: SceneSpec, profile: RenderingProfile,
     """A coupled pair's IR in parts: through the door, then beside it.
 
     Through the door is stage 2, carrying stage 1's mono response as its
-    signature; stage 1 renders the source room without panels. Beside the
-    door is the occluded direct tap. With room details, the beside part also
-    holds the receiver room's FDN (or its dual-slope pair) driven by stage
-    1's scaled mono tail, scaled to k^2 E(stage-2 tail) E(signature):
-    the stage-2 tail's target energy after the signature, for noise-like
-    content. It starts at the stage-2 tail's start. A direct-only profile
-    gets the direct tap alone, as the door would relay nothing else.
+    read-only signature; stage 1 renders the source room without panels.
+    Beside the door is the occluded direct tap and, with room details, the
+    receiver room's FDN (or its dual-slope pair) driven by the signature from
+    stage 1's tail start on and scaled to k^2 E(stage-2 tail) E(signature),
+    the stage-2 tail's target energy after the signature for noise-like
+    content, from the stage-2 tail's start. A direct-only profile gets the
+    direct tap alone, as the door would relay nothing else.
     """
+    beside = occluded_direct_ir(scene, source, receiver)
     if profile.direct_only:
-        return (occluded_direct_ir(scene, source, receiver),)
+        return (beside,)
     src_room, rec_room, aperture = _door(scene, source, receiver.position)
     stage1_seed, stage2_seed, cross_seed = seed_seq.spawn(3)
     stage1 = single_room_ir(scene, profile, source, aperture.center, src_room,
                             duration, stage1_seed, include_panels=False)
     stage2 = single_room_ir(scene, profile, _door_source(aperture, receiver.position),
                             receiver.position, rec_room, duration, stage2_seed)
+    signature = synthesize_mono(stage1)
+    signature.flags.writeable = False  # the drive below is a view of it
+    through = replace(stage2, signature=signature)
     if not (profile.room_details and stage1.tail and stage2.tail):
-        return (replace(stage2, signature=synthesize_mono(stage1)),
-                occluded_direct_ir(scene, source, receiver))
+        return through, beside
     k = coupling_gain(scene, aperture)
-    # stage 1's tail first and alone: one run of its FDNs, for the drive too
-    signature = synthesize_mono(SpatialIR(taps=stage1.taps._rows(slice(0)), tail=stage1.tail,
-                                          sample_rate=stage1.sample_rate),
-                                out=np.zeros(spatial_ir_length(stage1)))
-    drive = signature[stage1.tail.start:][:stage1.tail.length].copy()  # before the early part
-    synthesize_mono(replace(stage1, tail=None), out=signature)
     cross = Tail(configs=_room_fdns(scene, profile, rec_room, cross_seed),
-                 length=stage2.tail.length, start=stage2.tail.start, drive=drive,
+                 length=stage2.tail.length, start=stage2.tail.start,
+                 drive=signature[stage1.tail.start:][:stage1.tail.length],
                  energy=k**2 * stage2.tail.energy * float(np.einsum("i,i->", signature, signature)))
-    return (replace(stage2, signature=signature),
-            replace(occluded_direct_ir(scene, source, receiver), tail=cross))
+    return through, replace(beside, tail=cross)

@@ -346,6 +346,9 @@ class SceneSpec:
         for r in self.receivers:
             if self.room_of(r.position) is None:
                 raise SceneValidationError(f"receiver {r.id} lies outside every room")
+            for s in self.sources:  # its distance would be 0: no direct sound to render
+                if np.linalg.norm(s.position - r.position) < 1e-12:
+                    raise SceneValidationError(f"source {s.id} is at receiver {r.id}")
 
     def room(self, room_id: str) -> RoomSpec:
         for r in self.rooms:

@@ -17,7 +17,7 @@ band-filtered, through one buffer per band and unit over the early extent.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 import numpy as np
 
@@ -122,16 +122,11 @@ def render_units(spatial_ir: SpatialIR,
     return units, impulses
 
 
-def synthesize_mono(spatial_ir: SpatialIR, out: Optional[np.ndarray] = None) -> np.ndarray:
+def synthesize_mono(spatial_ir: SpatialIR) -> np.ndarray:
     """Omnidirectional (direction-discarding) rendering of a SpatialIR's taps
-    and tail, added into ``out`` (default: zeros of ``spatial_ir_length``)
-    and returned; its door signature is left to ``pipeline.render_output``.
-    With a tail, ``out`` must be all zeros: the tail's scale step scales
-    the row's whole tail span, whatever it held before."""
-    if out is None:
-        out = np.zeros(spatial_ir_length(spatial_ir))
-    elif spatial_ir.tail is not None and out.any():
-        raise ValueError("a tail renders only into a zeroed row, which its scale step scales")
+    and tail, ``spatial_ir_length`` samples; its door signature is left to
+    ``pipeline.render_output``."""
+    out = np.zeros(spatial_ir_length(spatial_ir))
     _, (_, start, value) = render_units(spatial_ir, lambda d: np.ones((len(d), 1)), lambda _: [out])
     np.add.at(out, start, value)
     return out

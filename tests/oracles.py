@@ -542,8 +542,7 @@ def write_columns_percent(path, header, formats, columns, block_rows=4096):
 def write_analysis_csv(metric, channels, fs, path):
     """The CSV ``alodsim analyze`` writes for one metric, row by row.
 
-    A silent channel beside heard ones reads nan in t30, drr, edc and
-    dual-slope.
+    A silent channel beside heard ones reads nan in every metric.
     """
     n_ch = channels.shape[0]
     heard = channels.any()
@@ -568,10 +567,11 @@ def write_analysis_csv(metric, channels, fs, path):
         rows = [[f"{i / fs:.6f}"] + [fixed(None if c is None else c[i], ".4f") for c in curves]
                 for i in range(n)]
     elif metric == "ned":
-        profiles = [ned_per_frame(channels[ch], fs) for ch in range(n_ch)]
-        times = profiles[0].times
+        profiles = [each(lambda h: ned_per_frame(h, fs), ch) for ch in range(n_ch)]
+        times = next(p for p in profiles if p is not None).times
         header = ("time_s", *(f"ned_ch{ch}" for ch in range(n_ch)))
-        rows = [[f"{times[i]:.6f}"] + [f"{p.values[i]:.5f}" for p in profiles]
+        rows = [[f"{times[i]:.6f}"] + [fixed(None if p is None else p.values[i], ".5f")
+                                       for p in profiles]
                 for i in range(times.size)]
     elif metric == "dual-slope":
         header = ("channel", "slope1_db_per_s", "slope2_db_per_s",

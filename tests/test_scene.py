@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from alodsim.errors import (
     AlodsimError,
@@ -15,6 +15,7 @@ from alodsim.errors import (
     SceneParseError,
     SceneValidationError,
 )
+from alodsim.pipeline import simulate
 from alodsim.scene import (
     DEFAULT_SAMPLE_RATE,
     DEFAULT_SCATTERING,
@@ -40,6 +41,7 @@ from alodsim.scene import (
     surface_area,
     volume,
 )
+from alodsim.spatial import array_preset_86, synthetic_hrtf
 
 
 def _box(dims, absorption=0.3, **kw):
@@ -272,6 +274,11 @@ _OUT_OF_RANGE = {
                                                  width=math.nan, height=2.0),
     "aperture height inf": lambda s: ApertureSpec(connects=("a", "b"), center=(0, 0, 0),
                                                   width=1.0, height=math.inf),
+    # no direct path: a render would meet an image source at the receiver
+    "receiver at a source": lambda s: replace(s, receivers=(
+        replace(s.receivers[0], position=s.sources[1].position),)),
+    "receiver 1e-13 m from a source": lambda s: replace(s, receivers=(
+        replace(s.receivers[0], position=s.sources[1].position + [0.0, 0.0, 1e-13]),)),
 }
 
 
@@ -407,7 +414,7 @@ def test_parse_takes_defaults_from_the_dataclasses():
     scene = parse_scene(json.dumps({
         "rooms": [{"id": "r", "dims": [2, 2, 2], "absorption": 0.2}],
         "sources": [{"id": "s", **at}],
-        "receivers": [{"id": "l", **at}],
+        "receivers": [{"id": "l", "position": [1, 1, 1.5], "orientation": [1, 0, 0]}],
     }))
     assert scene.name == "scene" and scene.sample_rate == DEFAULT_SAMPLE_RATE
     assert scene.rng_seed == 0 and scene.occluded_path_m is None
@@ -492,10 +499,15 @@ def _valid_scenes(draw):
                           level_db=draw(_floats(-60.0, 20.0)),
                           directivity=draw(st.none() | _directivity()))
                for i in range(draw(st.integers(1, 2)))]
+    listener = inside()
+    if len(rooms) == 2 and draw(st.booleans()):  # beyond the door: a coupled pair
+        listener[0] += dims[0]
+    # SceneSpec refuses a source at the receiver
+    assume(all(np.linalg.norm(s.position - listener) >= 1e-12 for s in sources))
     return SceneSpec(
         name=draw(st.text(max_size=8)), rooms=rooms, apertures=apertures,
         panels=draw(st.lists(_panels(dims), max_size=2)), sources=sources,
-        receivers=[ReceiverSpec(id="l", position=inside(), orientation=draw(_unit_vectors()))],
+        receivers=[ReceiverSpec(id="l", position=listener, orientation=draw(_unit_vectors()))],
         sample_rate=draw(_floats(8000.0, 96000.0)), speed_of_sound=draw(_floats(300.0, 360.0)),
         rng_seed=draw(st.integers(0, 2**64)), occluded_path_m=draw(st.none() | _floats(0.1, 50.0)))
 
@@ -575,3 +587,48 @@ def test_sample_count_rounds_within_the_bound(seconds, fs, n):
 def test_sample_count_rejects_what_is_not_one_sample_to_the_bound(seconds, fs, named):
     with pytest.raises(SceneValidationError, match=re.escape(named)):
         sample_count(seconds, fs, "duration")
+
+
+# ---------------------------------------------------------------------------
+# every valid scene renders or is refused with a named reason
+# ---------------------------------------------------------------------------
+
+_LAYOUT = array_preset_86()
+
+# (error class, message pattern, why a valid scene meets it)
+_REFUSALS = [
+    (InfeasibleTargetError, r"tail onset [\d.]+ ms is at the direct sound",
+     "a source farther than ism_order + 1 mean free paths clamps the tail onset to its "
+     "direct sound, where the splice leaves the early part no share of the decay"),
+    (SceneValidationError, r"^no occluded path length available$",
+     "a coupled pair's blocked direct sound needs the scene's occluded_path_m, which a "
+     "scene may leave out"),
+]
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(scene=_valid_scenes(), profile=st.sampled_from(profile_names()),
+       mode=st.sampled_from(["mono", "binaural", "array"]))
+def test_every_valid_scene_renders_or_is_refused_with_a_named_reason(scene, profile, mode):
+    # 0.3 s renders, each a finite IR that a second render repeats byte for
+    # byte and whose diotic render is the binaural left ear on both channels
+    hrtf = synthetic_hrtf(fs=scene.sample_rate)
+
+    def render(output_mode):
+        return simulate(scene, profile_preset(profile), output_mode=output_mode, duration=0.3,
+                        hrtf=hrtf, layout=_LAYOUT).ir.channels
+
+    try:
+        first = render(mode)
+    except AlodsimError as exc:
+        assert any(isinstance(exc, kind) and re.search(pattern, str(exc))
+                   for kind, pattern, _ in _REFUSALS), f"refused for no listed reason: {exc!r}"
+        event(f"refused: {type(exc).__name__}")
+        return
+    event(f"rendered: {mode}")
+    assert first.shape[0] == {"mono": 1, "binaural": 2, "array": _LAYOUT.n_speakers}[mode]
+    assert first.shape[1] > 0 and np.all(np.isfinite(first))
+    assert render(mode).tobytes() == first.tobytes()
+    left = (first if mode == "binaural" else render("binaural"))[0]
+    diotic = render("diotic")
+    assert diotic.tobytes() == np.stack([left, left]).tobytes()

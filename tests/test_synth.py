@@ -277,17 +277,6 @@ def test_spatial_ir_length_is_bounded_before_any_wave_exists():
         synthesize_mono(replace(at_bound, tail=replace(tail, start=44_100_000_000)))  # 1e6 s
 
 
-def test_a_tail_renders_only_into_a_zeroed_row():
-    # the tail's scale step scales its whole span of the row, so content
-    # already there would be rescaled with it
-    ir = SpatialIR(taps=NO_TAPS, sample_rate=FS, tail=_tail(0.01, 1.0, start=44))
-    row = np.zeros(spatial_ir_length(ir))
-    assert synthesize_mono(ir, out=row) is row
-    assert np.array_equal(row, synthesize_mono(ir))
-    with pytest.raises(ValueError, match="zeroed row"):
-        synthesize_mono(ir, out=row)
-
-
 def test_a_30_s_pub_mono_render_holds_its_output_and_a_ring():
     # the FDN streams through a ring of 2112 samples per line into the output
     # row; its (12, n) block of line outputs used to set a peak of 14 x

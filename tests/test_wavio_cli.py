@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import alodsim
+from alodsim.analysis import ned
 from alodsim.cli import ANALYZE_METRICS, _write_columns, main
 from alodsim.errors import AlodsimError, SceneParseError, SceneValidationError
 from alodsim.scene import parse_scene, preset, serialize_scene
@@ -417,7 +418,7 @@ def test_cli_analyze_reads_nan_for_a_silent_channel_beside_heard_ones(tmp_path):
     h = np.stack([decay, np.zeros(n), 0.5 * decay], axis=1)
     write_wav(ir_path, h, FS)
     out = str(tmp_path / "m.csv")
-    assert main(["analyze", "--ir", ir_path, "--metrics", "t30,edc,drr,dual-slope",
+    assert main(["analyze", "--ir", ir_path, "--metrics", "t30,edc,ned,drr,dual-slope",
                  "--out", out]) == 0
     for metric in ("t30", "drr", "dual-slope"):
         with open(str(tmp_path / f"m-{metric}.csv"), encoding="utf-8") as fh:
@@ -425,10 +426,13 @@ def test_cli_analyze_reads_nan_for_a_silent_channel_beside_heard_ones(tmp_path):
         assert [row[0] for row in rows] == ["0", "1", "2"]
         assert all(v == "nan" for v in rows[1][1:]), metric
         assert not any(v == "nan" for row in (rows[0], rows[2]) for v in row), metric
-    with open(str(tmp_path / "m-edc.csv"), encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["time_s", "edc_db_ch0", "edc_db_ch1", "edc_db_ch2"] and len(rows) == 1 + n
-    assert all(row[2] == "nan" and row[1] != "nan" for row in rows[1:])
+    frames = {"edc": n, "ned": ned(decay, FS).times.size}
+    for metric, column in (("edc", "edc_db_ch"), ("ned", "ned_ch")):
+        with open(str(tmp_path / f"m-{metric}.csv"), encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["time_s", *(f"{column}{ch}" for ch in range(3))], metric
+        assert len(rows) == 1 + frames[metric], metric
+        assert all(row[2] == "nan" and "nan" not in (row[1], row[3]) for row in rows[1:]), metric
 
 
 def test_cli_analyze_checks_every_metric_name_first(tmp_path, capsys):
@@ -753,6 +757,29 @@ def test_cli_prints_one_error_line_for_an_output_it_cannot_allocate(tmp_path, ca
                  "array", "--duration", "700", "--out", str(tmp_path / "o.wav")]) == 1
     assert capsys.readouterr().err == line
     assert os.listdir(tmp_path) == []
+
+
+def test_cli_analyze_leaves_no_partial_csv_when_it_runs_out_of_memory(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the second block of the EDC's rows cannot be allocated: its first
+    # block is already written, and the file must go, as a failed metric's does
+    ir_path = str(tmp_path / "ir.wav")
+    _decaying_noise(ir_path)
+    blocks = []
+    write_block = alodsim.cli._csv_block
+
+    def csv_block(*args):
+        blocks.append(1)
+        if len(blocks) == 2:
+            raise MemoryError("Unable to allocate 2.40 MiB")
+        return write_block(*args)
+
+    monkeypatch.setattr(alodsim.cli, "_csv_block", csv_block)
+    assert main(["analyze", "--ir", ir_path, "--metrics", "edc,t30",
+                 "--out", str(tmp_path / "mem.csv")]) == 1
+    assert len(blocks) == 2
+    assert sorted(os.listdir(tmp_path)) == ["ir.wav"]
+    assert capsys.readouterr().err == "error: Unable to allocate 2.40 MiB\n"
 
 
 def test_cli_analyze_runs_every_metric_past_a_csv_that_cannot_be_written(tmp_path, capsys):
